@@ -67,6 +67,32 @@ impl QueryBudget {
     pub fn is_cancelled(&self) -> bool {
         self.cancel.as_ref().is_some_and(|c| c.is_cancelled())
     }
+
+    /// The between-batches check of the Phase-2 loop: how many more
+    /// confirmations may run (`usize::MAX` when nothing caps them), or the
+    /// degraded exit to take. Cheapest check first: cancellation, the
+    /// deadline against `sim_spent`, then the call caps — `calls` against
+    /// [`max_oracle_calls`](Self::max_oracle_calls) and `cap_left`, what
+    /// remains of the caller's own cap (`max_cleanings`, a stream's
+    /// per-emit budget); the tighter one wins.
+    pub(crate) fn room(
+        &self,
+        sim_spent: f64,
+        calls: usize,
+        cap_left: Option<usize>,
+    ) -> Result<usize, Termination> {
+        if self.is_cancelled() {
+            return Err(Termination::Cancelled);
+        }
+        if self.deadline_sim_seconds.is_some_and(|d| sim_spent >= d) {
+            return Err(Termination::Deadline);
+        }
+        let calls_left = self.max_oracle_calls.map(|m| m.saturating_sub(calls));
+        match calls_left.into_iter().chain(cap_left).min() {
+            Some(0) => Err(Termination::BudgetExhausted),
+            left => Ok(left.unwrap_or(usize::MAX)),
+        }
+    }
 }
 
 /// Why a Phase-2 run stopped. Everything except [`Termination::Converged`]

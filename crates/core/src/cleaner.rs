@@ -8,6 +8,12 @@
 //! batch of uncertain items and confirms their exact scores with the
 //! oracle. Termination is guaranteed: cleaning strictly shrinks the
 //! uncertain set and a fully-certain relation has confidence 1.
+//!
+//! There is one such loop, the crate-private `drive`: [`run_cleaner`] runs
+//! it over an [`UncertainRelation`] (frame and window queries), and
+//! [`crate::stream::StreamTopK`] runs it once per emit over its active
+//! window. They differ only in their `Frontier` — which uncertain items to
+//! confirm next and how a confirmed item is retired.
 
 use crate::budget::{QueryBudget, Termination};
 use crate::select::{CandidateSelector, SelectStats};
@@ -16,7 +22,6 @@ use crate::xtuple::{ItemId, UncertainRelation};
 use everest_models::OracleError;
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
-use std::time::{Duration, Instant};
 
 /// Resolves an item's exact score bucket (by running the expensive oracle).
 ///
@@ -107,10 +112,178 @@ pub struct CleanOutcome {
     /// answer: still the exact certain Top-K under the posterior, with
     /// its honest achieved confidence.
     pub termination: Termination,
-    /// Wall-clock time spent inside `Select-candidate`.
-    pub select_time: Duration,
     /// Selector statistics (examined counts, resorts).
     pub select_stats: SelectStats,
+}
+
+/// The Phase-2 state of §3.3 and the decisions derived from it. The batch
+/// engine builds one per query; [`crate::stream::StreamTopK`] keeps one
+/// alive across emits, adding and expiring frames between runs of
+/// [`TopKState::drive`].
+#[derive(Debug)]
+pub(crate) struct TopKState {
+    /// Joint CDF over the currently-uncertain items.
+    pub(crate) h: JointCdf,
+    /// Certain items ordered by (bucket desc, id asc).
+    pub(crate) certain: BTreeSet<(Reverse<u32>, ItemId)>,
+}
+
+impl TopKState {
+    /// Threshold bucket `S_k` (K-th certain item) and penultimate bucket
+    /// `S_p` ((K−1)-th; the grid maximum when K = 1, where any score above
+    /// `S_k` becomes the new threshold). `None` until K items are certain:
+    /// the certain-result condition has no answer yet.
+    fn thresholds(&self, k: usize) -> Option<(usize, usize)> {
+        let mut ranked = self.certain.iter().map(|&(Reverse(b), _)| b as usize);
+        if k == 1 {
+            return Some((ranked.next()?, self.h.num_buckets() - 1));
+        }
+        let s_p = ranked.nth(k - 2)?;
+        Some((ranked.next()?, s_p))
+    }
+
+    /// The certain Top-K as `(id, bucket)` rows, best first; fewer than K
+    /// rows when the run stopped before K items were certain.
+    pub(crate) fn topk(&self, k: usize) -> impl Iterator<Item = (ItemId, u32)> + '_ {
+        self.certain.iter().take(k).map(|&(Reverse(b), id)| (id, b))
+    }
+}
+
+/// What [`TopKState::drive`] needs confirmed next.
+pub(crate) enum Want {
+    /// Fewer than K items are certain; `missing` more are needed before
+    /// an answer exists.
+    Bootstrap { missing: usize },
+    /// `p̂ < thres` at the current thresholds.
+    Boundary { s_k: usize, s_p: usize },
+}
+
+/// The only part of Phase 2 that differs between the batch and the
+/// streaming engine: which uncertain items to confirm next, and how a
+/// confirmed item leaves the uncertain set.
+pub(crate) trait Frontier {
+    type Picks: AsRef<[ItemId]>;
+
+    /// Between 1 and `room` uncertain items to confirm next.
+    fn pick(&mut self, h: &JointCdf, want: Want, room: usize) -> Self::Picks;
+
+    /// Records `id`'s confirmed bucket and takes its factors out of `h`.
+    fn retire(&mut self, h: &mut JointCdf, id: ItemId, bucket: u32);
+}
+
+/// How a run of [`TopKState::drive`] ended.
+pub(crate) struct Driven {
+    pub(crate) termination: Termination,
+    /// `p̂` of the certain Top-K (Eq. 2): 0 while fewer than K items are
+    /// certain, 1 once nothing is left uncertain.
+    pub(crate) confidence: f64,
+    pub(crate) iterations: usize,
+    pub(crate) cleaned: usize,
+}
+
+impl TopKState {
+    /// The §3.3 loop: while the certain Top-K's confidence is below `thres`
+    /// and the limits leave room, confirm what the frontier picks. The
+    /// limits are `budget` — against which `prior_calls` oracle calls were
+    /// already charged before this run — and `cap`, the caller's own cap on
+    /// this run's confirmations.
+    ///
+    /// The stop rule is checked before the limits, so an answer that
+    /// already meets `thres` is never reported degraded. A failed batch
+    /// leaves the state untouched (the oracle scored nothing), so every
+    /// exit returns a consistent anytime answer with its honest achieved
+    /// confidence.
+    pub(crate) fn drive<V: Frontier>(
+        &mut self,
+        frontier: &mut V,
+        oracle: &mut dyn CleaningOracle,
+        k: usize,
+        thres: f64,
+        budget: &QueryBudget,
+        prior_calls: usize,
+        cap: Option<usize>,
+    ) -> Driven {
+        let mut iterations = 0usize;
+        let mut cleaned = 0usize;
+        let mut confidence = 0.0;
+        let termination = loop {
+            let want = match self.thresholds(k) {
+                Some((s_k, s_p)) => {
+                    confidence = topk_prob(&self.h, s_k);
+                    if confidence >= thres {
+                        break Termination::Converged;
+                    }
+                    Want::Boundary { s_k, s_p }
+                }
+                None => Want::Bootstrap {
+                    missing: k - self.certain.len(),
+                },
+            };
+            let room = match budget.room(
+                oracle.sim_seconds_spent(),
+                prior_calls + cleaned,
+                cap.map(|c| c.saturating_sub(cleaned)),
+            ) {
+                Ok(room) => room,
+                Err(why) => break why,
+            };
+            let picks = frontier.pick(&self.h, want, room);
+            let picks = picks.as_ref();
+            assert!(!picks.is_empty(), "nothing left to confirm below thres");
+            let Ok(buckets) = oracle.try_clean_batch(picks) else {
+                break Termination::OracleDown;
+            };
+            for (&id, &bucket) in picks.iter().zip(&buckets) {
+                frontier.retire(&mut self.h, id, bucket);
+                self.certain.insert((Reverse(bucket), id));
+            }
+            cleaned += picks.len();
+            iterations += 1;
+        };
+        Driven {
+            termination,
+            confidence,
+            iterations,
+            cleaned,
+        }
+    }
+}
+
+/// The batch frontier: bootstrap with the highest-mean items in one
+/// batch, then lazy-ψ `Select-candidate` batches over the relation.
+struct RelationFrontier<'a> {
+    rel: &'a mut UncertainRelation,
+    selector: CandidateSelector,
+    batch_size: usize,
+}
+
+impl Frontier for RelationFrontier<'_> {
+    type Picks = Vec<ItemId>;
+
+    fn pick(&mut self, h: &JointCdf, want: Want, room: usize) -> Vec<ItemId> {
+        match want {
+            Want::Bootstrap { missing } => {
+                let rel = &*self.rel;
+                let mut by_mean = rel.uncertain_ids();
+                by_mean.sort_by(|&a, &b| {
+                    rel.mean_bucket(b)
+                        .partial_cmp(&rel.mean_bucket(a))
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.cmp(&b))
+                });
+                by_mean.truncate(missing.min(room));
+                by_mean
+            }
+            Want::Boundary { s_k, s_p } => {
+                let batch = self.batch_size.min(self.rel.num_uncertain()).min(room);
+                self.selector.select_batch(self.rel, h, s_k, s_p, batch)
+            }
+        }
+    }
+
+    fn retire(&mut self, h: &mut JointCdf, id: ItemId, bucket: u32) {
+        h.remove(&self.rel.clean(id, bucket));
+    }
 }
 
 /// Runs Phase 2 to completion.
@@ -134,139 +307,35 @@ pub fn run_cleaner(
         cfg.k
     );
 
-    let mut h = JointCdf::build(rel);
-    let mut selector = CandidateSelector::new(rel, cfg.resort_period);
-    // Certain items ordered by (bucket desc, id asc).
-    let mut certain: BTreeSet<(Reverse<u32>, ItemId)> = (0..rel.len())
-        .filter_map(|id| rel.certain_bucket(id).map(|b| (Reverse(b), id)))
-        .collect();
-
-    let mut iterations = 0usize;
-    let mut cleaned = 0usize;
-    let mut select_time = Duration::ZERO;
-    let max_bucket = rel.max_bucket();
-
-    let term = loop {
-        // Degradation checks run between batches, cheapest first:
-        // cancellation, then the simulated-seconds deadline, then the
-        // oracle-call budget (inside the branches below).
-        if cfg.budget.is_cancelled() {
-            break Termination::Cancelled;
-        }
-        if let Some(deadline) = cfg.budget.deadline_sim_seconds {
-            if oracle.sim_seconds_spent() >= deadline {
-                break Termination::Deadline;
-            }
-        }
-        // Remaining cleaning budget: the tighter of `max_cleanings` and
-        // the query budget's oracle-call cap (None = unlimited).
-        let budget: Option<usize> = [cfg.max_cleanings, cfg.budget.max_oracle_calls]
-            .into_iter()
-            .flatten()
-            .map(|m| m.saturating_sub(cleaned))
-            .min();
-
-        // Bootstrap: the certain-result condition needs ≥ K certain items.
-        if certain.len() < cfg.k {
-            if budget == Some(0) {
-                // Out of budget before the answer even exists: return the
-                // certain items we have (fewer than K), non-converged.
-                break Termination::BudgetExhausted;
-            }
-            let mut by_mean: Vec<ItemId> = rel.uncertain_ids();
-            by_mean.sort_by(|&a, &b| {
-                rel.mean_bucket(b)
-                    .partial_cmp(&rel.mean_bucket(a))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            let need = (cfg.k - certain.len())
-                .min(by_mean.len())
-                .min(budget.unwrap_or(usize::MAX));
-            assert!(need > 0, "cannot reach K certain items");
-            let batch: Vec<ItemId> = by_mean.into_iter().take(need).collect();
-            if clean_items(oracle, &batch, rel, &mut h, &mut certain).is_err() {
-                break Termination::OracleDown;
-            }
-            cleaned += batch.len();
-            iterations += 1;
-            continue;
-        }
-
-        // Threshold frame k_i and penultimate frame p_i from the certain set.
-        let top: Vec<(Reverse<u32>, ItemId)> = certain.iter().take(cfg.k).copied().collect();
-        let s_k = top[cfg.k - 1].0 .0 as usize;
-        let s_p = if cfg.k >= 2 {
-            top[cfg.k - 2].0 .0 as usize
-        } else {
-            max_bucket
-        };
-
-        let confidence = topk_prob(&h, s_k);
-        if confidence >= cfg.thres || h.members() == 0 {
-            break Termination::Converged;
-        }
-        if budget == Some(0) {
-            break Termination::BudgetExhausted;
-        }
-
-        // Select and clean the next batch (clamped to the budget).
-        // lint:allow(det-wallclock): feeds the reported select_time stat
-        // only; answer selection never branches on wall time.
-        let started = Instant::now();
-        let batch_size = cfg
-            .batch_size
-            .min(rel.num_uncertain())
-            .min(budget.unwrap_or(usize::MAX));
-        let batch = selector.select_batch(rel, &h, s_k, s_p, batch_size);
-        select_time += started.elapsed();
-        debug_assert!(!batch.is_empty());
-        if clean_items(oracle, &batch, rel, &mut h, &mut certain).is_err() {
-            break Termination::OracleDown;
-        }
-        cleaned += batch.len();
-        iterations += 1;
+    let mut state = TopKState {
+        h: JointCdf::build(rel),
+        certain: (0..rel.len())
+            .filter_map(|id| rel.certain_bucket(id).map(|b| (Reverse(b), id)))
+            .collect(),
     };
-
-    // Assemble the (possibly degraded) anytime answer from the current
-    // posterior: the certain Top-K with its honest achieved confidence.
-    let top: Vec<(Reverse<u32>, ItemId)> = certain.iter().take(cfg.k).copied().collect();
-    let confidence = if top.len() < cfg.k {
-        0.0 // aborted mid-bootstrap: no certain-result answer exists yet
-    } else if h.members() == 0 {
-        1.0
-    } else {
-        topk_prob(&h, top[cfg.k - 1].0 .0 as usize)
+    let mut frontier = RelationFrontier {
+        selector: CandidateSelector::new(rel, cfg.resort_period),
+        rel,
+        batch_size: cfg.batch_size,
     };
+    let run = state.drive(
+        &mut frontier,
+        oracle,
+        cfg.k,
+        cfg.thres,
+        &cfg.budget,
+        0,
+        cfg.max_cleanings,
+    );
     CleanOutcome {
-        topk: top.into_iter().map(|(_, id)| id).collect(),
-        confidence,
-        iterations,
-        cleaned,
-        converged: term == Termination::Converged,
-        termination: term,
-        select_time,
-        select_stats: selector.stats,
+        topk: state.topk(cfg.k).map(|(id, _)| id).collect(),
+        confidence: run.confidence,
+        iterations: run.iterations,
+        cleaned: run.cleaned,
+        converged: run.termination == Termination::Converged,
+        termination: run.termination,
+        select_stats: frontier.selector.stats,
     }
-}
-
-/// Confirms `items` with the oracle and retires their uncertainty. A
-/// failed batch leaves the relation untouched (the oracle scored
-/// nothing), so the caller can return a consistent degraded answer.
-fn clean_items(
-    oracle: &mut dyn CleaningOracle,
-    items: &[ItemId],
-    rel: &mut UncertainRelation,
-    h: &mut JointCdf,
-    certain: &mut BTreeSet<(Reverse<u32>, ItemId)>,
-) -> Result<(), OracleError> {
-    let buckets = oracle.try_clean_batch(items)?;
-    for (&id, &b) in items.iter().zip(buckets.iter()) {
-        let old = rel.clean(id, b);
-        h.remove(&old);
-        certain.insert((Reverse(b), id));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -532,6 +601,43 @@ mod tests {
         assert!(!out.converged);
     }
 
+    #[test]
+    fn a_converged_answer_is_never_reported_degraded() {
+        // The stop rule is checked before the limits: a cancelled token or
+        // an already-passed deadline over a relation that needs no cleaning
+        // must not turn a full-confidence answer into a degraded one.
+        let token = crate::budget::CancelToken::new();
+        token.cancel();
+        let budgets = [
+            QueryBudget {
+                cancel: Some(token),
+                ..QueryBudget::unlimited()
+            },
+            QueryBudget {
+                deadline_sim_seconds: Some(0.0),
+                ..QueryBudget::unlimited()
+            },
+        ];
+        for budget in budgets {
+            let mut rel = UncertainRelation::new(1.0, 5);
+            for b in [5u32, 3, 4, 1, 0] {
+                rel.push_certain(b);
+            }
+            let mut oracle = FnCleaningOracle(|_| panic!("oracle must not be called"));
+            let cfg = CleanerConfig {
+                k: 2,
+                thres: 0.99,
+                budget,
+                ..Default::default()
+            };
+            let out = run_cleaner(&mut rel, &mut oracle, &cfg);
+            assert_eq!(out.termination, Termination::Converged);
+            assert!(out.converged);
+            assert_eq!(out.confidence, 1.0);
+            assert_eq!(out.topk, vec![0, 2]);
+        }
+    }
+
     /// An oracle charging 0.1 simulated seconds per cleaning.
     struct CostedOracle<'a> {
         truth: &'a [u32],
@@ -735,6 +841,15 @@ mod tests {
                 out.converged,
                 out.termination == Termination::Converged
             );
+            // Degraded only when actually degraded: a full-K answer that
+            // stopped for any other reason is below the threshold.
+            if out.termination != Termination::Converged && out.topk.len() == 5 {
+                proptest::prop_assert!(
+                    out.confidence < cfg.thres,
+                    "termination {:?} at confidence {}",
+                    out.termination, out.confidence
+                );
+            }
         }
     }
 

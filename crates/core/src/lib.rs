@@ -19,21 +19,21 @@
 //! * [`budget`] — query budgets, simulated-seconds deadlines, cooperative
 //!   cancellation, and the [`budget::Termination`] status of degraded
 //!   anytime answers;
-//! * [`cleaner`] — the Phase-2 driver: certain-result condition, batched
-//!   oracle cleaning, convergence guarantee;
+//! * [`cleaner`] — the one Phase-2 loop: certain-result condition, stop
+//!   rule, budget checks, oracle cleaning — batch and streaming both run it;
 //! * [`window`] — Top-K over tumbling windows (Eq. 9 + sampled
 //!   confirmation, §3.4);
 //! * [`stream`] — continuous Top-K over live streams: sliding/tumbling
-//!   windows advanced in O(delta), boundary-focused cleaning, and the
-//!   batch-replay reference the equivalence harness compares against;
+//!   windows advanced in O(delta), the [`cleaner`] loop with a
+//!   boundary-focused picking policy, and the batch-replay reference the
+//!   equivalence harness compares against;
 //! * [`phase1`] — CMDN sampling/training/model-selection and the initial
 //!   uncertain relation `D0` (§3.2);
 //! * [`pipeline`] — the end-to-end engine with simulated-cost accounting
 //!   ([`sim`], Table 8 style breakdowns);
 //! * [`baselines`] — scan-and-test, HOG/TinyYOLO scans, CMDN-only, and the
 //!   calibrated Select-and-TopK baseline (§4);
-//! * [`metrics`] — precision / rank distance / score error (§4);
-//! * [`prefetch`] — ψ-ordered frame prefetching (§3.5).
+//! * [`metrics`] — precision / rank distance / score error (§4).
 //!
 //! ## Quick start
 //!
@@ -78,7 +78,6 @@ pub mod ingest;
 pub mod metrics;
 pub mod phase1;
 pub mod pipeline;
-pub mod prefetch;
 pub mod pws;
 pub mod select;
 pub mod semantics;

@@ -11,12 +11,13 @@
 use crate::budget::Termination;
 use crate::cleaner::{run_cleaner, CleanerConfig, CleaningOracle};
 use crate::phase1::{run_phase1, Phase1Config, Phase1Output};
-use crate::sim::{component, SimClock};
+use crate::sim::{component, SimClock, SELECT_EVAL_COST};
 use crate::window::{build_window_relation, tumbling_windows, WindowCleaningOracle, WindowInfo};
-use crate::xtuple::ItemId;
-use everest_models::Oracle;
+use crate::xtuple::{score_to_bucket, ItemId, UncertainRelation};
+use everest_models::{Oracle, OracleError};
 use everest_video::store::DecodeCostModel;
 use everest_video::VideoStore;
+use std::ops::Deref;
 use std::time::Instant;
 
 /// The Everest engine entry point.
@@ -103,56 +104,80 @@ impl QueryReport {
     }
 }
 
-/// Phase-2 oracle adapter for frame queries: item id = retained position.
-struct FrameCleaningOracle<'a> {
-    oracle: &'a dyn Oracle,
-    retained: &'a [usize],
+/// The Phase-2 oracle adapter for frame items: item id = retained position
+/// → video frame → [`Oracle::try_score_batch`] → bucket on the relation's
+/// grid. It records the frames it scores, in order (the decode trace).
+///
+/// Generic over how the oracle and the retained-frame list are held, so a
+/// query can borrow both (`&dyn Oracle`, `&[usize]`) while a long-lived
+/// stream owns them (`Arc<dyn Oracle>`, `Vec<usize>`).
+pub struct FrameOracleAdapter<O, R> {
+    oracle: O,
+    retained: R,
     step: f64,
     max_bucket: usize,
-    frames_scored: usize,
     trace: Vec<usize>,
     /// Oracle overhead (fault penalties, backoff) already accumulated
-    /// when this query started; `sim_seconds_spent` reports the delta.
+    /// when this adapter was built; `sim_seconds_spent` reports the delta.
     overhead0: f64,
 }
 
-impl FrameCleaningOracle<'_> {
-    fn buckets(&self, scores: &[f64]) -> Vec<u32> {
-        scores
-            .iter()
-            .map(|&s| ((s / self.step).round().max(0.0) as usize).min(self.max_bucket) as u32)
-            .collect()
+impl<'o, O, R> FrameOracleAdapter<O, R>
+where
+    O: Deref<Target = dyn Oracle + 'o>,
+    R: Deref<Target = [usize]>,
+{
+    /// An adapter confirming `relation`'s items (`retained[id]` is item
+    /// `id`'s video frame) on `relation`'s bucket grid.
+    pub fn new(oracle: O, retained: R, relation: &UncertainRelation) -> Self {
+        FrameOracleAdapter {
+            overhead0: oracle.sim_overhead_seconds(),
+            oracle,
+            retained,
+            step: relation.step(),
+            max_bucket: relation.max_bucket(),
+            trace: Vec::new(),
+        }
     }
 
-    /// Fault/backoff overhead charged by the wrapped oracle during this
-    /// query, in simulated seconds.
-    fn overhead(&self) -> f64 {
-        self.oracle.sim_overhead_seconds() - self.overhead0
+    /// Every frame sent to the oracle so far, in confirmation order.
+    pub fn trace(&self) -> &[usize] {
+        &self.trace
+    }
+
+    fn frames(&self, items: &[ItemId]) -> Vec<usize> {
+        items.iter().map(|&i| self.retained[i]).collect()
+    }
+
+    fn confirmed(&mut self, frames: &[usize], scores: &[f64]) -> Vec<u32> {
+        self.trace.extend_from_slice(frames);
+        scores
+            .iter()
+            .map(|&s| score_to_bucket(s, self.step, self.max_bucket))
+            .collect()
     }
 }
 
-impl CleaningOracle for FrameCleaningOracle<'_> {
+impl<'o, O, R> CleaningOracle for FrameOracleAdapter<O, R>
+where
+    O: Deref<Target = dyn Oracle + 'o>,
+    R: Deref<Target = [usize]>,
+{
     fn clean_batch(&mut self, items: &[ItemId]) -> Vec<u32> {
-        let frames: Vec<usize> = items.iter().map(|&i| self.retained[i]).collect();
+        let frames = self.frames(items);
         let scores = self.oracle.score_batch(&frames);
-        self.frames_scored += frames.len();
-        self.trace.extend_from_slice(&frames);
-        self.buckets(&scores)
+        self.confirmed(&frames, &scores)
     }
 
-    fn try_clean_batch(
-        &mut self,
-        items: &[ItemId],
-    ) -> Result<Vec<u32>, everest_models::OracleError> {
-        let frames: Vec<usize> = items.iter().map(|&i| self.retained[i]).collect();
+    fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
+        let frames = self.frames(items);
         let scores = self.oracle.try_score_batch(&frames)?;
-        self.frames_scored += frames.len();
-        self.trace.extend_from_slice(&frames);
-        Ok(self.buckets(&scores))
+        Ok(self.confirmed(&frames, &scores))
     }
 
     fn sim_seconds_spent(&self) -> f64 {
-        self.frames_scored as f64 * self.oracle.cost_per_frame() + self.overhead()
+        self.trace.len() as f64 * self.oracle.cost_per_frame()
+            + (self.oracle.sim_overhead_seconds() - self.overhead0)
     }
 }
 
@@ -177,62 +202,29 @@ impl PreparedVideo {
         thres: f64,
         cleaner: &CleanerConfig,
     ) -> QueryReport {
-        // lint:allow(det-wallclock): feeds the reported wall_time stat
-        // only; query results never branch on wall time.
-        let started = Instant::now();
-        let mut relation = self.phase1.relation.clone();
         let retained = self.phase1.segments.retained();
-        let mut cleaning = FrameCleaningOracle {
-            oracle,
-            retained,
-            step: relation.step(),
-            max_bucket: relation.max_bucket(),
-            frames_scored: 0,
-            trace: Vec::new(),
-            overhead0: oracle.sim_overhead_seconds(),
-        };
-        let cfg = CleanerConfig {
+        self.run_phase2(
             k,
             thres,
-            ..cleaner.clone()
-        };
-        let outcome = run_cleaner(&mut relation, &mut cleaning, &cfg);
-
-        let mut clock = self.phase1.clock.clone();
-        let decode = DecodeCostModel::default();
-        clock.charge(
-            component::CONFIRM,
-            cleaning.frames_scored as f64 * oracle.cost_per_frame()
-                + cleaning.overhead()
-                + decode.trace_cost(&cleaning.trace),
-        );
-        clock.charge(component::SELECT, outcome.select_time.as_secs_f64());
-
-        let items = outcome
-            .topk
-            .iter()
-            .map(|&id| {
+            cleaner,
+            || {
+                let relation = self.phase1.relation.clone();
+                let cleaning = FrameOracleAdapter::new(oracle, retained, &relation);
+                (relation, cleaning)
+            },
+            |cleaning| {
+                let trace = cleaning.trace();
+                (trace.len(), DecodeCostModel::default().trace_cost(trace))
+            },
+            |id, score| {
                 let frame = retained[id];
-                let bucket = relation.certain_bucket(id).expect("answer is certain");
                 ResultItem {
                     frame,
                     range: (frame, frame + 1),
-                    score: relation.bucket_to_score(bucket),
+                    score,
                 }
-            })
-            .collect();
-        QueryReport {
-            items,
-            confidence: outcome.confidence,
-            converged: outcome.converged,
-            termination: outcome.termination,
-            clock,
-            iterations: outcome.iterations,
-            cleaned: outcome.cleaned,
-            total_items: relation.len(),
-            oracle_frames: cleaning.frames_scored,
-            phase2_wall: started.elapsed(),
-        }
+            },
+        )
     }
 
     /// Runs a Top-K window query (§3.4): tumbling windows of `window_len`
@@ -274,32 +266,72 @@ impl PreparedVideo {
         oracle: &dyn Oracle,
         k: usize,
         thres: f64,
-        windows: Vec<crate::window::WindowInfo>,
+        windows: Vec<WindowInfo>,
         sample_frac: f64,
         cleaner: &CleanerConfig,
     ) -> QueryReport {
-        // lint:allow(det-wallclock): feeds the reported wall_time stat
-        // only; window-query results never branch on wall time.
-        let started = Instant::now();
         // Window scores are means of frame scores: reuse the frame grid but
         // refine the step for sub-integer means.
         let step = self.phase1.relation.step() / 4.0;
         let max_bucket = (self.phase1.relation.max_bucket() * 4 + 4).min(4 * 400);
-        let mut relation = build_window_relation(
-            &self.phase1.mixtures,
-            &self.phase1.segments,
-            &windows,
-            step,
-            max_bucket,
-        );
-        let mut cleaning = WindowCleaningOracle::new(
-            oracle,
-            &windows,
-            sample_frac,
-            step,
-            max_bucket,
-            self.phase1_seed() ^ WINDOW_SAMPLE_SALT,
-        );
+        self.run_phase2(
+            k,
+            thres,
+            cleaner,
+            || {
+                let relation = build_window_relation(
+                    &self.phase1.mixtures,
+                    &self.phase1.segments,
+                    &windows,
+                    step,
+                    max_bucket,
+                );
+                let cleaning = WindowCleaningOracle::new(
+                    oracle,
+                    &windows,
+                    sample_frac,
+                    step,
+                    max_bucket,
+                    self.phase1_seed() ^ WINDOW_SAMPLE_SALT,
+                );
+                (relation, cleaning)
+            },
+            |cleaning| {
+                let frames = cleaning.frames_scored;
+                (
+                    frames,
+                    frames as f64 * DecodeCostModel::default().seq_cost * 4.0,
+                )
+            },
+            |wid, score| {
+                let w = windows[wid];
+                ResultItem {
+                    frame: w.start,
+                    range: (w.start, w.end),
+                    score,
+                }
+            },
+        )
+    }
+
+    /// Phase 2 of any Top-K query, and its report. The callers supply only
+    /// what differs between item kinds: `build` makes the relation and its
+    /// oracle adapter, `spend` reads the adapter's `(oracle frames, decode
+    /// seconds)` once cleaning is over, and `item` maps an answer id and
+    /// its confirmed score to a result row.
+    fn run_phase2<C: CleaningOracle>(
+        &self,
+        k: usize,
+        thres: f64,
+        cleaner: &CleanerConfig,
+        build: impl FnOnce() -> (UncertainRelation, C),
+        spend: impl FnOnce(&C) -> (usize, f64),
+        item: impl Fn(ItemId, f64) -> ResultItem,
+    ) -> QueryReport {
+        // lint:allow(det-wallclock): feeds the reported phase2_wall stat
+        // only; query results never branch on wall time.
+        let started = Instant::now();
+        let (mut relation, mut cleaning) = build();
         let cfg = CleanerConfig {
             k,
             thres,
@@ -307,25 +339,23 @@ impl PreparedVideo {
         };
         let outcome = run_cleaner(&mut relation, &mut cleaning, &cfg);
 
+        let (oracle_frames, decode_seconds) = spend(&cleaning);
         let mut clock = self.phase1.clock.clone();
-        let decode = DecodeCostModel::default();
         clock.charge(
             component::CONFIRM,
-            cleaning.frames_scored as f64 * (oracle.cost_per_frame() + decode.seq_cost * 4.0),
+            cleaning.sim_seconds_spent() + decode_seconds,
         );
-        clock.charge(component::SELECT, outcome.select_time.as_secs_f64());
+        clock.charge(
+            component::SELECT,
+            outcome.select_stats.examined as f64 * SELECT_EVAL_COST,
+        );
 
         let items = outcome
             .topk
             .iter()
-            .map(|&wid| {
-                let w = windows[wid];
-                let bucket = relation.certain_bucket(wid).expect("answer is certain");
-                ResultItem {
-                    frame: w.start,
-                    range: (w.start, w.end),
-                    score: relation.bucket_to_score(bucket),
-                }
+            .map(|&id| {
+                let bucket = relation.certain_bucket(id).expect("answer is certain");
+                item(id, relation.bucket_to_score(bucket))
             })
             .collect();
         QueryReport {
@@ -337,7 +367,7 @@ impl PreparedVideo {
             iterations: outcome.iterations,
             cleaned: outcome.cleaned,
             total_items: relation.len(),
-            oracle_frames: cleaning.frames_scored,
+            oracle_frames,
             phase2_wall: started.elapsed(),
         }
     }
@@ -438,6 +468,12 @@ mod tests {
         assert!(report.clock.component(component::POPULATE) > 0.0);
         assert!(report.sim_seconds() > 0.0);
         assert!(report.pct_cleaned() <= 1.0);
+        // SELECT is counted (evaluations × a constant), not measured: the
+        // same query charges the same amount again.
+        let select = report.clock.component(component::SELECT);
+        assert!(select > 0.0);
+        let again = prepared.query_topk(&oracle, 5, 0.9, &CleanerConfig::default());
+        assert_eq!(again.clock.component(component::SELECT), select);
     }
 
     #[test]

@@ -116,12 +116,6 @@ impl CandidateSelector {
         }
     }
 
-    /// The frame order the prefetcher should warm (§3.5 "Prefetching"):
-    /// descending stale ψ, i.e. the order candidates will be examined in.
-    pub fn prefetch_order(&self) -> &[ItemId] {
-        &self.order
-    }
-
     fn needs_resort(&self, s_k: usize, s_p: usize) -> bool {
         match self.sorted_at {
             None => true,

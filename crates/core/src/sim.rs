@@ -6,6 +6,10 @@
 //! [`SimClock`]. Reported speedups are ratios of simulated times, which
 //! preserves the paper's comparative shape regardless of the host CPU.
 //!
+//! Every charge is a *count* times a constant — frames labelled, frames
+//! confirmed, `E[X_f]` evaluations — never a wall-clock reading, so a
+//! query's simulated time is a pure function of the statement and seed.
+//!
 //! Constants are calibration knobs (documented in DESIGN.md §2). The
 //! oracle and baseline scorer costs live with their models in
 //! `everest-models`; this module holds the pipeline-side constants.
@@ -21,6 +25,12 @@ pub const CMDN_TRAIN_COST: f64 = 3.0e-4;
 /// Simulated difference-detector cost per frame, seconds.
 pub const DIFF_COST: f64 = 5.0e-5;
 
+/// Simulated `Select-candidate` cost per `E[X_f]` evaluation (Eq. 6),
+/// seconds. Calibrated from `select_candidate/exhaustive/{1000,10000}` in
+/// `crates/bench/bench_baseline.json` (93 µs and 2.02 ms per scan of every
+/// item: ≈ 1–2e-7 s per evaluation).
+pub const SELECT_EVAL_COST: f64 = 2.0e-7;
+
 /// Component labels used in the Table 8 breakdown.
 pub mod component {
     /// Phase 1: labelling sampled frames with the oracle.
@@ -29,7 +39,8 @@ pub mod component {
     pub const TRAIN: &str = "cmdn_training";
     /// Phase 1: populating D0 (decode + diff detect + CMDN inference).
     pub const POPULATE: &str = "populate_d0";
-    /// Phase 2: Select-candidate algorithmic time (measured wall clock).
+    /// Phase 2: Select-candidate algorithmic time, counted as `E[X_f]`
+    /// evaluations × [`SELECT_EVAL_COST`](super::SELECT_EVAL_COST).
     pub const SELECT: &str = "select_candidate";
     /// Phase 2: confirming frames with the oracle.
     pub const CONFIRM: &str = "confirm_by_oracle";

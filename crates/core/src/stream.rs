@@ -24,7 +24,10 @@
 //!
 //! ## Boundary-focused cleaning
 //!
-//! Instead of spending the oracle budget up front, each emit cleans one
+//! Each emit runs the one Phase-2 loop ([`crate::cleaner`]) over the
+//! active window: thresholds, stop rule, budget checks and termination
+//! causes are the batch engine's. Only the picking policy is the stream's
+//! own. Instead of spending the oracle budget up front, it cleans one
 //! frame at a time at the currently-unstable rank boundary: the uncertain
 //! frame with the largest ψ (Eq. 7) at the *current* thresholds
 //! `(S_k, S_p)`, recomputed after every confirmation (Fagin-style
@@ -37,12 +40,11 @@
 //! across emits.)
 
 use crate::budget::{QueryBudget, Termination};
-use crate::cleaner::CleaningOracle;
+use crate::cleaner::{CleaningOracle, Frontier, TopKState, Want};
 use crate::dist::DiscreteDist;
 use crate::select::psi;
 use crate::topkprob::{topk_prob, JointCdf};
 use crate::xtuple::{ItemId, UncertainRelation};
-use everest_models::OracleError;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -169,17 +171,10 @@ impl StreamAnswer {
 #[derive(Debug)]
 pub struct StreamTopK {
     cfg: StreamConfig,
-    /// Every arrived frame's proxy distribution, by frame id.
-    dists: Vec<DiscreteDist>,
-    /// Oracle-confirmed exact buckets (kept past expiry; frames never
-    /// re-enter a forward-moving window).
-    cleaned: BTreeMap<ItemId, u32>,
-    /// Active frames still uncertain.
-    uncertain_active: BTreeSet<ItemId>,
-    /// Active certain frames ordered by (bucket desc, frame asc).
-    certain: BTreeSet<(Reverse<u32>, ItemId)>,
-    /// Joint CDF over the active uncertain frames.
-    h: JointCdf,
+    frames: Frames,
+    /// Joint CDF over the active uncertain frames + the active certain
+    /// frames in rank order.
+    state: TopKState,
     /// First active frame (window low edge).
     lo: usize,
     emits: usize,
@@ -199,12 +194,16 @@ impl StreamTopK {
         }
         let empty = UncertainRelation::new(cfg.quant_step, cfg.max_bucket);
         StreamTopK {
-            h: JointCdf::build(&empty),
+            state: TopKState {
+                h: JointCdf::build(&empty),
+                certain: BTreeSet::new(),
+            },
             cfg,
-            dists: Vec::new(),
-            cleaned: BTreeMap::new(),
-            uncertain_active: BTreeSet::new(),
-            certain: BTreeSet::new(),
+            frames: Frames {
+                dists: Vec::new(),
+                cleaned: BTreeMap::new(),
+                uncertain_active: BTreeSet::new(),
+            },
             lo: 0,
             emits: 0,
             cleaned_total: 0,
@@ -217,7 +216,7 @@ impl StreamTopK {
 
     /// Frames arrived so far.
     pub fn n_frames(&self) -> usize {
-        self.dists.len()
+        self.frames.dists.len()
     }
 
     /// First frame of the active window.
@@ -246,14 +245,14 @@ impl StreamTopK {
             self.cfg.max_bucket,
             "arriving frame is on a different bucket grid"
         );
-        let id = self.dists.len();
+        let id = self.frames.dists.len();
         if self.cfg.maintenance == Maintenance::Incremental {
-            self.h.add(&dist);
+            self.state.h.add(&dist);
         }
-        self.uncertain_active.insert(id);
-        self.dists.push(dist);
+        self.frames.uncertain_active.insert(id);
+        self.frames.dists.push(dist);
         self.advance_window();
-        if self.dists.len().is_multiple_of(self.cfg.emit_every) {
+        if self.frames.dists.len().is_multiple_of(self.cfg.emit_every) {
             Some(self.emit(oracle))
         } else {
             None
@@ -263,14 +262,14 @@ impl StreamTopK {
     /// Expires frames that fell out of the sliding window.
     fn advance_window(&mut self) {
         let Some(w) = self.cfg.window else { return };
-        let new_lo = self.dists.len().saturating_sub(w);
+        let new_lo = self.frames.dists.len().saturating_sub(w);
         for frame in self.lo..new_lo {
-            if let Some(&b) = self.cleaned.get(&frame) {
-                self.certain.remove(&(Reverse(b), frame));
-            } else if self.uncertain_active.remove(&frame)
+            if let Some(&b) = self.frames.cleaned.get(&frame) {
+                self.state.certain.remove(&(Reverse(b), frame));
+            } else if self.frames.uncertain_active.remove(&frame)
                 && self.cfg.maintenance == Maintenance::Incremental
             {
-                self.h.remove(&self.dists[frame]);
+                self.state.h.remove(&self.frames.dists[frame]);
             }
         }
         self.lo = new_lo;
@@ -279,35 +278,73 @@ impl StreamTopK {
     /// From-scratch reconstruction of the joint CDF and the certain set
     /// (the batch half of the equivalence harness).
     fn rebuild(&mut self) {
-        self.certain = self
+        self.state.certain = self
+            .frames
             .cleaned
             .range(self.lo..)
             .map(|(&f, &b)| (Reverse(b), f))
             .collect();
         let mut rel = UncertainRelation::new(self.cfg.quant_step, self.cfg.max_bucket);
-        for &frame in &self.uncertain_active {
-            rel.push_uncertain(self.dists[frame].clone());
+        for &frame in &self.frames.uncertain_active {
+            rel.push_uncertain(self.frames.dists[frame].clone());
         }
-        self.h = JointCdf::build(&rel);
+        self.state.h = JointCdf::build(&rel);
     }
 
-    /// Confirms one frame with the oracle and retires its uncertainty.
-    /// A failed confirmation leaves the frame uncertain.
-    fn clean_one(
-        &mut self,
-        frame: ItemId,
-        oracle: &mut dyn CleaningOracle,
-    ) -> Result<(), OracleError> {
-        let bucket = oracle.try_clean_batch(&[frame])?[0];
-        let was_uncertain = self.uncertain_active.remove(&frame);
-        debug_assert!(was_uncertain, "frame {frame} cleaned twice");
-        self.h.remove(&self.dists[frame]);
-        self.cleaned.insert(frame, bucket);
-        self.certain.insert((Reverse(bucket), frame));
-        self.cleaned_total += 1;
-        Ok(())
-    }
+    /// Runs the per-emit answer maintenance: the shared Phase-2 loop over
+    /// the active window, confirming one frame at a time.
+    fn emit(&mut self, oracle: &mut dyn CleaningOracle) -> StreamAnswer {
+        self.emits += 1;
+        if self.cfg.maintenance == Maintenance::Rebuild {
+            self.rebuild();
+        }
+        let n = self.frames.dists.len();
+        let k_eff = self.cfg.k.min(n - self.lo);
+        let run = self.state.drive(
+            &mut self.frames,
+            oracle,
+            k_eff,
+            self.cfg.thres,
+            &self.cfg.budget,
+            self.cleaned_total,
+            self.cfg.budget_per_emit,
+        );
+        self.cleaned_total += run.cleaned;
 
+        let topk: Vec<(ItemId, u32)> = self.state.topk(k_eff).collect();
+        let stability = topk
+            .iter()
+            .map(|&(_, b)| topk_prob(&self.state.h, b as usize))
+            .collect();
+        StreamAnswer {
+            at_frame: n,
+            window_start: self.lo,
+            topk,
+            stability,
+            confidence: run.confidence,
+            converged: run.termination == Termination::Converged,
+            termination: run.termination,
+            cleaned: run.cleaned,
+        }
+    }
+}
+
+/// What has arrived and what the oracle has confirmed of it. As the
+/// stream's [`Frontier`] it confirms one frame at a time: the active
+/// uncertain frame with the highest mean while bootstrapping, the largest
+/// ψ at the current thresholds afterwards.
+#[derive(Debug)]
+struct Frames {
+    /// Every arrived frame's proxy distribution, by frame id.
+    dists: Vec<DiscreteDist>,
+    /// Oracle-confirmed exact buckets (kept past expiry; frames never
+    /// re-enter a forward-moving window).
+    cleaned: BTreeMap<ItemId, u32>,
+    /// Active frames still uncertain.
+    uncertain_active: BTreeSet<ItemId>,
+}
+
+impl Frames {
     /// The uncertain frame maximising `key`, ties by ascending frame id.
     fn argmax_uncertain(&self, mut key: impl FnMut(&DiscreteDist) -> f64) -> Option<ItemId> {
         let mut best: Option<(f64, ItemId)> = None;
@@ -319,122 +356,28 @@ impl StreamTopK {
         }
         best.map(|(_, frame)| frame)
     }
+}
 
-    /// Runs the per-emit answer maintenance: bootstrap to K certain frames,
-    /// then boundary-focused argmax-ψ cleaning until `thres` or budget.
-    fn emit(&mut self, oracle: &mut dyn CleaningOracle) -> StreamAnswer {
-        self.emits += 1;
-        if self.cfg.maintenance == Maintenance::Rebuild {
-            self.rebuild();
-        }
-        let n = self.dists.len();
-        let k_eff = self.cfg.k.min(n - self.lo);
-        let mut budget = self.cfg.budget_per_emit;
-        let mut spent = 0usize;
+impl Frontier for Frames {
+    type Picks = [ItemId; 1];
 
-        let cancel = self.cfg.budget.cancel.clone();
-        let deadline = self.cfg.budget.deadline_sim_seconds;
-        let stream_cap = self.cfg.budget.max_oracle_calls;
-        // Checked before every confirmation: cancellation, the stream-wide
-        // deadline/call cap, then the per-emit budget (which this consumes).
-        // `None` means the next confirmation may proceed.
-        let gate = |cleaned_total: usize,
-                    sim_spent: f64,
-                    budget: &mut Option<usize>|
-         -> Option<Termination> {
-            if cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                return Some(Termination::Cancelled);
-            }
-            if deadline.is_some_and(|d| sim_spent >= d) {
-                return Some(Termination::Deadline);
-            }
-            if stream_cap.is_some_and(|m| cleaned_total >= m) {
-                return Some(Termination::BudgetExhausted);
-            }
-            match budget {
-                Some(0) => Some(Termination::BudgetExhausted),
-                Some(b) => {
-                    *b -= 1;
-                    None
-                }
-                None => None,
-            }
+    fn pick(&mut self, _h: &JointCdf, want: Want, _room: usize) -> [ItemId; 1] {
+        let pick = match want {
+            Want::Bootstrap { .. } => self.argmax_uncertain(|d| d.mean_bucket()),
+            Want::Boundary { s_k, s_p } => self.argmax_uncertain(|d| psi(d, s_k, s_p)),
         };
-        let mut blocked: Option<Termination> = None;
+        // lint:allow(panic-unwrap): the loop only picks below thres, which
+        // needs an uncertain frame: either fewer are certain than active, or
+        // p̂ < 1 and so the joint CDF has members
+        [pick.expect("an uncertain active frame below thres")]
+    }
 
-        // Bootstrap: the certain-result condition needs k_eff certain
-        // frames; confirm the highest-mean uncertain frames first.
-        while self.certain.len() < k_eff {
-            if let Some(t) = gate(self.cleaned_total, oracle.sim_seconds_spent(), &mut budget) {
-                blocked = Some(t);
-                break;
-            }
-            let pick = self
-                .argmax_uncertain(|d| d.mean_bucket())
-                // lint:allow(panic-unwrap): certain.len() < k_eff ≤ active count, so an
-                // active uncertain frame exists
-                .expect("fewer certain frames than active frames");
-            if self.clean_one(pick, oracle).is_err() {
-                blocked = Some(Termination::OracleDown);
-                break;
-            }
-            spent += 1;
-        }
-
-        let (confidence, termination) = loop {
-            if self.certain.len() < k_eff {
-                // budget/deadline/cancel/failure mid-bootstrap
-                break (0.0, blocked.unwrap_or(Termination::BudgetExhausted));
-            }
-            let top_last: Vec<(Reverse<u32>, ItemId)> =
-                self.certain.iter().take(k_eff).copied().collect();
-            let s_k = top_last[k_eff - 1].0 .0 as usize;
-            let s_p = if k_eff >= 2 {
-                top_last[k_eff - 2].0 .0 as usize
-            } else {
-                self.cfg.max_bucket
-            };
-            if self.h.members() == 0 {
-                break (1.0, Termination::Converged);
-            }
-            let conf = topk_prob(&self.h, s_k);
-            if conf >= self.cfg.thres {
-                break (conf, Termination::Converged);
-            }
-            if let Some(t) = gate(self.cleaned_total, oracle.sim_seconds_spent(), &mut budget) {
-                break (conf, t);
-            }
-            let pick = self
-                .argmax_uncertain(|d| psi(d, s_k, s_p))
-                // lint:allow(panic-unwrap): the h.members() == 0 branch above broke out
-                .expect("members > 0 implies an uncertain frame");
-            if self.clean_one(pick, oracle).is_err() {
-                break (conf, Termination::OracleDown);
-            }
-            spent += 1;
-        };
-        let converged = termination == Termination::Converged;
-
-        let topk: Vec<(ItemId, u32)> = self
-            .certain
-            .iter()
-            .take(k_eff)
-            .map(|&(Reverse(b), f)| (f, b))
-            .collect();
-        let stability = topk
-            .iter()
-            .map(|&(_, b)| topk_prob(&self.h, b as usize))
-            .collect();
-        StreamAnswer {
-            at_frame: n,
-            window_start: self.lo,
-            topk,
-            stability,
-            confidence,
-            converged,
-            termination,
-            cleaned: spent,
-        }
+    /// A failed confirmation never gets here, so the frame stays uncertain.
+    fn retire(&mut self, h: &mut JointCdf, frame: ItemId, bucket: u32) {
+        let was_uncertain = self.uncertain_active.remove(&frame);
+        debug_assert!(was_uncertain, "frame {frame} cleaned twice");
+        h.remove(&self.dists[frame]);
+        self.cleaned.insert(frame, bucket);
     }
 }
 
@@ -471,6 +414,7 @@ pub fn batch_reference(
 mod tests {
     use super::*;
     use crate::cleaner::FnCleaningOracle;
+    use everest_models::OracleError;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -18,7 +18,7 @@
 //! reports in §4.2.3.
 
 use crate::cleaner::CleaningOracle;
-use crate::xtuple::{ItemId, UncertainRelation};
+use crate::xtuple::{score_to_bucket, ItemId, UncertainRelation};
 use everest_models::Oracle;
 use everest_nn::GaussianMixture;
 use everest_video::diff::Segments;
@@ -212,7 +212,7 @@ impl<'a> WindowCleaningOracle<'a> {
 
     fn mean_bucket(&self, scores: &[f64]) -> u32 {
         let mean = scores.iter().sum::<f64>() / scores.len() as f64;
-        ((mean / self.step).round().max(0.0) as usize).min(self.max_bucket) as u32
+        score_to_bucket(mean, self.step, self.max_bucket)
     }
 }
 

@@ -13,6 +13,13 @@ use serde::{Deserialize, Serialize};
 /// Identifier of an item within an [`UncertainRelation`] (dense index).
 pub type ItemId = usize;
 
+/// The quantization every relation and oracle adapter shares: the nearest
+/// bucket of `score` on a grid of `step` score units per bucket, clamped to
+/// `0 ..= max_bucket`.
+pub fn score_to_bucket(score: f64, step: f64, max_bucket: usize) -> u32 {
+    ((score / step).round().max(0.0) as usize).min(max_bucket) as u32
+}
+
 /// The state of one x-tuple.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ItemState {
@@ -183,7 +190,7 @@ impl UncertainRelation {
 
     /// Converts a score to the nearest bucket (clamped to the grid).
     pub fn score_to_bucket(&self, score: f64) -> u32 {
-        ((score / self.step).round().max(0.0) as usize).min(self.max_bucket) as u32
+        score_to_bucket(score, self.step, self.max_bucket)
     }
 
     /// Expected bucket of any item (exact bucket when certain).

@@ -21,19 +21,19 @@ use crate::parser::parse;
 use crate::plan::{Engine, PlanTarget, QueryPlan};
 use crate::shared::{CacheKey, SharedCache};
 use everest_core::baselines::{
-    cheap_scan, cmdn_only, scan_and_test, select_and_topk_calibrated, topk_indices, BaselineResult,
+    cheap_scan, cmdn_only, scan_and_test, select_and_topk_calibrated, topk_indices,
 };
 use everest_core::budget::{CancelToken, QueryBudget, Termination};
 use everest_core::cleaner::{CleanerConfig, CleaningOracle};
 use everest_core::dist::DiscreteDist;
 use everest_core::metrics::{evaluate_topk, GroundTruth, ResultQuality};
 use everest_core::phase1::Phase1Config;
-use everest_core::pipeline::{Everest, PreparedVideo, QueryReport};
+use everest_core::pipeline::{Everest, FrameOracleAdapter, PreparedVideo, QueryReport};
 use everest_core::stream::{batch_reference, StreamAnswer, StreamConfig, StreamTopK};
 use everest_core::window::{exact_window_scores, sliding_windows, WindowInfo};
-use everest_core::xtuple::ItemId;
+use everest_core::xtuple::{ItemId, UncertainRelation};
 use everest_models::{
-    ExactScoreOracle, FlakyOracle, HogScorer, Oracle, OracleError, RetryingOracle, TinyYoloScorer,
+    ExactScoreOracle, FlakyOracle, HogScorer, Oracle, RetryingOracle, TinyYoloScorer,
 };
 use everest_nn::train::TrainConfig;
 use everest_nn::HyperGrid;
@@ -366,18 +366,14 @@ impl Session {
                 &standalone_oracle
             }
         };
+        let prepared = || &entry.as_ref().expect("phase-1 engine").prepared;
         let fps = plan.source.fps;
         let n = plan.n_frames;
-        let decode = DecodeCostModel::default();
-        let scan_seconds = n as f64 * oracle.cost_per_frame() + decode.sequential_scan_cost(n);
+        let scan_seconds = scan_seconds(n, oracle.cost_per_frame());
 
-        // WITH FLAKY <seed>: seeded fault injection + deterministic
-        // retry/backoff around the exact oracle. A fresh wrapper per
-        // query means replaying the same statement replays the same
-        // fault schedule bit-for-bit.
-        let flaky = plan
-            .flaky_seed
-            .map(|seed| RetryingOracle::new(FlakyOracle::new(oracle.clone(), seed)));
+        // A fresh fault-injection wrapper per query means replaying the
+        // same statement replays the same fault schedule bit-for-bit.
+        let flaky = flaky_oracle(oracle, plan.flaky_seed);
         let query_oracle: &dyn Oracle = match &flaky {
             Some(f) => f,
             None => oracle,
@@ -396,213 +392,105 @@ impl Session {
             },
         };
 
-        let (rows, confidence, converged, termination, iterations, cleaned, sim_seconds, quality) =
-            match (plan.engine, plan.target) {
-                (Engine::Everest, PlanTarget::Frames) => {
-                    let report = entry.as_ref().expect("phase-1 engine").prepared.query_topk(
-                        query_oracle,
+        let ran = match (plan.engine, plan.target) {
+            (Engine::Everest, PlanTarget::Frames) => {
+                let report = prepared().query_topk(query_oracle, plan.k, plan.thres, &cleaner);
+                let quality = quality(oracle.all_scores().to_vec(), &report.frames(), plan.k);
+                Ran::everest(report, quality, fps)
+            }
+            (
+                Engine::Everest,
+                PlanTarget::Windows {
+                    len,
+                    slide,
+                    sample_frac,
+                },
+            ) => {
+                // `slide == len` is the tumbling case of the same window list.
+                let report = prepared().query_topk_sliding_windows(
+                    query_oracle,
+                    plan.k,
+                    plan.thres,
+                    len,
+                    slide,
+                    sample_frac,
+                    &cleaner,
+                );
+                let windows = sliding_windows(n, len, slide);
+                let quality = window_quality(oracle, &windows, &report, plan.k, slide);
+                Ran::everest(report, quality, fps)
+            }
+            (Engine::Scan, PlanTarget::Windows { len, slide, .. }) => {
+                let windows = sliding_windows(n, len, slide);
+                let w_scores = exact_window_scores(oracle.all_scores(), &windows);
+                let top = topk_indices(&w_scores, plan.k);
+                let ranked = top
+                    .iter()
+                    .map(|&wid| (windows[wid].start, windows[wid].end, w_scores[wid]));
+                Ran {
+                    rows: answer_rows(ranked, fps),
+                    report: None,
+                    sim_seconds: scan_seconds,
+                    quality: quality(w_scores, &top, plan.k),
+                }
+            }
+            (engine, PlanTarget::Windows { .. }) => {
+                // analyze() rejects this; keep a defensive error rather
+                // than a panic for forward compatibility.
+                return Err(EvqlError::new(
+                    ErrorKind::Exec(format!(
+                        "engine `{}` cannot run window queries",
+                        engine.display()
+                    )),
+                    crate::token::Span::point(0),
+                ));
+            }
+            // The frame baselines differ only in the call that ranks.
+            (engine, PlanTarget::Frames) => {
+                let result = match engine {
+                    Engine::Scan => scan_and_test(oracle, plan.k),
+                    Engine::CmdnOnly => cmdn_only(prepared(), plan.k),
+                    Engine::Hog => {
+                        cheap_scan(&HogScorer::new(oracle.clone(), plan.seed ^ 0x09), plan.k)
+                    }
+                    Engine::TinyYolo => cheap_scan(
+                        &TinyYoloScorer::new(oracle.clone(), plan.seed ^ 0x77),
                         plan.k,
-                        plan.thres,
-                        &cleaner,
-                    );
-                    let quality = frame_quality(oracle, &report, plan.k);
-                    (
-                        report_rows(&report, fps),
-                        Some(report.confidence),
-                        Some(report.converged),
-                        Some(report.termination),
-                        Some(report.iterations),
-                        Some(report.cleaned),
-                        report.sim_seconds(),
-                        quality,
-                    )
+                    ),
+                    Engine::SelectTopk => {
+                        select_and_topk_calibrated(prepared(), oracle, plan.k, 0.9)
+                    }
+                    Engine::Everest => unreachable!("matched by the Everest arm above"),
+                };
+                let scores = oracle.all_scores();
+                let ranked = result.topk.iter().map(|&f| (f, f + 1, scores[f]));
+                Ran {
+                    rows: answer_rows(ranked, fps),
+                    report: None,
+                    sim_seconds: result.sim_seconds,
+                    quality: quality(scores.to_vec(), &result.topk, plan.k),
                 }
-                (
-                    Engine::Everest,
-                    PlanTarget::Windows {
-                        len,
-                        slide,
-                        sample_frac,
-                    },
-                ) => {
-                    let report = if slide == len {
-                        entry
-                            .as_ref()
-                            .expect("phase-1 engine")
-                            .prepared
-                            .query_topk_windows(
-                                query_oracle,
-                                plan.k,
-                                plan.thres,
-                                len,
-                                sample_frac,
-                                &cleaner,
-                            )
-                    } else {
-                        entry
-                            .as_ref()
-                            .expect("phase-1 engine")
-                            .prepared
-                            .query_topk_sliding_windows(
-                                query_oracle,
-                                plan.k,
-                                plan.thres,
-                                len,
-                                slide,
-                                sample_frac,
-                                &cleaner,
-                            )
-                    };
-                    let windows = sliding_windows(n, len, slide);
-                    let quality = window_quality(oracle, &windows, &report, plan.k, slide);
-                    (
-                        report_rows(&report, fps),
-                        Some(report.confidence),
-                        Some(report.converged),
-                        Some(report.termination),
-                        Some(report.iterations),
-                        Some(report.cleaned),
-                        report.sim_seconds(),
-                        quality,
-                    )
-                }
-                (Engine::Scan, PlanTarget::Frames) => {
-                    let result = scan_and_test(oracle, plan.k);
-                    let quality = baseline_quality(oracle, &result, plan.k);
-                    let rows = baseline_rows(&result, oracle, fps);
-                    (
-                        rows,
-                        None,
-                        None,
-                        None,
-                        None,
-                        None,
-                        result.sim_seconds,
-                        quality,
-                    )
-                }
-                (Engine::Scan, PlanTarget::Windows { len, slide, .. }) => {
-                    let windows = sliding_windows(n, len, slide);
-                    let w_scores = exact_window_scores(oracle.all_scores(), &windows);
-                    let top = topk_indices(&w_scores, plan.k);
-                    let rows: Vec<AnswerRow> = top
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &wid)| AnswerRow {
-                            rank: i + 1,
-                            start_frame: windows[wid].start,
-                            end_frame: windows[wid].end,
-                            time_sec: windows[wid].start as f64 / fps,
-                            score: w_scores[wid],
-                        })
-                        .collect();
-                    let truth = GroundTruth::new(w_scores);
-                    let quality = Some(evaluate_topk(&truth, &top, plan.k));
-                    (rows, None, None, None, None, None, scan_seconds, quality)
-                }
-                (Engine::CmdnOnly, PlanTarget::Frames) => {
-                    let result =
-                        cmdn_only(&entry.as_ref().expect("phase-1 engine").prepared, plan.k);
-                    let quality = baseline_quality(oracle, &result, plan.k);
-                    let rows = baseline_rows(&result, oracle, fps);
-                    (
-                        rows,
-                        None,
-                        None,
-                        None,
-                        None,
-                        None,
-                        result.sim_seconds,
-                        quality,
-                    )
-                }
-                (Engine::Hog, PlanTarget::Frames) => {
-                    let scorer = HogScorer::new(oracle.clone(), plan.seed ^ 0x09);
-                    let result = cheap_scan(&scorer, plan.k);
-                    let quality = baseline_quality(oracle, &result, plan.k);
-                    let rows = baseline_rows(&result, oracle, fps);
-                    (
-                        rows,
-                        None,
-                        None,
-                        None,
-                        None,
-                        None,
-                        result.sim_seconds,
-                        quality,
-                    )
-                }
-                (Engine::TinyYolo, PlanTarget::Frames) => {
-                    let scorer = TinyYoloScorer::new(oracle.clone(), plan.seed ^ 0x77);
-                    let result = cheap_scan(&scorer, plan.k);
-                    let quality = baseline_quality(oracle, &result, plan.k);
-                    let rows = baseline_rows(&result, oracle, fps);
-                    (
-                        rows,
-                        None,
-                        None,
-                        None,
-                        None,
-                        None,
-                        result.sim_seconds,
-                        quality,
-                    )
-                }
-                (Engine::SelectTopk, PlanTarget::Frames) => {
-                    let result = select_and_topk_calibrated(
-                        &entry.as_ref().expect("phase-1 engine").prepared,
-                        oracle,
-                        plan.k,
-                        0.9,
-                    );
-                    let quality = baseline_quality(oracle, &result, plan.k);
-                    let rows = baseline_rows(&result, oracle, fps);
-                    (
-                        rows,
-                        None,
-                        None,
-                        None,
-                        None,
-                        None,
-                        result.sim_seconds,
-                        quality,
-                    )
-                }
-                (engine, PlanTarget::Windows { .. }) => {
-                    // analyze() rejects this; keep a defensive error rather
-                    // than a panic for forward compatibility.
-                    return Err(EvqlError::new(
-                        ErrorKind::Exec(format!(
-                            "engine `{}` cannot run window queries",
-                            engine.display()
-                        )),
-                        crate::token::Span::point(0),
-                    ));
-                }
-            };
-
-        let sim = sim_seconds.max(f64::MIN_POSITIVE);
-        let (oracle_retries, breaker_trips) = match &flaky {
-            Some(f) => (Some(f.retries()), Some(f.breaker_trips())),
-            None => (None, None),
+            }
         };
+
+        let report = ran.report.as_ref();
         Ok(QueryOutput {
-            rows,
+            rows: ran.rows,
             stats: ExecStats {
                 engine: plan.engine,
                 n_frames: n,
                 n_items: plan.n_items(),
-                confidence,
-                converged,
-                termination,
-                iterations,
-                cleaned,
-                oracle_retries,
-                breaker_trips,
-                sim_seconds,
+                confidence: report.map(|r| r.confidence),
+                converged: report.map(|r| r.converged),
+                termination: report.map(|r| r.termination),
+                iterations: report.map(|r| r.iterations),
+                cleaned: report.map(|r| r.cleaned),
+                oracle_retries: flaky.as_ref().map(|f| f.retries()),
+                breaker_trips: flaky.as_ref().map(|f| f.breaker_trips()),
+                sim_seconds: ran.sim_seconds,
                 scan_seconds,
-                speedup: scan_seconds / sim,
-                quality,
+                speedup: speedup(scan_seconds, ran.sim_seconds),
+                quality: ran.quality,
                 wall: started.elapsed(),
                 phase1_cached,
             },
@@ -720,30 +608,17 @@ impl Session {
             },
             ..StreamConfig::default()
         };
-        let retained = entry.prepared.phase1.segments.retained().to_vec();
-        let oracle = RetainedOracle::new(
-            entry.oracle.clone(),
-            retained.clone(),
-            rel.step(),
-            rel.max_bucket(),
-            plan.flaky_seed,
-        );
-        let n = plan.n_frames;
-        let decode = DecodeCostModel::default();
-        let scan_seconds =
-            n as f64 * entry.oracle.cost_per_frame() + decode.sequential_scan_cost(n);
+        let (oracle, flaky) = stream_oracle(&entry, plan.flaky_seed);
         Ok(StreamSession {
-            engine: StreamTopK::new(cfg.clone()),
-            cfg,
+            engine: StreamTopK::new(cfg),
             plan,
             dists,
-            retained,
             oracle,
+            flaky,
+            entry,
             fed: 0,
             answers: Vec::new(),
-            phase1_seconds: entry.prepared.phase1.clock.total(),
             phase1_cached,
-            scan_seconds,
             started,
         })
     }
@@ -787,7 +662,7 @@ impl Session {
             }
         }
 
-        let relations: Vec<&everest_core::xtuple::UncertainRelation> = entries
+        let relations: Vec<&UncertainRelation> = entries
             .iter()
             .map(|e| &e.prepared.phase1.relation)
             .collect();
@@ -795,8 +670,8 @@ impl Session {
 
         struct MultiOracle<'a> {
             oracles: Vec<&'a ExactScoreOracle>,
-            steps: Vec<f64>,
-            max_buckets: Vec<usize>,
+            /// Per dimension: the relation whose grid quantizes its scores.
+            grids: &'a [&'a UncertainRelation],
             retained: &'a [usize],
             frames_scored: usize,
         }
@@ -814,11 +689,8 @@ impl Session {
                     .map(|i| {
                         per_dim
                             .iter()
-                            .enumerate()
-                            .map(|(j, scores)| {
-                                ((scores[i] / self.steps[j]).round().max(0.0) as usize)
-                                    .min(self.max_buckets[j]) as u32
-                            })
+                            .zip(self.grids)
+                            .map(|(scores, grid)| grid.score_to_bucket(scores[i]))
                             .collect()
                     })
                     .collect()
@@ -826,14 +698,7 @@ impl Session {
         }
         let mut oracle = MultiOracle {
             oracles: entries.iter().map(|e| &e.oracle).collect(),
-            steps: entries
-                .iter()
-                .map(|e| e.prepared.phase1.relation.step())
-                .collect(),
-            max_buckets: entries
-                .iter()
-                .map(|e| e.prepared.phase1.relation.max_bucket())
-                .collect(),
+            grids: &relations,
             retained: &retained,
             frames_scored: 0,
         };
@@ -850,7 +715,6 @@ impl Session {
 
         // Simulated cost: both Phase-1 clocks + one oracle charge per
         // confirmed frame (all dimensions share the detector pass).
-        let decode = DecodeCostModel::default();
         let per_frame = entries
             .iter()
             .map(|e| e.oracle.cost_per_frame())
@@ -860,8 +724,7 @@ impl Session {
             .map(|e| e.prepared.phase1.clock.total())
             .sum::<f64>()
             + oracle.frames_scored as f64 * per_frame;
-        let n = plan.n_frames;
-        let scan_seconds = n as f64 * per_frame + decode.sequential_scan_cost(n);
+        let scan_seconds = scan_seconds(plan.n_frames, per_frame);
 
         let mut rows: Vec<SkylineRow> = outcome
             .skyline
@@ -889,7 +752,7 @@ impl Session {
             score_names: plan.scores.iter().map(|s| s.display()).collect(),
             stats: ExecStats {
                 engine: Engine::Everest,
-                n_frames: n,
+                n_frames: plan.n_frames,
                 n_items: rel.len(),
                 confidence: Some(outcome.confidence),
                 converged: Some(outcome.converged),
@@ -900,7 +763,7 @@ impl Session {
                 breaker_trips: None,
                 sim_seconds,
                 scan_seconds,
-                speedup: scan_seconds / sim_seconds.max(f64::MIN_POSITIVE),
+                speedup: speedup(scan_seconds, sim_seconds),
                 quality: None,
                 wall: started.elapsed(),
                 phase1_cached: all_cached,
@@ -910,71 +773,67 @@ impl Session {
     }
 }
 
-/// A [`CleaningOracle`] over the retained stream: x-tuple id → retained
-/// video frame → exact detector score → quantized bucket (the same mapping
-/// `pipeline::query_topk` uses). With a flaky seed the scoring path runs
-/// through seeded fault injection + deterministic retry/backoff.
-struct RetainedOracle {
-    oracle: ExactScoreOracle,
-    flaky: Option<RetryingOracle<FlakyOracle<ExactScoreOracle>>>,
-    retained: Vec<usize>,
-    step: f64,
-    max_bucket: usize,
-    cleaned: usize,
+/// The exact oracle behind seeded fault injection and deterministic
+/// retry/backoff (`WITH FLAKY <seed>`).
+type FlakyExact = RetryingOracle<FlakyOracle<ExactScoreOracle>>;
+
+fn flaky_oracle(oracle: &ExactScoreOracle, seed: Option<u64>) -> Option<FlakyExact> {
+    seed.map(|seed| RetryingOracle::new(FlakyOracle::new(oracle.clone(), seed)))
 }
 
-impl RetainedOracle {
-    fn new(
-        oracle: ExactScoreOracle,
-        retained: Vec<usize>,
-        step: f64,
-        max_bucket: usize,
-        flaky_seed: Option<u64>,
-    ) -> Self {
-        let flaky = flaky_seed.map(|s| RetryingOracle::new(FlakyOracle::new(oracle.clone(), s)));
-        RetainedOracle {
-            oracle,
-            flaky,
-            retained,
-            step,
-            max_bucket,
-            cleaned: 0,
-        }
-    }
+/// A stream's Phase-2 adapter: the same retained-position → frame →
+/// bucket mapping `PreparedVideo::query_topk` confirms through, owning
+/// its oracle so it can live as long as the [`StreamSession`].
+type StreamOracle = FrameOracleAdapter<Arc<dyn Oracle>, Vec<usize>>;
 
-    /// The oracle the fallible path scores through.
-    fn scoring(&self) -> &dyn Oracle {
-        match &self.flaky {
-            Some(f) => f,
-            None => &self.oracle,
-        }
-    }
-
-    fn buckets(&self, scores: Vec<f64>) -> Vec<u32> {
-        scores
-            .into_iter()
-            .map(|s| ((s / self.step).round().max(0.0) as usize).min(self.max_bucket) as u32)
-            .collect()
-    }
+/// A fresh adapter over `entry`, and the fault-injection wrapper it scores
+/// through under a `FLAKY` seed (kept for its retry/breaker counters).
+fn stream_oracle(
+    entry: &PreparedEntry,
+    flaky_seed: Option<u64>,
+) -> (StreamOracle, Option<Arc<FlakyExact>>) {
+    let flaky = flaky_oracle(&entry.oracle, flaky_seed).map(Arc::new);
+    let oracle: Arc<dyn Oracle> = match &flaky {
+        Some(f) => f.clone(),
+        None => Arc::new(entry.oracle.clone()),
+    };
+    let phase1 = &entry.prepared.phase1;
+    let retained = phase1.segments.retained().to_vec();
+    let adapter = FrameOracleAdapter::new(oracle, retained, &phase1.relation);
+    (adapter, flaky)
 }
 
-impl CleaningOracle for RetainedOracle {
-    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<u32> {
-        let frames: Vec<usize> = items.iter().map(|&i| self.retained[i]).collect();
-        self.cleaned += frames.len();
-        let scores = self.oracle.score_batch(&frames);
-        self.buckets(scores)
-    }
+/// Simulated scan-and-test latency over `n_frames` (§4's baseline, the
+/// numerator of every reported speedup).
+fn scan_seconds(n_frames: usize, cost_per_frame: f64) -> f64 {
+    n_frames as f64 * cost_per_frame + DecodeCostModel::default().sequential_scan_cost(n_frames)
+}
 
-    fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
-        let frames: Vec<usize> = items.iter().map(|&i| self.retained[i]).collect();
-        let scores = self.scoring().try_score_batch(&frames)?;
-        self.cleaned += frames.len();
-        Ok(self.buckets(scores))
-    }
+/// How many times faster than scan-and-test a simulated latency is.
+fn speedup(scan_seconds: f64, sim_seconds: f64) -> f64 {
+    scan_seconds / sim_seconds.max(f64::MIN_POSITIVE)
+}
 
-    fn sim_seconds_spent(&self) -> f64 {
-        self.cleaned as f64 * self.oracle.cost_per_frame() + self.scoring().sim_overhead_seconds()
+/// What one engine arm of [`Session::run`] produces.
+struct Ran {
+    rows: Vec<AnswerRow>,
+    /// The Phase-2 report (Everest engine only).
+    report: Option<QueryReport>,
+    sim_seconds: f64,
+    quality: Option<ResultQuality>,
+}
+
+impl Ran {
+    fn everest(report: QueryReport, quality: Option<ResultQuality>, fps: f64) -> Ran {
+        Ran {
+            rows: answer_rows(
+                report.items.iter().map(|i| (i.range.0, i.range.1, i.score)),
+                fps,
+            ),
+            sim_seconds: report.sim_seconds(),
+            report: Some(report),
+            quality,
+        }
     }
 }
 
@@ -992,16 +851,14 @@ pub const STREAM_VERIFY_ENV: &str = "EVEREST_STREAM_VERIFY";
 /// across emits, so a frame is never cleaned twice.
 pub struct StreamSession {
     plan: QueryPlan,
-    cfg: StreamConfig,
     engine: StreamTopK,
     dists: Vec<DiscreteDist>,
-    retained: Vec<usize>,
-    oracle: RetainedOracle,
+    entry: Arc<PreparedEntry>,
+    oracle: StreamOracle,
+    flaky: Option<Arc<FlakyExact>>,
     fed: usize,
     answers: Vec<StreamAnswer>,
-    phase1_seconds: f64,
     phase1_cached: bool,
-    scan_seconds: f64,
     started: Instant,
 }
 
@@ -1028,7 +885,7 @@ impl StreamSession {
 
     /// Retained video-frame number of stream id `id`.
     pub fn video_frame(&self, id: ItemId) -> usize {
-        self.retained[id]
+        self.entry.prepared.phase1.segments.retained()[id]
     }
 
     /// Feeds arrivals until the next emit point; `None` when the stream is
@@ -1052,11 +909,9 @@ impl StreamSession {
             self.verify_against_batch()?;
         }
         let last = self.answers.last();
-        let sim_seconds = self.phase1_seconds + self.oracle.sim_seconds_spent();
-        let (oracle_retries, breaker_trips) = match &self.oracle.flaky {
-            Some(f) => (Some(f.retries()), Some(f.breaker_trips())),
-            None => (None, None),
-        };
+        let phase1 = &self.entry.prepared.phase1;
+        let sim_seconds = phase1.clock.total() + self.oracle.sim_seconds_spent();
+        let scan_seconds = scan_seconds(self.plan.n_frames, self.entry.oracle.cost_per_frame());
         let stats = ExecStats {
             engine: Engine::Everest,
             n_frames: self.plan.n_frames,
@@ -1066,18 +921,18 @@ impl StreamSession {
             termination: last.map(|a| a.termination),
             iterations: Some(self.answers.len()),
             cleaned: Some(self.engine.cleaned_total()),
-            oracle_retries,
-            breaker_trips,
+            oracle_retries: self.flaky.as_ref().map(|f| f.retries()),
+            breaker_trips: self.flaky.as_ref().map(|f| f.breaker_trips()),
             sim_seconds,
-            scan_seconds: self.scan_seconds,
-            speedup: self.scan_seconds / sim_seconds.max(f64::MIN_POSITIVE),
+            scan_seconds,
+            speedup: speedup(scan_seconds, sim_seconds),
             quality: None,
             wall: self.started.elapsed(),
             phase1_cached: self.phase1_cached,
         };
         Ok(StreamOutput {
+            retained: phase1.segments.retained().to_vec(),
             answers: self.answers,
-            retained: self.retained,
             stats,
             plan: self.plan,
         })
@@ -1088,14 +943,9 @@ impl StreamSession {
     /// demands identical answers at every emit point.
     fn verify_against_batch(&mut self) -> Result<(), EvqlError> {
         // A fresh wrapper replays the same fault schedule from call 0.
-        let mut oracle = RetainedOracle::new(
-            self.oracle.oracle.clone(),
-            self.retained.clone(),
-            self.cfg.quant_step,
-            self.cfg.max_bucket,
-            self.plan.flaky_seed,
-        );
-        let reference = batch_reference(&self.cfg, &self.dists, &mut oracle);
+        let (mut oracle, _) = stream_oracle(&self.entry, self.plan.flaky_seed);
+        let cfg = self.engine.config();
+        let reference = batch_reference(cfg, &self.dists, &mut oracle);
         let mismatch = |what: String| {
             EvqlError::new(
                 ErrorKind::Exec(format!(
@@ -1114,7 +964,7 @@ impl StreamSession {
         for (live, batch) in self.answers.iter().zip(&reference) {
             if live.topk != batch.topk
                 || (live.confidence - batch.confidence).abs() > 1e-9
-                || live.render(self.cfg.quant_step) != batch.render(self.cfg.quant_step)
+                || live.render(cfg.quant_step) != batch.render(cfg.quant_step)
             {
                 return Err(mismatch(format!("divergence at emit @{}", live.at_frame)));
             }
@@ -1144,58 +994,24 @@ fn phase1_recipe(quant_step: f64, seed: u64) -> Phase1Config {
     }
 }
 
-fn report_rows(report: &QueryReport, fps: f64) -> Vec<AnswerRow> {
-    report
-        .items
-        .iter()
+/// Ranks `(start_frame, end_frame, score)` items, best first, into rows.
+fn answer_rows(ranked: impl Iterator<Item = (usize, usize, f64)>, fps: f64) -> Vec<AnswerRow> {
+    ranked
         .enumerate()
-        .map(|(i, item)| AnswerRow {
+        .map(|(i, (start_frame, end_frame, score))| AnswerRow {
             rank: i + 1,
-            start_frame: item.range.0,
-            end_frame: item.range.1,
-            time_sec: item.range.0 as f64 / fps,
-            score: item.score,
+            start_frame,
+            end_frame,
+            time_sec: start_frame as f64 / fps,
+            score,
         })
         .collect()
 }
 
-fn baseline_rows(result: &BaselineResult, oracle: &ExactScoreOracle, fps: f64) -> Vec<AnswerRow> {
-    result
-        .topk
-        .iter()
-        .enumerate()
-        .map(|(i, &frame)| AnswerRow {
-            rank: i + 1,
-            start_frame: frame,
-            end_frame: frame + 1,
-            time_sec: frame as f64 / fps,
-            score: oracle.all_scores()[frame],
-        })
-        .collect()
-}
-
-fn frame_quality(
-    oracle: &ExactScoreOracle,
-    report: &QueryReport,
-    k: usize,
-) -> Option<ResultQuality> {
-    if report.items.len() != k {
-        return None;
-    }
-    let truth = GroundTruth::new(oracle.all_scores().to_vec());
-    Some(evaluate_topk(&truth, &report.frames(), k))
-}
-
-fn baseline_quality(
-    oracle: &ExactScoreOracle,
-    result: &BaselineResult,
-    k: usize,
-) -> Option<ResultQuality> {
-    if result.topk.len() != k {
-        return None;
-    }
-    let truth = GroundTruth::new(oracle.all_scores().to_vec());
-    Some(evaluate_topk(&truth, &result.topk, k))
+/// Tie-aware quality of the answer items `answer` against every item's
+/// exact score (`None` when the engine returned fewer than K items).
+fn quality(exact: Vec<f64>, answer: &[usize], k: usize) -> Option<ResultQuality> {
+    (answer.len() == k).then(|| evaluate_topk(&GroundTruth::new(exact), answer, k))
 }
 
 fn window_quality(
@@ -1205,17 +1021,16 @@ fn window_quality(
     k: usize,
     slide: usize,
 ) -> Option<ResultQuality> {
-    if report.items.len() != k {
-        return None;
-    }
-    let w_scores = exact_window_scores(oracle.all_scores(), windows);
-    let truth = GroundTruth::new(w_scores);
     let answer: Vec<usize> = report
         .items
         .iter()
         .map(|item| (item.frame / slide).min(windows.len().saturating_sub(1)))
         .collect();
-    Some(evaluate_topk(&truth, &answer, k))
+    quality(
+        exact_window_scores(oracle.all_scores(), windows),
+        &answer,
+        k,
+    )
 }
 
 // ---- rendering ----

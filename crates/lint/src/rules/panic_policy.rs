@@ -46,8 +46,8 @@ pub const PANIC_ALLOWLIST: &[PanicBudget] = &[
     },
     PanicBudget {
         file: "crates/core/src/pipeline.rs",
-        budget: 2,
-        reason: "certain_bucket lookups on items the cleaner just proved certain",
+        budget: 1,
+        reason: "certain_bucket lookup on items the cleaner just proved certain",
     },
     PanicBudget {
         file: "crates/core/src/pws.rs",
@@ -71,7 +71,7 @@ pub const PANIC_ALLOWLIST: &[PanicBudget] = &[
     },
     PanicBudget {
         file: "crates/evql/src/exec.rs",
-        budget: 5,
+        budget: 1,
         reason: "phase-1 entry is Some for every engine that analyze() routes here",
     },
 ];

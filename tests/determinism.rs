@@ -8,6 +8,7 @@ use everest::core::phase1::Phase1Config;
 use everest::core::pipeline::Everest;
 use everest::core::semantics::{u_kranks, u_topk};
 use everest::core::xtuple::UncertainRelation;
+use everest::evql::{Output, Session};
 use everest::models::{counting_oracle, InstrumentedOracle};
 use everest::nn::train::TrainConfig;
 use everest::nn::HyperGrid;
@@ -104,4 +105,31 @@ fn semantics_reruns_are_identical() {
     let ranks_a = u_kranks(&build(), 2).expect("small world set");
     let ranks_b = u_kranks(&build(), 2).expect("small world set");
     assert_eq!(ranks_a, ranks_b, "U-kRanks winners must not depend on run");
+}
+
+#[test]
+fn simulated_latency_is_a_pure_function_of_the_statement() {
+    // The simulated clock is charged counts × constants, never measured
+    // time: two fresh sessions (each paying its own Phase 1) must agree on
+    // the simulated latency and the speedup to the last bit.
+    let run = |stmt: &str| {
+        let mut session = Session::new();
+        session.settings.scale = 1_000; // floors the dataset at 2 000 frames
+        match session.execute(stmt).expect("statement runs") {
+            Output::Rows(out) => {
+                assert!(
+                    out.stats.cleaned.unwrap() > 0,
+                    "{stmt}: Phase 2 must do work"
+                );
+                (out.stats.sim_seconds.to_bits(), out.stats.speedup.to_bits())
+            }
+            other => panic!("{other:?}"),
+        }
+    };
+    for stmt in [
+        "SELECT TOP 5 FRAMES FROM Archie WITH SEED 3",
+        "SELECT TOP 5 WINDOWS OF 30 FRAMES FROM Archie WITH SEED 3",
+    ] {
+        assert_eq!(run(stmt), run(stmt), "{stmt}");
+    }
 }
