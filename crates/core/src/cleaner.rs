@@ -9,11 +9,13 @@
 //! oracle. Termination is guaranteed: cleaning strictly shrinks the
 //! uncertain set and a fully-certain relation has confidence 1.
 //!
-//! There is one such loop, the crate-private `drive`: [`run_cleaner`] runs
-//! it over an [`UncertainRelation`] (frame and window queries), and
-//! [`crate::stream::StreamTopK`] runs it once per emit over its active
-//! window. They differ only in their `Frontier` — which uncertain items to
-//! confirm next and how a confirmed item is retired.
+//! There is one such loop, the crate-private `drive`, generic over the
+//! `Answer` being certified — what its confidence is, which uncertain
+//! items to confirm next, and how a confirmed item is retired.
+//! [`run_cleaner`] certifies a Top-K over an [`UncertainRelation`] (frame
+//! and window queries), [`crate::stream::StreamTopK`] a Top-K over its
+//! active window once per emit (the two share `TopKState`), and
+//! [`crate::skyline::run_skyline_cleaner`] a skyline.
 
 use crate::budget::{QueryBudget, Termination};
 use crate::select::{CandidateSelector, SelectStats};
@@ -23,20 +25,21 @@ use everest_models::OracleError;
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
-/// Resolves an item's exact score bucket (by running the expensive oracle).
+/// Resolves an item's exact value `V` (by running the expensive oracle):
+/// its score bucket for Top-K, its bucket vector for a skyline.
 ///
 /// Frame-level queries clean one frame per item; window queries sample a
 /// fraction of the window's frames (§3.4). Implementations track their own
 /// oracle-invocation counts for cost accounting.
-pub trait CleaningOracle {
-    /// Exact buckets for `items`, in order.
-    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<u32>;
+pub trait CleaningOracle<V = u32> {
+    /// Exact values for `items`, in order.
+    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<V>;
 
     /// Fallible cleaning: the default wraps the infallible path and never
     /// fails. Adapters over a fallible [`everest_models::Oracle`] override
     /// it so oracle failures surface as [`Termination::OracleDown`]
     /// instead of panics.
-    fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
+    fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<V>, OracleError> {
         Ok(self.clean_batch(items))
     }
 
@@ -116,40 +119,21 @@ pub struct CleanOutcome {
     pub select_stats: SelectStats,
 }
 
-/// The Phase-2 state of §3.3 and the decisions derived from it. The batch
+/// The Top-K state of §3.3 and the decisions derived from it. The batch
 /// engine builds one per query; [`crate::stream::StreamTopK`] keeps one
 /// alive across emits, adding and expiring frames between runs of
-/// [`TopKState::drive`].
+/// [`drive`].
 #[derive(Debug)]
 pub(crate) struct TopKState {
     /// Joint CDF over the currently-uncertain items.
     pub(crate) h: JointCdf,
     /// Certain items ordered by (bucket desc, id asc).
     pub(crate) certain: BTreeSet<(Reverse<u32>, ItemId)>,
+    /// Result size K.
+    pub(crate) k: usize,
 }
 
-impl TopKState {
-    /// Threshold bucket `S_k` (K-th certain item) and penultimate bucket
-    /// `S_p` ((K−1)-th; the grid maximum when K = 1, where any score above
-    /// `S_k` becomes the new threshold). `None` until K items are certain:
-    /// the certain-result condition has no answer yet.
-    fn thresholds(&self, k: usize) -> Option<(usize, usize)> {
-        let mut ranked = self.certain.iter().map(|&(Reverse(b), _)| b as usize);
-        if k == 1 {
-            return Some((ranked.next()?, self.h.num_buckets() - 1));
-        }
-        let s_p = ranked.nth(k - 2)?;
-        Some((ranked.next()?, s_p))
-    }
-
-    /// The certain Top-K as `(id, bucket)` rows, best first; fewer than K
-    /// rows when the run stopped before K items were certain.
-    pub(crate) fn topk(&self, k: usize) -> impl Iterator<Item = (ItemId, u32)> + '_ {
-        self.certain.iter().take(k).map(|&(Reverse(b), id)| (id, b))
-    }
-}
-
-/// What [`TopKState::drive`] needs confirmed next.
+/// What a Top-K answer needs confirmed next.
 pub(crate) enum Want {
     /// Fewer than K items are certain; `missing` more are needed before
     /// an answer exists.
@@ -158,109 +142,150 @@ pub(crate) enum Want {
     Boundary { s_k: usize, s_p: usize },
 }
 
-/// The only part of Phase 2 that differs between the batch and the
-/// streaming engine: which uncertain items to confirm next, and how a
-/// confirmed item leaves the uncertain set.
-pub(crate) trait Frontier {
-    type Picks: AsRef<[ItemId]>;
+impl TopKState {
+    /// Threshold bucket `S_k` (K-th certain item) and penultimate bucket
+    /// `S_p` ((K−1)-th; the grid maximum when K = 1, where any score above
+    /// `S_k` becomes the new threshold). `None` until K items are certain:
+    /// the certain-result condition has no answer yet.
+    fn thresholds(&self) -> Option<(usize, usize)> {
+        let mut ranked = self.certain.iter().map(|&(Reverse(b), _)| b as usize);
+        if self.k == 1 {
+            return Some((ranked.next()?, self.h.num_buckets() - 1));
+        }
+        let s_p = ranked.nth(self.k - 2)?;
+        Some((ranked.next()?, s_p))
+    }
 
-    /// Between 1 and `room` uncertain items to confirm next.
-    fn pick(&mut self, h: &JointCdf, want: Want, room: usize) -> Self::Picks;
+    /// [`Answer::assess`] of a Top-K: Eq. 2 at the current thresholds.
+    pub(crate) fn assess(&self) -> (Option<f64>, Want) {
+        match self.thresholds() {
+            Some((s_k, s_p)) => (Some(topk_prob(&self.h, s_k)), Want::Boundary { s_k, s_p }),
+            None => (
+                None,
+                Want::Bootstrap {
+                    missing: self.k - self.certain.len(),
+                },
+            ),
+        }
+    }
 
-    /// Records `id`'s confirmed bucket and takes its factors out of `h`.
-    fn retire(&mut self, h: &mut JointCdf, id: ItemId, bucket: u32);
+    /// The certain Top-K as `(id, bucket)` rows, best first; fewer than K
+    /// rows when the run stopped before K items were certain.
+    pub(crate) fn topk(&self) -> impl Iterator<Item = (ItemId, u32)> + '_ {
+        self.certain
+            .iter()
+            .take(self.k)
+            .map(|&(Reverse(b), id)| (id, b))
+    }
 }
 
-/// How a run of [`TopKState::drive`] ended.
+/// What the §3.3 loop is certifying: an answer read off the certain
+/// items, its confidence, and the uncertain items standing in its way.
+pub(crate) trait Answer {
+    /// What the oracle confirms about one item.
+    type Value;
+    /// What `assess` found lacking, for `pick` to act on.
+    type Want;
+    type Picks: AsRef<[ItemId]>;
+
+    /// The certain answer's confidence (`None` while there are too few
+    /// certain items for an answer to exist) and what would raise it.
+    fn assess(&self) -> (Option<f64>, Self::Want);
+
+    /// Between 1 and `room` uncertain items to confirm next.
+    fn pick(&mut self, want: Self::Want, room: usize) -> Self::Picks;
+
+    /// Records `id`'s confirmed value.
+    fn retire(&mut self, id: ItemId, value: Self::Value);
+}
+
+/// How a run of [`drive`] ended.
 pub(crate) struct Driven {
     pub(crate) termination: Termination,
-    /// `p̂` of the certain Top-K (Eq. 2): 0 while fewer than K items are
-    /// certain, 1 once nothing is left uncertain.
+    /// `p̂` of the certain answer: 0 while none exists, 1 once nothing is
+    /// left uncertain.
     pub(crate) confidence: f64,
     pub(crate) iterations: usize,
     pub(crate) cleaned: usize,
 }
 
-impl TopKState {
-    /// The §3.3 loop: while the certain Top-K's confidence is below `thres`
-    /// and the limits leave room, confirm what the frontier picks. The
-    /// limits are `budget` — against which `prior_calls` oracle calls were
-    /// already charged before this run — and `cap`, the caller's own cap on
-    /// this run's confirmations.
-    ///
-    /// The stop rule is checked before the limits, so an answer that
-    /// already meets `thres` is never reported degraded. A failed batch
-    /// leaves the state untouched (the oracle scored nothing), so every
-    /// exit returns a consistent anytime answer with its honest achieved
-    /// confidence.
-    pub(crate) fn drive<V: Frontier>(
-        &mut self,
-        frontier: &mut V,
-        oracle: &mut dyn CleaningOracle,
-        k: usize,
-        thres: f64,
-        budget: &QueryBudget,
-        prior_calls: usize,
-        cap: Option<usize>,
-    ) -> Driven {
-        let mut iterations = 0usize;
-        let mut cleaned = 0usize;
-        let mut confidence = 0.0;
-        let termination = loop {
-            let want = match self.thresholds(k) {
-                Some((s_k, s_p)) => {
-                    confidence = topk_prob(&self.h, s_k);
-                    if confidence >= thres {
-                        break Termination::Converged;
-                    }
-                    Want::Boundary { s_k, s_p }
-                }
-                None => Want::Bootstrap {
-                    missing: k - self.certain.len(),
-                },
-            };
-            let room = match budget.room(
-                oracle.sim_seconds_spent(),
-                prior_calls + cleaned,
-                cap.map(|c| c.saturating_sub(cleaned)),
-            ) {
-                Ok(room) => room,
-                Err(why) => break why,
-            };
-            let picks = frontier.pick(&self.h, want, room);
-            let picks = picks.as_ref();
-            assert!(!picks.is_empty(), "nothing left to confirm below thres");
-            let Ok(buckets) = oracle.try_clean_batch(picks) else {
-                break Termination::OracleDown;
-            };
-            for (&id, &bucket) in picks.iter().zip(&buckets) {
-                frontier.retire(&mut self.h, id, bucket);
-                self.certain.insert((Reverse(bucket), id));
+/// The §3.3 loop: while the certain answer's confidence is below `thres`
+/// and the limits leave room, confirm what the answer picks. The limits
+/// are `budget` — against which `prior_calls` oracle calls were already
+/// charged before this run — and `cap`, the caller's own cap on this
+/// run's confirmations.
+///
+/// The stop rule is checked before the limits, so an answer that already
+/// meets `thres` is never reported degraded. A failed batch leaves the
+/// answer untouched (the oracle scored nothing), so every exit returns a
+/// consistent anytime answer with its honest achieved confidence.
+pub(crate) fn drive<A: Answer>(
+    answer: &mut A,
+    oracle: &mut dyn CleaningOracle<A::Value>,
+    thres: f64,
+    budget: &QueryBudget,
+    prior_calls: usize,
+    cap: Option<usize>,
+) -> Driven {
+    let mut iterations = 0usize;
+    let mut cleaned = 0usize;
+    let mut confidence = 0.0;
+    let termination = loop {
+        let (assessed, want) = answer.assess();
+        if let Some(p) = assessed {
+            confidence = p;
+            if confidence >= thres {
+                break Termination::Converged;
             }
-            cleaned += picks.len();
-            iterations += 1;
-        };
-        Driven {
-            termination,
-            confidence,
-            iterations,
-            cleaned,
         }
+        let room = match budget.room(
+            oracle.sim_seconds_spent(),
+            prior_calls + cleaned,
+            cap.map(|c| c.saturating_sub(cleaned)),
+        ) {
+            Ok(room) => room,
+            Err(why) => break why,
+        };
+        let picks = answer.pick(want, room);
+        let picks = picks.as_ref();
+        assert!(!picks.is_empty(), "nothing left to confirm below thres");
+        let Ok(values) = oracle.try_clean_batch(picks) else {
+            break Termination::OracleDown;
+        };
+        assert_eq!(values.len(), picks.len(), "oracle must answer the batch");
+        for (&id, value) in picks.iter().zip(values) {
+            answer.retire(id, value);
+        }
+        cleaned += picks.len();
+        iterations += 1;
+    };
+    Driven {
+        termination,
+        confidence,
+        iterations,
+        cleaned,
     }
 }
 
-/// The batch frontier: bootstrap with the highest-mean items in one
-/// batch, then lazy-ψ `Select-candidate` batches over the relation.
-struct RelationFrontier<'a> {
+/// The batch Top-K: bootstrap with the highest-mean items in one batch,
+/// then lazy-ψ `Select-candidate` batches over the relation.
+struct RelationTopK<'a> {
+    state: TopKState,
     rel: &'a mut UncertainRelation,
     selector: CandidateSelector,
     batch_size: usize,
 }
 
-impl Frontier for RelationFrontier<'_> {
+impl Answer for RelationTopK<'_> {
+    type Value = u32;
+    type Want = Want;
     type Picks = Vec<ItemId>;
 
-    fn pick(&mut self, h: &JointCdf, want: Want, room: usize) -> Vec<ItemId> {
+    fn assess(&self) -> (Option<f64>, Want) {
+        self.state.assess()
+    }
+
+    fn pick(&mut self, want: Want, room: usize) -> Vec<ItemId> {
         match want {
             Want::Bootstrap { missing } => {
                 let rel = &*self.rel;
@@ -276,13 +301,15 @@ impl Frontier for RelationFrontier<'_> {
             }
             Want::Boundary { s_k, s_p } => {
                 let batch = self.batch_size.min(self.rel.num_uncertain()).min(room);
+                let h = &self.state.h;
                 self.selector.select_batch(self.rel, h, s_k, s_p, batch)
             }
         }
     }
 
-    fn retire(&mut self, h: &mut JointCdf, id: ItemId, bucket: u32) {
-        h.remove(&self.rel.clean(id, bucket));
+    fn retire(&mut self, id: ItemId, bucket: u32) {
+        self.state.h.remove(&self.rel.clean(id, bucket));
+        self.state.certain.insert((Reverse(bucket), id));
     }
 }
 
@@ -307,34 +334,34 @@ pub fn run_cleaner(
         cfg.k
     );
 
-    let mut state = TopKState {
-        h: JointCdf::build(rel),
-        certain: (0..rel.len())
-            .filter_map(|id| rel.certain_bucket(id).map(|b| (Reverse(b), id)))
-            .collect(),
-    };
-    let mut frontier = RelationFrontier {
+    let mut answer = RelationTopK {
+        state: TopKState {
+            h: JointCdf::build(rel),
+            certain: (0..rel.len())
+                .filter_map(|id| rel.certain_bucket(id).map(|b| (Reverse(b), id)))
+                .collect(),
+            k: cfg.k,
+        },
         selector: CandidateSelector::new(rel, cfg.resort_period),
         rel,
         batch_size: cfg.batch_size,
     };
-    let run = state.drive(
-        &mut frontier,
+    let run = drive(
+        &mut answer,
         oracle,
-        cfg.k,
         cfg.thres,
         &cfg.budget,
         0,
         cfg.max_cleanings,
     );
     CleanOutcome {
-        topk: state.topk(cfg.k).map(|(id, _)| id).collect(),
+        topk: answer.state.topk().map(|(id, _)| id).collect(),
         confidence: run.confidence,
         iterations: run.iterations,
         cleaned: run.cleaned,
         converged: run.termination == Termination::Converged,
         termination: run.termination,
-        select_stats: frontier.selector.stats,
+        select_stats: answer.selector.stats,
     }
 }
 

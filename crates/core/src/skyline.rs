@@ -32,11 +32,14 @@
 //! probability mass, computed in `O(m)` per item for `d = 2` via the
 //! staircase of `R̂` (and by grid enumeration for `d = 3`).
 //!
-//! The cleaning loop repeatedly confirms the uncertain item with the
-//! **smallest** factor — the analogue of §3.3.2's ψ ordering: for a
-//! product of probabilities, the smallest factor is both the largest drag
+//! Cleaning is the one §3.3 loop of [`crate::cleaner`] with the skyline as
+//! the answer being certified: it repeatedly confirms the uncertain items
+//! with the **smallest** factors — the analogue of §3.3.2's ψ ordering: for
+//! a product of probabilities, the smallest factor is both the largest drag
 //! on `p̂` and the item most likely to change the skyline.
 
+use crate::budget::{QueryBudget, Termination};
+use crate::cleaner::{drive, Answer, CleaningOracle};
 use crate::dist::DiscreteDist;
 use crate::xtuple::ItemId;
 use std::collections::{BTreeMap, BTreeSet};
@@ -82,6 +85,48 @@ impl DimState {
         match self {
             DimState::Uncertain(d) => (d.support_min(), d.support_max()),
             DimState::Certain(b) => (*b as usize, *b as usize),
+        }
+    }
+}
+
+/// The exact vector of an item whose every dimension is certain.
+fn certain_vector(dims: &[DimState]) -> Option<Vec<u32>> {
+    dims.iter()
+        .map(|d| match d {
+            DimState::Certain(b) => Some(*b),
+            DimState::Uncertain(_) => None,
+        })
+        .collect()
+}
+
+/// Panics unless a confirmed vector lies on the grid `max_bucket`.
+fn check_vector(max_bucket: &[usize], v: &[u32]) {
+    assert_eq!(v.len(), max_bucket.len(), "dimension count mismatch");
+    for (j, &b) in v.iter().enumerate() {
+        assert!(
+            b as usize <= max_bucket[j],
+            "dim {j}: bucket {b} beyond grid {}",
+            max_bucket[j]
+        );
+    }
+}
+
+/// Panics unless an item's per-dimension states lie on the grid
+/// `max_bucket`.
+fn check_dims(max_bucket: &[usize], dims: &[DimState]) {
+    assert_eq!(dims.len(), max_bucket.len(), "dimension count mismatch");
+    for (j, d) in dims.iter().enumerate() {
+        match d {
+            DimState::Uncertain(dist) => assert_eq!(
+                dist.max_bucket(),
+                max_bucket[j],
+                "dim {j}: distribution grid mismatch"
+            ),
+            DimState::Certain(b) => assert!(
+                *b as usize <= max_bucket[j],
+                "dim {j}: bucket {b} beyond grid {}",
+                max_bucket[j]
+            ),
         }
     }
 }
@@ -133,25 +178,7 @@ impl VectorRelation {
     /// Adds an item with per-dimension states (certain dimensions allowed,
     /// but the item counts as certain only when *all* dimensions are).
     pub fn push(&mut self, dims: Vec<DimState>) -> ItemId {
-        assert_eq!(dims.len(), self.dims(), "dimension count mismatch");
-        for (j, d) in dims.iter().enumerate() {
-            let max = match d {
-                DimState::Uncertain(dist) => dist.max_bucket(),
-                DimState::Certain(b) => *b as usize,
-            };
-            assert!(
-                max <= self.max_bucket[j],
-                "dim {j}: bucket {max} beyond grid {}",
-                self.max_bucket[j]
-            );
-            if let DimState::Uncertain(dist) = d {
-                assert_eq!(
-                    dist.max_bucket(),
-                    self.max_bucket[j],
-                    "dim {j}: distribution grid mismatch"
-                );
-            }
-        }
+        check_dims(&self.max_bucket, &dims);
         if dims.iter().all(|d| matches!(d, DimState::Certain(_))) {
             self.num_certain += 1;
         }
@@ -177,25 +204,13 @@ impl VectorRelation {
 
     /// The exact vector of a certain item.
     pub fn certain_vector(&self, id: ItemId) -> Option<Vec<u32>> {
-        self.items[id]
-            .iter()
-            .map(|d| match d {
-                DimState::Certain(b) => Some(*b),
-                DimState::Uncertain(_) => None,
-            })
-            .collect()
+        certain_vector(&self.items[id])
     }
 
     /// Marks an item certain with oracle-confirmed buckets.
     pub fn clean(&mut self, id: ItemId, v: &[u32]) {
-        assert_eq!(v.len(), self.dims(), "dimension count mismatch");
+        check_vector(&self.max_bucket, v);
         assert!(!self.is_certain(id), "item {id} cleaned twice");
-        for (j, &b) in v.iter().enumerate() {
-            assert!(
-                b as usize <= self.max_bucket[j],
-                "dim {j}: bucket {b} beyond grid"
-            );
-        }
         self.items[id] = v.iter().map(|&b| DimState::Certain(b)).collect();
         self.num_certain += 1;
     }
@@ -506,13 +521,20 @@ impl SkylineMaintainer {
         }
     }
 
-    /// Seeds a maintainer with every item of a relation (ids preserved).
-    pub fn from_relation(rel: &VectorRelation) -> Self {
+    /// Seeds a maintainer with every item of a relation, moved out of it
+    /// (ids preserved); [`SkylineMaintainer::give_back`] returns them.
+    fn take_from(rel: &mut VectorRelation) -> Self {
         let mut m = SkylineMaintainer::new(rel.max_bucket.clone());
-        for (id, dims) in rel.items.iter().enumerate() {
-            m.insert(id, dims.clone());
+        for (id, dims) in std::mem::take(&mut rel.items).into_iter().enumerate() {
+            m.insert(id, dims);
         }
         m
+    }
+
+    /// Moves the items back into the relation they were taken from.
+    fn give_back(self, rel: &mut VectorRelation) {
+        rel.items = self.items.into_values().collect();
+        rel.num_certain = rel.len() - self.factors.len();
     }
 
     pub fn len(&self) -> usize {
@@ -527,46 +549,20 @@ impl SkylineMaintainer {
         self.items.contains_key(&id)
     }
 
-    fn vector_of(dims: &[DimState]) -> Option<Vec<u32>> {
-        dims.iter()
-            .map(|d| match d {
-                DimState::Certain(b) => Some(*b),
-                DimState::Uncertain(_) => None,
-            })
-            .collect()
-    }
-
     /// Current skyline point vectors, ascending id order.
     fn points(&self) -> Vec<Vec<u32>> {
         self.skyline
             .iter()
             // lint:allow(panic-unwrap): only fully-certain items ever enter `skyline`
-            .map(|s| Self::vector_of(&self.items[s]).expect("skyline member is certain"))
+            .map(|s| certain_vector(&self.items[s]).expect("skyline member is certain"))
             .collect()
     }
 
     /// Adds an item under a fresh id (never reuse an id while present).
     pub fn insert(&mut self, id: ItemId, dims: Vec<DimState>) {
-        assert_eq!(
-            dims.len(),
-            self.max_bucket.len(),
-            "dimension count mismatch"
-        );
-        for (j, d) in dims.iter().enumerate() {
-            match d {
-                DimState::Uncertain(dist) => assert_eq!(
-                    dist.max_bucket(),
-                    self.max_bucket[j],
-                    "dim {j}: distribution grid mismatch"
-                ),
-                DimState::Certain(b) => assert!(
-                    *b as usize <= self.max_bucket[j],
-                    "dim {j}: bucket {b} beyond grid"
-                ),
-            }
-        }
+        check_dims(&self.max_bucket, &dims);
         assert!(!self.items.contains_key(&id), "item {id} already present");
-        match Self::vector_of(&dims) {
+        match certain_vector(&dims) {
             Some(v) => {
                 self.items.insert(id, dims);
                 self.insert_certain_point(id, v);
@@ -585,7 +581,7 @@ impl SkylineMaintainer {
     fn insert_certain_point(&mut self, id: ItemId, v: Vec<u32>) {
         let dominated = self.skyline.iter().any(|s| {
             // lint:allow(panic-unwrap): only fully-certain items ever enter `skyline`
-            let w = Self::vector_of(&self.items[s]).expect("certain");
+            let w = certain_vector(&self.items[s]).expect("certain");
             dominates(&w, &v)
         });
         if dominated {
@@ -597,7 +593,7 @@ impl SkylineMaintainer {
             .iter()
             .filter(|s| {
                 // lint:allow(panic-unwrap): only fully-certain items ever enter `skyline`
-                let w = Self::vector_of(&self.items[s]).expect("certain");
+                let w = certain_vector(&self.items[s]).expect("certain");
                 dominates(&v, &w)
             })
             .copied()
@@ -605,7 +601,7 @@ impl SkylineMaintainer {
         let mut changed: Vec<Vec<u32>> = evicted
             .iter()
             // lint:allow(panic-unwrap): evicted ids came out of `skyline`, hence certain
-            .map(|s| Self::vector_of(&self.items[s]).expect("certain"))
+            .map(|s| certain_vector(&self.items[s]).expect("certain"))
             .collect();
         for s in &evicted {
             self.skyline.remove(s);
@@ -629,18 +625,18 @@ impl SkylineMaintainer {
             return;
         }
         // lint:allow(panic-unwrap): the id was in `skyline`, hence fully certain
-        let v = Self::vector_of(&dims).expect("certain");
+        let v = certain_vector(&dims).expect("certain");
         let certain: Vec<(ItemId, Vec<u32>)> = self
             .items
             .iter()
-            .filter_map(|(&i, d)| Self::vector_of(d).map(|w| (i, w)))
+            .filter_map(|(&i, d)| certain_vector(d).map(|w| (i, w)))
             .collect();
         let new_sky: BTreeSet<ItemId> = skyline_of(&certain).into_iter().collect();
         self.stats.skyline_rebuilds += 1;
         let mut changed: Vec<Vec<u32>> = new_sky
             .difference(&self.skyline)
             // lint:allow(panic-unwrap): `skyline_of` only ranges over the certain subset
-            .map(|i| Self::vector_of(&self.items[i]).expect("certain"))
+            .map(|i| certain_vector(&self.items[i]).expect("certain"))
             .collect();
         changed.push(v);
         self.skyline = new_sky;
@@ -649,13 +645,7 @@ impl SkylineMaintainer {
 
     /// Confirms an uncertain item's exact vector (oracle cleaning).
     pub fn clean(&mut self, id: ItemId, v: &[u32]) {
-        assert_eq!(v.len(), self.max_bucket.len(), "dimension count mismatch");
-        for (j, &b) in v.iter().enumerate() {
-            assert!(
-                b as usize <= self.max_bucket[j],
-                "dim {j}: bucket {b} beyond grid"
-            );
-        }
+        check_vector(&self.max_bucket, v);
         // lint:allow(panic-unwrap): cleaning an id never inserted is a caller bug
         let dims = self.items.get_mut(&id).expect("cleaning unknown item");
         assert!(
@@ -708,22 +698,16 @@ impl SkylineMaintainer {
     }
 }
 
-/// The oracle that confirms exact score vectors (one deep model per
-/// dimension, each charged per frame by the caller).
-pub trait SkylineOracle {
-    /// Exact bucket vectors for a batch of items.
-    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<Vec<u32>>;
-}
-
-/// Configuration of the skyline cleaning loop.
+/// Configuration of a skyline query.
 #[derive(Debug, Clone)]
 pub struct SkylineConfig {
     /// Confidence threshold `thres`.
     pub thres: f64,
     /// Oracle batch size (§3.5's batch inference).
     pub batch_size: usize,
-    /// Diagnostics-only cap on cleanings.
-    pub max_cleanings: Option<usize>,
+    /// Query-level limits, checked between cleaning batches; the default is
+    /// unlimited.
+    pub budget: QueryBudget,
 }
 
 impl Default for SkylineConfig {
@@ -731,7 +715,7 @@ impl Default for SkylineConfig {
         SkylineConfig {
             thres: 0.9,
             batch_size: 8,
-            max_cleanings: None,
+            budget: QueryBudget::unlimited(),
         }
     }
 }
@@ -743,76 +727,83 @@ pub struct SkylineOutcome {
     pub skyline: Vec<ItemId>,
     /// `Pr(R̂ = Sky)` at termination.
     pub confidence: f64,
-    pub converged: bool,
+    /// Why the run stopped. Anything but `Converged` marks a *degraded*
+    /// answer: still the skyline of the certain items, with its honest
+    /// achieved confidence.
+    pub termination: Termination,
     pub iterations: usize,
     pub cleaned: usize,
 }
 
+/// The skyline [`Answer`]: the certain skyline, certified by the product of
+/// the uncertain items' domination factors.
+struct Skyline {
+    maintainer: SkylineMaintainer,
+    batch_size: usize,
+}
+
+impl Answer for Skyline {
+    type Value = Vec<u32>;
+    type Want = ();
+    type Picks = Vec<ItemId>;
+
+    fn assess(&self) -> (Option<f64>, ()) {
+        (Some(self.maintainer.factors.values().product()), ())
+    }
+
+    /// The uncertain items with the smallest factors, ties by ascending id.
+    fn pick(&mut self, (): (), room: usize) -> Vec<ItemId> {
+        let mut by_factor: Vec<(ItemId, f64)> = self
+            .maintainer
+            .factors
+            .iter()
+            .map(|(&id, &f)| (id, f))
+            .collect();
+        by_factor.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        by_factor.truncate(self.batch_size.min(room));
+        by_factor.into_iter().map(|(id, _)| id).collect()
+    }
+
+    fn retire(&mut self, id: ItemId, v: Vec<u32>) {
+        self.maintainer.clean(id, &v);
+    }
+}
+
 /// Runs the oracle-in-the-loop skyline query until
-/// `Pr(R̂ = Sky) ≥ thres` (§3.3 adapted to domination).
+/// `Pr(R̂ = Sky) ≥ thres` (§3.3 adapted to domination) or `cfg.budget`
+/// stops it.
 ///
 /// Each iteration confirms the `batch_size` uncertain items with the
-/// smallest domination factors. Like Phase 2 for Top-K, the loop always
-/// terminates: every cleaning strictly shrinks `Dᵘ`, and with `Dᵘ = ∅`
-/// the confidence is exactly 1.
+/// smallest domination factors. Like Phase 2 for Top-K, an unlimited run
+/// always terminates: every cleaning strictly shrinks `Dᵘ`, and with
+/// `Dᵘ = ∅` the confidence is exactly 1.
 ///
 /// The per-iteration state comes from an incremental [`SkylineMaintainer`]
 /// (each cleaning refreshes only the factors its staircase change can
 /// reach) rather than a full [`skyline_state`] recompute; the two are
-/// property-tested equal, factor for factor.
+/// property-tested equal, factor for factor. The maintainer holds the
+/// relation's items for the duration of the run, so a confirmed vector is
+/// written once.
 pub fn run_skyline_cleaner(
     rel: &mut VectorRelation,
-    oracle: &mut dyn SkylineOracle,
+    oracle: &mut dyn CleaningOracle<Vec<u32>>,
     cfg: &SkylineConfig,
 ) -> SkylineOutcome {
     assert!((0.0..1.0).contains(&cfg.thres), "thres must be in [0, 1)");
     assert!(cfg.batch_size >= 1);
-    let mut maintainer = SkylineMaintainer::from_relation(rel);
-    let mut iterations = 0;
-    let mut cleaned = 0;
-    loop {
-        let state = maintainer.state();
-        if state.confidence >= cfg.thres {
-            return SkylineOutcome {
-                skyline: state.skyline,
-                confidence: state.confidence,
-                converged: true,
-                iterations,
-                cleaned,
-            };
-        }
-        if let Some(cap) = cfg.max_cleanings {
-            if cleaned >= cap {
-                return SkylineOutcome {
-                    skyline: state.skyline,
-                    confidence: state.confidence,
-                    converged: false,
-                    iterations,
-                    cleaned,
-                };
-            }
-        }
-        // Clean the items with the smallest domination factors.
-        let mut by_factor = state.factors;
-        by_factor.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        let batch: Vec<ItemId> = by_factor
-            .iter()
-            .take(cfg.batch_size)
-            .map(|&(id, _)| id)
-            .collect();
-        debug_assert!(!batch.is_empty(), "confidence < 1 requires uncertain items");
-        let vectors = oracle.clean_batch(&batch);
-        assert_eq!(
-            vectors.len(),
-            batch.len(),
-            "oracle must answer the whole batch"
-        );
-        for (id, v) in batch.iter().zip(&vectors) {
-            rel.clean(*id, v);
-            maintainer.clean(*id, v);
-            cleaned += 1;
-        }
-        iterations += 1;
+    let mut answer = Skyline {
+        maintainer: SkylineMaintainer::take_from(rel),
+        batch_size: cfg.batch_size,
+    };
+    let run = drive(&mut answer, oracle, cfg.thres, &cfg.budget, 0, None);
+    let skyline = answer.maintainer.skyline.iter().copied().collect();
+    answer.maintainer.give_back(rel);
+    SkylineOutcome {
+        skyline,
+        confidence: run.confidence,
+        termination: run.termination,
+        iterations: run.iterations,
+        cleaned: run.cleaned,
     }
 }
 
@@ -1049,7 +1040,7 @@ mod tests {
     #[test]
     fn maintainer_matches_full_recompute_after_cleaning() {
         let (mut rel, oracle) = noisy_setup(25, 42);
-        let mut m = SkylineMaintainer::from_relation(&rel);
+        let mut m = SkylineMaintainer::take_from(&mut rel.clone());
         assert_state_matches(&m, &rel);
         for id in [3, 17, 0, 9, 21] {
             let v = oracle.truth[id].clone();
@@ -1149,7 +1140,7 @@ mod tests {
         frames: usize,
     }
 
-    impl SkylineOracle for TableOracle {
+    impl CleaningOracle<Vec<u32>> for TableOracle {
         fn clean_batch(&mut self, items: &[ItemId]) -> Vec<Vec<u32>> {
             self.calls += 1;
             self.frames += items.len();
@@ -1202,10 +1193,10 @@ mod tests {
             &SkylineConfig {
                 thres: 0.95,
                 batch_size: 4,
-                max_cleanings: None,
+                ..Default::default()
             },
         );
-        assert!(out.converged);
+        assert_eq!(out.termination, Termination::Converged);
         assert!(out.confidence >= 0.95);
         // certain-result condition
         for &id in &out.skyline {
@@ -1242,7 +1233,8 @@ mod tests {
             rel_warm.clean(id, &v);
         }
         let warm = run_skyline_cleaner(&mut rel_warm, &mut oracle_warm, &Default::default());
-        assert!(warm.converged && cold.converged);
+        assert_eq!(warm.termination, Termination::Converged);
+        assert_eq!(cold.termination, Termination::Converged);
         assert!(
             warm.cleaned <= cold.cleaned,
             "pre-confirmed skyline must not clean more (warm {} vs cold {})",
@@ -1251,20 +1243,76 @@ mod tests {
         );
     }
 
+    fn capped(calls: usize) -> QueryBudget {
+        QueryBudget {
+            max_oracle_calls: Some(calls),
+            ..QueryBudget::unlimited()
+        }
+    }
+
     #[test]
-    fn max_cleanings_cap_reports_non_convergence() {
-        let (mut rel, mut oracle) = noisy_setup(40, 5);
-        let out = run_skyline_cleaner(
-            &mut rel,
-            &mut oracle,
-            &SkylineConfig {
-                thres: 0.99,
-                batch_size: 1,
-                max_cleanings: Some(2),
-            },
-        );
-        assert!(!out.converged);
-        assert_eq!(out.cleaned, 2);
+    fn call_cap_reports_budget_exhausted() {
+        // The cap bounds the batch: batch 8 under cap 2 confirms 2, as
+        // batch 1 does.
+        for batch_size in [1, 8] {
+            let (mut rel, mut oracle) = noisy_setup(40, 5);
+            let out = run_skyline_cleaner(
+                &mut rel,
+                &mut oracle,
+                &SkylineConfig {
+                    thres: 0.99,
+                    batch_size,
+                    budget: capped(2),
+                },
+            );
+            assert_eq!(out.termination, Termination::BudgetExhausted);
+            assert_eq!(out.cleaned, 2, "batch {batch_size}");
+            assert_eq!(oracle.frames, 2);
+            assert_eq!(rel.num_certain(), 2);
+            assert!(out.confidence < 0.99);
+        }
+    }
+
+    #[test]
+    fn oracle_failure_degrades_to_oracle_down() {
+        /// Answers as many batches as its second field says, then fails.
+        struct Dying(TableOracle, usize);
+        impl CleaningOracle<Vec<u32>> for Dying {
+            fn clean_batch(&mut self, items: &[ItemId]) -> Vec<Vec<u32>> {
+                self.0.clean_batch(items)
+            }
+            fn try_clean_batch(
+                &mut self,
+                items: &[ItemId],
+            ) -> Result<Vec<Vec<u32>>, everest_models::OracleError> {
+                if self.0.calls == self.1 {
+                    return Err(everest_models::OracleError::Transient("oracle died"));
+                }
+                Ok(self.clean_batch(items))
+            }
+        }
+        let cfg = SkylineConfig {
+            thres: 0.99,
+            batch_size: 3,
+            ..Default::default()
+        };
+        let (mut rel, oracle) = noisy_setup(40, 5);
+        let mut dying = Dying(oracle, 2);
+        let out = run_skyline_cleaner(&mut rel, &mut dying, &cfg);
+        assert_eq!(out.termination, Termination::OracleDown);
+        assert_eq!((out.iterations, out.cleaned), (2, 6));
+        // The failed batch left no mark: the relation is what two batches
+        // of a healthy run leave behind, and the answer is read off it.
+        let (mut healthy, mut oracle) = noisy_setup(40, 5);
+        let two_batches = SkylineConfig {
+            budget: capped(6),
+            ..cfg
+        };
+        let two = run_skyline_cleaner(&mut healthy, &mut oracle, &two_batches);
+        assert_eq!(rel.items, healthy.items);
+        assert_eq!(rel.num_certain(), 6);
+        assert_eq!(out.skyline, two.skyline);
+        assert_eq!(out.confidence, skyline_state(&rel).confidence);
         assert!(out.confidence < 0.99);
     }
 
@@ -1276,7 +1324,7 @@ mod tests {
         rel.push_certain(&[2, 2]);
         rel.push_certain(&[1, 1]); // dominated by (2,2)
         struct Never;
-        impl SkylineOracle for Never {
+        impl CleaningOracle<Vec<u32>> for Never {
             fn clean_batch(&mut self, _: &[ItemId]) -> Vec<Vec<u32>> {
                 panic!("nothing to clean")
             }

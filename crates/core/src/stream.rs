@@ -40,7 +40,7 @@
 //! across emits.)
 
 use crate::budget::{QueryBudget, Termination};
-use crate::cleaner::{CleaningOracle, Frontier, TopKState, Want};
+use crate::cleaner::{drive, Answer, CleaningOracle, TopKState, Want};
 use crate::dist::DiscreteDist;
 use crate::select::psi;
 use crate::topkprob::{topk_prob, JointCdf};
@@ -172,9 +172,6 @@ impl StreamAnswer {
 pub struct StreamTopK {
     cfg: StreamConfig,
     frames: Frames,
-    /// Joint CDF over the active uncertain frames + the active certain
-    /// frames in rank order.
-    state: TopKState,
     /// First active frame (window low edge).
     lo: usize,
     emits: usize,
@@ -194,16 +191,17 @@ impl StreamTopK {
         }
         let empty = UncertainRelation::new(cfg.quant_step, cfg.max_bucket);
         StreamTopK {
-            state: TopKState {
-                h: JointCdf::build(&empty),
-                certain: BTreeSet::new(),
-            },
-            cfg,
             frames: Frames {
                 dists: Vec::new(),
                 cleaned: BTreeMap::new(),
                 uncertain_active: BTreeSet::new(),
+                state: TopKState {
+                    h: JointCdf::build(&empty),
+                    certain: BTreeSet::new(),
+                    k: cfg.k,
+                },
             },
+            cfg,
             lo: 0,
             emits: 0,
             cleaned_total: 0,
@@ -247,7 +245,7 @@ impl StreamTopK {
         );
         let id = self.frames.dists.len();
         if self.cfg.maintenance == Maintenance::Incremental {
-            self.state.h.add(&dist);
+            self.frames.state.h.add(&dist);
         }
         self.frames.uncertain_active.insert(id);
         self.frames.dists.push(dist);
@@ -265,11 +263,11 @@ impl StreamTopK {
         let new_lo = self.frames.dists.len().saturating_sub(w);
         for frame in self.lo..new_lo {
             if let Some(&b) = self.frames.cleaned.get(&frame) {
-                self.state.certain.remove(&(Reverse(b), frame));
+                self.frames.state.certain.remove(&(Reverse(b), frame));
             } else if self.frames.uncertain_active.remove(&frame)
                 && self.cfg.maintenance == Maintenance::Incremental
             {
-                self.state.h.remove(&self.frames.dists[frame]);
+                self.frames.state.h.remove(&self.frames.dists[frame]);
             }
         }
         self.lo = new_lo;
@@ -278,7 +276,7 @@ impl StreamTopK {
     /// From-scratch reconstruction of the joint CDF and the certain set
     /// (the batch half of the equivalence harness).
     fn rebuild(&mut self) {
-        self.state.certain = self
+        self.frames.state.certain = self
             .frames
             .cleaned
             .range(self.lo..)
@@ -288,7 +286,7 @@ impl StreamTopK {
         for &frame in &self.frames.uncertain_active {
             rel.push_uncertain(self.frames.dists[frame].clone());
         }
-        self.state.h = JointCdf::build(&rel);
+        self.frames.state.h = JointCdf::build(&rel);
     }
 
     /// Runs the per-emit answer maintenance: the shared Phase-2 loop over
@@ -299,11 +297,10 @@ impl StreamTopK {
             self.rebuild();
         }
         let n = self.frames.dists.len();
-        let k_eff = self.cfg.k.min(n - self.lo);
-        let run = self.state.drive(
+        self.frames.state.k = self.cfg.k.min(n - self.lo);
+        let run = drive(
             &mut self.frames,
             oracle,
-            k_eff,
             self.cfg.thres,
             &self.cfg.budget,
             self.cleaned_total,
@@ -311,10 +308,11 @@ impl StreamTopK {
         );
         self.cleaned_total += run.cleaned;
 
-        let topk: Vec<(ItemId, u32)> = self.state.topk(k_eff).collect();
+        let state = &self.frames.state;
+        let topk: Vec<(ItemId, u32)> = state.topk().collect();
         let stability = topk
             .iter()
-            .map(|&(_, b)| topk_prob(&self.state.h, b as usize))
+            .map(|&(_, b)| topk_prob(&state.h, b as usize))
             .collect();
         StreamAnswer {
             at_frame: n,
@@ -329,10 +327,10 @@ impl StreamTopK {
     }
 }
 
-/// What has arrived and what the oracle has confirmed of it. As the
-/// stream's [`Frontier`] it confirms one frame at a time: the active
-/// uncertain frame with the highest mean while bootstrapping, the largest
-/// ψ at the current thresholds afterwards.
+/// What has arrived, what the oracle has confirmed of it, and the Top-K
+/// state over the active window. As the [`Answer`] of an emit it confirms
+/// one frame at a time: the active uncertain frame with the highest mean
+/// while bootstrapping, the largest ψ at the current thresholds afterwards.
 #[derive(Debug)]
 struct Frames {
     /// Every arrived frame's proxy distribution, by frame id.
@@ -342,6 +340,9 @@ struct Frames {
     cleaned: BTreeMap<ItemId, u32>,
     /// Active frames still uncertain.
     uncertain_active: BTreeSet<ItemId>,
+    /// Joint CDF over the active uncertain frames + the active certain
+    /// frames in rank order; `k` is the K of the current emit.
+    state: TopKState,
 }
 
 impl Frames {
@@ -358,10 +359,16 @@ impl Frames {
     }
 }
 
-impl Frontier for Frames {
+impl Answer for Frames {
+    type Value = u32;
+    type Want = Want;
     type Picks = [ItemId; 1];
 
-    fn pick(&mut self, _h: &JointCdf, want: Want, _room: usize) -> [ItemId; 1] {
+    fn assess(&self) -> (Option<f64>, Want) {
+        self.state.assess()
+    }
+
+    fn pick(&mut self, want: Want, _room: usize) -> [ItemId; 1] {
         let pick = match want {
             Want::Bootstrap { .. } => self.argmax_uncertain(|d| d.mean_bucket()),
             Want::Boundary { s_k, s_p } => self.argmax_uncertain(|d| psi(d, s_k, s_p)),
@@ -373,11 +380,12 @@ impl Frontier for Frames {
     }
 
     /// A failed confirmation never gets here, so the frame stays uncertain.
-    fn retire(&mut self, h: &mut JointCdf, frame: ItemId, bucket: u32) {
+    fn retire(&mut self, frame: ItemId, bucket: u32) {
         let was_uncertain = self.uncertain_active.remove(&frame);
         debug_assert!(was_uncertain, "frame {frame} cleaned twice");
-        h.remove(&self.dists[frame]);
+        self.state.h.remove(&self.dists[frame]);
         self.cleaned.insert(frame, bucket);
+        self.state.certain.insert((Reverse(bucket), frame));
     }
 }
 

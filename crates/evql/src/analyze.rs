@@ -6,7 +6,7 @@
 //! caught here with a spanned diagnostic (and a "did you mean" hint where
 //! a near-miss candidate exists). Execution never re-validates.
 
-use crate::ast::{ScoreCall, SelectStmt, Target};
+use crate::ast::{Literal, OptionClause, ScoreCall, SelectStmt, Target};
 use crate::catalog::{
     all_class_names, class_by_name, compatible_score, source_by_name, source_names, ScoreFn,
     SourceEntry,
@@ -52,12 +52,7 @@ pub const SETTING_NAMES: [&str; 6] = ["scale", "confidence", "seed", "sample", "
 
 impl SessionSettings {
     /// Applies `SET name = value`; returns a description of the change.
-    pub fn apply(
-        &mut self,
-        name: &str,
-        value: &crate::ast::Literal,
-        span: Span,
-    ) -> Result<String, EvqlError> {
+    pub fn apply(&mut self, name: &str, value: &Literal, span: Span) -> Result<String, EvqlError> {
         let err = |detail: String| {
             Err(EvqlError::new(
                 ErrorKind::OutOfRange {
@@ -68,15 +63,15 @@ impl SessionSettings {
             ))
         };
         match name.to_ascii_lowercase().as_str() {
-            "scale" => match value.as_u64() {
-                Some(v) if v >= 1 => {
-                    self.scale = v as usize;
+            "scale" => match at_least_one(value) {
+                Some(v) => {
+                    self.scale = v;
                     Ok(format!("scale = {v} (datasets shrink by 1/{v})"))
                 }
                 _ => err("expected an integer ≥ 1".into()),
             },
-            "confidence" => match value.as_f64() {
-                Some(v) if v > 0.0 && v < 1.0 => {
+            "confidence" => match open_unit(value) {
+                Some(v) => {
                     self.confidence = v;
                     Ok(format!("confidence = {v}"))
                 }
@@ -89,23 +84,23 @@ impl SessionSettings {
                 }
                 _ => err("expected a non-negative integer".into()),
             },
-            "sample" => match value.as_f64() {
-                Some(v) if v > 0.0 && v <= 1.0 => {
+            "sample" => match fraction(value) {
+                Some(v) => {
                     self.sample = v;
                     Ok(format!("sample = {v}"))
                 }
                 _ => err("expected a fraction in (0, 1]".into()),
             },
-            "batch" => match value.as_u64() {
-                Some(v) if v >= 1 => {
-                    self.batch = v as usize;
+            "batch" => match at_least_one(value) {
+                Some(v) => {
+                    self.batch = v;
                     Ok(format!("batch = {v}"))
                 }
                 _ => err("expected an integer ≥ 1".into()),
             },
-            "resort" => match value.as_u64() {
-                Some(v) if v >= 1 => {
-                    self.resort = v as usize;
+            "resort" => match at_least_one(value) {
+                Some(v) => {
+                    self.resort = v;
                     Ok(format!("resort = {v}"))
                 }
                 _ => err("expected an integer ≥ 1".into()),
@@ -136,20 +131,93 @@ const OPTION_NAMES: [&str; 10] = [
     "flaky",
 ];
 
-/// Analyzes a `SELECT` statement into an executable plan.
-pub fn analyze(stmt: &SelectStmt, session: &SessionSettings) -> Result<QueryPlan, EvqlError> {
-    // -- dataset --
-    let source = source_by_name(&stmt.source).ok_or_else(|| {
+/// Resolves a `FROM` dataset name against the catalog.
+fn resolve_dataset(name: &str, span: Span) -> Result<SourceEntry, EvqlError> {
+    source_by_name(name).ok_or_else(|| {
         let names = source_names();
         EvqlError::new(
             ErrorKind::Unknown {
                 what: "dataset",
-                name: stmt.source.clone(),
-                suggestion: suggest(&stmt.source, names.iter().map(|s| s.as_str())),
+                name: name.into(),
+                suggestion: suggest(name, names.iter().map(|s| s.as_str())),
             },
-            stmt.source_span,
+            span,
         )
-    })?;
+    })
+}
+
+// Value ranges shared by `SET` and `WITH`.
+
+fn at_least_one(value: &Literal) -> Option<usize> {
+    value.as_u64().filter(|v| *v >= 1).map(|v| v as usize)
+}
+
+fn open_unit(value: &Literal) -> Option<f64> {
+    value.as_f64().filter(|v| *v > 0.0 && *v < 1.0)
+}
+
+fn fraction(value: &Literal) -> Option<f64> {
+    value.as_f64().filter(|v| *v > 0.0 && *v <= 1.0)
+}
+
+fn positive(value: &Literal) -> Option<f64> {
+    value.as_f64().filter(|v| *v > 0.0 && v.is_finite())
+}
+
+fn bad_option(opt: &OptionClause, detail: &str) -> EvqlError {
+    EvqlError::new(
+        ErrorKind::OutOfRange {
+            what: format!("option `{}`", opt.name),
+            detail: detail.into(),
+        },
+        opt.value.span,
+    )
+}
+
+/// The `WITH` options `SELECT TOP` and `SELECT SKYLINE` share.
+struct CommonOptions {
+    thres: f64,
+    seed: u64,
+    batch: usize,
+}
+
+impl CommonOptions {
+    fn defaults(session: &SessionSettings) -> Self {
+        CommonOptions {
+            thres: session.confidence,
+            seed: session.seed,
+            batch: session.batch,
+        }
+    }
+
+    /// Validates and applies `opt` (lower-cased name `lname`) when it is one
+    /// of the shared options; `Ok(false)` leaves any other name to the
+    /// caller.
+    fn apply(&mut self, lname: &str, opt: &OptionClause) -> Result<bool, EvqlError> {
+        match lname {
+            "confidence" | "thres" => {
+                self.thres = open_unit(&opt.value)
+                    .ok_or_else(|| bad_option(opt, "expected a probability in (0, 1)"))?;
+            }
+            "seed" => {
+                self.seed = opt
+                    .value
+                    .as_u64()
+                    .ok_or_else(|| bad_option(opt, "expected an integer seed"))?;
+            }
+            "batch" => {
+                self.batch = at_least_one(&opt.value)
+                    .ok_or_else(|| bad_option(opt, "expected an integer ≥ 1"))?;
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// Analyzes a `SELECT` statement into an executable plan.
+pub fn analyze(stmt: &SelectStmt, session: &SessionSettings) -> Result<QueryPlan, EvqlError> {
+    let source = resolve_dataset(&stmt.source, stmt.source_span)?;
 
     // -- score --
     let score = match &stmt.score {
@@ -177,11 +245,9 @@ pub fn analyze(stmt: &SelectStmt, session: &SessionSettings) -> Result<QueryPlan
     };
 
     // -- options --
-    let mut thres = session.confidence;
+    let mut common = CommonOptions::defaults(session);
     let mut sample = session.sample;
     let mut quant_step = score.default_step();
-    let mut seed = session.seed;
-    let mut batch = session.batch;
     let mut resort = session.resort;
     let mut stream_window: Option<(usize, Span)> = None;
     let mut stream_budget: Option<(usize, Span)> = None;
@@ -189,66 +255,25 @@ pub fn analyze(stmt: &SelectStmt, session: &SessionSettings) -> Result<QueryPlan
     let mut flaky_seed: Option<(u64, Span)> = None;
     for opt in &stmt.options {
         let lname = opt.name.to_ascii_lowercase();
-        let bad = |detail: &str| {
-            EvqlError::new(
-                ErrorKind::OutOfRange {
-                    what: format!("option `{}`", opt.name),
-                    detail: detail.into(),
-                },
-                opt.value.span,
-            )
-        };
+        if common.apply(&lname, opt)? {
+            continue;
+        }
+        let bad = |detail: &str| bad_option(opt, detail);
         match lname.as_str() {
-            "confidence" | "thres" => {
-                thres = opt
-                    .value
-                    .as_f64()
-                    .filter(|v| *v > 0.0 && *v < 1.0)
-                    .ok_or_else(|| bad("expected a probability in (0, 1)"))?;
-            }
             "sample" => {
-                sample = opt
-                    .value
-                    .as_f64()
-                    .filter(|v| *v > 0.0 && *v <= 1.0)
-                    .ok_or_else(|| bad("expected a fraction in (0, 1]"))?;
+                sample =
+                    fraction(&opt.value).ok_or_else(|| bad("expected a fraction in (0, 1]"))?;
             }
             "step" => {
-                quant_step = opt
-                    .value
-                    .as_f64()
-                    .filter(|v| *v > 0.0 && v.is_finite())
+                quant_step = positive(&opt.value)
                     .ok_or_else(|| bad("expected a positive quantization step"))?;
             }
-            "seed" => {
-                seed = opt
-                    .value
-                    .as_u64()
-                    .ok_or_else(|| bad("expected an integer seed"))?;
-            }
-            "batch" => {
-                batch = opt
-                    .value
-                    .as_u64()
-                    .filter(|v| *v >= 1)
-                    .ok_or_else(|| bad("expected an integer ≥ 1"))?
-                    as usize;
-            }
             "resort" => {
-                resort = opt
-                    .value
-                    .as_u64()
-                    .filter(|v| *v >= 1)
-                    .ok_or_else(|| bad("expected an integer ≥ 1"))?
-                    as usize;
+                resort = at_least_one(&opt.value).ok_or_else(|| bad("expected an integer ≥ 1"))?;
             }
             "window" => {
-                let w = opt
-                    .value
-                    .as_u64()
-                    .filter(|v| *v >= 1)
-                    .ok_or_else(|| bad("expected a window length of at least 1 frame"))?
-                    as usize;
+                let w = at_least_one(&opt.value)
+                    .ok_or_else(|| bad("expected a window length of at least 1 frame"))?;
                 stream_window = Some((w, opt.name_span));
             }
             "budget" => {
@@ -260,10 +285,7 @@ pub fn analyze(stmt: &SelectStmt, session: &SessionSettings) -> Result<QueryPlan
                 stream_budget = Some((b, opt.name_span));
             }
             "deadline" => {
-                let d = opt
-                    .value
-                    .as_f64()
-                    .filter(|v| *v > 0.0 && v.is_finite())
+                let d = positive(&opt.value)
                     .ok_or_else(|| bad("expected a positive deadline in simulated seconds"))?;
                 deadline = Some((d, opt.name_span));
             }
@@ -454,10 +476,10 @@ pub fn analyze(stmt: &SelectStmt, session: &SessionSettings) -> Result<QueryPlan
         k: stmt.k as usize,
         target,
         engine,
-        thres,
-        seed,
+        thres: common.thres,
+        seed: common.seed,
         quant_step,
-        batch,
+        batch: common.batch,
         resort_period: resort,
         scale_divisor: session.scale,
         n_frames,
@@ -510,17 +532,7 @@ pub fn analyze_skyline(
     stmt: &crate::ast::SkylineStmt,
     session: &SessionSettings,
 ) -> Result<crate::plan::SkylinePlan, EvqlError> {
-    let source = source_by_name(&stmt.source).ok_or_else(|| {
-        let names = source_names();
-        EvqlError::new(
-            ErrorKind::Unknown {
-                what: "dataset",
-                name: stmt.source.clone(),
-                suggestion: suggest(&stmt.source, names.iter().map(|s| s.as_str())),
-            },
-            stmt.source_span,
-        )
-    })?;
+    let source = resolve_dataset(&stmt.source, stmt.source_span)?;
 
     // Resolve dimensions: explicit list, or the dataset's default pair.
     let scores: Vec<ScoreFn> = if stmt.scores.is_empty() {
@@ -566,51 +578,18 @@ pub fn analyze_skyline(
     };
 
     // Options: CONFIDENCE / SEED / BATCH only.
-    let mut thres = session.confidence;
-    let mut seed = session.seed;
-    let mut batch = session.batch;
+    let mut common = CommonOptions::defaults(session);
     for opt in &stmt.options {
-        let bad = |detail: &str| {
-            EvqlError::new(
-                ErrorKind::OutOfRange {
-                    what: format!("option `{}`", opt.name),
-                    detail: detail.into(),
+        let lname = opt.name.to_ascii_lowercase();
+        if !common.apply(&lname, opt)? {
+            return Err(EvqlError::new(
+                ErrorKind::Unknown {
+                    what: "skyline option",
+                    suggestion: suggest(&lname, ["confidence", "seed", "batch"]),
+                    name: lname,
                 },
-                opt.value.span,
-            )
-        };
-        match opt.name.to_ascii_lowercase().as_str() {
-            "confidence" | "thres" => {
-                thres = opt
-                    .value
-                    .as_f64()
-                    .filter(|v| *v > 0.0 && *v < 1.0)
-                    .ok_or_else(|| bad("expected a probability in (0, 1)"))?;
-            }
-            "seed" => {
-                seed = opt
-                    .value
-                    .as_u64()
-                    .ok_or_else(|| bad("expected an integer seed"))?;
-            }
-            "batch" => {
-                batch = opt
-                    .value
-                    .as_u64()
-                    .filter(|v| *v >= 1)
-                    .ok_or_else(|| bad("expected an integer ≥ 1"))?
-                    as usize;
-            }
-            other => {
-                return Err(EvqlError::new(
-                    ErrorKind::Unknown {
-                        what: "skyline option",
-                        name: other.into(),
-                        suggestion: suggest(other, ["confidence", "seed", "batch"]),
-                    },
-                    opt.name_span,
-                ))
-            }
+                opt.name_span,
+            ));
         }
     }
 
@@ -618,9 +597,9 @@ pub fn analyze_skyline(
     Ok(crate::plan::SkylinePlan {
         source,
         scores,
-        thres,
-        seed,
-        batch,
+        thres: common.thres,
+        seed: common.seed,
+        batch: common.batch,
         scale_divisor: session.scale,
         n_frames,
     })

@@ -630,9 +630,7 @@ impl Session {
     /// dimensions derive from the *same* detector pass, so confirming a
     /// frame charges one oracle invocation regardless of dimensionality.
     fn run_skyline(&mut self, plan: crate::plan::SkylinePlan) -> Result<SkylineOutput, EvqlError> {
-        use everest_core::skyline::{
-            run_skyline_cleaner, zip_relations, SkylineConfig, SkylineOracle,
-        };
+        use everest_core::skyline::{run_skyline_cleaner, zip_relations, SkylineConfig};
 
         // lint:allow(det-wallclock): feeds the reported wall_ms stat only;
         // skyline answers never branch on wall time.
@@ -668,40 +666,27 @@ impl Session {
             .collect();
         let mut rel = zip_relations(&relations);
 
-        struct MultiOracle<'a> {
-            oracles: Vec<&'a ExactScoreOracle>,
-            /// Per dimension: the relation whose grid quantizes its scores.
-            grids: &'a [&'a UncertainRelation],
-            retained: &'a [usize],
-            frames_scored: usize,
-        }
-        impl SkylineOracle for MultiOracle<'_> {
+        /// One frame adapter per dimension: a confirmed item's vector is
+        /// its bucket on each dimension's grid.
+        struct MultiOracle<'a>(Vec<FrameOracleAdapter<&'a dyn Oracle, &'a [usize]>>);
+        impl CleaningOracle<Vec<u32>> for MultiOracle<'_> {
             fn clean_batch(&mut self, items: &[usize]) -> Vec<Vec<u32>> {
-                let frames: Vec<usize> = items.iter().map(|&i| self.retained[i]).collect();
-                // One detector pass yields every dimension's score.
-                self.frames_scored += frames.len();
-                let per_dim: Vec<Vec<f64>> = self
-                    .oracles
-                    .iter()
-                    .map(|o| o.score_batch(&frames))
-                    .collect();
-                (0..frames.len())
-                    .map(|i| {
-                        per_dim
-                            .iter()
-                            .zip(self.grids)
-                            .map(|(scores, grid)| grid.score_to_bucket(scores[i]))
-                            .collect()
-                    })
+                let per_dim: Vec<Vec<u32>> =
+                    self.0.iter_mut().map(|a| a.clean_batch(items)).collect();
+                (0..items.len())
+                    .map(|i| per_dim.iter().map(|buckets| buckets[i]).collect())
                     .collect()
             }
         }
-        let mut oracle = MultiOracle {
-            oracles: entries.iter().map(|e| &e.oracle).collect(),
-            grids: &relations,
-            retained: &retained,
-            frames_scored: 0,
-        };
+        let mut oracle = MultiOracle(
+            entries
+                .iter()
+                .map(|e| {
+                    let rel = &e.prepared.phase1.relation;
+                    FrameOracleAdapter::new(&e.oracle as &dyn Oracle, &retained[..], rel)
+                })
+                .collect(),
+        );
 
         let outcome = run_skyline_cleaner(
             &mut rel,
@@ -709,12 +694,17 @@ impl Session {
             &SkylineConfig {
                 thres: plan.thres,
                 batch_size: plan.batch,
-                max_cleanings: None,
+                budget: QueryBudget {
+                    cancel: self.cancel.clone(),
+                    ..QueryBudget::unlimited()
+                },
             },
         );
 
-        // Simulated cost: both Phase-1 clocks + one oracle charge per
-        // confirmed frame (all dimensions share the detector pass).
+        // Simulated cost: both Phase-1 clocks + one oracle charge and one
+        // random-access decode per confirmed frame (all dimensions share
+        // the detector pass, so every adapter holds the same trace).
+        let trace = oracle.0[0].trace();
         let per_frame = entries
             .iter()
             .map(|e| e.oracle.cost_per_frame())
@@ -723,7 +713,8 @@ impl Session {
             .iter()
             .map(|e| e.prepared.phase1.clock.total())
             .sum::<f64>()
-            + oracle.frames_scored as f64 * per_frame;
+            + trace.len() as f64 * per_frame
+            + DecodeCostModel::default().trace_cost(trace);
         let scan_seconds = scan_seconds(plan.n_frames, per_frame);
 
         let mut rows: Vec<SkylineRow> = outcome
@@ -755,8 +746,8 @@ impl Session {
                 n_frames: plan.n_frames,
                 n_items: rel.len(),
                 confidence: Some(outcome.confidence),
-                converged: Some(outcome.converged),
-                termination: None,
+                converged: Some(outcome.termination == Termination::Converged),
+                termination: Some(outcome.termination),
                 iterations: Some(outcome.iterations),
                 cleaned: Some(outcome.cleaned),
                 oracle_retries: None,

@@ -406,11 +406,11 @@ impl FrameDecoder {
 /// Canonical answer bytes for an [`Output`]: a deterministic encoding of
 /// everything result-shaped (rows, confidence, iterations, cleaned,
 /// quality) that **excludes** the performance-shaped stats — wall-clock
-/// time, `phase1_cached`, and the simulated-latency trio (`sim_seconds`
-/// carries a measured Phase-2 select component, so it and `speedup` jitter
-/// in their low bits run to run) — so the same query answered by the
-/// daemon and by a private single-process session encodes to identical
-/// bytes.
+/// time, `phase1_cached`, and the simulated-latency trio (a pure function
+/// of the statement, but the bench ladder's staged replay does not
+/// reproduce `scan_seconds`/`speedup` and must still encode to the
+/// engine's bytes) — so the same query answered by the daemon and by a
+/// private single-process session encodes to identical bytes.
 pub fn canonical_output(output: &Output) -> Vec<u8> {
     let mut out = Vec::new();
     match output {
@@ -495,10 +495,12 @@ fn put_stream(out: &mut Vec<u8>, s: &StreamOutput) {
 
 /// Result-shaped stats subset. The fields that legitimately differ
 /// between a daemon (shared cache, real sockets) and a private session
-/// are deliberately absent: `wall`, `phase1_cached`, the latency trio
-/// `sim_seconds`/`scan_seconds`/`speedup` (`sim_seconds` includes the
-/// *measured* Phase-2 select time, so its low bits are wall-derived), and
-/// the retry/breaker counters (operational telemetry, not an answer).
+/// are deliberately absent: `wall`, `phase1_cached`, and the retry/breaker
+/// counters (operational telemetry, not an answer). The latency trio
+/// `sim_seconds`/`scan_seconds`/`speedup` is absent for another reason: it
+/// is deterministic, but the bench ladder's staged replay of a query
+/// leaves `scan_seconds`/`speedup` unset and is checked byte-for-byte
+/// against the engine's answer.
 /// `termination` *is* canonical: given the same budget and fault seed the
 /// stop cause is deterministic, and it qualifies the degraded answer.
 fn put_stats(out: &mut Vec<u8>, stats: &ExecStats) {

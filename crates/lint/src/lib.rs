@@ -28,9 +28,7 @@
 //!   sit behind the `QueryBudget`/`RetryingOracle` layer
 //!   ([`rules::budget_discipline`]).
 //!
-//! The last three run on a workspace-wide call graph ([`graph`]); their
-//! findings ratchet through a committed `lint_baseline.json`
-//! ([`baseline`]).
+//! The last three run on a workspace-wide call graph ([`graph`]).
 //!
 //! The crate has **no dependencies** (the build env is offline) and
 //! reconstructs just enough structure from a hand-rolled lexer
@@ -39,7 +37,6 @@
 
 #![deny(unsafe_code)]
 
-pub mod baseline;
 pub mod graph;
 pub mod lexer;
 pub mod rules;

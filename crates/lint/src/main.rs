@@ -1,51 +1,26 @@
 //! `everest-lint` binary: `cargo lint` / CI entry point.
 //!
-//! Usage: `everest-lint [--check] [--json] [--baseline PATH]
-//! [--update-baseline] [ROOT]`
+//! Usage: `everest-lint [--check] [ROOT]`
 //!
 //! * With no `ROOT`, lints the workspace containing the current
 //!   directory (walking up to the first `Cargo.toml` with a
 //!   `[workspace]` table).
-//! * `--json` prints the machine-readable report (schema in
-//!   `docs/LINTING.md`) instead of the human lines.
-//! * `--baseline PATH` ratchets against a committed `lint_baseline.json`:
-//!   exit 1 on any finding not in the baseline *or* on a stale baseline
-//!   entry; findings covered by the baseline pass.
-//! * `--update-baseline` (with `--baseline`) rewrites the baseline from
-//!   the current findings instead of failing — how a fix is banked.
 //! * `--check` is accepted for CI-invocation clarity; the exit code is
-//!   the same either way: 0 when clean, 1 when there are findings (or
-//!   ratchet violations), 2 on usage or I/O errors. There is
-//!   deliberately no `--fix`.
+//!   the same either way: 0 when clean, 1 when there are findings, 2 on
+//!   usage or I/O errors. There is deliberately no `--fix`.
 
 #![deny(unsafe_code)]
 
-use everest_lint::{baseline, lint_root, rules::panic_policy::PANIC_ALLOWLIST};
+use everest_lint::{lint_root, rules::panic_policy::PANIC_ALLOWLIST};
 use std::path::PathBuf;
 
 fn main() {
     let mut root: Option<PathBuf> = None;
-    let mut json = false;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut update_baseline = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--check" => {}
-            "--json" => json = true,
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("everest-lint: --baseline needs a path");
-                    std::process::exit(2);
-                }
-            },
-            "--update-baseline" => update_baseline = true,
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: everest-lint [--check] [--json] [--baseline PATH] \
-                     [--update-baseline] [ROOT]"
-                );
+                eprintln!("usage: everest-lint [--check] [ROOT]");
                 return;
             }
             _ if arg.starts_with('-') => {
@@ -54,10 +29,6 @@ fn main() {
             }
             _ => root = Some(PathBuf::from(arg)),
         }
-    }
-    if update_baseline && baseline_path.is_none() {
-        eprintln!("everest-lint: --update-baseline needs --baseline PATH");
-        std::process::exit(2);
     }
     let root = match root {
         Some(r) => r,
@@ -75,70 +46,6 @@ fn main() {
     }
 
     let report = lint_root(&root);
-
-    // Ratchet mode: the baseline decides pass/fail, not the raw count.
-    if let Some(path) = &baseline_path {
-        if update_baseline {
-            let text = baseline::render_baseline(&report.diagnostics);
-            if let Err(e) = std::fs::write(path, text) {
-                eprintln!("everest-lint: cannot write `{}`: {e}", path.display());
-                std::process::exit(2);
-            }
-            eprintln!(
-                "everest-lint: baseline `{}` rewritten with {} finding(s)",
-                path.display(),
-                report.diagnostics.len()
-            );
-        }
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("everest-lint: cannot read `{}`: {e}", path.display());
-                std::process::exit(2);
-            }
-        };
-        let base = match baseline::Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("everest-lint: bad baseline `{}`: {e}", path.display());
-                std::process::exit(2);
-            }
-        };
-        let problems = baseline::diff(&report.diagnostics, &base);
-        if json {
-            print!("{}", baseline::render_report(&report));
-        } else {
-            for d in &report.diagnostics {
-                println!("{d}");
-            }
-            for p in &problems {
-                println!("ratchet: {p}");
-            }
-            println!(
-                "everest-lint: {} finding(s), {} baselined, {} ratchet violation(s)",
-                report.diagnostics.len(),
-                base.entries.values().sum::<usize>(),
-                problems.len()
-            );
-        }
-        if !problems.is_empty() {
-            if json {
-                for p in &problems {
-                    eprintln!("ratchet: {p}");
-                }
-            }
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if json {
-        print!("{}", baseline::render_report(&report));
-        if !report.diagnostics.is_empty() {
-            std::process::exit(1);
-        }
-        return;
-    }
 
     for d in &report.diagnostics {
         println!("{d}");

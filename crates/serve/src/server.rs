@@ -28,6 +28,7 @@ use everest_evql::{EvqlError, ExecStats, Output, Session, SharedCache};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -186,7 +187,7 @@ impl Server {
     /// Serves until shutdown, then drains and reports.
     pub fn run(self) -> ShutdownReport {
         let shared = self.shared;
-        let (tx, rx) = crossbeam::channel::bounded::<TcpStream>(shared.cfg.backlog.max(1));
+        let (tx, rx) = sync_channel::<TcpStream>(shared.cfg.backlog.max(1));
         let rx = Arc::new(Mutex::new(rx));
         let workers: Vec<_> = (0..shared.cfg.workers.max(1))
             .map(|_| {
@@ -234,7 +235,7 @@ impl Server {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, rx: Arc<Mutex<crossbeam::channel::Receiver<TcpStream>>>) {
+fn worker_loop(shared: Arc<Shared>, rx: Arc<Mutex<Receiver<TcpStream>>>) {
     loop {
         // Holding the lock across the blocking recv is the classic
         // shared-receiver handoff: exactly one idle worker waits on the

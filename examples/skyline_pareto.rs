@@ -20,8 +20,10 @@
 //!     `Pr(R̂ = skyline) ≥ 0.95` — confirming a frame runs the detector
 //!     **once** and yields both dimensions.
 
+use everest::core::budget::Termination;
+use everest::core::cleaner::CleaningOracle;
 use everest::core::phase1::Phase1Config;
-use everest::core::skyline::{run_skyline_cleaner, zip_relations, SkylineConfig, SkylineOracle};
+use everest::core::skyline::{run_skyline_cleaner, zip_relations, SkylineConfig};
 use everest::models::{counting_oracle, coverage_oracle, Oracle};
 use everest::nn::train::TrainConfig;
 use everest::nn::HyperGrid;
@@ -40,7 +42,7 @@ struct DualScoreOracle<'a> {
     frames_scored: usize,
 }
 
-impl SkylineOracle for DualScoreOracle<'_> {
+impl CleaningOracle<Vec<u32>> for DualScoreOracle<'_> {
     fn clean_batch(&mut self, items: &[ItemId]) -> Vec<Vec<u32>> {
         let frames: Vec<usize> = items.iter().map(|&i| self.retained[i]).collect();
         // One detector pass yields the object list; count and coverage are
@@ -134,14 +136,14 @@ fn main() {
         &SkylineConfig {
             thres: 0.95,
             batch_size: 8,
-            max_cleanings: None,
+            ..Default::default()
         },
     );
 
     println!(
         "\nskyline query: converged={} confidence={:.4} iterations={} cleaned={} \
          ({:.2}% of items, {} oracle frames)",
-        outcome.converged,
+        outcome.termination == Termination::Converged,
         outcome.confidence,
         outcome.iterations,
         outcome.cleaned,

@@ -3,9 +3,10 @@
 //! the proxy model is garbage, scores tie everywhere, or parameters sit
 //! at the edges of their ranges.
 
-use everest::core::cleaner::{run_cleaner, CleanerConfig, FnCleaningOracle};
+use everest::core::budget::Termination;
+use everest::core::cleaner::{run_cleaner, CleanerConfig, CleaningOracle, FnCleaningOracle};
 use everest::core::dist::DiscreteDist;
-use everest::core::skyline::{run_skyline_cleaner, SkylineConfig, SkylineOracle, VectorRelation};
+use everest::core::skyline::{run_skyline_cleaner, SkylineConfig, VectorRelation};
 use everest::core::xtuple::{ItemId, UncertainRelation};
 
 const MAX_B: usize = 10;
@@ -226,7 +227,7 @@ struct TableSkyOracle {
     truth: Vec<Vec<u32>>,
 }
 
-impl SkylineOracle for TableSkyOracle {
+impl CleaningOracle<Vec<u32>> for TableSkyOracle {
     fn clean_batch(&mut self, items: &[ItemId]) -> Vec<Vec<u32>> {
         items.iter().map(|&i| self.truth[i].clone()).collect()
     }
@@ -263,10 +264,10 @@ fn skyline_survives_a_lying_proxy() {
         &SkylineConfig {
             thres: 0.9,
             batch_size: 4,
-            max_cleanings: None,
+            ..Default::default()
         },
     );
-    assert!(out.converged);
+    assert_eq!(out.termination, Termination::Converged);
     assert!(out.confidence >= 0.9);
     // no returned member may be dominated by ANY true vector
     for &id in &out.skyline {

@@ -211,21 +211,25 @@ fn overload_sheds_with_typed_responses_and_loses_nothing() {
     );
 }
 
-#[test]
-fn disconnect_mid_query_cancels_cleaning_into_a_degraded_answer() {
-    let (handle, join) = Server::spawn(test_config()).unwrap();
-    let addr = handle.addr();
+/// Fires `text` (fresh seed: a guaranteed Phase-1 build, so execution
+/// outlives the client) and vanishes without reading the answer. The
+/// disconnect watcher trips the cancel token while the query runs; the
+/// cleaning loop observes it at its next batch boundary and returns
+/// `cancelled`, having scored at most one more batch of `batch` frames.
+fn abandoned_query_is_cancelled(text: &str, batch: u64) {
+    // The bound below means something only if the query, left alone,
+    // cleans more than a batch.
+    let mut offline = Session::with_settings(test_settings());
+    let full = stats_of(&offline.execute(text).unwrap()).cleaned.unwrap() as u64;
+    assert!(full > batch, "uncancelled, `{text}` cleans only {full}");
 
-    // Fire a fresh-seed Everest query (guaranteed Phase-1 build, so
-    // execution outlives us) and vanish without reading the answer. The
-    // disconnect watcher trips the cancel token while the query runs;
-    // Phase 2 observes it at its first gate and returns `cancelled`.
+    let (handle, join) = Server::spawn(test_config()).unwrap();
     {
-        let mut client = Client::connect(addr).unwrap();
+        let mut client = Client::connect(handle.addr()).unwrap();
         client
             .send(|id| everest::evql::wire::Request::Query {
                 id,
-                text: "SELECT TOP 10 FRAMES FROM Archie WITH SEED 41, CONFIDENCE 0.99".into(),
+                text: text.into(),
             })
             .unwrap();
     } // dropped here, mid-query
@@ -244,6 +248,11 @@ fn disconnect_mid_query_cancels_cleaning_into_a_degraded_answer() {
         1,
         "disconnect was not converted into a degraded (cancelled) answer"
     );
+    let scored = metrics.cleaned_frames.load(Ordering::Relaxed);
+    assert!(
+        scored <= batch,
+        "{scored} oracle frames for a client that had hung up"
+    );
     wait_for(
         || handle.registry().is_empty(),
         "the dead session to leave the registry",
@@ -252,6 +261,22 @@ fn disconnect_mid_query_cancels_cleaning_into_a_degraded_answer() {
     handle.shutdown();
     let report = join.join().unwrap();
     assert!(report.clean(), "{report:?}");
+}
+
+#[test]
+fn disconnect_mid_query_cancels_cleaning_into_a_degraded_answer() {
+    abandoned_query_is_cancelled(
+        "SELECT TOP 10 FRAMES FROM Archie WITH SEED 41, CONFIDENCE 0.99",
+        10, // the first batch bootstraps all K
+    );
+}
+
+#[test]
+fn disconnect_mid_skyline_cancels_cleaning_into_a_degraded_answer() {
+    abandoned_query_is_cancelled(
+        "SELECT SKYLINE FROM Archie WITH SEED 43, CONFIDENCE 0.99, BATCH 4",
+        4,
+    );
 }
 
 #[test]

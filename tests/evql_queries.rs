@@ -6,6 +6,7 @@
 //! alternative engines and the §3.4 window path.
 
 use everest::evql::{Output, Session};
+use everest::video::store::DecodeCostModel;
 
 fn fast_session() -> Session {
     let mut s = Session::new();
@@ -203,6 +204,30 @@ fn skyline_query_end_to_end() {
     assert!(
         topk.stats.phase1_cached,
         "skyline and Top-K share Phase-1 work"
+    );
+
+    // The simulated latency pays what a Top-K query pays: both Phase 1s
+    // (the cmdn engine reports exactly its Phase-1 clock), one oracle charge
+    // per confirmed frame, and a decode — never cheaper than a sequential
+    // one — to reach each of them.
+    let phase1: f64 = ["count(car)", "coverage()"]
+        .iter()
+        .map(|score| {
+            let q =
+                format!("SELECT TOP 1 FRAMES FROM Archie SCORE {score} USING cmdn WITH SEED 11");
+            rows(&mut s, &q).stats.sim_seconds
+        })
+        .sum();
+    let decode = DecodeCostModel::default();
+    let n = out.stats.n_frames;
+    let cost_per_frame = (out.stats.scan_seconds - decode.sequential_scan_cost(n)) / n as f64;
+    let cleaned = out.stats.cleaned.unwrap() as f64;
+    assert!(cleaned > 0.0);
+    assert!(
+        out.stats.sim_seconds
+            > phase1 + cleaned * cost_per_frame + 0.99 * cleaned * decode.seq_cost,
+        "sim {} pays no decode over phase 1 {phase1} + {cleaned} × {cost_per_frame}",
+        out.stats.sim_seconds
     );
 }
 

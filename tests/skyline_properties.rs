@@ -3,10 +3,12 @@
 //! enumeration, and domination probabilities must behave like
 //! probabilities.
 
+use everest::core::budget::{QueryBudget, Termination};
+use everest::core::cleaner::CleaningOracle;
 use everest::core::dist::DiscreteDist;
 use everest::core::skyline::{
-    dominates, prob_dominated, pws_skyline_probability, skyline_of, skyline_state, DimState,
-    SkylineMaintainer, VectorRelation,
+    dominates, prob_dominated, pws_skyline_probability, run_skyline_cleaner, skyline_of,
+    skyline_state, DimState, SkylineConfig, SkylineMaintainer, VectorRelation,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -337,5 +339,81 @@ proptest! {
             m.stats.factor_recomputes,
             baseline_recomputes
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Degraded skyline answers honour the posterior (the skyline twin of the
+// cleaner's `degraded_answers_honor_the_posterior`).
+// ---------------------------------------------------------------------------
+
+/// Reveals a fixed truth table and remembers what it was asked.
+struct RecordingOracle {
+    truth: Vec<Vec<u32>>,
+    asked: Vec<usize>,
+}
+
+impl CleaningOracle<Vec<u32>> for RecordingOracle {
+    fn clean_batch(&mut self, items: &[usize]) -> Vec<Vec<u32>> {
+        self.asked.extend_from_slice(items);
+        items.iter().map(|&i| self.truth[i].clone()).collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Whatever call cap stops the run, the answer is the certain skyline of
+    /// exactly the items confirmed, its reported confidence is
+    /// `skyline_state` of the relation the run leaves behind, and a run
+    /// that did not converge is below the threshold.
+    #[test]
+    fn capped_skyline_answers_honor_the_posterior(
+        rel in arb_relation(),
+        truth in proptest::collection::vec(
+            (0u32..=MAX_B as u32, 0u32..=MAX_B as u32).prop_map(|(x, y)| vec![x, y]), 6),
+        cap in 0usize..5,
+        batch_size in 1usize..4,
+        thres_pick in 0usize..3,
+    ) {
+        let thres = [0.5, 0.9, 0.999][thres_pick];
+        let mut rel = rel;
+        let before = rel.clone();
+        let mut oracle = RecordingOracle { truth: truth.clone(), asked: Vec::new() };
+        let cfg = SkylineConfig {
+            thres,
+            batch_size,
+            budget: QueryBudget { max_oracle_calls: Some(cap), ..QueryBudget::unlimited() },
+        };
+        let out = run_skyline_cleaner(&mut rel, &mut oracle, &cfg);
+
+        // Exactly the asked items changed, each to its confirmed vector.
+        prop_assert!(out.cleaned <= cap);
+        prop_assert_eq!(out.cleaned, oracle.asked.len());
+        prop_assert_eq!(rel.num_certain(), before.num_certain() + out.cleaned);
+        for (id, truth) in truth.iter().enumerate().take(rel.len()) {
+            if oracle.asked.contains(&id) {
+                prop_assert!(!before.is_certain(id), "item {} confirmed twice", id);
+                prop_assert_eq!(rel.certain_vector(id).as_ref(), Some(truth));
+            } else {
+                prop_assert_eq!(rel.is_certain(id), before.is_certain(id));
+            }
+        }
+
+        let state = skyline_state(&rel);
+        let mut answer = out.skyline.clone();
+        answer.sort_unstable();
+        prop_assert_eq!(answer, state.skyline);
+        prop_assert!(
+            (out.confidence - state.confidence).abs() < 1e-12,
+            "termination {:?}: reported {} vs recomputed {}",
+            out.termination, out.confidence, state.confidence
+        );
+        if out.termination == Termination::Converged {
+            prop_assert!(out.confidence >= thres);
+        } else {
+            prop_assert_eq!(out.termination, Termination::BudgetExhausted);
+            prop_assert!(out.confidence < thres);
+        }
     }
 }
