@@ -21,16 +21,17 @@
 //! product from converging early) and potentially precision (a prior that
 //! is confidently wrong can satisfy `thres` while missing true peaks).
 
-use everest_bench::harness::n_frames;
+use everest_bench::harness::scan_cost;
 use everest_core::cleaner::CleanerConfig;
 use everest_core::metrics::{evaluate_topk, GroundTruth};
 use everest_core::phase1::{populate_with_model, run_phase1, Phase1Config};
 use everest_core::pipeline::{Everest, PreparedVideo};
-use everest_models::{counting_oracle, ExactScoreOracle, InstrumentedOracle, Oracle};
+use everest_models::{counting_oracle, ExactScoreOracle, InstrumentedOracle};
 use everest_nn::train::TrainConfig;
 use everest_nn::HyperGrid;
 use everest_video::arrival::{ArrivalConfig, Timeline};
 use everest_video::scene::{SceneConfig, SyntheticVideo};
+use everest_video::VideoStore;
 
 fn make_video(n: usize, base_intensity: f64, lifetime: f64, seed: u64) -> SyntheticVideo {
     let tl = Timeline::generate(
@@ -79,12 +80,10 @@ fn run(
     let report = prepared.query_topk(oracle, k, 0.9, &CleanerConfig::default());
     let truth = GroundTruth::new(oracle.inner().all_scores().to_vec());
     let quality = evaluate_topk(&truth, &report.frames(), k);
-    let n = prepared.n_frames();
-    let scan = n as f64 * oracle.cost_per_frame();
     Row {
         label,
         cleaned_pct: 100.0 * report.pct_cleaned(),
-        speedup: scan / report.sim_seconds(),
+        speedup: scan_cost(oracle) / report.sim_seconds(),
         precision: quality.precision,
         converged: report.converged,
     }
@@ -102,12 +101,12 @@ fn main() {
     let oracle_b = InstrumentedOracle::new(counting_oracle(&video_b));
     println!(
         "video A (training source): {} frames, counts ≤ {}",
-        n_frames(&video_a),
+        video_a.num_frames(),
         video_a.timeline().max_count()
     );
     println!(
         "video B (query target):    {} frames, counts ≤ {}\n",
-        n_frames(&video_b),
+        video_b.num_frames(),
         video_b.timeline().max_count()
     );
 
@@ -121,7 +120,7 @@ fn main() {
     // its own clock only has diff+populate.
     let mut drifted_phase1 = drifted_phase1;
     drifted_phase1.clock.merge(&trained_on_a.clock);
-    let drifted = PreparedVideo::from_parts(drifted_phase1, n_frames(&video_b));
+    let drifted = PreparedVideo::from_parts(drifted_phase1, video_b.num_frames());
 
     println!("Top-{k} (thres 0.9) on video B:\n");
     println!(

@@ -1,197 +1,28 @@
 //! Runs the entire evaluation in one process, sharing Phase-1 work across
-//! the frame-level sweeps (each reported latency still includes the full
-//! Phase-1 charge, as the paper re-runs both phases per query).
-//!
-//! Sections: Table 7, Figure 4, Table 8, Figures 5–9, plus the ablations
-//! called out in DESIGN.md §6.
+//! the frame-level sweeps: every table/figure in [`everest_bench::figures`],
+//! plus the ablations called out in DESIGN.md §6.
 //!
 //! `EVEREST_SCALE=mid cargo run --release -p everest-bench --bin all_experiments`
 
-use everest_bench::harness::*;
+use everest_bench::figures;
+use everest_bench::harness::scale_from_env;
 use everest_core::cleaner::CleanerConfig;
-use everest_core::metrics::{evaluate_topk, GroundTruth};
-use everest_core::pipeline::Everest;
 use everest_core::sim::component;
-use everest_core::window::exact_window_scores;
-use everest_models::depth::{depth_oracle, TAILGATING_QUANTIZATION_STEP};
-use everest_models::{counting::counting_oracle_visualroad, InstrumentedOracle, Oracle};
-use everest_video::dashcam::{dashcam_datasets, DashcamVideo};
-use everest_video::visualroad::{VisualRoadConfig, VisualRoadVideo};
 
 fn main() {
     let scale = scale_from_env();
     let k = scale.default_k;
-    println!(
-        "===== Everest reproduction — full experiment suite (scale = {}) =====",
-        scale.name
-    );
+    println!("===== Everest reproduction — full experiment suite =====");
 
-    // ---------- Table 7 ----------
-    println!("\n===== Table 7: dataset characteristics =====");
-    for d in dataset_specs(&scale) {
-        println!(
-            "{:<18} {:<7} paper {:>6}k frames / {:>5.1} h   repro {:>6} frames",
-            d.name,
-            d.object_class.name(),
-            d.paper_frames_k,
-            d.paper_hours,
-            d.n_frames
-        );
-    }
-
-    // ---------- Prepare all counting datasets once ----------
-    let specs = dataset_specs(&scale);
-    let datasets: Vec<PreparedDataset> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            eprintln!("[prepare] {} ({} frames)…", spec.name, spec.n_frames);
-            prepare_dataset(spec, 1_000 + i as u64, &scale)
-        })
-        .collect();
-
-    // ---------- Figure 4 ----------
-    println!("\n===== Figure 4: overall comparison (Top-{k}, thres 0.9) =====");
-    for ds in &datasets {
-        let rows = run_all_methods(ds, k, 0.9);
-        print_method_table(&ds.name, &rows);
-    }
-
-    // ---------- Table 8 ----------
-    println!("\n===== Table 8: latency breakdown + Phase-2 detail =====");
-    println!(
-        "{:<18} {:>8} {:>8} {:>9} {:>8} {:>9} | {:>10} {:>10}",
-        "dataset", "label%", "train%", "populate%", "select%", "confirm%", "iterations", "%cleaned"
-    );
-    for ds in &datasets {
-        let (report, _) = run_everest(ds, k, 0.9);
-        let c = &report.clock;
-        println!(
-            "{:<18} {:>7.2}% {:>7.2}% {:>8.2}% {:>7.2}% {:>8.2}% | {:>10} {:>9.2}%",
-            ds.name,
-            100.0 * c.fraction(component::LABEL),
-            100.0 * c.fraction(component::TRAIN),
-            100.0 * c.fraction(component::POPULATE),
-            100.0 * c.fraction(component::SELECT),
-            100.0 * c.fraction(component::CONFIRM),
-            report.iterations,
-            100.0 * report.pct_cleaned(),
-        );
-    }
-
-    // ---------- Figure 5 ----------
-    println!("\n===== Figure 5: impact of K (thres 0.9) =====");
-    for ds in &datasets {
-        println!("\n--- {} ---", ds.name);
-        for &kk in &[5usize, 10, 25, 50, 75, 100] {
-            let (_, row) = run_everest(ds, kk, 0.9);
-            print_sweep_row(&format!("K={kk}"), &row);
-        }
-    }
-
-    // ---------- Figure 6 ----------
-    println!("\n===== Figure 6: impact of thres (Top-{k}) =====");
-    for ds in &datasets {
-        println!("\n--- {} ---", ds.name);
-        for &thres in &[0.5, 0.75, 0.9, 0.95, 0.99] {
-            let (report, row) = run_everest(ds, k, thres);
-            print_sweep_row(&format!("thres={thres}"), &row);
-            println!(
-                "{:<18} iterations {}  cleaned {:.2}%",
-                "",
-                report.iterations,
-                100.0 * report.pct_cleaned()
-            );
-        }
-    }
-
-    // ---------- Figure 7 ----------
-    println!("\n===== Figure 7: window sizes (thres 0.9, 10% sampling) =====");
-    for ds in &datasets {
-        println!("\n--- {} ---", ds.name);
-        for &len in &[1usize, 30, 60, 150, 300] {
-            let windows = n_frames(&ds.video).div_ceil(len);
-            let kw = k.min((windows / 3).max(1));
-            let row = if len == 1 {
-                run_everest(ds, kw, 0.9).1
-            } else {
-                run_everest_windows(ds, kw, 0.9, len, 0.1).1
-            };
-            print_sweep_row(&format!("w={len} (K={kw})"), &row);
-        }
-    }
-
-    // ---------- Figure 8 ----------
-    println!("\n===== Figure 8: Visual Road object density (Top-{k}, thres 0.9) =====");
-    let vr_frames = 18_000 / scale.shrink as usize;
-    for &cars in &[50usize, 100, 150, 200, 250] {
-        let video = VisualRoadVideo::new(
-            VisualRoadConfig {
-                total_cars: cars,
-                n_frames: vr_frames,
-                ..Default::default()
-            },
-            4_000 + cars as u64,
-        );
-        let oracle = InstrumentedOracle::new(counting_oracle_visualroad(&video));
-        let cfg = phase1_cfg(&scale, 1.0, 4_000 + cars as u64);
-        let prepared = Everest::prepare(&video, &oracle, &cfg);
-        let report = prepared.query_topk(&oracle, k, 0.9, &CleanerConfig::default());
-        let truth = GroundTruth::new(oracle.inner().all_scores().to_vec());
-        let quality = evaluate_topk(&truth, &report.frames(), k);
-        let scan = oracle.num_frames() as f64 * oracle.cost_per_frame();
-        let row = MethodRow {
-            method: "Everest".into(),
-            quality,
-            sim_seconds: report.sim_seconds(),
-            speedup: scan / report.sim_seconds(),
-        };
-        print_sweep_row(&format!("cars={cars}"), &row);
-    }
-
-    // ---------- Figure 9 ----------
-    println!("\n===== Figure 9: depth-estimator UDF on dashcams =====");
-    for (name, mut dcfg, seed) in dashcam_datasets() {
-        dcfg.n_frames /= scale.shrink as usize;
-        let video = DashcamVideo::new(dcfg, seed);
-        let oracle = InstrumentedOracle::new(depth_oracle(&video));
-        let p1 = phase1_cfg(&scale, TAILGATING_QUANTIZATION_STEP, seed);
-        let prepared = Everest::prepare(&video, &oracle, &p1);
-        let truth = GroundTruth::new(oracle.inner().all_scores().to_vec());
-        let scan = oracle.num_frames() as f64 * oracle.cost_per_frame();
-        println!("\n--- {name} ({} frames) ---", oracle.num_frames());
-        for (label, kk, thres) in [
-            ("Top-K/0.9", k, 0.9),
-            ("Top-2K/0.9", 2 * k, 0.9),
-            ("Top-K/0.75", k, 0.75),
-        ] {
-            let report = prepared.query_topk(&oracle, kk, thres, &CleanerConfig::default());
-            let quality = evaluate_topk(&truth, &report.frames(), kk);
-            let row = MethodRow {
-                method: label.into(),
-                quality,
-                sim_seconds: report.sim_seconds(),
-                speedup: scan / report.sim_seconds(),
-            };
-            print_sweep_row(label, &row);
-        }
-        let wl = 30;
-        let windows = prepared.windows(wl);
-        let kw = k.min(windows.len() / 3).max(1);
-        let report =
-            prepared.query_topk_windows(&oracle, kw, 0.9, wl, 0.1, &CleanerConfig::default());
-        let exact = exact_window_scores(oracle.inner().all_scores(), &windows);
-        let wtruth = GroundTruth::new(exact);
-        let answer: Vec<usize> = report.items.iter().map(|i| i.frame / wl).collect();
-        let quality = evaluate_topk(&wtruth, &answer, kw);
-        let row = MethodRow {
-            method: "window".into(),
-            quality,
-            sim_seconds: report.sim_seconds(),
-            speedup: scan / report.sim_seconds(),
-        };
-        print_sweep_row(&format!("Top-{kw} window(30)"), &row);
-    }
+    figures::table7(&scale);
+    let datasets = figures::prepare_catalog(&scale);
+    figures::fig4(&scale, &datasets);
+    figures::table8(&scale, &datasets);
+    figures::fig5(&scale, &datasets);
+    figures::fig6(&scale, &datasets);
+    figures::fig7(&scale, &datasets);
+    figures::fig8(&scale);
+    figures::fig9(&scale);
 
     // ---------- Ablations (DESIGN.md §6) ----------
     println!("\n===== Ablations =====");

@@ -1,22 +1,10 @@
-//! Regenerates Figure 4: overall comparison of Everest against every
-//! baseline on the five counting datasets (speedup, precision, rank
-//! distance, score error) under the default Top-50 / thres 0.9 query.
+//! Regenerates Figure 4: [`everest_bench::figures::fig4`].
 //!
 //! `cargo run --release -p everest-bench --bin fig4`
 
-use everest_bench::harness::{
-    dataset_specs, prepare_dataset, print_method_table, run_all_methods, scale_from_env,
-};
+use everest_bench::{figures, harness::scale_from_env};
 
 fn main() {
     let scale = scale_from_env();
-    println!(
-        "Figure 4: overall result, Top-{} thres=0.9 (scale = {})",
-        scale.default_k, scale.name
-    );
-    for (i, spec) in dataset_specs(&scale).iter().enumerate() {
-        let ds = prepare_dataset(spec, 1_000 + i as u64, &scale);
-        let rows = run_all_methods(&ds, scale.default_k, 0.9);
-        print_method_table(&ds.name, &rows);
-    }
+    figures::fig4(&scale, &figures::prepare_catalog(&scale));
 }

@@ -1,21 +1,10 @@
-//! Regenerates Figure 5: impact of K (5, 10, 25, 50, 75, 100) on speedup
-//! and result quality, per dataset, thres = 0.9.
+//! Regenerates Figure 5: [`everest_bench::figures::fig5`].
 //!
 //! `cargo run --release -p everest-bench --bin fig5`
 
-use everest_bench::harness::{
-    dataset_specs, prepare_dataset, print_sweep_row, run_everest, scale_from_env,
-};
+use everest_bench::{figures, harness::scale_from_env};
 
 fn main() {
     let scale = scale_from_env();
-    println!("Figure 5: impact of K, thres=0.9 (scale = {})", scale.name);
-    for (i, spec) in dataset_specs(&scale).iter().enumerate() {
-        let ds = prepare_dataset(spec, 1_000 + i as u64, &scale);
-        println!("\n--- {} ---", ds.name);
-        for &k in &[5usize, 10, 25, 50, 75, 100] {
-            let (_, row) = run_everest(&ds, k, 0.9);
-            print_sweep_row(&format!("K={k}"), &row);
-        }
-    }
+    figures::fig5(&scale, &figures::prepare_catalog(&scale));
 }

@@ -1,30 +1,10 @@
-//! Regenerates Figure 6: impact of the confidence threshold `thres`
-//! (0.5, 0.75, 0.9, 0.95, 0.99) on speedup and result quality, Top-50.
+//! Regenerates Figure 6: [`everest_bench::figures::fig6`].
 //!
 //! `cargo run --release -p everest-bench --bin fig6`
 
-use everest_bench::harness::{
-    dataset_specs, prepare_dataset, print_sweep_row, run_everest, scale_from_env,
-};
+use everest_bench::{figures, harness::scale_from_env};
 
 fn main() {
     let scale = scale_from_env();
-    println!(
-        "Figure 6: impact of thres, Top-{} (scale = {})",
-        scale.default_k, scale.name
-    );
-    for (i, spec) in dataset_specs(&scale).iter().enumerate() {
-        let ds = prepare_dataset(spec, 1_000 + i as u64, &scale);
-        println!("\n--- {} ---", ds.name);
-        for &thres in &[0.5, 0.75, 0.9, 0.95, 0.99] {
-            let (report, row) = run_everest(&ds, scale.default_k, thres);
-            print_sweep_row(&format!("thres={thres}"), &row);
-            println!(
-                "{:<18} iterations {}  cleaned {:.2}%",
-                "",
-                report.iterations,
-                100.0 * report.pct_cleaned()
-            );
-        }
-    }
+    figures::fig6(&scale, &figures::prepare_catalog(&scale));
 }

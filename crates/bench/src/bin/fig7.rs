@@ -1,34 +1,10 @@
-//! Regenerates Figure 7: Top-K window queries with window sizes
-//! 1, 30, 60, 150, 300 frames (10 % per-window oracle sampling),
-//! thres = 0.9.
-//!
-//! K follows the paper's Top-50 where the video has enough windows;
-//! otherwise it is reduced to a third of the window count (scaled datasets
-//! divided into 300-frame windows can have fewer than 150 windows).
+//! Regenerates Figure 7: [`everest_bench::figures::fig7`].
 //!
 //! `cargo run --release -p everest-bench --bin fig7`
 
-use everest_bench::harness::{
-    dataset_specs, n_frames, prepare_dataset, print_sweep_row, run_everest, run_everest_windows,
-    scale_from_env,
-};
+use everest_bench::{figures, harness::scale_from_env};
 
 fn main() {
     let scale = scale_from_env();
-    println!("Figure 7: window sizes, thres=0.9 (scale = {})", scale.name);
-    for (i, spec) in dataset_specs(&scale).iter().enumerate() {
-        let ds = prepare_dataset(spec, 1_000 + i as u64, &scale);
-        println!("\n--- {} ---", ds.name);
-        for &len in &[1usize, 30, 60, 150, 300] {
-            let windows = n_frames(&ds.video).div_ceil(len);
-            let k = scale.default_k.min((windows / 3).max(1));
-            let row = if len == 1 {
-                // "no window": identical to the frame query
-                run_everest(&ds, k, 0.9).1
-            } else {
-                run_everest_windows(&ds, k, 0.9, len, 0.1).1
-            };
-            print_sweep_row(&format!("w={len} (K={k})"), &row);
-        }
-    }
+    figures::fig7(&scale, &figures::prepare_catalog(&scale));
 }

@@ -1,48 +1,10 @@
-//! Regenerates Figure 8: impact of object density on the Visual Road
-//! substitute — five identical mini-city videos that differ only in the
-//! total car population (50–250), Top-50 thres 0.9.
+//! Regenerates Figure 8: [`everest_bench::figures::fig8`].
 //!
 //! `cargo run --release -p everest-bench --bin fig8`
 
-use everest_bench::harness::{phase1_cfg, print_sweep_row, scale_from_env, MethodRow};
-use everest_core::cleaner::CleanerConfig;
-use everest_core::metrics::{evaluate_topk, GroundTruth};
-use everest_core::pipeline::Everest;
-use everest_models::counting::counting_oracle_visualroad;
-use everest_models::{InstrumentedOracle, Oracle};
-use everest_video::visualroad::{VisualRoadConfig, VisualRoadVideo};
+use everest_bench::{figures, harness::scale_from_env};
 
 fn main() {
     let scale = scale_from_env();
-    // Paper: 10-hour videos at 30 fps = 1.08 M frames; our full scale is
-    // 1/60 (18 000 frames), shrunk further per EVEREST_SCALE.
-    let n_frames = 18_000 / scale.shrink as usize;
-    println!(
-        "Figure 8: Visual Road object density, Top-{} thres=0.9, {} frames/video (scale = {})",
-        scale.default_k, n_frames, scale.name
-    );
-    for &cars in &[50usize, 100, 150, 200, 250] {
-        let video = VisualRoadVideo::new(
-            VisualRoadConfig {
-                total_cars: cars,
-                n_frames,
-                ..VisualRoadConfig::default()
-            },
-            4_000 + cars as u64,
-        );
-        let oracle = InstrumentedOracle::new(counting_oracle_visualroad(&video));
-        let cfg = phase1_cfg(&scale, 1.0, 4_000 + cars as u64);
-        let prepared = Everest::prepare(&video, &oracle, &cfg);
-        let report = prepared.query_topk(&oracle, scale.default_k, 0.9, &CleanerConfig::default());
-        let truth = GroundTruth::new(oracle.inner().all_scores().to_vec());
-        let quality = evaluate_topk(&truth, &report.frames(), scale.default_k);
-        let scan = oracle.num_frames() as f64 * oracle.cost_per_frame();
-        let row = MethodRow {
-            method: "Everest".into(),
-            quality,
-            sim_seconds: report.sim_seconds(),
-            speedup: scan / report.sim_seconds(),
-        };
-        print_sweep_row(&format!("cars={cars}"), &row);
-    }
+    figures::fig8(&scale);
 }

@@ -1,76 +1,10 @@
-//! Regenerates Figure 9: a different scoring UDF — the simulated monocular
-//! depth estimator ranking dashcam frames by tailgating degree — under four
-//! scenarios: Top-50/0.9, Top-100/0.9, Top-50/0.75, and Top-50 window
-//! (30-frame windows, 10 % sampling).
+//! Regenerates Figure 9: [`everest_bench::figures::fig9`].
 //!
 //! `cargo run --release -p everest-bench --bin fig9`
 
-use everest_bench::harness::{phase1_cfg, print_sweep_row, scale_from_env, MethodRow};
-use everest_core::cleaner::CleanerConfig;
-use everest_core::metrics::{evaluate_topk, GroundTruth};
-use everest_core::pipeline::Everest;
-use everest_core::window::exact_window_scores;
-use everest_models::depth::{depth_oracle, TAILGATING_QUANTIZATION_STEP};
-use everest_models::{InstrumentedOracle, Oracle};
-use everest_video::dashcam::{dashcam_datasets, DashcamVideo};
+use everest_bench::{figures, harness::scale_from_env};
 
 fn main() {
     let scale = scale_from_env();
-    println!(
-        "Figure 9: depth-estimator scoring UDF on dashcam videos (scale = {})",
-        scale.name
-    );
-    for (name, mut cfg, seed) in dashcam_datasets() {
-        cfg.n_frames /= scale.shrink as usize;
-        let video = DashcamVideo::new(cfg, seed);
-        let oracle = InstrumentedOracle::new(depth_oracle(&video));
-        let p1 = phase1_cfg(&scale, TAILGATING_QUANTIZATION_STEP, seed);
-        let prepared = Everest::prepare(&video, &oracle, &p1);
-        let truth = GroundTruth::new(oracle.inner().all_scores().to_vec());
-        let scan = oracle.num_frames() as f64 * oracle.cost_per_frame();
-        println!("\n--- {name} ({} frames) ---", oracle.num_frames());
-
-        let k_half = scale.default_k;
-        let k_full = 2 * scale.default_k;
-        let scenarios: [(&str, usize, f64); 3] = [
-            ("Top-50  thres=0.9", k_half, 0.9),
-            ("Top-100 thres=0.9", k_full, 0.9),
-            ("Top-50  thres=0.75", k_half, 0.75),
-        ];
-        for (label, k, thres) in scenarios {
-            let report = prepared.query_topk(&oracle, k, thres, &CleanerConfig::default());
-            let quality = evaluate_topk(&truth, &report.frames(), k);
-            let row = MethodRow {
-                method: label.into(),
-                quality,
-                sim_seconds: report.sim_seconds(),
-                speedup: scan / report.sim_seconds(),
-            };
-            print_sweep_row(label, &row);
-        }
-
-        // Window scenario: Top-50 over 30-frame windows, 10% sampling.
-        let window_len = 30;
-        let windows = prepared.windows(window_len);
-        let k_w = k_half.min(windows.len() / 3).max(1);
-        let report = prepared.query_topk_windows(
-            &oracle,
-            k_w,
-            0.9,
-            window_len,
-            0.1,
-            &CleanerConfig::default(),
-        );
-        let exact = exact_window_scores(oracle.inner().all_scores(), &windows);
-        let wtruth = GroundTruth::new(exact);
-        let answer: Vec<usize> = report.items.iter().map(|i| i.frame / window_len).collect();
-        let quality = evaluate_topk(&wtruth, &answer, k_w);
-        let row = MethodRow {
-            method: "window".into(),
-            quality,
-            sim_seconds: report.sim_seconds(),
-            speedup: scan / report.sim_seconds(),
-        };
-        print_sweep_row(&format!("Top-{k_w} window(30)"), &row);
-    }
+    figures::fig9(&scale);
 }

@@ -1,52 +1,10 @@
-//! Regenerates Table 7: dataset characteristics (paper values + the scaled
-//! synthetic equivalents actually used by this reproduction).
+//! Regenerates Table 7: [`everest_bench::figures::table7`].
 //!
 //! `cargo run --release -p everest-bench --bin table7`
 
-use everest_bench::harness::{dataset_specs, scale_from_env};
-use everest_video::dashcam::dashcam_datasets;
+use everest_bench::{figures, harness::scale_from_env};
 
 fn main() {
     let scale = scale_from_env();
-    println!("Table 7: Dataset Characteristics (scale = {})", scale.name);
-    println!(
-        "{:<18} {:<8} {:>11} {:>5} {:>12} {:>9} {:>12} {:>10}",
-        "video",
-        "object",
-        "resolution",
-        "fps",
-        "paper-frames",
-        "paper-hrs",
-        "repro-frames",
-        "repro-mins"
-    );
-    for d in dataset_specs(&scale) {
-        println!(
-            "{:<18} {:<8} {:>6}x{:<4} {:>5} {:>11}k {:>9.1} {:>12} {:>10.1}",
-            d.name,
-            d.object_class.name(),
-            d.paper_resolution.0,
-            d.paper_resolution.1,
-            d.fps,
-            d.paper_frames_k,
-            d.paper_hours,
-            d.n_frames,
-            d.scaled_hours() * 60.0,
-        );
-    }
-    for (name, cfg, _seed) in dashcam_datasets() {
-        let n = cfg.n_frames / scale.shrink as usize;
-        println!(
-            "{:<18} {:<8} {:>6}x{:<4} {:>5} {:>11}k {:>9.1} {:>12} {:>10.1}",
-            name,
-            "car",
-            1280,
-            720,
-            cfg.fps,
-            (cfg.n_frames * 40) / 1000, // paper frames = repro(full) × 40
-            cfg.n_frames as f64 * 40.0 / cfg.fps / 3600.0,
-            n,
-            n as f64 / cfg.fps / 60.0,
-        );
-    }
+    figures::table7(&scale);
 }

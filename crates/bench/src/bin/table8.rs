@@ -1,36 +1,10 @@
-//! Regenerates Table 8: (a) the end-to-end latency breakdown of Everest's
-//! components and (b) Phase-2 detail (iterations, % frames cleaned) under
-//! the default Top-50 / thres 0.9 query.
+//! Regenerates Table 8: [`everest_bench::figures::table8`].
 //!
 //! `cargo run --release -p everest-bench --bin table8`
 
-use everest_bench::harness::{dataset_specs, prepare_dataset, run_everest, scale_from_env};
-use everest_core::sim::component;
+use everest_bench::{figures, harness::scale_from_env};
 
 fn main() {
     let scale = scale_from_env();
-    println!(
-        "Table 8: latency breakdown, Top-{} thres=0.9 (scale = {})",
-        scale.default_k, scale.name
-    );
-    println!(
-        "{:<18} {:>8} {:>8} {:>9} {:>8} {:>9} | {:>10} {:>10}",
-        "dataset", "label%", "train%", "populate%", "select%", "confirm%", "iterations", "%cleaned"
-    );
-    for (i, spec) in dataset_specs(&scale).iter().enumerate() {
-        let ds = prepare_dataset(spec, 1_000 + i as u64, &scale);
-        let (report, _) = run_everest(&ds, scale.default_k, 0.9);
-        let c = &report.clock;
-        println!(
-            "{:<18} {:>7.2}% {:>7.2}% {:>8.2}% {:>7.2}% {:>8.2}% | {:>10} {:>9.2}%",
-            ds.name,
-            100.0 * c.fraction(component::LABEL),
-            100.0 * c.fraction(component::TRAIN),
-            100.0 * c.fraction(component::POPULATE),
-            100.0 * c.fraction(component::SELECT),
-            100.0 * c.fraction(component::CONFIRM),
-            report.iterations,
-            100.0 * report.pct_cleaned(),
-        );
-    }
+    figures::table8(&scale, &figures::prepare_catalog(&scale));
 }

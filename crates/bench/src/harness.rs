@@ -1,5 +1,5 @@
 //! Shared experiment harness: dataset preparation, method runners, and
-//! table printing for the per-figure binaries in `src/bin/`.
+//! table printing for the paper experiments in [`crate::figures`].
 //!
 //! Scale control: the `EVEREST_SCALE` environment variable selects
 //! `full` (the 1/400-scaled Table 7 catalog as-is), `mid` (default —
@@ -19,7 +19,6 @@ use everest_models::{
 use everest_nn::train::TrainConfig;
 use everest_nn::HyperGrid;
 use everest_video::datasets::{counting_datasets, DatasetSpec};
-use everest_video::scene::SyntheticVideo;
 use everest_video::VideoStore;
 
 /// Experiment scale knobs.
@@ -35,10 +34,10 @@ pub struct Scale {
     pub default_k: usize,
 }
 
-/// Reads `EVEREST_SCALE` (`full` | `mid` | `smoke`); defaults to `mid`.
-pub fn scale_from_env() -> Scale {
-    match std::env::var("EVEREST_SCALE").as_deref() {
-        Ok("full") => Scale {
+/// The scale preset called `name` (`full` | `smoke`; anything else is `mid`).
+pub fn scale_named(name: &str) -> Scale {
+    match name {
+        "full" => Scale {
             name: "full",
             shrink: 1,
             sample_cap: 2_000,
@@ -46,7 +45,7 @@ pub fn scale_from_env() -> Scale {
             epochs: 25,
             default_k: 50,
         },
-        Ok("smoke") => Scale {
+        "smoke" => Scale {
             name: "smoke",
             shrink: 16,
             sample_cap: 300,
@@ -66,6 +65,11 @@ pub fn scale_from_env() -> Scale {
             default_k: 50,
         },
     }
+}
+
+/// Reads `EVEREST_SCALE` (`full` | `mid` | `smoke`); defaults to `mid`.
+pub fn scale_from_env() -> Scale {
+    scale_named(std::env::var("EVEREST_SCALE").as_deref().unwrap_or("mid"))
 }
 
 /// The Table 7 counting catalog at the chosen scale.
@@ -103,33 +107,37 @@ pub fn phase1_cfg(scale: &Scale, quant_step: f64, seed: u64) -> Phase1Config {
     }
 }
 
-/// A fully prepared dataset: video + oracle + Phase-1 artifacts + truth.
+/// A fully prepared dataset: oracle + Phase-1 artifacts + truth.
 pub struct PreparedDataset {
     pub name: String,
-    pub video: SyntheticVideo,
     pub oracle: InstrumentedOracle<ExactScoreOracle>,
     pub prepared: PreparedVideo,
     pub truth: GroundTruth,
-    pub phase1_wall: std::time::Duration,
+}
+
+/// Phase-1-prepares any video under its exact-score oracle.
+pub fn prepare_video(
+    name: &str,
+    video: &dyn VideoStore,
+    oracle: ExactScoreOracle,
+    cfg: &Phase1Config,
+) -> PreparedDataset {
+    let oracle = InstrumentedOracle::new(oracle);
+    let prepared = Everest::prepare(video, &oracle, cfg);
+    let truth = GroundTruth::new(oracle.inner().all_scores().to_vec());
+    PreparedDataset {
+        name: name.to_string(),
+        oracle,
+        prepared,
+        truth,
+    }
 }
 
 /// Builds and Phase-1-prepares one catalog dataset.
 pub fn prepare_dataset(spec: &DatasetSpec, seed: u64, scale: &Scale) -> PreparedDataset {
     let video = spec.build(seed);
-    let oracle = InstrumentedOracle::new(counting_oracle(&video));
     let cfg = phase1_cfg(scale, 1.0, seed);
-    let started = std::time::Instant::now();
-    let prepared = Everest::prepare(&video, &oracle, &cfg);
-    let phase1_wall = started.elapsed();
-    let truth = GroundTruth::new(oracle.inner().all_scores().to_vec());
-    PreparedDataset {
-        name: spec.name.to_string(),
-        video,
-        oracle,
-        prepared,
-        truth,
-        phase1_wall,
-    }
+    prepare_video(spec.name, &video, counting_oracle(&video), &cfg)
 }
 
 /// One measured method run: quality + simulated latency (+ speedup against
@@ -253,9 +261,4 @@ pub fn print_sweep_row(label: &str, row: &MethodRow) {
         row.quality.rank_distance,
         row.quality.score_error
     );
-}
-
-/// Convenience: frames of a video (avoids importing the trait everywhere).
-pub fn n_frames(v: &SyntheticVideo) -> usize {
-    v.num_frames()
 }

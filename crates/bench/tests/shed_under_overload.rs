@@ -3,7 +3,7 @@
 //! a deliberately oversubscribed daemon must observe typed `Overloaded`
 //! sheds, lose nothing, and drain clean. This is a behavior test, not a
 //! timing benchmark — shedding is load-dependent, so it must never
-//! become a `bench_baseline.json` entry.
+//! become a gated ladder metric.
 
 use everest_evql::SessionSettings;
 use everest_serve::{flaky_mix, run_loadgen, LoadgenConfig, ServeConfig, Server};

@@ -26,9 +26,10 @@ pub const CMDN_TRAIN_COST: f64 = 3.0e-4;
 pub const DIFF_COST: f64 = 5.0e-5;
 
 /// Simulated `Select-candidate` cost per `E[X_f]` evaluation (Eq. 6),
-/// seconds. Calibrated from `select_candidate/exhaustive/{1000,10000}` in
-/// `crates/bench/bench_baseline.json` (93 µs and 2.02 ms per scan of every
-/// item: ≈ 1–2e-7 s per evaluation).
+/// seconds. Calibrated once on the reference machine: an exhaustive
+/// `select_batch` scan of 1 000 / 10 000 items took 93 µs / 2.02 ms
+/// (≈ 1–2e-7 s per evaluation). The wall-clock counterpart on the
+/// benchmark ladder is `phase2.self_ms`.
 pub const SELECT_EVAL_COST: f64 = 2.0e-7;
 
 /// Component labels used in the Table 8 breakdown.

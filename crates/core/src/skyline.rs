@@ -298,9 +298,9 @@ pub fn dominates(a: &[u32], b: &[u32]) -> bool {
 /// *skyline* member dominating `v` is already accepted when `v` arrives —
 /// each candidate therefore compares only against the accepted skyline,
 /// with an early exit on the first dominator. Typical cost is
-/// `O(n log n + n·|skyline|)` versus the all-pairs `O(n²)` of
-/// [`skyline_of_pairwise`], which survives as the property-test oracle
-/// and the benchmark baseline (`skyline/skyline_of_pairwise_2000`).
+/// `O(n log n + n·|skyline|)` versus the all-pairs `O(n²)` of the
+/// original (`skyline_of_pairwise`), which survives as the property-test
+/// oracle.
 pub fn skyline_of(vectors: &[(ItemId, Vec<u32>)]) -> Vec<ItemId> {
     // Precomputed sums (recomputing the key inside the sort comparator
     // costs more than the filter itself); equal-sum ties break by input
@@ -327,7 +327,8 @@ pub fn skyline_of(vectors: &[(ItemId, Vec<u32>)]) -> Vec<ItemId> {
 
 /// The original all-pairs skyline (`O(s²)`): the oracle [`skyline_of`] is
 /// property-tested against.
-pub fn skyline_of_pairwise(vectors: &[(ItemId, Vec<u32>)]) -> Vec<ItemId> {
+#[cfg(test)]
+fn skyline_of_pairwise(vectors: &[(ItemId, Vec<u32>)]) -> Vec<ItemId> {
     vectors
         .iter()
         .filter(|(_, v)| !vectors.iter().any(|(_, w)| dominates(w, v)))

@@ -828,12 +828,6 @@ impl Ran {
     }
 }
 
-/// Opt-in self-check: when this env var is set (and not `0`), every
-/// finished stream is replayed as a from-scratch batch reference and the
-/// two answer sequences are compared emit-by-emit (the
-/// `tests/stream_e2e.rs` equivalence property, enforced at runtime).
-pub const STREAM_VERIFY_ENV: &str = "EVEREST_STREAM_VERIFY";
-
 /// An open continuous query: feed-and-emit until the stream is exhausted.
 ///
 /// Yields one [`StreamAnswer`] per emit point via
@@ -896,9 +890,6 @@ impl StreamSession {
     /// Drains the stream and packages every emitted answer with stats.
     pub fn finish(mut self) -> Result<StreamOutput, EvqlError> {
         while self.next_emit().is_some() {}
-        if std::env::var(STREAM_VERIFY_ENV).is_ok_and(|v| v != "0") {
-            self.verify_against_batch()?;
-        }
         let last = self.answers.last();
         let phase1 = &self.entry.prepared.phase1;
         let sim_seconds = phase1.clock.total() + self.oracle.sim_seconds_spent();
@@ -929,19 +920,19 @@ impl StreamSession {
         })
     }
 
-    /// The streaming≡batch equivalence check behind [`STREAM_VERIFY_ENV`]:
-    /// replays the whole stream from scratch with per-emit rebuilds and
-    /// demands identical answers at every emit point.
-    fn verify_against_batch(&mut self) -> Result<(), EvqlError> {
+    /// The streaming≡batch equivalence check (the `tests/stream_e2e.rs`
+    /// property on the production path): drains the stream, replays it
+    /// from scratch with per-emit rebuilds, and demands identical answers
+    /// at every emit point.
+    pub fn verify_against_batch(&mut self) -> Result<(), EvqlError> {
+        while self.next_emit().is_some() {}
         // A fresh wrapper replays the same fault schedule from call 0.
         let (mut oracle, _) = stream_oracle(&self.entry, self.plan.flaky_seed);
         let cfg = self.engine.config();
         let reference = batch_reference(cfg, &self.dists, &mut oracle);
         let mismatch = |what: String| {
             EvqlError::new(
-                ErrorKind::Exec(format!(
-                    "{STREAM_VERIFY_ENV}: streaming≡batch violated: {what}"
-                )),
+                ErrorKind::Exec(format!("streaming≡batch violated: {what}")),
                 crate::token::Span::point(0),
             )
         };
@@ -1444,6 +1435,22 @@ mod tests {
         let out = stream.finish().unwrap();
         assert_eq!(out.answers.len(), emits);
         assert_eq!(out.stats.iterations, Some(emits));
+    }
+
+    #[test]
+    fn verify_against_batch_checks_the_whole_stream_from_mid_stream() {
+        let mut s = fast_session();
+        let mut stream = s
+            .stream(
+                "SELECT TOP 2 FRAMES FROM Archie EVERY 300 FRAMES EMIT \
+                 WITH SEED 3, WINDOW 600, BUDGET 10",
+            )
+            .unwrap();
+        assert!(stream.next_emit().is_some());
+        stream.verify_against_batch().unwrap();
+        assert!(stream.next_emit().is_none(), "the check drains the stream");
+        let out = stream.finish().unwrap();
+        assert!(out.answers.len() > 1);
     }
 
     #[test]

@@ -32,17 +32,12 @@
 //! Every kernel accumulates in a fixed order — the GEMM reduction dimension
 //! ascends element-by-element, and [`gemm_nt`]'s dot products use a fixed
 //! 8-lane accumulator folded in lane order — so results are bit-identical
-//! across runs and independent of the blocking parameters *and* of the
-//! worker-thread count: row panels split on multiples of the microkernel
-//! row count `MR`, so the
-//! scalar-edge kernel always covers exactly the last `m % 4` rows
-//! whatever the split, and all *vector* kernels (4×16, 4×32, 8×32) apply
-//! the identical per-element FMA chain, so a panel boundary routing rows
-//! through a narrower vector kernel changes nothing — the bitwise
-//! thread-invariance test pins both facts. (They are *not* bit-identical
-//! to the
-//! scalar reference: f32 addition is non-associative, which is why the
-//! equivalence tests in [`crate::layers`] use a small tolerance.)
+//! across runs and independent of the blocking parameters: all *vector*
+//! kernels (4×16, 4×32, 8×32) apply the identical per-element FMA chain,
+//! so which tile width computes an element changes nothing. (They are
+//! *not* bit-identical to the scalar reference: f32 addition is
+//! non-associative, which is why the equivalence tests in
+//! [`crate::layers`] use a small tolerance.)
 //!
 //! # CPU dispatch
 //!
@@ -55,10 +50,8 @@
 //! bits — each path is bit-deterministic on its own, and the selected path
 //! is fixed for the whole process, so end-to-end runs stay byte-identical
 //! on the same machine. Set the environment variable `EVEREST_NO_SIMD=1`
-//! (read once, before the first GEMM) to force the scalar path; the
-//! [`gemm_scalar`]/[`gemm_nt_scalar`] entry points always run it, for
-//! benchmarking both paths side by side. [`simd_active`] reports the
-//! dispatch decision.
+//! (read once, before the first GEMM) to force the scalar path.
+//! [`simd_active`] reports the dispatch decision.
 
 use std::sync::OnceLock;
 
@@ -70,14 +63,6 @@ const NC: usize = 256;
 const MR: usize = 4;
 /// Microkernel columns (two 8-lane vector registers per accumulator row).
 const NR: usize = 16;
-
-/// Multiply-accumulate count (`m·n·k`) below which [`gemm`]/[`gemm_nt`]
-/// stay single-threaded. ~8.4M MACs ≈ 2 ms of scalar work; spawning scoped
-/// workers costs tens of µs each, and the layer-level callers
-/// (`train.rs` workers, `phase1` scoring) already occupy every core with
-/// data parallelism, so only genuinely large single GEMMs are worth
-/// splitting — this keeps single-frame inference latency untouched.
-const MT_MIN_MACS: usize = 1 << 23;
 
 /// Whether the runtime-dispatched vector path is active for this process
 /// (x86-64 AVX2 + FMA detected and not disabled via `EVEREST_NO_SIMD`).
@@ -91,27 +76,17 @@ const MT_MIN_MACS: usize = 1 << 23;
 pub fn simd_active() -> bool {
     static ACTIVE: OnceLock<bool> = OnceLock::new();
     *ACTIVE.get_or_init(|| {
-        let killed = env_flag("EVEREST_NO_SIMD");
+        let killed = std::env::var("EVEREST_NO_SIMD").is_ok_and(|v| !v.is_empty() && v != "0");
         !killed && avx2_available()
     })
 }
 
-/// True when `var` is set to anything other than empty or `0`.
-fn env_flag(var: &str) -> bool {
-    std::env::var(var)
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false)
-}
-
 /// Whether the vector path may use the 512-bit microkernel (AVX-512F on
-/// top of [`simd_active`]; `EVEREST_NO_AVX512=1` drops back to the 256-bit
-/// kernel — same results, for width-tier benchmarking).
+/// top of [`simd_active`]).
 #[cfg(target_arch = "x86_64")]
 fn avx512_active() -> bool {
     static ACTIVE: OnceLock<bool> = OnceLock::new();
-    *ACTIVE.get_or_init(|| {
-        !env_flag("EVEREST_NO_AVX512") && std::arch::is_x86_feature_detected!("avx512f")
-    })
+    *ACTIVE.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -124,44 +99,19 @@ fn avx2_available() -> bool {
     false
 }
 
-/// Worker threads for one GEMM call of `macs = m·n·k` multiply-adds over
-/// `m` rows: 1 unless the call is large enough to amortise thread spawns
-/// and the host has spare cores.
-fn mt_threads(m: usize, macs: usize) -> usize {
-    if macs < MT_MIN_MACS || m < 2 * MR {
-        return 1;
-    }
-    static AVAIL: OnceLock<usize> = OnceLock::new();
-    let avail = *AVAIL.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
-    });
-    avail.min(m / MR).max(1)
-}
-
 /// `C += A·B` for row-major `f32` matrices: `A` is `m×k`, `B` is `k×n`,
 /// `C` is `m×n`.
 ///
 /// Accumulation into `C` means callers can fold a bias pre-fill (forward)
 /// or gradient accumulation (backward) into the same call. The reduction
 /// runs over `p = 0..k` in ascending order for every output element, so the
-/// result is deterministic and independent of the blocking and of the
-/// thread count. Large calls (≥ ~8M multiply-adds) are partitioned into
-/// row panels across scoped worker threads; the panels split on
-/// microkernel-row multiples so the split changes nothing numerically.
+/// result is deterministic and independent of the blocking.
 pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     gemm_dispatch(simd_active(), m, n, k, a, b, c);
 }
 
-/// [`gemm`] forced onto the portable scalar path (single behaviour on
-/// every host) — the reference side of SIMD-vs-scalar comparisons and the
-/// `kernels/gemm_scalar_*` benchmarks. Threading still applies.
-pub fn gemm_scalar(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_dispatch(false, m, n, k, a, b, c);
-}
-
+/// [`gemm`] with the microkernel choice explicit: `simd = false` is the
+/// portable scalar path the equivalence tests compare against.
 fn gemm_dispatch(simd: bool, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert_eq!(a.len(), m * k, "gemm: A shape mismatch");
     assert_eq!(b.len(), k * n, "gemm: B shape mismatch");
@@ -169,56 +119,10 @@ fn gemm_dispatch(simd: bool, m: usize, n: usize, k: usize, a: &[f32], b: &[f32],
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let threads = mt_threads(m, m * n * k);
-    if threads == 1 {
-        gemm_serial(simd, m, n, k, a, b, c);
-    } else {
-        for_row_panels(m, n, k, a, c, threads, &|rows, a_panel, c_panel| {
-            gemm_serial(simd, rows, n, k, a_panel, b, c_panel)
-        });
-    }
+    gemm_serial(simd, m, n, k, a, b, c);
 }
 
-/// One row panel's worth of work: `(rows, a_panel, c_panel)`.
-type PanelBody<'a> = &'a (dyn Fn(usize, &[f32], &mut [f32]) + Sync);
-
-/// Splits `a`/`c` into per-thread row panels (multiples of [`MR`] rows, so
-/// the panel edges don't change which kernel computes which row) and runs
-/// `body` on each panel in a scoped worker.
-fn for_row_panels(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    c: &mut [f32],
-    threads: usize,
-    body: PanelBody<'_>,
-) {
-    let rows_per = m.div_ceil(threads).next_multiple_of(MR);
-    std::thread::scope(|scope| {
-        let mut a_rest = a;
-        let mut c_rest = c;
-        let mut done = 0;
-        while done < m {
-            let rows = rows_per.min(m - done);
-            let (a_panel, a_next) = a_rest.split_at(rows * k);
-            let (c_panel, c_next) = c_rest.split_at_mut(rows * n);
-            a_rest = a_next;
-            c_rest = c_next;
-            done += rows;
-            if done < m {
-                scope.spawn(move || body(rows, a_panel, c_panel));
-            } else {
-                // Final panel runs on the calling thread: one fewer spawn
-                // and no core parked waiting on the scope join.
-                body(rows, a_panel, c_panel);
-            }
-        }
-    });
-}
-
-/// Single-threaded blocked GEMM over one row panel; `simd` picks the
-/// microkernel implementation.
+/// The blocked GEMM body; `simd` picks the microkernel implementation.
 fn gemm_serial(simd: bool, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if simd {
@@ -332,18 +236,12 @@ fn kernel_edge(
 /// reduction dimension is the (large) number of patch columns. The dot
 /// product uses eight parallel lanes folded in fixed lane order, so it is
 /// deterministic (though ordered differently from [`gemm`]); on the AVX2
-/// path the eight lanes live in one FMA register. Large calls split into
-/// row panels exactly like [`gemm`] (here every row is a panel boundary,
-/// so threading never changes the result).
+/// path the eight lanes live in one FMA register.
 pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     gemm_nt_dispatch(simd_active(), m, n, k, a, b, c);
 }
 
-/// [`gemm_nt`] forced onto the portable scalar path — see [`gemm_scalar`].
-pub fn gemm_nt_scalar(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_nt_dispatch(false, m, n, k, a, b, c);
-}
-
+/// [`gemm_nt`] with the dot-product choice explicit — see [`gemm_dispatch`].
 fn gemm_nt_dispatch(simd: bool, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert_eq!(a.len(), m * k, "gemm_nt: A shape mismatch");
     assert_eq!(b.len(), n * k, "gemm_nt: B shape mismatch");
@@ -351,14 +249,7 @@ fn gemm_nt_dispatch(simd: bool, m: usize, n: usize, k: usize, a: &[f32], b: &[f3
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let threads = mt_threads(m, m * n * k);
-    if threads == 1 {
-        gemm_nt_serial(simd, m, n, k, a, b, c);
-    } else {
-        for_row_panels(m, n, k, a, c, threads, &|rows, a_panel, c_panel| {
-            gemm_nt_serial(simd, rows, n, k, a_panel, b, c_panel)
-        });
-    }
+    gemm_nt_serial(simd, m, n, k, a, b, c);
 }
 
 fn gemm_nt_serial(simd: bool, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
@@ -410,13 +301,12 @@ mod avx2 {
     use super::{kernel_edge, MR, NR};
     use std::arch::x86_64::*;
 
-    /// Full single-threaded GEMM over one row panel, starting at column
-    /// `j0`: for every 16-column strip of `B`, pack the strip contiguously
-    /// into `pack` (one 64-byte line per `p` instead of a `4n`-byte
-    /// stride), then sweep all 4-row tiles of `A` over it. The `m % 4`
-    /// edge rows and trailing `< 16` columns run the scalar
-    /// [`kernel_edge`], whose per-element ascending-`p` order the
-    /// microkernel shares.
+    /// Full GEMM starting at column `j0`: for every 16-column strip of
+    /// `B`, pack the strip contiguously into `pack` (one 64-byte line per
+    /// `p` instead of a `4n`-byte stride), then sweep all 4-row tiles of
+    /// `A` over it. The `m % 4` edge rows and trailing `< 16` columns run
+    /// the scalar [`kernel_edge`], whose per-element ascending-`p` order
+    /// the microkernel shares.
     ///
     /// # Safety
     ///
@@ -561,16 +451,14 @@ mod avx512 {
     use super::{avx2, kernel_edge, MR};
     use std::arch::x86_64::*;
 
-    /// Rows per 512-bit tile (a multiple of [`MR`], so row-panel splits
-    /// land on tile boundaries for every width tier).
+    /// Rows per 512-bit tile.
     const MR512: usize = 2 * MR;
     /// Columns per 512-bit tile (two 16-lane registers per row).
     const NR512: usize = 32;
 
-    /// Full single-threaded GEMM over one row panel: 32-column packed
-    /// strips swept by 8-row (then 4-row) tiles of zmm accumulators;
-    /// trailing columns fall through to the 16-wide [`avx2::gemm`] logic
-    /// and the scalar [`kernel_edge`].
+    /// Full GEMM: 32-column packed strips swept by 8-row (then 4-row)
+    /// tiles of zmm accumulators; trailing columns fall through to the
+    /// 16-wide [`avx2::gemm`] logic and the scalar [`kernel_edge`].
     ///
     /// # Safety
     ///
@@ -956,36 +844,6 @@ mod tests {
         assert_eq!(c1, c2, "gemm must be bit-deterministic");
     }
 
-    /// Row-panel threading must be bit-invisible: every output element is
-    /// computed by the same kernel in the same order whatever the split.
-    #[test]
-    fn threaded_gemm_is_bitwise_equal_to_single_thread() {
-        // m deliberately not a multiple of MR (edge rows) and n not a
-        // multiple of NR (edge columns), so panel boundaries matter.
-        let (m, n, k) = (22, 273, 37);
-        let a = fill(m * k, 21);
-        let b = fill(k * n, 22);
-        for simd in [false, simd_active()] {
-            let mut single = fill(m * n, 23);
-            let mut nt_single = fill(m * n, 24);
-            gemm_serial(simd, m, n, k, &a, &b, &mut single);
-            let bt = fill(n * k, 25);
-            gemm_nt_serial(simd, m, n, k, &a, &bt, &mut nt_single);
-            for threads in [2usize, 3, 5] {
-                let mut c = fill(m * n, 23);
-                for_row_panels(m, n, k, &a, &mut c, threads, &|rows, ap, cp| {
-                    gemm_serial(simd, rows, n, k, ap, b.as_slice(), cp)
-                });
-                assert_eq!(c, single, "gemm simd={simd} threads={threads}");
-                let mut cnt = fill(m * n, 24);
-                for_row_panels(m, n, k, &a, &mut cnt, threads, &|rows, ap, cp| {
-                    gemm_nt_serial(simd, rows, n, k, ap, bt.as_slice(), cp)
-                });
-                assert_eq!(cnt, nt_single, "gemm_nt simd={simd} threads={threads}");
-            }
-        }
-    }
-
     /// The 256- and 512-bit width tiers are one numeric path: identical
     /// per-element FMA chains, so bit-identical outputs (on hosts that
     /// have both).
@@ -1012,7 +870,7 @@ mod tests {
         }
     }
 
-    /// The dispatched entry point must agree with the forced-scalar one to
+    /// The dispatched entry point must agree with the forced-scalar path to
     /// within FMA-rounding tolerance (exactly, when no SIMD is available).
     #[test]
     fn dispatched_gemm_matches_scalar_entry_point() {
@@ -1022,12 +880,12 @@ mod tests {
         let mut fast = fill(m * n, 33);
         let mut slow = fast.clone();
         gemm(m, n, k, &a, &b, &mut fast);
-        gemm_scalar(m, n, k, &a, &b, &mut slow);
+        gemm_dispatch(false, m, n, k, &a, &b, &mut slow);
         for (x, y) in fast.iter().zip(slow.iter()) {
             assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()), "{x} vs {y}");
         }
         if !simd_active() {
-            assert_eq!(fast, slow, "without SIMD both entry points are one path");
+            assert_eq!(fast, slow, "without SIMD both are one path");
         }
     }
 
@@ -1109,7 +967,7 @@ mod tests {
             let mut fast = fill(m * n, seed.wrapping_add(9));
             let mut slow = fast.clone();
             gemm(m, n, k, &a, &b, &mut fast);
-            gemm_scalar(m, n, k, &a, &b, &mut slow);
+            gemm_dispatch(false, m, n, k, &a, &b, &mut slow);
             for (x, y) in fast.iter().zip(slow.iter()) {
                 prop_assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()), "{} vs {}", x, y);
             }
@@ -1129,7 +987,7 @@ mod tests {
             let mut fast = fill(m * n, seed.wrapping_add(19));
             let mut slow = fast.clone();
             gemm_nt(m, n, k, &a, &bt, &mut fast);
-            gemm_nt_scalar(m, n, k, &a, &bt, &mut slow);
+            gemm_nt_dispatch(false, m, n, k, &a, &bt, &mut slow);
             for (x, y) in fast.iter().zip(slow.iter()) {
                 prop_assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()), "{} vs {}", x, y);
             }

@@ -18,9 +18,9 @@
 //!
 //! under randomized window sizes, emit strides, tie-dense counting
 //! scores, and mid-stream arrival bursts. The EVQL end of the pipe is
-//! covered by driving `Session::stream` with `EVEREST_STREAM_VERIFY=1`,
-//! which makes `finish()` replay the batch reference internally and fail
-//! on any divergence.
+//! covered by driving `Session::stream` and calling
+//! `StreamSession::verify_against_batch`, which replays the batch
+//! reference against the session's own emits and fails on any divergence.
 
 use everest::core::cleaner::FnCleaningOracle;
 use everest::core::dist::DiscreteDist;
@@ -284,12 +284,11 @@ fn budget_capped_streams_stay_equivalent() {
 }
 
 /// End-to-end EVQL: `Session::stream` over a real prepared video, with
-/// `EVEREST_STREAM_VERIFY=1` making `finish()` replay the batch reference
-/// internally — the production-path version of this harness. Also pins
-/// the incremental session (`next_emit`) to the drained output.
+/// `verify_against_batch` replaying the batch reference against the
+/// session's emits — the production-path version of this harness. Also
+/// pins the incremental session (`next_emit`) to the drained output.
 #[test]
 fn evql_stream_session_verifies_against_batch() {
-    std::env::set_var("EVEREST_STREAM_VERIFY", "1");
     let mut session = Session::new();
     session.settings.scale = 1_000; // floors the dataset at 2 000 frames
 
@@ -301,9 +300,10 @@ fn evql_stream_session_verifies_against_batch() {
     while let Some(a) = stream.next_emit() {
         seen.push(a.clone());
     }
-    let out = stream
-        .finish()
-        .expect("EVEREST_STREAM_VERIFY: streaming≡batch replay must pass");
+    stream
+        .verify_against_batch()
+        .expect("streaming≡batch replay must pass");
+    let out = stream.finish().expect("drained stream packages its stats");
     assert_eq!(out.answers, seen, "finish() must drain exactly the emits");
     assert!(!out.answers.is_empty());
     for a in &out.answers {
