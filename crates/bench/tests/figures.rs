@@ -1,9 +1,10 @@
 //! Pins what the paper figures share: the speedup denominator (every
 //! figure divides the same scan-and-test cost — oracle on every frame
 //! *plus* the sequential decode — so Figures 8/9 agree with Figures 4–7)
-//! and the catalog's scale floor.
+//! and the catalog's scale floor; and that a figure body survives the
+//! smallest scale.
 
-use everest_bench::figures::fig8_point;
+use everest_bench::figures::{fig8_point, fig9};
 use everest_bench::harness::{dataset_specs, scale_named};
 use everest_core::baselines::scan_and_test;
 use everest_video::datasets::counting_datasets;
@@ -30,4 +31,12 @@ fn catalog_shrink_floors_at_4000_frames_and_stays_consistent() {
             assert_eq!(spec.scale as usize, paper_frames / spec.n_frames);
         }
     }
+}
+
+/// At `smoke` a dashcam shrinks to 506 frames and retains fewer items than
+/// the default K; the frame rows must cap K instead of asking the engine
+/// for more items than the relation holds.
+#[test]
+fn fig9_runs_at_smoke_scale() {
+    fig9(&scale_named("smoke"));
 }

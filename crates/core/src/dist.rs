@@ -6,13 +6,11 @@
 //! bucket indices; `step` only matters when converting back to score units
 //! for reporting.
 
-use serde::{Deserialize, Serialize};
-
 /// A discrete distribution over buckets `0 ..= max_bucket`.
 ///
 /// Stores the PMF and the precomputed CDF; the CDF is what Eq. 2/3 consume
 /// (`F_f(t) = Pr(S_f ≤ t)`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiscreteDist {
     pmf: Vec<f64>,
     cdf: Vec<f64>,

@@ -74,7 +74,6 @@ pub mod baselines;
 pub mod budget;
 pub mod cleaner;
 pub mod dist;
-pub mod ingest;
 pub mod metrics;
 pub mod phase1;
 pub mod pipeline;

@@ -182,9 +182,9 @@ where
 }
 
 impl PreparedVideo {
-    /// Rebuilds a prepared video from persisted Phase-1 artifacts (see
-    /// `crate::ingest`). The caller vouches that `phase1` was produced for
-    /// a video of `n_frames` frames.
+    /// Builds a prepared video from Phase-1 artifacts made elsewhere. The
+    /// caller vouches that `phase1` was produced for a video of `n_frames`
+    /// frames.
     pub fn from_parts(phase1: Phase1Output, n_frames: usize) -> Self {
         PreparedVideo { phase1, n_frames }
     }

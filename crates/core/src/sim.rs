@@ -45,15 +45,6 @@ pub mod component {
     pub const SELECT: &str = "select_candidate";
     /// Phase 2: confirming frames with the oracle.
     pub const CONFIRM: &str = "confirm_by_oracle";
-
-    /// All known component labels.
-    pub const ALL: [&str; 5] = [LABEL, TRAIN, POPULATE, SELECT, CONFIRM];
-
-    /// Resolves a component name back to its static label (used when
-    /// deserializing persisted clocks).
-    pub fn resolve(name: &str) -> Option<&'static str> {
-        ALL.into_iter().find(|&c| c == name)
-    }
 }
 
 /// A component-labelled simulated clock.
@@ -99,30 +90,6 @@ impl SimClock {
     /// All components with their charges, in label order.
     pub fn breakdown(&self) -> Vec<(&'static str, f64)> {
         self.components.iter().map(|(&k, &v)| (k, v)).collect()
-    }
-
-    /// Owned `(name, seconds)` entries — the persistence-friendly form of
-    /// [`Self::breakdown`] (see `everest-core::ingest`).
-    pub fn entries(&self) -> Vec<(String, f64)> {
-        self.components
-            .iter()
-            .map(|(&k, &v)| (k.to_string(), v))
-            .collect()
-    }
-
-    /// Rebuilds a clock from persisted entries. Unknown component names
-    /// are rejected — they indicate a version mismatch.
-    pub fn from_entries(entries: &[(String, f64)]) -> Result<SimClock, String> {
-        let mut clock = SimClock::new();
-        for (name, secs) in entries {
-            let label = component::resolve(name)
-                .ok_or_else(|| format!("unknown clock component `{name}`"))?;
-            if !(secs.is_finite() && *secs >= 0.0) {
-                return Err(format!("component `{name}` has invalid charge {secs}"));
-            }
-            clock.charge(label, *secs);
-        }
-        Ok(clock)
     }
 
     /// Merges another clock into this one.

@@ -8,7 +8,6 @@
 //! drawn exclusively from the certain subset.
 
 use crate::dist::DiscreteDist;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an item within an [`UncertainRelation`] (dense index).
 pub type ItemId = usize;
@@ -21,7 +20,7 @@ pub fn score_to_bucket(score: f64, step: f64, max_bucket: usize) -> u32 {
 }
 
 /// The state of one x-tuple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ItemState {
     /// Score distribution from the proxy model.
     Uncertain(DiscreteDist),
@@ -30,7 +29,7 @@ pub enum ItemState {
 }
 
 /// An uncertain relation over a shared quantization grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UncertainRelation {
     /// Score units per bucket (1.0 for counting scores).
     step: f64,

@@ -1,7 +1,7 @@
 //! Rule **panic-policy** (`panic-unwrap`): `unwrap()`/`expect()` are
 //! denied in non-test code of the `everest-core` and `everest-evql`
 //! *library* modules — query execution should surface typed errors
-//! (`EvqlError`, `IngestError`), not abort the process; the serve-daemon
+//! (`EvqlError`, `TooManyWorlds`), not abort the process; the serve-daemon
 //! direction (ROADMAP) makes a panicking library a denial-of-service.
 //!
 //! Existing debt is held by a per-file budget allowlist below: a file may

@@ -11,10 +11,9 @@
 
 use crate::layers::{init_rng, Conv3x3, Dense, MaxPool2x2, Relu};
 use crate::mixture::{Component, GaussianMixture};
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of a CMDN instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CmdnConfig {
     /// Input spatial dimensions (height, width). Must be divisible by
     /// `2^conv_channels.len()`.
@@ -50,7 +49,7 @@ impl Default for CmdnConfig {
 }
 
 /// One conv → ReLU → pool block.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct ConvBlock {
     conv: Conv3x3,
     relu: Relu,
@@ -80,8 +79,7 @@ impl ConvBlock {
     }
 }
 
-/// Reusable forward-pass buffers (not serialized; rebuilt empty on
-/// deserialize and regrown on first use). `x`/`y` ping-pong the
+/// Reusable forward-pass buffers (grown on first use). `x`/`y` ping-pong the
 /// between-layer activations, `mid` holds each block's pre-pool
 /// activations, and `raw` receives the head output — so a forward pass
 /// allocates nothing after warmup.
@@ -108,14 +106,13 @@ pub struct MdnParams {
 }
 
 /// The CMDN model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cmdn {
     cfg: CmdnConfig,
     blocks: Vec<ConvBlock>,
     fc1: Dense,
     fc1_relu: Relu,
     fc2: Dense,
-    #[serde(skip)]
     scratch: ForwardScratch,
 }
 
@@ -716,45 +713,5 @@ mod tests {
     fn log_sum_exp_stability() {
         assert!((log_sum_exp(&[-1000.0, -1000.0]) - (-1000.0 + 2.0f64.ln())).abs() < 1e-9);
         assert_eq!(log_sum_exp(&[f64::NEG_INFINITY]), f64::NEG_INFINITY);
-    }
-}
-
-#[cfg(test)]
-mod serde_tests {
-    use super::*;
-
-    #[test]
-    fn cmdn_weights_survive_json_round_trip() {
-        // Train-free check: a freshly initialised model must predict the
-        // same mixture after serialize → deserialize (weights persist,
-        // training caches are rebuilt empty).
-        let cfg = CmdnConfig {
-            input: (16, 16),
-            conv_channels: vec![4, 8],
-            hidden: 8,
-            num_gaussians: 3,
-            sigma_min: 0.05,
-            target_range: (0.0, 10.0),
-            seed: 99,
-        };
-        let mut model = Cmdn::new(cfg);
-        let json = serde_json::to_string(&model).expect("serialize");
-        let mut back: Cmdn = serde_json::from_str(&json).expect("deserialize");
-        let input: Vec<f32> = (0..16 * 16).map(|i| (i % 7) as f32 / 7.0).collect();
-        let a = model.predict(&input);
-        let b = back.predict(&input);
-        assert_eq!(a.components().len(), b.components().len());
-        for (ca, cb) in a.components().iter().zip(b.components()) {
-            assert!(
-                (ca.mean - cb.mean).abs() < 1e-6,
-                "{} vs {}",
-                ca.mean,
-                cb.mean
-            );
-            assert!((ca.std - cb.std).abs() < 1e-6);
-            assert!((ca.weight - cb.weight).abs() < 1e-6);
-        }
-        // and the restored model can still be trained (gradients rebuilt)
-        assert_eq!(back.config().seed, 99);
     }
 }

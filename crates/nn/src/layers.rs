@@ -15,32 +15,14 @@
 use crate::kernels;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A learnable parameter tensor with its gradient accumulator.
-///
-/// Serialization persists only the weights; the gradient accumulator is
-/// rebuilt (zeroed, correctly sized) on deserialize via the `From`
-/// conversions below.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(from = "Vec<f32>", into = "Vec<f32>")]
+#[derive(Debug, Clone)]
 pub struct Param {
     /// The weights.
     pub w: Vec<f32>,
     /// The gradient accumulator, same shape as [`Param::w`].
     pub g: Vec<f32>,
-}
-
-impl From<Vec<f32>> for Param {
-    fn from(w: Vec<f32>) -> Self {
-        Param::new(w)
-    }
-}
-
-impl From<Param> for Vec<f32> {
-    fn from(p: Param) -> Self {
-        p.w
-    }
 }
 
 impl Param {
@@ -77,9 +59,8 @@ fn gaussian32(rng: &mut StdRng) -> f32 {
     ((-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()) as f32
 }
 
-/// Reusable im2col / packing scratch of a convolution layer (excluded from
-/// serialization and rebuilt empty on deserialize; buffers grow on first
-/// use and are reused across calls).
+/// Reusable im2col / packing scratch of a convolution layer (buffers grow
+/// on first use and are reused across calls).
 #[derive(Debug, Clone, Default)]
 struct ConvScratch {
     /// Packed 3×3 patches, `(in_ch·9) × (batch·h·w)`.
@@ -94,7 +75,7 @@ struct ConvScratch {
 ///
 /// The forward/backward passes lower onto im2col + blocked GEMM (see
 /// [`crate::kernels`]); one call processes a whole minibatch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Conv3x3 {
     /// Input channels.
     pub in_ch: usize,
@@ -108,15 +89,11 @@ pub struct Conv3x3 {
     pub weight: Param,
     /// Per-output-channel bias, shape `[out_ch]`.
     pub bias: Param,
-    #[serde(skip)]
     cached_input: Vec<f32>,
-    #[serde(skip)]
     cached_batch: usize,
     /// True while `scratch.cols` still holds the packed patches of the
     /// last train-mode forward (lets backward skip the re-pack).
-    #[serde(skip)]
     cols_from_train: bool,
-    #[serde(skip)]
     scratch: ConvScratch,
 }
 
@@ -308,7 +285,7 @@ impl Conv3x3 {
 }
 
 /// 2×2 max-pooling with stride 2. Requires even spatial dimensions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MaxPool2x2 {
     /// Channels (unchanged by pooling).
     pub ch: usize,
@@ -316,7 +293,6 @@ pub struct MaxPool2x2 {
     pub h: usize,
     /// Input spatial width (output is `w / 2`).
     pub w: usize,
-    #[serde(skip)]
     argmax: Vec<u32>,
 }
 
@@ -430,9 +406,8 @@ impl MaxPool2x2 {
 }
 
 /// Elementwise ReLU (layout- and batch-agnostic).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Relu {
-    #[serde(skip)]
     mask: Vec<bool>,
 }
 
@@ -479,7 +454,7 @@ impl Relu {
     }
 }
 
-/// Reusable packing scratch of a dense layer (not serialized).
+/// Reusable packing scratch of a dense layer.
 #[derive(Debug, Clone, Default)]
 struct DenseScratch {
     /// Transposed output gradient, `out_dim × batch` (weight gradient).
@@ -487,7 +462,7 @@ struct DenseScratch {
 }
 
 /// Fully-connected layer; batched passes are single GEMM calls.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dense {
     /// Input features per sample.
     pub in_dim: usize,
@@ -497,11 +472,8 @@ pub struct Dense {
     pub weight: Param,
     /// Bias, shape `[out_dim]`.
     pub bias: Param,
-    #[serde(skip)]
     cached_input: Vec<f32>,
-    #[serde(skip)]
     cached_batch: usize,
-    #[serde(skip)]
     scratch: DenseScratch,
 }
 

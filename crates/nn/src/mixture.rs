@@ -8,10 +8,8 @@
 //! discrete distribution — integer support for counting scores, a
 //! user-provided step size otherwise.
 
-use serde::{Deserialize, Serialize};
-
 /// One Gaussian component of a mixture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Component {
     /// Mixture weight π (non-negative; the mixture normalises them).
     pub weight: f64,
@@ -22,7 +20,7 @@ pub struct Component {
 }
 
 /// A Gaussian mixture distribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaussianMixture {
     components: Vec<Component>,
 }

@@ -15,7 +15,6 @@
 //! gradients and applies one Adam step.
 
 use crate::cmdn::{Cmdn, CmdnConfig};
-use crate::mixture::GaussianMixture;
 use crate::optim::Adam;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -125,9 +124,9 @@ pub fn train_cmdn(
 /// Runs `f` over up to `threads` contiguous chunks of `items` on scoped
 /// worker threads, returning the per-chunk results in chunk order — the
 /// shared scaffolding behind every data-parallel pass here and in
-/// `everest-core` (gradients, evaluation, batched inference, frame
-/// scoring). Returns an empty vector for empty `items`; a panicking
-/// worker propagates with `<label> worker panicked`.
+/// `everest-core` (gradients, evaluation, frame scoring). Returns an
+/// empty vector for empty `items`; a panicking worker propagates with
+/// `<label> worker panicked`.
 pub fn parallel_chunks<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
@@ -242,23 +241,6 @@ pub fn mean_nll(model: &Cmdn, data: &[Sample], threads: usize) -> f64 {
         sum
     });
     sums.iter().sum::<f64>() / data.len() as f64
-}
-
-/// Batch inference: one mixture per input, computed in parallel with
-/// batched forwards ([`Cmdn::predict_many`]).
-pub fn predict_batch(model: &Cmdn, inputs: &[Vec<f32>], threads: usize) -> Vec<GaussianMixture> {
-    let parts: Vec<Vec<GaussianMixture>> = parallel_chunks(inputs, threads, "predict", |part| {
-        let mut worker = model.clone();
-        let ilen = worker.input_len();
-        let mut out = Vec::with_capacity(part.len());
-        let mut xs = Vec::new();
-        for sub in part.chunks(MICROBATCH) {
-            pack_inputs(sub.iter(), ilen, &mut xs);
-            out.extend(worker.predict_many(&xs));
-        }
-        out
-    });
-    parts.into_iter().flatten().collect()
 }
 
 /// The (g, h) hyper-parameter grid of §3.5.
@@ -445,18 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_batch_matches_sequential() {
-        let model = Cmdn::new(tiny_cfg(2, 8));
-        let inputs: Vec<Vec<f32>> = (0..9).map(|i| vec![i as f32 * 0.1; 64]).collect();
-        let par = predict_batch(&model, &inputs, 3);
-        let mut m = model.clone();
-        for (i, x) in inputs.iter().enumerate() {
-            let seq = m.predict(x);
-            assert_eq!(par[i], seq, "mismatch at input {i}");
-        }
-    }
-
-    #[test]
     fn grid_search_selects_min_nll() {
         let train = brightness_dataset(150, 6);
         let holdout = brightness_dataset(50, 7);
@@ -491,17 +461,16 @@ mod tests {
     // The per-sample size assert fires inside a worker thread; the join
     // surfaces it as a worker panic. The lengths sum to 128 = 2×64, so
     // only a per-sample check (not the packed total) can catch this.
-    #[should_panic(expected = "predict worker panicked")]
-    fn predict_batch_rejects_mis_sized_samples() {
+    #[should_panic(expected = "eval worker panicked")]
+    fn mean_nll_rejects_mis_sized_samples() {
         let model = Cmdn::new(tiny_cfg(2, 8)); // input_len = 64
-        let inputs = vec![vec![0.0f32; 32], vec![0.0f32; 96]];
-        let _ = predict_batch(&model, &inputs, 1);
+        let data = vec![(vec![0.0f32; 32], 1.0), (vec![0.0f32; 96], 1.0)];
+        let _ = mean_nll(&model, &data, 1);
     }
 
     #[test]
     fn empty_inputs_are_handled() {
         let model = Cmdn::new(tiny_cfg(2, 8));
-        assert!(predict_batch(&model, &[], 4).is_empty());
         assert!(mean_nll(&model, &[], 4).is_nan());
     }
 

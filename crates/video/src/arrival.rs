@@ -20,11 +20,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One scripted object instance: born at `birth`, alive for `lifetime`
 /// frames, crossing the scene along a lane.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScriptedObject {
     /// Stable identity (also used as ground truth for the tracker).
     pub id: u64,
@@ -75,7 +74,7 @@ impl ScriptedObject {
 }
 
 /// Configuration of the arrival process.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ArrivalConfig {
     /// Total frames in the video.
     pub n_frames: usize,
@@ -114,7 +113,7 @@ impl Default for ArrivalConfig {
 }
 
 /// The fully materialised object timeline for one video.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Timeline {
     objects: Vec<ScriptedObject>,
     /// Number of visible objects per frame (prefix-summed birth/death events).

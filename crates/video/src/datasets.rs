@@ -12,18 +12,17 @@
 
 use crate::arrival::{ArrivalConfig, Timeline};
 use crate::scene::{CameraMotion, ObjectClass, SceneConfig, SyntheticVideo};
-use serde::{Deserialize, Serialize};
 
 /// Whether a dataset's camera is fixed or moving (Table 7's two YouTube
 /// additions are moving-camera footage).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SceneStyle {
     FixedCamera,
     MovingCamera,
 }
 
 /// One row of the (scaled) Table 7 catalog.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetSpec {
     /// Dataset name as in the paper.
     pub name: &'static str,
@@ -161,27 +160,6 @@ pub fn counting_datasets() -> Vec<DatasetSpec> {
     ]
 }
 
-/// A reduced catalog (smaller frame counts) for fast experiment smoke runs.
-pub fn counting_datasets_small() -> Vec<DatasetSpec> {
-    counting_datasets()
-        .into_iter()
-        .map(|mut d| {
-            let shrink = 8;
-            d.scale *= shrink;
-            d.n_frames /= shrink as usize;
-            d.arrival.n_frames = d.n_frames;
-            d
-        })
-        .collect()
-}
-
-/// Looks a dataset up by (case-insensitive) name.
-pub fn dataset_by_name(name: &str) -> Option<DatasetSpec> {
-    counting_datasets()
-        .into_iter()
-        .find(|d| d.name.eq_ignore_ascii_case(name))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,27 +205,11 @@ mod tests {
 
     #[test]
     fn build_produces_consistent_video() {
-        let spec = dataset_by_name("archie").expect("archie exists");
+        let spec = counting_datasets().swap_remove(0);
         let v = spec.build(1);
         assert_eq!(v.num_frames(), spec.n_frames);
         assert_eq!(v.width(), spec.render_size.0);
         assert!(v.timeline().max_count() > 0);
-    }
-
-    #[test]
-    fn small_catalog_shrinks() {
-        let full = counting_datasets();
-        let small = counting_datasets_small();
-        for (f, s) in full.iter().zip(&small) {
-            assert_eq!(f.name, s.name);
-            assert!(s.n_frames < f.n_frames);
-            assert_eq!(s.arrival.n_frames, s.n_frames);
-        }
-    }
-
-    #[test]
-    fn unknown_dataset_is_none() {
-        assert!(dataset_by_name("no-such-video").is_none());
     }
 
     #[test]

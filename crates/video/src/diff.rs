@@ -13,7 +13,6 @@
 //! share a representative.
 
 use crate::store::VideoStore;
-use serde::{Deserialize, Serialize};
 
 /// Difference-detector parameters.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// datasets. Our scaled frames carry relatively more per-pixel sensor noise,
 /// so the default threshold sits above the noise floor (`2σ²`) instead; the
 /// value is a config knob exactly as in the paper.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DiffConfig {
     /// Frames with MSE below this (vs their clip representative) are dropped.
     pub mse_threshold: f32,
@@ -49,7 +48,7 @@ fn default_threads() -> usize {
 }
 
 /// Output of the difference detector.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segments {
     /// Retained frame indices, strictly ascending.
     retained: Vec<usize>,

@@ -5,10 +5,8 @@
 //! small square and normalized to `[0, 1]`). A single-channel `f32` frame in
 //! `[0, 1]` covers both.
 
-use serde::{Deserialize, Serialize};
-
 /// A grayscale frame with pixel intensities in `[0, 1]`, stored row-major.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     width: usize,
     height: usize,
@@ -169,7 +167,7 @@ impl Frame {
 /// The paper's video relation (Table 2) stores object "polygons"; detections
 /// in practice are bounding boxes, which is what our detector substrate and
 /// IoU tracker use.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BBox {
     pub x: f32,
     pub y: f32,

@@ -14,11 +14,10 @@ use crate::store::VideoStore;
 use crate::util::{frame_rng, gaussian};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Object classes used across the datasets, mirroring Table 7's
 /// object-of-interest column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObjectClass {
     Car,
     Person,
@@ -52,7 +51,7 @@ impl ObjectClass {
 }
 
 /// A ground-truth annotation: what the "accurate oracle detector" sees.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroundTruthObject {
     /// Stable object identity across frames (tracker ground truth).
     pub id: u64,
@@ -63,7 +62,7 @@ pub struct GroundTruthObject {
 }
 
 /// Camera motion parameters. Zero amplitude = fixed camera.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CameraMotion {
     /// Pan amplitude as a fraction of frame width.
     pub pan_amplitude: f32,
@@ -99,7 +98,7 @@ impl CameraMotion {
 }
 
 /// Rendering configuration for one synthetic video.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SceneConfig {
     pub width: usize,
     pub height: usize,

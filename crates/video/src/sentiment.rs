@@ -13,10 +13,9 @@ use crate::store::VideoStore;
 use crate::util::{frame_rng, gaussian, splitmix64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the mood process.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SentimentConfig {
     pub n_frames: usize,
     pub width: usize,

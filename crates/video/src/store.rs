@@ -8,7 +8,6 @@
 //! optimise against in simulated time.
 
 use crate::frame::Frame;
-use serde::{Deserialize, Serialize};
 
 /// Read-only frame access. Implementations must be cheap to share across
 /// threads (the difference detector and CMDN inference are parallel).
@@ -80,7 +79,7 @@ impl VideoStore for InMemoryVideo {
 ///   `seq_cost × (1 + idx mod gop)` — the farther into a group-of-pictures,
 ///   the more expensive the jump.
 /// * Re-reading the current frame is free.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DecodeCostModel {
     /// Cost of decoding one frame sequentially, in simulated seconds.
     pub seq_cost: f64,

@@ -16,10 +16,9 @@ use crate::store::VideoStore;
 use crate::util::{frame_rng, gaussian, splitmix64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the mini-city.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VisualRoadConfig {
     /// Total number of cars in the city (the Fig. 8 sweep variable).
     pub total_cars: usize,
@@ -51,7 +50,7 @@ impl Default for VisualRoadConfig {
 }
 
 /// One car in the mini-city: constant speed around the ring.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Car {
     id: u64,
     /// Initial position on the ring, meters.
@@ -62,7 +61,6 @@ struct Car {
     lane: f32,
     /// Footprint in meters (projected to pixels via view_length).
     size_m: f64,
-    intensity: f32,
 }
 
 impl Car {
@@ -86,13 +84,19 @@ impl VisualRoadVideo {
         assert!(cfg.n_frames > 0);
         let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ 0x5ee_dcaf));
         let cars = (0..cfg.total_cars)
-            .map(|i| Car {
-                id: i as u64,
-                pos0: rng.gen_range(0.0..cfg.road_length),
-                speed: rng.gen_range(0.35..1.1),
-                lane: rng.gen_range(0.25..0.8),
-                size_m: rng.gen_range(4.0..7.0),
-                intensity: rng.gen_range(0.4..0.75),
+            .map(|i| {
+                let car = Car {
+                    id: i as u64,
+                    pos0: rng.gen_range(0.0..cfg.road_length),
+                    speed: rng.gen_range(0.35..1.1),
+                    lane: rng.gen_range(0.25..0.8),
+                    size_m: rng.gen_range(4.0..7.0),
+                };
+                // Unused draw (the renderer derives a car's intensity from
+                // its id): it keeps the next car's draws, and so every
+                // frame and digest, where they have always been.
+                let _: f32 = rng.gen_range(0.4..0.75);
+                car
             })
             .collect();
         let background = road_background(&cfg, seed);
