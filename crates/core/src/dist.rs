@@ -19,6 +19,10 @@ pub struct DiscreteDist {
 impl DiscreteDist {
     /// Builds a distribution from raw masses, normalising them.
     ///
+    #[expect(
+        clippy::expect_used,
+        reason = "`masses` is asserted non-empty on entry, so `cdf` has a last element"
+    )]
     /// Panics if the masses are empty, negative, or sum to zero.
     pub fn from_masses(masses: &[f64]) -> Self {
         assert!(!masses.is_empty(), "distribution needs at least one bucket");
@@ -94,6 +98,10 @@ impl DiscreteDist {
     }
 
     /// Smallest bucket with positive mass.
+    #[expect(
+        clippy::expect_used,
+        reason = "construction normalises to total mass 1, so some bucket has positive mass"
+    )]
     pub fn support_min(&self) -> usize {
         self.pmf
             .iter()
@@ -102,6 +110,10 @@ impl DiscreteDist {
     }
 
     /// Largest bucket with positive mass.
+    #[expect(
+        clippy::expect_used,
+        reason = "construction normalises to total mass 1, so some bucket has positive mass"
+    )]
     pub fn support_max(&self) -> usize {
         self.pmf
             .iter()

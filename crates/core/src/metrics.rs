@@ -29,6 +29,11 @@ impl GroundTruth {
     pub fn new(scores: Vec<f64>) -> Self {
         assert!(!scores.is_empty(), "ground truth needs at least one item");
         let mut sorted = scores.clone();
+        #[expect(
+            clippy::expect_used,
+            reason = "ground-truth scores are finite by the oracle contract, so partial_cmp is \
+                      total here"
+        )]
         sorted.sort_unstable_by(|a, b| b.partial_cmp(a).expect("finite scores"));
         GroundTruth { scores, sorted }
     }
@@ -112,6 +117,11 @@ pub fn evaluate_topk(truth: &GroundTruth, answer: &[usize], k: usize) -> ResultQ
 
     // Score error: rank-aligned absolute differences.
     let mut got: Vec<f64> = answer.iter().map(|&id| truth.score(id)).collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "ground-truth scores are finite by the oracle contract, so partial_cmp is total \
+                  here"
+    )]
     got.sort_unstable_by(|a, b| b.partial_cmp(a).expect("finite"));
     let score_error: f64 = got
         .iter()

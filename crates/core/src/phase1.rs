@@ -196,8 +196,11 @@ pub fn run_phase1(video: &dyn VideoStore, oracle: &dyn Oracle, cfg: &Phase1Confi
         oracle.num_frames(),
         "oracle and video must cover the same frames"
     );
-    // lint:allow(det-wallclock): feeds the reported ingest wall-time stat
-    // only; the simulated cost model (SimClock) drives every decision.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "feeds the reported ingest wall-time stat only; the simulated cost model \
+                  (SimClock) drives every decision"
+    )]
     let started = Instant::now();
     let mut clock = SimClock::new();
     let n = video.num_frames();
@@ -341,8 +344,11 @@ pub fn populate_with_model(
     model: &Cmdn,
     cfg: &Phase1Config,
 ) -> Phase1Output {
-    // lint:allow(det-wallclock): feeds the reported ingest wall-time stat
-    // only; the simulated cost model (SimClock) drives every decision.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "feeds the reported ingest wall-time stat only; the simulated cost model \
+                  (SimClock) drives every decision"
+    )]
     let started = Instant::now();
     let mut clock = SimClock::new();
     let n = video.num_frames();

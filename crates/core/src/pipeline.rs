@@ -328,8 +328,11 @@ impl PreparedVideo {
         spend: impl FnOnce(&C) -> (usize, f64),
         item: impl Fn(ItemId, f64) -> ResultItem,
     ) -> QueryReport {
-        // lint:allow(det-wallclock): feeds the reported phase2_wall stat
-        // only; query results never branch on wall time.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "feeds the reported phase2_wall stat only; query results never branch on wall \
+                      time"
+        )]
         let started = Instant::now();
         let (mut relation, mut cleaning) = build();
         let cfg = CleanerConfig {
@@ -354,6 +357,11 @@ impl PreparedVideo {
             .topk
             .iter()
             .map(|&id| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the cleaner only returns ids it confirmed (or found certain), so \
+                              every answer item has a certain bucket"
+                )]
                 let bucket = relation.certain_bucket(id).expect("answer is certain");
                 item(id, relation.bucket_to_score(bucket))
             })

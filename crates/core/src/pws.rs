@@ -101,6 +101,11 @@ pub fn enumerate_worlds(rel: &UncertainRelation) -> Result<Vec<World>, TooManyWo
                 }
             }
             None => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "this arm is `certain_bucket(id) == None`, and an item is either \
+                              certain or carries a dist"
+                )]
                 let d = rel.dist(id).expect("uncertain item has dist");
                 let mut next = Vec::with_capacity(worlds.len() * 2);
                 for w in &worlds {
@@ -127,6 +132,10 @@ pub fn is_topk_in_world(world: &World, answer: &[ItemId], k: usize) -> bool {
     if answer.len() != k {
         return false;
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "`answer.len() == k` was checked above and K ≥ 1"
+    )]
     let min_in = answer
         .iter()
         .map(|&id| world.buckets[id])

@@ -51,6 +51,10 @@ pub fn expected_confidence(
     s_p: usize,
 ) -> f64 {
     debug_assert!(s_k <= s_p, "threshold above penultimate ({s_k} > {s_p})");
+    #[expect(
+        clippy::expect_used,
+        reason = "callers only score uncertain items: the selector drops certain ids before calling"
+    )]
     let d = rel
         .dist(id)
         .expect("expected_confidence needs an uncertain item");
@@ -135,6 +139,11 @@ impl CandidateSelector {
     fn resort(&mut self, rel: &UncertainRelation, s_k: usize, s_p: usize) {
         // Drop cleaned items and recompute ψ at the current thresholds.
         self.order.retain(|&id| !rel.is_certain(id));
+        #[expect(
+            clippy::expect_used,
+            reason = "`order` was just filtered to uncertain ids, and every uncertain item carries \
+                      a dist"
+        )]
         let mut keyed: Vec<(f64, ItemId)> = self
             .order
             .iter()
@@ -192,9 +201,19 @@ impl CandidateSelector {
             self.stats.examined += 1;
             if best.len() < batch {
                 best.push((e, id));
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "expected confidences are products of probabilities, hence finite and \
+                              comparable"
+                )]
                 best.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
             } else if e > best[0].0 {
                 best[0] = (e, id);
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "expected confidences are products of probabilities, hence finite and \
+                              comparable"
+                )]
                 best.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
             }
         }

@@ -49,6 +49,10 @@ fn topk_of_world(world: &World, k: usize) -> Vec<ItemId> {
 ///
 /// Returns `(set, probability)`; the set is sorted by item id. Errors with
 /// [`TooManyWorlds`] on relations too large to enumerate.
+#[expect(
+    clippy::expect_used,
+    reason = "a validated relation enumerates to at least one world, so `scores` is non-empty"
+)]
 pub fn u_topk(rel: &UncertainRelation, k: usize) -> Result<(Vec<ItemId>, f64), TooManyWorlds> {
     assert!(k >= 1 && k <= rel.len(), "K out of range");
     // BTreeMap so the max_by scan below runs in sorted-key order — the
@@ -75,6 +79,12 @@ pub fn u_topk(rel: &UncertainRelation, k: usize) -> Result<(Vec<ItemId>, f64), T
 /// Returns `ranks[i] = (item, probability)`. Note the same item may win
 /// multiple ranks — one of the semantic quirks the paper points out.
 /// Errors with [`TooManyWorlds`] on relations too large to enumerate.
+#[expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "rank probabilities are finite and each row has one entry per item of a non-empty \
+              relation"
+)]
 pub fn u_kranks(rel: &UncertainRelation, k: usize) -> Result<Vec<(ItemId, f64)>, TooManyWorlds> {
     Ok(rank_probabilities(rel, k)?
         .into_iter()

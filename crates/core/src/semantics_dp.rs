@@ -700,6 +700,7 @@ mod tests {
         for _ in 0..24 {
             rel.push_uncertain(d(&[0.4, 0.4, 0.2, 0.0, 0.0]));
         }
+        #[expect(clippy::disallowed_methods, reason = "test timing")]
         let started = std::time::Instant::now();
         let (set, p) = u_topk_dp(&rel, 8);
         assert!(started.elapsed() < std::time::Duration::from_secs(1));

@@ -262,6 +262,11 @@ pub fn zip_relations(dims: &[&crate::xtuple::UncertainRelation]) -> VectorRelati
     }
     let mut rel = VectorRelation::new(dims.iter().map(|r| r.max_bucket()).collect());
     for i in 0..n {
+        #[expect(
+            clippy::expect_used,
+            reason = "this arm is `certain_bucket(i) == None`, and an item is either certain or \
+                      carries a dist"
+        )]
         let states: Vec<DimState> = dims
             .iter()
             .map(|r| match r.certain_bucket(i) {
@@ -443,12 +448,20 @@ pub struct SkylineState {
 
 /// Computes the full [`SkylineState`] of a relation.
 pub fn skyline_state(rel: &VectorRelation) -> SkylineState {
+    #[expect(
+        clippy::expect_used,
+        reason = "`certain_ids` lists exactly the items whose every dimension is certain"
+    )]
     let certain: Vec<(ItemId, Vec<u32>)> = rel
         .certain_ids()
         .into_iter()
         .map(|id| (id, rel.certain_vector(id).expect("certain")))
         .collect();
     let skyline = skyline_of(&certain);
+    #[expect(
+        clippy::expect_used,
+        reason = "`skyline_of` returns a subset of the certain ids it was given"
+    )]
     let points: Vec<Vec<u32>> = skyline
         .iter()
         .map(|&id| rel.certain_vector(id).expect("certain"))
@@ -551,10 +564,13 @@ impl SkylineMaintainer {
     }
 
     /// Current skyline point vectors, ascending id order.
+    #[expect(
+        clippy::expect_used,
+        reason = "only fully-certain items ever enter `skyline`"
+    )]
     fn points(&self) -> Vec<Vec<u32>> {
         self.skyline
             .iter()
-            // lint:allow(panic-unwrap): only fully-certain items ever enter `skyline`
             .map(|s| certain_vector(&self.items[s]).expect("skyline member is certain"))
             .collect()
     }
@@ -580,8 +596,11 @@ impl SkylineMaintainer {
     /// Folds a new certain point into the skyline and refreshes only the
     /// factors its staircase change can reach.
     fn insert_certain_point(&mut self, id: ItemId, v: Vec<u32>) {
+        #[expect(
+            clippy::expect_used,
+            reason = "only fully-certain items ever enter `skyline`"
+        )]
         let dominated = self.skyline.iter().any(|s| {
-            // lint:allow(panic-unwrap): only fully-certain items ever enter `skyline`
             let w = certain_vector(&self.items[s]).expect("certain");
             dominates(&w, &v)
         });
@@ -589,19 +608,25 @@ impl SkylineMaintainer {
             // A dominated point changes neither the skyline nor any factor.
             return;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "only fully-certain items ever enter `skyline`"
+        )]
         let evicted: Vec<ItemId> = self
             .skyline
             .iter()
             .filter(|s| {
-                // lint:allow(panic-unwrap): only fully-certain items ever enter `skyline`
                 let w = certain_vector(&self.items[s]).expect("certain");
                 dominates(&v, &w)
             })
             .copied()
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "evicted ids came out of `skyline`, hence certain"
+        )]
         let mut changed: Vec<Vec<u32>> = evicted
             .iter()
-            // lint:allow(panic-unwrap): evicted ids came out of `skyline`, hence certain
             .map(|s| certain_vector(&self.items[s]).expect("certain"))
             .collect();
         for s in &evicted {
@@ -617,7 +642,10 @@ impl SkylineMaintainer {
     /// skyline member rebuilds the certain skyline (dominated points may
     /// re-enter) and refreshes the affected factors.
     pub fn remove(&mut self, id: ItemId) {
-        // lint:allow(panic-unwrap): removing an id never inserted is a caller bug
+        #[expect(
+            clippy::expect_used,
+            reason = "removing an id never inserted is a caller bug"
+        )]
         let dims = self.items.remove(&id).expect("removing unknown item");
         if self.factors.remove(&id).is_some() {
             return;
@@ -625,7 +653,10 @@ impl SkylineMaintainer {
         if !self.skyline.remove(&id) {
             return;
         }
-        // lint:allow(panic-unwrap): the id was in `skyline`, hence fully certain
+        #[expect(
+            clippy::expect_used,
+            reason = "the id was in `skyline`, hence fully certain"
+        )]
         let v = certain_vector(&dims).expect("certain");
         let certain: Vec<(ItemId, Vec<u32>)> = self
             .items
@@ -634,9 +665,12 @@ impl SkylineMaintainer {
             .collect();
         let new_sky: BTreeSet<ItemId> = skyline_of(&certain).into_iter().collect();
         self.stats.skyline_rebuilds += 1;
+        #[expect(
+            clippy::expect_used,
+            reason = "`skyline_of` only ranges over the certain subset"
+        )]
         let mut changed: Vec<Vec<u32>> = new_sky
             .difference(&self.skyline)
-            // lint:allow(panic-unwrap): `skyline_of` only ranges over the certain subset
             .map(|i| certain_vector(&self.items[i]).expect("certain"))
             .collect();
         changed.push(v);
@@ -647,7 +681,10 @@ impl SkylineMaintainer {
     /// Confirms an uncertain item's exact vector (oracle cleaning).
     pub fn clean(&mut self, id: ItemId, v: &[u32]) {
         check_vector(&self.max_bucket, v);
-        // lint:allow(panic-unwrap): cleaning an id never inserted is a caller bug
+        #[expect(
+            clippy::expect_used,
+            reason = "cleaning an id never inserted is a caller bug"
+        )]
         let dims = self.items.get_mut(&id).expect("cleaning unknown item");
         assert!(
             dims.iter().any(|d| matches!(d, DimState::Uncertain(_))),
@@ -816,6 +853,10 @@ pub fn run_skyline_cleaner(
 /// items at their exact vectors.
 pub fn pws_skyline_probability(rel: &VectorRelation, candidate: &[ItemId]) -> f64 {
     let uncertain = rel.uncertain_ids();
+    #[expect(
+        clippy::expect_used,
+        reason = "`certain_ids` lists exactly the items whose every dimension is certain"
+    )]
     let certain: Vec<(ItemId, Vec<u32>)> = rel
         .certain_ids()
         .into_iter()

@@ -368,14 +368,16 @@ impl Answer for Frames {
         self.state.assess()
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the loop only picks below thres, which needs an uncertain frame: either fewer \
+                  are certain than active, or p̂ < 1 and so the joint CDF has members"
+    )]
     fn pick(&mut self, want: Want, _room: usize) -> [ItemId; 1] {
         let pick = match want {
             Want::Bootstrap { .. } => self.argmax_uncertain(|d| d.mean_bucket()),
             Want::Boundary { s_k, s_p } => self.argmax_uncertain(|d| psi(d, s_k, s_p)),
         };
-        // lint:allow(panic-unwrap): the loop only picks below thres, which
-        // needs an uncertain frame: either fewer are certain than active, or
-        // p̂ < 1 and so the joint CDF has members
         [pick.expect("an uncertain active frame below thres")]
     }
 

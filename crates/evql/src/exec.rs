@@ -340,8 +340,10 @@ impl Session {
     // ---- SELECT ----
 
     fn run(&mut self, plan: QueryPlan) -> Result<QueryOutput, EvqlError> {
-        // lint:allow(det-wallclock): feeds the reported wall_ms stat only;
-        // query answers never branch on wall time.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "feeds the reported wall_ms stat only; query answers never branch on wall time"
+        )]
         let started = Instant::now();
         // Phase 1 (CMDN training + D0) is only charged to engines that use
         // a proxy model; pure scans get the oracle directly.
@@ -366,6 +368,10 @@ impl Session {
                 &standalone_oracle
             }
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "only called on the engines for which `needs_phase1` built the entry above"
+        )]
         let prepared = || &entry.as_ref().expect("phase-1 engine").prepared;
         let fps = plan.source.fps;
         let n = plan.n_frames;
@@ -569,8 +575,11 @@ impl Session {
 
     /// Builds the streaming engine for a validated continuous plan.
     fn open_stream(&mut self, plan: QueryPlan) -> Result<StreamSession, EvqlError> {
-        // lint:allow(det-wallclock): feeds the reported wall_ms stat only;
-        // stream answers never branch on wall time.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "feeds the reported wall_ms stat only; stream answers never branch on wall \
+                      time"
+        )]
         let started = Instant::now();
         let (entry, phase1_cached) = self.prepared(&plan);
         let rel = &entry.prepared.phase1.relation;
@@ -581,17 +590,20 @@ impl Session {
         // Frames labelled during Phase-1 training enter D0 certain; they
         // arrive as point masses (the oracle re-confirms them for free in
         // simulated cost terms only if the cleaner ever picks one).
+        #[expect(clippy::expect_used, reason = "dist() is None iff the item is certain")]
         let dists: Vec<DiscreteDist> = (0..rel.len())
             .map(|id| match rel.dist(id) {
                 Some(d) => d.clone(),
                 None => DiscreteDist::certain(
-                    // lint:allow(panic-unwrap): dist() is None iff the item is certain
                     rel.certain_bucket(id).expect("no dist means certain") as usize,
                     rel.max_bucket(),
                 ),
             })
             .collect();
-        // lint:allow(panic-unwrap): both callers branch on emit_every.is_some()
+        #[expect(
+            clippy::expect_used,
+            reason = "both callers branch on emit_every.is_some()"
+        )]
         let stride = plan.emit_every.expect("checked by caller").min(dists.len());
         let cfg = StreamConfig {
             k: plan.k,
@@ -632,8 +644,11 @@ impl Session {
     fn run_skyline(&mut self, plan: crate::plan::SkylinePlan) -> Result<SkylineOutput, EvqlError> {
         use everest_core::skyline::{run_skyline_cleaner, zip_relations, SkylineConfig};
 
-        // lint:allow(det-wallclock): feeds the reported wall_ms stat only;
-        // skyline answers never branch on wall time.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "feeds the reported wall_ms stat only; skyline answers never branch on wall \
+                      time"
+        )]
         let started = Instant::now();
         let mut entries = Vec::with_capacity(plan.scores.len());
         let mut all_cached = true;
@@ -1020,7 +1035,6 @@ fn window_quality(
 impl QueryOutput {
     /// ASCII rendering for the CLI.
     pub fn render(&self) -> String {
-        let fps = self.plan.source.fps;
         let mut out = String::new();
         out.push_str(&format!(
             "rank  frames           t+ (mm:ss)   score\n{}\n",
@@ -1039,13 +1053,13 @@ impl QueryOutput {
                 row.rank, range, mins, secs, row.score
             ));
         }
-        out.push_str(&format!("{}\n{}", "-".repeat(46), self.stats.render(fps)));
+        out.push_str(&format!("{}\n{}", "-".repeat(46), self.stats.render()));
         out
     }
 }
 
 impl ExecStats {
-    fn render(&self, _fps: f64) -> String {
+    fn render(&self) -> String {
         let mut out = format!(
             "engine={}  items={}  sim={:.1}s  scan={:.1}s  speedup={:.1}x",
             self.engine.display(),
@@ -1135,7 +1149,7 @@ impl StreamOutput {
                 ));
             }
         }
-        out.push_str(&format!("{}\n{}", "-".repeat(46), self.stats.render(fps)));
+        out.push_str(&format!("{}\n{}", "-".repeat(46), self.stats.render()));
         out
     }
 }
@@ -1163,26 +1177,9 @@ impl SkylineOutput {
             }
             out.push('\n');
         }
-        out.push_str(&format!(
-            "{}\n{}",
-            "-".repeat(width),
-            self.stats.render(0.0)
-        ));
+        out.push_str(&format!("{}\n{}", "-".repeat(width), self.stats.render()));
         out
     }
-}
-
-/// Resolves a source entry for tests and the CLI banner.
-pub fn resolve_source(name: &str) -> Option<SourceEntry> {
-    crate::catalog::source_by_name(name)
-}
-
-/// Re-export for CLI convenience.
-pub use crate::catalog::ScoreFn as SessionScoreFn;
-
-#[allow(unused)]
-fn _assert_scorefn_paths(s: ScoreFn) -> String {
-    s.display()
 }
 
 #[cfg(test)]
@@ -1270,7 +1267,7 @@ mod tests {
             assert_eq!(pair[0].rank + 1, pair[1].rank);
         }
         // certain-result condition: scores match ground truth exactly
-        let entry = resolve_source("Archie").unwrap();
+        let entry = crate::catalog::source_by_name("Archie").unwrap();
         let built = entry.build(out.plan.score, out.plan.scale_divisor, out.plan.seed);
         for row in &out.rows {
             assert_eq!(row.score, built.oracle.all_scores()[row.start_frame]);

@@ -53,6 +53,12 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![warn(
+    clippy::undocumented_unsafe_blocks,
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes_without_reason
+)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod analyze;
 pub mod ast;

@@ -111,10 +111,6 @@ impl State {
     }
 }
 
-/// Default cap on cached Phase-1 preparations (mirrors the historical
-/// per-session default — see [`crate::exec::DEFAULT_CACHE_CAPACITY`]).
-const DEFAULT_CAPACITY: usize = 8;
-
 /// An `Arc`-shareable, LRU-bounded, single-flight Phase-1 cache.
 ///
 /// Cloning is cheap and shares state; see the module docs.
@@ -130,7 +126,7 @@ struct Inner {
 
 impl Default for SharedCache {
     fn default() -> Self {
-        SharedCache::with_capacity(DEFAULT_CAPACITY)
+        SharedCache::with_capacity(crate::exec::DEFAULT_CACHE_CAPACITY)
     }
 }
 

@@ -290,7 +290,10 @@ impl Response {
 /// [`write_frame`], which returns an error instead).
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + payload.len());
-    // lint:allow(panic-unwrap): documented panic contract — callers needing an error path use write_frame
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract — callers needing an error path use write_frame"
+    )]
     out.extend_from_slice(&(u32::try_from(payload.len()).expect("frame fits u32")).to_be_bytes());
     out.extend_from_slice(payload);
     out

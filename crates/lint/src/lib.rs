@@ -3,21 +3,20 @@
 //! Enforces invariants clippy cannot express, with machine-readable rule
 //! IDs, `file:line` diagnostics, and an inline
 //! `// lint:allow(<id>): <reason>` escape hatch (the reason is
-//! mandatory). Rule families:
+//! mandatory). What clippy *can* express — `SAFETY:`-commented `unsafe`
+//! blocks, `# Safety` docs, hash-order iteration, wall-clock reads,
+//! `unwrap()`/`expect()` in library code — is clippy configuration
+//! (`clippy.toml` and the crate-root lint lines; see `docs/LINTING.md`).
+//! Rule families:
 //!
-//! * **unsafe-audit** — `SAFETY:`-commented `unsafe` blocks and call
-//!   sites, `# Safety` rustdoc on `unsafe fn`s, `#[target_feature]`
-//!   confinement ([`rules::unsafe_audit`]);
-//! * **determinism** — no hash-order iteration, wall-clock reads, or
-//!   implicit f32 iterator sums on result paths
+//! * **unsafe-audit** — `SAFETY:`-commented calls of workspace-declared
+//!   `unsafe fn`s, `#[target_feature]` confinement
+//!   ([`rules::unsafe_audit`]);
+//! * **determinism** — no implicit f32 iterator sums in kernel modules
 //!   ([`rules::determinism`]);
 //! * **env-var registry** — `EVEREST_*` variables in source and CI
 //!   workflows ↔ `docs/BENCHMARKING.md` table, both directions
 //!   ([`rules::env_registry`]);
-//! * **panic-policy** — budgeted burn-down of `unwrap()`/`expect()` in
-//!   the core/evql library crates ([`rules::panic_policy`]);
-//! * **vendor-guard** — every dependency resolves to a local path, never
-//!   a registry or git source ([`rules::vendor_guard`]);
 //! * **lock-order** — static deadlock detection: `Mutex`/`RwLock`
 //!   acquisition order cycles across helper-call boundaries in the
 //!   serve/evql crates ([`rules::lock_order`]);
@@ -91,15 +90,11 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// Files scanned (for the summary line).
     pub files_scanned: usize,
-    /// Panic-policy burn-down: (current sites, total budget, per-site allows).
-    pub panic_sites: usize,
-    pub panic_budget: usize,
-    pub panic_site_allows: usize,
 }
 
 /// Source directories scanned under the lint root. `vendor/` is excluded
-/// from source scanning (third-party-shaped shims; `#![deny(unsafe_code)]`
-/// covers them at compile time) but its manifests are vendor-guarded.
+/// (third-party-shaped shims; `#![deny(unsafe_code)]` covers them at
+/// compile time).
 const SCAN_DIRS: &[&str] = &["src", "crates", "tests", "examples", "benches"];
 
 /// Directory names never descended into.
@@ -140,14 +135,9 @@ pub fn lint_root(root: &Path) -> Report {
 
     // Pass 2: per-file rules.
     let mut diagnostics = Vec::new();
-    let mut panic_sites = 0;
-    let mut panic_site_allows = 0;
     for ctx in &ctxs {
         rules::unsafe_audit::check(ctx, &ws, &mut diagnostics);
         rules::determinism::check(ctx, &mut diagnostics);
-        let (sites, allows) = rules::panic_policy::check(ctx, &mut diagnostics);
-        panic_sites += sites;
-        panic_site_allows += allows;
         check_allows(ctx, &mut diagnostics);
     }
 
@@ -157,21 +147,14 @@ pub fn lint_root(root: &Path) -> Report {
     rules::taint::check(&g, &mut diagnostics);
     rules::budget_discipline::check(&g, &mut diagnostics);
 
-    // Workspace-level rules.
+    // Workspace-level rule.
     rules::env_registry::check(root, &var_sites, &mut diagnostics);
-    rules::vendor_guard::check(root, &mut diagnostics);
 
     diagnostics
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Report {
         diagnostics,
         files_scanned: ctxs.len(),
-        panic_sites,
-        panic_budget: rules::panic_policy::PANIC_ALLOWLIST
-            .iter()
-            .map(|b| b.budget)
-            .sum(),
-        panic_site_allows,
     }
 }
 

@@ -11,7 +11,7 @@
 
 #![deny(unsafe_code)]
 
-use everest_lint::{lint_root, rules::panic_policy::PANIC_ALLOWLIST};
+use everest_lint::lint_root;
 use std::path::PathBuf;
 
 fn main() {
@@ -49,22 +49,6 @@ fn main() {
 
     for d in &report.diagnostics {
         println!("{d}");
-    }
-    // Panic-policy burn-down: visible every run so the debt trends down.
-    println!(
-        "panic-policy burn-down: {} budgeted unwrap/expect sites across {} allowlisted files \
-         (budget {}), plus {} per-site lint:allow justifications",
-        report.panic_sites,
-        PANIC_ALLOWLIST.len(),
-        report.panic_budget,
-        report.panic_site_allows,
-    );
-    if report.panic_sites < report.panic_budget {
-        println!(
-            "note: panic budget is slack by {} — tighten the ledger in \
-             crates/lint/src/rules/panic_policy.rs to bank the progress",
-            report.panic_budget - report.panic_sites
-        );
     }
     if report.diagnostics.is_empty() {
         println!(

@@ -1,237 +1,26 @@
 //! Rule family **determinism**: byte-identical output across runs,
 //! threads, and ISA tiers is a headline claim of this engine (ROADMAP
-//! "Net state"; determinism suite), so constructs whose order or value
-//! varies per process are machine-checked out of result paths.
+//! "Net state"; determinism suite). Hash-order iteration and wall-clock
+//! reads are clippy's job (`clippy::iter_over_hash_type` at the crate
+//! roots, `clippy::disallowed_methods` in `clippy.toml`); what clippy has
+//! no lint for is the one rule left here.
 //!
-//! IDs:
-//! * `det-hash-iter` — iteration over `HashMap`/`HashSet` (`.iter()`,
-//!   `.keys()`, `.values()`, `.drain()`, `.into_iter()`, `.retain()`,
-//!   `for … in &map`). `RandomState` makes the order differ per process;
-//!   use `BTreeMap`/`BTreeSet` or collect-and-sort instead. Keyed
-//!   *lookup* stays fine.
-//! * `det-wallclock` — `Instant::now` / `SystemTime::now` outside
-//!   `crates/bench` and `#[cfg(test)]`; wall-clock readings that feed
-//!   anything result-shaped break reproducibility (timing *reports*
-//!   can be `lint:allow`ed with a reason).
+//! ID:
 //! * `det-float-sum` — `.sum::<f32>()` in kernel modules
 //!   (`crates/nn/src`): summation order is part of the bit-identical
 //!   contract, so kernels must use the explicit fixed-order reducers
 //!   (`kernels::deterministic_sum`-style) rather than an iterator fold
 //!   whose shape is an implementation detail of the call site.
-//!
-//! Detection of hash-container iteration is heuristic (this is a lexer,
-//! not a type checker): bindings and fields whose declaration names
-//! `HashMap`/`HashSet` are tracked per file, and iteration calls on those
-//! names are flagged. Shadowing a tracked name with a non-hash type in
-//! the same file can false-positive — `lint:allow` with a reason.
 
-use crate::lexer::Kind;
 use crate::source::FileCtx;
 use crate::Diagnostic;
-use std::collections::BTreeSet;
 
-pub const HASH_ITER: &str = "det-hash-iter";
-pub const WALLCLOCK: &str = "det-wallclock";
 pub const FLOAT_SUM: &str = "det-float-sum";
 
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "into_keys",
-    "values",
-    "values_mut",
-    "into_values",
-    "drain",
-    "retain",
-];
-
-/// Paths exempt from the ordering/wall-clock rules: benchmarks measure
-/// time by definition, and test code may iterate freely.
-fn exempt(rel: &str) -> bool {
-    rel.starts_with("crates/bench/") || rel.starts_with("tests/") || rel.contains("/tests/")
-}
-
 pub fn check(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    if !exempt(&ctx.rel) {
-        hash_iteration(ctx, out);
-        wallclock(ctx, out);
-    }
-    if ctx.rel.starts_with("crates/nn/src/") {
-        float_sum(ctx, out);
-    }
-}
-
-/// Binding and field names declared as `HashMap`/`HashSet` in this file.
-fn hash_bindings(ctx: &FileCtx) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for (i, t) in ctx.toks.iter().enumerate() {
-        if !(t.is_ident("HashMap") || t.is_ident("HashSet")) {
-            continue;
-        }
-        // Walk back over a `std :: collections ::` path prefix.
-        let mut p = match i.checked_sub(1).and_then(|p| ctx.prev_code(p)) {
-            Some(p) => p,
-            None => continue,
-        };
-        while ctx.toks[p].is_punct(':') {
-            // `::` is two ':' tokens; skip both plus the segment ident.
-            let Some(q) = p
-                .checked_sub(1)
-                .and_then(|q| ctx.prev_code(q))
-                .filter(|&q| ctx.toks[q].is_punct(':'))
-            else {
-                break;
-            };
-            let Some(seg) = q.checked_sub(1).and_then(|s| ctx.prev_code(s)) else {
-                break;
-            };
-            if ctx.toks[seg].kind != Kind::Ident {
-                break;
-            }
-            let Some(before) = seg.checked_sub(1).and_then(|b| ctx.prev_code(b)) else {
-                break;
-            };
-            p = before;
-        }
-        // `name : HashMap<…>` (let binding with annotation, struct field,
-        // or fn param) — or `name = HashMap::new()`-style construction.
-        let name_tok = if ctx.toks[p].is_punct(':') || ctx.toks[p].is_punct('=') {
-            p.checked_sub(1).and_then(|q| ctx.prev_code(q))
-        } else {
-            None
-        };
-        if let Some(n) = name_tok {
-            if ctx.toks[n].kind == Kind::Ident && ctx.toks[n].text != "mut" {
-                names.insert(ctx.toks[n].text.clone());
-            }
-        }
-    }
-    names
-}
-
-fn hash_iteration(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    let names = hash_bindings(ctx);
-    if names.is_empty() {
+    if !ctx.rel.starts_with("crates/nn/src/") {
         return;
     }
-    for (i, t) in ctx.toks.iter().enumerate() {
-        if t.kind != Kind::Ident || !names.contains(&t.text) {
-            continue;
-        }
-        if ctx.in_test(t.line) {
-            continue;
-        }
-        // `name.iter()` and friends.
-        let dot = ctx.next_code(i + 1);
-        if let Some(d) = dot {
-            if ctx.toks[d].is_punct('.') {
-                if let Some(m) = ctx.next_code(d + 1) {
-                    let mt = &ctx.toks[m];
-                    if ITER_METHODS.contains(&mt.text.as_str())
-                        && ctx
-                            .next_code(m + 1)
-                            .is_some_and(|q| ctx.toks[q].is_punct('('))
-                    {
-                        let line = mt.line;
-                        if !ctx.allowed(HASH_ITER, line) && !ctx.allowed(HASH_ITER, t.line) {
-                            out.push(Diagnostic::new(
-                                ctx,
-                                line,
-                                HASH_ITER,
-                                format!(
-                                    "iteration over hash container `{}` (`.{}()`): per-process \
-                                     RandomState order — use BTreeMap/BTreeSet or sort first",
-                                    t.text, mt.text
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        // `for pat in [&][mut] [self.]name` — direct loop over the map.
-        if let Some(prev) = i.checked_sub(1).and_then(|p| ctx.prev_code(p)) {
-            let mut p = prev;
-            // strip an optional `self .` prefix
-            if ctx.toks[p].is_punct('.') {
-                match p
-                    .checked_sub(1)
-                    .and_then(|q| ctx.prev_code(q))
-                    .filter(|&q| ctx.toks[q].is_ident("self"))
-                {
-                    Some(q) => match q.checked_sub(1).and_then(|r| ctx.prev_code(r)) {
-                        Some(r) => p = r,
-                        None => continue,
-                    },
-                    None => continue,
-                }
-            }
-            while ctx.toks[p].is_punct('&') || ctx.toks[p].is_ident("mut") {
-                match p.checked_sub(1).and_then(|q| ctx.prev_code(q)) {
-                    Some(q) => p = q,
-                    None => break,
-                }
-            }
-            if ctx.toks[p].is_ident("in")
-                && ctx
-                    .next_code(i + 1)
-                    .is_some_and(|n| ctx.toks[n].is_punct('{'))
-                && !ctx.allowed(HASH_ITER, t.line)
-            {
-                out.push(Diagnostic::new(
-                    ctx,
-                    t.line,
-                    HASH_ITER,
-                    format!(
-                        "`for … in` over hash container `{}`: per-process RandomState order — \
-                         use BTreeMap/BTreeSet or sort first",
-                        t.text
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-fn wallclock(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    for (i, t) in ctx.toks.iter().enumerate() {
-        let is_clock_type = t.is_ident("Instant") || t.is_ident("SystemTime");
-        if !is_clock_type || ctx.in_test(t.line) {
-            continue;
-        }
-        // `Instant :: now` / `SystemTime :: now`
-        let Some(c1) = ctx.next_code(i + 1).filter(|&c| ctx.toks[c].is_punct(':')) else {
-            continue;
-        };
-        let Some(c2) = ctx.next_code(c1 + 1).filter(|&c| ctx.toks[c].is_punct(':')) else {
-            continue;
-        };
-        let Some(m) = ctx
-            .next_code(c2 + 1)
-            .filter(|&m| ctx.toks[m].is_ident("now"))
-        else {
-            continue;
-        };
-        let line = ctx.toks[m].line;
-        if ctx.allowed(WALLCLOCK, line) || ctx.allowed(WALLCLOCK, t.line) {
-            continue;
-        }
-        out.push(Diagnostic::new(
-            ctx,
-            t.line,
-            WALLCLOCK,
-            format!(
-                "`{}::now` outside crates/bench and #[cfg(test)]: wall-clock must not reach \
-                 result paths (timing-report uses need a lint:allow with a reason)",
-                t.text
-            ),
-        ));
-    }
-}
-
-fn float_sum(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
     for (i, t) in ctx.toks.iter().enumerate() {
         if !t.is_ident("sum") || ctx.in_test(t.line) {
             continue;

@@ -6,25 +6,17 @@ pub mod budget_discipline;
 pub mod determinism;
 pub mod env_registry;
 pub mod lock_order;
-pub mod panic_policy;
 pub mod taint;
 pub mod unsafe_audit;
-pub mod vendor_guard;
 
 /// Every known rule ID, for validating `lint:allow` references.
 pub const ALL_RULES: &[&str] = &[
-    unsafe_audit::BLOCK,
-    unsafe_audit::FN_DOC,
     unsafe_audit::CALLSITE,
     unsafe_audit::TF_VIS,
     unsafe_audit::TF_GUARD,
-    determinism::HASH_ITER,
-    determinism::WALLCLOCK,
     determinism::FLOAT_SUM,
     env_registry::UNDOCUMENTED,
     env_registry::DOC_STALE,
-    panic_policy::RULE,
-    vendor_guard::RULE,
     lock_order::RULE,
     taint::RULE,
     budget_discipline::RULE,

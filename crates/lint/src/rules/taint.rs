@@ -1,4 +1,6 @@
-//! Rule **det-taint**: call-graph generalization of `det-wallclock`.
+//! Rule **det-taint**: the call-graph half of the wall-clock ban. Clippy's
+//! `disallowed_methods` (see `clippy.toml`) makes every clock *read* carry
+//! a reason; this rule follows where the value read *goes*.
 //!
 //! *Sources*: non-test fns whose own bodies read the wall clock
 //! (`Instant::now`, `SystemTime::now`, `.elapsed(`) **and** return a

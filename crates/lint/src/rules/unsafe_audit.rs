@@ -1,11 +1,14 @@
 //! Rule family **unsafe-audit**: machine-checked `unsafe` hygiene for the
 //! SIMD microkernels (and anything else that ever grows an `unsafe`).
 //!
+//! `// SAFETY:` on every `unsafe` block and `# Safety` on every `unsafe fn`
+//! are clippy's job (`clippy::undocumented_unsafe_blocks` at the crate
+//! roots, `clippy::missing_safety_doc` on by default); the rules here need
+//! facts clippy does not look at — which fns the *workspace* declares
+//! unsafe, item visibility next to an attribute, a macro call elsewhere in
+//! the file.
+//!
 //! IDs:
-//! * `unsafe-block-comment` — every `unsafe { … }` block (and `unsafe
-//!   impl`) must be covered by a `// SAFETY:` comment.
-//! * `unsafe-fn-doc` — every `unsafe fn` must document its contract in a
-//!   `# Safety` rustdoc section.
 //! * `unsafe-callsite-comment` — every call of a workspace-declared
 //!   `unsafe fn` must be covered by a `// SAFETY:` comment, either at the
 //!   call site or on its enclosing `unsafe` block.
@@ -19,70 +22,13 @@
 use crate::source::{FileCtx, UnsafeKind};
 use crate::{Diagnostic, WorkspaceIndex};
 
-pub const BLOCK: &str = "unsafe-block-comment";
-pub const FN_DOC: &str = "unsafe-fn-doc";
 pub const CALLSITE: &str = "unsafe-callsite-comment";
 pub const TF_VIS: &str = "target-feature-vis";
 pub const TF_GUARD: &str = "target-feature-guard";
 
 pub fn check(ctx: &FileCtx, ws: &WorkspaceIndex, out: &mut Vec<Diagnostic>) {
-    unsafe_blocks(ctx, out);
-    unsafe_fn_docs(ctx, out);
     unsafe_callsites(ctx, ws, out);
     target_feature(ctx, out);
-}
-
-fn unsafe_blocks(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    for span in &ctx.unsafe_spans {
-        if span.kind == UnsafeKind::Block && !span.has_safety && !ctx.allowed(BLOCK, span.line) {
-            out.push(Diagnostic::new(
-                ctx,
-                span.line,
-                BLOCK,
-                "`unsafe` block without a `// SAFETY:` comment stating the invariant it relies on"
-                    .to_string(),
-            ));
-        }
-    }
-    // `unsafe impl Trait for T` asserts an invariant exactly like a block.
-    let mut i = 0;
-    while i < ctx.toks.len() {
-        if ctx.toks[i].is_ident("unsafe") {
-            if let Some(next) = ctx.next_code(i + 1) {
-                if ctx.toks[next].is_ident("impl") || ctx.toks[next].is_ident("trait") {
-                    let line = ctx.toks[i].line;
-                    if !ctx.safety_near(line) && !ctx.allowed(BLOCK, line) {
-                        out.push(Diagnostic::new(
-                            ctx,
-                            line,
-                            BLOCK,
-                            format!(
-                                "`unsafe {}` without a `// SAFETY:` comment",
-                                ctx.toks[next].text
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-        i += 1;
-    }
-}
-
-fn unsafe_fn_docs(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    for f in &ctx.unsafe_fns {
-        if !f.has_safety_doc && !ctx.allowed(FN_DOC, f.line) {
-            out.push(Diagnostic::new(
-                ctx,
-                f.line,
-                FN_DOC,
-                format!(
-                    "`unsafe fn {}` without a `# Safety` rustdoc section documenting its contract",
-                    f.name
-                ),
-            ));
-        }
-    }
 }
 
 fn unsafe_callsites(ctx: &FileCtx, ws: &WorkspaceIndex, out: &mut Vec<Diagnostic>) {

@@ -2,7 +2,7 @@
 //! every rule consumes — comment indexes (`SAFETY:`, `lint:allow`),
 //! `#[cfg(test)]` regions, and `unsafe` block / `unsafe fn` spans.
 
-use crate::lexer::{lex, Kind, Tok};
+use crate::lexer::{lex, Tok};
 use std::collections::BTreeMap;
 
 /// One parsed `// lint:allow(<rule>): <reason>` escape hatch.
@@ -27,12 +27,8 @@ pub enum UnsafeKind {
 #[derive(Debug, Clone)]
 pub struct UnsafeSpan {
     pub kind: UnsafeKind,
-    /// Token index of the `unsafe` keyword.
-    pub kw_tok: usize,
     /// Token range of the braced body (indices of `{` and `}`).
     pub body: (usize, usize),
-    /// Line of the `unsafe` keyword.
-    pub line: usize,
     /// Whether a `// SAFETY:` comment covers the span head.
     pub has_safety: bool,
 }
@@ -43,9 +39,6 @@ pub struct UnsafeFn {
     pub name: String,
     /// Token index of the name identifier (excluded from call-site scan).
     pub name_tok: usize,
-    pub line: usize,
-    /// Whether the item's doc comment contains a `# Safety` section.
-    pub has_safety_doc: bool,
 }
 
 /// Fully analysed source file, ready for the rules.
@@ -303,9 +296,9 @@ impl FileCtx {
         self.toks.len().saturating_sub(1)
     }
 
-    /// Collects `unsafe { … }` blocks, `unsafe fn` declarations (with
-    /// their body spans — they are execution contexts too), and whether
-    /// each carries its required comment/doc.
+    /// Collects `unsafe { … }` blocks (and whether a `// SAFETY:` comment
+    /// covers each) and `unsafe fn` declarations with their body spans —
+    /// they are execution contexts too.
     fn collect_unsafe(&mut self) {
         let mut spans = Vec::new();
         let mut fns = Vec::new();
@@ -324,9 +317,7 @@ impl FileCtx {
                 let close = self.matching_brace(next);
                 spans.push(UnsafeSpan {
                     kind: UnsafeKind::Block,
-                    kw_tok: kw,
                     body: (next, close),
-                    line: self.toks[kw].line,
                     has_safety: self.safety_near(self.toks[kw].line),
                 });
                 i = next + 1;
@@ -354,17 +345,13 @@ impl FileCtx {
                 if let Some(body) = body {
                     spans.push(UnsafeSpan {
                         kind: UnsafeKind::FnBody,
-                        kw_tok: kw,
                         body,
-                        line: self.toks[kw].line,
                         has_safety: false,
                     });
                 }
                 fns.push(UnsafeFn {
-                    has_safety_doc: self.doc_has_safety_section(kw),
                     name,
                     name_tok: name_i,
-                    line: self.toks[kw].line,
                 });
                 i = name_i + 1;
                 continue;
@@ -373,44 +360,6 @@ impl FileCtx {
         }
         self.unsafe_spans = spans;
         self.unsafe_fns = fns;
-    }
-
-    /// Walks upward from the token at `item_tok` over the item's
-    /// visibility, attributes, and doc comments, and reports whether any
-    /// doc comment contains a `# Safety` section.
-    fn doc_has_safety_section(&self, item_tok: usize) -> bool {
-        let mut i = item_tok;
-        let mut bracket_depth = 0usize;
-        while i > 0 {
-            i -= 1;
-            let t = &self.toks[i];
-            match t.kind {
-                Kind::LineComment | Kind::BlockComment => {
-                    let is_doc = t.text.starts_with("///")
-                        || t.text.starts_with("//!")
-                        || t.text.starts_with("/**")
-                        || t.text.starts_with("/*!");
-                    if is_doc && t.text.contains("# Safety") {
-                        return true;
-                    }
-                }
-                Kind::Punct if t.is_punct(']') => bracket_depth += 1,
-                Kind::Punct if t.is_punct('[') => bracket_depth = bracket_depth.saturating_sub(1),
-                // Attribute contents and `pub(super)`-style visibility are
-                // part of the item header; anything else ends the walk.
-                Kind::Punct if t.is_punct('#') || t.is_punct('(') || t.is_punct(')') => {}
-                Kind::Ident
-                    if bracket_depth > 0
-                        || matches!(
-                            t.text.as_str(),
-                            "pub" | "super" | "crate" | "self" | "in" | "const" | "extern"
-                        ) => {}
-                Kind::Str if bracket_depth > 0 => {}
-                Kind::Punct if bracket_depth > 0 => {}
-                _ => return false,
-            }
-        }
-        false
     }
 }
 

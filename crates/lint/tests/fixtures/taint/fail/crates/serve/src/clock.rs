@@ -1,12 +1,10 @@
 //! Taint fixture (fail), source side: a wall-clock reading laundered
-//! through two return-value hops. The per-line `det-wallclock` rule is
-//! allowed off at the read — only the graph rule can follow the value.
+//! through two return-value hops — only the graph rule can follow the
+//! value.
 
 use std::time::Instant;
 
 pub fn stamp_micros() -> u64 {
-    // lint:allow(det-wallclock): fixture — the cross-function taint rule,
-    // not the line rule, is under test here.
     let t = Instant::now();
     t.elapsed().as_micros() as u64
 }

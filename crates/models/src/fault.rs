@@ -19,10 +19,10 @@
 //! [`Oracle::sim_overhead_seconds`], which budget-aware callers (the
 //! Phase-2 cleaner's deadline check) add to the per-frame scoring cost.
 
-use crate::oracle::Oracle;
-use parking_lot::Mutex;
+use crate::oracle::{lock, Oracle};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Why an oracle call failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -227,7 +227,7 @@ impl<O: Oracle> Oracle for FlakyOracle<O> {
         match self.decide(idx) {
             Fault::Timeout => {
                 self.timeouts.fetch_add(1, Ordering::Relaxed);
-                *self.overhead.lock() += self.plan.timeout_penalty;
+                *lock(&self.overhead) += self.plan.timeout_penalty;
                 Err(OracleError::Timeout {
                     sim_seconds: self.plan.timeout_penalty,
                 })
@@ -238,7 +238,7 @@ impl<O: Oracle> Oracle for FlakyOracle<O> {
             }
             Fault::Spike => {
                 self.spikes.fetch_add(1, Ordering::Relaxed);
-                *self.overhead.lock() += self.plan.spike_penalty;
+                *lock(&self.overhead) += self.plan.spike_penalty;
                 self.inner.try_score_batch(frames)
             }
             Fault::None => self.inner.try_score_batch(frames),
@@ -258,7 +258,7 @@ impl<O: Oracle> Oracle for FlakyOracle<O> {
     }
 
     fn sim_overhead_seconds(&self) -> f64 {
-        *self.overhead.lock() + self.inner.sim_overhead_seconds()
+        *lock(&self.overhead) + self.inner.sim_overhead_seconds()
     }
 }
 
@@ -375,7 +375,7 @@ impl<O: Oracle> Oracle for RetryingOracle<O> {
                 Err(e) if e.is_retryable() && attempt < self.policy.max_retries => {
                     let backoff = (self.policy.base_backoff * f64::powi(2.0, attempt as i32))
                         .min(self.policy.max_backoff);
-                    *self.backoff.lock() += backoff;
+                    *lock(&self.backoff) += backoff;
                     self.retries.fetch_add(1, Ordering::Relaxed);
                     attempt += 1;
                 }
@@ -405,7 +405,7 @@ impl<O: Oracle> Oracle for RetryingOracle<O> {
     }
 
     fn sim_overhead_seconds(&self) -> f64 {
-        *self.backoff.lock() + self.inner.sim_overhead_seconds()
+        *lock(&self.backoff) + self.inner.sim_overhead_seconds()
     }
 }
 

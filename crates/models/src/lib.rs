@@ -10,12 +10,6 @@
 //! * [`fault`] — fault injection and tolerance: [`fault::FlakyOracle`]
 //!   (seeded deterministic timeouts/transient errors/latency spikes) and
 //!   [`fault::RetryingOracle`] (sim-clock backoff + circuit breaker);
-//! * [`detector`] — ground-truth object detections (boxes + classes) read
-//!   back from the synthetic videos, standing in for YOLOv3 output;
-//! * [`tracker`] — the IoU-based object tracker that assigns stable
-//!   `objectID`s across frames (§2's tracker reference \[67\]);
-//! * [`relation`] — the video relation of Table 2 (`ts, class, polygon,
-//!   objectID, features`) and its materialisation;
 //! * [`counting`] — the default object-counting UDF of Figure 3;
 //! * [`depth`] — the depth-estimator oracle behind the tailgating UDF
 //!   (Figure 9);
@@ -27,22 +21,21 @@
 //! is a ratio of simulated times, so only the *relative* magnitudes matter.
 
 #![deny(unsafe_code)]
+#![warn(
+    clippy::undocumented_unsafe_blocks,
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod classic;
 pub mod counting;
 pub mod depth;
-pub mod detector;
 pub mod fault;
 pub mod oracle;
-pub mod relation;
 pub mod sentiment;
-pub mod tracker;
 
 pub use classic::{CheapScorer, HogScorer, TinyYoloScorer};
 pub use counting::{counting_oracle, coverage_oracle};
 pub use depth::depth_oracle;
-pub use detector::{Detection, Detector, GroundTruthDetector};
 pub use fault::{FaultPlan, FlakyOracle, OracleError, RetryPolicy, RetryingOracle};
 pub use oracle::{ExactScoreOracle, InstrumentedOracle, Oracle};
-pub use relation::{VideoRelation, VideoRelationRow};
-pub use tracker::IouTracker;

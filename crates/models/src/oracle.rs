@@ -7,9 +7,15 @@
 //! seconds to whoever is accounting (the pipeline's `SimClock`).
 
 use crate::fault::OracleError;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, recovering the data of a poisoned lock: the guarded values
+/// here (a trace, an overhead sum) stay meaningful after another thread
+/// panicked mid-update.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// An accurate-but-slow scoring model.
 pub trait Oracle: Send + Sync {
@@ -150,7 +156,7 @@ impl<O: Oracle> InstrumentedOracle<O> {
     }
 
     pub fn take_trace(&self) -> Vec<usize> {
-        std::mem::take(&mut self.trace.lock())
+        std::mem::take(&mut lock(&self.trace))
     }
 
     pub fn inner(&self) -> &O {
@@ -160,7 +166,7 @@ impl<O: Oracle> InstrumentedOracle<O> {
     pub fn reset(&self) {
         self.frames_scored.store(0, Ordering::Relaxed);
         self.batches.store(0, Ordering::Relaxed);
-        self.trace.lock().clear();
+        lock(&self.trace).clear();
     }
 }
 
@@ -170,7 +176,7 @@ impl<O: Oracle> Oracle for InstrumentedOracle<O> {
             .fetch_add(frames.len() as u64, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
         if self.keep_trace {
-            self.trace.lock().extend_from_slice(frames);
+            lock(&self.trace).extend_from_slice(frames);
         }
         self.inner.score_batch(frames)
     }
@@ -183,7 +189,7 @@ impl<O: Oracle> Oracle for InstrumentedOracle<O> {
             .fetch_add(frames.len() as u64, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
         if self.keep_trace {
-            self.trace.lock().extend_from_slice(frames);
+            lock(&self.trace).extend_from_slice(frames);
         }
         Ok(scores)
     }

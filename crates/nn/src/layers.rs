@@ -637,10 +637,13 @@ pub(crate) mod reference {
 
     /// Scalar conv backward (single sample): returns
     /// `(grad_in, grad_weight, grad_bias)`.
-    // Index loops mirror the hand-derived gradient equations one-to-one;
-    // iterator rewrites would obscure the (o, y, x, i, ky, kx) indexing
-    // this reference implementation exists to spell out.
-    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+    #[allow(
+        clippy::too_many_arguments,
+        clippy::needless_range_loop,
+        reason = "index loops mirror the hand-derived gradient equations one-to-one; iterator \
+                  rewrites would obscure the (o, y, x, i, ky, kx) indexing this reference \
+                  implementation exists to spell out"
+    )]
     pub fn conv3x3_backward(
         in_ch: usize,
         out_ch: usize,
@@ -771,9 +774,11 @@ mod tests {
     }
 
     #[test]
-    // The numeric gradient check perturbs weight[wi] in place; the index
-    // is the subject of the test, not an iteration artefact.
-    #[allow(clippy::needless_range_loop)]
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "the numeric gradient check perturbs weight[wi] in place; the index is the \
+                  subject of the test, not an iteration artefact"
+    )]
     fn conv_weight_gradient_check() {
         let mut rng = init_rng(9);
         let mut conv = Conv3x3::new(1, 1, 4, 4, &mut rng);
@@ -895,9 +900,11 @@ mod tests {
     }
 
     #[test]
-    // The reference grads are spelled index-style ((o, i) against the
-    // flattened weight matrix) to mirror the math being verified.
-    #[allow(clippy::needless_range_loop)]
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "the reference grads are spelled index-style ((o, i) against the flattened \
+                  weight matrix) to mirror the math being verified"
+    )]
     fn dense_batched_matches_per_sample() {
         let mut rng = init_rng(21);
         let mut d = Dense::new(7, 5, &mut rng);

@@ -29,6 +29,11 @@
 //! pushes whole minibatches through one GEMM per layer.
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::undocumented_unsafe_blocks,
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod cmdn;
 pub mod kernels;

@@ -41,6 +41,11 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(
+    clippy::undocumented_unsafe_blocks,
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod client;
 pub mod config;

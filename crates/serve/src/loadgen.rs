@@ -168,8 +168,10 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
         ));
     }
     let latency = Arc::new(LatencyHistogram::new());
-    // lint:allow(det-wallclock): load-test wall timing; reported outside
-    // the deterministic digest.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "load-test wall timing; reported outside the deterministic digest"
+    )]
     let started = Instant::now();
 
     let mut threads = Vec::with_capacity(cfg.sessions);
@@ -186,7 +188,10 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
                 let mut shed = 0u64;
                 for _ in 0..cfg.queries_per_session {
                     let pick = (splitmix64(&mut rng) % cfg.mix.len() as u64) as usize;
-                    // lint:allow(det-wallclock): per-query round-trip sample.
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "per-query round-trip sample for the latency histogram"
+                    )]
                     let t0 = Instant::now();
                     let response = client.query(&cfg.mix[pick])?;
                     latency.record_us(t0.elapsed().as_micros() as u64);

@@ -149,8 +149,11 @@ impl Metrics {
             bytes_in: AtomicU64::new(0),
             bytes_out: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
-            // lint:allow(det-wallclock): uptime/qps base for the metrics
-            // endpoint; rendered only below WALL_CLOCK_MARKER.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "uptime/qps base for the metrics endpoint; rendered only below \
+                          WALL_CLOCK_MARKER"
+            )]
             started: Instant::now(),
         }
     }
@@ -212,8 +215,7 @@ impl Metrics {
         // vary run to run even when every answer is byte-identical in its
         // canonical form.
         out.push_str(&format!("bytes_out={}\n", self.bytes_out.load(ld)));
-        // lint:allow(det-wallclock): qps/uptime section, explicitly
-        // quarantined below the marker.
+        // qps/uptime section, explicitly quarantined below the marker.
         let uptime = self.started.elapsed().as_secs_f64().max(1e-9);
         out.push_str(&format!("uptime_seconds={uptime:.3}\n"));
         out.push_str(&format!("qps={:.2}\n", answered as f64 / uptime));

@@ -292,6 +292,11 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         .fetch_add(1, Ordering::Relaxed);
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the keep-alive stamp and the drain-deadline check (an assignment and an `if`, which \
+              cannot carry an attribute): connection lifecycle only, never answer content"
+)]
 fn serve_connection(shared: &Shared, mut stream: TcpStream, session_id: u64) -> CloseReason {
     let cfg = &shared.cfg;
     let _ = stream.set_nodelay(true);
@@ -306,8 +311,10 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, session_id: u64) -> 
     let mut buf = [0u8; 16 * 1024];
     let mut drain_deadline: Option<Instant> = None;
     let mut queries_served = 0u64;
-    // lint:allow(det-wallclock): keep-alive idle clock; connection
-    // lifecycle only, never answer content.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "keep-alive idle clock; connection lifecycle only, never answer content"
+    )]
     let mut last_frame = Instant::now();
 
     loop {
@@ -316,7 +323,6 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, session_id: u64) -> 
         loop {
             match decoder.next_frame() {
                 Ok(Some(payload)) => {
-                    // lint:allow(det-wallclock): keep-alive idle clock.
                     last_frame = Instant::now();
                     if let Err(reason) = serve_frame(
                         shared,
@@ -368,10 +374,12 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, session_id: u64) -> 
             if !decoder.has_partial() {
                 return CloseReason::Clean;
             }
-            // lint:allow(det-wallclock): shutdown drain-grace timer; a
-            // peer holding half a frame may finish it, but not forever.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "shutdown drain-grace timer; a peer holding half a frame may finish it, \
+                          but not forever"
+            )]
             let deadline = *drain_deadline.get_or_insert_with(|| Instant::now() + cfg.drain_grace);
-            // lint:allow(det-wallclock): drain-grace deadline check.
             if Instant::now() >= deadline {
                 return CloseReason::DrainExpired;
             }
@@ -382,7 +390,6 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, session_id: u64) -> 
         // activity in progress, so it is exempt until it completes or the
         // peer stalls past the limit anyway).
         if let Some(idle) = cfg.idle_timeout {
-            // lint:allow(det-wallclock): keep-alive idle check.
             if !decoder.has_partial() && last_frame.elapsed() >= idle {
                 return CloseReason::Clean;
             }
@@ -494,8 +501,10 @@ fn serve_query(
     }
 
     shared.registry.begin(session_id);
-    // lint:allow(det-wallclock): per-query latency sample for the
-    // histogram; rendered only below WALL_CLOCK_MARKER.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "per-query latency sample for the histogram; rendered only below WALL_CLOCK_MARKER"
+    )]
     let started = Instant::now();
 
     // Disconnect cancellation: while the query executes, a watcher peeks

@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 /// frames, crossing the scene along a lane.
 #[derive(Debug, Clone)]
 pub struct ScriptedObject {
-    /// Stable identity (also used as ground truth for the tracker).
+    /// Stable identity across frames.
     pub id: u64,
     /// First frame in which the object is visible.
     pub birth: usize,

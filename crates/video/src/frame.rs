@@ -165,8 +165,8 @@ impl Frame {
 /// Axis-aligned bounding box in pixel coordinates.
 ///
 /// The paper's video relation (Table 2) stores object "polygons"; detections
-/// in practice are bounding boxes, which is what our detector substrate and
-/// IoU tracker use.
+/// in practice are bounding boxes, which is what the ground-truth
+/// annotations carry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BBox {
     pub x: f32,
@@ -182,24 +182,6 @@ impl BBox {
 
     pub fn area(&self) -> f32 {
         (self.w.max(0.0)) * (self.h.max(0.0))
-    }
-
-    /// Intersection-over-union with another box; `0.0` when disjoint.
-    pub fn iou(&self, other: &BBox) -> f32 {
-        let x0 = self.x.max(other.x);
-        let y0 = self.y.max(other.y);
-        let x1 = (self.x + self.w).min(other.x + other.w);
-        let y1 = (self.y + self.h).min(other.y + other.h);
-        if x1 <= x0 || y1 <= y0 {
-            return 0.0;
-        }
-        let inter = (x1 - x0) * (y1 - y0);
-        let union = self.area() + other.area() - inter;
-        if union <= 0.0 {
-            0.0
-        } else {
-            inter / union
-        }
     }
 
     /// Center point of the box.
@@ -293,33 +275,5 @@ mod tests {
         let f = Frame::filled(4, 4, 0.5);
         assert!((f.region_mean(2, 2, 10, 10) - 0.5).abs() < 1e-7);
         assert_eq!(f.region_mean(4, 4, 2, 2), 0.0);
-    }
-
-    #[test]
-    fn bbox_iou_identical_is_one() {
-        let b = BBox::new(1.0, 2.0, 3.0, 4.0);
-        assert!((b.iou(&b) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn bbox_iou_disjoint_is_zero() {
-        let a = BBox::new(0.0, 0.0, 1.0, 1.0);
-        let b = BBox::new(5.0, 5.0, 1.0, 1.0);
-        assert_eq!(a.iou(&b), 0.0);
-    }
-
-    #[test]
-    fn bbox_iou_half_overlap() {
-        let a = BBox::new(0.0, 0.0, 2.0, 1.0);
-        let b = BBox::new(1.0, 0.0, 2.0, 1.0);
-        // intersection 1, union 3
-        assert!((a.iou(&b) - 1.0 / 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn bbox_degenerate_zero_area() {
-        let a = BBox::new(0.0, 0.0, 0.0, 0.0);
-        assert_eq!(a.area(), 0.0);
-        assert_eq!(a.iou(&a), 0.0);
     }
 }

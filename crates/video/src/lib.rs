@@ -26,6 +26,11 @@
 //! of `(video_seed, i)`, so no frames ever need to be stored.
 
 #![deny(unsafe_code)]
+#![warn(
+    clippy::undocumented_unsafe_blocks,
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod arrival;
 pub mod dashcam;

@@ -53,7 +53,7 @@ impl ObjectClass {
 /// A ground-truth annotation: what the "accurate oracle detector" sees.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroundTruthObject {
-    /// Stable object identity across frames (tracker ground truth).
+    /// Stable object identity across frames.
     pub id: u64,
     pub class: ObjectClass,
     /// Bounding box in pixel coordinates (may extend beyond frame borders

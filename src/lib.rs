@@ -13,8 +13,8 @@
 //! * [`video`] (`everest-video`) — synthetic video substrate (datasets,
 //!   difference detector, decode cost model, Visual Road, dashcams).
 //! * [`nn`] (`everest-nn`) — pure-Rust convolutional mixture density network.
-//! * [`models`] (`everest-models`) — simulated deep-model oracles, object
-//!   tracker, video relation, classic baseline scorers.
+//! * [`models`] (`everest-models`) — simulated deep-model oracles (incl.
+//!   fault injection and retry wrappers), classic baseline scorers.
 //! * [`evql`] (`everest-evql`) — the declarative Top-K query language
 //!   (§5's FrameQL-style integration) and the `everest-cli` shell.
 //!

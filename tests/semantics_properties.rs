@@ -322,6 +322,7 @@ fn dp_semantics_evaluate_200_items_quickly() {
     );
 
     let k = 10;
+    #[expect(clippy::disallowed_methods, reason = "test timing")]
     let started = std::time::Instant::now();
     let table = RankTable::build(&rel, k);
     let (set, p) = u_topk_dp(&rel, k);

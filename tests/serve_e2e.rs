@@ -52,6 +52,7 @@ fn local_canonical(session: &mut Session, query: &str) -> Vec<u8> {
 }
 
 /// Polls `cond` for up to 10 s.
+#[expect(clippy::disallowed_methods, reason = "test timing")]
 fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while !cond() {
