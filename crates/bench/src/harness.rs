@@ -224,8 +224,10 @@ pub fn run_all_methods(ds: &PreparedDataset, k: usize, thres: f64) -> Vec<Method
     let tiny = cheap_scan(&TinyYoloScorer::new(ds.oracle.inner().clone(), 1), k);
     rows.push(eval_baseline(ds, &tiny, k));
     rows.push(eval_baseline(ds, &cmdn_only(&ds.prepared, k), k));
-    let snt = select_and_topk_calibrated(&ds.prepared, ds.oracle.inner(), k, 0.9);
-    rows.push(eval_baseline(ds, &snt, k));
+    // No row when no λ selects K candidates.
+    if let Some(snt) = select_and_topk_calibrated(&ds.prepared, ds.oracle.inner(), k, 0.9) {
+        rows.push(eval_baseline(ds, &snt, k));
+    }
     let (_, everest) = run_everest(ds, k, thres);
     rows.push(everest);
     rows

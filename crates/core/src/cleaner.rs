@@ -102,6 +102,8 @@ impl Default for CleanerConfig {
 pub struct CleanOutcome {
     /// The Top-K item ids, ordered by (bucket desc, id asc). All certain.
     pub topk: Vec<ItemId>,
+    /// The same Top-K as `(id, confirmed bucket)` rows.
+    pub rows: Vec<(ItemId, u32)>,
     /// Final confidence `p̂ = Pr(R̂ = R)` under PWS.
     pub confidence: f64,
     /// Select-clean iterations executed.
@@ -354,8 +356,10 @@ pub fn run_cleaner(
         0,
         cfg.max_cleanings,
     );
+    let rows: Vec<(ItemId, u32)> = answer.state.topk().collect();
     CleanOutcome {
-        topk: answer.state.topk().map(|(id, _)| id).collect(),
+        topk: rows.iter().map(|&(id, _)| id).collect(),
+        rows,
         confidence: run.confidence,
         iterations: run.iterations,
         cleaned: run.cleaned,

@@ -8,21 +8,19 @@
 
 /// A discrete distribution over buckets `0 ..= max_bucket`.
 ///
-/// Stores the PMF and the precomputed CDF; the CDF is what Eq. 2/3 consume
-/// (`F_f(t) = Pr(S_f ≤ t)`).
+/// Stores the PMF, the precomputed CDF — what Eq. 2/3 consume
+/// (`F_f(t) = Pr(S_f ≤ t)`) — and the support bounds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiscreteDist {
-    pmf: Vec<f64>,
-    cdf: Vec<f64>,
+    pmf: Box<[f64]>,
+    cdf: Box<[f64]>,
+    /// Smallest and largest bucket with positive mass.
+    support: (usize, usize),
 }
 
 impl DiscreteDist {
     /// Builds a distribution from raw masses, normalising them.
     ///
-    #[expect(
-        clippy::expect_used,
-        reason = "`masses` is asserted non-empty on entry, so `cdf` has a last element"
-    )]
     /// Panics if the masses are empty, negative, or sum to zero.
     pub fn from_masses(masses: &[f64]) -> Self {
         assert!(!masses.is_empty(), "distribution needs at least one bucket");
@@ -32,7 +30,7 @@ impl DiscreteDist {
         );
         let total: f64 = masses.iter().sum();
         assert!(total > 0.0, "distribution needs positive total mass");
-        let pmf: Vec<f64> = masses.iter().map(|m| m / total).collect();
+        let pmf: Box<[f64]> = masses.iter().map(|m| m / total).collect();
         let mut cdf = Vec::with_capacity(pmf.len());
         let mut acc = 0.0;
         for &p in &pmf {
@@ -40,8 +38,17 @@ impl DiscreteDist {
             cdf.push(acc.min(1.0));
         }
         // force exactness at the top to avoid 1-1e-16 artifacts
-        *cdf.last_mut().expect("non-empty") = 1.0;
-        DiscreteDist { pmf, cdf }
+        if let Some(top) = cdf.last_mut() {
+            *top = 1.0;
+        }
+        let cdf = cdf.into_boxed_slice();
+        // The total mass is positive, so both scans stop inside the grid.
+        let zero = |p: &&f64| **p == 0.0;
+        let support = (
+            pmf.iter().take_while(zero).count(),
+            pmf.len() - 1 - pmf.iter().rev().take_while(zero).count(),
+        );
+        DiscreteDist { pmf, cdf, support }
     }
 
     /// A point mass at `bucket` on a grid of `max_bucket + 1` buckets.
@@ -83,11 +90,6 @@ impl DiscreteDist {
         }
     }
 
-    /// Full PMF slice.
-    pub fn pmf_slice(&self) -> &[f64] {
-        &self.pmf
-    }
-
     /// Mean bucket value (in bucket units).
     pub fn mean_bucket(&self) -> f64 {
         self.pmf
@@ -98,27 +100,13 @@ impl DiscreteDist {
     }
 
     /// Smallest bucket with positive mass.
-    #[expect(
-        clippy::expect_used,
-        reason = "construction normalises to total mass 1, so some bucket has positive mass"
-    )]
     pub fn support_min(&self) -> usize {
-        self.pmf
-            .iter()
-            .position(|&p| p > 0.0)
-            .expect("normalised dist has mass")
+        self.support.0
     }
 
     /// Largest bucket with positive mass.
-    #[expect(
-        clippy::expect_used,
-        reason = "construction normalises to total mass 1, so some bucket has positive mass"
-    )]
     pub fn support_max(&self) -> usize {
-        self.pmf
-            .iter()
-            .rposition(|&p| p > 0.0)
-            .expect("normalised dist has mass")
+        self.support.1
     }
 
     /// Samples a bucket given a uniform `u ∈ [0, 1)` (inverse CDF).

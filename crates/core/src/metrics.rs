@@ -16,6 +16,8 @@
 //! * **score error** — mean |i-th returned score − i-th true score| after
 //!   sorting both descending.
 
+use std::cmp::Ordering;
+
 /// Exact-score ground truth against which answers are judged.
 #[derive(Debug, Clone)]
 pub struct GroundTruth {
@@ -29,12 +31,7 @@ impl GroundTruth {
     pub fn new(scores: Vec<f64>) -> Self {
         assert!(!scores.is_empty(), "ground truth needs at least one item");
         let mut sorted = scores.clone();
-        #[expect(
-            clippy::expect_used,
-            reason = "ground-truth scores are finite by the oracle contract, so partial_cmp is \
-                      total here"
-        )]
-        sorted.sort_unstable_by(|a, b| b.partial_cmp(a).expect("finite scores"));
+        sorted.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap_or(Ordering::Equal));
         GroundTruth { scores, sorted }
     }
 
@@ -117,12 +114,7 @@ pub fn evaluate_topk(truth: &GroundTruth, answer: &[usize], k: usize) -> ResultQ
 
     // Score error: rank-aligned absolute differences.
     let mut got: Vec<f64> = answer.iter().map(|&id| truth.score(id)).collect();
-    #[expect(
-        clippy::expect_used,
-        reason = "ground-truth scores are finite by the oracle contract, so partial_cmp is total \
-                  here"
-    )]
-    got.sort_unstable_by(|a, b| b.partial_cmp(a).expect("finite"));
+    got.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap_or(Ordering::Equal));
     let score_error: f64 = got
         .iter()
         .enumerate()

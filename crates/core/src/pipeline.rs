@@ -354,17 +354,9 @@ impl PreparedVideo {
         );
 
         let items = outcome
-            .topk
+            .rows
             .iter()
-            .map(|&id| {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the cleaner only returns ids it confirmed (or found certain), so \
-                              every answer item has a certain bucket"
-                )]
-                let bucket = relation.certain_bucket(id).expect("answer is certain");
-                item(id, relation.bucket_to_score(bucket))
-            })
+            .map(|&(id, bucket)| item(id, relation.bucket_to_score(bucket)))
             .collect();
         QueryReport {
             items,

@@ -18,7 +18,7 @@
 //! own confidence, [`crate::semantics_dp`] for the §2 alternative
 //! semantics.
 
-use crate::xtuple::{ItemId, UncertainRelation};
+use crate::xtuple::{ItemId, ItemState, UncertainRelation};
 use std::fmt;
 
 /// Enumeration guard: relations with more possible worlds than this are
@@ -94,19 +94,13 @@ pub fn enumerate_worlds(rel: &UncertainRelation) -> Result<Vec<World>, TooManyWo
         prob: 1.0,
     }];
     for id in 0..n {
-        match rel.certain_bucket(id) {
-            Some(b) => {
+        match rel.item(id) {
+            ItemState::Certain(b) => {
                 for w in &mut worlds {
-                    w.buckets[id] = b;
+                    w.buckets[id] = *b;
                 }
             }
-            None => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "this arm is `certain_bucket(id) == None`, and an item is either \
-                              certain or carries a dist"
-                )]
-                let d = rel.dist(id).expect("uncertain item has dist");
+            ItemState::Uncertain(d) => {
                 let mut next = Vec::with_capacity(worlds.len() * 2);
                 for w in &worlds {
                     for bucket in d.support_min()..=d.support_max() {
@@ -132,21 +126,12 @@ pub fn is_topk_in_world(world: &World, answer: &[ItemId], k: usize) -> bool {
     if answer.len() != k {
         return false;
     }
-    #[expect(
-        clippy::expect_used,
-        reason = "`answer.len() == k` was checked above and K ≥ 1"
-    )]
-    let min_in = answer
-        .iter()
-        .map(|&id| world.buckets[id])
-        .min()
-        .expect("non-empty answer");
     world
         .buckets
         .iter()
         .enumerate()
         .filter(|(id, _)| !answer.contains(id))
-        .all(|(_, &b)| b <= min_in)
+        .all(|(_, &b)| answer.iter().all(|&a| b <= world.buckets[a]))
 }
 
 /// Eq. 1: the confidence of `answer` as the probability mass of the worlds

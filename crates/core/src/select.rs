@@ -24,6 +24,7 @@
 use crate::dist::DiscreteDist;
 use crate::topkprob::JointCdf;
 use crate::xtuple::{ItemId, UncertainRelation};
+use std::cmp::Ordering;
 
 /// The sort factor ψ (Eq. 7). `F_f(S_p) = 0` maps to +∞: such an item is
 /// certainly above the penultimate threshold and must be cleaned first.
@@ -37,27 +38,15 @@ pub fn psi(dist: &DiscreteDist, s_k: usize, s_p: usize) -> f64 {
     }
 }
 
-/// Eq. 6: expected confidence of the *next* iteration if item `id` is
-/// cleaned now, marginalising over its possible exact scores.
+/// Eq. 6: expected confidence of the *next* iteration if the uncertain
+/// item with distribution `d` is cleaned now, marginalising over its
+/// possible exact scores.
 ///
 /// `s_k` is the current threshold bucket (K-th certain score), `s_p` the
 /// penultimate bucket ((K−1)-th certain score; pass the grid maximum when
 /// K = 1, where any score above `s_k` becomes the new threshold).
-pub fn expected_confidence(
-    rel: &UncertainRelation,
-    h: &JointCdf,
-    id: ItemId,
-    s_k: usize,
-    s_p: usize,
-) -> f64 {
+pub fn expected_confidence(d: &DiscreteDist, h: &JointCdf, s_k: usize, s_p: usize) -> f64 {
     debug_assert!(s_k <= s_p, "threshold above penultimate ({s_k} > {s_p})");
-    #[expect(
-        clippy::expect_used,
-        reason = "callers only score uncertain items: the selector drops certain ids before calling"
-    )]
-    let d = rel
-        .dist(id)
-        .expect("expected_confidence needs an uncertain item");
     // Case s ≤ S_k: answer unchanged, f's uncertainty discounted.
     let mut e = d.cdf(s_k) * h.value_excluding(d, s_k);
     // Case S_k < s ≤ S_p: f becomes the new K-th; threshold moves to s.
@@ -138,21 +127,15 @@ impl CandidateSelector {
 
     fn resort(&mut self, rel: &UncertainRelation, s_k: usize, s_p: usize) {
         // Drop cleaned items and recompute ψ at the current thresholds.
-        self.order.retain(|&id| !rel.is_certain(id));
-        #[expect(
-            clippy::expect_used,
-            reason = "`order` was just filtered to uncertain ids, and every uncertain item carries \
-                      a dist"
-        )]
         let mut keyed: Vec<(f64, ItemId)> = self
             .order
             .iter()
-            .map(|&id| (psi(rel.dist(id).expect("uncertain"), s_k, s_p), id))
+            .filter_map(|&id| rel.dist(id).map(|d| (psi(d, s_k, s_p), id)))
             .collect();
         // Descending ψ, ties by ascending id for determinism.
         keyed.sort_by(|a, b| {
             b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .unwrap_or(Ordering::Equal)
                 .then(a.1.cmp(&b.1))
         });
         self.order = keyed.iter().map(|&(_, id)| id).collect();
@@ -185,9 +168,9 @@ impl CandidateSelector {
         let mut best: Vec<(f64, ItemId)> = Vec::with_capacity(batch + 1);
         for pos in 0..self.order.len() {
             let id = self.order[pos];
-            if rel.is_certain(id) {
+            let Some(d) = rel.dist(id) else {
                 continue; // cleaned since the last re-sort
-            }
+            };
             let stale_psi = self.psi.get(pos).copied().unwrap_or(f64::INFINITY);
             let bound = if stale_psi.is_infinite() {
                 f64::INFINITY
@@ -197,24 +180,14 @@ impl CandidateSelector {
             if !self.exhaustive && best.len() == batch && bound <= best[0].0 {
                 break; // every remaining item has a smaller upper bound
             }
-            let e = expected_confidence(rel, h, id, s_k, s_p);
+            let e = expected_confidence(d, h, s_k, s_p);
             self.stats.examined += 1;
             if best.len() < batch {
                 best.push((e, id));
-                #[expect(
-                    clippy::unwrap_used,
-                    reason = "expected confidences are products of probabilities, hence finite and \
-                              comparable"
-                )]
-                best.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+                best.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
             } else if e > best[0].0 {
                 best[0] = (e, id);
-                #[expect(
-                    clippy::unwrap_used,
-                    reason = "expected confidences are products of probabilities, hence finite and \
-                              comparable"
-                )]
-                best.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+                best.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
             }
         }
         // Return in descending-E order.
@@ -260,7 +233,7 @@ mod tests {
         let (rel, h) = setup();
         let p_hat = h.value(2);
         for id in [2, 3, 4] {
-            let e = expected_confidence(&rel, &h, id, 2, 3);
+            let e = expected_confidence(rel.dist(id).unwrap(), &h, 2, 3);
             assert!(
                 e >= p_hat - 1e-12,
                 "cleaning cannot reduce expected confidence: id {id}, {e} < {p_hat}"
@@ -293,7 +266,7 @@ mod tests {
             let new_sk = certain[1] as usize;
             manual += p * crate::topkprob::topk_prob(&h2, new_sk);
         }
-        let fast = expected_confidence(&rel, &h, id, 2, 3);
+        let fast = expected_confidence(&dist, &h, 2, 3);
         assert!(
             (fast - manual).abs() < 1e-12,
             "fast {fast} vs manual {manual}"
@@ -318,7 +291,7 @@ mod tests {
         assert_eq!(batch.len(), 3);
         let es: Vec<f64> = batch
             .iter()
-            .map(|&id| expected_confidence(&rel, &h, id, 2, 3))
+            .map(|&id| expected_confidence(rel.dist(id).unwrap(), &h, 2, 3))
             .collect();
         assert!(
             es.windows(2).all(|w| w[0] >= w[1] - 1e-12),
@@ -386,7 +359,7 @@ mod tests {
         let h = JointCdf::build(&rel);
         // K = 1: s_p = max_bucket; expected confidence must marginalise over
         // all s > s_k as "new threshold = s".
-        let e = expected_confidence(&rel, &h, 1, 1, 4);
+        let e = expected_confidence(rel.dist(1).unwrap(), &h, 1, 4);
         // After cleaning, the relation is fully certain → every branch gives 1.
         assert!((e - 1.0).abs() < 1e-12);
     }

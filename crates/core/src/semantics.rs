@@ -79,21 +79,16 @@ pub fn u_topk(rel: &UncertainRelation, k: usize) -> Result<(Vec<ItemId>, f64), T
 /// Returns `ranks[i] = (item, probability)`. Note the same item may win
 /// multiple ranks — one of the semantic quirks the paper points out.
 /// Errors with [`TooManyWorlds`] on relations too large to enumerate.
-#[expect(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    reason = "rank probabilities are finite and each row has one entry per item of a non-empty \
-              relation"
-)]
 pub fn u_kranks(rel: &UncertainRelation, k: usize) -> Result<Vec<(ItemId, f64)>, TooManyWorlds> {
+    // Each row has one entry per item, so every rank has a winner.
     Ok(rank_probabilities(rel, k)?
         .into_iter()
-        .map(|probs| {
-            probs
-                .into_iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(b.0.cmp(&a.0)))
-                .expect("non-empty")
+        .filter_map(|probs| {
+            probs.into_iter().enumerate().max_by(|a, b| {
+                a.1.partial_cmp(&b.1)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(b.0.cmp(&a.0))
+            })
         })
         .collect())
 }

@@ -41,88 +41,21 @@
 use crate::budget::{QueryBudget, Termination};
 use crate::cleaner::{drive, Answer, CleaningOracle};
 use crate::dist::DiscreteDist;
-use crate::xtuple::ItemId;
-use std::collections::{BTreeMap, BTreeSet};
-
-/// One dimension of one item: a distribution or an exact bucket.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DimState {
-    Uncertain(DiscreteDist),
-    Certain(u32),
-}
-
-impl DimState {
-    fn pmf(&self, bucket: usize) -> f64 {
-        match self {
-            DimState::Uncertain(d) => d.pmf(bucket),
-            DimState::Certain(b) => {
-                if *b as usize == bucket {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-        }
-    }
-
-    fn cdf(&self, bucket: i64) -> f64 {
-        if bucket < 0 {
-            return 0.0;
-        }
-        match self {
-            DimState::Uncertain(d) => d.cdf(bucket as usize),
-            DimState::Certain(b) => {
-                if (*b as i64) <= bucket {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-        }
-    }
-
-    fn support(&self) -> (usize, usize) {
-        match self {
-            DimState::Uncertain(d) => (d.support_min(), d.support_max()),
-            DimState::Certain(b) => (*b as usize, *b as usize),
-        }
-    }
-}
-
-/// The exact vector of an item whose every dimension is certain.
-fn certain_vector(dims: &[DimState]) -> Option<Vec<u32>> {
-    dims.iter()
-        .map(|d| match d {
-            DimState::Certain(b) => Some(*b),
-            DimState::Uncertain(_) => None,
-        })
-        .collect()
-}
-
-/// Panics unless a confirmed vector lies on the grid `max_bucket`.
-fn check_vector(max_bucket: &[usize], v: &[u32]) {
-    assert_eq!(v.len(), max_bucket.len(), "dimension count mismatch");
-    for (j, &b) in v.iter().enumerate() {
-        assert!(
-            b as usize <= max_bucket[j],
-            "dim {j}: bucket {b} beyond grid {}",
-            max_bucket[j]
-        );
-    }
-}
+use crate::xtuple::{ItemId, ItemState};
+use std::collections::BTreeMap;
 
 /// Panics unless an item's per-dimension states lie on the grid
 /// `max_bucket`.
-fn check_dims(max_bucket: &[usize], dims: &[DimState]) {
+fn check_dims(max_bucket: &[usize], dims: &[ItemState]) {
     assert_eq!(dims.len(), max_bucket.len(), "dimension count mismatch");
     for (j, d) in dims.iter().enumerate() {
         match d {
-            DimState::Uncertain(dist) => assert_eq!(
+            ItemState::Uncertain(dist) => assert_eq!(
                 dist.max_bucket(),
                 max_bucket[j],
                 "dim {j}: distribution grid mismatch"
             ),
-            DimState::Certain(b) => assert!(
+            ItemState::Certain(b) => assert!(
                 *b as usize <= max_bucket[j],
                 "dim {j}: bucket {b} beyond grid {}",
                 max_bucket[j]
@@ -132,12 +65,12 @@ fn check_dims(max_bucket: &[usize], dims: &[DimState]) {
 }
 
 /// A multi-dimensional uncertain relation: `items[i][j]` is item `i`'s
-/// score state on dimension `j`. All dimensions share one bucket grid per
+/// x-tuple state on dimension `j`. All items share one bucket grid per
 /// dimension (`max_bucket[j]`).
 #[derive(Debug, Clone)]
 pub struct VectorRelation {
     max_bucket: Vec<usize>,
-    items: Vec<Vec<DimState>>,
+    items: Vec<Vec<ItemState>>,
     num_certain: usize,
 }
 
@@ -177,9 +110,9 @@ impl VectorRelation {
 
     /// Adds an item with per-dimension states (certain dimensions allowed,
     /// but the item counts as certain only when *all* dimensions are).
-    pub fn push(&mut self, dims: Vec<DimState>) -> ItemId {
+    pub fn push(&mut self, dims: Vec<ItemState>) -> ItemId {
         check_dims(&self.max_bucket, &dims);
-        if dims.iter().all(|d| matches!(d, DimState::Certain(_))) {
+        if dims.iter().all(|d| matches!(d, ItemState::Certain(_))) {
             self.num_certain += 1;
         }
         self.items.push(dims);
@@ -188,30 +121,38 @@ impl VectorRelation {
 
     /// Convenience: push a fully-certain vector.
     pub fn push_certain(&mut self, v: &[u32]) -> ItemId {
-        self.push(v.iter().map(|&b| DimState::Certain(b)).collect())
+        self.push(v.iter().map(|&b| ItemState::Certain(b)).collect())
     }
 
     /// Convenience: push a fully-uncertain vector.
     pub fn push_uncertain(&mut self, dists: Vec<DiscreteDist>) -> ItemId {
-        self.push(dists.into_iter().map(DimState::Uncertain).collect())
+        self.push(dists.into_iter().map(ItemState::Uncertain).collect())
     }
 
     pub fn is_certain(&self, id: ItemId) -> bool {
         self.items[id]
             .iter()
-            .all(|d| matches!(d, DimState::Certain(_)))
+            .all(|d| matches!(d, ItemState::Certain(_)))
     }
 
-    /// The exact vector of a certain item.
+    /// The exact vector of a certain item; `None` while any dimension is
+    /// uncertain.
     pub fn certain_vector(&self, id: ItemId) -> Option<Vec<u32>> {
-        certain_vector(&self.items[id])
+        self.items[id]
+            .iter()
+            .map(|d| match d {
+                ItemState::Certain(b) => Some(*b),
+                ItemState::Uncertain(_) => None,
+            })
+            .collect()
     }
 
     /// Marks an item certain with oracle-confirmed buckets.
     pub fn clean(&mut self, id: ItemId, v: &[u32]) {
-        check_vector(&self.max_bucket, v);
         assert!(!self.is_certain(id), "item {id} cleaned twice");
-        self.items[id] = v.iter().map(|&b| DimState::Certain(b)).collect();
+        let dims: Vec<ItemState> = v.iter().map(|&b| ItemState::Certain(b)).collect();
+        check_dims(&self.max_bucket, &dims);
+        self.items[id] = dims;
         self.num_certain += 1;
     }
 
@@ -228,13 +169,15 @@ impl VectorRelation {
         self.items[id][j].pmf(bucket)
     }
 
-    /// `Pr(S_{id,j} ≤ bucket)` — per-dimension CDF (`bucket = -1` gives 0).
-    pub fn dim_cdf(&self, id: ItemId, j: usize, bucket: i64) -> f64 {
-        self.items[id][j].cdf(bucket)
+    /// Every fully-certain item with its exact vector, ascending id.
+    fn certain_points(&self) -> Vec<(ItemId, Vec<u32>)> {
+        (0..self.len())
+            .filter_map(|id| self.certain_vector(id).map(|v| (id, v)))
+            .collect()
     }
 
     #[cfg(test)]
-    fn dim(&self, id: ItemId, j: usize) -> &DimState {
+    fn dim(&self, id: ItemId, j: usize) -> &ItemState {
         &self.items[id][j]
     }
 }
@@ -262,19 +205,7 @@ pub fn zip_relations(dims: &[&crate::xtuple::UncertainRelation]) -> VectorRelati
     }
     let mut rel = VectorRelation::new(dims.iter().map(|r| r.max_bucket()).collect());
     for i in 0..n {
-        #[expect(
-            clippy::expect_used,
-            reason = "this arm is `certain_bucket(i) == None`, and an item is either certain or \
-                      carries a dist"
-        )]
-        let states: Vec<DimState> = dims
-            .iter()
-            .map(|r| match r.certain_bucket(i) {
-                Some(b) => DimState::Certain(b),
-                None => DimState::Uncertain(r.dist(i).expect("uncertain item").clone()),
-            })
-            .collect();
-        rel.push(states);
+        rel.push(dims.iter().map(|r| r.item(i).clone()).collect());
     }
     rel
 }
@@ -349,24 +280,17 @@ fn skyline_of_pairwise(vectors: &[(ItemId, Vec<u32>)]) -> Vec<ItemId> {
 /// `d = 3` it enumerates `u`'s support grid (`O(m³ · s)` worst case, fine
 /// at video-score bucket counts).
 pub fn prob_dominated(rel: &VectorRelation, u: ItemId, points: &[Vec<u32>]) -> f64 {
-    prob_dominated_dims(&rel.items[u], points)
-}
-
-/// [`prob_dominated`] for a free-standing item given as per-dimension
-/// states — the form the incremental [`SkylineMaintainer`] uses, where
-/// items live outside any fixed-index relation.
-pub fn prob_dominated_dims(item: &[DimState], points: &[Vec<u32>]) -> f64 {
+    let item = &rel.items[u];
     if points.is_empty() {
-        return 0.0;
-    }
-    match item.len() {
-        2 => prob_dominated_2d(item, points),
-        3 => prob_dominated_grid(item, points),
-        d => panic!("skylines need 2 or 3 dimensions, got {d}"),
+        0.0
+    } else if item.len() == 2 {
+        prob_dominated_2d(item, points)
+    } else {
+        prob_dominated_grid(item, points)
     }
 }
 
-fn prob_dominated_2d(item: &[DimState], points: &[Vec<u32>]) -> f64 {
+fn prob_dominated_2d(item: &[ItemState], points: &[Vec<u32>]) -> f64 {
     let x_state = &item[0];
     let y_state = &item[1];
     let (x_lo, x_hi) = x_state.support();
@@ -392,12 +316,14 @@ fn prob_dominated_2d(item: &[DimState], points: &[Vec<u32>]) -> f64 {
                 ybound = ybound.max(p1 - 1);
             }
         }
-        total += px * y_state.cdf(ybound);
+        if ybound >= 0 {
+            total += px * y_state.cdf(ybound as usize);
+        }
     }
     total
 }
 
-fn prob_dominated_grid(item: &[DimState], points: &[Vec<u32>]) -> f64 {
+fn prob_dominated_grid(item: &[ItemState], points: &[Vec<u32>]) -> f64 {
     let supports: Vec<(usize, usize)> = item.iter().map(|d| d.support()).collect();
     let mut total = 0.0;
     let mut v = vec![0u32; item.len()];
@@ -410,7 +336,7 @@ fn prob_dominated_grid(item: &[DimState], points: &[Vec<u32>]) -> f64 {
 }
 
 fn enumerate_support(
-    item: &[DimState],
+    item: &[ItemState],
     supports: &[(usize, usize)],
     j: usize,
     mass: f64,
@@ -448,24 +374,11 @@ pub struct SkylineState {
 
 /// Computes the full [`SkylineState`] of a relation.
 pub fn skyline_state(rel: &VectorRelation) -> SkylineState {
-    #[expect(
-        clippy::expect_used,
-        reason = "`certain_ids` lists exactly the items whose every dimension is certain"
-    )]
-    let certain: Vec<(ItemId, Vec<u32>)> = rel
-        .certain_ids()
-        .into_iter()
-        .map(|id| (id, rel.certain_vector(id).expect("certain")))
-        .collect();
+    let mut certain = rel.certain_points();
     let skyline = skyline_of(&certain);
-    #[expect(
-        clippy::expect_used,
-        reason = "`skyline_of` returns a subset of the certain ids it was given"
-    )]
-    let points: Vec<Vec<u32>> = skyline
-        .iter()
-        .map(|&id| rel.certain_vector(id).expect("certain"))
-        .collect();
+    // Both lists ascend by id, so the members are found by binary search.
+    certain.retain(|(id, _)| skyline.binary_search(id).is_ok());
+    let points: Vec<Vec<u32>> = certain.into_iter().map(|(_, v)| v).collect();
     let mut confidence = 1.0;
     let factors: Vec<(ItemId, f64)> = rel
         .uncertain_ids()
@@ -484,240 +397,122 @@ pub fn skyline_state(rel: &VectorRelation) -> SkylineState {
 }
 
 /// Counters of the incremental maintainer's actual work — asserted by
-/// tests (and read by benches) to pin the O(affected) claim.
+/// tests to pin the O(affected) claim.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaintainerStats {
     /// Domination factors (re)computed.
     pub factor_recomputes: u64,
-    /// Full certain-skyline rebuilds (only on skyline-member removal).
-    pub skyline_rebuilds: u64,
 }
 
-/// Incrementally-maintained [`SkylineState`] under item insertion, removal
-/// and cleaning — the streaming counterpart of [`skyline_state`], which
-/// survives unchanged as the from-scratch oracle it is property-tested
-/// against (`tests/skyline_properties.rs`).
+/// Incrementally-maintained [`SkylineState`] of a [`VectorRelation`] under
+/// item insertion and cleaning — the index a skyline run keeps, pinned to
+/// the from-scratch [`skyline_state`] by property tests
+/// (`tests/skyline_properties.rs`).
 ///
-/// The key observation (d = 2): adding or removing a staircase point
-/// `(a, b)` changes `ybound(x)` only for `x ≤ a`, so only uncertain items
-/// whose x-support intersects `[0, max a over changed points]` can see a
-/// different domination factor — everything else keeps its stored value,
-/// bit-for-bit (the staircase walk consumes integer `ybound`s, which are
-/// unchanged outside the affected range). For d = 3 any staircase change
-/// recomputes all factors; insertions of dominated points and removals of
-/// non-members never touch a factor in either dimensionality. This retires
-/// the ROADMAP item about [`run_skyline_cleaner`] recomputing every factor
-/// per iteration.
-#[derive(Debug, Clone)]
-pub struct SkylineMaintainer {
-    max_bucket: Vec<usize>,
-    items: BTreeMap<ItemId, Vec<DimState>>,
-    /// Certain skyline member ids.
-    skyline: BTreeSet<ItemId>,
+/// The maintainer holds the relation's only mutable borrow, so every
+/// insertion and cleaning goes through it and the index cannot go stale.
+/// The items themselves stay in the relation; the index stores only the
+/// skyline members' vectors and the uncertain items' domination factors.
+///
+/// The key observation (d = 2): a staircase point `(a, b)` entering or
+/// leaving the skyline changes `ybound(x)` only for `x ≤ a`, so only
+/// uncertain items whose x-support intersects `[0, max a over changed
+/// points]` can see a different domination factor — everything else keeps
+/// its stored value, bit-for-bit (the staircase walk consumes integer
+/// `ybound`s, which are unchanged outside the affected range). For d = 3
+/// any staircase change recomputes all factors; insertions of dominated
+/// points never touch a factor in either dimensionality.
+#[derive(Debug)]
+pub struct SkylineMaintainer<'a> {
+    rel: &'a mut VectorRelation,
+    /// Certain skyline members and their vectors.
+    skyline: BTreeMap<ItemId, Vec<u32>>,
     /// Domination factors of the not-fully-certain items.
     factors: BTreeMap<ItemId, f64>,
     pub stats: MaintainerStats,
 }
 
-impl SkylineMaintainer {
-    pub fn new(max_bucket: Vec<usize>) -> Self {
-        assert!(
-            (2..=3).contains(&max_bucket.len()),
-            "skylines need 2 or 3 dimensions, got {}",
-            max_bucket.len()
-        );
-        SkylineMaintainer {
-            max_bucket,
-            items: BTreeMap::new(),
-            skyline: BTreeSet::new(),
+impl<'a> SkylineMaintainer<'a> {
+    /// Indexes every item of `rel`, one insertion at a time.
+    pub fn new(rel: &'a mut VectorRelation) -> Self {
+        let mut m = SkylineMaintainer {
+            rel,
+            skyline: BTreeMap::new(),
             factors: BTreeMap::new(),
             stats: MaintainerStats::default(),
-        }
-    }
-
-    /// Seeds a maintainer with every item of a relation, moved out of it
-    /// (ids preserved); [`SkylineMaintainer::give_back`] returns them.
-    fn take_from(rel: &mut VectorRelation) -> Self {
-        let mut m = SkylineMaintainer::new(rel.max_bucket.clone());
-        for (id, dims) in std::mem::take(&mut rel.items).into_iter().enumerate() {
-            m.insert(id, dims);
+        };
+        for id in 0..m.rel.len() {
+            m.index(id);
         }
         m
     }
 
-    /// Moves the items back into the relation they were taken from.
-    fn give_back(self, rel: &mut VectorRelation) {
-        rel.items = self.items.into_values().collect();
-        rel.num_certain = rel.len() - self.factors.len();
+    /// The relation being maintained.
+    pub fn relation(&self) -> &VectorRelation {
+        self.rel
     }
 
-    pub fn len(&self) -> usize {
-        self.items.len()
+    /// Adds an item to the relation and to the index.
+    pub fn push(&mut self, dims: Vec<ItemState>) -> ItemId {
+        let id = self.rel.push(dims);
+        self.index(id);
+        id
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+    /// Confirms an uncertain item's exact vector (oracle cleaning).
+    pub fn clean(&mut self, id: ItemId, v: &[u32]) {
+        self.rel.clean(id, v);
+        self.factors.remove(&id);
+        self.insert_point(id, v.to_vec());
     }
 
-    pub fn contains(&self, id: ItemId) -> bool {
-        self.items.contains_key(&id)
-    }
-
-    /// Current skyline point vectors, ascending id order.
-    #[expect(
-        clippy::expect_used,
-        reason = "only fully-certain items ever enter `skyline`"
-    )]
-    fn points(&self) -> Vec<Vec<u32>> {
-        self.skyline
-            .iter()
-            .map(|s| certain_vector(&self.items[s]).expect("skyline member is certain"))
-            .collect()
-    }
-
-    /// Adds an item under a fresh id (never reuse an id while present).
-    pub fn insert(&mut self, id: ItemId, dims: Vec<DimState>) {
-        check_dims(&self.max_bucket, &dims);
-        assert!(!self.items.contains_key(&id), "item {id} already present");
-        match certain_vector(&dims) {
-            Some(v) => {
-                self.items.insert(id, dims);
-                self.insert_certain_point(id, v);
-            }
+    fn index(&mut self, id: ItemId) {
+        match self.rel.certain_vector(id) {
+            Some(v) => self.insert_point(id, v),
             None => {
-                let f = prob_dominated_dims(&dims, &self.points());
+                let f = prob_dominated(self.rel, id, &self.points());
                 self.stats.factor_recomputes += 1;
-                self.items.insert(id, dims);
                 self.factors.insert(id, f);
             }
         }
     }
 
+    /// Current skyline point vectors, ascending id order.
+    fn points(&self) -> Vec<Vec<u32>> {
+        self.skyline.values().cloned().collect()
+    }
+
     /// Folds a new certain point into the skyline and refreshes only the
     /// factors its staircase change can reach.
-    fn insert_certain_point(&mut self, id: ItemId, v: Vec<u32>) {
-        #[expect(
-            clippy::expect_used,
-            reason = "only fully-certain items ever enter `skyline`"
-        )]
-        let dominated = self.skyline.iter().any(|s| {
-            let w = certain_vector(&self.items[s]).expect("certain");
-            dominates(&w, &v)
-        });
-        if dominated {
+    fn insert_point(&mut self, id: ItemId, v: Vec<u32>) {
+        if self.skyline.values().any(|w| dominates(w, &v)) {
             // A dominated point changes neither the skyline nor any factor.
             return;
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "only fully-certain items ever enter `skyline`"
-        )]
-        let evicted: Vec<ItemId> = self
-            .skyline
-            .iter()
-            .filter(|s| {
-                let w = certain_vector(&self.items[s]).expect("certain");
-                dominates(&v, &w)
-            })
-            .copied()
-            .collect();
-        #[expect(
-            clippy::expect_used,
-            reason = "evicted ids came out of `skyline`, hence certain"
-        )]
-        let mut changed: Vec<Vec<u32>> = evicted
-            .iter()
-            .map(|s| certain_vector(&self.items[s]).expect("certain"))
-            .collect();
-        for s in &evicted {
-            self.skyline.remove(s);
-        }
-        self.skyline.insert(id);
-        changed.push(v);
-        self.refresh_factors(&changed);
+        let (evicted, kept): (BTreeMap<ItemId, Vec<u32>>, _) = std::mem::take(&mut self.skyline)
+            .into_iter()
+            .partition(|(_, w)| dominates(&v, w));
+        let x_cut = evicted.values().fold(v[0], |x, w| x.max(w[0])) as usize;
+        self.skyline = kept;
+        self.skyline.insert(id, v);
+        self.refresh_factors(x_cut);
     }
 
-    /// Removes an item (stream expiry). Uncertain items and dominated
-    /// certain points leave without touching any factor; removing a
-    /// skyline member rebuilds the certain skyline (dominated points may
-    /// re-enter) and refreshes the affected factors.
-    pub fn remove(&mut self, id: ItemId) {
-        #[expect(
-            clippy::expect_used,
-            reason = "removing an id never inserted is a caller bug"
-        )]
-        let dims = self.items.remove(&id).expect("removing unknown item");
-        if self.factors.remove(&id).is_some() {
-            return;
-        }
-        if !self.skyline.remove(&id) {
-            return;
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "the id was in `skyline`, hence fully certain"
-        )]
-        let v = certain_vector(&dims).expect("certain");
-        let certain: Vec<(ItemId, Vec<u32>)> = self
-            .items
-            .iter()
-            .filter_map(|(&i, d)| certain_vector(d).map(|w| (i, w)))
-            .collect();
-        let new_sky: BTreeSet<ItemId> = skyline_of(&certain).into_iter().collect();
-        self.stats.skyline_rebuilds += 1;
-        #[expect(
-            clippy::expect_used,
-            reason = "`skyline_of` only ranges over the certain subset"
-        )]
-        let mut changed: Vec<Vec<u32>> = new_sky
-            .difference(&self.skyline)
-            .map(|i| certain_vector(&self.items[i]).expect("certain"))
-            .collect();
-        changed.push(v);
-        self.skyline = new_sky;
-        self.refresh_factors(&changed);
-    }
-
-    /// Confirms an uncertain item's exact vector (oracle cleaning).
-    pub fn clean(&mut self, id: ItemId, v: &[u32]) {
-        check_vector(&self.max_bucket, v);
-        #[expect(
-            clippy::expect_used,
-            reason = "cleaning an id never inserted is a caller bug"
-        )]
-        let dims = self.items.get_mut(&id).expect("cleaning unknown item");
-        assert!(
-            dims.iter().any(|d| matches!(d, DimState::Uncertain(_))),
-            "item {id} cleaned twice"
-        );
-        *dims = v.iter().map(|&b| DimState::Certain(b)).collect();
-        self.factors.remove(&id);
-        self.insert_certain_point(id, v.to_vec());
-    }
-
-    /// Recomputes the factors a staircase change can affect. `changed`
-    /// holds every point added to or removed from the skyline.
-    fn refresh_factors(&mut self, changed: &[Vec<u32>]) {
-        if changed.is_empty() || self.factors.is_empty() {
-            return;
-        }
+    /// Recomputes the factors a staircase change at `x ≤ x_cut` can affect.
+    fn refresh_factors(&mut self, x_cut: usize) {
         let points = self.points();
-        let two_d = self.max_bucket.len() == 2;
-        let x_cut = changed.iter().map(|p| p[0] as usize).max().unwrap_or(0);
-        let ids: Vec<ItemId> = self.factors.keys().copied().collect();
-        for id in ids {
-            let dims = &self.items[&id];
-            if two_d && dims[0].support().0 > x_cut {
+        let two_d = self.rel.dims() == 2;
+        for (&id, factor) in self.factors.iter_mut() {
+            if two_d && self.rel.items[id][0].support().0 > x_cut {
                 continue; // its ybound(x) range is untouched
             }
-            let f = prob_dominated_dims(dims, &points);
+            *factor = prob_dominated(self.rel, id, &points);
             self.stats.factor_recomputes += 1;
-            self.factors.insert(id, f);
         }
     }
 
     /// The current [`SkylineState`], identical (to fp identity of each
-    /// factor) to `skyline_state` on an equivalent relation.
+    /// factor) to [`skyline_state`] of the maintained relation.
     pub fn state(&self) -> SkylineState {
         let mut confidence = 1.0;
         let factors: Vec<(ItemId, f64)> = self
@@ -729,7 +524,7 @@ impl SkylineMaintainer {
             })
             .collect();
         SkylineState {
-            skyline: self.skyline.iter().copied().collect(),
+            skyline: self.skyline.keys().copied().collect(),
             factors,
             confidence,
         }
@@ -775,35 +570,31 @@ pub struct SkylineOutcome {
 
 /// The skyline [`Answer`]: the certain skyline, certified by the product of
 /// the uncertain items' domination factors.
-struct Skyline {
-    maintainer: SkylineMaintainer,
+struct Skyline<'a> {
+    index: SkylineMaintainer<'a>,
     batch_size: usize,
 }
 
-impl Answer for Skyline {
+impl Answer for Skyline<'_> {
     type Value = Vec<u32>;
     type Want = ();
     type Picks = Vec<ItemId>;
 
     fn assess(&self) -> (Option<f64>, ()) {
-        (Some(self.maintainer.factors.values().product()), ())
+        (Some(self.index.factors.values().product()), ())
     }
 
     /// The uncertain items with the smallest factors, ties by ascending id.
     fn pick(&mut self, (): (), room: usize) -> Vec<ItemId> {
-        let mut by_factor: Vec<(ItemId, f64)> = self
-            .maintainer
-            .factors
-            .iter()
-            .map(|(&id, &f)| (id, f))
-            .collect();
+        let mut by_factor: Vec<(ItemId, f64)> =
+            self.index.factors.iter().map(|(&id, &f)| (id, f)).collect();
         by_factor.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
         by_factor.truncate(self.batch_size.min(room));
         by_factor.into_iter().map(|(id, _)| id).collect()
     }
 
     fn retire(&mut self, id: ItemId, v: Vec<u32>) {
-        self.maintainer.clean(id, &v);
+        self.index.clean(id, &v);
     }
 }
 
@@ -819,9 +610,7 @@ impl Answer for Skyline {
 /// The per-iteration state comes from an incremental [`SkylineMaintainer`]
 /// (each cleaning refreshes only the factors its staircase change can
 /// reach) rather than a full [`skyline_state`] recompute; the two are
-/// property-tested equal, factor for factor. The maintainer holds the
-/// relation's items for the duration of the run, so a confirmed vector is
-/// written once.
+/// property-tested equal, factor for factor.
 pub fn run_skyline_cleaner(
     rel: &mut VectorRelation,
     oracle: &mut dyn CleaningOracle<Vec<u32>>,
@@ -830,14 +619,12 @@ pub fn run_skyline_cleaner(
     assert!((0.0..1.0).contains(&cfg.thres), "thres must be in [0, 1)");
     assert!(cfg.batch_size >= 1);
     let mut answer = Skyline {
-        maintainer: SkylineMaintainer::take_from(rel),
+        index: SkylineMaintainer::new(rel),
         batch_size: cfg.batch_size,
     };
     let run = drive(&mut answer, oracle, cfg.thres, &cfg.budget, 0, None);
-    let skyline = answer.maintainer.skyline.iter().copied().collect();
-    answer.maintainer.give_back(rel);
     SkylineOutcome {
-        skyline,
+        skyline: answer.index.skyline.into_keys().collect(),
         confidence: run.confidence,
         termination: run.termination,
         iterations: run.iterations,
@@ -853,15 +640,7 @@ pub fn run_skyline_cleaner(
 /// items at their exact vectors.
 pub fn pws_skyline_probability(rel: &VectorRelation, candidate: &[ItemId]) -> f64 {
     let uncertain = rel.uncertain_ids();
-    #[expect(
-        clippy::expect_used,
-        reason = "`certain_ids` lists exactly the items whose every dimension is certain"
-    )]
-    let certain: Vec<(ItemId, Vec<u32>)> = rel
-        .certain_ids()
-        .into_iter()
-        .map(|id| (id, rel.certain_vector(id).expect("certain")))
-        .collect();
+    let certain = rel.certain_points();
     let mut total = 0.0;
     let mut sorted_candidate: Vec<ItemId> = candidate.to_vec();
     sorted_candidate.sort_unstable();
@@ -981,7 +760,7 @@ mod tests {
     fn prob_dominated_respects_strictness() {
         // u certain at (1,1) exactly: (1,1) does not dominate itself.
         let mut rel = VectorRelation::new(vec![2, 2]);
-        let u = rel.push(vec![DimState::Certain(1), DimState::Certain(1)]);
+        let u = rel.push(vec![ItemState::Certain(1), ItemState::Certain(1)]);
         assert_eq!(prob_dominated(&rel, u, &[vec![1, 1]]), 0.0);
         // (2,1) dominates (1,1) via dim 0.
         assert_eq!(prob_dominated(&rel, u, &[vec![2, 1]]), 1.0);
@@ -1061,10 +840,10 @@ mod tests {
     }
 
     /// Asserts a maintainer's state equals a from-scratch recompute over
-    /// the same item set, factor for factor.
-    fn assert_state_matches(m: &SkylineMaintainer, rel: &VectorRelation) {
+    /// the relation it maintains, factor for factor.
+    fn assert_state_matches(m: &SkylineMaintainer) {
         let inc = m.state();
-        let full = skyline_state(rel);
+        let full = skyline_state(m.relation());
         assert_eq!(inc.skyline, full.skyline, "skyline diverged");
         assert_eq!(inc.factors.len(), full.factors.len());
         for ((ia, fa), (ib, fb)) in inc.factors.iter().zip(&full.factors) {
@@ -1082,40 +861,12 @@ mod tests {
     #[test]
     fn maintainer_matches_full_recompute_after_cleaning() {
         let (mut rel, oracle) = noisy_setup(25, 42);
-        let mut m = SkylineMaintainer::take_from(&mut rel.clone());
-        assert_state_matches(&m, &rel);
+        let mut m = SkylineMaintainer::new(&mut rel);
+        assert_state_matches(&m);
         for id in [3, 17, 0, 9, 21] {
-            let v = oracle.truth[id].clone();
-            rel.clean(id, &v);
-            m.clean(id, &v);
-            assert_state_matches(&m, &rel);
+            m.clean(id, &oracle.truth[id]);
+            assert_state_matches(&m);
         }
-    }
-
-    #[test]
-    fn maintainer_removal_readmits_dominated_points() {
-        // (2,2) dominates (1,1); removing it must bring (1,1) back.
-        let mut m = SkylineMaintainer::new(vec![3, 3]);
-        m.insert(0, vec![DimState::Certain(2), DimState::Certain(2)]);
-        m.insert(1, vec![DimState::Certain(1), DimState::Certain(1)]);
-        m.insert(
-            2,
-            vec![
-                DimState::Uncertain(d(&[0.5, 0.25, 0.25, 0.0])),
-                DimState::Uncertain(d(&[0.5, 0.25, 0.25, 0.0])),
-            ],
-        );
-        assert_eq!(m.state().skyline, vec![0]);
-        m.remove(0);
-        assert_eq!(m.state().skyline, vec![1]);
-        assert_eq!(m.stats.skyline_rebuilds, 1);
-        // Factor must now be computed against {(1,1)}, not the old point.
-        let mut rel = VectorRelation::new(vec![3, 3]);
-        rel.push_certain(&[1, 1]);
-        rel.push_uncertain(vec![d(&[0.5, 0.25, 0.25, 0.0]), d(&[0.5, 0.25, 0.25, 0.0])]);
-        let expect = skyline_state(&rel);
-        let got = m.state();
-        assert!((got.factors[0].1 - expect.factors[0].1).abs() < 1e-12);
     }
 
     #[test]
@@ -1123,57 +874,42 @@ mod tests {
         // Skyline {(5,5)}; an uncertain item supported on x ∈ {7, 8} can
         // never be affected by a new point at x = 2, so its factor must
         // not be recomputed.
-        let mut m = SkylineMaintainer::new(vec![8, 8]);
-        m.insert(0, vec![DimState::Certain(5), DimState::Certain(5)]);
+        let mut rel = VectorRelation::new(vec![8, 8]);
+        let mut m = SkylineMaintainer::new(&mut rel);
+        m.push(vec![ItemState::Certain(5), ItemState::Certain(5)]);
         let mut far = vec![0.0; 9];
         far[7] = 0.5;
         far[8] = 0.5;
-        m.insert(
-            1,
-            vec![
-                DimState::Uncertain(d(&far)),
-                DimState::Uncertain(d(&[0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])),
-            ],
-        );
+        m.push(vec![
+            ItemState::Uncertain(d(&far)),
+            ItemState::Uncertain(d(&[0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])),
+        ]);
         let before = m.stats.factor_recomputes;
         // (2, 6) is incomparable with (5, 5): it joins the skyline with
         // x_cut = 2 < 7 = the far item's minimum x.
-        m.insert(2, vec![DimState::Certain(2), DimState::Certain(6)]);
+        m.push(vec![ItemState::Certain(2), ItemState::Certain(6)]);
         assert_eq!(m.state().skyline, vec![0, 2]);
         assert_eq!(
             m.stats.factor_recomputes, before,
             "far item's factor must be skipped"
         );
         // And the skipped value is still the correct one.
-        let mut rel = VectorRelation::new(vec![8, 8]);
-        rel.push_certain(&[5, 5]);
-        rel.push_uncertain(vec![
-            d(&far),
-            d(&[0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
-        ]);
-        rel.push_certain(&[2, 6]);
-        assert_state_matches(&m, &rel);
+        assert_state_matches(&m);
     }
 
     #[test]
     fn maintainer_dominated_insert_touches_nothing() {
-        let mut m = SkylineMaintainer::new(vec![4, 4]);
-        m.insert(0, vec![DimState::Certain(3), DimState::Certain(3)]);
-        m.insert(
-            1,
-            vec![
-                DimState::Uncertain(d(&[0.2, 0.2, 0.2, 0.2, 0.2])),
-                DimState::Uncertain(d(&[0.2, 0.2, 0.2, 0.2, 0.2])),
-            ],
-        );
+        let mut rel = VectorRelation::new(vec![4, 4]);
+        let mut m = SkylineMaintainer::new(&mut rel);
+        m.push(vec![ItemState::Certain(3), ItemState::Certain(3)]);
+        m.push(vec![
+            ItemState::Uncertain(d(&[0.2, 0.2, 0.2, 0.2, 0.2])),
+            ItemState::Uncertain(d(&[0.2, 0.2, 0.2, 0.2, 0.2])),
+        ]);
         let before = m.stats.factor_recomputes;
-        m.insert(2, vec![DimState::Certain(1), DimState::Certain(1)]);
+        m.push(vec![ItemState::Certain(1), ItemState::Certain(1)]);
         assert_eq!(m.stats.factor_recomputes, before);
         assert_eq!(m.state().skyline, vec![0]);
-        // Removing the dominated non-member is also free.
-        m.remove(2);
-        assert_eq!(m.stats.factor_recomputes, before);
-        assert_eq!(m.stats.skyline_rebuilds, 0);
     }
 
     struct TableOracle {
@@ -1210,7 +946,7 @@ mod tests {
                     let dist = (b as f64 - t as f64).abs() + 0.3 * gaussian(&mut rng).abs();
                     *m = (-dist).exp();
                 }
-                dims.push(DimState::Uncertain(DiscreteDist::from_masses(&masses)));
+                dims.push(ItemState::Uncertain(DiscreteDist::from_masses(&masses)));
             }
             truth.push(v);
             rel.push(dims);

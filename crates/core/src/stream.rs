@@ -362,23 +362,21 @@ impl Frames {
 impl Answer for Frames {
     type Value = u32;
     type Want = Want;
-    type Picks = [ItemId; 1];
+    type Picks = Vec<ItemId>;
 
     fn assess(&self) -> (Option<f64>, Want) {
         self.state.assess()
     }
 
-    #[expect(
-        clippy::expect_used,
-        reason = "the loop only picks below thres, which needs an uncertain frame: either fewer \
-                  are certain than active, or p̂ < 1 and so the joint CDF has members"
-    )]
-    fn pick(&mut self, want: Want, _room: usize) -> [ItemId; 1] {
+    /// At most one frame. Below thres there always is one — either fewer
+    /// are certain than active, or `p̂ < 1` and so the joint CDF has
+    /// members — and `drive` rejects an empty pick.
+    fn pick(&mut self, want: Want, _room: usize) -> Vec<ItemId> {
         let pick = match want {
             Want::Bootstrap { .. } => self.argmax_uncertain(|d| d.mean_bucket()),
             Want::Boundary { s_k, s_p } => self.argmax_uncertain(|d| psi(d, s_k, s_p)),
         };
-        [pick.expect("an uncertain active frame below thres")]
+        pick.into_iter().collect()
     }
 
     /// A failed confirmation never gets here, so the frame stays uncertain.

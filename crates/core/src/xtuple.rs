@@ -28,6 +28,45 @@ pub enum ItemState {
     Certain(u32),
 }
 
+impl ItemState {
+    /// `F(t) = Pr(S ≤ bucket)`: certain items are step functions.
+    pub fn cdf(&self, bucket: usize) -> f64 {
+        match self {
+            ItemState::Uncertain(d) => d.cdf(bucket),
+            ItemState::Certain(b) => {
+                if (*b as usize) <= bucket {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+        }
+    }
+
+    /// `Pr(S = bucket)`: certain items are point masses.
+    pub fn pmf(&self, bucket: usize) -> f64 {
+        match self {
+            ItemState::Uncertain(d) => d.pmf(bucket),
+            ItemState::Certain(b) => {
+                if *b as usize == bucket {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+        }
+    }
+
+    /// `(lowest, highest)` bucket with positive mass; a certain item's
+    /// support is the single bucket it was confirmed at.
+    pub fn support(&self) -> (usize, usize) {
+        match self {
+            ItemState::Uncertain(d) => (d.support_min(), d.support_max()),
+            ItemState::Certain(b) => (*b as usize, *b as usize),
+        }
+    }
+}
+
 /// An uncertain relation over a shared quantization grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UncertainRelation {
@@ -102,6 +141,12 @@ impl UncertainRelation {
         matches!(self.items[id], ItemState::Certain(_))
     }
 
+    /// The state of any item: match on it once instead of asking
+    /// [`Self::certain_bucket`] and then [`Self::dist`].
+    pub fn item(&self, id: ItemId) -> &ItemState {
+        &self.items[id]
+    }
+
     /// The exact bucket of a certain item; `None` while uncertain.
     pub fn certain_bucket(&self, id: ItemId) -> Option<u32> {
         match &self.items[id] {
@@ -120,39 +165,17 @@ impl UncertainRelation {
 
     /// `F_f(t)` for any item: certain items are step functions.
     pub fn cdf(&self, id: ItemId, bucket: usize) -> f64 {
-        match &self.items[id] {
-            ItemState::Uncertain(d) => d.cdf(bucket),
-            ItemState::Certain(b) => {
-                if (*b as usize) <= bucket {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-        }
+        self.items[id].cdf(bucket)
     }
 
     /// `Pr(S_f = bucket)` for any item: certain items are point masses.
     pub fn pmf(&self, id: ItemId, bucket: usize) -> f64 {
-        match &self.items[id] {
-            ItemState::Uncertain(d) => d.pmf(bucket),
-            ItemState::Certain(b) => {
-                if *b as usize == bucket {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-        }
+        self.items[id].pmf(bucket)
     }
 
-    /// `(lowest, highest)` bucket with positive mass for any item; a
-    /// certain item's support is the single bucket it was confirmed at.
+    /// `(lowest, highest)` bucket with positive mass for any item.
     pub fn support(&self, id: ItemId) -> (usize, usize) {
-        match &self.items[id] {
-            ItemState::Uncertain(d) => (d.support_min(), d.support_max()),
-            ItemState::Certain(b) => (*b as usize, *b as usize),
-        }
+        self.items[id].support()
     }
 
     /// Marks an item certain with its oracle-confirmed bucket, returning its

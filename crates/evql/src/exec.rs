@@ -21,7 +21,7 @@ use crate::parser::parse;
 use crate::plan::{Engine, PlanTarget, QueryPlan};
 use crate::shared::{CacheKey, SharedCache};
 use everest_core::baselines::{
-    cheap_scan, cmdn_only, scan_and_test, select_and_topk_calibrated, topk_indices,
+    cheap_scan, cmdn_only, scan_and_test, select_and_topk_calibrated, topk_indices, BaselineResult,
 };
 use everest_core::budget::{CancelToken, QueryBudget, Termination};
 use everest_core::cleaner::{CleanerConfig, CleaningOracle};
@@ -31,7 +31,7 @@ use everest_core::phase1::Phase1Config;
 use everest_core::pipeline::{Everest, FrameOracleAdapter, PreparedVideo, QueryReport};
 use everest_core::stream::{batch_reference, StreamAnswer, StreamConfig, StreamTopK};
 use everest_core::window::{exact_window_scores, sliding_windows, WindowInfo};
-use everest_core::xtuple::{ItemId, UncertainRelation};
+use everest_core::xtuple::{ItemId, ItemState, UncertainRelation};
 use everest_models::{
     ExactScoreOracle, FlakyOracle, HogScorer, Oracle, RetryingOracle, TinyYoloScorer,
 };
@@ -235,8 +235,8 @@ impl Session {
         match parse(src)? {
             Statement::Select(stmt) => {
                 let plan = analyze(&stmt, &self.settings)?;
-                if plan.emit_every.is_some() {
-                    return Ok(Output::Stream(self.open_stream(plan)?.finish()?));
+                if let Some(every) = plan.emit_every {
+                    return Ok(Output::Stream(self.open_stream(plan, every)?.finish()?));
                 }
                 Ok(Output::Rows(self.run(plan)?))
             }
@@ -357,6 +357,21 @@ impl Session {
         } else {
             (None, false)
         };
+        // Difference detection can retain fewer frames than the plan's
+        // frame count, the bound `analyze` checked K against.
+        if let (Some(e), PlanTarget::Frames) = (&entry, plan.target) {
+            let retained = e.prepared.phase1.relation.len();
+            if plan.k > retained {
+                return Err(EvqlError::new(
+                    ErrorKind::Exec(format!(
+                        "TOP {} exceeds the {retained} frames {} retains after difference \
+                         detection at scale 1/{}",
+                        plan.k, plan.source.name, plan.scale_divisor
+                    )),
+                    crate::token::Span::point(0),
+                ));
+            }
+        }
         let standalone_oracle;
         let oracle: &ExactScoreOracle = match &entry {
             Some(e) => &e.oracle,
@@ -368,11 +383,6 @@ impl Session {
                 &standalone_oracle
             }
         };
-        #[expect(
-            clippy::expect_used,
-            reason = "only called on the engines for which `needs_phase1` built the entry above"
-        )]
-        let prepared = || &entry.as_ref().expect("phase-1 engine").prepared;
         let fps = plan.source.fps;
         let n = plan.n_frames;
         let scan_seconds = scan_seconds(n, oracle.cost_per_frame());
@@ -398,9 +408,22 @@ impl Session {
             },
         };
 
-        let ran = match (plan.engine, plan.target) {
-            (Engine::Everest, PlanTarget::Frames) => {
-                let report = prepared().query_topk(query_oracle, plan.k, plan.thres, &cleaner);
+        // The frame baselines differ only in the call that ranks.
+        let baseline = |result: BaselineResult| {
+            let scores = oracle.all_scores();
+            let ranked = result.topk.iter().map(|&f| (f, f + 1, scores[f]));
+            Ran {
+                rows: answer_rows(ranked, fps),
+                report: None,
+                sim_seconds: result.sim_seconds,
+                quality: quality(scores.to_vec(), &result.topk, plan.k),
+            }
+        };
+        let ran = match (plan.engine, plan.target, entry.as_deref()) {
+            (Engine::Everest, PlanTarget::Frames, Some(e)) => {
+                let report = e
+                    .prepared
+                    .query_topk(query_oracle, plan.k, plan.thres, &cleaner);
                 let quality = quality(oracle.all_scores().to_vec(), &report.frames(), plan.k);
                 Ran::everest(report, quality, fps)
             }
@@ -411,9 +434,10 @@ impl Session {
                     slide,
                     sample_frac,
                 },
+                Some(e),
             ) => {
                 // `slide == len` is the tumbling case of the same window list.
-                let report = prepared().query_topk_sliding_windows(
+                let report = e.prepared.query_topk_sliding_windows(
                     query_oracle,
                     plan.k,
                     plan.thres,
@@ -426,7 +450,7 @@ impl Session {
                 let quality = window_quality(oracle, &windows, &report, plan.k, slide);
                 Ran::everest(report, quality, fps)
             }
-            (Engine::Scan, PlanTarget::Windows { len, slide, .. }) => {
+            (Engine::Scan, PlanTarget::Windows { len, slide, .. }, _) => {
                 let windows = sliding_windows(n, len, slide);
                 let w_scores = exact_window_scores(oracle.all_scores(), &windows);
                 let top = topk_indices(&w_scores, plan.k);
@@ -440,42 +464,43 @@ impl Session {
                     quality: quality(w_scores, &top, plan.k),
                 }
             }
-            (engine, PlanTarget::Windows { .. }) => {
-                // analyze() rejects this; keep a defensive error rather
-                // than a panic for forward compatibility.
+            (Engine::Scan, PlanTarget::Frames, _) => baseline(scan_and_test(oracle, plan.k)),
+            (Engine::CmdnOnly, PlanTarget::Frames, Some(e)) => {
+                baseline(cmdn_only(&e.prepared, plan.k))
+            }
+            (Engine::Hog, PlanTarget::Frames, _) => baseline(cheap_scan(
+                &HogScorer::new(oracle.clone(), plan.seed ^ 0x09),
+                plan.k,
+            )),
+            (Engine::TinyYolo, PlanTarget::Frames, _) => baseline(cheap_scan(
+                &TinyYoloScorer::new(oracle.clone(), plan.seed ^ 0x77),
+                plan.k,
+            )),
+            (Engine::SelectTopk, PlanTarget::Frames, Some(e)) => {
+                let Some(result) = select_and_topk_calibrated(&e.prepared, oracle, plan.k, 0.9)
+                else {
+                    return Err(EvqlError::new(
+                        ErrorKind::Exec(format!(
+                            "engine `{}` selected fewer than {} candidates at every λ",
+                            plan.engine.display(),
+                            plan.k
+                        )),
+                        crate::token::Span::point(0),
+                    ));
+                };
+                baseline(result)
+            }
+            // analyze() rejects window queries on the other engines, and a
+            // proxy engine always has its Phase-1 entry; keep a defensive
+            // error rather than a panic for forward compatibility.
+            (engine, _, _) => {
                 return Err(EvqlError::new(
                     ErrorKind::Exec(format!(
-                        "engine `{}` cannot run window queries",
+                        "engine `{}` cannot run this query",
                         engine.display()
                     )),
                     crate::token::Span::point(0),
                 ));
-            }
-            // The frame baselines differ only in the call that ranks.
-            (engine, PlanTarget::Frames) => {
-                let result = match engine {
-                    Engine::Scan => scan_and_test(oracle, plan.k),
-                    Engine::CmdnOnly => cmdn_only(prepared(), plan.k),
-                    Engine::Hog => {
-                        cheap_scan(&HogScorer::new(oracle.clone(), plan.seed ^ 0x09), plan.k)
-                    }
-                    Engine::TinyYolo => cheap_scan(
-                        &TinyYoloScorer::new(oracle.clone(), plan.seed ^ 0x77),
-                        plan.k,
-                    ),
-                    Engine::SelectTopk => {
-                        select_and_topk_calibrated(prepared(), oracle, plan.k, 0.9)
-                    }
-                    Engine::Everest => unreachable!("matched by the Everest arm above"),
-                };
-                let scores = oracle.all_scores();
-                let ranked = result.topk.iter().map(|&f| (f, f + 1, scores[f]));
-                Ran {
-                    rows: answer_rows(ranked, fps),
-                    report: None,
-                    sim_seconds: result.sim_seconds,
-                    quality: quality(scores.to_vec(), &result.topk, plan.k),
-                }
             }
         };
 
@@ -552,7 +577,7 @@ impl Session {
         match parse(src)? {
             Statement::Select(stmt) => {
                 let plan = analyze(&stmt, &self.settings)?;
-                if plan.emit_every.is_none() {
+                let Some(every) = plan.emit_every else {
                     return Err(EvqlError::new(
                         ErrorKind::Incompatible(
                             "Session::stream needs a continuous statement; \
@@ -561,8 +586,8 @@ impl Session {
                         ),
                         stmt.k_span,
                     ));
-                }
-                self.open_stream(plan)
+                };
+                self.open_stream(plan, every)
             }
             _ => Err(EvqlError::new(
                 ErrorKind::Incompatible(
@@ -573,8 +598,9 @@ impl Session {
         }
     }
 
-    /// Builds the streaming engine for a validated continuous plan.
-    fn open_stream(&mut self, plan: QueryPlan) -> Result<StreamSession, EvqlError> {
+    /// Builds the streaming engine for a validated continuous plan that
+    /// emits every `every` arriving frames.
+    fn open_stream(&mut self, plan: QueryPlan, every: usize) -> Result<StreamSession, EvqlError> {
         #[expect(
             clippy::disallowed_methods,
             reason = "feeds the reported wall_ms stat only; stream answers never branch on wall \
@@ -590,21 +616,13 @@ impl Session {
         // Frames labelled during Phase-1 training enter D0 certain; they
         // arrive as point masses (the oracle re-confirms them for free in
         // simulated cost terms only if the cleaner ever picks one).
-        #[expect(clippy::expect_used, reason = "dist() is None iff the item is certain")]
         let dists: Vec<DiscreteDist> = (0..rel.len())
-            .map(|id| match rel.dist(id) {
-                Some(d) => d.clone(),
-                None => DiscreteDist::certain(
-                    rel.certain_bucket(id).expect("no dist means certain") as usize,
-                    rel.max_bucket(),
-                ),
+            .map(|id| match rel.item(id) {
+                ItemState::Uncertain(d) => d.clone(),
+                ItemState::Certain(b) => DiscreteDist::certain(*b as usize, rel.max_bucket()),
             })
             .collect();
-        #[expect(
-            clippy::expect_used,
-            reason = "both callers branch on emit_every.is_some()"
-        )]
-        let stride = plan.emit_every.expect("checked by caller").min(dists.len());
+        let stride = every.min(dists.len());
         let cfg = StreamConfig {
             k: plan.k,
             thres: plan.thres,

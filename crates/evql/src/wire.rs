@@ -284,21 +284,6 @@ impl Response {
 
 // ---- framing ----
 
-/// Wraps a payload in a length-prefixed frame.
-///
-/// Panics if the payload exceeds `u32::MAX` (the writer-side guard is
-/// [`write_frame`], which returns an error instead).
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + payload.len());
-    #[expect(
-        clippy::expect_used,
-        reason = "documented panic contract — callers needing an error path use write_frame"
-    )]
-    out.extend_from_slice(&(u32::try_from(payload.len()).expect("frame fits u32")).to_be_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
 /// Writes one frame, refusing payloads beyond `max` bytes.
 pub fn write_frame(w: &mut impl Write, payload: &[u8], max: u32) -> std::io::Result<()> {
     let len = payload.len();
@@ -690,7 +675,8 @@ mod tests {
             text: "SHOW DATASETS".into(),
         }
         .encode();
-        let framed = frame(&payload);
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &payload, DEFAULT_MAX_FRAME).unwrap();
         let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME);
         for chunk in framed.chunks(3) {
             dec.push(chunk);
@@ -712,7 +698,9 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // the stream stays dead
-        dec.push(&frame(&[1]));
+        let mut valid = Vec::new();
+        write_frame(&mut valid, &[1], 1024).unwrap();
+        dec.push(&valid);
         assert!(dec.next_frame().is_err());
     }
 

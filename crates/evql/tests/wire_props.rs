@@ -2,7 +2,9 @@
 //! request/response round-trips, framing across arbitrary chunk splits,
 //! and no-panic + bounded-allocation guarantees on adversarial bytes.
 
-use everest_evql::wire::{frame, FrameDecoder, Request, Response, WireError, DEFAULT_MAX_FRAME};
+use everest_evql::wire::{
+    write_frame, FrameDecoder, Request, Response, WireError, DEFAULT_MAX_FRAME,
+};
 use proptest::prelude::*;
 
 fn arb_text() -> impl Strategy<Value = String> {
@@ -66,7 +68,7 @@ proptest! {
     ) {
         let mut stream = Vec::new();
         for r in &reqs {
-            stream.extend_from_slice(&frame(&r.encode()));
+            write_frame(&mut stream, &r.encode(), DEFAULT_MAX_FRAME).unwrap();
         }
         let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME);
         let mut decoded = Vec::new();
@@ -153,13 +155,13 @@ fn decoder_survives_interleaved_garbage_after_error() {
         dec.next_frame(),
         Err(WireError::FrameTooLarge { .. })
     ));
-    dec.push(&frame(
-        &Request::Ping {
-            id: 1,
-            nonce: vec![],
-        }
-        .encode(),
-    ));
+    let mut valid = Vec::new();
+    let ping = Request::Ping {
+        id: 1,
+        nonce: vec![],
+    };
+    write_frame(&mut valid, &ping.encode(), DEFAULT_MAX_FRAME).unwrap();
+    dec.push(&valid);
     assert!(matches!(
         dec.next_frame(),
         Err(WireError::FrameTooLarge { .. })

@@ -82,17 +82,6 @@ impl GaussianMixture {
         (second - m * m).max(0.0)
     }
 
-    /// Probability density at `x` (untruncated).
-    pub fn pdf(&self, x: f64) -> f64 {
-        self.components
-            .iter()
-            .map(|c| {
-                let z = (x - c.mean) / c.std;
-                c.weight * (-0.5 * z * z).exp() / (c.std * (2.0 * std::f64::consts::PI).sqrt())
-            })
-            .sum()
-    }
-
     /// CDF at `x` (untruncated).
     pub fn cdf(&self, x: f64) -> f64 {
         self.components

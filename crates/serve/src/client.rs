@@ -26,14 +26,6 @@ impl Client {
         })
     }
 
-    /// Caps how large a response frame this client will buffer.
-    /// (Responses carry full renderings, so this defaults to the shared
-    /// [`wire::max_frame`] guard and can be raised independently of the
-    /// daemon's ingress cap.)
-    pub fn set_max_frame(&mut self, max: u32) {
-        self.max_frame = max;
-    }
-
     /// Bounds how long [`Client::read_response`] blocks. `None` waits
     /// forever.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {

@@ -75,20 +75,3 @@ impl Default for ServeConfig {
         }
     }
 }
-
-impl ServeConfig {
-    /// A config suited to tests: ephemeral port, floor-scaled datasets
-    /// (every catalog video shrinks to its 2 000-frame floor), small
-    /// pool.
-    pub fn test_default() -> Self {
-        let settings = SessionSettings {
-            scale: 1_000,
-            ..SessionSettings::default()
-        };
-        ServeConfig {
-            workers: 4,
-            settings,
-            ..ServeConfig::default()
-        }
-    }
-}

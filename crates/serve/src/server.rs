@@ -102,11 +102,6 @@ impl ServerHandle {
         self.shared.cache.clone()
     }
 
-    /// True once shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Requests a graceful shutdown: stops accepting, drains in-flight
     /// queries, then [`Server::run`] returns. Idempotent.
     pub fn shutdown(&self) {

@@ -121,13 +121,6 @@ impl Frame {
         sum / n
     }
 
-    /// Clamps every pixel into `[0, 1]`.
-    pub fn clamp_unit(&mut self) {
-        for p in &mut self.pixels {
-            *p = p.clamp(0.0, 1.0);
-        }
-    }
-
     /// Nearest-neighbour resize, used to shrink frames to the CMDN input
     /// resolution (the paper resizes to 128×128; we default to 32×32 at our
     /// scaled resolution).

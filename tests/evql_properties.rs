@@ -1,12 +1,14 @@
-//! Property tests for the EVQL front end: print/parse round-trips for
-//! well-formed queries, and no-panic guarantees on arbitrary input for
-//! every stage (lexer, parser, analysis).
+//! Property tests for EVQL: print/parse round-trips for well-formed
+//! queries, no-panic guarantees on arbitrary input for every front-end
+//! stage (lexer, parser, analysis), and no panic from executing any K.
 
 use everest::evql::analyze_select;
 use everest::evql::ast::{Statement, Target};
 use everest::evql::parse;
-use everest::evql::SessionSettings;
+use everest::evql::{Output, Session, SessionSettings};
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{LazyLock, Mutex};
 
 // ---- generators for well-formed queries ----
 
@@ -197,6 +199,38 @@ proptest! {
         let text = words.join(" ");
         if let Ok(Statement::Select(stmt)) = parse(&text) {
             let _ = analyze_select(&stmt, &SessionSettings::default());
+        }
+    }
+}
+
+/// One session for every case, so Phase 1 runs once per video.
+static SESSION: LazyLock<Mutex<Session>> = LazyLock::new(|| {
+    let mut session = Session::new();
+    session.execute("SET scale = 1000").unwrap();
+    Mutex::new(session)
+});
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Any K the analysis accepts either answers with K rows or returns a
+    /// typed error — including K beyond the frames difference detection
+    /// retains (ROADMAP aim 3's "K ≥ n" edge). Half the cases draw K
+    /// below 200, where the retained counts lie.
+    #[test]
+    fn no_statement_panics(
+        k in (any::<bool>(), 1usize..200, 1usize..=2_000)
+            .prop_map(|(small, lo, any)| if small { lo } else { any }),
+        engine in prop::sample::select(vec!["everest", "cmdn", "noscope", "scan"]),
+        video in prop::sample::select(vec!["Dashcam-California", "Dashcam-Greenport", "Archie"]),
+    ) {
+        let q = format!("SELECT TOP {k} FRAMES FROM {video} USING {engine}");
+        let mut session = SESSION.lock().unwrap_or_else(|e| e.into_inner());
+        match catch_unwind(AssertUnwindSafe(|| session.execute(&q))) {
+            Ok(Ok(Output::Rows(out))) => prop_assert_eq!(out.rows.len(), k, "{}", q),
+            Ok(Ok(other)) => return Err(TestCaseError::fail(format!("{q} → {other:?}"))),
+            Ok(Err(_)) => {}
+            Err(_) => return Err(TestCaseError::fail(format!("{q} panicked"))),
         }
     }
 }

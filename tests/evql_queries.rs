@@ -260,3 +260,17 @@ fn set_scale_changes_planned_video_size() {
     };
     assert!(plan_text.contains("frames=5325"), "{plan_text}");
 }
+
+#[test]
+fn k_beyond_the_retained_frames_is_a_typed_error() {
+    // K = 300 passes analysis (the video has 2 000 frames), but difference
+    // detection retains fewer than 300 of them for the proxy engines.
+    let mut s = fast_session();
+    for engine in ["everest", "cmdn", "noscope"] {
+        let q = format!("SELECT TOP 300 FRAMES FROM Dashcam-California USING {engine}");
+        let err = s.execute(&q).expect_err(&q);
+        let message = err.message();
+        assert!(message.contains("retains"), "{q}: {message}");
+        assert!(message.contains("Dashcam-California"), "{q}: {message}");
+    }
+}

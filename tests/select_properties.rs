@@ -56,10 +56,10 @@ proptest! {
         let p_hat = h.value(s_k);
         let gamma = h.value(s_p);
         for id in rel.uncertain_ids() {
-            let e = expected_confidence(&rel, &h, id, s_k, s_p);
+            let d = rel.dist(id).unwrap();
+            let e = expected_confidence(d, &h, s_k, s_p);
             prop_assert!(e >= p_hat - 1e-12, "E < p̂ for item {id}: {e} < {p_hat}");
             prop_assert!(e <= 1.0 + 1e-12, "E > 1 for item {id}: {e}");
-            let d = rel.dist(id).unwrap();
             let bound = {
                 let ps = psi(d, s_k, s_p);
                 if ps.is_infinite() { f64::INFINITY } else { p_hat + gamma * ps }

@@ -137,6 +137,34 @@ fn concurrent_answers_are_byte_identical_to_a_single_process_session() {
 }
 
 #[test]
+fn k_beyond_the_retained_frames_answers_an_error_and_keeps_the_only_worker() {
+    let (handle, join) = Server::spawn(ServeConfig {
+        workers: 1,
+        ..test_config()
+    })
+    .unwrap();
+    let addr = handle.addr();
+    let ask = |query: &str| {
+        let mut client = Client::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        client.query(query).unwrap()
+    };
+    match ask("SELECT TOP 300 FRAMES FROM Dashcam-California") {
+        Response::Error { text, .. } => assert!(text.contains("retains"), "{text}"),
+        other => panic!("expected an error, got {other:?}"),
+    }
+    match ask(SCAN_QUERIES[0]) {
+        Response::Answer { .. } => {}
+        other => panic!("expected an answer, got {other:?}"),
+    }
+    handle.shutdown();
+    let report = join.join().unwrap();
+    assert!(report.clean(), "unclean drain: {report:?}");
+}
+
+#[test]
 fn protocol_fuzz_rejects_malformed_frames_without_killing_the_daemon() {
     let (handle, join) = Server::spawn(test_config()).unwrap();
     let addr = handle.addr();
@@ -222,7 +250,9 @@ fn protocol_fuzz_rejects_malformed_frames_without_killing_the_daemon() {
 }
 
 fn frame_of(request: &Request) -> Vec<u8> {
-    wire::frame(&request.encode())
+    let mut out = Vec::new();
+    wire::write_frame(&mut out, &request.encode(), wire::DEFAULT_MAX_FRAME).unwrap();
+    out
 }
 
 #[test]

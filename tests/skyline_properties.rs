@@ -8,10 +8,10 @@ use everest::core::cleaner::CleaningOracle;
 use everest::core::dist::DiscreteDist;
 use everest::core::skyline::{
     dominates, prob_dominated, pws_skyline_probability, run_skyline_cleaner, skyline_of,
-    skyline_state, DimState, SkylineConfig, SkylineMaintainer, VectorRelation,
+    skyline_state, SkylineConfig, SkylineMaintainer, VectorRelation,
 };
+use everest::core::xtuple::ItemState;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 const MAX_B: usize = 3;
 
@@ -196,17 +196,17 @@ fn pmf_of(rel: &VectorRelation, u: usize, j: usize, b: u32) -> f64 {
 
 // ---------------------------------------------------------------------------
 // Incremental maintainer ≡ full recompute (the permanent oracle for the
-// streaming skyline path).
+// index every skyline run keeps).
 // ---------------------------------------------------------------------------
 
-/// One random staircase mutation. Selector fields are resolved against the
-/// *current* live set at apply time (modulo its size), so every generated
-/// sequence is valid regardless of how earlier ops reshaped the set.
+/// One random staircase mutation. The selector field is resolved against
+/// the *current* uncertain items at apply time (modulo their count), so
+/// every generated sequence is valid regardless of how earlier ops
+/// reshaped the relation.
 #[derive(Debug, Clone)]
 enum Mutation {
     InsertCertain(u32, u32),
     InsertUncertain(DiscreteDist, DiscreteDist),
-    Remove(usize),
     /// Oracle confirmation: shifts an uncertain item onto an exact point
     /// (the "score-shift" that moves the staircase).
     Clean(usize, u32, u32),
@@ -216,7 +216,7 @@ fn arb_mutation() -> impl Strategy<Value = Mutation> {
     // Uncertain inserts get double weight: factors are where the
     // incremental bookkeeping can silently go stale.
     (
-        0u8..5,
+        0u8..4,
         0u32..=MAX_B as u32,
         0u32..=MAX_B as u32,
         arb_dist(),
@@ -226,25 +226,8 @@ fn arb_mutation() -> impl Strategy<Value = Mutation> {
         .prop_map(|(kind, x, y, dx, dy, sel)| match kind {
             0 => Mutation::InsertCertain(x, y),
             1 | 2 => Mutation::InsertUncertain(dx, dy),
-            3 => Mutation::Remove(sel),
             _ => Mutation::Clean(sel, x, y),
         })
-}
-
-/// Rebuilds a fresh relation from the live items (ascending id) and runs
-/// the from-scratch [`skyline_state`]; returns the state with its item
-/// ids translated back to maintainer ids.
-fn recompute_oracle(live: &BTreeMap<usize, Vec<DimState>>) -> (Vec<usize>, Vec<(usize, f64)>, f64) {
-    let mut rel = VectorRelation::new(vec![MAX_B, MAX_B]);
-    let order: Vec<usize> = live.keys().copied().collect();
-    for dims in live.values() {
-        rel.push(dims.clone());
-    }
-    let state = skyline_state(&rel);
-    let mut skyline: Vec<usize> = state.skyline.iter().map(|&i| order[i]).collect();
-    skyline.sort_unstable();
-    let factors: Vec<(usize, f64)> = state.factors.iter().map(|&(i, p)| (order[i], p)).collect();
-    (skyline, factors, state.confidence)
 }
 
 proptest! {
@@ -252,75 +235,50 @@ proptest! {
 
     /// The permanent oracle pinning the incremental [`SkylineMaintainer`]
     /// to the from-scratch [`skyline_state`]: after *every* mutation in a
-    /// random insert/remove/clean sequence, the maintained state — the
-    /// certain skyline, each uncertain item's domination factor, and the
-    /// confidence product — equals a full recompute over the surviving
-    /// items, and the maintainer spent no more factor recomputations than
-    /// the recompute-everything baseline would have.
+    /// random insert/clean sequence, the maintained state — the certain
+    /// skyline, each uncertain item's domination factor, and the
+    /// confidence product — equals a full recompute over the maintained
+    /// relation, and the maintainer spent no more factor recomputations
+    /// than the recompute-everything baseline would have.
     #[test]
     fn maintainer_matches_full_recompute_under_random_mutations(
         ops in proptest::collection::vec(arb_mutation(), 1..25),
     ) {
-        let mut m = SkylineMaintainer::new(vec![MAX_B, MAX_B]);
-        let mut live: BTreeMap<usize, Vec<DimState>> = BTreeMap::new();
-        let mut next_id = 0usize;
+        let mut rel = VectorRelation::new(vec![MAX_B, MAX_B]);
+        let mut m = SkylineMaintainer::new(&mut rel);
         let mut baseline_recomputes = 0u64;
 
         for op in ops {
             match op {
                 Mutation::InsertCertain(x, y) => {
-                    let dims = vec![DimState::Certain(x), DimState::Certain(y)];
-                    m.insert(next_id, dims.clone());
-                    live.insert(next_id, dims);
-                    next_id += 1;
+                    m.push(vec![ItemState::Certain(x), ItemState::Certain(y)]);
                 }
                 Mutation::InsertUncertain(dx, dy) => {
-                    let dims = vec![DimState::Uncertain(dx), DimState::Uncertain(dy)];
-                    m.insert(next_id, dims.clone());
-                    live.insert(next_id, dims);
-                    next_id += 1;
-                }
-                Mutation::Remove(sel) => {
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let id = *live.keys().nth(sel % live.len()).unwrap();
-                    m.remove(id);
-                    live.remove(&id);
+                    m.push(vec![ItemState::Uncertain(dx), ItemState::Uncertain(dy)]);
                 }
                 Mutation::Clean(sel, x, y) => {
-                    let uncertain: Vec<usize> = live
-                        .iter()
-                        .filter(|(_, d)| {
-                            d.iter().any(|s| matches!(s, DimState::Uncertain(_)))
-                        })
-                        .map(|(&id, _)| id)
-                        .collect();
+                    let uncertain = m.relation().uncertain_ids();
                     if uncertain.is_empty() {
                         continue;
                     }
-                    let id = uncertain[sel % uncertain.len()];
-                    m.clean(id, &[x, y]);
-                    live.insert(id, vec![DimState::Certain(x), DimState::Certain(y)]);
+                    m.clean(uncertain[sel % uncertain.len()], &[x, y]);
                 }
             }
             // A recompute-everything baseline pays one factor evaluation
-            // per uncertain survivor per mutation.
-            baseline_recomputes += live
-                .values()
-                .filter(|d| d.iter().any(|s| matches!(s, DimState::Uncertain(_))))
-                .count() as u64;
+            // per uncertain item per mutation.
+            let live = m.relation();
+            baseline_recomputes += (live.len() - live.num_certain()) as u64;
 
             let state = m.state();
-            let (want_sky, want_factors, want_conf) = recompute_oracle(&live);
-            prop_assert_eq!(&state.skyline, &want_sky, "skyline diverged");
+            let want = skyline_state(live);
+            prop_assert_eq!(&state.skyline, &want.skyline, "skyline diverged");
             prop_assert_eq!(
                 state.factors.len(),
-                want_factors.len(),
+                want.factors.len(),
                 "factor set diverged"
             );
             for (&(id, got), &(want_id, want)) in
-                state.factors.iter().zip(&want_factors)
+                state.factors.iter().zip(&want.factors)
             {
                 prop_assert_eq!(id, want_id);
                 prop_assert!(
@@ -329,8 +287,8 @@ proptest! {
                 );
             }
             prop_assert!(
-                (state.confidence - want_conf).abs() < 1e-12,
-                "confidence {} vs recompute {}", state.confidence, want_conf
+                (state.confidence - want.confidence).abs() < 1e-12,
+                "confidence {} vs recompute {}", state.confidence, want.confidence
             );
         }
         prop_assert!(
