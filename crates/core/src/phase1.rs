@@ -150,13 +150,16 @@ pub fn render_inputs(
     parts.into_iter().flatten().collect()
 }
 
-/// Frames per batched forward in the fused scoring pipeline. With the
-/// SIMD kernels and the allocation-free forward, per-call overhead is
-/// small and the first conv layer's packed-patch matrix (~37 KB/frame)
-/// falls out of cache as the batch widens: measured per-frame cost on the
-/// reference machine is ~39 µs at 4 frames vs ~41 µs at 1/16 and ~45 µs
-/// at 32, so 4 is the sweet spot. (Batch width never changes results —
-/// the GEMM accumulation order per output element is batch-independent.)
+/// Frames per batched forward in the fused scoring pipeline — a speed
+/// knob only. Each frame's mixture is the same bits at any width because
+/// the CMDN's conv layers all have an `h·w` that is a multiple of 16
+/// (32×32 inputs: 1 024, 256 and 64 positions), so no frame's columns fall
+/// into the GEMM's edge (see `everest_nn::kernels` § Determinism). (The
+/// training microbatch is the opposite: its width sets the order of the
+/// gradient sum.) On a 2-vCPU x86-64 host a 32×32 `conv [6, 12]` forward
+/// costs ~11.5 µs/frame at 4, ~11.8 at 8 and ~12.9 at 16 — the first
+/// layer's packed patches (~37 KB per frame) leave the cache as the batch
+/// widens — so it is 4.
 const INFER_BATCH: usize = 4;
 
 /// Fused render + CMDN-score pass over `frames`, in parallel: each worker
@@ -164,8 +167,8 @@ const INFER_BATCH: usize = 4;
 /// a packed sample-major buffer** (no per-frame `Vec`, no materialised
 /// frame set), feeding [`Cmdn::predict_many`]-batched forwards. Returns
 /// one mixture per frame, in input order — bit-identical to scoring the
-/// frames one at a time, whatever the thread count or batch width (the
-/// GEMM accumulation order per output element is batch-independent).
+/// frames one at a time, whatever the thread count or batch width (see
+/// `INFER_BATCH`).
 pub fn score_frames(
     video: &dyn VideoStore,
     model: &Cmdn,

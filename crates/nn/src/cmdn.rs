@@ -77,6 +77,14 @@ impl ConvBlock {
         let g = self.relu.backward(&g);
         self.conv.backward_batch(&g, batch)
     }
+
+    /// [`ConvBlock::backward_batch`] without the input gradient — the
+    /// first block's input is the frame, so nothing reads it.
+    fn backward_params_batch(&mut self, g: &[f32], batch: usize) {
+        let g = self.pool.backward(g);
+        let g = self.relu.backward(&g);
+        self.conv.backward_params_batch(&g, batch);
+    }
 }
 
 /// Reusable forward-pass buffers (grown on first use). `x`/`y` ping-pong the
@@ -363,8 +371,26 @@ impl Cmdn {
     pub fn train_step_batch(&mut self, inputs: &[f32], ys: &[f64]) -> f64 {
         let batch = ys.len();
         self.forward_raw_batch(inputs, batch, true);
-        let g = self.cfg.num_gaussians;
+        let (grad_raw, total_nll) = self.head_grads(ys);
 
+        // Backprop through the body, whole minibatch per call. Block 0
+        // stops at its parameters: its input gradient is ∂/∂pixels.
+        let gr = self.fc2.backward_batch(&grad_raw, batch);
+        let gr = self.fc1_relu.backward(&gr);
+        let gr = self.fc1.backward_batch(&gr, batch);
+        let mut gx = self.unflatten_features(&gr, batch);
+        for b in self.blocks[1..].iter_mut().rev() {
+            gx = b.backward_batch(&gx, batch);
+        }
+        self.blocks[0].backward_params_batch(&gx, batch);
+        total_nll
+    }
+
+    /// Bishop's MDN gradients w.r.t. the raw head outputs of the last
+    /// forward (`batch × 3g`, sample-major), with the summed NLL.
+    fn head_grads(&self, ys: &[f64]) -> (Vec<f32>, f64) {
+        let batch = ys.len();
+        let g = self.cfg.num_gaussians;
         let mut grad_raw = vec![0.0f32; batch * 3 * g];
         let mut total_nll = 0.0f64;
         for (s, &y) in ys.iter().enumerate() {
@@ -396,16 +422,7 @@ impl Cmdn {
             }
             total_nll += -log_density;
         }
-
-        // Backprop through the body, whole minibatch per call.
-        let gr = self.fc2.backward_batch(&grad_raw, batch);
-        let gr = self.fc1_relu.backward(&gr);
-        let gr = self.fc1.backward_batch(&gr, batch);
-        let mut gx = self.unflatten_features(&gr, batch);
-        for b in self.blocks.iter_mut().rev() {
-            gx = b.backward_batch(&gx, batch);
-        }
-        total_nll
+        (grad_raw, total_nll)
     }
 
     /// Evaluation NLL of one sample without touching gradients.
@@ -643,6 +660,44 @@ mod tests {
         }
         let after = m.eval_nll(&input, y);
         assert!(after < before, "NLL should drop: {before} → {after}");
+    }
+
+    /// `train_step_batch` skips block 0's input gradient; every parameter
+    /// gradient must still equal the full backward pass's, bit for bit.
+    #[test]
+    fn skipping_block0_input_grad_keeps_every_param_grad() {
+        let cfg = CmdnConfig {
+            input: (16, 16),
+            conv_channels: vec![6, 12],
+            ..tiny_cfg()
+        };
+        let batch = 3;
+        let inputs: Vec<f32> = (0..batch * 256)
+            .map(|i| ((i * 37) % 101) as f32 / 101.0)
+            .collect();
+        let ys = [1.0, 4.5, 2.0];
+        let mut skipped = Cmdn::new(cfg);
+        let mut full = skipped.clone();
+        let nll = skipped.train_step_batch(&inputs, &ys);
+
+        full.forward_raw_batch(&inputs, batch, true);
+        let (grad_raw, full_nll) = full.head_grads(&ys);
+        let gr = full.fc2.backward_batch(&grad_raw, batch);
+        let gr = full.fc1_relu.backward(&gr);
+        let gr = full.fc1.backward_batch(&gr, batch);
+        let mut gx = full.unflatten_features(&gr, batch);
+        for b in full.blocks.iter_mut().rev() {
+            gx = b.backward_batch(&gx, batch);
+        }
+        assert_eq!(
+            gx.len(),
+            inputs.len(),
+            "the pixel gradient the fast path skips"
+        );
+
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(skipped.grads_flat()), bits(full.grads_flat()));
+        assert_eq!(nll.to_bits(), full_nll.to_bits());
     }
 
     #[test]

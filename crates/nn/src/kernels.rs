@@ -32,24 +32,42 @@
 //! Every kernel accumulates in a fixed order — the GEMM reduction dimension
 //! ascends element-by-element, and [`gemm_nt`]'s dot products use a fixed
 //! 8-lane accumulator folded in lane order — so results are bit-identical
-//! across runs and independent of the blocking parameters: all *vector*
-//! kernels (4×16, 4×32, 8×32) apply the identical per-element FMA chain,
-//! so which tile width computes an element changes nothing. (They are
-//! *not* bit-identical to the scalar reference: f32 addition is
-//! non-associative, which is why the equivalence tests in
-//! [`crate::layers`] use a small tolerance.)
+//! across runs. What an element of [`gemm`]'s `C` holds is decided by
+//! where it sits in the `m × n` output, not by the register width:
+//!
+//! - **Tile elements** (row below `m − m % 4`, column below `n − n % 16`)
+//!   on the vector path run a fused chain, `acc = fma(a, b, acc)` for
+//!   ascending `k`, then `C += acc`. The 4×16, 4×32 and 8×32 tiles all run
+//!   this one chain, so the tile width changes nothing.
+//! - **Edge elements** (the `m % 4` rows and `n % 16` columns) run a
+//!   separate multiply then add per step, `acc = acc + a·b`, then
+//!   `C += acc` — on both vector tiers (vector edge rows) and in the
+//!   scalar edge kernel (edge columns).
+//! - The **scalar path** (`EVEREST_NO_SIMD=1`, or no AVX2 + FMA) runs the
+//!   unfused chain for every element and is the numeric reference.
+//!
+//! So on the vector path a GEMM result depends on `m` and `n` modulo the
+//! tile, and a conv layer's per-sample outputs are independent of the
+//! batch width only while its `h·w` is a multiple of 16. The edge must
+//! stay unfused: an FMA edge would be faster still, but it moves the bits
+//! of every GEMM whose `m` is not a multiple of 4 — the first conv block
+//! of the EVQL recipe has `out_ch = 6` — and with them the Phase-1
+//! relation and the answers, whose `topk_precision` the benchmark bounds
+//! at 0. The vector path is *not* bit-identical to the scalar one (fused
+//! vs separate rounding in the tiles), which is why the equivalence tests
+//! in [`crate::layers`] use a small tolerance.
 //!
 //! # CPU dispatch
 //!
 //! On x86-64 hosts with AVX2 + FMA (detected once at startup via
-//! `is_x86_feature_detected!`) the 4×16 microkernel and [`gemm_nt`]'s dot
+//! `is_x86_feature_detected!`) the GEMM strips and [`gemm_nt`]'s dot
 //! product run as explicit `std::arch` vector code; everywhere else the
-//! portable scalar forms run. The vector path keeps the exact ascending-`k`
-//! per-element accumulation order of the scalar path, but FMA fuses each
-//! multiply-add into one rounding, so the two paths can differ in the last
-//! bits — each path is bit-deterministic on its own, and the selected path
-//! is fixed for the whole process, so end-to-end runs stay byte-identical
-//! on the same machine. Set the environment variable `EVEREST_NO_SIMD=1`
+//! portable scalar forms run. The vector path keeps the exact
+//! ascending-`k` per-element accumulation order of the scalar path, but in
+//! the tiles FMA fuses each multiply-add into one rounding, so the two
+//! paths can differ in the last bits — each path is bit-deterministic on
+//! its own, and the selected path is fixed for the whole process, so
+//! end-to-end runs stay byte-identical on the same machine. Set the environment variable `EVEREST_NO_SIMD=1`
 //! (read once, before the first GEMM) to force the scalar path.
 //! [`simd_active`] reports the dispatch decision.
 
@@ -105,7 +123,8 @@ fn avx2_available() -> bool {
 /// Accumulation into `C` means callers can fold a bias pre-fill (forward)
 /// or gradient accumulation (backward) into the same call. The reduction
 /// runs over `p = 0..k` in ascending order for every output element, so the
-/// result is deterministic and independent of the blocking.
+/// result is deterministic; which elements fuse their multiply-adds is set
+/// out in the module's *Determinism* section.
 pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     gemm_dispatch(simd_active(), m, n, k, a, b, c);
 }
@@ -235,8 +254,9 @@ fn kernel_edge(
 /// This is the backward weight pass (`∇W += ∇out · colsᵀ`), where the
 /// reduction dimension is the (large) number of patch columns. The dot
 /// product uses eight parallel lanes folded in fixed lane order, so it is
-/// deterministic (though ordered differently from [`gemm`]); on the AVX2
-/// path the eight lanes live in one FMA register.
+/// deterministic (though ordered differently from [`gemm`]); on the vector
+/// path the eight lanes live in FMA registers, four chains per dot, and
+/// dots are computed 2×2 at a time so each loaded row chunk feeds two.
 pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     gemm_nt_dispatch(simd_active(), m, n, k, a, b, c);
 }
@@ -253,18 +273,18 @@ fn gemm_nt_dispatch(simd: bool, m: usize, n: usize, k: usize, a: &[f32], b: &[f3
 }
 
 fn gemm_nt_serial(simd: bool, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if simd {
+        // SAFETY: simd is only true when AVX2+FMA were detected, and the
+        // dispatch wrapper validated every slice length.
+        unsafe { avx2::gemm_nt(m, n, k, a, b, c) };
+        return;
+    }
+    let _ = simd;
     for i in 0..m {
         let ar = &a[i * k..(i + 1) * k];
         for jn in 0..n {
-            let br = &b[jn * k..(jn + 1) * k];
-            #[cfg(target_arch = "x86_64")]
-            if simd {
-                // SAFETY: simd is only true when AVX2+FMA were detected.
-                c[i * n + jn] += unsafe { avx2::dot(ar, br) };
-                continue;
-            }
-            let _ = simd;
-            c[i * n + jn] += dot(ar, br);
+            c[i * n + jn] += dot(ar, &b[jn * k..(jn + 1) * k]);
         }
     }
 }
@@ -295,7 +315,7 @@ fn dot(x: &[f32], y: &[f32]) -> f32 {
 /// Explicit AVX2 + FMA forms of the two hot kernels. Numerically these
 /// walk the reduction in the same ascending-`k` per-element scheme as
 /// their scalar twins; the differences are FMA's single rounding per
-/// multiply-add and [`avx2::dot`]'s four-register chain split.
+/// multiply-add and [`avx2::dots`]'s four-register chain split.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{kernel_edge, MR, NR};
@@ -304,9 +324,9 @@ mod avx2 {
     /// Full GEMM starting at column `j0`: for every 16-column strip of
     /// `B`, pack the strip contiguously into `pack` (one 64-byte line per
     /// `p` instead of a `4n`-byte stride), then sweep all 4-row tiles of
-    /// `A` over it. The `m % 4` edge rows and trailing `< 16` columns run
-    /// the scalar [`kernel_edge`], whose per-element ascending-`p` order
-    /// the microkernel shares.
+    /// `A` over it. The `m % 4` edge rows of a strip run
+    /// [`edge_rows_packed`] (vector, unfused); the trailing `< 16` columns
+    /// run the scalar [`kernel_edge`].
     ///
     /// # Safety
     ///
@@ -341,7 +361,10 @@ mod avx2 {
                 i0 += MR;
             }
             if i0 < m {
-                kernel_edge(m - i0, NR, k, n, i0, j, a, b, c);
+                // SAFETY: caller guarantees AVX2+FMA; the edge rows
+                // i0..m and columns j..j + NR lie inside the validated
+                // slices, and the strip is packed to k·NR elements.
+                edge_rows_packed(m - i0, k, n, i0, j, a, pack, c);
             }
             j += NR;
         }
@@ -395,50 +418,232 @@ mod avx2 {
         }
     }
 
-    /// Vector twin of [`super::dot`], with the eight-lane scheme split
-    /// over four independent FMA registers (chains cover the FMA latency;
-    /// a single register chain runs at 1/4 throughput). Registers are
-    /// folded pairwise then lanes in index order — deterministic, but a
-    /// different summation tree than the scalar twin, so comparisons use
-    /// the usual f32 tolerance.
+    /// The `mr < 4` edge rows of a packed 16-column strip. Every element
+    /// runs [`super::kernel_edge`]'s exact arithmetic — a separate
+    /// multiply then add per `p` (`_mm256_mul_ps`, `_mm256_add_ps`, never
+    /// FMA) into a zero accumulator, then one add into `C` — so the result
+    /// is bit-identical to the scalar edge; only sixteen columns move at
+    /// once.
     ///
     /// # Safety
     ///
-    /// Requires AVX2 + FMA at runtime; `x` and `y` must be equally long.
+    /// Requires AVX2 at runtime; `a` must hold at least `(i0 + mr)·k`
+    /// elements, `pack` at least `k·NR`, and `c` the full `m×n` output
+    /// with `i0 + mr ≤ m` and `j + NR ≤ n`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn dot(x: &[f32], y: &[f32]) -> f32 {
-        debug_assert_eq!(x.len(), y.len());
+    unsafe fn edge_rows_packed(
+        mr: usize,
+        k: usize,
+        n: usize,
+        i0: usize,
+        j: usize,
+        a: &[f32],
+        pack: &[f32],
+        c: &mut [f32],
+    ) {
+        debug_assert!((1..MR).contains(&mr));
+        match mr {
+            // SAFETY: this function's own contract, with mr = 1.
+            1 => edge_rows::<1>(k, n, i0, j, a, pack, c),
+            // SAFETY: this function's own contract, with mr = 2.
+            2 => edge_rows::<2>(k, n, i0, j, a, pack, c),
+            // SAFETY: this function's own contract, with mr = 3.
+            _ => edge_rows::<3>(k, n, i0, j, a, pack, c),
+        }
+    }
+
+    /// [`edge_rows_packed`] for `R` rows, interleaved so their add chains
+    /// overlap.
+    ///
+    /// # Safety
+    ///
+    /// As [`edge_rows_packed`] with `mr = R`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn edge_rows<const R: usize>(
+        k: usize,
+        n: usize,
+        i0: usize,
+        j: usize,
+        a: &[f32],
+        pack: &[f32],
+        c: &mut [f32],
+    ) {
+        debug_assert!(R < MR && a.len() >= (i0 + R) * k && pack.len() >= k * NR);
+        let mut acc = [[_mm256_setzero_ps(); 2]; R];
+        for p in 0..k {
+            let bp = pack.as_ptr().add(p * NR);
+            let b0 = _mm256_loadu_ps(bp);
+            let b1 = _mm256_loadu_ps(bp.add(8));
+            for (r, pair) in acc.iter_mut().enumerate() {
+                let av = _mm256_broadcast_ss(a.get_unchecked((i0 + r) * k + p));
+                pair[0] = _mm256_add_ps(pair[0], _mm256_mul_ps(av, b0));
+                pair[1] = _mm256_add_ps(pair[1], _mm256_mul_ps(av, b1));
+            }
+        }
+        for (r, pair) in acc.iter().enumerate() {
+            let cp = c.as_mut_ptr().add((i0 + r) * n + j);
+            _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), pair[0]));
+            let cp8 = cp.add(8);
+            _mm256_storeu_ps(cp8, _mm256_add_ps(_mm256_loadu_ps(cp8), pair[1]));
+        }
+    }
+
+    /// `C += A·Bᵀ` on the vector path, 2×2 blocks of dot products at a
+    /// time (then 2×1, 1×2, 1×1 at the edges) through [`dots`], so each
+    /// loaded chunk of `A` and `B` feeds two dots instead of one. Every
+    /// element is the same [`dots`] chain whatever block computes it.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 + FMA at runtime and the [`super::gemm_nt`]
+    /// slice-length invariants (validated by the dispatch wrapper).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn gemm_nt(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+    ) {
+        let mut i = 0;
+        while i < m {
+            let pair = i + 2 <= m;
+            let mut j = 0;
+            while j < n {
+                let wide = j + 2 <= n;
+                match (pair, wide) {
+                    // SAFETY: rows i, i + 1 < m and j, j + 1 < n; AVX2 +
+                    // FMA and the slice lengths are this function's contract.
+                    (true, true) => block::<2, 2>(n, k, i, j, a, b, c),
+                    // SAFETY: as above, with the one column j < n.
+                    (true, false) => block::<2, 1>(n, k, i, j, a, b, c),
+                    // SAFETY: as above, with the one row i < m.
+                    (false, true) => block::<1, 2>(n, k, i, j, a, b, c),
+                    // SAFETY: as above, with one row and one column.
+                    (false, false) => block::<1, 1>(n, k, i, j, a, b, c),
+                }
+                j += if wide { 2 } else { 1 };
+            }
+            i += if pair { 2 } else { 1 };
+        }
+    }
+
+    /// `C[i..i+R][j..j+C] += ` the `R×C` [`dots`] of rows `i..` of `A`
+    /// and rows `j..` of `B`.
+    ///
+    /// # Safety
+    ///
+    /// The caller's target features must include AVX2 + FMA; `i + R ≤ m`,
+    /// `j + C ≤ n`, with `a`, `b`, `c` holding `m·k`, `n·k`, `m·n`.
+    #[inline(always)]
+    unsafe fn block<const R: usize, const C: usize>(
+        n: usize,
+        k: usize,
+        i: usize,
+        j: usize,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+    ) {
+        let mut xs = [a.as_ptr(); R];
+        for (r, x) in xs.iter_mut().enumerate() {
+            *x = x.add((i + r) * k);
+        }
+        let mut ys = [b.as_ptr(); C];
+        for (col, y) in ys.iter_mut().enumerate() {
+            *y = y.add((j + col) * k);
+        }
+        // SAFETY: each pointer starts a k-element row inside its slice.
+        let d = dots::<R, C>(k, xs, ys);
+        for (r, dr) in d.iter().enumerate() {
+            for (col, v) in dr.iter().enumerate() {
+                c[(i + r) * n + j + col] += v;
+            }
+        }
+    }
+
+    /// `R×C` dot products of length `k` — rows `xs` against rows `ys` —
+    /// sharing each loaded chunk across the dots that use it. Each dot is
+    /// the vector twin of [`super::dot`]'s eight-lane scheme, split over
+    /// four independent FMA chains (they cover the FMA latency): 32-element
+    /// blocks feed chains 0–3, whole 8-lane chunks left over go into
+    /// chain 0, the chains fold pairwise, then the lanes in index order,
+    /// then the `k % 8` tail adds unfused. Deterministic, and the same
+    /// bits for every `R×C`, but a different summation tree than the
+    /// scalar twin, so comparisons with it use the usual f32 tolerance.
+    ///
+    /// # Safety
+    ///
+    /// The caller's target features must include AVX2 + FMA; every
+    /// pointer must be valid for `k` reads.
+    #[inline(always)]
+    unsafe fn dots<const R: usize, const C: usize>(
+        k: usize,
+        xs: [*const f32; R],
+        ys: [*const f32; C],
+    ) -> [[f32; C]; R] {
         const LANES: usize = 8;
         const CHAINS: usize = 4;
-        let mut acc = [_mm256_setzero_ps(); CHAINS];
-        let blocks = x.len() / (LANES * CHAINS);
+        let mut acc = [[[_mm256_setzero_ps(); CHAINS]; C]; R];
+        let blocks = k / (LANES * CHAINS);
         for bi in 0..blocks {
-            let base = bi * LANES * CHAINS;
-            for (ci, chain) in acc.iter_mut().enumerate() {
-                let xv = _mm256_loadu_ps(x.as_ptr().add(base + ci * LANES));
-                let yv = _mm256_loadu_ps(y.as_ptr().add(base + ci * LANES));
-                *chain = _mm256_fmadd_ps(xv, yv, *chain);
+            for ci in 0..CHAINS {
+                // SAFETY: the block ends at or before k.
+                fma_step(&mut acc, ci, bi * LANES * CHAINS + ci * LANES, xs, ys);
             }
         }
         let mut done = blocks * LANES * CHAINS;
-        // Whole 8-lane chunks left over go into chain 0, ascending.
-        while done + LANES <= x.len() {
-            let xv = _mm256_loadu_ps(x.as_ptr().add(done));
-            let yv = _mm256_loadu_ps(y.as_ptr().add(done));
-            acc[0] = _mm256_fmadd_ps(xv, yv, acc[0]);
+        while done + LANES <= k {
+            // SAFETY: the chunk ends at or before k.
+            fma_step(&mut acc, 0, done, xs, ys);
             done += LANES;
         }
-        let folded = _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]));
-        let mut lanes = [0.0f32; LANES];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), folded);
-        let mut sum = 0.0f32;
-        for &l in &lanes {
-            sum += l;
+        let mut out = [[0.0f32; C]; R];
+        for (r, x) in xs.iter().enumerate() {
+            for (col, y) in ys.iter().enumerate() {
+                let a = &acc[r][col];
+                let folded = _mm256_add_ps(_mm256_add_ps(a[0], a[1]), _mm256_add_ps(a[2], a[3]));
+                let mut lanes = [0.0f32; LANES];
+                _mm256_storeu_ps(lanes.as_mut_ptr(), folded);
+                let mut sum = 0.0f32;
+                for &l in &lanes {
+                    sum += l;
+                }
+                for p in done..k {
+                    sum += *x.add(p) * *y.add(p);
+                }
+                out[r][col] = sum;
+            }
         }
-        for p in done..x.len() {
-            sum += x.get_unchecked(p) * y.get_unchecked(p);
+        out
+    }
+
+    /// One 8-lane FMA of every dot of a [`dots`] block into `chain`, at
+    /// element offset `off`.
+    ///
+    /// # Safety
+    ///
+    /// The caller's target features must include AVX2 + FMA; every
+    /// pointer must be valid for reads of `off..off + 8`.
+    #[inline(always)]
+    unsafe fn fma_step<const R: usize, const C: usize>(
+        acc: &mut [[[__m256; 4]; C]; R],
+        chain: usize,
+        off: usize,
+        xs: [*const f32; R],
+        ys: [*const f32; C],
+    ) {
+        let mut xv = [_mm256_setzero_ps(); R];
+        for (v, x) in xv.iter_mut().zip(xs) {
+            *v = _mm256_loadu_ps(x.add(off));
         }
-        sum
+        for (col, y) in ys.iter().enumerate() {
+            let yv = _mm256_loadu_ps(y.add(off));
+            for (r, &xr) in xv.iter().enumerate() {
+                acc[r][col][chain] = _mm256_fmadd_ps(xr, yv, acc[r][col][chain]);
+            }
+        }
     }
 }
 
@@ -448,7 +653,7 @@ mod avx2 {
 /// 256-bit tier — the wider registers only double the columns per tile.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{avx2, kernel_edge, MR};
+    use super::{avx2, MR};
     use std::arch::x86_64::*;
 
     /// Rows per 512-bit tile.
@@ -457,8 +662,9 @@ mod avx512 {
     const NR512: usize = 32;
 
     /// Full GEMM: 32-column packed strips swept by 8-row (then 4-row)
-    /// tiles of zmm accumulators; trailing columns fall through to the
-    /// 16-wide [`avx2::gemm`] logic and the scalar [`kernel_edge`].
+    /// tiles of zmm accumulators, then [`edge_rows_packed`] for the
+    /// `m % 4` edge rows; trailing columns fall through to the 16-wide
+    /// [`avx2::gemm`] logic and the scalar [`super::kernel_edge`].
     ///
     /// # Safety
     ///
@@ -497,7 +703,10 @@ mod avx512 {
                 i0 += MR;
             }
             if i0 < m {
-                kernel_edge(m - i0, NR512, k, n, i0, j, a, b, c);
+                // SAFETY: caller guarantees AVX-512F; the edge rows
+                // i0..m and columns j..j + NR512 lie inside the validated
+                // slices, and the strip is packed to k·NR512 elements.
+                edge_rows_packed(m - i0, k, n, i0, j, a, pack, c);
             }
             j += NR512;
         }
@@ -583,6 +792,74 @@ mod avx512 {
             _mm512_storeu_ps(cp16, _mm512_add_ps(_mm512_loadu_ps(cp16), pair[1]));
         }
     }
+
+    /// 512-bit twin of [`avx2`]'s edge rows: the `mr < 4` rows of a packed
+    /// 32-column strip, each element a separate multiply then add per `p`
+    /// (`_mm512_mul_ps`, `_mm512_add_ps`, never FMA) — bit-identical to
+    /// the scalar [`super::kernel_edge`].
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F at runtime; `a` must hold at least `(i0 + mr)·k`
+    /// elements, `pack` at least `k·NR512`, and `c` the full `m×n` output
+    /// with `i0 + mr ≤ m` and `j + NR512 ≤ n`.
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    unsafe fn edge_rows_packed(
+        mr: usize,
+        k: usize,
+        n: usize,
+        i0: usize,
+        j: usize,
+        a: &[f32],
+        pack: &[f32],
+        c: &mut [f32],
+    ) {
+        debug_assert!((1..MR).contains(&mr));
+        match mr {
+            // SAFETY: this function's own contract, with mr = 1.
+            1 => edge_rows::<1>(k, n, i0, j, a, pack, c),
+            // SAFETY: this function's own contract, with mr = 2.
+            2 => edge_rows::<2>(k, n, i0, j, a, pack, c),
+            // SAFETY: this function's own contract, with mr = 3.
+            _ => edge_rows::<3>(k, n, i0, j, a, pack, c),
+        }
+    }
+
+    /// [`edge_rows_packed`] for `R` rows, interleaved so their add chains
+    /// overlap.
+    ///
+    /// # Safety
+    ///
+    /// As [`edge_rows_packed`] with `mr = R`.
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    unsafe fn edge_rows<const R: usize>(
+        k: usize,
+        n: usize,
+        i0: usize,
+        j: usize,
+        a: &[f32],
+        pack: &[f32],
+        c: &mut [f32],
+    ) {
+        debug_assert!(R < MR && a.len() >= (i0 + R) * k && pack.len() >= k * NR512);
+        let mut acc = [[_mm512_setzero_ps(); 2]; R];
+        for p in 0..k {
+            let bp = pack.as_ptr().add(p * NR512);
+            let b0 = _mm512_loadu_ps(bp);
+            let b1 = _mm512_loadu_ps(bp.add(16));
+            for (r, pair) in acc.iter_mut().enumerate() {
+                let av = _mm512_set1_ps(*a.get_unchecked((i0 + r) * k + p));
+                pair[0] = _mm512_add_ps(pair[0], _mm512_mul_ps(av, b0));
+                pair[1] = _mm512_add_ps(pair[1], _mm512_mul_ps(av, b1));
+            }
+        }
+        for (r, pair) in acc.iter().enumerate() {
+            let cp = c.as_mut_ptr().add((i0 + r) * n + j);
+            _mm512_storeu_ps(cp, _mm512_add_ps(_mm512_loadu_ps(cp), pair[0]));
+            let cp16 = cp.add(16);
+            _mm512_storeu_ps(cp16, _mm512_add_ps(_mm512_loadu_ps(cp16), pair[1]));
+        }
+    }
 }
 
 /// Packs 3×3 stride-1 pad-1 patches of a batched channel-major input into
@@ -592,8 +869,13 @@ mod avx512 {
 /// kernel tap `(ky, kx)`; column `j = s·h·w + y·w + x` is the output
 /// position `(y, x)` of sample `s`. Out-of-bounds taps are materialised as
 /// `0.0`, so a plain GEMM against the weight matrix computes the padded
-/// convolution. The body is row-granular `copy_from_slice` shifts — no
-/// per-element boundary tests.
+/// convolution.
+///
+/// A tap is one fixed shift of the whole channel: row `r` is the channel's
+/// `batch·h·w` values moved by `dy·w + dx` — one block copy — after which
+/// the positions whose tap falls outside their own sample's image (the
+/// first or last row of each sample, the first or last column of each
+/// row) are zeroed. No per-element boundary tests.
 pub fn im2col_3x3(
     input: &[f32],
     in_ch: usize,
@@ -610,35 +892,35 @@ pub fn im2col_3x3(
     if cols.len() != in_ch * 9 * n {
         cols.resize(in_ch * 9 * n, 0.0);
     }
-    for i in 0..in_ch {
+    if n == 0 {
+        return;
+    }
+    for (i, src) in input.chunks_exact(n).enumerate() {
         for ky in 0..3usize {
-            let dy = ky as isize - 1;
             for kx in 0..3usize {
-                let dx = kx as isize - 1;
                 let r = (i * 3 + ky) * 3 + kx;
-                let dst_row = &mut cols[r * n..(r + 1) * n];
-                for s in 0..batch {
-                    let src = &input[(i * batch + s) * hw..(i * batch + s + 1) * hw];
-                    let dst = &mut dst_row[s * hw..(s + 1) * hw];
-                    for y in 0..h {
-                        let iy = y as isize + dy;
-                        let drow = &mut dst[y * w..(y + 1) * w];
-                        if iy < 0 || iy >= h as isize {
-                            drow.fill(0.0);
-                            continue;
-                        }
-                        let srow = &src[iy as usize * w..(iy as usize + 1) * w];
-                        match dx {
-                            -1 => {
-                                drow[0] = 0.0;
-                                drow[1..].copy_from_slice(&srow[..w - 1]);
-                            }
-                            0 => drow.copy_from_slice(srow),
-                            _ => {
-                                drow[..w - 1].copy_from_slice(&srow[1..]);
-                                drow[w - 1] = 0.0;
-                            }
-                        }
+                let dst = &mut cols[r * n..(r + 1) * n];
+                // dst[j] = src[j + shift]; what falls off either end is
+                // padding, zeroed here or by the fix-ups below.
+                let shift = (ky * w + kx) as isize - (w + 1) as isize;
+                let lead = shift.unsigned_abs().min(n);
+                if shift >= 0 {
+                    dst[..n - lead].copy_from_slice(&src[lead..]);
+                    dst[n - lead..].fill(0.0);
+                } else {
+                    dst[lead..].copy_from_slice(&src[..n - lead]);
+                    dst[..lead].fill(0.0);
+                }
+                for plane in dst.chunks_exact_mut(hw) {
+                    match ky {
+                        0 => plane[..w].fill(0.0),
+                        2 => plane[hw - w..].fill(0.0),
+                        _ => {}
+                    }
+                    match kx {
+                        0 => plane.iter_mut().step_by(w).for_each(|v| *v = 0.0),
+                        2 => plane[w - 1..].iter_mut().step_by(w).for_each(|v| *v = 0.0),
+                        _ => {}
                     }
                 }
             }
@@ -663,43 +945,47 @@ pub fn col2im_add_3x3(
     assert_eq!(grad_in.len(), in_ch * n, "col2im: grad_in shape mismatch");
     for i in 0..in_ch {
         for ky in 0..3usize {
-            let dy = ky as isize - 1;
-            for kx in 0..3usize {
-                let dx = kx as isize - 1;
-                let r = (i * 3 + ky) * 3 + kx;
-                let src_row = &gcols[r * n..(r + 1) * n];
-                for s in 0..batch {
-                    let dst = &mut grad_in[(i * batch + s) * hw..(i * batch + s + 1) * hw];
-                    let src = &src_row[s * hw..(s + 1) * hw];
-                    for y in 0..h {
-                        let iy = y as isize + dy;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let srow = &src[y * w..(y + 1) * w];
-                        let drow = &mut dst[iy as usize * w..(iy as usize + 1) * w];
-                        match dx {
-                            -1 => {
-                                for (d, g) in drow[..w - 1].iter_mut().zip(&srow[1..]) {
-                                    *d += g;
-                                }
-                            }
-                            0 => {
-                                for (d, g) in drow.iter_mut().zip(srow) {
-                                    *d += g;
-                                }
-                            }
-                            _ => {
-                                for (d, g) in drow[1..].iter_mut().zip(&srow[..w - 1]) {
-                                    *d += g;
-                                }
-                            }
-                        }
-                    }
+            // The three `kx` taps of one `ky` land on the same input row,
+            // so one pass adds all three. Each element still takes its
+            // taps in tap order (`ky`, then `kx`), which fixes its
+            // rounding.
+            let r0 = (i * 3 + ky) * 3;
+            let (g0, rest) = gcols[r0 * n..(r0 + 3) * n].split_at(n);
+            let (g1, g2) = rest.split_at(n);
+            for s in 0..batch {
+                let dst = &mut grad_in[(i * batch + s) * hw..(i * batch + s + 1) * hw];
+                for y in 0..h {
+                    // Source row y feeds input row y + ky − 1.
+                    let Some(iy) = (y + ky).checked_sub(1).filter(|&iy| iy < h) else {
+                        continue;
+                    };
+                    let at = s * hw + y * w;
+                    add_row_taps(
+                        &mut dst[iy * w..(iy + 1) * w],
+                        &g0[at..at + w],
+                        &g1[at..at + w],
+                        &g2[at..at + w],
+                    );
                 }
             }
         }
     }
+}
+
+/// `d[x] += g0[x + 1]`, then `+= g1[x]`, then `+= g2[x − 1]`, each only
+/// where the tap exists: one input row's share of a `ky`'s three taps.
+fn add_row_taps(d: &mut [f32], g0: &[f32], g1: &[f32], g2: &[f32]) {
+    let w = d.len();
+    if w == 1 {
+        d[0] += g1[0];
+        return;
+    }
+    d[0] = (d[0] + g0[1]) + g1[0];
+    let taps = g0[2..].iter().zip(&g1[1..]).zip(&g2[..w - 2]);
+    for (v, ((a, b), c)) in d[1..w - 1].iter_mut().zip(taps) {
+        *v = ((*v + a) + b) + c;
+    }
+    d[w - 1] = (d[w - 1] + g1[w - 1]) + g2[w - 2];
 }
 
 /// `dst ← srcᵀ` for a row-major `rows × cols` matrix (`dst` resized to
@@ -870,6 +1156,156 @@ mod tests {
         }
     }
 
+    /// [`gemm_ref`] with every multiply-add fused: the chain the vector
+    /// tiles run.
+    fn gemm_fused_ref(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    acc = a[i * k + p].mul_add(b[p * n + j], acc);
+                }
+                c[i * n + j] += acc;
+            }
+        }
+    }
+
+    /// The CMDN's own GEMM shapes — the EVQL recipe's 32×32 `conv [6, 12]`
+    /// model at a batch of 4: both conv blocks' forwards, then their
+    /// backward data GEMMs. The last one is `(54, 1024, 12)`: two edge
+    /// rows under 52 tile rows.
+    const CMDN_SHAPES: [(usize, usize, usize); 4] =
+        [(6, 4096, 9), (12, 1024, 54), (9, 4096, 6), (54, 1024, 12)];
+
+    /// Both vector tiers, on the CMDN's shapes and one shape with edge
+    /// columns: tile elements equal the fused chain, edge rows and columns
+    /// equal [`gemm_ref`], bit for bit.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn vector_tiers_fuse_tiles_and_leave_edges_unfused() {
+        if !avx2_available() {
+            return; // no vector tier on this host
+        }
+        let avx512 = std::arch::is_x86_feature_detected!("avx512f");
+        for (m, n, k) in CMDN_SHAPES.into_iter().chain([(7, 72, 13)]) {
+            let (a, b, c0) = (fill(m * k, 51), fill(k * n, 52), fill(m * n, 53));
+            let mut fused = c0.clone();
+            gemm_fused_ref(m, n, k, &a, &b, &mut fused);
+            let mut plain = c0.clone();
+            gemm_ref(m, n, k, &a, &b, &mut plain);
+            let (tile_m, tile_n) = (m - m % MR, n - n % NR);
+            let check = |tier: &str, got: &[f32]| {
+                for i in 0..m {
+                    for j in 0..n {
+                        let tile = i < tile_m && j < tile_n;
+                        let want = if tile {
+                            fused[i * n + j]
+                        } else {
+                            plain[i * n + j]
+                        };
+                        assert_eq!(
+                            got[i * n + j].to_bits(),
+                            want.to_bits(),
+                            "{tier} ({m},{n},{k}) at ({i},{j}), {} element",
+                            if tile { "tile" } else { "edge" }
+                        );
+                    }
+                }
+            };
+            let mut pack = Vec::new();
+            let mut c = c0.clone();
+            // SAFETY: AVX2 + FMA checked above; slice lengths match shapes.
+            unsafe { avx2::gemm(m, n, k, 0, &a, &b, &mut c, &mut pack) };
+            check("avx2", &c);
+            if avx512 {
+                let mut c = c0.clone();
+                // SAFETY: AVX-512F checked above; slice lengths match shapes.
+                unsafe { avx512::gemm(m, n, k, &a, &b, &mut c, &mut pack) };
+                check("avx512", &c);
+            }
+        }
+    }
+
+    /// Scalar model of the vector dot: four chains of eight fused lanes
+    /// over 32-element blocks, leftover 8-lane chunks into chain 0,
+    /// chains folded `(0 + 1) + (2 + 3)`, lanes summed in order, then the
+    /// `k % 8` tail unfused.
+    fn vector_dot_model(x: &[f32], y: &[f32]) -> f32 {
+        let mut acc = [[0.0f32; 8]; 4];
+        let blocks = x.len() / 32;
+        let fma = |acc: &mut [f32; 8], off: usize| {
+            for (l, a) in acc.iter_mut().enumerate() {
+                *a = x[off + l].mul_add(y[off + l], *a);
+            }
+        };
+        for bi in 0..blocks {
+            for (ci, chain) in acc.iter_mut().enumerate() {
+                fma(chain, bi * 32 + ci * 8);
+            }
+        }
+        let mut done = blocks * 32;
+        while done + 8 <= x.len() {
+            fma(&mut acc[0], done);
+            done += 8;
+        }
+        let [c0, c1, c2, c3] = acc;
+        let mut sum = 0.0f32;
+        for l in 0..8 {
+            sum += (c0[l] + c1[l]) + (c2[l] + c3[l]);
+        }
+        for (xv, yv) in x[done..].iter().zip(&y[done..]) {
+            sum += xv * yv;
+        }
+        sum
+    }
+
+    /// The vector path's blocked `gemm_nt` — 2×2 blocks, then the 2×1,
+    /// 1×2 and 1×1 edges — gives every element the one-dot chain of
+    /// [`vector_dot_model`], bit for bit: the CMDN's weight-gradient and
+    /// dense shapes, plus odd ones that hit every edge and `k` tail.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn blocked_gemm_nt_keeps_each_dots_chain() {
+        if !avx2_available() {
+            return; // no vector tier on this host
+        }
+        for (m, n, k) in [
+            (12, 54, 1024),
+            (6, 9, 4096),
+            (4, 16, 768),
+            (5, 7, 77),
+            (3, 3, 13),
+        ] {
+            let (a, b) = (fill(m * k, 61), fill(n * k, 62));
+            let mut c = fill(m * n, 63);
+            let mut want = c.clone();
+            for i in 0..m {
+                for j in 0..n {
+                    want[i * n + j] += vector_dot_model(&a[i * k..][..k], &b[j * k..][..k]);
+                }
+            }
+            // SAFETY: AVX2 + FMA checked above; slice lengths match shapes.
+            unsafe { avx2::gemm_nt(m, n, k, &a, &b, &mut c) };
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&c), bits(&want), "({m},{n},{k})");
+        }
+    }
+
+    /// The scalar path is the numeric reference: every element is the
+    /// unfused chain of [`gemm_ref`], bit for bit.
+    #[test]
+    fn scalar_path_is_the_unfused_reference() {
+        for (m, n, k) in CMDN_SHAPES.into_iter().chain([(7, 72, 13)]) {
+            let (a, b) = (fill(m * k, 51), fill(k * n, 52));
+            let mut got = fill(m * n, 53);
+            let mut want = got.clone();
+            gemm_dispatch(false, m, n, k, &a, &b, &mut got);
+            gemm_ref(m, n, k, &a, &b, &mut want);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "scalar ({m},{n},{k})");
+        }
+    }
+
     /// The dispatched entry point must agree with the forced-scalar path to
     /// within FMA-rounding tolerance (exactly, when no SIMD is available).
     #[test]
@@ -951,6 +1387,79 @@ mod tests {
             for (x, y) in c.iter().zip(c_ref.iter()) {
                 prop_assert!((x - y).abs() <= 1e-4 * (1.0 + y.abs()), "{} vs {}", x, y);
             }
+        }
+
+        /// The block-copy im2col ≡ the per-element definition, exactly,
+        /// including 1-pixel-wide and 1-pixel-high images.
+        #[test]
+        fn im2col_equals_per_element_definition(
+            in_ch in 1usize..4,
+            batch in 1usize..4,
+            h in 1usize..7,
+            w in 1usize..7,
+            seed in 0u64..1_000,
+        ) {
+            let (hw, n) = (h * w, batch * h * w);
+            let input = fill(in_ch * n, seed);
+            let mut cols = fill(in_ch * 9 * n, seed.wrapping_add(1)); // stale contents
+            im2col_3x3(&input, in_ch, batch, h, w, &mut cols);
+            for i in 0..in_ch {
+                for (ky, kx) in (0..3).flat_map(|ky| (0..3).map(move |kx| (ky, kx))) {
+                    let r = (i * 3 + ky) * 3 + kx;
+                    for s in 0..batch {
+                        for y in 0..h {
+                            for x in 0..w {
+                                let (iy, ix) = ((y + ky).checked_sub(1), (x + kx).checked_sub(1));
+                                let want = match (iy, ix) {
+                                    (Some(iy), Some(ix)) if iy < h && ix < w => {
+                                        input[(i * batch + s) * hw + iy * w + ix]
+                                    }
+                                    _ => 0.0,
+                                };
+                                let got = cols[r * n + s * hw + y * w + x];
+                                prop_assert_eq!(got.to_bits(), want.to_bits());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        /// The fused col2im ≡ scatter-adding one tap at a time in tap
+        /// order, exactly, onto a non-zero gradient.
+        #[test]
+        fn col2im_equals_per_tap_scatter(
+            in_ch in 1usize..4,
+            batch in 1usize..4,
+            h in 1usize..7,
+            w in 1usize..7,
+            seed in 0u64..1_000,
+        ) {
+            let (hw, n) = (h * w, batch * h * w);
+            let gcols = fill(in_ch * 9 * n, seed);
+            let mut got = fill(in_ch * n, seed.wrapping_add(1));
+            let mut want = got.clone();
+            col2im_add_3x3(&gcols, in_ch, batch, h, w, &mut got);
+            for i in 0..in_ch {
+                for r in i * 9..(i + 1) * 9 {
+                    let (ky, kx) = ((r % 9) / 3, r % 3);
+                    for s in 0..batch {
+                        for y in 0..h {
+                            for x in 0..w {
+                                let (iy, ix) = ((y + ky).checked_sub(1), (x + kx).checked_sub(1));
+                                if let (Some(iy), Some(ix)) = (iy, ix) {
+                                    if iy < h && ix < w {
+                                        want[(i * batch + s) * hw + iy * w + ix] +=
+                                            gcols[r * n + s * hw + y * w + x];
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
         }
 
         /// Dispatched (SIMD where available) ≡ forced-scalar `gemm` on

@@ -224,6 +224,37 @@ impl Conv3x3 {
     /// when still valid); the data gradient is one `Wᵀ · ∇out` GEMM
     /// followed by a col2im scatter-add.
     pub fn backward_batch(&mut self, grad_out: &[f32], batch: usize) -> Vec<f32> {
+        self.backward_params_batch(grad_out, batch);
+        let n = batch * self.h * self.w;
+        let k = self.in_ch * 9;
+        // Data gradient: ∇cols = Wᵀ · ∇out, then scatter back to the input.
+        kernels::transpose(&self.weight.w, self.out_ch, k, &mut self.scratch.wt);
+        self.scratch.gcols.clear();
+        self.scratch.gcols.resize(k * n, 0.0);
+        kernels::gemm(
+            k,
+            n,
+            self.out_ch,
+            &self.scratch.wt,
+            grad_out,
+            &mut self.scratch.gcols,
+        );
+        let mut grad_in = vec![0.0f32; batch * self.input_len()];
+        kernels::col2im_add_3x3(
+            &self.scratch.gcols,
+            self.in_ch,
+            batch,
+            self.h,
+            self.w,
+            &mut grad_in,
+        );
+        grad_in
+    }
+
+    /// The parameter half of [`Conv3x3::backward_batch`]: accumulates the
+    /// weight and bias gradients (`+=`, the same bits) and skips the input
+    /// gradient — for a first layer, whose input is the data.
+    pub(crate) fn backward_params_batch(&mut self, grad_out: &[f32], batch: usize) {
         assert_eq!(
             grad_out.len(),
             batch * self.output_len(),
@@ -259,28 +290,6 @@ impl Conv3x3 {
             &self.scratch.cols,
             &mut self.weight.g,
         );
-        // Data gradient: ∇cols = Wᵀ · ∇out, then scatter back to the input.
-        kernels::transpose(&self.weight.w, self.out_ch, k, &mut self.scratch.wt);
-        self.scratch.gcols.clear();
-        self.scratch.gcols.resize(k * n, 0.0);
-        kernels::gemm(
-            k,
-            n,
-            self.out_ch,
-            &self.scratch.wt,
-            grad_out,
-            &mut self.scratch.gcols,
-        );
-        let mut grad_in = vec![0.0f32; batch * self.input_len()];
-        kernels::col2im_add_3x3(
-            &self.scratch.gcols,
-            self.in_ch,
-            batch,
-            self.h,
-            self.w,
-            &mut grad_in,
-        );
-        grad_in
     }
 }
 
@@ -347,8 +356,7 @@ impl MaxPool2x2 {
         out: &mut Vec<f32>,
     ) {
         assert_eq!(input.len(), batch * self.input_len());
-        let (h, w) = (self.h, self.w);
-        let (oh, ow) = (h / 2, w / 2);
+        let (w, ow) = (self.w, self.w / 2);
         let out_len = batch * self.output_len();
         // Resize without zero-filling the retained prefix: every element
         // is written below.
@@ -360,29 +368,56 @@ impl MaxPool2x2 {
         if train && self.argmax.len() != out_len {
             self.argmax.resize(out_len, 0);
         }
-        for c in 0..self.ch {
-            for s in 0..batch {
-                let ibase = (c * batch + s) * h * w;
-                let obase = (c * batch + s) * oh * ow;
-                for y in 0..oh {
-                    for x in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
-                        for dy in 0..2 {
-                            for dx in 0..2 {
-                                let idx = ibase + (2 * y + dy) * w + (2 * x + dx);
-                                if input[idx] > best {
-                                    best = input[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        out[obase + y * ow + x] = best;
-                        if train {
-                            self.argmax[obase + y * ow + x] = best_idx as u32;
+        if out_len == 0 {
+            return;
+        }
+        // Output row `oy` (over every channel and sample; `h` is even) pools
+        // input rows `2·oy` and `2·oy + 1`. Each output scans its window
+        // (0,0), (0,1), (1,0), (1,1) from −∞ and moves only on a strict `>`,
+        // so ties and NaN keep the earlier cell. The eval loop is that scan
+        // alone, which the compiler vectorises.
+        let row_pairs = input.chunks_exact(2 * w).zip(out.chunks_exact_mut(ow));
+        if !train {
+            for (pair, orow) in row_pairs {
+                let (r0, r1) = pair.split_at(w);
+                let windows = r0.chunks_exact(2).zip(r1.chunks_exact(2));
+                for (o, (a, b)) in orow.iter_mut().zip(windows) {
+                    let mut best = f32::NEG_INFINITY;
+                    for v in [a[0], a[1], b[0], b[1]] {
+                        if v > best {
+                            best = v;
                         }
                     }
+                    *o = best;
                 }
+            }
+            return;
+        }
+        // The train loop runs the same scan as selects, carrying the
+        // winner's input index alongside its value.
+        let arg_rows = self.argmax.chunks_exact_mut(ow);
+        for (oy, ((pair, orow), arow)) in row_pairs.zip(arg_rows).enumerate() {
+            let (r0, r1) = pair.split_at(w);
+            let windows = r0.chunks_exact(2).zip(r1.chunks_exact(2));
+            let base = (2 * oy * w) as u32;
+            for (x, ((o, arg), (a, b))) in orow.iter_mut().zip(arow).zip(windows).enumerate() {
+                let at = base + 2 * x as u32;
+                let mut best = f32::NEG_INFINITY;
+                // A window where nothing beats −∞ (all NaN or −∞) routes to
+                // input 0 of the whole buffer: the scalar scan's answer.
+                let mut best_idx = 0u32;
+                for (v, idx) in [
+                    (a[0], at),
+                    (a[1], at + 1),
+                    (b[0], at + w as u32),
+                    (b[1], at + w as u32 + 1),
+                ] {
+                    let wins = v > best;
+                    best = if wins { v } else { best };
+                    best_idx = if wins { idx } else { best_idx };
+                }
+                *o = best;
+                *arg = best_idx;
             }
         }
     }
@@ -431,8 +466,12 @@ impl Relu {
     /// reused across calls, so steady-state calls allocate nothing.
     pub fn forward_inplace(&mut self, x: &mut [f32], train: bool) {
         if train {
-            self.mask.clear();
-            self.mask.extend(x.iter().map(|&v| v > 0.0));
+            self.mask.resize(x.len(), false);
+            for (m, v) in self.mask.iter_mut().zip(x.iter_mut()) {
+                *m = *v > 0.0;
+                *v = v.max(0.0);
+            }
+            return;
         }
         for v in x.iter_mut() {
             *v = v.max(0.0);
@@ -689,6 +728,35 @@ pub(crate) mod reference {
             }
         }
         (grad_in, grad_w, grad_b)
+    }
+
+    /// Scalar 2×2 max-pool over the batched layout (`planes = ch·batch`
+    /// planes of `h×w`): the output and each output's winning input index.
+    pub fn maxpool2x2(planes: usize, h: usize, w: usize, input: &[f32]) -> (Vec<f32>, Vec<u32>) {
+        let (oh, ow) = (h / 2, w / 2);
+        let mut out = vec![0.0f32; planes * oh * ow];
+        let mut argmax = vec![0u32; planes * oh * ow];
+        for p in 0..planes {
+            let (ibase, obase) = (p * h * w, p * oh * ow);
+            for y in 0..oh {
+                for x in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = 0usize;
+                    for dy in 0..2 {
+                        for dx in 0..2 {
+                            let idx = ibase + (2 * y + dy) * w + (2 * x + dx);
+                            if input[idx] > best {
+                                best = input[idx];
+                                best_idx = idx;
+                            }
+                        }
+                    }
+                    out[obase + y * ow + x] = best;
+                    argmax[obase + y * ow + x] = best_idx as u32;
+                }
+            }
+        }
+        (out, argmax)
     }
 
     /// Scalar dense forward (single sample).
@@ -1076,6 +1144,33 @@ mod tests {
                     }
                 }
             }
+        }
+
+        /// Both pooling loops ≡ the scalar scan, bit for bit — outputs and,
+        /// in train mode, the routed argmax — on inputs full of ties,
+        /// signed zeros and NaN, where scan order decides the winner.
+        #[test]
+        fn pool_equals_scalar_scan_on_ties_and_nan(
+            ch in 1usize..3,
+            batch in 1usize..3,
+            half_h in 1usize..4,
+            half_w in 1usize..5,
+            seed in 0u64..1_000,
+        ) {
+            let (h, w) = (2 * half_h, 2 * half_w);
+            let cells = [-1.0f32, -0.0, 0.0, 0.5, 0.5, f32::NAN, f32::NEG_INFINITY];
+            let mut rng = init_rng(seed);
+            let input: Vec<f32> = (0..ch * batch * h * w)
+                .map(|_| cells[rng.gen_range(0..cells.len())])
+                .collect();
+            let (want, want_arg) = reference::maxpool2x2(ch * batch, h, w, &input);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut pool = MaxPool2x2::new(ch, h, w);
+            let eval = pool.forward_batch(&input, batch, false);
+            prop_assert_eq!(bits(&eval), bits(&want));
+            let trained = pool.forward_batch(&input, batch, true);
+            prop_assert_eq!(bits(&trained), bits(&want));
+            prop_assert_eq!(&pool.argmax, &want_arg);
         }
 
         /// Dense forward ≡ scalar oracle on random shapes.

@@ -8,11 +8,13 @@
 //! (the protocol — train all, select by hold-out NLL, discard the rest — is
 //! identical).
 //!
-//! Gradients are data-parallel: each worker owns a clone of the model,
-//! pushes its share of the batch through the **batched** layer passes
-//! (one im2col + GEMM per layer per microbatch — see [`crate::kernels`])
-//! accumulating gradients, and the main thread sums the flattened
-//! gradients and applies one Adam step.
+//! Gradients are data-parallel: each batch splits into a fixed number of
+//! shards (`SHARDS`, 2); a worker clones the model per shard, pushes the
+//! shard through the **batched** layer passes (one im2col + GEMM per layer
+//! per microbatch — see [`crate::kernels`]) accumulating gradients, and the
+//! main thread sums the flattened shard gradients in shard order and
+//! applies one Adam step. The shard count, not the worker count, fixes the
+//! summation order, so the trained model does not depend on the host.
 
 use crate::cmdn::{Cmdn, CmdnConfig};
 use crate::optim::Adam;
@@ -32,7 +34,9 @@ pub struct TrainConfig {
     pub batch_size: usize,
     /// Adam learning rate.
     pub lr: f32,
-    /// Data-parallel gradient workers per batch.
+    /// Workers computing each batch's gradient shards and the hold-out
+    /// NLL's. The split into shards (two) is fixed, so this sets speed,
+    /// not bits: more workers than shards sit idle.
     pub num_threads: usize,
     /// Early-stopping patience in epochs (0 disables early stopping).
     pub patience: usize,
@@ -154,13 +158,46 @@ pub fn parallel_chunks<T: Sync, R: Send>(
     })
 }
 
-/// Upper bound on samples per batched layer pass. The packed-patch
-/// matrix grows linearly with the microbatch, so small microbatches keep
-/// it cache-resident — which empirically beats wider GEMMs: on the
-/// reference machine a 3-epoch 32×32 train runs ~0.36 s at 2–4
-/// samples/pass vs ~0.50 s at 32 (first-layer im2col is ~37 KB per
-/// sample). 4 still amortises the per-call packing/alloc overhead.
+/// Contiguous shards a gradient batch and a hold-out set are split into.
+/// Part of the numeric contract, like the microbatch width: each shard
+/// sums its own partial in a fixed order and the partials fold in shard
+/// order, so the trained weights are the same bits however many workers
+/// ([`TrainConfig::num_threads`]) compute the shards. Two is the split a
+/// 2-worker host always made, so those hosts' answers keep their bits.
+const SHARDS: usize = 2;
+
+/// Samples per batched layer pass within a shard. Unlike the inference
+/// batch width (`INFER_BATCH` in `everest-core`, which changes no bit),
+/// this is **part of the numeric contract**: it sets the order of the
+/// gradient sum — a shard accumulates one microbatch at a time, and each
+/// weight-gradient dot product spans one microbatch's columns — and the
+/// grouping of the hold-out NLL sum, so changing it moves the trained
+/// weights. It was picked for speed (the packed-patch matrix grows with
+/// the microbatch; on a 2-vCPU x86-64 host a 3-epoch 32×32 train ran
+/// ~0.36 s at 2–4 samples per pass vs ~0.50 s at 32) and stays 4 for the
+/// bits.
 const MICROBATCH: usize = 4;
+
+/// Runs `f` over the [`SHARDS`] contiguous shards of `items` on up to
+/// `threads` workers, returning the per-shard results in shard order —
+/// the same results for every `threads ≥ 1`.
+fn sharded<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    label: &str,
+    f: impl Fn(&[T]) -> R + Sync,
+) -> Vec<R> {
+    if items.is_empty() {
+        return Vec::new();
+    }
+    let shards: Vec<&[T]> = items.chunks(items.len().div_ceil(SHARDS)).collect();
+    parallel_chunks(&shards, threads, label, |mine| {
+        mine.iter().map(|shard| f(shard)).collect::<Vec<R>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
 
 /// Packs inputs into one sample-major buffer (cleared first), asserting
 /// each sample has the model's input length — concatenation would
@@ -190,15 +227,15 @@ fn pack_samples<'a>(
 }
 
 /// Sums per-sample gradients over `batch` (indices into `data`), averaged by
-/// batch size, computed across `threads` workers. Each worker pushes its
-/// share through whole-minibatch GEMMs ([`Cmdn::train_step_batch`]).
+/// batch size, one partial per shard on up to `threads` workers. Each shard
+/// goes through whole-microbatch GEMMs ([`Cmdn::train_step_batch`]).
 fn parallel_batch_grads(
     model: &Cmdn,
     data: &[Sample],
     batch: &[usize],
     threads: usize,
 ) -> Vec<f32> {
-    let partials: Vec<Vec<f32>> = parallel_chunks(batch, threads, "grad", |idxs| {
+    let partials: Vec<Vec<f32>> = sharded(batch, threads, "grad", |idxs| {
         let mut worker = model.clone();
         worker.zero_grads();
         let ilen = worker.input_len();
@@ -223,12 +260,13 @@ fn parallel_batch_grads(
     total
 }
 
-/// Mean NLL over a dataset, evaluated in parallel with batched forwards.
+/// Mean NLL over a dataset, one partial sum per shard on up to `threads`
+/// workers, with batched forwards. The result does not depend on `threads`.
 pub fn mean_nll(model: &Cmdn, data: &[Sample], threads: usize) -> f64 {
     if data.is_empty() {
         return f64::NAN;
     }
-    let sums: Vec<f64> = parallel_chunks(data, threads, "eval", |part| {
+    let sums: Vec<f64> = sharded(data, threads, "eval", |part| {
         let mut worker = model.clone();
         let ilen = worker.input_len();
         let mut xs = Vec::new();
@@ -418,12 +456,38 @@ mod tests {
         let batch: Vec<usize> = (0..16).collect();
         let g1 = parallel_batch_grads(&model, &data, &batch, 1);
         let g4 = parallel_batch_grads(&model, &data, &batch, 4);
-        let max_diff = g1
-            .iter()
-            .zip(g4.iter())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
-        assert!(max_diff < 1e-4, "parallel gradient deviates by {max_diff}");
+        assert_eq!(bits(&g1), bits(&g4));
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The worker count sets speed only: 1, 2 and 3 workers train the
+    /// same parameters and select on the same hold-out NLL, bit for bit.
+    #[test]
+    fn worker_count_does_not_change_the_trained_bits() {
+        let train = brightness_dataset(75, 11);
+        let holdout = brightness_dataset(21, 12);
+        let run = |num_threads| {
+            let tcfg = TrainConfig {
+                epochs: 3,
+                batch_size: 16,
+                num_threads,
+                ..fast_tcfg()
+            };
+            train_cmdn(tiny_cfg(3, 8), &tcfg, &train, &holdout)
+        };
+        let one = run(1);
+        for threads in [2, 3] {
+            let other = run(threads);
+            assert_eq!(
+                bits(&one.model.params_flat()),
+                bits(&other.model.params_flat()),
+                "{threads} workers"
+            );
+            assert_eq!(one.holdout_nll.to_bits(), other.holdout_nll.to_bits());
+        }
     }
 
     #[test]

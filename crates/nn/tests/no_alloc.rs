@@ -4,28 +4,41 @@
 //! inter-layer `to_vec`, no per-call output vectors, no im2col regrowth.
 //!
 //! The counting allocator wraps the system one for this whole test
-//! binary, so the file holds exactly one test (parallel tests would
-//! pollute the counter).
+//! binary and counts per thread: the forward pass runs on the calling
+//! thread, while the test harness allocates on its own main thread at
+//! moments that can fall inside the measured window.
 
 use everest_nn::cmdn::{Cmdn, CmdnConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// System allocator with a global allocation counter.
+/// System allocator with a per-thread allocation counter.
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations (and reallocations) made by this thread. A `const`
+    /// initialiser and no destructor keep it usable inside the allocator.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocs() -> usize {
+    ALLOCS.with(Cell::get)
+}
 
 // SAFETY: a counting wrapper around `System` — every method forwards to
 // the system allocator verbatim, so `System`'s GlobalAlloc guarantees
-// (layout validity, non-aliasing) carry over; the counter is atomic.
+// (layout validity, non-aliasing) carry over; the counter is per thread.
 unsafe impl GlobalAlloc for CountingAlloc {
     /// # Safety
     ///
     /// Same contract as [`System::alloc`]: `layout` must have non-zero
     /// size (forwarded unchanged).
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: caller upholds GlobalAlloc's contract; forwarded as-is.
         System.alloc(layout)
     }
@@ -43,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     ///
     /// Same contract as [`System::realloc`] (forwarded unchanged).
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: caller upholds GlobalAlloc's contract; forwarded as-is.
         System.realloc(ptr, layout, new_size)
     }
@@ -67,13 +80,13 @@ fn forward_pass_allocates_nothing_after_warmup() {
         let _ = model.predict_raw_batch(&inputs, batch);
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let mut checksum = 0.0f32;
     for _ in 0..16 {
         let raw = model.predict_raw_batch(&inputs, batch);
         checksum += raw[0];
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert!(checksum.is_finite());
     assert_eq!(
         after - before,
@@ -85,11 +98,11 @@ fn forward_pass_allocates_nothing_after_warmup() {
     let one = &inputs[..model.input_len()];
     let _ = model.predict_raw_batch(one, 1);
     let _ = model.predict_raw_batch(one, 1);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..16 {
         let _ = model.predict_raw_batch(one, 1);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,

@@ -213,15 +213,18 @@ impl VideoStore for SyntheticVideo {
         let mut rng = frame_rng(self.seed, t);
         let offset = self.cfg.camera.offset_px(t, w, &mut rng);
 
-        // 1. Background window from the wide texture, wrapping on x.
+        // 1. Background window from the wide texture, wrapping on x. The
+        // source column depends on x alone, so it is computed once per
+        // column and every row gathers through the same table.
         let tex_w = self.texture.width();
-        let mut frame = Frame::new(w, h);
-        for y in 0..h {
-            for x in 0..w {
-                let sx = (x as f32 + offset).rem_euclid(tex_w as f32).floor() as usize % tex_w;
-                frame.set(x, y, self.texture.get(sx, y));
-            }
+        let src_x: Vec<usize> = (0..w)
+            .map(|x| (x as f32 + offset).rem_euclid(tex_w as f32).floor() as usize % tex_w)
+            .collect();
+        let mut pixels = Vec::with_capacity(w * h);
+        for tex_row in self.texture.pixels().chunks_exact(tex_w).take(h) {
+            pixels.extend(src_x.iter().map(|&sx| tex_row[sx]));
         }
+        let mut frame = Frame::from_pixels(w, h, pixels);
 
         // 2. Objects as soft-edged rectangles.
         for o in self.timeline.active_at(t) {
@@ -415,6 +418,59 @@ mod tests {
             mse_moving > mse_fixed,
             "camera motion should raise inter-frame MSE ({mse_moving} vs {mse_fixed})"
         );
+    }
+
+    /// Frame `t` as the per-pixel renderer drew it: the texture column is
+    /// re-derived for every pixel.
+    fn frame_per_pixel(v: &SyntheticVideo, t: usize) -> Frame {
+        let (w, h) = (v.cfg.width, v.cfg.height);
+        let mut rng = frame_rng(v.seed, t);
+        let offset = v.cfg.camera.offset_px(t, w, &mut rng);
+        let tex_w = v.texture.width();
+        let mut frame = Frame::new(w, h);
+        for y in 0..h {
+            for x in 0..w {
+                let sx = (x as f32 + offset).rem_euclid(tex_w as f32).floor() as usize % tex_w;
+                frame.set(x, y, v.texture.get(sx, y));
+            }
+        }
+        for o in v.timeline.active_at(t) {
+            draw_soft_rect(&mut frame, &v.bbox_of(o, t), o.intensity);
+        }
+        for p in frame.pixels_mut() {
+            *p = (*p + v.cfg.noise_std * gaussian(&mut rng) as f32).clamp(0.0, 1.0);
+        }
+        frame
+    }
+
+    /// The per-column texture index draws the same bits as the per-pixel
+    /// expression, for a fixed camera and for a panning, shaking one whose
+    /// offset goes negative and wraps.
+    #[test]
+    fn column_table_render_equals_per_pixel_render() {
+        let tl = Timeline::generate(
+            &ArrivalConfig {
+                n_frames: 400,
+                ..ArrivalConfig::default()
+            },
+            41,
+        );
+        let fixed = SceneConfig {
+            width: 48,
+            height: 24,
+            ..SceneConfig::default()
+        };
+        let moving = SceneConfig {
+            camera: CameraMotion::moving(0.3, 37.0, 0.02),
+            ..fixed.clone()
+        };
+        for cfg in [fixed, moving] {
+            let v = SyntheticVideo::new(cfg, tl.clone(), 41, 30.0);
+            for t in (0..v.num_frames()).step_by(7) {
+                let bits = |f: Frame| f.pixels().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(v.frame(t)), bits(frame_per_pixel(&v, t)), "frame {t}");
+            }
+        }
     }
 
     #[test]
