@@ -228,7 +228,7 @@ pub fn fig9(scale: &Scale) {
             let row = run_everest(&ds, kk, thres).1;
             print_sweep_row(&format!("Top-{kk} thres={thres}"), &row);
         }
-        let kw = k.min(ds.prepared.windows(30).len() / 3).max(1);
+        let kw = k.min(ds.prepared.n_frames().div_ceil(30) / 3).max(1);
         let row = run_everest_windows(&ds, kw, 0.9, 30, 0.1).1;
         print_sweep_row(&format!("Top-{kw} window(30)"), &row);
     }

@@ -13,6 +13,7 @@ use everest_core::cleaner::CleanerConfig;
 use everest_core::metrics::{evaluate_topk, GroundTruth, ResultQuality};
 use everest_core::phase1::Phase1Config;
 use everest_core::pipeline::{Everest, PreparedVideo, QueryReport};
+use everest_core::window::{exact_window_scores, sliding_windows};
 use everest_models::{
     counting_oracle, ExactScoreOracle, HogScorer, InstrumentedOracle, TinyYoloScorer,
 };
@@ -182,8 +183,8 @@ pub fn run_everest_windows(
         sample_frac,
         &CleanerConfig::default(),
     );
-    let windows = ds.prepared.windows(window_len);
-    let exact = everest_core::window::exact_window_scores(ds.oracle.inner().all_scores(), &windows);
+    let windows = sliding_windows(ds.prepared.n_frames(), window_len, window_len);
+    let exact = exact_window_scores(ds.oracle.inner().all_scores(), &windows);
     let truth = GroundTruth::new(exact);
     let answer: Vec<usize> = report.items.iter().map(|i| i.frame / window_len).collect();
     let quality = evaluate_topk(&truth, &answer, k);

@@ -187,11 +187,9 @@ pub fn select_and_topk_calibrated(
 mod tests {
     use super::*;
     use crate::metrics::{evaluate_topk, GroundTruth};
-    use crate::phase1::Phase1Config;
+    use crate::phase1::fast_phase1;
     use crate::pipeline::Everest;
     use everest_models::{counting_oracle, HogScorer, InstrumentedOracle, TinyYoloScorer};
-    use everest_nn::train::TrainConfig;
-    use everest_nn::HyperGrid;
     use everest_video::arrival::{ArrivalConfig, Timeline};
     use everest_video::scene::{SceneConfig, SyntheticVideo};
 
@@ -206,23 +204,6 @@ mod tests {
         let v = SyntheticVideo::new(SceneConfig::default(), tl, 31, 30.0);
         let o = counting_oracle(&v);
         (v, o)
-    }
-
-    fn fast_phase1() -> Phase1Config {
-        Phase1Config {
-            sample_frac: 0.1,
-            sample_cap: 150,
-            sample_min: 32,
-            grid: HyperGrid::single(3, 16),
-            train: TrainConfig {
-                epochs: 8,
-                batch_size: 32,
-                ..TrainConfig::default()
-            },
-            conv_channels: vec![6, 12],
-            threads: 4,
-            ..Phase1Config::default()
-        }
     }
 
     #[test]

@@ -27,7 +27,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
 
 /// Phase-1 configuration.
 #[derive(Debug, Clone)]
@@ -107,8 +106,6 @@ pub struct Phase1Output {
     pub model: Cmdn,
     /// Simulated-time charges of Phase 1.
     pub clock: SimClock,
-    /// Real wall time of Phase 1.
-    pub wall: Duration,
     /// Largest labelled score (the `M` of the Select-and-TopK baseline).
     pub max_labeled_score: f64,
 }
@@ -199,12 +196,53 @@ pub fn run_phase1(video: &dyn VideoStore, oracle: &dyn Oracle, cfg: &Phase1Confi
         oracle.num_frames(),
         "oracle and video must cover the same frames"
     );
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "feeds the reported ingest wall-time stat only; the simulated cost model \
-                  (SimClock) drives every decision"
-    )]
-    let started = Instant::now();
+    build_d0(video, cfg, Proxy::Train(oracle))
+}
+
+/// Populates an uncertain relation over `video` with a **pre-trained**
+/// CMDN — the *model drift* scenario of §3.1 ("tracking model drift in
+/// visual data is still an ongoing research"): a proxy trained on one
+/// video serving another.
+///
+/// Compared to [`run_phase1`]: no sampling, no labelling, no training —
+/// the clock is charged only for the difference detector and the populate
+/// pass, and the relation starts with *zero* certain items (Phase 2's
+/// bootstrap will oracle-confirm its first K candidates). The
+/// `ablation_drift` experiment uses this to measure what a drifted proxy
+/// costs in cleaning volume and answer quality.
+pub fn populate_with_model(
+    video: &dyn VideoStore,
+    model: &Cmdn,
+    cfg: &Phase1Config,
+) -> Phase1Output {
+    assert_eq!(
+        cmdn_input_dims(video, model.config().conv_channels.len()),
+        model.config().input,
+        "pre-trained model input dims must match the video's CMDN dims"
+    );
+    build_d0(video, cfg, Proxy::Given(model))
+}
+
+/// Where Phase 1's proxy comes from.
+enum Proxy<'a> {
+    /// Label a sample of the retained frames with this oracle and train
+    /// the CMDN grid on it.
+    Train(&'a dyn Oracle),
+    /// A pre-trained model, used as is: no labels, no training.
+    Given(&'a Cmdn),
+}
+
+/// A proxy model and the oracle labels it was trained on.
+struct Trained {
+    model: Cmdn,
+    /// Retained position → exact score.
+    labeled: BTreeMap<usize, f64>,
+    grid_results: Vec<(usize, usize, f64)>,
+}
+
+/// The one builder of `D0`: difference detection, the proxy, CMDN scoring
+/// of every retained frame, the shared bucket grid, and the relation.
+fn build_d0(video: &dyn VideoStore, cfg: &Phase1Config, proxy: Proxy<'_>) -> Phase1Output {
     let mut clock = SimClock::new();
     let n = video.num_frames();
     let decode = DecodeCostModel::default();
@@ -215,13 +253,89 @@ pub fn run_phase1(video: &dyn VideoStore, oracle: &dyn Oracle, cfg: &Phase1Confi
         component::POPULATE,
         n as f64 * DIFF_COST + decode.sequential_scan_cost(n),
     );
-    let retained = segments.retained().to_vec();
+    let retained = segments.retained();
     assert!(
         !retained.is_empty(),
         "difference detector retained no frames"
     );
 
+    // 2–4. The proxy.
+    let Trained {
+        model,
+        labeled,
+        grid_results,
+    } = match proxy {
+        Proxy::Train(oracle) => train_proxy(video, oracle, cfg, retained, &mut clock),
+        Proxy::Given(model) => Trained {
+            model: model.clone(),
+            labeled: BTreeMap::new(),
+            grid_results: Vec::new(),
+        },
+    };
+
+    // 5. CMDN inference over every retained frame: the fused pipeline
+    // renders each worker's share straight into packed batch buffers, so
+    // the frame set is never materialised (memory stays bounded by
+    // threads × INFER_BATCH frames).
+    let mixtures = score_frames(video, &model, retained, cfg.threads);
+    clock.charge(
+        component::POPULATE,
+        retained.len() as f64 * CMDN_INFER_COST + decode.trace_cost(retained),
+    );
+
+    // 6. Shared bucket grid: cover labelled scores and mixture 3σ ranges.
+    let mix_max = mixtures
+        .iter()
+        .map(|m| m.truncated_range().1)
+        .fold(0.0f64, f64::max);
+    // With no labels, the proxy's own top stands in for the labelled one.
+    let max_labeled_score = labeled
+        .values()
+        .copied()
+        .reduce(f64::max)
+        .unwrap_or(mix_max);
+    let needed = (max_labeled_score.max(mix_max) / cfg.quant_step).ceil() as usize + 2;
+    let max_bucket = needed.clamp(4, cfg.max_bucket_cap);
+
+    // 7. Populate D0: labelled frames enter certain, the rest uncertain.
+    let mut relation = UncertainRelation::new(cfg.quant_step, max_bucket);
+    for (pos, mixture) in mixtures.iter().enumerate() {
+        match labeled.get(&pos) {
+            Some(&score) => {
+                let b = relation.score_to_bucket(score);
+                relation.push_certain(b);
+            }
+            None => {
+                let masses = mixture.quantize(cfg.quant_step, max_bucket);
+                relation.push_uncertain(DiscreteDist::from_masses(&masses));
+            }
+        }
+    }
+
+    Phase1Output {
+        relation,
+        segments,
+        mixtures,
+        labeled,
+        grid_results,
+        model,
+        clock,
+        max_labeled_score,
+    }
+}
+
+/// Steps 2–4: draws a training and a hold-out sample from the `retained`
+/// frames, labels both with the oracle, and keeps the grid's smallest-NLL
+/// CMDN.
+fn train_proxy(
+    video: &dyn VideoStore,
+    oracle: &dyn Oracle,
+    cfg: &Phase1Config,
+    retained: &[usize],
+    clock: &mut SimClock,
+) -> Trained {
     // 2. Sampling plan over retained frames.
+    let n = video.num_frames();
     let m_target = ((cfg.sample_frac * n as f64).ceil() as usize)
         .clamp(cfg.sample_min.max(16), cfg.sample_cap.max(cfg.sample_min));
     let h_target = ((m_target as f64 * cfg.holdout_frac).ceil() as usize).max(32);
@@ -244,7 +358,7 @@ pub fn run_phase1(video: &dyn VideoStore, oracle: &dyn Oracle, cfg: &Phase1Confi
     clock.charge(
         component::LABEL,
         labelled_frames.len() as f64 * oracle.cost_per_frame()
-            + decode.trace_cost(&labelled_frames),
+            + DecodeCostModel::default().trace_cost(&labelled_frames),
     );
     let labeled: BTreeMap<usize, f64> = labelled_pos
         .iter()
@@ -283,126 +397,10 @@ pub fn run_phase1(video: &dyn VideoStore, oracle: &dyn Oracle, cfg: &Phase1Confi
         component::TRAIN,
         outcome.total_epochs as f64 * train_set.len() as f64 * CMDN_TRAIN_COST,
     );
-    let model = outcome.best.model.clone();
-
-    // 5. CMDN inference over every retained frame: the fused pipeline
-    // renders each worker's share straight into packed batch buffers, so
-    // the frame set is never materialised (memory stays bounded by
-    // threads × INFER_BATCH frames).
-    let mixtures = score_frames(video, &model, &retained, cfg.threads);
-    clock.charge(
-        component::POPULATE,
-        retained.len() as f64 * CMDN_INFER_COST + decode.trace_cost(&retained),
-    );
-
-    // 6. Shared bucket grid: cover labelled scores and mixture 3σ ranges.
-    let mix_max = mixtures
-        .iter()
-        .map(|m| m.truncated_range().1)
-        .fold(0.0f64, f64::max);
-    let needed = (max_labeled_score.max(mix_max) / cfg.quant_step).ceil() as usize + 2;
-    let max_bucket = needed.clamp(4, cfg.max_bucket_cap);
-
-    // 7. Populate D0: labelled frames enter certain, the rest uncertain.
-    let mut relation = UncertainRelation::new(cfg.quant_step, max_bucket);
-    for (pos, mixture) in mixtures.iter().enumerate() {
-        match labeled.get(&pos) {
-            Some(&score) => {
-                let b = relation.score_to_bucket(score);
-                relation.push_certain(b);
-            }
-            None => {
-                let masses = mixture.quantize(cfg.quant_step, max_bucket);
-                relation.push_uncertain(DiscreteDist::from_masses(&masses));
-            }
-        }
-    }
-
-    Phase1Output {
-        relation,
-        segments,
-        mixtures,
+    Trained {
+        model: outcome.best.model,
         labeled,
         grid_results: outcome.evaluated,
-        model,
-        clock,
-        wall: started.elapsed(),
-        max_labeled_score,
-    }
-}
-
-/// Populates an uncertain relation over `video` with a **pre-trained**
-/// CMDN — the *model drift* scenario of §3.1 ("tracking model drift in
-/// visual data is still an ongoing research"): a proxy trained on one
-/// video serving another.
-///
-/// Compared to [`run_phase1`]: no sampling, no labelling, no training —
-/// the clock is charged only for the difference detector and the populate
-/// pass, and the relation starts with *zero* certain items (Phase 2's
-/// bootstrap will oracle-confirm its first K candidates). The
-/// `ablation_drift` experiment uses this to measure what a drifted proxy
-/// costs in cleaning volume and answer quality.
-pub fn populate_with_model(
-    video: &dyn VideoStore,
-    model: &Cmdn,
-    cfg: &Phase1Config,
-) -> Phase1Output {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "feeds the reported ingest wall-time stat only; the simulated cost model \
-                  (SimClock) drives every decision"
-    )]
-    let started = Instant::now();
-    let mut clock = SimClock::new();
-    let n = video.num_frames();
-    let decode = DecodeCostModel::default();
-    let input_hw = model.config().input;
-    assert_eq!(
-        cmdn_input_dims(video, model.config().conv_channels.len()),
-        input_hw,
-        "pre-trained model input dims must match the video's CMDN dims"
-    );
-
-    let segments = DifferenceDetector::new(cfg.diff).run(video);
-    clock.charge(
-        component::POPULATE,
-        n as f64 * DIFF_COST + decode.sequential_scan_cost(n),
-    );
-    let retained = segments.retained().to_vec();
-    assert!(
-        !retained.is_empty(),
-        "difference detector retained no frames"
-    );
-
-    let mixtures = score_frames(video, model, &retained, cfg.threads);
-    clock.charge(
-        component::POPULATE,
-        retained.len() as f64 * CMDN_INFER_COST + decode.trace_cost(&retained),
-    );
-
-    let mix_max = mixtures
-        .iter()
-        .map(|m| m.truncated_range().1)
-        .fold(0.0f64, f64::max);
-    let needed = (mix_max / cfg.quant_step).ceil() as usize + 2;
-    let max_bucket = needed.clamp(4, cfg.max_bucket_cap);
-
-    let mut relation = UncertainRelation::new(cfg.quant_step, max_bucket);
-    for mixture in &mixtures {
-        let masses = mixture.quantize(cfg.quant_step, max_bucket);
-        relation.push_uncertain(DiscreteDist::from_masses(&masses));
-    }
-
-    Phase1Output {
-        relation,
-        segments,
-        mixtures,
-        labeled: BTreeMap::new(),
-        grid_results: Vec::new(),
-        model: model.clone(),
-        clock,
-        wall: started.elapsed(),
-        max_labeled_score: mix_max,
     }
 }
 
@@ -416,6 +414,26 @@ fn cmdn_input_dims(video: &dyn VideoStore, depth: usize) -> (usize, usize) {
         (h, w)
     } else {
         (32, 32)
+    }
+}
+
+/// The core unit tests' Phase-1 recipe: a 150-label sample and one 3×16
+/// CMDN trained for 8 epochs.
+#[cfg(test)]
+pub(crate) fn fast_phase1() -> Phase1Config {
+    Phase1Config {
+        sample_frac: 0.1,
+        sample_cap: 150,
+        sample_min: 32,
+        grid: HyperGrid::single(3, 16),
+        train: TrainConfig {
+            epochs: 8,
+            batch_size: 32,
+            ..TrainConfig::default()
+        },
+        conv_channels: vec![6, 12],
+        threads: 4,
+        ..Phase1Config::default()
     }
 }
 
@@ -439,27 +457,10 @@ mod tests {
         (v, o)
     }
 
-    fn fast_cfg() -> Phase1Config {
-        Phase1Config {
-            sample_frac: 0.1,
-            sample_cap: 150,
-            sample_min: 32,
-            grid: HyperGrid::single(3, 16),
-            train: TrainConfig {
-                epochs: 6,
-                batch_size: 32,
-                ..TrainConfig::default()
-            },
-            conv_channels: vec![6, 12],
-            threads: 4,
-            ..Phase1Config::default()
-        }
-    }
-
     #[test]
     fn phase1_builds_consistent_relation() {
         let (v, o) = tiny_setup();
-        let out = run_phase1(&v, &o, &fast_cfg());
+        let out = run_phase1(&v, &o, &fast_phase1());
         assert_eq!(out.relation.len(), out.segments.num_retained());
         assert_eq!(out.mixtures.len(), out.segments.num_retained());
         assert!(
@@ -480,7 +481,7 @@ mod tests {
     #[test]
     fn phase1_charges_all_components() {
         let (v, o) = tiny_setup();
-        let out = run_phase1(&v, &o, &fast_cfg());
+        let out = run_phase1(&v, &o, &fast_phase1());
         assert!(out.clock.component(component::LABEL) > 0.0);
         assert!(out.clock.component(component::TRAIN) > 0.0);
         assert!(out.clock.component(component::POPULATE) > 0.0);
@@ -490,8 +491,8 @@ mod tests {
     #[test]
     fn phase1_is_deterministic() {
         let (v, o) = tiny_setup();
-        let a = run_phase1(&v, &o, &fast_cfg());
-        let b = run_phase1(&v, &o, &fast_cfg());
+        let a = run_phase1(&v, &o, &fast_phase1());
+        let b = run_phase1(&v, &o, &fast_phase1());
         assert_eq!(a.relation, b.relation);
         assert_eq!(a.grid_results, b.grid_results);
     }
@@ -499,7 +500,7 @@ mod tests {
     #[test]
     fn grid_covers_labelled_scores() {
         let (v, o) = tiny_setup();
-        let out = run_phase1(&v, &o, &fast_cfg());
+        let out = run_phase1(&v, &o, &fast_phase1());
         let max_label = out.labeled.values().cloned().fold(0.0f64, f64::max);
         assert!(
             out.relation.max_bucket() as f64 * out.relation.step() >= max_label,
@@ -510,12 +511,12 @@ mod tests {
     #[test]
     fn populate_with_model_reuses_weights_without_labels() {
         let (v, o) = tiny_setup();
-        let cfg = fast_cfg();
+        let cfg = fast_phase1();
         let native = run_phase1(&v, &o, &cfg);
         let drifted = populate_with_model(&v, &native.model, &cfg);
         // same video + same model → same segmentation and mixtures
         assert_eq!(drifted.segments, native.segments);
-        assert_eq!(drifted.mixtures.len(), native.mixtures.len());
+        assert_eq!(drifted.mixtures, native.mixtures);
         // but no labels, no training charge, all-uncertain relation
         assert!(drifted.labeled.is_empty());
         assert!(drifted.grid_results.is_empty());
@@ -540,7 +541,7 @@ mod tests {
     #[test]
     fn score_frames_matches_per_frame_predict() {
         let (v, o) = tiny_setup();
-        let out = run_phase1(&v, &o, &fast_cfg());
+        let out = run_phase1(&v, &o, &fast_phase1());
         let frames: Vec<usize> = out.segments.retained().iter().copied().take(37).collect();
         let mut single = out.model.clone();
         for threads in [1usize, 3] {

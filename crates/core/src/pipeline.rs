@@ -12,7 +12,7 @@ use crate::budget::Termination;
 use crate::cleaner::{run_cleaner, CleanerConfig, CleaningOracle};
 use crate::phase1::{run_phase1, Phase1Config, Phase1Output};
 use crate::sim::{component, SimClock, SELECT_EVAL_COST};
-use crate::window::{build_window_relation, tumbling_windows, WindowCleaningOracle, WindowInfo};
+use crate::window::{build_window_relation, sliding_windows, WindowCleaningOracle};
 use crate::xtuple::{score_to_bucket, ItemId, UncertainRelation};
 use everest_models::{Oracle, OracleError};
 use everest_video::store::DecodeCostModel;
@@ -229,6 +229,7 @@ impl PreparedVideo {
 
     /// Runs a Top-K window query (§3.4): tumbling windows of `window_len`
     /// frames, confirmed by sampling `sample_frac` of each window's frames.
+    /// The sliding query with `slide == window_len`.
     pub fn query_topk_windows(
         &self,
         oracle: &dyn Oracle,
@@ -238,13 +239,20 @@ impl PreparedVideo {
         sample_frac: f64,
         cleaner: &CleanerConfig,
     ) -> QueryReport {
-        let windows = tumbling_windows(self.n_frames, window_len);
-        self.query_topk_over_windows(oracle, k, thres, windows, sample_frac, cleaner)
+        self.query_topk_sliding_windows(
+            oracle,
+            k,
+            thres,
+            window_len,
+            window_len,
+            sample_frac,
+            cleaner,
+        )
     }
 
     /// Runs a Top-K query over *sliding* windows of `window_len` frames
     /// hopping by `slide` — the sliding extension of §3.4 (see
-    /// [`crate::window::sliding_windows`] for the independence caveat when
+    /// [`sliding_windows`] for the independence caveat when
     /// `slide < window_len`).
     pub fn query_topk_sliding_windows(
         &self,
@@ -256,20 +264,7 @@ impl PreparedVideo {
         sample_frac: f64,
         cleaner: &CleanerConfig,
     ) -> QueryReport {
-        let windows = crate::window::sliding_windows(self.n_frames, window_len, slide);
-        self.query_topk_over_windows(oracle, k, thres, windows, sample_frac, cleaner)
-    }
-
-    /// Shared window-query body over an explicit window list.
-    fn query_topk_over_windows(
-        &self,
-        oracle: &dyn Oracle,
-        k: usize,
-        thres: f64,
-        windows: Vec<WindowInfo>,
-        sample_frac: f64,
-        cleaner: &CleanerConfig,
-    ) -> QueryReport {
+        let windows = sliding_windows(self.n_frames, window_len, slide);
         // Window scores are means of frame scores: reuse the frame grid but
         // refine the step for sub-integer means.
         let step = self.phase1.relation.step() / 4.0;
@@ -372,11 +367,6 @@ impl PreparedVideo {
         }
     }
 
-    /// The tumbling windows a window query of this length would use.
-    pub fn windows(&self, window_len: usize) -> Vec<WindowInfo> {
-        tumbling_windows(self.n_frames, window_len)
-    }
-
     fn phase1_seed(&self) -> u64 {
         // derive a stable seed from phase-1 size characteristics
         (self.phase1.relation.len() as u64) << 20 | self.n_frames as u64
@@ -389,10 +379,8 @@ const WINDOW_SAMPLE_SALT: u64 = 0x81D_7005;
 mod tests {
     use super::*;
     use crate::metrics::{evaluate_topk, GroundTruth};
-    use crate::phase1::Phase1Config;
+    use crate::phase1::fast_phase1;
     use everest_models::{counting_oracle, ExactScoreOracle, InstrumentedOracle};
-    use everest_nn::train::TrainConfig;
-    use everest_nn::HyperGrid;
     use everest_video::arrival::{ArrivalConfig, Timeline};
     use everest_video::scene::{SceneConfig, SyntheticVideo};
 
@@ -407,23 +395,6 @@ mod tests {
         let v = SyntheticVideo::new(SceneConfig::default(), tl, 29, 30.0);
         let o = counting_oracle(&v);
         (v, o)
-    }
-
-    fn fast_phase1() -> Phase1Config {
-        Phase1Config {
-            sample_frac: 0.1,
-            sample_cap: 150,
-            sample_min: 32,
-            grid: HyperGrid::single(3, 16),
-            train: TrainConfig {
-                epochs: 8,
-                batch_size: 32,
-                ..TrainConfig::default()
-            },
-            conv_channels: vec![6, 12],
-            threads: 4,
-            ..Phase1Config::default()
-        }
     }
 
     #[test]
@@ -508,8 +479,10 @@ mod tests {
             assert!(item.range.0 % 30 == 0, "window must start on a boundary");
         }
         // sampled window means should be near the exact window means
-        let exact =
-            crate::window::exact_window_scores(oracle.inner().all_scores(), &prepared.windows(30));
+        let exact = crate::window::exact_window_scores(
+            oracle.inner().all_scores(),
+            &sliding_windows(prepared.n_frames(), 30, 30),
+        );
         for item in &report.items {
             let wid = item.frame / 30;
             assert!(

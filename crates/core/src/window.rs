@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// A tumbling window: the half-open frame range `[start, end)`.
+/// A window: the half-open frame range `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowInfo {
     pub start: usize,
@@ -43,26 +43,14 @@ impl WindowInfo {
     }
 }
 
-/// Splits `n_frames` into tumbling windows of `len` frames (the final
-/// window may be shorter).
-pub fn tumbling_windows(n_frames: usize, len: usize) -> Vec<WindowInfo> {
-    assert!(len >= 1, "window length must be positive");
-    (0..n_frames.div_ceil(len))
-        .map(|i| WindowInfo {
-            start: i * len,
-            end: ((i + 1) * len).min(n_frames),
-        })
-        .collect()
-}
-
 /// Sliding (hopping) windows of `len` frames every `slide` frames — an
 /// extension beyond the paper's tumbling windows (§3.4).
 ///
 /// Window starts are `0, slide, 2·slide, …`; the last start is the
 /// smallest multiple of `slide` whose window reaches the end of the video
 /// (so trailing stub windows that are strict subsets of an earlier window
-/// are not generated). `slide == len` degenerates to
-/// [`tumbling_windows`].
+/// are not generated). `slide == len` gives the paper's tumbling windows,
+/// which partition the frames (the final window may be shorter).
 ///
 /// **Independence caveat:** overlapping windows share frames, so their
 /// scores are *not* independent and Eq. 2's product form treats the
@@ -262,7 +250,7 @@ mod tests {
 
     #[test]
     fn tumbling_windows_partition_frames() {
-        let ws = tumbling_windows(100, 30);
+        let ws = sliding_windows(100, 30, 30);
         assert_eq!(ws.len(), 4);
         assert_eq!(ws[0], WindowInfo { start: 0, end: 30 });
         assert_eq!(
@@ -272,13 +260,20 @@ mod tests {
                 end: 100
             }
         );
-        let total: usize = ws.iter().map(|w| w.len()).sum();
-        assert_eq!(total, 100);
+        // Each window starts where the last ended, so the windows tile the
+        // video, and only the final one may be short.
+        for (n, len) in [(100, 30), (90, 30), (1, 1), (7, 10)] {
+            let ws = sliding_windows(n, len, len);
+            assert_eq!(ws.first().map(|w| w.start), Some(0), "n={n} len={len}");
+            assert_eq!(ws.last().map(|w| w.end), Some(n), "n={n} len={len}");
+            assert!(ws.windows(2).all(|p| p[0].end == p[1].start));
+            assert!(ws[..ws.len() - 1].iter().all(|w| w.len() == len));
+        }
     }
 
     #[test]
     fn window_of_one_frame_each() {
-        let ws = tumbling_windows(5, 1);
+        let ws = sliding_windows(5, 1, 1);
         assert_eq!(ws.len(), 5);
         assert!(ws.iter().all(|w| w.len() == 1));
     }
@@ -290,7 +285,7 @@ mod tests {
         // follows Eq. 9: (1/L)·L·σ² = σ².
         let segs = Segments::from_parts(vec![5], vec![0; 10]);
         let mixtures = vec![GaussianMixture::single(4.0, 1.0)];
-        let ws = tumbling_windows(10, 10);
+        let ws = sliding_windows(10, 10, 10);
         let rel = build_window_relation(&mixtures, &segs, &ws, 1.0, 10);
         assert_eq!(rel.len(), 1);
         let d = rel.dist(0).unwrap();
@@ -310,7 +305,7 @@ mod tests {
             GaussianMixture::single(2.0, 0.5),
             GaussianMixture::single(6.0, 0.5),
         ];
-        let ws = tumbling_windows(10, 10);
+        let ws = sliding_windows(10, 10, 10);
         let rel = build_window_relation(&mixtures, &segs, &ws, 1.0, 10);
         let d = rel.dist(0).unwrap();
         assert!(
@@ -323,7 +318,7 @@ mod tests {
     #[test]
     fn exact_window_scores_are_means() {
         let frames = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let ws = tumbling_windows(6, 3);
+        let ws = sliding_windows(6, 3, 3);
         let scores = exact_window_scores(&frames, &ws);
         assert_eq!(scores, vec![2.0, 5.0]);
     }
@@ -332,7 +327,7 @@ mod tests {
     fn window_oracle_full_sampling_is_exact() {
         let frame_scores: Vec<f64> = (0..30).map(|i| (i % 5) as f64).collect();
         let oracle = ExactScoreOracle::new("gt", frame_scores.clone(), 0.01);
-        let ws = tumbling_windows(30, 10);
+        let ws = sliding_windows(30, 10, 10);
         let mut wo = WindowCleaningOracle::new(&oracle, &ws, 1.0, 0.5, 40, 7);
         let buckets = wo.clean_batch(&[0, 1, 2]);
         let exact = exact_window_scores(&frame_scores, &ws);
@@ -346,7 +341,7 @@ mod tests {
     fn window_oracle_sampling_is_unbiasedish() {
         let frame_scores: Vec<f64> = (0..300).map(|i| ((i / 30) % 4) as f64).collect();
         let oracle = ExactScoreOracle::new("gt", frame_scores.clone(), 0.01);
-        let ws = tumbling_windows(300, 100);
+        let ws = sliding_windows(300, 100, 100);
         let exact = exact_window_scores(&frame_scores, &ws);
         let mut wo = WindowCleaningOracle::new(&oracle, &ws, 0.1, 0.25, 40, 3);
         let buckets = wo.clean_batch(&[0, 1, 2]);
@@ -364,19 +359,8 @@ mod tests {
     #[should_panic(expected = "one mixture per retained frame")]
     fn mixture_count_mismatch_panics() {
         let segs = Segments::identity(4);
-        let ws = tumbling_windows(4, 2);
+        let ws = sliding_windows(4, 2, 2);
         let _ = build_window_relation(&[], &segs, &ws, 1.0, 5);
-    }
-
-    #[test]
-    fn sliding_equals_tumbling_when_slide_is_len() {
-        for (n, len) in [(100, 30), (90, 30), (1, 1), (7, 10)] {
-            assert_eq!(
-                sliding_windows(n, len, len),
-                tumbling_windows(n, len),
-                "n={n} len={len}"
-            );
-        }
     }
 
     #[test]

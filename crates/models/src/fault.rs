@@ -19,10 +19,17 @@
 //! [`Oracle::sim_overhead_seconds`], which budget-aware callers (the
 //! Phase-2 cleaner's deadline check) add to the per-frame scoring cost.
 
-use crate::oracle::{lock, Oracle};
+use crate::oracle::Oracle;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, recovering the data of a poisoned lock: the guarded values
+/// (overhead sums) stay meaningful after another thread panicked
+/// mid-update.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Why an oracle call failed.
 #[derive(Debug, Clone, PartialEq)]

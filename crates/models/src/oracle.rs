@@ -8,14 +8,7 @@
 
 use crate::fault::OracleError;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Locks `m`, recovering the data of a poisoned lock: the guarded values
-/// here (a trace, an overhead sum) stay meaningful after another thread
-/// panicked mid-update.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::Arc;
 
 /// An accurate-but-slow scoring model.
 pub trait Oracle: Send + Sync {
@@ -113,15 +106,11 @@ impl Oracle for ExactScoreOracle {
     }
 }
 
-/// Wraps an oracle and counts usage — the pipeline reads these counters to
-/// charge simulated time and to report Table 8's "% of frames cleaned".
+/// Wraps an oracle and counts the frames and batches it scores.
 pub struct InstrumentedOracle<O: Oracle> {
     inner: O,
     frames_scored: AtomicU64,
     batches: AtomicU64,
-    /// Frame indices scored, in invocation order (for decode-cost replay).
-    trace: Mutex<Vec<usize>>,
-    keep_trace: bool,
 }
 
 impl<O: Oracle> InstrumentedOracle<O> {
@@ -130,16 +119,7 @@ impl<O: Oracle> InstrumentedOracle<O> {
             inner,
             frames_scored: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            trace: Mutex::new(Vec::new()),
-            keep_trace: false,
         }
-    }
-
-    /// Enables recording of the exact access order (costs memory; off by
-    /// default).
-    pub fn with_trace(mut self) -> Self {
-        self.keep_trace = true;
-        self
     }
 
     pub fn frames_scored(&self) -> u64 {
@@ -150,23 +130,8 @@ impl<O: Oracle> InstrumentedOracle<O> {
         self.batches.load(Ordering::Relaxed)
     }
 
-    /// Simulated seconds consumed by all scoring so far.
-    pub fn simulated_cost(&self) -> f64 {
-        self.frames_scored() as f64 * self.inner.cost_per_frame()
-    }
-
-    pub fn take_trace(&self) -> Vec<usize> {
-        std::mem::take(&mut lock(&self.trace))
-    }
-
     pub fn inner(&self) -> &O {
         &self.inner
-    }
-
-    pub fn reset(&self) {
-        self.frames_scored.store(0, Ordering::Relaxed);
-        self.batches.store(0, Ordering::Relaxed);
-        lock(&self.trace).clear();
     }
 }
 
@@ -175,9 +140,6 @@ impl<O: Oracle> Oracle for InstrumentedOracle<O> {
         self.frames_scored
             .fetch_add(frames.len() as u64, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
-        if self.keep_trace {
-            lock(&self.trace).extend_from_slice(frames);
-        }
         self.inner.score_batch(frames)
     }
 
@@ -188,9 +150,6 @@ impl<O: Oracle> Oracle for InstrumentedOracle<O> {
         self.frames_scored
             .fetch_add(frames.len() as u64, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
-        if self.keep_trace {
-            lock(&self.trace).extend_from_slice(frames);
-        }
         Ok(scores)
     }
 
@@ -247,24 +206,5 @@ mod tests {
         let _ = o.score_batch(&[2]);
         assert_eq!(o.frames_scored(), 3);
         assert_eq!(o.batches(), 2);
-        assert!((o.simulated_cost() - 0.3).abs() < 1e-12);
-        o.reset();
-        assert_eq!(o.frames_scored(), 0);
-    }
-
-    #[test]
-    fn trace_records_order_when_enabled() {
-        let o = InstrumentedOracle::new(oracle()).with_trace();
-        let _ = o.score_batch(&[3, 1]);
-        let _ = o.score_batch(&[0]);
-        assert_eq!(o.take_trace(), vec![3, 1, 0]);
-        assert!(o.take_trace().is_empty(), "trace is drained");
-    }
-
-    #[test]
-    fn trace_disabled_by_default() {
-        let o = InstrumentedOracle::new(oracle());
-        let _ = o.score_batch(&[1]);
-        assert!(o.take_trace().is_empty());
     }
 }

@@ -14,7 +14,8 @@ use everest::evql::{Output, Session};
 
 fn main() {
     let mut session = Session::new();
-    // Shrink the catalog so the demo finishes in about a minute on CPU.
+    // Shrink the catalog to its 2 000-frame floor so the demo finishes in
+    // seconds on CPU.
     session.settings.scale = 400;
 
     let statements = [

@@ -1,20 +1,16 @@
 //! Quickstart: the paper's running example (Tables 1a, 4, 5) followed by a
-//! real end-to-end Top-K query on a small synthetic traffic video.
+//! real end-to-end Top-K query, run as one EVQL statement.
 //!
 //! Run with: `cargo run --release --example quickstart`
+//!
+//! `examples/evql_analytics.rs` runs the paper's §1 use cases the same way;
+//! `everest-core`'s crate docs walk through the library API underneath.
 
-use everest::core::cleaner::CleanerConfig;
 use everest::core::dist::DiscreteDist;
-use everest::core::phase1::Phase1Config;
-use everest::core::pipeline::Everest;
 use everest::core::pws::topk_confidence_bruteforce;
 use everest::core::topkprob::{topk_prob, JointCdf};
 use everest::core::xtuple::UncertainRelation;
-use everest::models::{counting_oracle, InstrumentedOracle, Oracle};
-use everest::nn::train::TrainConfig;
-use everest::nn::HyperGrid;
-use everest::video::arrival::{ArrivalConfig, Timeline};
-use everest::video::scene::{SceneConfig, SyntheticVideo};
+use everest::evql::{Output, Session};
 
 fn main() {
     paper_running_example();
@@ -51,69 +47,25 @@ fn paper_running_example() {
     println!();
 }
 
-/// A real query: Top-5 busiest traffic moments with a 0.9 probabilistic
-/// guarantee, on a 2 000-frame synthetic junction video.
+/// A real query: the Top-5 busiest moments of a traffic video with a 0.9
+/// probabilistic guarantee. Phase 1 (difference detection, CMDN training,
+/// `D0`) and Phase 2 (oracle-in-the-loop cleaning) both run inside the
+/// statement; the `engine=` line sets its simulated cost against
+/// scan-and-test's.
 fn end_to_end_query() {
     println!("=== End-to-end Top-5 query (thres = 0.9) ===");
-    let timeline = Timeline::generate(
-        &ArrivalConfig {
-            n_frames: 2_000,
-            ..ArrivalConfig::default()
-        },
-        42,
-    );
-    let video = SyntheticVideo::new(SceneConfig::default(), timeline, 42, 30.0);
-    let oracle = InstrumentedOracle::new(counting_oracle(&video));
-
-    // A deliberately *starved* Phase-1 recipe so the demo finishes in
-    // seconds: 200 labels, 10 epochs, a 3×16 grid. The price is a
-    // miscalibrated proxy that cleans far more frames than the paper's
-    // ~1% — see the calibrated recipe below.
-    let phase1 = Phase1Config {
-        sample_frac: 0.08,
-        sample_cap: 200,
-        sample_min: 32,
-        grid: HyperGrid::single(3, 16),
-        train: TrainConfig {
-            epochs: 10,
-            ..TrainConfig::default()
-        },
-        conv_channels: vec![8, 16],
-        ..Phase1Config::default()
-    };
-    let prepared = Everest::prepare(&video, &oracle, &phase1);
-    let report = prepared.query_topk(&oracle, 5, 0.9, &CleanerConfig::default());
-
-    println!("confidence  = {:.4} (≥ 0.9 guaranteed)", report.confidence);
-    println!(
-        "cleaned     = {} of {} unique frames ({:.2}%)",
-        report.cleaned,
-        report.total_items,
-        100.0 * report.pct_cleaned()
-    );
-    println!("iterations  = {}", report.iterations);
-    println!(
-        "sim latency = {:.1}s  (scan-and-test would be {:.1}s)",
-        report.sim_seconds(),
-        video_scan_cost(&oracle)
-    );
-    println!("Top-5 moments (frame, cars):");
-    for (rank, item) in report.items.iter().enumerate() {
-        println!(
-            "  #{:<2} frame {:>5}  score {}",
-            rank + 1,
-            item.frame,
-            item.score
-        );
+    let mut session = Session::new();
+    // The catalog's smallest size (2 000 frames), so the demo answers in
+    // well under a second.
+    session.settings.scale = 400;
+    let stmt = "SELECT TOP 5 FRAMES FROM Archie WITH CONFIDENCE 0.9, SEED 42";
+    println!("evql> {stmt}");
+    match session.execute(stmt) {
+        Ok(Output::Rows(answer)) => print!("{}", answer.render()),
+        Ok(_) => unreachable!("a SELECT TOP statement answers with rows"),
+        Err(e) => {
+            eprintln!("{}", e.render(stmt));
+            std::process::exit(1);
+        }
     }
-    println!();
-    println!("note: this demo trains a deliberately starved CMDN for speed,");
-    println!("so the cleaning fraction is far above the paper's ~1%. The");
-    println!("calibrated recipe (sample_frac 0.25, cap 500, 5x24 grid,");
-    println!("25 epochs, conv 8/16/32) reaches the paper's regime on this");
-    println!("same video -- pinned in tests/cleaning_fraction.rs.");
-}
-
-fn video_scan_cost(oracle: &InstrumentedOracle<everest::models::ExactScoreOracle>) -> f64 {
-    oracle.num_frames() as f64 * oracle.cost_per_frame()
 }

@@ -18,7 +18,10 @@
 //! * [`evql`] (`everest-evql`) — the declarative Top-K query language
 //!   (§5's FrameQL-style integration) and the `everest-cli` shell.
 //!
-//! See `examples/quickstart.rs` for an end-to-end tour.
+//! Start with `examples/quickstart.rs` (the paper's running example, then
+//! one end-to-end EVQL query) and `examples/evql_analytics.rs` (the §1 use
+//! cases, one statement each); `everest-core`'s crate docs walk through
+//! the library API underneath.
 
 #![deny(unsafe_code)]
 

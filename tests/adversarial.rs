@@ -283,13 +283,13 @@ fn skyline_survives_a_lying_proxy() {
 #[test]
 fn window_oracle_clamps_out_of_grid_scores() {
     use everest::core::cleaner::CleaningOracle;
-    use everest::core::window::{tumbling_windows, WindowCleaningOracle};
+    use everest::core::window::{sliding_windows, WindowCleaningOracle};
     use everest::models::ExactScoreOracle;
 
     // Scores far beyond the bucket grid must clamp, not panic.
     let scores: Vec<f64> = (0..30).map(|i| 1e6 + i as f64).collect();
     let oracle = ExactScoreOracle::new("huge", scores, 0.01);
-    let ws = tumbling_windows(30, 10);
+    let ws = sliding_windows(30, 10, 10);
     let mut wo = WindowCleaningOracle::new(&oracle, &ws, 1.0, 1.0, 8, 1);
     let buckets = wo.clean_batch(&[0, 1, 2]);
     assert!(
@@ -301,12 +301,12 @@ fn window_oracle_clamps_out_of_grid_scores() {
 #[test]
 fn negative_scores_clamp_to_bucket_zero() {
     use everest::core::cleaner::CleaningOracle;
-    use everest::core::window::{tumbling_windows, WindowCleaningOracle};
+    use everest::core::window::{sliding_windows, WindowCleaningOracle};
     use everest::models::ExactScoreOracle;
 
     let scores: Vec<f64> = (0..20).map(|i| -5.0 - i as f64).collect();
     let oracle = ExactScoreOracle::new("negative", scores, 0.01);
-    let ws = tumbling_windows(20, 5);
+    let ws = sliding_windows(20, 5, 5);
     let mut wo = WindowCleaningOracle::new(&oracle, &ws, 1.0, 1.0, 8, 1);
     let buckets = wo.clean_batch(&[0, 1]);
     assert!(

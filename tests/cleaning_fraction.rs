@@ -1,11 +1,11 @@
-//! Regression pin for the "cleaning fraction at toy scale" ROADMAP item.
+//! Regression pin for the "cleaning fraction at toy scale" question.
 //!
-//! Quickstart's Top-5 query cleans 78% of unique frames, where the paper
-//! reports ~1%. The open question was whether tie-dense counting scores at
-//! small scale or a loose `Select-candidate` stop rule is the cause. The
-//! controlled comparison below answers it — the cause is **neither**; it
-//! is proxy miscalibration from quickstart's deliberately starved Phase-1
-//! recipe:
+//! A Top-5 query on a 2 000-frame junction video, prepared with a
+//! deliberately starved Phase-1 recipe, cleans 78% of unique frames where
+//! the paper reports ~1%. The open question was whether tie-dense counting
+//! scores at small scale or a loose `Select-candidate` stop rule is the
+//! cause. The controlled comparison below answers it — the cause is
+//! **neither**; it is proxy miscalibration from the starved recipe:
 //!
 //! * **Not the stop rule.** The cleaner exits at p̂ = 0.9005 — the first
 //!   batch that crosses thres = 0.9. An overshoot of half a percent
@@ -26,7 +26,9 @@
 //!   the paper's ~1% — converging in a single batch.
 //!
 //! Both halves are pinned so a calibration regression (or a stop-rule
-//! regression) shows up as a loud diff in this file.
+//! regression) shows up as a loud diff in this file. `starved_phase1` is
+//! the starved recipe's only copy: the known-bad proxy stays in view here,
+//! as a test fixture, and nowhere else.
 
 use everest::core::cleaner::CleanerConfig;
 use everest::core::phase1::Phase1Config;
@@ -39,8 +41,8 @@ use everest::video::scene::{SceneConfig, SyntheticVideo};
 
 const THRES: f64 = 0.9;
 
-/// The quickstart video: 2 000 frames, default arrivals, seed 42.
-fn quickstart_video() -> SyntheticVideo {
+/// The junction video: 2 000 frames, default arrivals, seed 42.
+fn junction_video() -> SyntheticVideo {
     let timeline = Timeline::generate(
         &ArrivalConfig {
             n_frames: 2_000,
@@ -56,7 +58,7 @@ fn prepare(video: &SyntheticVideo, phase1: &Phase1Config) -> PreparedVideo {
     Everest::prepare(video, &oracle, phase1)
 }
 
-/// Quickstart's starved recipe (examples/quickstart.rs, unchanged).
+/// The starved recipe: 200 labels, 10 epochs, one 3×16 model.
 fn starved_phase1() -> Phase1Config {
     Phase1Config {
         sample_frac: 0.08,
@@ -90,7 +92,7 @@ fn calibrated_phase1() -> Phase1Config {
 
 #[test]
 fn starved_proxy_cleans_most_frames_but_not_because_of_ties_or_the_stop_rule() {
-    let video = quickstart_video();
+    let video = junction_video();
     let oracle = InstrumentedOracle::new(counting_oracle(&video));
     let prepared = prepare(&video, &starved_phase1());
     let report = prepared.query_topk(&oracle, 5, THRES, &CleanerConfig::default());
@@ -99,7 +101,7 @@ fn starved_proxy_cleans_most_frames_but_not_because_of_ties_or_the_stop_rule() {
     let frac = report.cleaned as f64 / report.total_items as f64;
     assert!(
         (0.55..=0.95).contains(&frac),
-        "starved quickstart cleaned {frac:.3}; the ~0.78 regression moved"
+        "starved recipe cleaned {frac:.3}; the ~0.78 regression moved"
     );
 
     // Stop rule is tight: the first batch past thres ends the loop.
@@ -164,7 +166,7 @@ fn starved_proxy_cleans_most_frames_but_not_because_of_ties_or_the_stop_rule() {
 fn calibrated_proxy_matches_the_papers_cleaning_fraction() {
     // Control: identical video, scores, tie structure and stop rule —
     // only the Phase-1 training budget changes.
-    let video = quickstart_video();
+    let video = junction_video();
     let oracle = InstrumentedOracle::new(counting_oracle(&video));
     let prepared = prepare(&video, &calibrated_phase1());
     let report = prepared.query_topk(&oracle, 5, THRES, &CleanerConfig::default());

@@ -11,7 +11,7 @@ use everest::core::metrics::{evaluate_topk, GroundTruth};
 use everest::core::phase1::Phase1Config;
 use everest::core::pipeline::{Everest, PreparedVideo};
 use everest::core::sim::component;
-use everest::core::window::exact_window_scores;
+use everest::core::window::{exact_window_scores, sliding_windows};
 use everest::models::{
     counting_oracle, FaultPlan, FlakyOracle, InstrumentedOracle, Oracle, RetryingOracle,
 };
@@ -79,7 +79,10 @@ fn window_query_finds_busy_windows() {
     assert_eq!(report.items.len(), k);
 
     // Window ground truth and quality.
-    let exact = exact_window_scores(oracle.inner().all_scores(), &prepared.windows(window_len));
+    let exact = exact_window_scores(
+        oracle.inner().all_scores(),
+        &sliding_windows(prepared.n_frames(), window_len, window_len),
+    );
     let truth = GroundTruth::new(exact.clone());
     let answer: Vec<usize> = report.items.iter().map(|i| i.frame / window_len).collect();
     let q = evaluate_topk(&truth, &answer, k);
@@ -107,7 +110,10 @@ fn full_sampling_gives_exact_window_scores() {
         1.0, // confirm whole windows
         &CleanerConfig::default(),
     );
-    let exact = exact_window_scores(oracle.inner().all_scores(), &prepared.windows(window_len));
+    let exact = exact_window_scores(
+        oracle.inner().all_scores(),
+        &sliding_windows(prepared.n_frames(), window_len, window_len),
+    );
     for item in &report.items {
         let wid = item.frame / window_len;
         assert!(
@@ -155,7 +161,6 @@ fn sliding_windows_find_the_same_peaks_with_finer_offsets() {
 
     // The best sliding window's exact mean must be at least the best
     // tumbling window's: tumbling windows are a subset of sliding ones.
-    use everest::core::window::{sliding_windows, tumbling_windows};
     let scores = oracle.inner().all_scores();
     let best = |ws: &[everest::core::window::WindowInfo]| {
         exact_window_scores(scores, ws)
@@ -163,7 +168,7 @@ fn sliding_windows_find_the_same_peaks_with_finer_offsets() {
             .fold(f64::MIN, f64::max)
     };
     let best_sliding = best(&sliding_windows(video.timeline().n_frames(), len, slide));
-    let best_tumbling = best(&tumbling_windows(video.timeline().n_frames(), len));
+    let best_tumbling = best(&sliding_windows(video.timeline().n_frames(), len, len));
     assert!(
         best_sliding >= best_tumbling - 1e-12,
         "sliding {best_sliding} vs tumbling {best_tumbling}"
