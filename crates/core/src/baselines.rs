@@ -115,9 +115,9 @@ pub fn select_and_topk_at_lambda(
     if candidates.len() < k {
         return None; // λ too aggressive: the range query starves Top-K
     }
-    // lint:allow(budget-discipline): the λ-sweep baseline deliberately
-    // models the non-Everest competitor, which spends oracle calls with no
-    // budget layer; it is benchmarked, never served.
+    // No budget here: the λ-sweep baseline deliberately models the
+    // non-Everest competitor, which spends oracle calls with no budget
+    // layer; it is benchmarked, never served.
     let scores = oracle.score_batch(&candidates);
     let order = topk_indices(&scores, k);
     let topk: Vec<usize> = order.into_iter().map(|i| candidates[i]).collect();

@@ -351,9 +351,9 @@ fn train_proxy(
     // 3. Oracle-label the sample (cost: one oracle call per frame).
     let labelled_pos: Vec<usize> = train_pos.iter().chain(holdout_pos).copied().collect();
     let labelled_frames: Vec<usize> = labelled_pos.iter().map(|&p| retained[p]).collect();
-    // lint:allow(budget-discipline): Phase-1 labeling is charged to the
-    // LABEL cost component on the very next statement; QueryBudget governs
-    // the Phase-2 interactive loop, not this up-front sampling pass.
+    // No budget here: Phase-1 labeling is charged to the LABEL cost
+    // component on the very next statement; QueryBudget governs the
+    // Phase-2 interactive loop, not this up-front sampling pass.
     let labels = oracle.score_batch(&labelled_frames);
     clock.charge(
         component::LABEL,

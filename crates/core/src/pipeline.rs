@@ -181,6 +181,35 @@ where
     }
 }
 
+/// The skyline's oracle adapter: one frame adapter per dimension, so a
+/// confirmed item's vector is its bucket on each dimension's grid. An
+/// oracle failure on any dimension fails the whole batch.
+impl<'o, O, R> CleaningOracle<Vec<u32>> for Vec<FrameOracleAdapter<O, R>>
+where
+    O: Deref<Target = dyn Oracle + 'o>,
+    R: Deref<Target = [usize]>,
+{
+    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<Vec<u32>> {
+        let per_dim: Vec<Vec<u32>> = self.iter_mut().map(|a| a.clean_batch(items)).collect();
+        transpose(&per_dim, items.len())
+    }
+
+    fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<Vec<u32>>, OracleError> {
+        let per_dim = self
+            .iter_mut()
+            .map(|a| a.try_clean_batch(items))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(transpose(&per_dim, items.len()))
+    }
+}
+
+/// Per-dimension bucket columns → one bucket vector per item.
+fn transpose(per_dim: &[Vec<u32>], n: usize) -> Vec<Vec<u32>> {
+    (0..n)
+        .map(|i| per_dim.iter().map(|buckets| buckets[i]).collect())
+        .collect()
+}
+
 impl PreparedVideo {
     /// Builds a prepared video from Phase-1 artifacts made elsewhere. The
     /// caller vouches that `phase1` was produced for a video of `n_frames`

@@ -699,27 +699,14 @@ impl Session {
             .collect();
         let mut rel = zip_relations(&relations);
 
-        /// One frame adapter per dimension: a confirmed item's vector is
-        /// its bucket on each dimension's grid.
-        struct MultiOracle<'a>(Vec<FrameOracleAdapter<&'a dyn Oracle, &'a [usize]>>);
-        impl CleaningOracle<Vec<u32>> for MultiOracle<'_> {
-            fn clean_batch(&mut self, items: &[usize]) -> Vec<Vec<u32>> {
-                let per_dim: Vec<Vec<u32>> =
-                    self.0.iter_mut().map(|a| a.clean_batch(items)).collect();
-                (0..items.len())
-                    .map(|i| per_dim.iter().map(|buckets| buckets[i]).collect())
-                    .collect()
-            }
-        }
-        let mut oracle = MultiOracle(
-            entries
-                .iter()
-                .map(|e| {
-                    let rel = &e.prepared.phase1.relation;
-                    FrameOracleAdapter::new(&e.oracle as &dyn Oracle, &retained[..], rel)
-                })
-                .collect(),
-        );
+        // One frame adapter per dimension.
+        let mut oracle: Vec<_> = entries
+            .iter()
+            .map(|e| {
+                let rel = &e.prepared.phase1.relation;
+                FrameOracleAdapter::new(&e.oracle as &dyn Oracle, &retained[..], rel)
+            })
+            .collect();
 
         let outcome = run_skyline_cleaner(
             &mut rel,
@@ -737,7 +724,7 @@ impl Session {
         // Simulated cost: both Phase-1 clocks + one oracle charge and one
         // random-access decode per confirmed frame (all dimensions share
         // the detector pass, so every adapter holds the same trace).
-        let trace = oracle.0[0].trace();
+        let trace = oracle[0].trace();
         let per_frame = entries
             .iter()
             .map(|e| e.oracle.cost_per_frame())

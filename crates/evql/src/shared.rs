@@ -456,6 +456,34 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
+    /// `build` is the one caller-supplied code a cache lock owner runs. It
+    /// must run with the lock released: a build that calls back into the
+    /// same cache would otherwise deadlock on the non-reentrant mutex. On
+    /// a spawned thread, so that regression fails on the timeout instead
+    /// of hanging the suite.
+    #[test]
+    fn build_may_reenter_the_cache() {
+        let cache = SharedCache::with_capacity(4);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let inner = cache.clone();
+        std::thread::spawn(move || {
+            let (_, hit) = inner.get_or_build(&key(1), || {
+                assert_eq!(inner.len(), 0, "the outer entry is still building");
+                assert_eq!(inner.stats().misses, 1);
+                let (_, nested_hit) = inner.get_or_build(&key(2), || tiny_entry(2));
+                assert!(!nested_hit);
+                tiny_entry(1)
+            });
+            let _ = tx.send(hit);
+        });
+        let hit = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a build re-entering the cache must complete");
+        assert!(!hit);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().misses, 2);
+    }
+
     #[test]
     fn clear_counts_a_reload_and_drops_ready_entries() {
         let cache = SharedCache::with_capacity(4);

@@ -1,14 +1,13 @@
-//! Workspace symbol index and call graph — the substrate for the
-//! cross-function rule families (`lock-order-cycle`, `det-taint`,
-//! `budget-discipline`).
+//! Workspace symbol index and call graph — the substrate of the one
+//! cross-function rule, `det-taint` ([`crate::rules::taint`]).
 //!
 //! Built purely from the [`crate::lexer`] token streams, so the same
 //! precision contract applies as everywhere in this crate: this is a
 //! lexer, not a type checker. The graph reconstructs:
 //!
-//! * **fn definitions** — name, innermost `impl`/`trait` type, `pub`-ness,
+//! * **fn definitions** — name, innermost `impl`/`trait` type,
 //!   `#[cfg(test)]` membership, whether the signature declares a return
-//!   type, and the token spans of the return type and body;
+//!   type, and the token span of the body;
 //! * **call sites** — `name(…)`, `path::name(…)`, and `.name(…)` method
 //!   calls, attributed to the *innermost* enclosing definition (so a
 //!   nested `impl Drop` inside a fn body never pollutes the outer fn);
@@ -28,7 +27,7 @@
 //! derive/std-trait glue names (`drop`, `clone`, `fmt`, …) where a
 //! workspace definition and the ubiquitous std name collide — linking
 //! those would wire every `drop(guard)` to every `impl Drop` in the
-//! workspace. Rules built on this graph must prefer missing an exotic
+//! workspace. A rule built on this graph must prefer missing an exotic
 //! construct over flagging a correct one.
 
 use crate::lexer::Kind;
@@ -41,19 +40,14 @@ pub struct FnDef {
     pub name: String,
     /// Index into the `FileCtx` slice the graph was built from.
     pub file: usize,
-    /// Line of the `fn` keyword.
-    pub line: usize,
     /// Token index of the `fn` keyword.
     pub kw: usize,
     /// Innermost `impl`/`trait` type name containing the def, when any.
     pub impl_type: Option<String>,
-    pub is_pub: bool,
     /// Inside a `#[cfg(test)]` region.
     pub is_test: bool,
     /// Signature declares a return type (`-> …` after the params).
     pub has_ret: bool,
-    /// Token range of the return type, `ret.0 == ret.1` when none.
-    pub ret: (usize, usize),
     /// Token indices of the body `{` and `}`; `None` for trait decls.
     pub body: Option<(usize, usize)>,
 }
@@ -71,8 +65,6 @@ pub struct CallSite {
     pub is_method: bool,
     /// Receiver is literally `self` (only meaningful for method calls).
     pub self_recv: bool,
-    /// Token index of the callee identifier.
-    pub tok: usize,
     pub line: usize,
 }
 
@@ -254,13 +246,6 @@ impl<'a> Graph<'a> {
         out
     }
 
-    /// Whether any of `def`'s own (non-nested) tokens satisfies `pred`.
-    pub fn own_tokens_any(&self, def: usize, pred: impl Fn(usize) -> bool) -> bool {
-        self.own_ranges(def)
-            .iter()
-            .any(|&(s, e)| (s..=e).any(&pred))
-    }
-
     /// Innermost definition in file `fi` whose span contains token `i`.
     fn innermost_def(&self, fi: usize, i: usize) -> Option<usize> {
         let mut best: Option<usize> = None;
@@ -319,13 +304,10 @@ impl<'a> Graph<'a> {
             self.fns.push(FnDef {
                 name,
                 file: fi,
-                line: ctx.toks[i].line,
                 kw: i,
                 impl_type,
-                is_pub: is_pub_fn(ctx, i),
                 is_test: ctx.in_test(ctx.toks[i].line),
                 has_ret: sig.has_ret,
-                ret: sig.ret,
                 body: sig.body,
             });
             i = name_i + 1;
@@ -340,10 +322,12 @@ impl<'a> Graph<'a> {
             }
             // Callee ident must be directly followed by `(` (macros are
             // `name!(…)` and fall out here; turbofish is unresolved).
-            let Some(open) = ctx.next_code(i + 1).filter(|&j| ctx.toks[j].is_punct('(')) else {
+            if !ctx
+                .next_code(i + 1)
+                .is_some_and(|j| ctx.toks[j].is_punct('('))
+            {
                 continue;
-            };
-            let _ = open;
+            }
             let Some(prev) = i.checked_sub(1).and_then(|p| ctx.prev_code(p)) else {
                 continue;
             };
@@ -354,14 +338,13 @@ impl<'a> Graph<'a> {
             let Some(caller) = self.innermost_def(fi, i) else {
                 continue; // call in const/static initializer — unattributed
             };
-            let (qualifier, is_method, self_recv) = classify_prefix(ctx, i, prev);
+            let (qualifier, is_method, self_recv) = classify_prefix(ctx, prev);
             self.calls.push(CallSite {
                 caller,
                 callee: t.text.clone(),
                 qualifier,
                 is_method,
                 self_recv,
-                tok: i,
                 line: t.line,
             });
         }
@@ -370,7 +353,7 @@ impl<'a> Graph<'a> {
 
 /// Classifies the tokens before a callee ident: path qualifier
 /// (`Foo :: name`), method call (`. name`), or bare call.
-fn classify_prefix(ctx: &FileCtx, _callee: usize, prev: usize) -> (Option<String>, bool, bool) {
+fn classify_prefix(ctx: &FileCtx, prev: usize) -> (Option<String>, bool, bool) {
     if ctx.toks[prev].is_punct('.') {
         let self_recv = prev
             .checked_sub(1)
@@ -393,50 +376,20 @@ fn classify_prefix(ctx: &FileCtx, _callee: usize, prev: usize) -> (Option<String
     (None, false, false)
 }
 
-/// `pub`-ness of the fn whose `fn` keyword is at `kw`: walk back over the
-/// item-header tokens (`unsafe`, `const`, `extern "C"`, `async`,
-/// visibility parens) looking for `pub`.
-fn is_pub_fn(ctx: &FileCtx, kw: usize) -> bool {
-    let mut i = kw;
-    for _ in 0..8 {
-        let Some(p) = i.checked_sub(1).and_then(|p| ctx.prev_code(p)) else {
-            return false;
-        };
-        let t = &ctx.toks[p];
-        if t.is_ident("pub") {
-            return true;
-        }
-        let header = matches!(t.kind, Kind::Str)
-            || t.is_punct('(')
-            || t.is_punct(')')
-            || (t.kind == Kind::Ident
-                && matches!(
-                    t.text.as_str(),
-                    "unsafe" | "const" | "extern" | "async" | "crate" | "super" | "self" | "in"
-                ));
-        if !header {
-            return false;
-        }
-        i = p;
-    }
-    false
-}
-
 struct Signature {
     has_ret: bool,
-    ret: (usize, usize),
     body: Option<(usize, usize)>,
 }
 
 /// Parses the signature following the fn name at `name_i`: skips the
 /// generic parameter list (angle matching that ignores `->`-closed `>` and
 /// paren groups, so `<F: Fn(u32) -> bool>` parses), finds the parameter
-/// parens, then the optional `-> …` return type, then the body braces or
-/// the trait-declaration `;`.
+/// parens, notes whether `->` follows them, then takes the first `{` (the
+/// body) or `;` (a trait declaration) after them. A return type spelled
+/// `[T; N]` therefore reads as a declaration: a known miss.
 fn parse_signature(ctx: &FileCtx, name_i: usize) -> Signature {
     let none = Signature {
         has_ret: false,
-        ret: (name_i, name_i),
         body: None,
     };
     let Some(mut i) = ctx.next_code(name_i + 1) else {
@@ -456,39 +409,11 @@ fn parse_signature(ctx: &FileCtx, name_i: usize) -> Signature {
     let Some(after) = ctx.next_code(params_close + 1) else {
         return none;
     };
-    let mut has_ret = false;
-    let mut ret = (after, after);
-    let mut j = after;
-    if ctx.toks[j].is_punct('-')
+    let has_ret = ctx.toks[after].is_punct('-')
         && ctx
-            .next_code(j + 1)
-            .is_some_and(|k| ctx.toks[k].is_punct('>'))
-    {
-        has_ret = true;
-        let gt = ctx.next_code(j + 1).expect("checked above");
-        let Some(start) = ctx.next_code(gt + 1) else {
-            return Signature {
-                has_ret,
-                ret: (gt, gt),
-                body: None,
-            };
-        };
-        // Return type runs to the body `{`, a `where`, or the decl `;`.
-        let mut k = start;
-        while let Some(n) = ctx.next_code(k) {
-            if ctx.toks[n].is_punct('{')
-                || ctx.toks[n].is_punct(';')
-                || ctx.toks[n].is_ident("where")
-            {
-                break;
-            }
-            k = n + 1;
-        }
-        ret = (start, k);
-        j = k;
-    }
-    // Find the body `{` (or `;` for a body-less trait declaration).
-    let mut k = j;
+            .next_code(after + 1)
+            .is_some_and(|k| ctx.toks[k].is_punct('>'));
+    let mut k = after;
     let body = loop {
         let Some(n) = ctx.next_code(k) else {
             break None;
@@ -501,7 +426,7 @@ fn parse_signature(ctx: &FileCtx, name_i: usize) -> Signature {
         }
         k = n + 1;
     };
-    Signature { has_ret, ret, body }
+    Signature { has_ret, body }
 }
 
 /// Matching `>` for the `<` at `open`, skipping paren groups and treating

@@ -17,17 +17,10 @@
 //! * **env-var registry** — `EVEREST_*` variables in source and CI
 //!   workflows ↔ `docs/BENCHMARKING.md` table, both directions
 //!   ([`rules::env_registry`]);
-//! * **lock-order** — static deadlock detection: `Mutex`/`RwLock`
-//!   acquisition order cycles across helper-call boundaries in the
-//!   serve/evql crates ([`rules::lock_order`]);
 //! * **det-taint** — wall-clock taint propagated through return values
 //!   along the call graph into canonical/deterministic output paths
-//!   ([`rules::taint`]);
-//! * **budget-discipline** — raw oracle `score_batch` calls in core must
-//!   sit behind the `QueryBudget`/`RetryingOracle` layer
-//!   ([`rules::budget_discipline`]).
-//!
-//! The last three run on a workspace-wide call graph ([`graph`]).
+//!   ([`rules::taint`]), the one rule that runs on the workspace-wide
+//!   call graph ([`graph`]).
 //!
 //! The crate has **no dependencies** (the build env is offline) and
 //! reconstructs just enough structure from a hand-rolled lexer
@@ -141,11 +134,8 @@ pub fn lint_root(root: &Path) -> Report {
         check_allows(ctx, &mut diagnostics);
     }
 
-    // Pass 3: call-graph rules — workspace-wide, over every ctx at once.
-    let g = graph::Graph::build(&ctxs);
-    rules::lock_order::check(&g, &mut diagnostics);
-    rules::taint::check(&g, &mut diagnostics);
-    rules::budget_discipline::check(&g, &mut diagnostics);
+    // Pass 3: the call-graph rule — workspace-wide, over every ctx at once.
+    rules::taint::check(&graph::Graph::build(&ctxs), &mut diagnostics);
 
     // Workspace-level rule.
     rules::env_registry::check(root, &var_sites, &mut diagnostics);

@@ -2,10 +2,8 @@
 //! diagnostics and in `// lint:allow(<id>): <reason>` escape hatches);
 //! `docs/LINTING.md` is the human-facing catalog.
 
-pub mod budget_discipline;
 pub mod determinism;
 pub mod env_registry;
-pub mod lock_order;
 pub mod taint;
 pub mod unsafe_audit;
 
@@ -17,7 +15,5 @@ pub const ALL_RULES: &[&str] = &[
     determinism::FLOAT_SUM,
     env_registry::UNDOCUMENTED,
     env_registry::DOC_STALE,
-    lock_order::RULE,
     taint::RULE,
-    budget_discipline::RULE,
 ];

@@ -1,9 +1,11 @@
 //! Every rule family has a positive (`pass/`) and negative (`fail/`)
 //! fixture tree under `tests/fixtures/`: a miniature workspace whose file
-//! *paths* matter as much as their contents, because several rules are
-//! path-scoped (kernel modules, the core library, the serve/evql crates). `pass` trees must
+//! *paths* matter as much as their contents, because some rules are
+//! path-scoped (kernel modules under `crates/nn/src/`). `pass` trees must
 //! lint clean; `fail` trees must produce exactly the expected rule IDs —
-//! never extras, so rule precision regressions surface here too.
+//! never extras, so rule precision regressions surface here too. The
+//! `taint` pair is the call graph's fixture: `det-taint` is the one rule
+//! built on it.
 
 use everest_lint::lint_root;
 use std::collections::BTreeSet;
@@ -74,27 +76,11 @@ fn env_registry_fixtures() {
 }
 
 #[test]
-fn lock_order_fixtures() {
-    assert_pass("lock_order");
-    // The cycle crosses a helper-call boundary (`bump_drain`): only the
-    // call-graph rule can see it.
-    assert_fail("lock_order", &["lock-order-cycle"]);
-}
-
-#[test]
 fn taint_fixtures() {
     assert_pass("taint");
     // An `Instant::now` laundered through two return-value hops still
     // reaches canonical bytes.
     assert_fail("taint", &["det-taint"]);
-}
-
-#[test]
-fn budget_fixtures() {
-    assert_pass("budget");
-    // A raw `score_batch` behind a private helper is still reachable from
-    // an ungoverned pub fn.
-    assert_fail("budget", &["budget-discipline"]);
 }
 
 #[test]

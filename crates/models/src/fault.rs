@@ -265,7 +265,9 @@ impl<O: Oracle> Oracle for FlakyOracle<O> {
     }
 
     fn sim_overhead_seconds(&self) -> f64 {
-        *lock(&self.overhead) + self.inner.sim_overhead_seconds()
+        // Read, then release, before the wrapped oracle takes its own lock.
+        let own = *lock(&self.overhead);
+        own + self.inner.sim_overhead_seconds()
     }
 }
 
@@ -412,7 +414,9 @@ impl<O: Oracle> Oracle for RetryingOracle<O> {
     }
 
     fn sim_overhead_seconds(&self) -> f64 {
-        *lock(&self.backoff) + self.inner.sim_overhead_seconds()
+        // Read, then release, before the wrapped oracle takes its own lock.
+        let own = *lock(&self.backoff);
+        own + self.inner.sim_overhead_seconds()
     }
 }
 
