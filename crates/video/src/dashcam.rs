@@ -16,7 +16,7 @@
 use crate::frame::{BBox, Frame};
 use crate::scene::{draw_soft_rect, GroundTruthObject, ObjectClass};
 use crate::store::VideoStore;
-use crate::util::{frame_rng, gaussian, splitmix64};
+use crate::util::{add_sensor_noise, frame_rng, gaussian, splitmix64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -220,12 +220,11 @@ impl VideoStore for DashcamVideo {
             }
         }
         draw_soft_rect(&mut frame, &self.lead_bbox(t), 0.45);
-        if self.cfg.noise_std > 0.0 {
-            let mut rng = frame_rng(self.seed, t);
-            for p in frame.pixels_mut() {
-                *p = (*p + self.cfg.noise_std * gaussian(&mut rng) as f32).clamp(0.0, 1.0);
-            }
-        }
+        add_sensor_noise(
+            frame.pixels_mut(),
+            self.cfg.noise_std,
+            &mut frame_rng(self.seed, t),
+        );
         frame
     }
 }

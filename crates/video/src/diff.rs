@@ -18,8 +18,17 @@ use crate::store::VideoStore;
 ///
 /// The paper uses MSE threshold `1e-4` and clip size 30 for all (1080p)
 /// datasets. Our scaled frames carry relatively more per-pixel sensor noise,
-/// so the default threshold sits above the noise floor (`2σ²`) instead; the
-/// value is a config knob exactly as in the paper.
+/// so the default threshold, `4e-4`, is set from the noise instead; the value
+/// is a config knob exactly as in the paper.
+///
+/// Two renders of the same scene with independent noise of deviation σ
+/// differ by an MSE of about `2σ²`, the noise floor. The threshold sits above
+/// that floor only for the catalog renderers (the counting and dashcam
+/// datasets and the Visual Road and sentiment defaults), which all use
+/// σ = 0.01, a floor of `2e-4`. [`crate::scene::SceneConfig::default`] uses
+/// σ = 0.02, a floor of `8e-4`, so a video built from it keeps nearly every
+/// frame: on three 1 200-frame timelines the default detector kept 1 200 of
+/// 1 200 frames at σ = 0.02, against 658–884 at σ = 0.01.
 #[derive(Debug, Clone, Copy)]
 pub struct DiffConfig {
     /// Frames with MSE below this (vs their clip representative) are dropped.
@@ -347,6 +356,30 @@ mod tests {
         assert_eq!(ws.len(), 2);
         assert_eq!(ws[0].0, 15);
         assert_eq!(ws[1].0, 45);
+    }
+
+    /// Every catalog renderer's noise floor `2σ²` is below the default
+    /// threshold, so the detector can discard its static frames at all.
+    #[test]
+    fn catalog_noise_floors_sit_below_the_default_threshold() {
+        use crate::dashcam::dashcam_datasets;
+        use crate::datasets::counting_datasets;
+        use crate::sentiment::SentimentConfig;
+        use crate::visualroad::VisualRoadConfig;
+        let mut sigmas: Vec<f32> = counting_datasets()
+            .iter()
+            .map(|spec| spec.build(0).config().noise_std)
+            .collect();
+        sigmas.extend(dashcam_datasets().iter().map(|(_, cfg, _)| cfg.noise_std));
+        sigmas.push(VisualRoadConfig::default().noise_std);
+        sigmas.push(SentimentConfig::default().noise_std);
+        let threshold = DiffConfig::default().mse_threshold;
+        for sigma in sigmas {
+            assert!(
+                2.0 * sigma * sigma < threshold,
+                "noise floor 2·{sigma}² is not below {threshold}"
+            );
+        }
     }
 
     #[test]

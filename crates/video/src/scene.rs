@@ -11,7 +11,7 @@
 use crate::arrival::{ScriptedObject, Timeline};
 use crate::frame::{BBox, Frame};
 use crate::store::VideoStore;
-use crate::util::{frame_rng, gaussian};
+use crate::util::{add_sensor_noise, frame_rng, gaussian};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -233,11 +233,7 @@ impl VideoStore for SyntheticVideo {
         }
 
         // 3. Per-frame sensor noise.
-        if self.cfg.noise_std > 0.0 {
-            for p in frame.pixels_mut() {
-                *p = (*p + self.cfg.noise_std * gaussian(&mut rng) as f32).clamp(0.0, 1.0);
-            }
-        }
+        add_sensor_noise(frame.pixels_mut(), self.cfg.noise_std, &mut rng);
         frame
     }
 }

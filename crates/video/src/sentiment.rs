@@ -10,7 +10,7 @@
 use crate::frame::{BBox, Frame};
 use crate::scene::draw_soft_rect;
 use crate::store::VideoStore;
-use crate::util::{frame_rng, gaussian, splitmix64};
+use crate::util::{add_sensor_noise, frame_rng, gaussian, splitmix64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -138,12 +138,11 @@ impl VideoStore for SentimentVideo {
             size,
         );
         draw_soft_rect(&mut frame, &bbox, 0.25 + 0.3 * mood);
-        if self.cfg.noise_std > 0.0 {
-            let mut rng = frame_rng(self.seed, t);
-            for p in frame.pixels_mut() {
-                *p = (*p + self.cfg.noise_std * gaussian(&mut rng) as f32).clamp(0.0, 1.0);
-            }
-        }
+        add_sensor_noise(
+            frame.pixels_mut(),
+            self.cfg.noise_std,
+            &mut frame_rng(self.seed, t),
+        );
         frame
     }
 }
