@@ -29,47 +29,52 @@
 //!
 //! # Determinism
 //!
-//! Every kernel accumulates in a fixed order — the GEMM reduction dimension
-//! ascends element-by-element, and [`gemm_nt`]'s dot products use a fixed
-//! 8-lane accumulator folded in lane order — so results are bit-identical
-//! across runs. What an element of [`gemm`]'s `C` holds is decided by
-//! where it sits in the `m × n` output, not by the register width:
+//! There is **one arithmetic**: every path — portable scalar, AVX2, AVX-512
+//! — computes every output element through the same chain of roundings, so
+//! a kernel's bits do not depend on the CPU that runs it. What an element
+//! of [`gemm`]'s `C` holds is decided by where it sits in the `m × n`
+//! output, not by the path or the register width:
 //!
 //! - **Tile elements** (row below `m − m % 4`, column below `n − n % 16`)
-//!   on the vector path run a fused chain, `acc = fma(a, b, acc)` for
-//!   ascending `k`, then `C += acc`. The 4×16, 4×32 and 8×32 tiles all run
-//!   this one chain, so the tile width changes nothing.
+//!   run a fused chain, `acc = fma(a, b, acc)` for ascending `k`, then
+//!   `C += acc`. The scalar 4×16 kernel spells it `f32::mul_add`; the
+//!   4×16, 4×32 and 8×32 vector tiles all run this one chain, so the tile
+//!   width changes nothing.
 //! - **Edge elements** (the `m % 4` rows and `n % 16` columns) run a
 //!   separate multiply then add per step, `acc = acc + a·b`, then
 //!   `C += acc` — on both vector tiers (vector edge rows) and in the
-//!   scalar edge kernel (edge columns).
-//! - The **scalar path** (`EVEREST_NO_SIMD=1`, or no AVX2 + FMA) runs the
-//!   unfused chain for every element and is the numeric reference.
+//!   scalar edge kernel (edge columns, and every edge on the scalar path).
 //!
-//! So on the vector path a GEMM result depends on `m` and `n` modulo the
-//! tile, and a conv layer's per-sample outputs are independent of the
-//! batch width only while its `h·w` is a multiple of 16. The edge must
-//! stay unfused: an FMA edge would be faster still, but it moves the bits
-//! of every GEMM whose `m` is not a multiple of 4 — the first conv block
-//! of the EVQL recipe has `out_ch = 6` — and with them the Phase-1
-//! relation and the answers, whose `topk_precision` the benchmark bounds
-//! at 0. The vector path is *not* bit-identical to the scalar one (fused
-//! vs separate rounding in the tiles), which is why the equivalence tests
-//! in [`crate::layers`] use a small tolerance.
+//! Each of [`gemm_nt`]'s dot products is four chains of eight fused lanes
+//! over 32-element blocks (leftover 8-lane chunks into chain 0), the
+//! chains folded `(0 + 1) + (2 + 3)`, the lanes summed in order, then the
+//! `k % 8` tail added unfused — the scalar `dot` and the vector `dots`
+//! alike.
+//!
+//! So a GEMM result depends on `m` and `n` modulo the tile, and a conv
+//! layer's per-sample outputs are independent of the batch width only
+//! while its `h·w` is a multiple of 16; the tests in [`crate::layers`]
+//! compare with a naive per-sample reference and so use a small
+//! tolerance. The edge
+//! must stay unfused: an FMA edge would be faster on the vector path, but
+//! it moves the bits of every GEMM whose `m` is not a multiple of 4 — the
+//! first conv block of the EVQL recipe has `out_ch = 6` — and with them
+//! the Phase-1 relation and the answers. `f32::mul_add` is IEEE-exact on
+//! every target (a hardware FMA, or `fmaf` where there is none), so the
+//! scalar path gets slower without FMA, never different. The unit tests
+//! below compare the scalar path with both vector tiers bit for bit.
 //!
 //! # CPU dispatch
 //!
-//! On x86-64 hosts with AVX2 + FMA (detected once at startup via
+//! On x86-64 hosts with AVX2 + FMA (detected once per process via
 //! `is_x86_feature_detected!`) the GEMM strips and [`gemm_nt`]'s dot
-//! product run as explicit `std::arch` vector code; everywhere else the
-//! portable scalar forms run. The vector path keeps the exact
-//! ascending-`k` per-element accumulation order of the scalar path, but in
-//! the tiles FMA fuses each multiply-add into one rounding, so the two
-//! paths can differ in the last bits — each path is bit-deterministic on
-//! its own, and the selected path is fixed for the whole process, so
-//! end-to-end runs stay byte-identical on the same machine. Set the environment variable `EVEREST_NO_SIMD=1`
-//! (read once, before the first GEMM) to force the scalar path.
-//! [`simd_active`] reports the dispatch decision.
+//! products run as explicit `std::arch` vector code; everywhere else —
+//! x86-64 without AVX2 + FMA, aarch64, any other target — the portable
+//! scalar forms run. There is no switch: the choice moves speed, not bits.
+//! The scalar path is the slow one: this crate is not built with the `fma`
+//! target feature, so each `mul_add` there is a call to `fmaf` (about 15×
+//! slower than the vector path end to end on an x86-64 host; speed on
+//! aarch64, where FMA is baseline, is unmeasured). [`simd_active`] reports the dispatch decision.
 
 use std::sync::OnceLock;
 
@@ -82,21 +87,21 @@ const MR: usize = 4;
 /// Microkernel columns (two 8-lane vector registers per accumulator row).
 const NR: usize = 16;
 
-/// Whether the runtime-dispatched vector path is active for this process
-/// (x86-64 AVX2 + FMA detected and not disabled via `EVEREST_NO_SIMD`).
+/// Whether the runtime-dispatched vector path is active for this process:
+/// x86-64 with AVX2 + FMA detected.
 ///
-/// The vector tier is **one numeric path**: on AVX-512F hosts the GEMM
-/// microkernel runs 32 columns per tile instead of 16, but every output
-/// element still accumulates through the identical ascending-`k` FMA
-/// chain, so the 512- and 256-bit kernels produce bit-identical results —
-/// register width only changes speed. Only scalar-vs-vector differs
-/// numerically (fused vs separate rounding).
+/// It reports speed, not numerics. On AVX-512F hosts the GEMM microkernel
+/// runs 32 columns per tile instead of 16, and without AVX2 + FMA the
+/// portable scalar forms run, but every path computes every output element
+/// through the same chain (the module's *Determinism* section), so all
+/// three produce bit-identical results.
 pub fn simd_active() -> bool {
-    static ACTIVE: OnceLock<bool> = OnceLock::new();
-    *ACTIVE.get_or_init(|| {
-        let killed = std::env::var("EVEREST_NO_SIMD").is_ok_and(|v| !v.is_empty() && v != "0");
-        !killed && avx2_available()
-    })
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
 /// Whether the vector path may use the 512-bit microkernel (AVX-512F on
@@ -105,16 +110,6 @@ pub fn simd_active() -> bool {
 fn avx512_active() -> bool {
     static ACTIVE: OnceLock<bool> = OnceLock::new();
     *ACTIVE.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
-}
-
-#[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn avx2_available() -> bool {
-    false
 }
 
 /// `C += A·B` for row-major `f32` matrices: `A` is `m×k`, `B` is `k×n`,
@@ -130,7 +125,8 @@ pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
 }
 
 /// [`gemm`] with the microkernel choice explicit: `simd = false` is the
-/// portable scalar path the equivalence tests compare against.
+/// portable scalar path, which the unit tests compare with both vector
+/// tiers bit for bit.
 fn gemm_dispatch(simd: bool, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert_eq!(a.len(), m * k, "gemm: A shape mismatch");
     assert_eq!(b.len(), k * n, "gemm: B shape mismatch");
@@ -192,8 +188,9 @@ fn gemm_serial(simd: bool, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c
 
 /// The register-blocked microkernel: `C[i0..i0+4][j..j+16] += A·B`.
 ///
-/// Four broadcast rows of `A` against a 16-wide panel of `B`; the eight
-/// 8-lane accumulators live in registers across the whole `k` loop.
+/// Four broadcast rows of `A` against a 16-wide panel of `B`, each
+/// element the fused tile chain of the vector tiles (`mul_add` for
+/// ascending `p`, then one add into `C`).
 #[inline]
 fn kernel_4x16(k: usize, n: usize, i0: usize, j: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     let a0 = &a[i0 * k..(i0 + 1) * k];
@@ -208,10 +205,10 @@ fn kernel_4x16(k: usize, n: usize, i0: usize, j: usize, a: &[f32], b: &[f32], c:
         let br: &[f32; NR] = b[p * n + j..p * n + j + NR].try_into().expect("B panel");
         let (v0, v1, v2, v3) = (a0[p], a1[p], a2[p], a3[p]);
         for l in 0..NR {
-            c0[l] += v0 * br[l];
-            c1[l] += v1 * br[l];
-            c2[l] += v2 * br[l];
-            c3[l] += v3 * br[l];
+            c0[l] = v0.mul_add(br[l], c0[l]);
+            c1[l] = v1.mul_add(br[l], c1[l]);
+            c2[l] = v2.mul_add(br[l], c2[l]);
+            c3[l] = v3.mul_add(br[l], c3[l]);
         }
     }
     for (row, acc) in [c0, c1, c2, c3].iter().enumerate() {
@@ -222,8 +219,9 @@ fn kernel_4x16(k: usize, n: usize, i0: usize, j: usize, a: &[f32], b: &[f32], c:
     }
 }
 
-/// Scalar edge kernel for the `m % 4` / `n % 16` tails. Same ascending-`p`
-/// accumulation order per element as the main microkernel.
+/// Scalar edge kernel for the `m % 4` / `n % 16` tails: the unfused edge
+/// chain (a separate multiply then add per ascending `p`), which both
+/// vector tiers' edge rows reproduce.
 fn kernel_edge(
     mr: usize,
     nr: usize,
@@ -252,11 +250,11 @@ fn kernel_edge(
 /// contiguous rows.
 ///
 /// This is the backward weight pass (`∇W += ∇out · colsᵀ`), where the
-/// reduction dimension is the (large) number of patch columns. The dot
-/// product uses eight parallel lanes folded in fixed lane order, so it is
-/// deterministic (though ordered differently from [`gemm`]); on the vector
-/// path the eight lanes live in FMA registers, four chains per dot, and
-/// dots are computed 2×2 at a time so each loaded row chunk feeds two.
+/// reduction dimension is the (large) number of patch columns. Every dot
+/// product is the fixed four-chain, eight-lane scheme of the module's
+/// *Determinism* section (ordered differently from [`gemm`]); on the
+/// vector path the lanes live in FMA registers and dots are computed 2×2
+/// at a time so each loaded row chunk feeds two.
 pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     gemm_nt_dispatch(simd_active(), m, n, k, a, b, c);
 }
@@ -289,33 +287,43 @@ fn gemm_nt_serial(simd: bool, m: usize, n: usize, k: usize, a: &[f32], b: &[f32]
     }
 }
 
-/// Deterministic 8-lane dot product (lanes folded in index order).
+/// The dot product every path computes: four chains of eight fused lanes
+/// over 32-element blocks, leftover 8-lane chunks into chain 0, chains
+/// folded `(0 + 1) + (2 + 3)`, lanes summed in order, then the `k % 8`
+/// tail unfused — the vector `dots`' chain, element for element.
 #[inline]
 fn dot(x: &[f32], y: &[f32]) -> f32 {
-    const LANES: usize = 8;
-    let mut acc = [0.0f32; LANES];
-    let chunks = x.len() / LANES;
-    for ci in 0..chunks {
-        let xs: &[f32; LANES] = x[ci * LANES..(ci + 1) * LANES].try_into().expect("x chunk");
-        let ys: &[f32; LANES] = y[ci * LANES..(ci + 1) * LANES].try_into().expect("y chunk");
-        for l in 0..LANES {
-            acc[l] += xs[l] * ys[l];
+    let mut acc = [[0.0f32; 8]; 4];
+    let blocks = x.len() / 32;
+    let fma = |acc: &mut [f32; 8], off: usize| {
+        for (l, a) in acc.iter_mut().enumerate() {
+            *a = x[off + l].mul_add(y[off + l], *a);
+        }
+    };
+    for bi in 0..blocks {
+        for (ci, chain) in acc.iter_mut().enumerate() {
+            fma(chain, bi * 32 + ci * 8);
         }
     }
-    let mut sum = 0.0f32;
-    for &lane in &acc {
-        sum += lane;
+    let mut done = blocks * 32;
+    while done + 8 <= x.len() {
+        fma(&mut acc[0], done);
+        done += 8;
     }
-    for (&xv, &yv) in x[chunks * LANES..].iter().zip(&y[chunks * LANES..]) {
+    let [c0, c1, c2, c3] = acc;
+    let mut sum = 0.0f32;
+    for l in 0..8 {
+        sum += (c0[l] + c1[l]) + (c2[l] + c3[l]);
+    }
+    for (xv, yv) in x[done..].iter().zip(&y[done..]) {
         sum += xv * yv;
     }
     sum
 }
 
-/// Explicit AVX2 + FMA forms of the two hot kernels. Numerically these
-/// walk the reduction in the same ascending-`k` per-element scheme as
-/// their scalar twins; the differences are FMA's single rounding per
-/// multiply-add and [`avx2::dots`]'s four-register chain split.
+/// Explicit AVX2 + FMA forms of the two hot kernels. Numerically they are
+/// their scalar twins: every element runs the same chain of roundings, so
+/// only the speed differs.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{kernel_edge, MR, NR};
@@ -380,8 +388,8 @@ mod avx2 {
 
     /// The packed microkernel: four broadcast rows of `A` against the
     /// packed 16-wide `B` strip, eight `__m256` accumulators pinned in
-    /// registers across the whole `k` loop. Same per-element ascending-`p`
-    /// order as the scalar [`super::kernel_4x16`], with FMA rounding.
+    /// registers across the whole `k` loop. The same fused chain per
+    /// element as the scalar [`super::kernel_4x16`].
     ///
     /// # Safety
     ///
@@ -565,13 +573,8 @@ mod avx2 {
 
     /// `R×C` dot products of length `k` — rows `xs` against rows `ys` —
     /// sharing each loaded chunk across the dots that use it. Each dot is
-    /// the vector twin of [`super::dot`]'s eight-lane scheme, split over
-    /// four independent FMA chains (they cover the FMA latency): 32-element
-    /// blocks feed chains 0–3, whole 8-lane chunks left over go into
-    /// chain 0, the chains fold pairwise, then the lanes in index order,
-    /// then the `k % 8` tail adds unfused. Deterministic, and the same
-    /// bits for every `R×C`, but a different summation tree than the
-    /// scalar twin, so comparisons with it use the usual f32 tolerance.
+    /// [`super::dot`]'s chain, whose four independent FMA chains cover the
+    /// FMA latency, so every `R×C` gives the scalar twin's bits.
     ///
     /// # Safety
     ///
@@ -651,6 +654,12 @@ mod avx2 {
 /// exact FMA chain of the [`avx2`] kernels (ascending `k`, one fused
 /// rounding per multiply-add), so results are **bit-identical** to the
 /// 256-bit tier — the wider registers only double the columns per tile.
+///
+/// It is kept because it pays: on a 2-vCPU AVX-512 x86-64 host, 8
+/// alternating 10-s `ingest_cold` ladder pairs with and without it (the
+/// latter forcing every GEMM onto [`avx2::gemm`], same digest) read
+/// `ops_per_s` median 2.25 against 2.13 and `op_p50_ms` 483 against 515;
+/// the tier won 7 of 8 pairs.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::{avx2, MR};
@@ -1015,7 +1024,7 @@ pub fn add_row_sums(g: &[f32], m: usize, n: usize, acc: &mut [f32]) {
     }
 }
 
-/// Deterministic 8-lane sum (same folding scheme as [`dot`]).
+/// Deterministic 8-lane sum (lanes folded in index order, then the tail).
 #[inline]
 fn deterministic_sum(x: &[f32]) -> f32 {
     const LANES: usize = 8;
@@ -1136,7 +1145,7 @@ mod tests {
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn avx512_tier_is_bitwise_equal_to_avx2_tier() {
-        if !(avx2_available() && std::arch::is_x86_feature_detected!("avx512f")) {
+        if !(simd_active() && std::arch::is_x86_feature_detected!("avx512f")) {
             return; // nothing to compare on this host
         }
         // Shapes exercising 8-row tiles, the 4-row tail, scalar edge rows,
@@ -1177,16 +1186,12 @@ mod tests {
     const CMDN_SHAPES: [(usize, usize, usize); 4] =
         [(6, 4096, 9), (12, 1024, 54), (9, 4096, 6), (54, 1024, 12)];
 
-    /// Both vector tiers, on the CMDN's shapes and one shape with edge
-    /// columns: tile elements equal the fused chain, edge rows and columns
-    /// equal [`gemm_ref`], bit for bit.
+    /// Every path — the scalar one, `avx2` and (where detected) `avx512` —
+    /// on the CMDN's shapes and one shape with edge columns: tile elements
+    /// equal the fused chain of [`gemm_fused_ref`], edge rows and columns
+    /// the unfused chain of [`gemm_ref`], bit for bit.
     #[test]
-    #[cfg(target_arch = "x86_64")]
-    fn vector_tiers_fuse_tiles_and_leave_edges_unfused() {
-        if !avx2_available() {
-            return; // no vector tier on this host
-        }
-        let avx512 = std::arch::is_x86_feature_detected!("avx512f");
+    fn every_path_fuses_tiles_and_leaves_edges_unfused() {
         for (m, n, k) in CMDN_SHAPES.into_iter().chain([(7, 72, 13)]) {
             let (a, b, c0) = (fill(m * k, 51), fill(k * n, 52), fill(m * n, 53));
             let mut fused = c0.clone();
@@ -1212,61 +1217,34 @@ mod tests {
                     }
                 }
             };
-            let mut pack = Vec::new();
             let mut c = c0.clone();
-            // SAFETY: AVX2 + FMA checked above; slice lengths match shapes.
-            unsafe { avx2::gemm(m, n, k, 0, &a, &b, &mut c, &mut pack) };
-            check("avx2", &c);
-            if avx512 {
+            gemm_dispatch(false, m, n, k, &a, &b, &mut c);
+            check("scalar", &c);
+            #[cfg(target_arch = "x86_64")]
+            if simd_active() {
+                let mut pack = Vec::new();
                 let mut c = c0.clone();
-                // SAFETY: AVX-512F checked above; slice lengths match shapes.
-                unsafe { avx512::gemm(m, n, k, &a, &b, &mut c, &mut pack) };
-                check("avx512", &c);
+                // SAFETY: AVX2 + FMA checked above; slice lengths match shapes.
+                unsafe { avx2::gemm(m, n, k, 0, &a, &b, &mut c, &mut pack) };
+                check("avx2", &c);
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    let mut c = c0.clone();
+                    // SAFETY: AVX-512F checked above; slice lengths match shapes.
+                    unsafe { avx512::gemm(m, n, k, &a, &b, &mut c, &mut pack) };
+                    check("avx512", &c);
+                }
             }
         }
-    }
-
-    /// Scalar model of the vector dot: four chains of eight fused lanes
-    /// over 32-element blocks, leftover 8-lane chunks into chain 0,
-    /// chains folded `(0 + 1) + (2 + 3)`, lanes summed in order, then the
-    /// `k % 8` tail unfused.
-    fn vector_dot_model(x: &[f32], y: &[f32]) -> f32 {
-        let mut acc = [[0.0f32; 8]; 4];
-        let blocks = x.len() / 32;
-        let fma = |acc: &mut [f32; 8], off: usize| {
-            for (l, a) in acc.iter_mut().enumerate() {
-                *a = x[off + l].mul_add(y[off + l], *a);
-            }
-        };
-        for bi in 0..blocks {
-            for (ci, chain) in acc.iter_mut().enumerate() {
-                fma(chain, bi * 32 + ci * 8);
-            }
-        }
-        let mut done = blocks * 32;
-        while done + 8 <= x.len() {
-            fma(&mut acc[0], done);
-            done += 8;
-        }
-        let [c0, c1, c2, c3] = acc;
-        let mut sum = 0.0f32;
-        for l in 0..8 {
-            sum += (c0[l] + c1[l]) + (c2[l] + c3[l]);
-        }
-        for (xv, yv) in x[done..].iter().zip(&y[done..]) {
-            sum += xv * yv;
-        }
-        sum
     }
 
     /// The vector path's blocked `gemm_nt` — 2×2 blocks, then the 2×1,
-    /// 1×2 and 1×1 edges — gives every element the one-dot chain of
-    /// [`vector_dot_model`], bit for bit: the CMDN's weight-gradient and
-    /// dense shapes, plus odd ones that hit every edge and `k` tail.
+    /// 1×2 and 1×1 edges — gives every element the scalar path's [`dot`]
+    /// chain, bit for bit: the CMDN's weight-gradient and dense shapes,
+    /// plus odd ones that hit every edge and `k` tail.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn blocked_gemm_nt_keeps_each_dots_chain() {
-        if !avx2_available() {
+        if !simd_active() {
             return; // no vector tier on this host
         }
         for (m, n, k) in [
@@ -1279,50 +1257,15 @@ mod tests {
             let (a, b) = (fill(m * k, 61), fill(n * k, 62));
             let mut c = fill(m * n, 63);
             let mut want = c.clone();
-            for i in 0..m {
-                for j in 0..n {
-                    want[i * n + j] += vector_dot_model(&a[i * k..][..k], &b[j * k..][..k]);
-                }
-            }
+            gemm_nt_dispatch(false, m, n, k, &a, &b, &mut want);
             // SAFETY: AVX2 + FMA checked above; slice lengths match shapes.
             unsafe { avx2::gemm_nt(m, n, k, &a, &b, &mut c) };
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&c), bits(&want), "({m},{n},{k})");
         }
     }
 
-    /// The scalar path is the numeric reference: every element is the
-    /// unfused chain of [`gemm_ref`], bit for bit.
-    #[test]
-    fn scalar_path_is_the_unfused_reference() {
-        for (m, n, k) in CMDN_SHAPES.into_iter().chain([(7, 72, 13)]) {
-            let (a, b) = (fill(m * k, 51), fill(k * n, 52));
-            let mut got = fill(m * n, 53);
-            let mut want = got.clone();
-            gemm_dispatch(false, m, n, k, &a, &b, &mut got);
-            gemm_ref(m, n, k, &a, &b, &mut want);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "scalar ({m},{n},{k})");
-        }
-    }
-
-    /// The dispatched entry point must agree with the forced-scalar path to
-    /// within FMA-rounding tolerance (exactly, when no SIMD is available).
-    #[test]
-    fn dispatched_gemm_matches_scalar_entry_point() {
-        let (m, n, k) = (9, 35, 144);
-        let a = fill(m * k, 31);
-        let b = fill(k * n, 32);
-        let mut fast = fill(m * n, 33);
-        let mut slow = fast.clone();
-        gemm(m, n, k, &a, &b, &mut fast);
-        gemm_dispatch(false, m, n, k, &a, &b, &mut slow);
-        for (x, y) in fast.iter().zip(slow.iter()) {
-            assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()), "{x} vs {y}");
-        }
-        if !simd_active() {
-            assert_eq!(fast, slow, "without SIMD both are one path");
-        }
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     /// im2col followed by col2im must reproduce the multiplicity of each
@@ -1458,17 +1401,17 @@ mod tests {
                     }
                 }
             }
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&got), bits(&want));
         }
 
-        /// Dispatched (SIMD where available) ≡ forced-scalar `gemm` on
-        /// random shapes covering microkernel remainder rows/columns.
+        /// Dispatched (SIMD where available) ≡ forced-scalar `gemm`, bit
+        /// for bit, on random shapes covering microkernel remainder
+        /// rows/columns, the 512-bit tier's 8-row tiles and long chains.
         #[test]
         fn simd_gemm_equals_scalar_random_shapes(
             m in 1usize..24,
             n in 1usize..80,
-            k in 1usize..48,
+            k in 1usize..160,
             seed in 0u64..1_000,
         ) {
             let a = fill(m * k, seed.wrapping_add(7));
@@ -1477,13 +1420,11 @@ mod tests {
             let mut slow = fast.clone();
             gemm(m, n, k, &a, &b, &mut fast);
             gemm_dispatch(false, m, n, k, &a, &b, &mut slow);
-            for (x, y) in fast.iter().zip(slow.iter()) {
-                prop_assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()), "{} vs {}", x, y);
-            }
+            prop_assert_eq!(bits(&fast), bits(&slow));
         }
 
-        /// Dispatched ≡ forced-scalar `gemm_nt`, including the `k % 8`
-        /// scalar dot-product tail.
+        /// Dispatched ≡ forced-scalar `gemm_nt`, bit for bit, including
+        /// the `k % 8` unfused dot-product tail.
         #[test]
         fn simd_gemm_nt_equals_scalar_random_shapes(
             m in 1usize..16,
@@ -1497,9 +1438,7 @@ mod tests {
             let mut slow = fast.clone();
             gemm_nt(m, n, k, &a, &bt, &mut fast);
             gemm_nt_dispatch(false, m, n, k, &a, &bt, &mut slow);
-            for (x, y) in fast.iter().zip(slow.iter()) {
-                prop_assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()), "{} vs {}", x, y);
-            }
+            prop_assert_eq!(bits(&fast), bits(&slow));
         }
     }
 }

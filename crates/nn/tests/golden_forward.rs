@@ -1,19 +1,16 @@
-//! Bit-level pin of the CMDN forward pass, per dispatch path.
+//! Bit-level pin of the CMDN forward pass.
 //!
 //! `Cmdn::predict_raw_batch` is f32 arithmetic only — no libm call — so
 //! for fixed weights and fixed inputs its output bits depend on the
-//! kernels alone. The digests below were recorded before the GEMM's edge
-//! rows went vector; any kernel change that moves one bit of the forward
-//! fails here, on either path, without a benchmark run.
+//! kernels alone, and every kernel path (scalar, AVX2, AVX-512) computes
+//! the same chains: one digest holds on any CPU. It was recorded before
+//! the GEMM's edge rows went vector; any kernel change that moves one bit
+//! of the forward fails here without a benchmark run.
 
 use everest_nn::cmdn::{Cmdn, CmdnConfig};
-use everest_nn::kernels::simd_active;
 
-/// FNV-1a over the output bits, recorded on the vector path (AVX2 + FMA;
-/// the AVX-512 tier is bit-identical to it).
-const DIGEST_SIMD: u64 = 0xfebc_68c4_dcee_d589;
-/// The same on the scalar path (`EVEREST_NO_SIMD=1`, or no AVX2 + FMA).
-const DIGEST_SCALAR: u64 = 0xf841_0742_e119_26b7;
+/// FNV-1a over the output bits.
+const DIGEST: u64 = 0xfebc_68c4_dcee_d589;
 
 /// Values in `[-1, 1)` from an integer LCG, each exact in f32 (24 bits):
 /// no libm, no RNG crate.
@@ -57,7 +54,7 @@ fn model() -> Cmdn {
 }
 
 #[test]
-fn predict_raw_batch_bits_are_pinned_per_path() {
+fn predict_raw_batch_bits_are_pinned() {
     let mut m = model();
     let batch = 4;
     let inputs: Vec<f32> = fill(batch * m.input_len(), 2)
@@ -67,11 +64,6 @@ fn predict_raw_batch_bits_are_pinned_per_path() {
     let raw = m.predict_raw_batch(&inputs, batch).to_vec();
     assert_eq!(raw.len(), batch * 9);
     assert!(raw.iter().all(|v| v.is_finite()), "{raw:?}");
-    let (path, want) = if simd_active() {
-        ("vector", DIGEST_SIMD)
-    } else {
-        ("scalar", DIGEST_SCALAR)
-    };
     let got = fnv1a(&raw);
-    assert_eq!(got, want, "{path} path: digest {got:#018x}, raw {raw:?}");
+    assert_eq!(got, DIGEST, "digest {got:#018x}, raw {raw:?}");
 }

@@ -42,9 +42,18 @@ fn setup() -> (
             },
             23,
         );
-        let v = SyntheticVideo::new(SceneConfig::default(), tl, 23, 30.0);
+        // The catalog's sensor noise: at the default σ = 0.02 the
+        // difference detector keeps every frame, and Eq. 9 would never
+        // mix a multi-frame segment into a window's score.
+        let scene = SceneConfig {
+            noise_std: 0.01,
+            ..SceneConfig::default()
+        };
+        let v = SyntheticVideo::new(scene, tl, 23, 30.0);
         let o = InstrumentedOracle::new(counting_oracle(&v));
         let prepared = Everest::prepare(&v, &o, &phase1_cfg());
+        let (retained, n) = (prepared.phase1.segments.num_retained(), prepared.n_frames());
+        assert!(retained < n, "{retained} of {n} frames retained");
         (v, prepared)
     });
     // Fresh per-test oracle: same deterministic scores, isolated counters.
