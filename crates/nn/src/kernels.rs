@@ -59,9 +59,11 @@
 //! must stay unfused: an FMA edge would be faster on the vector path, but
 //! it moves the bits of every GEMM whose `m` is not a multiple of 4 — the
 //! first conv block of the EVQL recipe has `out_ch = 6` — and with them
-//! the Phase-1 relation and the answers. `f32::mul_add` is IEEE-exact on
-//! every target (a hardware FMA, or `fmaf` where there is none), so the
-//! scalar path gets slower without FMA, never different. The unit tests
+//! the Phase-1 relation and the answers. `f32::mul_add` is one fused
+//! rounding on every target (a hardware FMA, or the libm's `fmaf` where
+//! there is none), so the scalar path gets slower without FMA, never
+//! different — provided that `fmaf` is correctly rounded, as IEEE 754
+//! requires and glibc's and musl's are. The unit tests
 //! below compare the scalar path with both vector tiers bit for bit.
 //!
 //! # CPU dispatch
@@ -75,8 +77,6 @@
 //! target feature, so each `mul_add` there is a call to `fmaf` (about 15×
 //! slower than the vector path end to end on an x86-64 host; speed on
 //! aarch64, where FMA is baseline, is unmeasured). [`simd_active`] reports the dispatch decision.
-
-use std::sync::OnceLock;
 
 /// Columns processed per cache block: `NC` patch columns of ≤ `in_ch·9`
 /// rows keep the packed panel L2-resident while the microkernel streams
@@ -108,8 +108,7 @@ pub fn simd_active() -> bool {
 /// top of [`simd_active`]).
 #[cfg(target_arch = "x86_64")]
 fn avx512_active() -> bool {
-    static ACTIVE: OnceLock<bool> = OnceLock::new();
-    *ACTIVE.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
+    std::arch::is_x86_feature_detected!("avx512f")
 }
 
 /// `C += A·B` for row-major `f32` matrices: `A` is `m×k`, `B` is `k×n`,
@@ -655,11 +654,12 @@ mod avx2 {
 /// rounding per multiply-add), so results are **bit-identical** to the
 /// 256-bit tier — the wider registers only double the columns per tile.
 ///
-/// It is kept because it pays: on a 2-vCPU AVX-512 x86-64 host, 8
+/// It is kept because it pays: on a 2-vCPU AVX-512 x86-64 host, 12
 /// alternating 10-s `ingest_cold` ladder pairs with and without it (the
 /// latter forcing every GEMM onto [`avx2::gemm`], same digest) read
-/// `ops_per_s` median 2.25 against 2.13 and `op_p50_ms` 483 against 515;
-/// the tier won 7 of 8 pairs.
+/// `ops_per_s` median 2.18 [quartiles 2.14–2.26] against 2.06
+/// [1.99–2.10] and `op_p50_ms` 500 against 540; the tier won 11 of 12
+/// pairs on both.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::{avx2, MR};
