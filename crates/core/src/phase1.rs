@@ -1,24 +1,44 @@
 //! Phase 1 (§3.2): building the initial uncertain relation `D0`.
 //!
-//! 1. Run the difference detector; only retained frames become x-tuples.
-//! 2. Sample frames, label them with the oracle (training + hold-out sets).
-//! 3. Train the CMDN hyper-parameter grid; keep the smallest-NLL model.
-//! 4. Run the chosen CMDN over every retained frame → Gaussian mixtures.
-//! 5. Truncate/quantize the mixtures onto a shared bucket grid; insert the
-//!    oracle-labelled frames as *certain* so no work is wasted.
+//! Each step is public, and [`run_phase1`] is their composition:
+//!
+//! 1. [`Phase1Config::detect`] runs the difference detector; only
+//!    retained frames become x-tuples.
+//! 2. [`Phase1Config::label_plan`] draws the training and hold-out
+//!    positions, and [`LabelPlan::label`] labels them with the oracle.
+//! 3. [`Phase1Config::proxy_config`] shapes the CMDN for the video and the
+//!    label range, [`LabelPlan::samples`] renders its inputs, and
+//!    [`Phase1Config::train_proxy`] trains the hyper-parameter grid and
+//!    keeps the smallest-NLL model.
+//! 4. [`score_frames`] runs the chosen CMDN over every retained frame →
+//!    Gaussian mixtures.
+//! 5. [`Phase1Config::populate`] truncates/quantizes the mixtures onto a
+//!    shared bucket grid and inserts the oracle-labelled frames as
+//!    *certain* so no work is wasted.
+//!
+//! [`populate_with_model`] composes steps 1, 4 and 5 around a pre-trained
+//! model. A step that costs simulated time charges the clock it is given.
 //!
 //! Sampling constants: the paper uses `min{0.5 %·n, 30 000}` training
 //! frames and a 3 000-frame hold-out against multi-million-frame videos.
 //! Our videos are scaled ~1/400, so the defaults keep the same functional
 //! form with rescaled constants (`min{2.5 %·n, 2 000}`, hold-out 15 % of
 //! the sample) — a CMDN still needs a few hundred samples to train.
+//!
+//! [`Phase1Config::interactive`] is the recipe EVQL prepares every video
+//! with: `min{4 %·n, 800}` labels (floor 200, hold-out 15 %), a
+//! `conv [6, 12]` CMDN, a one-point grid of 3 Gaussians × 16 hidden units,
+//! 6 training epochs, and sampling/initialisation seed `seed + 0xE7E57`.
+//! Everything else, the thread count included, is the default's.
 
 use crate::dist::DiscreteDist;
 use crate::sim::{component, SimClock, CMDN_INFER_COST, CMDN_TRAIN_COST, DIFF_COST};
 use crate::xtuple::UncertainRelation;
 use everest_models::Oracle;
 use everest_nn::cmdn::CmdnConfig;
-use everest_nn::train::{grid_search, parallel_chunks, HyperGrid, Sample, TrainConfig};
+use everest_nn::train::{
+    grid_search, parallel_chunks, HyperGrid, Sample, TrainConfig, TrainOutcome,
+};
 use everest_nn::{Cmdn, GaussianMixture};
 use everest_video::diff::{DiffConfig, DifferenceDetector, Segments};
 use everest_video::store::DecodeCostModel;
@@ -86,6 +106,211 @@ fn default_threads() -> usize {
         .map(|n| n.get())
         .unwrap_or(4)
         .min(8)
+}
+
+impl Phase1Config {
+    /// The recipe EVQL prepares every video with: the paper's protocol
+    /// (random sample → CMDN grid → hold-out NLL selection) at interactive
+    /// scale. The module header lists its constants.
+    pub fn interactive(quant_step: f64, seed: u64) -> Self {
+        Phase1Config {
+            sample_frac: 0.04,
+            sample_cap: 800,
+            sample_min: 200,
+            grid: HyperGrid::single(3, 16),
+            train: TrainConfig {
+                epochs: 6,
+                ..TrainConfig::default()
+            },
+            conv_channels: vec![6, 12],
+            quant_step,
+            seed: seed.wrapping_add(0xE7E57),
+            ..Phase1Config::default()
+        }
+    }
+
+    /// Step 1: the difference detector over the whole video (one
+    /// sequential decode pass + MSE per frame), charged to `POPULATE`.
+    pub fn detect(&self, video: &dyn VideoStore, clock: &mut SimClock) -> Segments {
+        let n = video.num_frames();
+        let segments = DifferenceDetector::new(self.diff).run(video);
+        clock.charge(
+            component::POPULATE,
+            n as f64 * DIFF_COST + DecodeCostModel::default().sequential_scan_cost(n),
+        );
+        assert!(
+            !segments.retained().is_empty(),
+            "difference detector retained no frames"
+        );
+        segments
+    }
+
+    /// Step 2: draws the training and hold-out positions among
+    /// `n_retained` retained frames of an `n_frames`-frame video.
+    pub fn label_plan(&self, n_frames: usize, n_retained: usize) -> LabelPlan {
+        const SAMPLE_SALT: u64 = 0x5a4d_71e5;
+        let m_target = ((self.sample_frac * n_frames as f64).ceil() as usize).clamp(
+            self.sample_min.max(16),
+            self.sample_cap.max(self.sample_min),
+        );
+        let h_target = ((m_target as f64 * self.holdout_frac).ceil() as usize).max(32);
+        let mut positions: Vec<usize> = (0..n_retained).collect();
+        positions.shuffle(&mut StdRng::seed_from_u64(self.seed ^ SAMPLE_SALT));
+        let m = m_target.min(n_retained.saturating_sub(1)).max(1);
+        let h = h_target.min(n_retained - m);
+        positions.truncate(m + h);
+        let holdout = positions.split_off(m);
+        LabelPlan {
+            train: positions,
+            holdout,
+        }
+    }
+
+    /// Step 3's model: the proxy's `CmdnConfig` for `video`, its targets
+    /// spanning the `labeled` scores. The input is the video's resolution
+    /// when the pooling stack divides it, otherwise a 32×32 resize (the
+    /// paper resizes to a fixed CMDN resolution as well).
+    pub fn proxy_config(
+        &self,
+        video: &dyn VideoStore,
+        labeled: &BTreeMap<usize, f64>,
+    ) -> CmdnConfig {
+        let (lo, hi) = label_range(labeled);
+        CmdnConfig {
+            input: cmdn_input_dims(video, self.conv_channels.len()),
+            conv_channels: self.conv_channels.clone(),
+            hidden: 32,
+            num_gaussians: 5,
+            sigma_min: self.sigma_min,
+            target_range: (lo, hi.max(lo + 1.0)),
+            seed: self.seed,
+        }
+    }
+
+    /// Step 3: trains the hyper-parameter grid from `base` and keeps the
+    /// smallest hold-out-NLL model (§3.2), charged to `TRAIN`.
+    pub fn train_proxy(
+        &self,
+        base: &CmdnConfig,
+        train: &[Sample],
+        holdout: &[Sample],
+        clock: &mut SimClock,
+    ) -> TrainOutcome {
+        let outcome = grid_search(&self.grid, base, &self.train, train, holdout);
+        clock.charge(
+            component::TRAIN,
+            outcome.total_epochs as f64 * train.len() as f64 * CMDN_TRAIN_COST,
+        );
+        outcome
+    }
+
+    /// Step 5: `D0` from one mixture per retained frame. The shared bucket
+    /// grid covers the labelled scores and every mixture's 3σ range;
+    /// labelled positions enter certain, the rest as their quantized
+    /// mixtures. Charges `POPULATE` for the CMDN pass over `retained` that
+    /// produced `mixtures`. Returns `D0` and the largest labelled score
+    /// (the proxy's largest upper end when nothing is labelled).
+    pub fn populate(
+        &self,
+        retained: &[usize],
+        mixtures: &[GaussianMixture],
+        labeled: &BTreeMap<usize, f64>,
+        clock: &mut SimClock,
+    ) -> (UncertainRelation, f64) {
+        clock.charge(
+            component::POPULATE,
+            retained.len() as f64 * CMDN_INFER_COST
+                + DecodeCostModel::default().trace_cost(retained),
+        );
+        let mix_max = mixtures
+            .iter()
+            .map(|m| m.truncated_range().1)
+            .fold(0.0f64, f64::max);
+        let top = if labeled.is_empty() {
+            mix_max
+        } else {
+            label_range(labeled).1
+        };
+        let needed = (top.max(mix_max) / self.quant_step).ceil() as usize + 2;
+        let max_bucket = needed.clamp(4, self.max_bucket_cap);
+        let mut relation = UncertainRelation::new(self.quant_step, max_bucket);
+        for (pos, mixture) in mixtures.iter().enumerate() {
+            match labeled.get(&pos) {
+                Some(&score) => {
+                    let b = relation.score_to_bucket(score);
+                    relation.push_certain(b);
+                }
+                None => {
+                    let masses = mixture.quantize(self.quant_step, max_bucket);
+                    relation.push_uncertain(DiscreteDist::from_masses(&masses));
+                }
+            }
+        }
+        (relation, top)
+    }
+}
+
+/// Step 2's draw: positions into the retained frames (`Segments::retained`)
+/// labelled for training and for hold-out, disjoint.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LabelPlan {
+    /// Positions the proxy trains on.
+    pub train: Vec<usize>,
+    /// Positions the grid's models are compared on (hold-out NLL).
+    pub holdout: Vec<usize>,
+}
+
+impl LabelPlan {
+    /// Labels the plan's frames with the oracle in one batch, charged to
+    /// `LABEL`; returns retained position → exact score.
+    pub fn label(
+        &self,
+        oracle: &dyn Oracle,
+        retained: &[usize],
+        clock: &mut SimClock,
+    ) -> BTreeMap<usize, f64> {
+        let positions: Vec<usize> = self.train.iter().chain(&self.holdout).copied().collect();
+        let frames: Vec<usize> = positions.iter().map(|&p| retained[p]).collect();
+        // No budget here: QueryBudget governs the Phase-2 interactive loop,
+        // not this up-front sampling pass.
+        let labels = oracle.score_batch(&frames);
+        clock.charge(
+            component::LABEL,
+            frames.len() as f64 * oracle.cost_per_frame()
+                + DecodeCostModel::default().trace_cost(&frames),
+        );
+        positions.into_iter().zip(labels).collect()
+    }
+
+    /// Renders the training and the hold-out frames at the CMDN `input`
+    /// resolution, each paired with its label.
+    pub fn samples(
+        &self,
+        video: &dyn VideoStore,
+        retained: &[usize],
+        labeled: &BTreeMap<usize, f64>,
+        input: (usize, usize),
+        threads: usize,
+    ) -> (Vec<Sample>, Vec<Sample>) {
+        let render = |pos: &[usize]| -> Vec<Sample> {
+            let frames: Vec<usize> = pos.iter().map(|&p| retained[p]).collect();
+            render_inputs(video, &frames, input, threads)
+                .into_iter()
+                .zip(pos.iter().map(|p| labeled[p]))
+                .collect()
+        };
+        (render(&self.train), render(&self.holdout))
+    }
+}
+
+/// The smallest and the largest labelled score (`(∞, −∞)` when nothing is
+/// labelled).
+fn label_range(labeled: &BTreeMap<usize, f64>) -> (f64, f64) {
+    labeled
+        .values()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &s| {
+            (lo.min(s), hi.max(s))
+        })
 }
 
 /// Everything Phase 1 produces; reusable across Phase-2 queries on the same
@@ -189,14 +414,37 @@ pub fn score_frames(
     parts.into_iter().flatten().collect()
 }
 
-/// Runs Phase 1 end to end.
+/// Runs Phase 1 end to end: the module header's steps, in order.
 pub fn run_phase1(video: &dyn VideoStore, oracle: &dyn Oracle, cfg: &Phase1Config) -> Phase1Output {
     assert_eq!(
         video.num_frames(),
         oracle.num_frames(),
         "oracle and video must cover the same frames"
     );
-    build_d0(video, cfg, Proxy::Train(oracle))
+    let mut clock = SimClock::new();
+    let segments = cfg.detect(video, &mut clock);
+    let retained = segments.retained();
+    let plan = cfg.label_plan(video.num_frames(), retained.len());
+    let labeled = plan.label(oracle, retained, &mut clock);
+    let base = cfg.proxy_config(video, &labeled);
+    // The rendered samples are freed before the scoring pass.
+    let outcome = {
+        let (train, holdout) = plan.samples(video, retained, &labeled, base.input, cfg.threads);
+        cfg.train_proxy(&base, &train, &holdout, &mut clock)
+    };
+    let model = outcome.best.model;
+    let mixtures = score_frames(video, &model, retained, cfg.threads);
+    let (relation, max_labeled_score) = cfg.populate(retained, &mixtures, &labeled, &mut clock);
+    Phase1Output {
+        relation,
+        segments,
+        mixtures,
+        labeled,
+        grid_results: outcome.evaluated,
+        model,
+        clock,
+        max_labeled_score,
+    }
 }
 
 /// Populates an uncertain relation over `video` with a **pre-trained**
@@ -220,193 +468,26 @@ pub fn populate_with_model(
         model.config().input,
         "pre-trained model input dims must match the video's CMDN dims"
     );
-    build_d0(video, cfg, Proxy::Given(model))
-}
-
-/// Where Phase 1's proxy comes from.
-enum Proxy<'a> {
-    /// Label a sample of the retained frames with this oracle and train
-    /// the CMDN grid on it.
-    Train(&'a dyn Oracle),
-    /// A pre-trained model, used as is: no labels, no training.
-    Given(&'a Cmdn),
-}
-
-/// A proxy model and the oracle labels it was trained on.
-struct Trained {
-    model: Cmdn,
-    /// Retained position → exact score.
-    labeled: BTreeMap<usize, f64>,
-    grid_results: Vec<(usize, usize, f64)>,
-}
-
-/// The one builder of `D0`: difference detection, the proxy, CMDN scoring
-/// of every retained frame, the shared bucket grid, and the relation.
-fn build_d0(video: &dyn VideoStore, cfg: &Phase1Config, proxy: Proxy<'_>) -> Phase1Output {
     let mut clock = SimClock::new();
-    let n = video.num_frames();
-    let decode = DecodeCostModel::default();
-
-    // 1. Difference detection (one sequential decode pass + MSE per frame).
-    let segments = DifferenceDetector::new(cfg.diff).run(video);
-    clock.charge(
-        component::POPULATE,
-        n as f64 * DIFF_COST + decode.sequential_scan_cost(n),
-    );
+    let segments = cfg.detect(video, &mut clock);
     let retained = segments.retained();
-    assert!(
-        !retained.is_empty(),
-        "difference detector retained no frames"
-    );
-
-    // 2–4. The proxy.
-    let Trained {
-        model,
-        labeled,
-        grid_results,
-    } = match proxy {
-        Proxy::Train(oracle) => train_proxy(video, oracle, cfg, retained, &mut clock),
-        Proxy::Given(model) => Trained {
-            model: model.clone(),
-            labeled: BTreeMap::new(),
-            grid_results: Vec::new(),
-        },
-    };
-
-    // 5. CMDN inference over every retained frame: the fused pipeline
-    // renders each worker's share straight into packed batch buffers, so
-    // the frame set is never materialised (memory stays bounded by
-    // threads × INFER_BATCH frames).
-    let mixtures = score_frames(video, &model, retained, cfg.threads);
-    clock.charge(
-        component::POPULATE,
-        retained.len() as f64 * CMDN_INFER_COST + decode.trace_cost(retained),
-    );
-
-    // 6. Shared bucket grid: cover labelled scores and mixture 3σ ranges.
-    let mix_max = mixtures
-        .iter()
-        .map(|m| m.truncated_range().1)
-        .fold(0.0f64, f64::max);
-    // With no labels, the proxy's own top stands in for the labelled one.
-    let max_labeled_score = labeled
-        .values()
-        .copied()
-        .reduce(f64::max)
-        .unwrap_or(mix_max);
-    let needed = (max_labeled_score.max(mix_max) / cfg.quant_step).ceil() as usize + 2;
-    let max_bucket = needed.clamp(4, cfg.max_bucket_cap);
-
-    // 7. Populate D0: labelled frames enter certain, the rest uncertain.
-    let mut relation = UncertainRelation::new(cfg.quant_step, max_bucket);
-    for (pos, mixture) in mixtures.iter().enumerate() {
-        match labeled.get(&pos) {
-            Some(&score) => {
-                let b = relation.score_to_bucket(score);
-                relation.push_certain(b);
-            }
-            None => {
-                let masses = mixture.quantize(cfg.quant_step, max_bucket);
-                relation.push_uncertain(DiscreteDist::from_masses(&masses));
-            }
-        }
-    }
-
+    let labeled = BTreeMap::new();
+    let mixtures = score_frames(video, model, retained, cfg.threads);
+    let (relation, max_labeled_score) = cfg.populate(retained, &mixtures, &labeled, &mut clock);
     Phase1Output {
         relation,
         segments,
         mixtures,
         labeled,
-        grid_results,
-        model,
+        grid_results: Vec::new(),
+        model: model.clone(),
         clock,
         max_labeled_score,
     }
 }
 
-/// Steps 2–4: draws a training and a hold-out sample from the `retained`
-/// frames, labels both with the oracle, and keeps the grid's smallest-NLL
-/// CMDN.
-fn train_proxy(
-    video: &dyn VideoStore,
-    oracle: &dyn Oracle,
-    cfg: &Phase1Config,
-    retained: &[usize],
-    clock: &mut SimClock,
-) -> Trained {
-    // 2. Sampling plan over retained frames.
-    let n = video.num_frames();
-    let m_target = ((cfg.sample_frac * n as f64).ceil() as usize)
-        .clamp(cfg.sample_min.max(16), cfg.sample_cap.max(cfg.sample_min));
-    let h_target = ((m_target as f64 * cfg.holdout_frac).ceil() as usize).max(32);
-    let mut positions: Vec<usize> = (0..retained.len()).collect();
-    const SAMPLE_SALT: u64 = 0x5a4d_71e5;
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ SAMPLE_SALT);
-    positions.shuffle(&mut rng);
-    let m = m_target.min(positions.len().saturating_sub(1)).max(1);
-    let h = h_target.min(positions.len() - m);
-    let train_pos = &positions[..m];
-    let holdout_pos = &positions[m..m + h];
-
-    // 3. Oracle-label the sample (cost: one oracle call per frame).
-    let labelled_pos: Vec<usize> = train_pos.iter().chain(holdout_pos).copied().collect();
-    let labelled_frames: Vec<usize> = labelled_pos.iter().map(|&p| retained[p]).collect();
-    // No budget here: Phase-1 labeling is charged to the LABEL cost
-    // component on the very next statement; QueryBudget governs the
-    // Phase-2 interactive loop, not this up-front sampling pass.
-    let labels = oracle.score_batch(&labelled_frames);
-    clock.charge(
-        component::LABEL,
-        labelled_frames.len() as f64 * oracle.cost_per_frame()
-            + DecodeCostModel::default().trace_cost(&labelled_frames),
-    );
-    let labeled: BTreeMap<usize, f64> = labelled_pos
-        .iter()
-        .copied()
-        .zip(labels.iter().copied())
-        .collect();
-    let max_labeled_score = labels.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let min_labeled_score = labels.iter().cloned().fold(f64::INFINITY, f64::min);
-
-    // 4. CMDN grid search on the labelled sample.
-    let input_hw = cmdn_input_dims(video, cfg.conv_channels.len());
-    let make_samples = |pos: &[usize]| -> Vec<Sample> {
-        let frames: Vec<usize> = pos.iter().map(|&p| retained[p]).collect();
-        let inputs = render_inputs(video, &frames, input_hw, cfg.threads);
-        inputs
-            .into_iter()
-            .zip(pos.iter().map(|p| labeled[p]))
-            .collect()
-    };
-    let train_set = make_samples(train_pos);
-    let holdout_set = make_samples(holdout_pos);
-    let base = CmdnConfig {
-        input: input_hw,
-        conv_channels: cfg.conv_channels.clone(),
-        hidden: 32,
-        num_gaussians: 5,
-        sigma_min: cfg.sigma_min,
-        target_range: (
-            min_labeled_score,
-            max_labeled_score.max(min_labeled_score + 1.0),
-        ),
-        seed: cfg.seed,
-    };
-    let outcome = grid_search(&cfg.grid, &base, &cfg.train, &train_set, &holdout_set);
-    clock.charge(
-        component::TRAIN,
-        outcome.total_epochs as f64 * train_set.len() as f64 * CMDN_TRAIN_COST,
-    );
-    Trained {
-        model: outcome.best.model,
-        labeled,
-        grid_results: outcome.evaluated,
-    }
-}
-
-/// CMDN input dims: the video resolution when it divides cleanly by the
-/// pooling stack, otherwise the nearest 32×32 resize (the paper resizes to
-/// a fixed CMDN resolution as well).
+/// The CMDN input resolution for `video` under a `depth`-block pooling
+/// stack (see [`Phase1Config::proxy_config`]).
 fn cmdn_input_dims(video: &dyn VideoStore, depth: usize) -> (usize, usize) {
     let div = 1usize << depth;
     let (h, w) = (video.height(), video.width());
@@ -525,6 +606,40 @@ mod tests {
         assert_eq!(drifted.clock.component(crate::sim::component::TRAIN), 0.0);
         assert_eq!(drifted.clock.component(crate::sim::component::LABEL), 0.0);
         assert!(drifted.clock.component(crate::sim::component::POPULATE) > 0.0);
+    }
+
+    /// The public steps, called one by one in `run_phase1`'s order, give
+    /// its relation, mixtures, labels and clock bit for bit.
+    #[test]
+    fn steps_compose_to_run_phase1() {
+        let (v, o) = tiny_setup();
+        let cfg = fast_phase1();
+        let whole = run_phase1(&v, &o, &cfg);
+
+        let mut clock = SimClock::new();
+        let segments = cfg.detect(&v, &mut clock);
+        let retained = segments.retained();
+        let plan = cfg.label_plan(v.num_frames(), retained.len());
+        let labeled = plan.label(&o, retained, &mut clock);
+        let base = cfg.proxy_config(&v, &labeled);
+        let (train, holdout) = plan.samples(&v, retained, &labeled, base.input, cfg.threads);
+        let outcome = cfg.train_proxy(&base, &train, &holdout, &mut clock);
+        let mixtures = score_frames(&v, &outcome.best.model, retained, cfg.threads);
+        let (relation, top) = cfg.populate(retained, &mixtures, &labeled, &mut clock);
+
+        assert_eq!(segments, whole.segments);
+        assert_eq!(labeled, whole.labeled);
+        assert_eq!(outcome.evaluated, whole.grid_results);
+        assert_eq!(mixtures, whole.mixtures);
+        assert_eq!(relation, whole.relation);
+        assert_eq!(top.to_bits(), whole.max_labeled_score.to_bits());
+        let bits = |c: &SimClock| -> Vec<(&str, u64)> {
+            c.breakdown()
+                .into_iter()
+                .map(|(k, s)| (k, s.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&clock), bits(&whole.clock));
     }
 
     #[test]

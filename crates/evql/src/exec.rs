@@ -35,8 +35,6 @@ use everest_core::xtuple::{ItemId, ItemState, UncertainRelation};
 use everest_models::{
     ExactScoreOracle, FlakyOracle, HogScorer, Oracle, RetryingOracle, TinyYoloScorer,
 };
-use everest_nn::train::TrainConfig;
-use everest_nn::HyperGrid;
 use everest_video::store::DecodeCostModel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -561,7 +559,7 @@ impl Session {
         };
         self.cache.get_or_build(&key, || {
             let built = source.build(score, scale, seed);
-            let cfg = phase1_recipe(step, seed);
+            let cfg = Phase1Config::interactive(step, seed);
             let prepared = Everest::prepare(built.video.as_ref(), &built.oracle, &cfg);
             PreparedEntry {
                 prepared,
@@ -972,27 +970,6 @@ impl StreamSession {
             }
         }
         Ok(())
-    }
-}
-
-/// The Phase-1 recipe EVQL uses: the paper's protocol (random sample →
-/// CMDN grid → hold-out NLL selection) at interactive scale.
-fn phase1_recipe(quant_step: f64, seed: u64) -> Phase1Config {
-    let threads = std::thread::available_parallelism().map_or(2, |n| n.get());
-    Phase1Config {
-        sample_frac: 0.04,
-        sample_cap: 800,
-        sample_min: 200,
-        grid: HyperGrid::single(3, 16),
-        train: TrainConfig {
-            epochs: 6,
-            ..TrainConfig::default()
-        },
-        conv_channels: vec![6, 12],
-        quant_step,
-        seed: seed.wrapping_add(0xE7E57),
-        threads,
-        ..Phase1Config::default()
     }
 }
 

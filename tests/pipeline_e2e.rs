@@ -37,9 +37,20 @@ fn build(n_frames: usize, seed: u64) -> (SyntheticVideo, PreparedVideo) {
         },
         seed,
     );
-    let v = SyntheticVideo::new(SceneConfig::default(), tl, seed, 30.0);
+    // The catalog's sensor noise: at the default σ = 0.02 the difference
+    // detector keeps every frame, and the pipeline would never drop one.
+    let scene = SceneConfig {
+        noise_std: 0.01,
+        ..SceneConfig::default()
+    };
+    let v = SyntheticVideo::new(scene, tl, seed, 30.0);
     let o = InstrumentedOracle::new(counting_oracle(&v));
     let prepared = Everest::prepare(&v, &o, &phase1_cfg());
+    let retained = prepared.phase1.segments.num_retained();
+    assert!(
+        retained < n_frames,
+        "{retained} of {n_frames} frames retained"
+    );
     (v, prepared)
 }
 
