@@ -44,8 +44,13 @@ const NOISE_BLOCK: usize = 256;
 /// adds nothing and draws nothing.
 ///
 /// For each block of pixels it draws all the uniforms first, then runs the
-/// Box–Muller transform over the block in branch-free polynomial code that
-/// vectorises at the baseline x86-64 target:
+/// Box–Muller transform over the block in branch-free polynomial code. That
+/// code is built three times: at the baseline x86-64 width (two f64 lanes),
+/// for AVX2 (four) and for AVX-512F (eight), and each call runs the widest
+/// build that `is_x86_feature_detected!` finds the CPU able to run. Every
+/// build gives the same bits: the code uses only correctly rounded IEEE
+/// operations (add, multiply, divide, square root, f64↔f32 conversion) and
+/// bit masks, and Rust never fuses a multiply and an add. The transform is:
 ///
 /// - `ln u1` is fdlibm's `__ieee754_log` core (`Lg1`–`Lg7`). `u1` is a
 ///   normal number in `(0, 1)`, so no special case is needed.
@@ -74,6 +79,7 @@ pub fn add_sensor_noise(pixels: &mut [f32], std: f32, rng: &mut StdRng) {
     if std.is_nan() || std <= 0.0 {
         return;
     }
+    let transform = tier::certified_block_for_host();
     let mut u1 = [0.0f64; NOISE_BLOCK];
     let mut u2 = [0.0f64; NOISE_BLOCK];
     let mut g = [0.0f32; NOISE_BLOCK];
@@ -84,9 +90,7 @@ pub fn add_sensor_noise(pixels: &mut [f32], std: f32, rng: &mut StdRng) {
             *a = rng.gen_range(f64::MIN_POSITIVE..1.0);
             *b = rng.gen::<f64>();
         }
-        for ((g, &a), &b) in g.iter_mut().zip(&*u1).zip(&*u2) {
-            *g = certified_box_muller(a, b);
-        }
+        transform(u1, u2, g);
         for (((p, &g), &a), &b) in block.iter_mut().zip(&*g).zip(&*u1).zip(&*u2) {
             let g = if g.is_nan() {
                 box_muller(a, b) as f32
@@ -95,6 +99,70 @@ pub fn add_sensor_noise(pixels: &mut [f32], std: f32, rng: &mut StdRng) {
             };
             *p = (*p + std * g).clamp(0.0, 1.0);
         }
+    }
+}
+
+/// `g[i] = certified_box_muller(u1[i], u2[i])` for a block: the one body
+/// of the transform, which [`tier`] builds for the host's vector width.
+#[inline(always)]
+fn certified_block(u1: &[f64], u2: &[f64], g: &mut [f32]) {
+    for ((g, &a), &b) in g.iter_mut().zip(u1).zip(u2) {
+        *g = certified_box_muller(a, b);
+    }
+}
+
+/// [`certified_block`] built for the host's vector width. Every build
+/// gives the same bits; [`add_sensor_noise`] says why.
+#[allow(
+    unsafe_code,
+    reason = "a `#[target_feature]` fn may only be called from an `unsafe` block"
+)]
+mod tier {
+    /// A build of [`super::certified_block`].
+    pub(super) type Block = fn(&[f64], &[f64], &mut [f32]);
+
+    /// The build [`super::add_sensor_noise`] runs: the widest this CPU has.
+    pub(super) fn certified_block_for_host() -> Block {
+        let [avx512, avx2] = vector_builds();
+        avx512.or(avx2).unwrap_or(super::certified_block)
+    }
+
+    /// The AVX-512F and AVX2 builds, each `Some` only where the CPU has
+    /// its feature.
+    pub(super) fn vector_builds() -> [Option<Block>; 2] {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx512: Block = |u1, u2, g| {
+                // SAFETY: `vector_builds` hands this out only after
+                // `is_x86_feature_detected!("avx512f")` found AVX-512F on
+                // this CPU, the one feature `certified_block_avx512` needs.
+                unsafe { certified_block_avx512(u1, u2, g) }
+            };
+            let avx2: Block = |u1, u2, g| {
+                // SAFETY: `vector_builds` hands this out only after
+                // `is_x86_feature_detected!("avx2")` found AVX2 on this
+                // CPU, the one feature `certified_block_avx2` needs.
+                unsafe { certified_block_avx2(u1, u2, g) }
+            };
+            [
+                std::arch::is_x86_feature_detected!("avx512f").then_some(avx512),
+                std::arch::is_x86_feature_detected!("avx2").then_some(avx2),
+            ]
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        [None, None]
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn certified_block_avx512(u1: &[f64], u2: &[f64], g: &mut [f32]) {
+        super::certified_block(u1, u2, g);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn certified_block_avx2(u1: &[f64], u2: &[f64], g: &mut [f32]) {
+        super::certified_block(u1, u2, g);
     }
 }
 
@@ -283,14 +351,11 @@ mod tests {
         fallbacks
     }
 
-    /// The certified polynomial path agrees with libm to the f32 bit on
-    /// random and adversarial uniforms, and the libm fallback fires.
-    #[test]
-    fn certified_kernel_matches_libm_bit_for_bit() {
-        // 2²⁰ seeded pairs: half as `gaussian` draws them, half with `u1`
-        // spread over every normal exponent below 1.
+    /// 2²⁰ seeded pairs: half as `gaussian` draws them, half with `u1`
+    /// spread over every normal exponent below 1.
+    fn random_pairs() -> Vec<(f64, f64)> {
         let mut rng = StdRng::seed_from_u64(0x5e45_0a15e);
-        let random: Vec<(f64, f64)> = (0..1 << 20)
+        (0..1 << 20)
             .map(|i| {
                 let u1 = if i % 2 == 0 {
                     rng.gen_range(f64::MIN_POSITIVE..1.0)
@@ -301,17 +366,14 @@ mod tests {
                 };
                 (u1, rng.gen::<f64>())
             })
-            .collect();
-        let random_fallbacks = check_pairs(random);
-        assert!(
-            random_fallbacks < 200,
-            "{random_fallbacks} fallbacks in 2^20 draws"
-        );
+            .collect()
+    }
 
-        // Edge uniforms: the ends of `u1`'s range, the log's normalisation
-        // flip (mantissa 0x6a09c…, just below √½) and √½ itself, the edges
-        // of its `hfsq` window, and `u2` at and around the quadrant
-        // boundaries k/8, where the reduced argument nears 0 or π/4.
+    /// Edge uniforms: the ends of `u1`'s range, the log's normalisation
+    /// flip (mantissa 0x6a09c…, just below √½) and √½ itself, the edges of
+    /// its `hfsq` window, and `u2` at and around the quadrant boundaries
+    /// k/8, where the reduced argument nears 0 or π/4.
+    fn edge_pairs() -> Vec<(f64, f64)> {
         let mut u1s = vec![
             f64::MIN_POSITIVE,
             2f64.powi(-500),
@@ -336,18 +398,19 @@ mod tests {
                 u2s.extend([centre - d, centre + d]);
             }
         }
-        let edges = u1s
-            .iter()
-            .flat_map(|&u1| u2s.iter().map(move |&u2| (u1, u2)));
-        let edge_fallbacks = check_pairs(edges);
+        u1s.iter()
+            .flat_map(|&u1| u2s.iter().map(move |&u2| (u1, u2)))
+            .collect()
+    }
 
-        // Pairs whose libm value sits next to an f32 rounding midpoint on
-        // purpose: `u1` is solved from the target `mid·(1 + δ)`. The ±64-ULP
-        // sweep around δ = 0 lies inside the polynomial's own error, so only
-        // the margin check stops a wrong rounding there. The δ = ±2⁻³⁴…2⁻⁴⁴
-        // sweep lies outside the margin but, where `u2` is a multiple of 1/4
-        // (`r` ≈ 10⁻¹⁶), inside the reduction's error, so only the `|r|`
-        // guard stops one there.
+    /// Pairs whose libm value sits next to an f32 rounding midpoint on
+    /// purpose: `u1` is solved from the target `mid·(1 + δ)`. The ±64-ULP
+    /// sweep around δ = 0 lies inside the polynomial's own error, so only
+    /// the margin check stops a wrong rounding there. The δ = ±2⁻³⁴…2⁻⁴⁴
+    /// sweep lies outside the margin but, where `u2` is a multiple of 1/4
+    /// (`r` ≈ 10⁻¹⁶), inside the reduction's error, so only the `|r|`
+    /// guard stops one there.
+    fn near_tie_pairs() -> Vec<(f64, f64)> {
         let quarter_turns = (1..4).flat_map(|k| (-2..=2).map(move |j| ulps(k as f64 / 4.0, j)));
         let mut near_ties = Vec::new();
         for u2 in [0.01, 0.1, 0.2, 0.33, 0.4, 0.6, 0.7, 0.9]
@@ -366,9 +429,67 @@ mod tests {
                 }
             }
         }
-        let tie_fallbacks = check_pairs(near_ties);
+        near_ties
+    }
+
+    /// The certified polynomial path agrees with libm to the f32 bit on
+    /// random and adversarial uniforms, and the libm fallback fires.
+    #[test]
+    fn certified_kernel_matches_libm_bit_for_bit() {
+        let random_fallbacks = check_pairs(random_pairs());
+        assert!(
+            random_fallbacks < 200,
+            "{random_fallbacks} fallbacks in 2^20 draws"
+        );
+        let edge_fallbacks = check_pairs(edge_pairs());
+        let tie_fallbacks = check_pairs(near_tie_pairs());
         assert!(edge_fallbacks > 0, "the libm fallback never fired");
         assert!(tie_fallbacks > 0, "no near-tie reached the fallback");
+    }
+
+    /// Every build of the block transform this CPU can run (AVX-512F and
+    /// AVX2 where detected, and the one `add_sensor_noise` picks) gives the
+    /// baseline build's f32 bits, the NaN that sends a value to libm
+    /// included, on the random, edge and near-tie pairs above. Blocks of
+    /// `NOISE_BLOCK - 1` pairs run both the vector loop and its remainder.
+    /// On a host without AVX2 the picked build is the baseline one, and the
+    /// test compares it with itself.
+    #[test]
+    fn vector_builds_match_baseline_bit_for_bit() {
+        let [avx512, avx2] = tier::vector_builds();
+        let builds = [
+            ("host", Some(tier::certified_block_for_host())),
+            ("avx512f", avx512),
+            ("avx2", avx2),
+        ];
+        for pairs in [random_pairs(), edge_pairs(), near_tie_pairs()] {
+            let (u1, u2): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
+            let block = |build: tier::Block| {
+                let mut g = vec![0.0f32; u1.len()];
+                for ((u1, u2), g) in u1
+                    .chunks(NOISE_BLOCK - 1)
+                    .zip(u2.chunks(NOISE_BLOCK - 1))
+                    .zip(g.chunks_mut(NOISE_BLOCK - 1))
+                {
+                    build(u1, u2, g);
+                }
+                g
+            };
+            let want = block(certified_block);
+            assert!(want.iter().any(|w| w.is_nan()), "no pair fell back");
+            for (name, build) in builds {
+                let Some(build) = build else { continue };
+                for (i, (g, w)) in block(build).iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{name}: u1={:e} u2={:e}",
+                        u1[i],
+                        u2[i]
+                    );
+                }
+            }
+        }
     }
 
     /// Noise added in blocks equals the per-pixel `gaussian` loop on every

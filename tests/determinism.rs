@@ -58,7 +58,13 @@ fn full_query_is_reproducible() {
             },
             37,
         );
-        let v = SyntheticVideo::new(SceneConfig::default(), tl, 37, 30.0);
+        // The catalog's sensor noise: at the default σ = 0.02 the difference
+        // detector keeps every frame, and the noise bits would decide nothing.
+        let scene = SceneConfig {
+            noise_std: 0.01,
+            ..SceneConfig::default()
+        };
+        let v = SyntheticVideo::new(scene, tl, 37, 30.0);
         let o = InstrumentedOracle::new(counting_oracle(&v));
         let phase1 = Phase1Config {
             sample_frac: 0.1,
@@ -74,8 +80,10 @@ fn full_query_is_reproducible() {
             ..Phase1Config::default()
         };
         let prepared = Everest::prepare(&v, &o, &phase1);
+        let retained = prepared.phase1.segments.num_retained();
+        assert!(retained < 1_200, "{retained} of 1200 frames retained");
         let r = prepared.query_topk(&o, 5, 0.9, &CleanerConfig::default());
-        (r.frames(), r.confidence, r.cleaned, r.iterations)
+        (retained, r.frames(), r.confidence, r.cleaned, r.iterations)
     };
     let a = run();
     let b = run();
