@@ -323,6 +323,19 @@ pub fn run_cleaner(
     oracle: &mut dyn CleaningOracle,
     cfg: &CleanerConfig,
 ) -> CleanOutcome {
+    let h = JointCdf::build(rel);
+    run_cleaner_from(rel, h, oracle, cfg)
+}
+
+/// [`run_cleaner`] given `h`, the relation's joint CDF
+/// (`JointCdf::build(rel)`), made elsewhere: a prepared video builds its
+/// `D0`'s once and hands each frame query a copy.
+pub(crate) fn run_cleaner_from(
+    rel: &mut UncertainRelation,
+    h: JointCdf,
+    oracle: &mut dyn CleaningOracle,
+    cfg: &CleanerConfig,
+) -> CleanOutcome {
     assert!(cfg.k >= 1, "K must be at least 1");
     assert!(
         (0.0..=1.0).contains(&cfg.thres),
@@ -335,10 +348,15 @@ pub fn run_cleaner(
         rel.len(),
         cfg.k
     );
+    assert_eq!(
+        h.members(),
+        rel.num_uncertain(),
+        "joint CDF is not the relation's"
+    );
 
     let mut answer = RelationTopK {
         state: TopKState {
-            h: JointCdf::build(rel),
+            h,
             certain: (0..rel.len())
                 .filter_map(|id| rel.certain_bucket(id).map(|b| (Reverse(b), id)))
                 .collect(),

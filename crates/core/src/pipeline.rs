@@ -6,12 +6,15 @@
 //! window queries, each re-running Phase 2 on a fresh copy of `D0` (the
 //! paper re-runs both phases per query; reusing Phase 1 across a parameter
 //! sweep only removes redundant identical work — each query's reported
-//! time still includes the full Phase-1 charge).
+//! time still includes the full Phase-1 charge). A frame query's copy of
+//! `D0` shares the distributions and starts from the joint CDF of Eq. 3
+//! built once per prepared video, so it pays only for the items it cleans.
 
 use crate::budget::Termination;
-use crate::cleaner::{run_cleaner, CleanerConfig, CleaningOracle};
+use crate::cleaner::{run_cleaner_from, CleanerConfig, CleaningOracle};
 use crate::phase1::{run_phase1, Phase1Config, Phase1Output};
 use crate::sim::{component, SimClock, SELECT_EVAL_COST};
+use crate::topkprob::JointCdf;
 use crate::window::{build_window_relation, sliding_windows, WindowCleaningOracle};
 use crate::xtuple::{score_to_bucket, ItemId, UncertainRelation};
 use everest_models::{Oracle, OracleError};
@@ -30,19 +33,23 @@ impl Everest {
         oracle: &dyn Oracle,
         cfg: &Phase1Config,
     ) -> PreparedVideo {
-        let phase1 = run_phase1(video, oracle, cfg);
-        PreparedVideo {
-            phase1,
-            n_frames: video.num_frames(),
-        }
+        PreparedVideo::from_parts(run_phase1(video, oracle, cfg), video.num_frames())
     }
 }
 
 /// Phase-1 artifacts bound to one video + scoring function.
+///
+/// It also keeps the joint CDF `H` of `phase1.relation` (Eq. 3), built
+/// once when the video is prepared; every frame query starts its cleaning
+/// loop from a copy of it. Queries leave `phase1` as it was, so `H` stays
+/// `D0`'s. Code that edits `phase1` must build a new `PreparedVideo` from
+/// the edited parts with [`PreparedVideo::from_parts`].
 #[derive(Debug, Clone)]
 pub struct PreparedVideo {
     pub phase1: Phase1Output,
     n_frames: usize,
+    /// `JointCdf::build(&phase1.relation)`.
+    d0_joint_cdf: JointCdf,
 }
 
 /// One returned Top-K item.
@@ -215,7 +222,11 @@ impl PreparedVideo {
     /// caller vouches that `phase1` was produced for a video of `n_frames`
     /// frames.
     pub fn from_parts(phase1: Phase1Output, n_frames: usize) -> Self {
-        PreparedVideo { phase1, n_frames }
+        PreparedVideo {
+            d0_joint_cdf: JointCdf::build(&phase1.relation),
+            phase1,
+            n_frames,
+        }
     }
 
     /// Number of frames of the underlying video.
@@ -239,7 +250,7 @@ impl PreparedVideo {
             || {
                 let relation = self.phase1.relation.clone();
                 let cleaning = FrameOracleAdapter::new(oracle, retained, &relation);
-                (relation, cleaning)
+                (relation, self.d0_joint_cdf.clone(), cleaning)
             },
             |cleaning| {
                 let trace = cleaning.trace();
@@ -318,7 +329,8 @@ impl PreparedVideo {
                     max_bucket,
                     self.phase1_seed() ^ WINDOW_SAMPLE_SALT,
                 );
-                (relation, cleaning)
+                let h = JointCdf::build(&relation);
+                (relation, h, cleaning)
             },
             |cleaning| {
                 let frames = cleaning.frames_scored;
@@ -339,16 +351,16 @@ impl PreparedVideo {
     }
 
     /// Phase 2 of any Top-K query, and its report. The callers supply only
-    /// what differs between item kinds: `build` makes the relation and its
-    /// oracle adapter, `spend` reads the adapter's `(oracle frames, decode
-    /// seconds)` once cleaning is over, and `item` maps an answer id and
-    /// its confirmed score to a result row.
+    /// what differs between item kinds: `build` makes the relation, its
+    /// joint CDF and its oracle adapter, `spend` reads the adapter's
+    /// `(oracle frames, decode seconds)` once cleaning is over, and `item`
+    /// maps an answer id and its confirmed score to a result row.
     fn run_phase2<C: CleaningOracle>(
         &self,
         k: usize,
         thres: f64,
         cleaner: &CleanerConfig,
-        build: impl FnOnce() -> (UncertainRelation, C),
+        build: impl FnOnce() -> (UncertainRelation, JointCdf, C),
         spend: impl FnOnce(&C) -> (usize, f64),
         item: impl Fn(ItemId, f64) -> ResultItem,
     ) -> QueryReport {
@@ -358,13 +370,13 @@ impl PreparedVideo {
                       time"
         )]
         let started = Instant::now();
-        let (mut relation, mut cleaning) = build();
+        let (mut relation, h, mut cleaning) = build();
         let cfg = CleanerConfig {
             k,
             thres,
             ..cleaner.clone()
         };
-        let outcome = run_cleaner(&mut relation, &mut cleaning, &cfg);
+        let outcome = run_cleaner_from(&mut relation, h, &mut cleaning, &cfg);
 
         let (oracle_frames, decode_seconds) = spend(&cleaning);
         let mut clock = self.phase1.clock.clone();
@@ -521,6 +533,36 @@ mod tests {
                 exact[wid]
             );
         }
+    }
+
+    /// `H(t)` at every bucket, as bits, and the member count.
+    fn joint_cdf_bits(h: &JointCdf) -> (Vec<u64>, usize) {
+        let bits = (0..h.num_buckets()).map(|t| h.value(t).to_bits());
+        (bits.collect(), h.members())
+    }
+
+    #[test]
+    fn cached_joint_cdf_is_d0s_and_queries_leave_it_alone() {
+        let (v, o) = tiny_setup();
+        let oracle = InstrumentedOracle::new(o);
+        let prepared = Everest::prepare(&v, &oracle, &fast_phase1());
+        let cached = joint_cdf_bits(&prepared.d0_joint_cdf);
+        let built = joint_cdf_bits(&JointCdf::build(&prepared.phase1.relation));
+        assert_eq!(cached, built, "cached H differs from D0's");
+        assert!(cached.1 > 0, "D0 must have uncertain items");
+
+        let d0 = prepared.phase1.relation.clone();
+        for k in [5, 50, 200] {
+            let report = prepared.query_topk(&oracle, k, 0.9, &CleanerConfig::default());
+            assert_eq!(report.items.len(), k);
+            assert!(report.cleaned > 0, "K = {k} cleaned nothing");
+        }
+        assert_eq!(prepared.phase1.relation, d0, "a query changed D0");
+        assert_eq!(
+            joint_cdf_bits(&prepared.d0_joint_cdf),
+            cached,
+            "a query changed the cached H"
+        );
     }
 
     #[test]

@@ -19,7 +19,11 @@
 //!
 //! The re-sort schedule follows the paper: every `resort_period` (10)
 //! iterations for the first 100 iterations, then only when `S_k` or `S_p`
-//! change.
+//! change. ψ depends only on an item's distribution and `(S_k, S_p)`, so a
+//! scheduled re-sort at the thresholds of the last one keeps the order and
+//! only drops the items cleaned since. Between re-sorts the scan starts
+//! past the leading run of cleaned items instead of re-walking it. Neither
+//! changes which items are examined, in what order.
 
 use crate::dist::DiscreteDist;
 use crate::topkprob::JointCdf;
@@ -83,6 +87,8 @@ pub struct CandidateSelector {
     order: Vec<ItemId>,
     /// Stale ψ values aligned with `order`.
     psi: Vec<f64>,
+    /// Every item of `order` before this position has been cleaned.
+    head: usize,
     /// The (s_k, s_p) the current ordering was computed at.
     sorted_at: Option<(usize, usize)>,
     /// Iterations seen so far (the paper's `i`).
@@ -101,6 +107,7 @@ impl CandidateSelector {
         CandidateSelector {
             order: rel.uncertain_ids(),
             psi: Vec::new(),
+            head: 0,
             sorted_at: None,
             iteration: 0,
             resort_period,
@@ -126,6 +133,22 @@ impl CandidateSelector {
     }
 
     fn resort(&mut self, rel: &UncertainRelation, s_k: usize, s_p: usize) {
+        self.head = 0;
+        self.stats.resorts += 1;
+        if self.sorted_at == Some((s_k, s_p)) {
+            // ψ is unchanged, so the order is too: drop the cleaned items.
+            let mut kept = 0;
+            for pos in 0..self.order.len() {
+                if !rel.is_certain(self.order[pos]) {
+                    self.order[kept] = self.order[pos];
+                    self.psi[kept] = self.psi[pos];
+                    kept += 1;
+                }
+            }
+            self.order.truncate(kept);
+            self.psi.truncate(kept);
+            return;
+        }
         // Drop cleaned items and recompute ψ at the current thresholds.
         let mut keyed: Vec<(f64, ItemId)> = self
             .order
@@ -141,7 +164,6 @@ impl CandidateSelector {
         self.order = keyed.iter().map(|&(_, id)| id).collect();
         self.psi = keyed.into_iter().map(|(p, _)| p).collect();
         self.sorted_at = Some((s_k, s_p));
-        self.stats.resorts += 1;
     }
 
     /// Selects up to `batch` uncertain items maximising `E[X_f]`, using the
@@ -166,7 +188,14 @@ impl CandidateSelector {
         // Top-`batch` E values found so far, kept sorted ascending so the
         // worst kept value is `best[0]`.
         let mut best: Vec<(f64, ItemId)> = Vec::with_capacity(batch + 1);
-        for pos in 0..self.order.len() {
+        while self
+            .order
+            .get(self.head)
+            .is_some_and(|&id| rel.is_certain(id))
+        {
+            self.head += 1;
+        }
+        for pos in self.head..self.order.len() {
             let id = self.order[pos];
             let Some(d) = rel.dist(id) else {
                 continue; // cleaned since the last re-sort
@@ -349,6 +378,157 @@ mod tests {
         // changed threshold → resort
         let _ = sel.select_batch(&rel, &h, 3, 3, 1);
         assert_eq!(sel.stats.resorts, resorts_before + 1);
+    }
+
+    /// The selector as it was before same-threshold re-sorts kept the order
+    /// and the scan skipped the leading cleaned run: every re-sort
+    /// recomputes ψ and sorts, and every scan starts at position 0.
+    struct ReferenceSelector {
+        order: Vec<ItemId>,
+        psi: Vec<f64>,
+        sorted_at: Option<(usize, usize)>,
+        iteration: usize,
+        resort_period: usize,
+        exhaustive: bool,
+        examined: u64,
+        resorts: u64,
+        /// Re-sorts at the thresholds of the previous one.
+        same_threshold_resorts: u64,
+    }
+
+    impl ReferenceSelector {
+        fn new(rel: &UncertainRelation, resort_period: usize, exhaustive: bool) -> Self {
+            ReferenceSelector {
+                order: rel.uncertain_ids(),
+                psi: Vec::new(),
+                sorted_at: None,
+                iteration: 0,
+                resort_period,
+                exhaustive,
+                examined: 0,
+                resorts: 0,
+                same_threshold_resorts: 0,
+            }
+        }
+
+        fn select_batch(
+            &mut self,
+            rel: &UncertainRelation,
+            h: &JointCdf,
+            s_k: usize,
+            s_p: usize,
+            batch: usize,
+        ) -> Vec<ItemId> {
+            self.iteration += 1;
+            let resort = match self.sorted_at {
+                None => true,
+                Some(_) if self.exhaustive => true,
+                Some(_) if self.iteration < 100 => {
+                    self.iteration.is_multiple_of(self.resort_period)
+                }
+                Some(at) => at != (s_k, s_p),
+            };
+            if resort {
+                if self.sorted_at == Some((s_k, s_p)) {
+                    self.same_threshold_resorts += 1;
+                }
+                let mut keyed: Vec<(f64, ItemId)> = self
+                    .order
+                    .iter()
+                    .filter_map(|&id| rel.dist(id).map(|d| (psi(d, s_k, s_p), id)))
+                    .collect();
+                keyed.sort_by(|a, b| {
+                    b.0.partial_cmp(&a.0)
+                        .unwrap_or(Ordering::Equal)
+                        .then(a.1.cmp(&b.1))
+                });
+                self.order = keyed.iter().map(|&(_, id)| id).collect();
+                self.psi = keyed.into_iter().map(|(p, _)| p).collect();
+                self.sorted_at = Some((s_k, s_p));
+                self.resorts += 1;
+            }
+            let (p_hat, gamma) = (h.value(s_k), h.value(s_p));
+            let mut best: Vec<(f64, ItemId)> = Vec::new();
+            for (pos, &id) in self.order.iter().enumerate() {
+                let Some(d) = rel.dist(id) else { continue };
+                let stale_psi = self.psi[pos];
+                let bound = if stale_psi.is_infinite() {
+                    f64::INFINITY
+                } else {
+                    p_hat + gamma * stale_psi
+                };
+                if !self.exhaustive && best.len() == batch && bound <= best[0].0 {
+                    break;
+                }
+                let e = expected_confidence(d, h, s_k, s_p);
+                self.examined += 1;
+                if best.len() < batch {
+                    best.push((e, id));
+                } else if e > best[0].0 {
+                    best[0] = (e, id);
+                } else {
+                    continue;
+                }
+                best.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
+            }
+            best.iter().rev().map(|&(_, id)| id).collect()
+        }
+    }
+
+    /// The thresholds of call `i` (1-based): steady stretches before and
+    /// past iteration 100, a return to an earlier pair, and a K = 1 style
+    /// penultimate at the grid maximum.
+    fn threshold_schedule(i: usize) -> (usize, usize) {
+        match i {
+            0..=45 => (10, 14),
+            46..=80 => (12, 14),
+            81..=130 => (12, 15),
+            131..=220 => (15, 18),
+            221..=260 => (12, 15),
+            261..=330 => (20, 22),
+            _ => (21, 30),
+        }
+    }
+
+    #[test]
+    fn selector_picks_what_the_full_resort_reference_picks() {
+        use crate::dist::random_dist;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        for (exhaustive, calls) in [(false, 400), (true, 120)] {
+            let mut rng = StdRng::seed_from_u64(36);
+            let max_bucket = 30;
+            let mut rel = UncertainRelation::new(1.0, max_bucket);
+            for id in 0..1_600 {
+                if id % 40 == 0 {
+                    rel.push_certain(rng.gen_range(0..=max_bucket as u32));
+                } else {
+                    rel.push_uncertain(random_dist(&mut rng, max_bucket));
+                }
+            }
+            let mut h = JointCdf::build(&rel);
+            let mut sel = CandidateSelector::new(&rel, 10);
+            sel.exhaustive = exhaustive;
+            let mut reference = ReferenceSelector::new(&rel, 10, exhaustive);
+            for i in 1..=calls {
+                let (s_k, s_p) = threshold_schedule(i);
+                let batch = 1 + i % 4;
+                let picks = sel.select_batch(&rel, &h, s_k, s_p, batch);
+                let expected = reference.select_batch(&rel, &h, s_k, s_p, batch);
+                assert_eq!(picks, expected, "call {i}: picks differ");
+                assert_eq!(sel.stats.examined, reference.examined, "call {i}: examined");
+                assert_eq!(sel.stats.resorts, reference.resorts, "call {i}: resorts");
+                for id in picks {
+                    let bucket = rel.dist(id).unwrap().sample_with(rng.gen_range(0.0..1.0));
+                    h.remove(&rel.clean(id, bucket as u32));
+                }
+            }
+            assert!(
+                reference.same_threshold_resorts >= 3,
+                "the schedule must re-sort at unchanged thresholds"
+            );
+        }
     }
 
     #[test]

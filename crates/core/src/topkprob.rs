@@ -12,9 +12,11 @@
 //! same quantity **incrementally in log space**: per bucket `t` we keep the
 //! sum of `log F_f(t)` over currently-uncertain items plus a counter of
 //! items with `F_f(t) = 0`. Cleaning an item removes its factor in
-//! O(#buckets). This is numerically safe where a literal Eq. 3 would divide
-//! by zero when a cleaned item's prior CDF was 0 at the threshold (the
-//! proxy was wrong about it) — a case that does occur in practice.
+//! O(#buckets), with no `ln` where `F_f(t) = 1`. This is numerically safe
+//! where a literal Eq. 3 would divide by zero when a cleaned item's prior
+//! CDF was 0 at the threshold (the proxy was wrong about it) — a case that
+//! does occur in practice. As in the paper, `H` over `D0` is built once: a
+//! prepared video keeps it, and each frame query cleans a copy.
 
 use crate::dist::DiscreteDist;
 use crate::xtuple::UncertainRelation;
@@ -60,12 +62,14 @@ impl JointCdf {
     /// Adds one item's factors.
     pub fn add(&mut self, dist: &DiscreteDist) {
         assert_eq!(dist.len(), self.log_sum.len(), "grid mismatch");
-        for t in 0..self.log_sum.len() {
-            let f = dist.cdf(t);
+        let buckets = self.log_sum.iter_mut().zip(&mut self.zero_count);
+        for ((sum, zeros), &f) in buckets.zip(dist.cdf_values()) {
             if f == 0.0 {
-                self.zero_count[t] += 1;
-            } else {
-                self.log_sum[t] += f.ln();
+                *zeros += 1;
+            } else if f < 1.0 {
+                // `ln 1 = +0.0` adds nothing: a sum that starts at +0.0
+                // and only gains negative terms is never −0.0.
+                *sum += f.ln();
             }
         }
         self.members += 1;
@@ -76,13 +80,14 @@ impl JointCdf {
     pub fn remove(&mut self, dist: &DiscreteDist) {
         assert_eq!(dist.len(), self.log_sum.len(), "grid mismatch");
         assert!(self.members > 0, "removing from empty joint CDF");
-        for t in 0..self.log_sum.len() {
-            let f = dist.cdf(t);
+        let buckets = self.log_sum.iter_mut().zip(&mut self.zero_count);
+        for ((sum, zeros), &f) in buckets.zip(dist.cdf_values()) {
             if f == 0.0 {
-                debug_assert!(self.zero_count[t] > 0);
-                self.zero_count[t] -= 1;
-            } else {
-                self.log_sum[t] -= f.ln();
+                debug_assert!(*zeros > 0);
+                *zeros -= 1;
+            } else if f < 1.0 {
+                // Subtracting `ln 1 = +0.0` is the identity, as in `add`.
+                *sum -= f.ln();
             }
         }
         self.members -= 1;
@@ -234,6 +239,57 @@ mod tests {
             );
         }
         assert_eq!(h.members(), rebuilt.members());
+    }
+
+    /// The add/remove loop before buckets with `F = 1` were skipped: one
+    /// `ln` per bucket, `ln 1` included.
+    fn every_bucket(h: &mut JointCdf, dist: &DiscreteDist, adding: bool) {
+        for t in 0..h.num_buckets() {
+            let f = dist.cdf(t);
+            match (f == 0.0, adding) {
+                (true, true) => h.zero_count[t] += 1,
+                (true, false) => h.zero_count[t] -= 1,
+                (false, true) => h.log_sum[t] += f.ln(),
+                (false, false) => h.log_sum[t] -= f.ln(),
+            }
+        }
+    }
+
+    #[test]
+    fn skipping_certain_buckets_keeps_every_bit() {
+        use crate::dist::random_dist;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(36);
+        let max_bucket = 24;
+        let dists: Vec<DiscreteDist> = (0..400)
+            .map(|_| random_dist(&mut rng, max_bucket))
+            .collect();
+        assert!(dists.iter().any(|d| d.cdf(0) == 0.0));
+        assert!(dists.iter().any(|d| d.cdf(max_bucket - 1) == 1.0));
+        let mut h = JointCdf::build(&UncertainRelation::new(1.0, max_bucket));
+        let mut reference = h.clone();
+        let mut members: Vec<usize> = Vec::new();
+        for step in 0..3_000 {
+            if members.is_empty() || rng.gen_bool(0.6) {
+                let id = rng.gen_range(0..dists.len());
+                h.add(&dists[id]);
+                every_bucket(&mut reference, &dists[id], true);
+                members.push(id);
+            } else {
+                let id = members.swap_remove(rng.gen_range(0..members.len()));
+                h.remove(&dists[id]);
+                every_bucket(&mut reference, &dists[id], false);
+            }
+            let bits = |h: &JointCdf| h.log_sum.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&h), bits(&reference), "log sums differ at step {step}");
+            assert_eq!(
+                h.zero_count, reference.zero_count,
+                "zeros differ at step {step}"
+            );
+            assert_eq!(h.members(), members.len());
+        }
     }
 
     #[test]

@@ -124,6 +124,42 @@ fn phase1_cache_shared_between_frame_and_window_queries() {
 }
 
 #[test]
+fn a_warm_statement_answers_what_a_cold_one_does() {
+    use everest::evql::wire::canonical_output;
+    use everest::evql::QueryOutput;
+
+    let a = "SELECT TOP 10 FRAMES FROM Archie WITH SEED 11";
+    let encode = |out: &QueryOutput| {
+        let bytes = canonical_output(&Output::Rows(out.clone()));
+        (bytes, out.stats.sim_seconds.to_bits())
+    };
+    let mut warm = fast_session();
+    let first = rows(&mut warm, a);
+    rows(
+        &mut warm,
+        "SELECT TOP 3 WINDOWS OF 50 FRAMES FROM Archie WITH SAMPLE 0.5, SEED 11",
+    );
+    rows(
+        &mut warm,
+        "SELECT TOP 25 FRAMES FROM Archie WITH CONFIDENCE 0.99, SEED 11",
+    );
+    let again = rows(&mut warm, a);
+    assert!(again.stats.phase1_cached);
+    assert!(first.stats.cleaned.is_some_and(|n| n > 0));
+    assert_eq!(
+        encode(&first),
+        encode(&again),
+        "an earlier statement changed A's answer"
+    );
+    let cold = rows(&mut fast_session(), a);
+    assert_eq!(
+        encode(&first),
+        encode(&cold),
+        "a warm A differs from a cold one"
+    );
+}
+
+#[test]
 fn continuous_udf_query_runs_with_its_default_step() {
     let mut s = fast_session();
     let out = rows(
