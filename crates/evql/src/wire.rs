@@ -122,8 +122,8 @@ pub enum Response {
     /// Echo of a [`Request::Ping`].
     Pong { id: u64, nonce: Vec<u8> },
     /// The daemon shed this query at admission (too many queries already
-    /// in flight). Distinct from [`Response::Error`] so load generators
-    /// and clients can retry/back off without parsing message text.
+    /// in flight). Distinct from [`Response::Error`] so clients can
+    /// retry/back off without parsing message text.
     Overloaded {
         id: u64,
         /// Queries in flight when the request was shed (the admission

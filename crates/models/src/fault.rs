@@ -120,8 +120,8 @@ impl FaultPlan {
     }
 }
 
-/// splitmix64 — the same tiny seeded hash the loadgen uses; fault
-/// schedules must not depend on a library RNG's evolution.
+/// splitmix64, a tiny seeded hash: fault schedules must not depend on
+/// a library RNG's evolution.
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -1,5 +1,5 @@
 //! A small blocking client for the daemon's wire protocol — used by the
-//! load generator, the e2e harness, and anything scripting the daemon.
+//! benchmark ladder, the e2e harness, and anything scripting the daemon.
 
 use everest_evql::wire::{self, Request, Response};
 use std::io::{self, Write};

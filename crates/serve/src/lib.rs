@@ -2,12 +2,13 @@
 //!
 //! The paper's system is a *service*: a catalog of prepared videos
 //! answering Top-K queries for many users. Everything else in this
-//! workspace is a one-shot binary; this crate is the daemon that makes
-//! the "millions of users" north star a load-testable claim. It follows
-//! the production-pooler shape (pg_doorman-style): per-connection
-//! sessions over a bounded worker pool, one shared single-flight
-//! prepared-video cache ([`everest_evql::SharedCache`]), `SHOW`-style
-//! admin commands, and a text metrics surface.
+//! workspace is a one-shot binary; this crate is the daemon behind the
+//! "millions of users" north star, and the benchmark ladder's
+//! `served_mixed` workload measures it. It follows the production-pooler
+//! shape (pg_doorman-style): per-connection sessions over a bounded
+//! worker pool, one shared single-flight prepared-video cache
+//! ([`everest_evql::SharedCache`]), `SHOW`-style admin commands, and a
+//! text metrics surface.
 //!
 //! ```text
 //!                    ┌──────────────────────────────────────────┐
@@ -49,14 +50,12 @@
 
 pub mod client;
 pub mod config;
-pub mod loadgen;
 pub mod metrics;
 pub mod registry;
 pub mod server;
 
 pub use client::Client;
 pub use config::ServeConfig;
-pub use loadgen::{flaky_mix, run_loadgen, LoadgenConfig, LoadgenReport};
 pub use metrics::{LatencyHistogram, Metrics, WALL_CLOCK_MARKER};
 pub use registry::{SessionRegistry, SessionState};
 pub use server::{Server, ServerHandle, ShutdownReport};

@@ -45,15 +45,28 @@ struct Fixture {
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
+        let n_frames = 1_500;
         let tl = Timeline::generate(
             &ArrivalConfig {
-                n_frames: 1_500,
+                n_frames,
                 ..ArrivalConfig::default()
             },
             31,
         );
-        let video = SyntheticVideo::new(SceneConfig::default(), tl, 31, 30.0);
+        // The catalog's sensor noise: at the default σ = 0.02 the
+        // difference detector keeps every frame, and the engines would
+        // never see a dropped one.
+        let scene = SceneConfig {
+            noise_std: 0.01,
+            ..SceneConfig::default()
+        };
+        let video = SyntheticVideo::new(scene, tl, 31, 30.0);
         let count = Everest::prepare(&video, &counting_oracle(&video), &phase1(1.0));
+        let retained = count.phase1.segments.num_retained();
+        assert!(
+            retained < n_frames,
+            "{retained} of {n_frames} frames retained"
+        );
         let coverage = Everest::prepare(
             &video,
             &coverage_oracle(&video),
