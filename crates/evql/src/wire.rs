@@ -10,9 +10,8 @@
 //! ```
 //!
 //! `len` counts payload bytes only, must be ≥ 1 and ≤ the max-frame
-//! guard ([`max_frame`], default [`DEFAULT_MAX_FRAME`], overridable via
-//! the [`MAX_FRAME_ENV`] environment variable). A violating prefix is
-//! rejected *before* any payload is buffered, so an adversarial
+//! guard ([`MAX_FRAME`], 1 MiB, in both directions). A violating prefix
+//! is rejected *before* any payload is buffered, so an adversarial
 //! `0xFFFF_FFFF` length cannot make the daemon allocate 4 GiB.
 //!
 //! ## Payloads
@@ -35,24 +34,9 @@
 use crate::exec::{AnswerRow, ExecStats, Output, QueryOutput, SkylineOutput, StreamOutput};
 use std::io::{Read, Write};
 
-/// Env var overriding the maximum accepted frame size in bytes
-/// (clamped to `[64, 64 MiB]`); registry: `docs/BENCHMARKING.md`.
-pub const MAX_FRAME_ENV: &str = "EVEREST_SERVE_MAX_FRAME";
-
-/// Default maximum frame size: 1 MiB.
-pub const DEFAULT_MAX_FRAME: u32 = 1 << 20;
-
-/// The max-frame guard: [`MAX_FRAME_ENV`] when set and parseable,
-/// clamped to `[64, 64 MiB]`; otherwise [`DEFAULT_MAX_FRAME`].
-pub fn max_frame() -> u32 {
-    match std::env::var(MAX_FRAME_ENV) {
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(n) => (n.clamp(64, 64 << 20)) as u32,
-            Err(_) => DEFAULT_MAX_FRAME,
-        },
-        Err(_) => DEFAULT_MAX_FRAME,
-    }
-}
+/// Maximum frame payload in bytes, for requests and responses alike:
+/// 1 MiB.
+pub const MAX_FRAME: u32 = 1 << 20;
 
 /// Why a frame or payload failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -676,8 +660,8 @@ mod tests {
         }
         .encode();
         let mut framed = Vec::new();
-        write_frame(&mut framed, &payload, DEFAULT_MAX_FRAME).unwrap();
-        let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME);
+        write_frame(&mut framed, &payload, MAX_FRAME).unwrap();
+        let mut dec = FrameDecoder::new(MAX_FRAME);
         for chunk in framed.chunks(3) {
             dec.push(chunk);
         }
@@ -739,12 +723,6 @@ mod tests {
             Request::decode(&bytes),
             Err(WireError::TrailingBytes { extra: 1 })
         );
-    }
-
-    #[test]
-    fn env_guard_parses_and_clamps() {
-        // not set in the test environment → default
-        assert_eq!(max_frame(), DEFAULT_MAX_FRAME);
     }
 
     #[test]

@@ -2,9 +2,7 @@
 //! request/response round-trips, framing across arbitrary chunk splits,
 //! and no-panic + bounded-allocation guarantees on adversarial bytes.
 
-use everest_evql::wire::{
-    write_frame, FrameDecoder, Request, Response, WireError, DEFAULT_MAX_FRAME,
-};
+use everest_evql::wire::{write_frame, FrameDecoder, Request, Response, WireError, MAX_FRAME};
 use proptest::prelude::*;
 
 fn arb_text() -> impl Strategy<Value = String> {
@@ -68,9 +66,9 @@ proptest! {
     ) {
         let mut stream = Vec::new();
         for r in &reqs {
-            write_frame(&mut stream, &r.encode(), DEFAULT_MAX_FRAME).unwrap();
+            write_frame(&mut stream, &r.encode(), MAX_FRAME).unwrap();
         }
-        let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME);
+        let mut dec = FrameDecoder::new(MAX_FRAME);
         let mut decoded = Vec::new();
         for piece in stream.chunks(chunk) {
             dec.push(piece);
@@ -160,7 +158,7 @@ fn decoder_survives_interleaved_garbage_after_error() {
         id: 1,
         nonce: vec![],
     };
-    write_frame(&mut valid, &ping.encode(), DEFAULT_MAX_FRAME).unwrap();
+    write_frame(&mut valid, &ping.encode(), MAX_FRAME).unwrap();
     dec.push(&valid);
     assert!(matches!(
         dec.next_frame(),

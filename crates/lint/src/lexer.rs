@@ -380,7 +380,7 @@ mod tests {
     #[test]
     fn byte_char_literals_are_single_tokens() {
         // `b'x'` must not leak a stray `b` identifier into the stream —
-        // call-graph construction matches `ident (` patterns and a split
+        // the unsafe-audit rule matches `ident (` call sites and a split
         // `b` + char would desynchronize it.
         let toks = kinds(r"b'x' b'\n' b'(' f(b',')");
         assert_eq!(toks[0], (Kind::Char, r"b'x'".into()));

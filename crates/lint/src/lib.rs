@@ -16,11 +16,11 @@
 //!   ([`rules::determinism`]);
 //! * **env-var registry** — `EVEREST_*` variables in source and CI
 //!   workflows ↔ `docs/BENCHMARKING.md` table, both directions
-//!   ([`rules::env_registry`]);
-//! * **det-taint** — wall-clock taint propagated through return values
-//!   along the call graph into canonical/deterministic output paths
-//!   ([`rules::taint`]), the one rule that runs on the workspace-wide
-//!   call graph ([`graph`]).
+//!   ([`rules::env_registry`]).
+//!
+//! No rule follows calls across functions: the one invariant that would
+//! need it — no wall-clock value reaches canonical answer bytes — is
+//! checked by the root package's byte-identity tests instead.
 //!
 //! The crate has **no dependencies** (the build env is offline) and
 //! reconstructs just enough structure from a hand-rolled lexer
@@ -29,7 +29,6 @@
 
 #![deny(unsafe_code)]
 
-pub mod graph;
 pub mod lexer;
 pub mod rules;
 pub mod source;
@@ -133,9 +132,6 @@ pub fn lint_root(root: &Path) -> Report {
         rules::determinism::check(ctx, &mut diagnostics);
         check_allows(ctx, &mut diagnostics);
     }
-
-    // Pass 3: the call-graph rule — workspace-wide, over every ctx at once.
-    rules::taint::check(&graph::Graph::build(&ctxs), &mut diagnostics);
 
     // Workspace-level rule.
     rules::env_registry::check(root, &var_sites, &mut diagnostics);

@@ -4,7 +4,6 @@
 
 pub mod determinism;
 pub mod env_registry;
-pub mod taint;
 pub mod unsafe_audit;
 
 /// Every known rule ID, for validating `lint:allow` references.
@@ -15,5 +14,4 @@ pub const ALL_RULES: &[&str] = &[
     determinism::FLOAT_SUM,
     env_registry::UNDOCUMENTED,
     env_registry::DOC_STALE,
-    taint::RULE,
 ];

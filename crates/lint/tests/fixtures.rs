@@ -3,9 +3,7 @@
 //! *paths* matter as much as their contents, because some rules are
 //! path-scoped (kernel modules under `crates/nn/src/`). `pass` trees must
 //! lint clean; `fail` trees must produce exactly the expected rule IDs —
-//! never extras, so rule precision regressions surface here too. The
-//! `taint` pair is the call graph's fixture: `det-taint` is the one rule
-//! built on it.
+//! never extras, so rule precision regressions surface here too.
 
 use everest_lint::lint_root;
 use std::collections::BTreeSet;
@@ -73,14 +71,6 @@ fn env_registry_fixtures() {
         "env_registry",
         &["env-var-undocumented", "env-var-doc-stale"],
     );
-}
-
-#[test]
-fn taint_fixtures() {
-    assert_pass("taint");
-    // An `Instant::now` laundered through two return-value hops still
-    // reaches canonical bytes.
-    assert_fail("taint", &["det-taint"]);
 }
 
 #[test]

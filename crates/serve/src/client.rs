@@ -10,7 +10,6 @@ use std::time::Duration;
 /// with auto-assigned request ids.
 pub struct Client {
     stream: TcpStream,
-    max_frame: u32,
     next_id: u64,
 }
 
@@ -19,11 +18,7 @@ impl Client {
     pub fn connect(addr: SocketAddr) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Ok(Client {
-            stream,
-            max_frame: wire::max_frame(),
-            next_id: 1,
-        })
+        Ok(Client { stream, next_id: 1 })
     }
 
     /// Bounds how long [`Client::read_response`] blocks. `None` waits
@@ -39,19 +34,20 @@ impl Client {
     }
 
     /// Sends a request without waiting for its response. Returns the
-    /// request id the daemon will echo.
+    /// request id the daemon will echo. A request over
+    /// [`wire::MAX_FRAME`] fails here with `InvalidInput`, before any
+    /// byte reaches the socket.
     pub fn send(&mut self, mut build: impl FnMut(u64) -> Request) -> io::Result<u64> {
         let id = self.take_id();
         let payload = build(id).encode();
-        let max = (payload.len() as u32).max(self.max_frame);
-        wire::write_frame(&mut self.stream, &payload, max)?;
+        wire::write_frame(&mut self.stream, &payload, wire::MAX_FRAME)?;
         self.stream.flush()?;
         Ok(id)
     }
 
     /// Reads the next response frame.
     pub fn read_response(&mut self) -> io::Result<Response> {
-        let payload = wire::read_frame(&mut self.stream, self.max_frame)?;
+        let payload = wire::read_frame(&mut self.stream, wire::MAX_FRAME)?;
         Response::decode(&payload)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }

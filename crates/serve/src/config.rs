@@ -3,6 +3,20 @@
 use everest_evql::SessionSettings;
 use std::time::Duration;
 
+/// Accepted-connection queue bound between the accept loop and the
+/// workers; a full queue backpressures `accept`.
+pub(crate) const BACKLOG: usize = 64;
+
+/// Read-poll tick: how often an idle connection checks the shutdown
+/// flag. Short enough that drain latency is invisible, long enough to
+/// keep idle connections cheap.
+pub(crate) const READ_POLL: Duration = Duration::from_millis(20);
+
+/// After shutdown, how long a connection with a *partial* frame may keep
+/// the daemon waiting for the rest of it before being dropped. Complete
+/// frames are always served regardless.
+pub(crate) const DRAIN_GRACE: Duration = Duration::from_millis(500);
+
 /// Everything the daemon needs to bind, pool, and serve.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -12,29 +26,15 @@ pub struct ServeConfig {
     /// (pooler "session mode"), so this bounds concurrent sessions;
     /// further accepted connections wait in the queue.
     pub workers: usize,
-    /// Accepted-connection queue bound between the accept loop and the
-    /// workers; a full queue backpressures `accept`.
-    pub backlog: usize,
     /// Cap on the shared prepared-video cache (ready entries).
     pub cache_capacity: usize,
     /// Default EVQL settings for every new session (`SET` adjusts a
     /// single session afterwards).
     pub settings: SessionSettings,
-    /// Max accepted frame size in bytes (see
-    /// [`everest_evql::wire::max_frame`] for the env override).
-    pub max_frame: u32,
-    /// Read-poll tick: how often an idle connection checks the shutdown
-    /// flag. Short enough that drain latency is invisible, long enough
-    /// to keep idle connections cheap.
-    pub read_poll: Duration,
     /// Per-write timeout. A client that stops reading while the daemon
     /// has a response in flight is disconnected once the socket has been
     /// unwritable this long.
     pub write_timeout: Duration,
-    /// After shutdown, how long a connection with a *partial* frame may
-    /// keep the daemon waiting for the rest of it before being dropped.
-    /// Complete frames are always served regardless.
-    pub drain_grace: Duration,
     /// Admission control: queries allowed to execute concurrently across
     /// all workers. A query arriving while this many are in flight is
     /// *shed* — answered immediately with the typed
@@ -61,13 +61,9 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 8,
-            backlog: 64,
             cache_capacity: 8,
             settings: SessionSettings::default(),
-            max_frame: everest_evql::wire::max_frame(),
-            read_poll: Duration::from_millis(20),
             write_timeout: Duration::from_secs(2),
-            drain_grace: Duration::from_millis(500),
             max_inflight_queries: None,
             max_queries_per_connection: None,
             idle_timeout: None,

@@ -231,9 +231,6 @@ impl Metrics {
     /// [`WALL_CLOCK_MARKER`]. This is what determinism harnesses compare
     /// across runs.
     pub fn render_deterministic(&self) -> String {
-        // lint:allow(det-taint): render()'s wall-clock section sits below
-        // WALL_CLOCK_MARKER and is truncated away on the next line — no
-        // wall bits survive into the returned prefix.
         let full = self.render();
         match full.find(WALL_CLOCK_MARKER) {
             Some(pos) => full[..pos].to_string(),
@@ -287,5 +284,20 @@ mod tests {
         assert!(det.contains("degraded_answers=0"));
         assert!(!det.contains("qps="));
         assert!(full.contains("latency_p99_us="));
+        // Every key rendered below the marker stays out of the prefix.
+        let (_, wall) = full.split_once(WALL_CLOCK_MARKER).unwrap();
+        let wall_keys: Vec<&str> = wall
+            .lines()
+            .filter_map(|l| l.split_once('='))
+            .map(|(k, _)| k)
+            .collect();
+        assert!(wall_keys.len() >= 5, "{wall_keys:?}");
+        for key in wall_keys {
+            let prefix = format!("{key}=");
+            assert!(
+                !det.lines().any(|l| l.starts_with(&prefix)),
+                "wall-clock key `{key}` in the deterministic section:\n{det}"
+            );
+        }
     }
 }

@@ -14,12 +14,12 @@
 //! out connections, and every worker finishes the frames it has already
 //! decoded — a query whose request frame was fully received ("accepted")
 //! is always executed and answered before its connection closes. Bytes
-//! still in flight (partial frames) get [`crate::ServeConfig::drain_grace`]
-//! to complete, then the connection is dropped. The final
-//! [`ShutdownReport`] carries the accepted/answered totals so harnesses
-//! can assert nothing was lost.
+//! still in flight (partial frames) get `DRAIN_GRACE` (500 ms) to
+//! complete, then the connection is dropped. The final [`ShutdownReport`]
+//! carries the accepted/answered totals so harnesses can assert nothing
+//! was lost.
 
-use crate::config::ServeConfig;
+use crate::config::{ServeConfig, BACKLOG, DRAIN_GRACE, READ_POLL};
 use crate::metrics::Metrics;
 use crate::registry::SessionRegistry;
 use everest_core::prelude::CancelToken;
@@ -182,7 +182,7 @@ impl Server {
     /// Serves until shutdown, then drains and reports.
     pub fn run(self) -> ShutdownReport {
         let shared = self.shared;
-        let (tx, rx) = sync_channel::<TcpStream>(shared.cfg.backlog.max(1));
+        let (tx, rx) = sync_channel::<TcpStream>(BACKLOG);
         let rx = Arc::new(Mutex::new(rx));
         let workers: Vec<_> = (0..shared.cfg.workers.max(1))
             .map(|_| {
@@ -295,14 +295,14 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
 fn serve_connection(shared: &Shared, mut stream: TcpStream, session_id: u64) -> CloseReason {
     let cfg = &shared.cfg;
     let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(cfg.read_poll)).is_err()
+    if stream.set_read_timeout(Some(READ_POLL)).is_err()
         || stream.set_write_timeout(Some(cfg.write_timeout)).is_err()
     {
         return CloseReason::Disconnect;
     }
 
     let mut session = Session::with_shared_cache(cfg.settings.clone(), shared.cache.clone());
-    let mut decoder = FrameDecoder::new(cfg.max_frame);
+    let mut decoder = FrameDecoder::new(wire::MAX_FRAME);
     let mut buf = [0u8; 16 * 1024];
     let mut drain_deadline: Option<Instant> = None;
     let mut queries_served = 0u64;
@@ -374,7 +374,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, session_id: u64) -> 
                 reason = "shutdown drain-grace timer; a peer holding half a frame may finish it, \
                           but not forever"
             )]
-            let deadline = *drain_deadline.get_or_insert_with(|| Instant::now() + cfg.drain_grace);
+            let deadline = *drain_deadline.get_or_insert_with(|| Instant::now() + DRAIN_GRACE);
             if Instant::now() >= deadline {
                 return CloseReason::DrainExpired;
             }
@@ -400,7 +400,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, session_id: u64) -> 
             }
             Ok(n) => decoder.push(&buf[..n]),
             Err(e) => match e.kind() {
-                // Poll tick: no data within read_poll; loop re-checks the
+                // Poll tick: no data within READ_POLL; loop re-checks the
                 // shutdown flag.
                 io::ErrorKind::WouldBlock
                 | io::ErrorKind::TimedOut
@@ -513,7 +513,6 @@ fn serve_query(
     if let Ok(peer) = stream.try_clone() {
         let token = token.clone();
         let done = Arc::clone(&done);
-        let tick = shared.cfg.read_poll;
         // Detached on purpose: joining would add up to one poll tick of
         // latency per query. The thread exits within a tick of `done`.
         thread::spawn(move || {
@@ -525,7 +524,7 @@ fn serve_query(
                         break;
                     }
                     // Pipelined bytes waiting: the peer is alive.
-                    Ok(_) => thread::sleep(tick),
+                    Ok(_) => thread::sleep(READ_POLL),
                     Err(e) => match e.kind() {
                         // The shared SO_RCVTIMEO makes peek a poll tick.
                         io::ErrorKind::WouldBlock
@@ -567,10 +566,19 @@ fn serve_query(
     session.set_cancel_token(None);
     shared.inflight.fetch_sub(1, Ordering::SeqCst);
 
+    // An answer over the frame cap goes back as a typed error instead,
+    // and the query counts as failed; the connection stays in sync.
+    let (payload, oversized) = encode_within_cap(&response);
+    if oversized {
+        shared
+            .metrics
+            .queries_failed
+            .fetch_add(1, Ordering::Relaxed);
+    }
     // The query is answered the moment a response exists — delivery
     // failure (peer gone, write timeout) is accounted separately and
     // does not break the accepted == answered drain invariant.
-    let write_result = write_response(shared, stream, &response);
+    let write_result = write_payload(shared, stream, &payload);
     shared
         .metrics
         .queries_answered
@@ -651,20 +659,43 @@ fn serve_admin(
     write_response(shared, stream, &response)
 }
 
-/// Writes one response frame, classifying failures: a peer that will not
-/// read within the write timeout counts as a write timeout, anything
-/// else as a disconnect.
+/// Encodes `response`, or, when that would exceed [`wire::MAX_FRAME`],
+/// a [`Response::Error`] with the same id that names the size and the
+/// limit. The flag says whether the response was replaced.
+fn encode_within_cap(response: &Response) -> (Vec<u8>, bool) {
+    let payload = response.encode();
+    if payload.len() <= wire::MAX_FRAME as usize {
+        return (payload, false);
+    }
+    let too_large = WireError::FrameTooLarge {
+        len: payload.len().min(u32::MAX as usize) as u32,
+        max: wire::MAX_FRAME,
+    };
+    let error = Response::Error {
+        id: response.id(),
+        text: format!("response not sent: {too_large}"),
+    };
+    (error.encode(), true)
+}
+
+/// Writes one response frame (see [`encode_within_cap`]).
 fn write_response(
     shared: &Shared,
     stream: &mut TcpStream,
     response: &Response,
 ) -> Result<(), CloseReason> {
-    let payload = response.encode();
-    // Responses may exceed the request-side guard (a rendered answer can
-    // outgrow it); the frame cap only protects the daemon's ingress, so
-    // egress uses the payload's own size.
-    let max = (payload.len() as u32).max(shared.cfg.max_frame);
-    match wire::write_frame(stream, &payload, max).and_then(|()| stream.flush()) {
+    write_payload(shared, stream, &encode_within_cap(response).0)
+}
+
+/// Writes one encoded response, classifying failures: a peer that will
+/// not read within the write timeout counts as a write timeout, anything
+/// else as a disconnect.
+fn write_payload(
+    shared: &Shared,
+    stream: &mut TcpStream,
+    payload: &[u8],
+) -> Result<(), CloseReason> {
+    match wire::write_frame(stream, payload, wire::MAX_FRAME).and_then(|()| stream.flush()) {
         Ok(()) => {
             shared
                 .metrics

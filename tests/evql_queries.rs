@@ -159,6 +159,60 @@ fn a_warm_statement_answers_what_a_cold_one_does() {
     );
 }
 
+/// Canonical bytes cover every answer kind (rows, windows, skyline,
+/// continuous) and exclude every performance-shaped stat: a warm re-run
+/// encodes to a cold run's bytes, and so does an answer whose wall-clock
+/// and simulated-latency stats are changed, while a changed result-shaped
+/// stat changes the bytes.
+#[test]
+fn canonical_bytes_exclude_every_wall_clock_stat() {
+    use everest::evql::wire::canonical_output;
+    use everest::evql::ExecStats;
+    use std::time::Duration;
+
+    fn stats_mut(out: &mut Output) -> &mut ExecStats {
+        match out {
+            Output::Rows(q) => &mut q.stats,
+            Output::Skyline(s) => &mut s.stats,
+            Output::Stream(s) => &mut s.stats,
+            Output::Message(m) => panic!("expected an answer, got {m}"),
+        }
+    }
+
+    for q in [
+        "SELECT TOP 10 FRAMES FROM Archie WITH SEED 11",
+        "SELECT TOP 3 WINDOWS OF 50 FRAMES SLIDE 25 FROM Archie WITH SAMPLE 0.5, SEED 11",
+        "SELECT SKYLINE FROM Archie WITH CONFIDENCE 0.8, SEED 11",
+        "SELECT TOP 3 FRAMES FROM Archie EVERY 400 FRAMES EMIT WITH SEED 11, FLAKY 3",
+    ] {
+        let mut session = fast_session();
+        let mut run = || {
+            session
+                .execute(q)
+                .unwrap_or_else(|e| panic!("{}", e.render(q)))
+        };
+        let cold = run();
+        let mut warm = run();
+        assert!(stats_mut(&mut warm).phase1_cached, "re-run not warm: {q}");
+        let bytes = canonical_output(&cold);
+        assert_eq!(bytes, canonical_output(&warm), "warm re-run differs: {q}");
+
+        let mut perf = cold.clone();
+        let stats = stats_mut(&mut perf);
+        stats.wall += Duration::from_secs(1);
+        stats.phase1_cached = !stats.phase1_cached;
+        stats.oracle_retries = Some(stats.oracle_retries.unwrap_or(0) + 1);
+        stats.breaker_trips = Some(stats.breaker_trips.unwrap_or(0) + 1);
+        stats.sim_seconds += 1.0;
+        stats.scan_seconds += 1.0;
+        stats.speedup += 1.0;
+        assert_eq!(bytes, canonical_output(&perf), "a perf stat leaked: {q}");
+
+        stats_mut(&mut perf).n_items += 1;
+        assert_ne!(bytes, canonical_output(&perf), "n_items not encoded: {q}");
+    }
+}
+
 #[test]
 fn continuous_udf_query_runs_with_its_default_step() {
     let mut s = fast_session();

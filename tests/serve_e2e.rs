@@ -6,7 +6,8 @@
 //!   EVQL;
 //! * **robustness** — adversarial bytes (proptest-generated mutations of
 //!   valid frames, raw garbage, oversized length prefixes) are rejected
-//!   without killing the daemon;
+//!   without killing the daemon, and an answer over the frame cap comes
+//!   back as a typed error on a connection that keeps serving;
 //! * **graceful shutdown** — under in-flight load, every accepted query
 //!   is answered (`ShutdownReport::clean`);
 //! * **fault tolerance** — client disconnects mid-query, slow readers
@@ -264,7 +265,7 @@ fn protocol_fuzz_rejects_malformed_frames_without_killing_the_daemon() {
 
 fn frame_of(request: &Request) -> Vec<u8> {
     let mut out = Vec::new();
-    wire::write_frame(&mut out, &request.encode(), wire::DEFAULT_MAX_FRAME).unwrap();
+    wire::write_frame(&mut out, &request.encode(), wire::MAX_FRAME).unwrap();
     out
 }
 
@@ -475,6 +476,48 @@ fn reload_racing_active_sessions_serves_identical_answers() {
 }
 
 #[test]
+fn an_answer_over_the_frame_cap_is_a_typed_error_and_the_connection_serves_on() {
+    // Every 2 frames, 50 rows: the rendered answer runs to megabytes.
+    const HUGE: &str = "SELECT TOP 50 FRAMES FROM Archie EVERY 2 FRAMES EMIT WITH SEED 7";
+    let (handle, join) = Server::spawn(ServeConfig {
+        workers: 1,
+        ..test_config()
+    })
+    .unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    match client.query(HUGE).unwrap() {
+        Response::Error { text, .. } => {
+            assert!(text.contains("exceeds"), "{text}");
+            assert!(text.contains(&wire::MAX_FRAME.to_string()), "{text}");
+        }
+        other => panic!("expected a frame-size error, got {other:?}"),
+    }
+    assert!(matches!(
+        client.query(SCAN_QUERIES[0]).unwrap(),
+        Response::Answer { .. }
+    ));
+    // A request over the cap fails before it leaves the client, and the
+    // connection stays in sync.
+    let oversized = "x".repeat(wire::MAX_FRAME as usize);
+    let err = client.query(&oversized).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert!(matches!(
+        client.query(SCAN_QUERIES[1]).unwrap(),
+        Response::Answer { .. }
+    ));
+    let metrics = handle.metrics().render_deterministic();
+    assert!(metrics.contains("queries_accepted=3\n"), "{metrics}");
+    assert!(metrics.contains("queries_failed=1\n"), "{metrics}");
+    drop(client);
+    handle.shutdown();
+    let report = join.join().unwrap();
+    assert!(report.clean(), "{report:?}");
+}
+
+#[test]
 fn admin_surface_ping_and_oversized_frames() {
     let (handle, join) = Server::spawn(test_config()).unwrap();
     let addr = handle.addr();
@@ -499,7 +542,7 @@ fn admin_surface_ping_and_oversized_frames() {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
     attacker
-        .send_raw(&(wire::max_frame() + 1).to_be_bytes())
+        .send_raw(&(wire::MAX_FRAME + 1).to_be_bytes())
         .unwrap();
     match attacker.read_response() {
         Ok(Response::Error { id, text }) => {
