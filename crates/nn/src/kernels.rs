@@ -350,37 +350,40 @@ mod avx2 {
         c: &mut [f32],
         pack: &mut Vec<f32>,
     ) {
-        if pack.len() < k * NR {
-            pack.resize(k * NR, 0.0);
-        }
-        let mut j = j0;
-        while j + NR <= n {
-            for p in 0..k {
-                pack[p * NR..(p + 1) * NR].copy_from_slice(&b[p * n + j..p * n + j + NR]);
+        // SAFETY: `# Safety` above (AVX2 + FMA, valid slices, `j0 ≤ n`) covers the calls below.
+        unsafe {
+            if pack.len() < k * NR {
+                pack.resize(k * NR, 0.0);
             }
-            let mut i0 = 0;
-            while i0 + MR <= m {
-                // SAFETY: caller guarantees AVX2+FMA; i0 + MR ≤ m and
-                // j + NR ≤ n keep every row/column index of the tile in
-                // bounds of the caller-validated slices, and the strip
-                // was packed to k·NR elements above.
-                kernel_4x16_packed(k, n, i0, j, a, pack, c);
-                i0 += MR;
+            let mut j = j0;
+            while j + NR <= n {
+                for p in 0..k {
+                    pack[p * NR..(p + 1) * NR].copy_from_slice(&b[p * n + j..p * n + j + NR]);
+                }
+                let mut i0 = 0;
+                while i0 + MR <= m {
+                    // SAFETY: caller guarantees AVX2+FMA; i0 + MR ≤ m and
+                    // j + NR ≤ n keep every row/column index of the tile in
+                    // bounds of the caller-validated slices, and the strip
+                    // was packed to k·NR elements above.
+                    kernel_4x16_packed(k, n, i0, j, a, pack, c);
+                    i0 += MR;
+                }
+                if i0 < m {
+                    // SAFETY: caller guarantees AVX2+FMA; the edge rows
+                    // i0..m and columns j..j + NR lie inside the validated
+                    // slices, and the strip is packed to k·NR elements.
+                    edge_rows_packed(m - i0, k, n, i0, j, a, pack, c);
+                }
+                j += NR;
             }
-            if i0 < m {
-                // SAFETY: caller guarantees AVX2+FMA; the edge rows
-                // i0..m and columns j..j + NR lie inside the validated
-                // slices, and the strip is packed to k·NR elements.
-                edge_rows_packed(m - i0, k, n, i0, j, a, pack, c);
-            }
-            j += NR;
-        }
-        if j < n {
-            let mut i0 = 0;
-            while i0 < m {
-                let mr = MR.min(m - i0);
-                kernel_edge(mr, n - j, k, n, i0, j, a, b, c);
-                i0 += mr;
+            if j < n {
+                let mut i0 = 0;
+                while i0 < m {
+                    let mr = MR.min(m - i0);
+                    kernel_edge(mr, n - j, k, n, i0, j, a, b, c);
+                    i0 += mr;
+                }
             }
         }
     }
@@ -405,23 +408,26 @@ mod avx2 {
         pack: &[f32],
         c: &mut [f32],
     ) {
-        debug_assert!(a.len() >= (i0 + MR) * k && pack.len() >= k * NR);
-        let mut acc = [_mm256_setzero_ps(); 2 * MR];
-        for p in 0..k {
-            let bp = pack.as_ptr().add(p * NR);
-            let b0 = _mm256_loadu_ps(bp);
-            let b1 = _mm256_loadu_ps(bp.add(8));
-            for (r, pair) in acc.chunks_exact_mut(2).enumerate() {
-                let av = _mm256_broadcast_ss(a.get_unchecked((i0 + r) * k + p));
-                pair[0] = _mm256_fmadd_ps(av, b0, pair[0]);
-                pair[1] = _mm256_fmadd_ps(av, b1, pair[1]);
+        // SAFETY: `# Safety` above (AVX2 + FMA, slice lengths) covers every access below.
+        unsafe {
+            debug_assert!(a.len() >= (i0 + MR) * k && pack.len() >= k * NR);
+            let mut acc = [_mm256_setzero_ps(); 2 * MR];
+            for p in 0..k {
+                let bp = pack.as_ptr().add(p * NR);
+                let b0 = _mm256_loadu_ps(bp);
+                let b1 = _mm256_loadu_ps(bp.add(8));
+                for (r, pair) in acc.chunks_exact_mut(2).enumerate() {
+                    let av = _mm256_broadcast_ss(a.get_unchecked((i0 + r) * k + p));
+                    pair[0] = _mm256_fmadd_ps(av, b0, pair[0]);
+                    pair[1] = _mm256_fmadd_ps(av, b1, pair[1]);
+                }
             }
-        }
-        for (r, pair) in acc.chunks_exact(2).enumerate() {
-            let cp = c.as_mut_ptr().add((i0 + r) * n + j);
-            _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), pair[0]));
-            let cp8 = cp.add(8);
-            _mm256_storeu_ps(cp8, _mm256_add_ps(_mm256_loadu_ps(cp8), pair[1]));
+            for (r, pair) in acc.chunks_exact(2).enumerate() {
+                let cp = c.as_mut_ptr().add((i0 + r) * n + j);
+                _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), pair[0]));
+                let cp8 = cp.add(8);
+                _mm256_storeu_ps(cp8, _mm256_add_ps(_mm256_loadu_ps(cp8), pair[1]));
+            }
         }
     }
 
@@ -448,14 +454,17 @@ mod avx2 {
         pack: &[f32],
         c: &mut [f32],
     ) {
-        debug_assert!((1..MR).contains(&mr));
-        match mr {
-            // SAFETY: this function's own contract, with mr = 1.
-            1 => edge_rows::<1>(k, n, i0, j, a, pack, c),
-            // SAFETY: this function's own contract, with mr = 2.
-            2 => edge_rows::<2>(k, n, i0, j, a, pack, c),
-            // SAFETY: this function's own contract, with mr = 3.
-            _ => edge_rows::<3>(k, n, i0, j, a, pack, c),
+        // SAFETY: `# Safety` above, passed on unchanged to `edge_rows`.
+        unsafe {
+            debug_assert!((1..MR).contains(&mr));
+            match mr {
+                // SAFETY: this function's own contract, with mr = 1.
+                1 => edge_rows::<1>(k, n, i0, j, a, pack, c),
+                // SAFETY: this function's own contract, with mr = 2.
+                2 => edge_rows::<2>(k, n, i0, j, a, pack, c),
+                // SAFETY: this function's own contract, with mr = 3.
+                _ => edge_rows::<3>(k, n, i0, j, a, pack, c),
+            }
         }
     }
 
@@ -475,23 +484,26 @@ mod avx2 {
         pack: &[f32],
         c: &mut [f32],
     ) {
-        debug_assert!(R < MR && a.len() >= (i0 + R) * k && pack.len() >= k * NR);
-        let mut acc = [[_mm256_setzero_ps(); 2]; R];
-        for p in 0..k {
-            let bp = pack.as_ptr().add(p * NR);
-            let b0 = _mm256_loadu_ps(bp);
-            let b1 = _mm256_loadu_ps(bp.add(8));
-            for (r, pair) in acc.iter_mut().enumerate() {
-                let av = _mm256_broadcast_ss(a.get_unchecked((i0 + r) * k + p));
-                pair[0] = _mm256_add_ps(pair[0], _mm256_mul_ps(av, b0));
-                pair[1] = _mm256_add_ps(pair[1], _mm256_mul_ps(av, b1));
+        // SAFETY: `# Safety` above (AVX2, slice lengths) covers every access below.
+        unsafe {
+            debug_assert!(R < MR && a.len() >= (i0 + R) * k && pack.len() >= k * NR);
+            let mut acc = [[_mm256_setzero_ps(); 2]; R];
+            for p in 0..k {
+                let bp = pack.as_ptr().add(p * NR);
+                let b0 = _mm256_loadu_ps(bp);
+                let b1 = _mm256_loadu_ps(bp.add(8));
+                for (r, pair) in acc.iter_mut().enumerate() {
+                    let av = _mm256_broadcast_ss(a.get_unchecked((i0 + r) * k + p));
+                    pair[0] = _mm256_add_ps(pair[0], _mm256_mul_ps(av, b0));
+                    pair[1] = _mm256_add_ps(pair[1], _mm256_mul_ps(av, b1));
+                }
             }
-        }
-        for (r, pair) in acc.iter().enumerate() {
-            let cp = c.as_mut_ptr().add((i0 + r) * n + j);
-            _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), pair[0]));
-            let cp8 = cp.add(8);
-            _mm256_storeu_ps(cp8, _mm256_add_ps(_mm256_loadu_ps(cp8), pair[1]));
+            for (r, pair) in acc.iter().enumerate() {
+                let cp = c.as_mut_ptr().add((i0 + r) * n + j);
+                _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), pair[0]));
+                let cp8 = cp.add(8);
+                _mm256_storeu_ps(cp8, _mm256_add_ps(_mm256_loadu_ps(cp8), pair[1]));
+            }
         }
     }
 
@@ -513,26 +525,29 @@ mod avx2 {
         b: &[f32],
         c: &mut [f32],
     ) {
-        let mut i = 0;
-        while i < m {
-            let pair = i + 2 <= m;
-            let mut j = 0;
-            while j < n {
-                let wide = j + 2 <= n;
-                match (pair, wide) {
-                    // SAFETY: rows i, i + 1 < m and j, j + 1 < n; AVX2 +
-                    // FMA and the slice lengths are this function's contract.
-                    (true, true) => block::<2, 2>(n, k, i, j, a, b, c),
-                    // SAFETY: as above, with the one column j < n.
-                    (true, false) => block::<2, 1>(n, k, i, j, a, b, c),
-                    // SAFETY: as above, with the one row i < m.
-                    (false, true) => block::<1, 2>(n, k, i, j, a, b, c),
-                    // SAFETY: as above, with one row and one column.
-                    (false, false) => block::<1, 1>(n, k, i, j, a, b, c),
+        // SAFETY: `# Safety` above (AVX2 + FMA, valid slices) covers the `block` calls below.
+        unsafe {
+            let mut i = 0;
+            while i < m {
+                let pair = i + 2 <= m;
+                let mut j = 0;
+                while j < n {
+                    let wide = j + 2 <= n;
+                    match (pair, wide) {
+                        // SAFETY: rows i, i + 1 < m and j, j + 1 < n; AVX2 +
+                        // FMA and the slice lengths are this function's contract.
+                        (true, true) => block::<2, 2>(n, k, i, j, a, b, c),
+                        // SAFETY: as above, with the one column j < n.
+                        (true, false) => block::<2, 1>(n, k, i, j, a, b, c),
+                        // SAFETY: as above, with the one row i < m.
+                        (false, true) => block::<1, 2>(n, k, i, j, a, b, c),
+                        // SAFETY: as above, with one row and one column.
+                        (false, false) => block::<1, 1>(n, k, i, j, a, b, c),
+                    }
+                    j += if wide { 2 } else { 1 };
                 }
-                j += if wide { 2 } else { 1 };
+                i += if pair { 2 } else { 1 };
             }
-            i += if pair { 2 } else { 1 };
         }
     }
 
@@ -553,19 +568,22 @@ mod avx2 {
         b: &[f32],
         c: &mut [f32],
     ) {
-        let mut xs = [a.as_ptr(); R];
-        for (r, x) in xs.iter_mut().enumerate() {
-            *x = x.add((i + r) * k);
-        }
-        let mut ys = [b.as_ptr(); C];
-        for (col, y) in ys.iter_mut().enumerate() {
-            *y = y.add((j + col) * k);
-        }
-        // SAFETY: each pointer starts a k-element row inside its slice.
-        let d = dots::<R, C>(k, xs, ys);
-        for (r, dr) in d.iter().enumerate() {
-            for (col, v) in dr.iter().enumerate() {
-                c[(i + r) * n + j + col] += v;
+        // SAFETY: `# Safety` above (AVX2 + FMA, rows in bounds) covers the pointers and `dots`.
+        unsafe {
+            let mut xs = [a.as_ptr(); R];
+            for (r, x) in xs.iter_mut().enumerate() {
+                *x = x.add((i + r) * k);
+            }
+            let mut ys = [b.as_ptr(); C];
+            for (col, y) in ys.iter_mut().enumerate() {
+                *y = y.add((j + col) * k);
+            }
+            // SAFETY: each pointer starts a k-element row inside its slice.
+            let d = dots::<R, C>(k, xs, ys);
+            for (r, dr) in d.iter().enumerate() {
+                for (col, v) in dr.iter().enumerate() {
+                    c[(i + r) * n + j + col] += v;
+                }
             }
         }
     }
@@ -585,40 +603,44 @@ mod avx2 {
         xs: [*const f32; R],
         ys: [*const f32; C],
     ) -> [[f32; C]; R] {
-        const LANES: usize = 8;
-        const CHAINS: usize = 4;
-        let mut acc = [[[_mm256_setzero_ps(); CHAINS]; C]; R];
-        let blocks = k / (LANES * CHAINS);
-        for bi in 0..blocks {
-            for ci in 0..CHAINS {
-                // SAFETY: the block ends at or before k.
-                fma_step(&mut acc, ci, bi * LANES * CHAINS + ci * LANES, xs, ys);
-            }
-        }
-        let mut done = blocks * LANES * CHAINS;
-        while done + LANES <= k {
-            // SAFETY: the chunk ends at or before k.
-            fma_step(&mut acc, 0, done, xs, ys);
-            done += LANES;
-        }
-        let mut out = [[0.0f32; C]; R];
-        for (r, x) in xs.iter().enumerate() {
-            for (col, y) in ys.iter().enumerate() {
-                let a = &acc[r][col];
-                let folded = _mm256_add_ps(_mm256_add_ps(a[0], a[1]), _mm256_add_ps(a[2], a[3]));
-                let mut lanes = [0.0f32; LANES];
-                _mm256_storeu_ps(lanes.as_mut_ptr(), folded);
-                let mut sum = 0.0f32;
-                for &l in &lanes {
-                    sum += l;
+        // SAFETY: `# Safety` above (AVX2 + FMA, `k` valid reads) covers every access below.
+        unsafe {
+            const LANES: usize = 8;
+            const CHAINS: usize = 4;
+            let mut acc = [[[_mm256_setzero_ps(); CHAINS]; C]; R];
+            let blocks = k / (LANES * CHAINS);
+            for bi in 0..blocks {
+                for ci in 0..CHAINS {
+                    // SAFETY: the block ends at or before k.
+                    fma_step(&mut acc, ci, bi * LANES * CHAINS + ci * LANES, xs, ys);
                 }
-                for p in done..k {
-                    sum += *x.add(p) * *y.add(p);
-                }
-                out[r][col] = sum;
             }
+            let mut done = blocks * LANES * CHAINS;
+            while done + LANES <= k {
+                // SAFETY: the chunk ends at or before k.
+                fma_step(&mut acc, 0, done, xs, ys);
+                done += LANES;
+            }
+            let mut out = [[0.0f32; C]; R];
+            for (r, x) in xs.iter().enumerate() {
+                for (col, y) in ys.iter().enumerate() {
+                    let a = &acc[r][col];
+                    let folded =
+                        _mm256_add_ps(_mm256_add_ps(a[0], a[1]), _mm256_add_ps(a[2], a[3]));
+                    let mut lanes = [0.0f32; LANES];
+                    _mm256_storeu_ps(lanes.as_mut_ptr(), folded);
+                    let mut sum = 0.0f32;
+                    for &l in &lanes {
+                        sum += l;
+                    }
+                    for p in done..k {
+                        sum += *x.add(p) * *y.add(p);
+                    }
+                    out[r][col] = sum;
+                }
+            }
+            out
         }
-        out
     }
 
     /// One 8-lane FMA of every dot of a [`dots`] block into `chain`, at
@@ -636,14 +658,17 @@ mod avx2 {
         xs: [*const f32; R],
         ys: [*const f32; C],
     ) {
-        let mut xv = [_mm256_setzero_ps(); R];
-        for (v, x) in xv.iter_mut().zip(xs) {
-            *v = _mm256_loadu_ps(x.add(off));
-        }
-        for (col, y) in ys.iter().enumerate() {
-            let yv = _mm256_loadu_ps(y.add(off));
-            for (r, &xr) in xv.iter().enumerate() {
-                acc[r][col][chain] = _mm256_fmadd_ps(xr, yv, acc[r][col][chain]);
+        // SAFETY: `# Safety` above (AVX2 + FMA, `off..off + 8` valid) covers every load below.
+        unsafe {
+            let mut xv = [_mm256_setzero_ps(); R];
+            for (v, x) in xv.iter_mut().zip(xs) {
+                *v = _mm256_loadu_ps(x.add(off));
+            }
+            for (col, y) in ys.iter().enumerate() {
+                let yv = _mm256_loadu_ps(y.add(off));
+                for (r, &xr) in xv.iter().enumerate() {
+                    acc[r][col][chain] = _mm256_fmadd_ps(xr, yv, acc[r][col][chain]);
+                }
             }
         }
     }
@@ -689,41 +714,45 @@ mod avx512 {
         c: &mut [f32],
         pack: &mut Vec<f32>,
     ) {
-        if pack.len() < k * NR512 {
-            pack.resize(k * NR512, 0.0);
-        }
-        let mut j = 0;
-        while j + NR512 <= n {
-            for p in 0..k {
-                pack[p * NR512..(p + 1) * NR512].copy_from_slice(&b[p * n + j..p * n + j + NR512]);
+        // SAFETY: `# Safety` above (AVX-512F, valid slices) covers the calls below.
+        unsafe {
+            if pack.len() < k * NR512 {
+                pack.resize(k * NR512, 0.0);
             }
-            let mut i0 = 0;
-            while i0 + MR512 <= m {
-                // SAFETY: caller guarantees AVX-512F; i0 + MR512 ≤ m and
-                // j + NR512 ≤ n keep the 8×32 tile inside the validated
-                // slices; the strip was packed to k·NR512 elements above.
-                kernel_8x32_packed(k, n, i0, j, a, pack, c);
-                i0 += MR512;
+            let mut j = 0;
+            while j + NR512 <= n {
+                for p in 0..k {
+                    pack[p * NR512..(p + 1) * NR512]
+                        .copy_from_slice(&b[p * n + j..p * n + j + NR512]);
+                }
+                let mut i0 = 0;
+                while i0 + MR512 <= m {
+                    // SAFETY: caller guarantees AVX-512F; i0 + MR512 ≤ m and
+                    // j + NR512 ≤ n keep the 8×32 tile inside the validated
+                    // slices; the strip was packed to k·NR512 elements above.
+                    kernel_8x32_packed(k, n, i0, j, a, pack, c);
+                    i0 += MR512;
+                }
+                if i0 + MR <= m {
+                    // SAFETY: same bounds argument for the 4-row tail tile
+                    // (i0 + MR ≤ m checked on the branch).
+                    kernel_4x32_packed(k, n, i0, j, a, pack, c);
+                    i0 += MR;
+                }
+                if i0 < m {
+                    // SAFETY: caller guarantees AVX-512F; the edge rows
+                    // i0..m and columns j..j + NR512 lie inside the validated
+                    // slices, and the strip is packed to k·NR512 elements.
+                    edge_rows_packed(m - i0, k, n, i0, j, a, pack, c);
+                }
+                j += NR512;
             }
-            if i0 + MR <= m {
-                // SAFETY: same bounds argument for the 4-row tail tile
-                // (i0 + MR ≤ m checked on the branch).
-                kernel_4x32_packed(k, n, i0, j, a, pack, c);
-                i0 += MR;
+            if j < n {
+                // SAFETY: AVX-512F implies the AVX2+FMA this kernel needs;
+                // the slice-length invariants are inherited unchanged, with
+                // j ≤ n marking the already-computed column prefix.
+                avx2::gemm(m, n, k, j, a, b, c, pack);
             }
-            if i0 < m {
-                // SAFETY: caller guarantees AVX-512F; the edge rows
-                // i0..m and columns j..j + NR512 lie inside the validated
-                // slices, and the strip is packed to k·NR512 elements.
-                edge_rows_packed(m - i0, k, n, i0, j, a, pack, c);
-            }
-            j += NR512;
-        }
-        if j < n {
-            // SAFETY: AVX-512F implies the AVX2+FMA this kernel needs;
-            // the slice-length invariants are inherited unchanged, with
-            // j ≤ n marking the already-computed column prefix.
-            avx2::gemm(m, n, k, j, a, b, c, pack);
         }
     }
 
@@ -745,23 +774,26 @@ mod avx512 {
         pack: &[f32],
         c: &mut [f32],
     ) {
-        debug_assert!(a.len() >= (i0 + MR512) * k && pack.len() >= k * NR512);
-        let mut acc = [_mm512_setzero_ps(); 2 * MR512];
-        for p in 0..k {
-            let bp = pack.as_ptr().add(p * NR512);
-            let b0 = _mm512_loadu_ps(bp);
-            let b1 = _mm512_loadu_ps(bp.add(16));
-            for (r, pair) in acc.chunks_exact_mut(2).enumerate() {
-                let av = _mm512_set1_ps(*a.get_unchecked((i0 + r) * k + p));
-                pair[0] = _mm512_fmadd_ps(av, b0, pair[0]);
-                pair[1] = _mm512_fmadd_ps(av, b1, pair[1]);
+        // SAFETY: `# Safety` above (AVX-512F, slice lengths) covers every access below.
+        unsafe {
+            debug_assert!(a.len() >= (i0 + MR512) * k && pack.len() >= k * NR512);
+            let mut acc = [_mm512_setzero_ps(); 2 * MR512];
+            for p in 0..k {
+                let bp = pack.as_ptr().add(p * NR512);
+                let b0 = _mm512_loadu_ps(bp);
+                let b1 = _mm512_loadu_ps(bp.add(16));
+                for (r, pair) in acc.chunks_exact_mut(2).enumerate() {
+                    let av = _mm512_set1_ps(*a.get_unchecked((i0 + r) * k + p));
+                    pair[0] = _mm512_fmadd_ps(av, b0, pair[0]);
+                    pair[1] = _mm512_fmadd_ps(av, b1, pair[1]);
+                }
             }
-        }
-        for (r, pair) in acc.chunks_exact(2).enumerate() {
-            let cp = c.as_mut_ptr().add((i0 + r) * n + j);
-            _mm512_storeu_ps(cp, _mm512_add_ps(_mm512_loadu_ps(cp), pair[0]));
-            let cp16 = cp.add(16);
-            _mm512_storeu_ps(cp16, _mm512_add_ps(_mm512_loadu_ps(cp16), pair[1]));
+            for (r, pair) in acc.chunks_exact(2).enumerate() {
+                let cp = c.as_mut_ptr().add((i0 + r) * n + j);
+                _mm512_storeu_ps(cp, _mm512_add_ps(_mm512_loadu_ps(cp), pair[0]));
+                let cp16 = cp.add(16);
+                _mm512_storeu_ps(cp16, _mm512_add_ps(_mm512_loadu_ps(cp16), pair[1]));
+            }
         }
     }
 
@@ -782,23 +814,26 @@ mod avx512 {
         pack: &[f32],
         c: &mut [f32],
     ) {
-        debug_assert!(a.len() >= (i0 + MR) * k && pack.len() >= k * NR512);
-        let mut acc = [_mm512_setzero_ps(); 2 * MR];
-        for p in 0..k {
-            let bp = pack.as_ptr().add(p * NR512);
-            let b0 = _mm512_loadu_ps(bp);
-            let b1 = _mm512_loadu_ps(bp.add(16));
-            for (r, pair) in acc.chunks_exact_mut(2).enumerate() {
-                let av = _mm512_set1_ps(*a.get_unchecked((i0 + r) * k + p));
-                pair[0] = _mm512_fmadd_ps(av, b0, pair[0]);
-                pair[1] = _mm512_fmadd_ps(av, b1, pair[1]);
+        // SAFETY: `# Safety` above (AVX-512F, slice lengths) covers every access below.
+        unsafe {
+            debug_assert!(a.len() >= (i0 + MR) * k && pack.len() >= k * NR512);
+            let mut acc = [_mm512_setzero_ps(); 2 * MR];
+            for p in 0..k {
+                let bp = pack.as_ptr().add(p * NR512);
+                let b0 = _mm512_loadu_ps(bp);
+                let b1 = _mm512_loadu_ps(bp.add(16));
+                for (r, pair) in acc.chunks_exact_mut(2).enumerate() {
+                    let av = _mm512_set1_ps(*a.get_unchecked((i0 + r) * k + p));
+                    pair[0] = _mm512_fmadd_ps(av, b0, pair[0]);
+                    pair[1] = _mm512_fmadd_ps(av, b1, pair[1]);
+                }
             }
-        }
-        for (r, pair) in acc.chunks_exact(2).enumerate() {
-            let cp = c.as_mut_ptr().add((i0 + r) * n + j);
-            _mm512_storeu_ps(cp, _mm512_add_ps(_mm512_loadu_ps(cp), pair[0]));
-            let cp16 = cp.add(16);
-            _mm512_storeu_ps(cp16, _mm512_add_ps(_mm512_loadu_ps(cp16), pair[1]));
+            for (r, pair) in acc.chunks_exact(2).enumerate() {
+                let cp = c.as_mut_ptr().add((i0 + r) * n + j);
+                _mm512_storeu_ps(cp, _mm512_add_ps(_mm512_loadu_ps(cp), pair[0]));
+                let cp16 = cp.add(16);
+                _mm512_storeu_ps(cp16, _mm512_add_ps(_mm512_loadu_ps(cp16), pair[1]));
+            }
         }
     }
 
@@ -823,14 +858,17 @@ mod avx512 {
         pack: &[f32],
         c: &mut [f32],
     ) {
-        debug_assert!((1..MR).contains(&mr));
-        match mr {
-            // SAFETY: this function's own contract, with mr = 1.
-            1 => edge_rows::<1>(k, n, i0, j, a, pack, c),
-            // SAFETY: this function's own contract, with mr = 2.
-            2 => edge_rows::<2>(k, n, i0, j, a, pack, c),
-            // SAFETY: this function's own contract, with mr = 3.
-            _ => edge_rows::<3>(k, n, i0, j, a, pack, c),
+        // SAFETY: `# Safety` above, passed on unchanged to `edge_rows`.
+        unsafe {
+            debug_assert!((1..MR).contains(&mr));
+            match mr {
+                // SAFETY: this function's own contract, with mr = 1.
+                1 => edge_rows::<1>(k, n, i0, j, a, pack, c),
+                // SAFETY: this function's own contract, with mr = 2.
+                2 => edge_rows::<2>(k, n, i0, j, a, pack, c),
+                // SAFETY: this function's own contract, with mr = 3.
+                _ => edge_rows::<3>(k, n, i0, j, a, pack, c),
+            }
         }
     }
 
@@ -850,23 +888,26 @@ mod avx512 {
         pack: &[f32],
         c: &mut [f32],
     ) {
-        debug_assert!(R < MR && a.len() >= (i0 + R) * k && pack.len() >= k * NR512);
-        let mut acc = [[_mm512_setzero_ps(); 2]; R];
-        for p in 0..k {
-            let bp = pack.as_ptr().add(p * NR512);
-            let b0 = _mm512_loadu_ps(bp);
-            let b1 = _mm512_loadu_ps(bp.add(16));
-            for (r, pair) in acc.iter_mut().enumerate() {
-                let av = _mm512_set1_ps(*a.get_unchecked((i0 + r) * k + p));
-                pair[0] = _mm512_add_ps(pair[0], _mm512_mul_ps(av, b0));
-                pair[1] = _mm512_add_ps(pair[1], _mm512_mul_ps(av, b1));
+        // SAFETY: `# Safety` above (AVX-512F, slice lengths) covers every access below.
+        unsafe {
+            debug_assert!(R < MR && a.len() >= (i0 + R) * k && pack.len() >= k * NR512);
+            let mut acc = [[_mm512_setzero_ps(); 2]; R];
+            for p in 0..k {
+                let bp = pack.as_ptr().add(p * NR512);
+                let b0 = _mm512_loadu_ps(bp);
+                let b1 = _mm512_loadu_ps(bp.add(16));
+                for (r, pair) in acc.iter_mut().enumerate() {
+                    let av = _mm512_set1_ps(*a.get_unchecked((i0 + r) * k + p));
+                    pair[0] = _mm512_add_ps(pair[0], _mm512_mul_ps(av, b0));
+                    pair[1] = _mm512_add_ps(pair[1], _mm512_mul_ps(av, b1));
+                }
             }
-        }
-        for (r, pair) in acc.iter().enumerate() {
-            let cp = c.as_mut_ptr().add((i0 + r) * n + j);
-            _mm512_storeu_ps(cp, _mm512_add_ps(_mm512_loadu_ps(cp), pair[0]));
-            let cp16 = cp.add(16);
-            _mm512_storeu_ps(cp16, _mm512_add_ps(_mm512_loadu_ps(cp16), pair[1]));
+            for (r, pair) in acc.iter().enumerate() {
+                let cp = c.as_mut_ptr().add((i0 + r) * n + j);
+                _mm512_storeu_ps(cp, _mm512_add_ps(_mm512_loadu_ps(cp), pair[0]));
+                let cp16 = cp.add(16);
+                _mm512_storeu_ps(cp16, _mm512_add_ps(_mm512_loadu_ps(cp16), pair[1]));
+            }
         }
     }
 }

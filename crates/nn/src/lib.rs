@@ -29,6 +29,10 @@
 //! pushes whole minibatches through one GEMM per layer.
 
 #![warn(missing_docs)]
+// Every unsafe operation inside an `unsafe fn` sits in an `unsafe {}`
+// block (the Rust 2024 default), so `undocumented_unsafe_blocks` below
+// asks each kernel body for its `// SAFETY:` comment.
+#![deny(unsafe_op_in_unsafe_fn)]
 #![warn(
     clippy::undocumented_unsafe_blocks,
     clippy::iter_over_hash_type,

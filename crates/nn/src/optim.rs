@@ -48,7 +48,7 @@ impl Adam {
         // Global-norm clip.
         let mut scale = 1.0f32;
         if self.clip > 0.0 {
-            // lint:allow(det-float-sum): the sequential iterator fold is
+            // A plain iterator sum on purpose: the sequential fold is
             // itself deterministic, and switching to the 8-lane reducer
             // would change the summation tree and shift the pinned golden
             // loss trajectories (crates/nn/tests/golden_train.rs).

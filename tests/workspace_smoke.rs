@@ -1,6 +1,10 @@
 //! Workspace wiring smoke test: drives the `everest::prelude` re-exports
 //! end-to-end on a tiny (≤ 200-frame) synthetic video, so a facade or
 //! re-export regression fails fast without the cost of the full e2e suites.
+//! It also pins the lint configuration in the tree (docs/LINTING.md, first
+//! table): every `#[expect(clippy::…)]` switches its lint on for its own
+//! scope, so a stale exemption or a deleted `clippy.toml` fails clippy by
+//! itself — a deleted crate-root lint line would not.
 
 use everest::prelude::*;
 
@@ -92,4 +96,61 @@ fn prelude_evql_session() {
     }
     // Malformed input surfaces a spanned error, not a panic.
     assert!(session.execute("SELECT TOP").is_err());
+}
+
+/// The crate-level (`#![…]`) attributes of a source file that switch lints
+/// on, concatenated.
+fn crate_level_lints(src: &str) -> String {
+    let mut out = String::new();
+    let mut rest = src;
+    while let Some(start) = rest.find("#![") {
+        let attr = &rest[start..];
+        let end = attr.find(")]").map_or(attr.len(), |e| e + 2);
+        if attr[..end].contains("warn(") || attr[..end].contains("deny(") {
+            out.push_str(&attr[..end]);
+        }
+        rest = &attr[end..];
+    }
+    out
+}
+
+#[test]
+fn clippy_configuration_is_in_place() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |rel: &str| {
+        std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("read {rel}: {e}"))
+    };
+    const EVERYWHERE: [&str; 3] = [
+        "clippy::undocumented_unsafe_blocks",
+        "clippy::iter_over_hash_type",
+        "clippy::allow_attributes_without_reason",
+    ];
+    const NO_PANIC_LIBS: [&str; 2] = ["clippy::unwrap_used", "clippy::expect_used"];
+    for krate in ["core", "video", "nn", "models", "evql", "serve"] {
+        let rel = format!("crates/{krate}/src/lib.rs");
+        let lints = crate_level_lints(&read(&rel));
+        let no_panic = matches!(krate, "core" | "evql");
+        let wanted = EVERYWHERE
+            .iter()
+            .chain(NO_PANIC_LIBS.iter().filter(|_| no_panic));
+        for lint in wanted {
+            assert!(
+                lints.contains(lint),
+                "{rel} must switch on `{lint}` at the crate root (docs/LINTING.md)"
+            );
+        }
+    }
+    // The SIMD kernels' `unsafe fn` bodies: without this line their unsafe
+    // operations need no block, and so no `// SAFETY:` comment.
+    assert!(
+        crate_level_lints(&read("crates/nn/src/lib.rs")).contains("deny(unsafe_op_in_unsafe_fn)"),
+        "crates/nn/src/lib.rs must deny `unsafe_op_in_unsafe_fn` at the crate root (docs/LINTING.md)"
+    );
+    let clippy_toml = read("clippy.toml");
+    for path in ["std::time::Instant::now", "std::time::SystemTime::now"] {
+        assert!(
+            clippy_toml.contains(&format!("path = \"{path}\"")),
+            "clippy.toml must list `{path}` under disallowed-methods"
+        );
+    }
 }
