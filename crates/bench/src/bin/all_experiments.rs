@@ -1,6 +1,7 @@
 //! Runs the entire evaluation in one process, sharing Phase-1 work across
 //! the frame-level sweeps: every table/figure in [`everest_bench::figures`],
-//! plus the ablations called out in DESIGN.md §6.
+//! plus two ablations: the batch size `b` against oracle work, and the ψ
+//! re-sort period.
 //!
 //! `EVEREST_SCALE=mid cargo run --release -p everest-bench --bin all_experiments`
 
@@ -24,7 +25,7 @@ fn main() {
     figures::fig8(&scale);
     figures::fig9(&scale);
 
-    // ---------- Ablations (DESIGN.md §6) ----------
+    // ---------- Ablations ----------
     println!("\n===== Ablations =====");
     let ds = &datasets[0]; // the smallest dataset keeps this section fast
     println!(

@@ -779,7 +779,7 @@ mod tests {
         // The degradation contract: a degraded answer's reported
         // confidence equals Eq.-1 `topk_confidence` recomputed from the
         // relation's returned posterior state.
-        use crate::semantics_dp::topk_confidence;
+        use crate::topkprob::topk_confidence;
         let truth: Vec<u32> = (0..150).map(|i| (i * 7 % 13) as u32).collect();
         for cap in [0usize, 1, 3, 8, 40] {
             let (mut rel, t) = noisy_relation(&truth, 12, 10, 16);
@@ -854,7 +854,7 @@ mod tests {
             fault_seed in 0u64..1_000,
             data_seed in 0u64..1_000,
         ) {
-            use crate::semantics_dp::topk_confidence;
+            use crate::topkprob::topk_confidence;
             let truth: Vec<u32> = (0..120)
                 .map(|i: u64| ((i.wrapping_mul(data_seed + 7)) % 13) as u32)
                 .collect();

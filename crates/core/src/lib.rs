@@ -8,12 +8,9 @@
 //!   uncertain relation (§2);
 //! * [`pws`] — brute-force possible-world semantics (Eq. 1), the test
 //!   oracle for the fast path;
-//! * [`semantics`] / [`semantics_dp`] — the §2 alternative uncertain Top-K
-//!   semantics (U-TopK, U-KRanks, PT-k, expected ranks): enumeration
-//!   oracles and their polynomial-time dynamic programs (see
-//!   `docs/SEMANTICS.md`);
 //! * [`topkprob`] — `Topk-prob` (Eq. 2/3) with an incrementally-maintained
-//!   joint CDF in log space;
+//!   joint CDF in log space, and the closed-form Eq. 1 confidence of any
+//!   answer (see `docs/SEMANTICS.md`);
 //! * [`select`] — `Select-candidate` (Eq. 4–8) with upper-bound early
 //!   stopping and the lazy ψ re-sort schedule;
 //! * [`budget`] — query budgets, simulated-seconds deadlines, cooperative
@@ -85,8 +82,6 @@ pub mod phase1;
 pub mod pipeline;
 pub mod pws;
 pub mod select;
-pub mod semantics;
-pub mod semantics_dp;
 pub mod sim;
 pub mod skyline;
 pub mod stream;

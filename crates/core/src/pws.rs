@@ -14,9 +14,9 @@
 //!
 //! Enumeration is guarded by [`MAX_WORLDS`]: oversized relations yield a
 //! typed [`TooManyWorlds`] error instead of aborting, so callers can fall
-//! back to a polynomial path — Eq. 2/3 in [`crate::topkprob`] for Everest's
-//! own confidence, [`crate::semantics_dp`] for the §2 alternative
-//! semantics.
+//! back to a polynomial path in [`crate::topkprob`]: Eq. 2/3 for an answer
+//! that meets the certain-result condition, the closed-form
+//! [`crate::topkprob::topk_confidence`] for any answer.
 
 use crate::xtuple::{ItemId, ItemState, UncertainRelation};
 use std::fmt;
@@ -27,7 +27,7 @@ pub const MAX_WORLDS: u128 = 2_000_000;
 
 /// Error: the relation's possible-world count exceeds [`MAX_WORLDS`], so
 /// brute-force enumeration was refused. Recoverable — use the polynomial
-/// paths ([`crate::topkprob`], [`crate::semantics_dp`]) instead.
+/// paths in [`crate::topkprob`] instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TooManyWorlds {
     /// The offending world count (saturating; capped at `u128::MAX`).
@@ -41,7 +41,7 @@ impl fmt::Display for TooManyWorlds {
         write!(
             f,
             "relation too large for brute-force enumeration ({} worlds > limit {}); \
-             use the polynomial paths (topkprob / semantics_dp)",
+             use the polynomial paths in topkprob (topk_prob / topk_confidence)",
             self.worlds, self.limit
         )
     }
@@ -138,7 +138,7 @@ pub fn is_topk_in_world(world: &World, answer: &[ItemId], k: usize) -> bool {
 /// where it is Top-K.
 ///
 /// Errors with [`TooManyWorlds`] on oversized relations; the polynomial
-/// equivalent is [`crate::semantics_dp::topk_confidence`].
+/// equivalent is [`crate::topkprob::topk_confidence`].
 pub fn topk_confidence_bruteforce(
     rel: &UncertainRelation,
     answer: &[ItemId],

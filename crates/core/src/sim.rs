@@ -10,8 +10,8 @@
 //! confirmed, `E[X_f]` evaluations — never a wall-clock reading, so a
 //! query's simulated time is a pure function of the statement and seed.
 //!
-//! Constants are calibration knobs (documented in DESIGN.md §2). The
-//! oracle and baseline scorer costs live with their models in
+//! Constants are calibration knobs, each documented where it is defined.
+//! The oracle and baseline scorer costs live with their models in
 //! `everest-models`; this module holds the pipeline-side constants.
 
 use std::collections::BTreeMap;

@@ -17,9 +17,13 @@
 //! CDF was 0 at the threshold (the proxy was wrong about it) — a case that
 //! does occur in practice. As in the paper, `H` over `D0` is built once: a
 //! prepared video keeps it, and each frame query cleans a copy.
+//!
+//! [`topk_confidence`] evaluates Eq. 1 itself in closed form for an
+//! arbitrary answer, certain-result condition or not; the tests check it
+//! against the brute-force enumeration in [`crate::pws`].
 
 use crate::dist::DiscreteDist;
-use crate::xtuple::UncertainRelation;
+use crate::xtuple::{ItemId, UncertainRelation};
 
 /// Incrementally-maintained joint CDF over the uncertain items.
 #[derive(Debug, Clone)]
@@ -151,6 +155,75 @@ pub fn topk_prob_naive(rel: &UncertainRelation, s_k: usize) -> f64 {
     p
 }
 
+/// Eq. 1 confidence of `answer` as a Top-`k` result, in closed form —
+/// the polynomial equivalent of
+/// [`crate::pws::topk_confidence_bruteforce`], for any answer (Eq. 2
+/// needs the certain-result condition; this does not).
+///
+/// Uses the paper's footnote-1 tie rule: `answer` counts as Top-K in a
+/// world when no outside item scores **strictly higher** than the lowest
+/// score inside the answer. Conditioning on the answer's minimum score
+/// `M` makes the outside items independent of it:
+/// `Σ_t Pr(M = t) · ∏_{g∉answer} F_g(t)`, which is O(n·m).
+///
+/// Returns 0 when `answer` is not exactly `k` items (wrong-cardinality
+/// answers are Top-K in no world).
+///
+/// ```
+/// use everest_core::dist::DiscreteDist;
+/// use everest_core::topkprob::topk_confidence;
+/// use everest_core::xtuple::UncertainRelation;
+///
+/// let mut rel = UncertainRelation::new(1.0, 2);
+/// rel.push_uncertain(DiscreteDist::from_masses(&[0.78, 0.21, 0.01]));
+/// rel.push_uncertain(DiscreteDist::from_masses(&[0.49, 0.42, 0.09]));
+/// rel.push_uncertain(DiscreteDist::from_masses(&[0.16, 0.48, 0.36]));
+/// // §3: the Top-1 result {f3} has confidence ≈ 0.85
+/// // (0.16·0.78·0.49 + 0.48·0.99·0.91 + 0.36 = 0.853584).
+/// assert!((topk_confidence(&rel, &[2], 1) - 0.853584).abs() < 1e-9);
+/// ```
+pub fn topk_confidence(rel: &UncertainRelation, answer: &[ItemId], k: usize) -> f64 {
+    if answer.len() != k {
+        return 0.0;
+    }
+    let n = rel.len();
+    let m = rel.max_bucket();
+    let mut in_answer = vec![false; n];
+    for &f in answer {
+        in_answer[f] = true;
+    }
+    let mut total = 0.0;
+    for t in 0..=m {
+        // Pr(min over the answer = t) via the survival products.
+        let p_ge: f64 = answer.iter().map(|&f| 1.0 - cdf_below(rel, f, t)).product();
+        let p_gt: f64 = answer.iter().map(|&f| 1.0 - rel.cdf(f, t)).product();
+        let p_min_eq = p_ge - p_gt;
+        if p_min_eq <= 0.0 {
+            continue;
+        }
+        let mut outside = 1.0;
+        for (g, &in_ans) in in_answer.iter().enumerate() {
+            if !in_ans {
+                outside *= rel.cdf(g, t);
+                if outside == 0.0 {
+                    break;
+                }
+            }
+        }
+        total += p_min_eq * outside;
+    }
+    total.min(1.0)
+}
+
+/// `Pr(S_g < b)` — one bucket below the CDF.
+fn cdf_below(rel: &UncertainRelation, g: ItemId, b: usize) -> f64 {
+    if b == 0 {
+        0.0
+    } else {
+        rel.cdf(g, b - 1)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,6 +254,22 @@ mod tests {
         let brute = topk_confidence_bruteforce(&rel, &[2], 1).unwrap();
         assert!((fast - brute).abs() < 1e-12, "fast {fast} vs brute {brute}");
         assert!((fast - 0.78 * 0.49).abs() < 1e-12);
+    }
+
+    #[test]
+    fn confidence_matches_paper_table_5() {
+        // After Oracle(f3) = 0, {f3}'s Top-1 confidence drops to
+        // 0.78 × 0.49 (§3 / Table 5).
+        let mut rel = table_1a();
+        rel.clean(2, 0);
+        let p = topk_confidence(&rel, &[2], 1);
+        assert!((p - 0.78 * 0.49).abs() < 1e-12);
+    }
+
+    #[test]
+    fn wrong_cardinality_answers_have_zero_confidence() {
+        let rel = table_1a();
+        assert_eq!(topk_confidence(&rel, &[0, 1], 1), 0.0);
     }
 
     #[test]

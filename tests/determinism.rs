@@ -3,11 +3,8 @@
 //! regression test relies on.
 
 use everest::core::cleaner::CleanerConfig;
-use everest::core::dist::DiscreteDist;
 use everest::core::phase1::Phase1Config;
 use everest::core::pipeline::Everest;
-use everest::core::semantics::{u_kranks, u_topk};
-use everest::core::xtuple::UncertainRelation;
 use everest::evql::{Output, Session};
 use everest::models::{counting_oracle, InstrumentedOracle};
 use everest::nn::train::TrainConfig;
@@ -88,31 +85,6 @@ fn full_query_is_reproducible() {
     let a = run();
     let b = run();
     assert_eq!(a, b, "same seed must reproduce the full query trace");
-}
-
-#[test]
-fn semantics_reruns_are_identical() {
-    // The enumeration semantics iterate candidate-set maps; those maps are
-    // BTreeMaps precisely so repeated runs (and ties) resolve identically.
-    // Deliberately includes exact ties between items 0/1 and 2/3.
-    let build = || {
-        let mut rel = UncertainRelation::new(1.0, 4);
-        for _ in 0..2 {
-            rel.push_uncertain(DiscreteDist::from_masses(&[0.1, 0.1, 0.2, 0.3, 0.3]));
-        }
-        for _ in 0..2 {
-            rel.push_uncertain(DiscreteDist::from_masses(&[0.3, 0.3, 0.2, 0.1, 0.1]));
-        }
-        rel.push_certain(2);
-        rel
-    };
-    let (set_a, p_a) = u_topk(&build(), 2).expect("small world set");
-    let (set_b, p_b) = u_topk(&build(), 2).expect("small world set");
-    assert_eq!(set_a, set_b, "U-Top-K winner set must not depend on run");
-    assert_eq!(p_a.to_bits(), p_b.to_bits(), "confidence must be bit-equal");
-    let ranks_a = u_kranks(&build(), 2).expect("small world set");
-    let ranks_b = u_kranks(&build(), 2).expect("small world set");
-    assert_eq!(ranks_a, ranks_b, "U-kRanks winners must not depend on run");
 }
 
 #[test]

@@ -1,13 +1,12 @@
 //! Property tests: the fast confidence path (Eq. 2 via the incremental
 //! joint CDF) and the closed-form Eq. 1 evaluation
-//! (`semantics_dp::topk_confidence`) are equivalent to brute-force
+//! (`topkprob::topk_confidence`) are equivalent to brute-force
 //! possible-world semantics (Eq. 1 by enumeration) on arbitrary
 //! relations, including under arbitrary cleaning sequences.
 
 use everest::core::dist::DiscreteDist;
 use everest::core::pws::{count_worlds, enumerate_worlds, topk_confidence_bruteforce, MAX_WORLDS};
-use everest::core::semantics_dp::topk_confidence;
-use everest::core::topkprob::{topk_prob, topk_prob_naive, JointCdf};
+use everest::core::topkprob::{topk_confidence, topk_prob, topk_prob_naive, JointCdf};
 use everest::core::xtuple::UncertainRelation;
 use proptest::prelude::*;
 
@@ -113,7 +112,7 @@ proptest! {
         prop_assert!((closed - brute).abs() < 1e-9, "closed {closed} vs brute {brute}");
     }
 
-    /// The closed-form Eq. 1 confidence (`semantics_dp::topk_confidence`)
+    /// The closed-form Eq. 1 confidence (`topkprob::topk_confidence`)
     /// equals enumeration for *arbitrary* answers — certain or uncertain
     /// members, any composition (not just the certain-result fast path).
     #[test]
