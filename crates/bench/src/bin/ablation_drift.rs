@@ -21,12 +21,12 @@
 //! product from converging early) and potentially precision (a prior that
 //! is confidently wrong can satisfy `thres` while missing true peaks).
 
-use everest_bench::harness::scan_cost;
+use everest_core::baselines::scan_seconds;
 use everest_core::cleaner::CleanerConfig;
 use everest_core::metrics::{evaluate_topk, GroundTruth};
 use everest_core::phase1::{populate_with_model, run_phase1, Phase1Config};
 use everest_core::pipeline::{Everest, PreparedVideo};
-use everest_models::{counting_oracle, ExactScoreOracle, InstrumentedOracle};
+use everest_models::{counting_oracle, ExactScoreOracle, InstrumentedOracle, Oracle};
 use everest_nn::train::TrainConfig;
 use everest_nn::HyperGrid;
 use everest_video::arrival::{ArrivalConfig, Timeline};
@@ -78,12 +78,13 @@ fn run(
     k: usize,
 ) -> Row {
     let report = prepared.query_topk(oracle, k, 0.9, &CleanerConfig::default());
-    let truth = GroundTruth::new(oracle.inner().all_scores().to_vec());
+    let exact = oracle.inner();
+    let truth = GroundTruth::new(exact.all_scores().to_vec());
     let quality = evaluate_topk(&truth, &report.frames(), k);
     Row {
         label,
         cleaned_pct: 100.0 * report.pct_cleaned(),
-        speedup: scan_cost(oracle) / report.sim_seconds(),
+        speedup: scan_seconds(exact.num_frames(), exact.cost_per_frame()) / report.sim_seconds(),
         precision: quality.precision,
         converged: report.converged,
     }

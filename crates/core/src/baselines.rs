@@ -32,26 +32,29 @@ pub fn topk_indices(scores: &[f64], k: usize) -> Vec<usize> {
     idx
 }
 
+/// Simulated latency of scoring every one of `n_frames` frames at
+/// `cost_per_frame`, decoded sequentially: scan-and-test's cost, and so
+/// the numerator of every reported speedup.
+pub fn scan_seconds(n_frames: usize, cost_per_frame: f64) -> f64 {
+    n_frames as f64 * cost_per_frame + DecodeCostModel::default().sequential_scan_cost(n_frames)
+}
+
 /// The naive exact baseline: oracle on every frame (§1 "scan-and-test").
 pub fn scan_and_test(oracle: &ExactScoreOracle, k: usize) -> BaselineResult {
-    let n = oracle.num_frames();
-    let decode = DecodeCostModel::default();
     BaselineResult {
         name: "scan-and-test".into(),
         topk: topk_indices(oracle.all_scores(), k),
-        sim_seconds: n as f64 * oracle.cost_per_frame() + decode.sequential_scan_cost(n),
+        sim_seconds: scan_seconds(oracle.num_frames(), oracle.cost_per_frame()),
     }
 }
 
 /// A scan-every-frame cheap scorer (HOG / TinyYOLOv3): rank by its own
 /// noisy scores.
 pub fn cheap_scan(scorer: &dyn CheapScorer, k: usize) -> BaselineResult {
-    let n = scorer.num_frames();
-    let decode = DecodeCostModel::default();
     BaselineResult {
         name: scorer.name().to_string(),
         topk: topk_indices(&scorer.score_all(), k),
-        sim_seconds: n as f64 * scorer.cost_per_frame() + decode.sequential_scan_cost(n),
+        sim_seconds: scan_seconds(scorer.num_frames(), scorer.cost_per_frame()),
     }
 }
 

@@ -21,10 +21,11 @@ use crate::parser::parse;
 use crate::plan::{Engine, PlanTarget, QueryPlan};
 use crate::shared::{CacheKey, SharedCache};
 use everest_core::baselines::{
-    cheap_scan, cmdn_only, scan_and_test, select_and_topk_calibrated, topk_indices, BaselineResult,
+    cheap_scan, cmdn_only, scan_and_test, scan_seconds, select_and_topk_calibrated, topk_indices,
+    BaselineResult,
 };
 use everest_core::budget::{CancelToken, QueryBudget, Termination};
-use everest_core::cleaner::{CleanerConfig, CleaningOracle};
+use everest_core::cleaner::CleaningOracle;
 use everest_core::dist::DiscreteDist;
 use everest_core::metrics::{evaluate_topk, GroundTruth, ResultQuality};
 use everest_core::phase1::Phase1Config;
@@ -393,18 +394,7 @@ impl Session {
             None => oracle,
         };
 
-        let cleaner = CleanerConfig {
-            k: plan.k,
-            thres: plan.thres,
-            batch_size: plan.batch,
-            resort_period: plan.resort_period,
-            max_cleanings: None,
-            budget: QueryBudget {
-                max_oracle_calls: plan.max_oracle_calls,
-                deadline_sim_seconds: plan.deadline,
-                cancel: self.cancel.clone(),
-            },
-        };
+        let cleaner = plan.cleaner(self.cancel.clone());
 
         // The frame baselines differ only in the call that ranks.
         let baseline = |result: BaselineResult| {
@@ -550,13 +540,7 @@ impl Session {
         seed: u64,
         step: f64,
     ) -> (Arc<PreparedEntry>, bool) {
-        let key = CacheKey {
-            source: source.name.to_ascii_lowercase(),
-            score: score.display(),
-            scale,
-            seed,
-            step_bits: step.to_bits(),
-        };
+        let key = CacheKey::new(source, score, scale, seed, step);
         self.cache.get_or_build(&key, || {
             let built = source.build(score, scale, seed);
             let cfg = Phase1Config::interactive(step, seed);
@@ -810,12 +794,6 @@ fn stream_oracle(
     let retained = phase1.segments.retained().to_vec();
     let adapter = FrameOracleAdapter::new(oracle, retained, &phase1.relation);
     (adapter, flaky)
-}
-
-/// Simulated scan-and-test latency over `n_frames` (§4's baseline, the
-/// numerator of every reported speedup).
-fn scan_seconds(n_frames: usize, cost_per_frame: f64) -> f64 {
-    n_frames as f64 * cost_per_frame + DecodeCostModel::default().sequential_scan_cost(n_frames)
 }
 
 /// How many times faster than scan-and-test a simulated latency is.
@@ -1283,6 +1261,14 @@ mod tests {
             "same dataset+score+seed must hit the cache"
         );
         assert_eq!(s.cached_preparations(), 1);
+        // The plan names the key its preparation is cached under.
+        let keys: Vec<CacheKey> = s
+            .shared_cache()
+            .keys()
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(keys, vec![second.plan.cache_key()]);
         assert!(
             second.stats.wall < first.stats.wall,
             "cache must save wall time"

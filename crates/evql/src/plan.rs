@@ -6,6 +6,9 @@
 //! on environmental problems.
 
 use crate::catalog::{ScoreFn, SourceEntry};
+use crate::shared::CacheKey;
+use everest_core::budget::{CancelToken, QueryBudget};
+use everest_core::cleaner::CleanerConfig;
 
 /// Which processing engine answers the query (§4's method lineup).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,6 +126,34 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
+    /// The prepared-video cache key this plan's Phase 1 is stored under.
+    pub fn cache_key(&self) -> CacheKey {
+        CacheKey::new(
+            &self.source,
+            self.score,
+            self.scale_divisor,
+            self.seed,
+            self.quant_step,
+        )
+    }
+
+    /// The Phase-2 cleaner configuration this plan runs with; `cancel`
+    /// is checked between cleaning batches.
+    pub fn cleaner(&self, cancel: Option<CancelToken>) -> CleanerConfig {
+        CleanerConfig {
+            k: self.k,
+            thres: self.thres,
+            batch_size: self.batch,
+            resort_period: self.resort_period,
+            max_cleanings: None,
+            budget: QueryBudget {
+                max_oracle_calls: self.max_oracle_calls,
+                deadline_sim_seconds: self.deadline,
+                cancel,
+            },
+        }
+    }
+
     /// Number of rankable items (frames, or windows of the given spec).
     pub fn n_items(&self) -> usize {
         match self.target {

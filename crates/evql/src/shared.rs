@@ -19,6 +19,7 @@
 //! worker sessions while a standalone [`Session`](crate::exec::Session)
 //! still gets a private one by default.
 
+use crate::catalog::{ScoreFn, SourceEntry};
 use crate::exec::PreparedEntry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -39,6 +40,17 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
+    /// The key of one `(dataset, score, scale, seed, step)` preparation.
+    pub fn new(source: &SourceEntry, score: ScoreFn, scale: usize, seed: u64, step: f64) -> Self {
+        CacheKey {
+            source: source.name.to_ascii_lowercase(),
+            score: score.display(),
+            scale,
+            seed,
+            step_bits: step.to_bits(),
+        }
+    }
+
     /// Human-readable form for `SHOW CACHES`.
     pub fn display(&self) -> String {
         format!(

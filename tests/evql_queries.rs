@@ -36,6 +36,14 @@ fn everest_and_scan_agree_on_the_top_frames() {
     assert!(everest.stats.confidence.unwrap() >= 0.9);
     assert_eq!(everest.stats.converged, Some(true));
 
+    // Every speedup divides scan-and-test's own cost: a frame scan is its
+    // own denominator.
+    assert_eq!(
+        scan.stats.sim_seconds.to_bits(),
+        scan.stats.scan_seconds.to_bits()
+    );
+    assert_eq!(scan.stats.speedup, 1.0);
+
     // Tie-aware agreement: every Everest frame's exact score must reach
     // the scan answer's K-th score (both engines read the same oracle).
     let kth = scan.rows.last().unwrap().score;
