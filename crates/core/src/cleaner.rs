@@ -160,7 +160,13 @@ impl TopKState {
 
     /// [`Answer::assess`] of a Top-K: Eq. 2 at the current thresholds.
     pub(crate) fn assess(&self) -> (Option<f64>, Want) {
-        match self.thresholds() {
+        self.assess_at(self.thresholds())
+    }
+
+    /// [`Self::assess`] given `thresholds`, which must be
+    /// [`Self::thresholds`].
+    fn assess_at(&self, thresholds: Option<(usize, usize)>) -> (Option<f64>, Want) {
+        match thresholds {
             Some((s_k, s_p)) => (Some(topk_prob(&self.h, s_k)), Want::Boundary { s_k, s_p }),
             None => (
                 None,
@@ -271,8 +277,14 @@ pub(crate) fn drive<A: Answer>(
 
 /// The batch Top-K: bootstrap with the highest-mean items in one batch,
 /// then lazy-ψ `Select-candidate` batches over the relation.
+///
+/// Items are only ever added to the certain set, so `S_k` never falls:
+/// picking at `S_k` floors the joint CDF there, and the thresholds are
+/// walked again only when a confirmation can move them.
 struct RelationTopK<'a> {
     state: TopKState,
+    /// `state.thresholds()`.
+    thresholds: Option<(usize, usize)>,
     rel: &'a mut UncertainRelation,
     selector: CandidateSelector,
     batch_size: usize,
@@ -284,24 +296,29 @@ impl Answer for RelationTopK<'_> {
     type Picks = Vec<ItemId>;
 
     fn assess(&self) -> (Option<f64>, Want) {
-        self.state.assess()
+        self.state.assess_at(self.thresholds)
     }
 
     fn pick(&mut self, want: Want, room: usize) -> Vec<ItemId> {
         match want {
             Want::Bootstrap { missing } => {
                 let rel = &*self.rel;
-                let mut by_mean = rel.uncertain_ids();
-                by_mean.sort_by(|&a, &b| {
-                    rel.mean_bucket(b)
-                        .partial_cmp(&rel.mean_bucket(a))
+                let mut by_mean: Vec<(f64, ItemId)> = (0..rel.len())
+                    .filter_map(|id| rel.dist(id).map(|d| (d.mean_bucket(), id)))
+                    .collect();
+                // Descending mean, ties by ascending id: a strict total
+                // order, so the unstable sort is deterministic.
+                by_mean.sort_unstable_by(|a, b| {
+                    b.0.partial_cmp(&a.0)
                         .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(&b))
+                        .then(a.1.cmp(&b.1))
                 });
                 by_mean.truncate(missing.min(room));
-                by_mean
+                by_mean.into_iter().map(|(_, id)| id).collect()
             }
             Want::Boundary { s_k, s_p } => {
+                // Every later read of `h` is at or above this `S_k`.
+                self.state.h.raise_floor(s_k);
                 let batch = self.batch_size.min(self.rel.num_uncertain()).min(room);
                 let h = &self.state.h;
                 self.selector.select_batch(self.rel, h, s_k, s_p, batch)
@@ -312,6 +329,11 @@ impl Answer for RelationTopK<'_> {
     fn retire(&mut self, id: ItemId, bucket: u32) {
         self.state.h.remove(&self.rel.clean(id, bucket));
         self.state.certain.insert((Reverse(bucket), id));
+        // A bucket at or below `S_k` ranks at or below the K-th item's, so
+        // the K-th and (K−1)-th buckets stay where they were.
+        if self.thresholds.is_none_or(|(s_k, _)| bucket as usize > s_k) {
+            self.thresholds = self.state.thresholds();
+        }
     }
 }
 
@@ -354,14 +376,16 @@ pub(crate) fn run_cleaner_from(
         "joint CDF is not the relation's"
     );
 
+    let state = TopKState {
+        h,
+        certain: (0..rel.len())
+            .filter_map(|id| rel.certain_bucket(id).map(|b| (Reverse(b), id)))
+            .collect(),
+        k: cfg.k,
+    };
     let mut answer = RelationTopK {
-        state: TopKState {
-            h,
-            certain: (0..rel.len())
-                .filter_map(|id| rel.certain_bucket(id).map(|b| (Reverse(b), id)))
-                .collect(),
-            k: cfg.k,
-        },
+        thresholds: state.thresholds(),
+        state,
         selector: CandidateSelector::new(rel, cfg.resort_period),
         rel,
         batch_size: cfg.batch_size,

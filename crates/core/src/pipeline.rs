@@ -9,6 +9,10 @@
 //! time still includes the full Phase-1 charge). A frame query's copy of
 //! `D0` shares the distributions and starts from the joint CDF of Eq. 3
 //! built once per prepared video, so it pays only for the items it cleans.
+//! A window query does the same with its shape's Eq. 9 relation and that
+//! relation's joint CDF: both are pure functions of Phase 1 and
+//! `(window_len, slide)`, so the prepared video builds them at the first
+//! query over a shape and keeps the last few shapes it was asked for.
 
 use crate::budget::Termination;
 use crate::cleaner::{run_cleaner_from, CleanerConfig, CleaningOracle};
@@ -20,7 +24,9 @@ use crate::xtuple::{score_to_bucket, ItemId, UncertainRelation};
 use everest_models::{Oracle, OracleError};
 use everest_video::store::DecodeCostModel;
 use everest_video::VideoStore;
+use std::collections::VecDeque;
 use std::ops::Deref;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// The Everest engine entry point.
@@ -41,15 +47,78 @@ impl Everest {
 ///
 /// It also keeps the joint CDF `H` of `phase1.relation` (Eq. 3), built
 /// once when the video is prepared; every frame query starts its cleaning
-/// loop from a copy of it. Queries leave `phase1` as it was, so `H` stays
-/// `D0`'s. Code that edits `phase1` must build a new `PreparedVideo` from
-/// the edited parts with [`PreparedVideo::from_parts`].
+/// loop from a copy of it. Likewise every window query starts from a copy
+/// of its shape's relation and joint CDF, built by the first query over
+/// that shape. Queries leave `phase1` as it was, so what is kept stays
+/// Phase 1's. Code that edits `phase1` must build a new `PreparedVideo`
+/// from the edited parts with [`PreparedVideo::from_parts`].
 #[derive(Debug, Clone)]
 pub struct PreparedVideo {
     pub phase1: Phase1Output,
     n_frames: usize,
     /// `JointCdf::build(&phase1.relation)`.
     d0_joint_cdf: JointCdf,
+    window_relations: WindowRelations,
+}
+
+/// The most window shapes a prepared video keeps relations for.
+const WINDOW_SHAPES: usize = 4;
+
+/// One window shape's relation (Eq. 9) and its joint CDF.
+type WindowRelation = Arc<(UncertainRelation, JointCdf)>;
+
+/// `(window_len, slide)` shapes and their relations, oldest first.
+type Shapes = VecDeque<((usize, usize), WindowRelation)>;
+
+/// The window relations of the last [`WINDOW_SHAPES`] `(window_len,
+/// slide)` shapes asked for. Daemon threads share a prepared video, hence
+/// the lock; a clone shares the entries.
+#[derive(Debug, Default)]
+struct WindowRelations(Mutex<Shapes>);
+
+impl WindowRelations {
+    fn lock(&self) -> MutexGuard<'_, Shapes> {
+        // Every critical section is a lookup or a push: a panic inside one
+        // leaves no broken invariant, so recover rather than propagate.
+        self.0
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// The relation of `shape`, built with `build` if none is kept.
+    fn get_or_build(
+        &self,
+        shape: (usize, usize),
+        build: impl FnOnce() -> UncertainRelation,
+    ) -> WindowRelation {
+        let kept = |shapes: &Shapes| {
+            let found = shapes.iter().find(|(s, _)| *s == shape);
+            found.map(|(_, rel)| Arc::clone(rel))
+        };
+        if let Some(rel) = kept(&self.lock()) {
+            return rel;
+        }
+        // Built outside the lock, so other shapes are not held up; two
+        // threads racing on one shape build the same bits.
+        let relation = build();
+        let h = JointCdf::build(&relation);
+        let built = Arc::new((relation, h));
+        let mut shapes = self.lock();
+        if let Some(rel) = kept(&shapes) {
+            return rel;
+        }
+        if shapes.len() == WINDOW_SHAPES {
+            shapes.pop_front();
+        }
+        shapes.push_back((shape, Arc::clone(&built)));
+        built
+    }
+}
+
+impl Clone for WindowRelations {
+    fn clone(&self) -> Self {
+        WindowRelations(Mutex::new(self.lock().clone()))
+    }
 }
 
 /// One returned Top-K item.
@@ -226,6 +295,7 @@ impl PreparedVideo {
             d0_joint_cdf: JointCdf::build(&phase1.relation),
             phase1,
             n_frames,
+            window_relations: WindowRelations::default(),
         }
     }
 
@@ -314,13 +384,16 @@ impl PreparedVideo {
             thres,
             cleaner,
             || {
-                let relation = build_window_relation(
-                    &self.phase1.mixtures,
-                    &self.phase1.segments,
-                    &windows,
-                    step,
-                    max_bucket,
-                );
+                let shared = self.window_relations.get_or_build((window_len, slide), || {
+                    build_window_relation(
+                        &self.phase1.mixtures,
+                        &self.phase1.segments,
+                        &windows,
+                        step,
+                        max_bucket,
+                    )
+                });
+                let (relation, h) = (shared.0.clone(), shared.1.clone());
                 let cleaning = WindowCleaningOracle::new(
                     oracle,
                     &windows,
@@ -329,7 +402,6 @@ impl PreparedVideo {
                     max_bucket,
                     self.phase1_seed() ^ WINDOW_SAMPLE_SALT,
                 );
-                let h = JointCdf::build(&relation);
                 (relation, h, cleaning)
             },
             |cleaning| {
@@ -563,6 +635,56 @@ mod tests {
             cached,
             "a query changed the cached H"
         );
+    }
+
+    /// What a window report answers and charges, as bits.
+    fn window_report_bits(r: &QueryReport) -> impl PartialEq + std::fmt::Debug {
+        let items: Vec<_> = r
+            .items
+            .iter()
+            .map(|i| (i.frame, i.range, i.score.to_bits()))
+            .collect();
+        (
+            items,
+            r.confidence.to_bits(),
+            r.iterations,
+            r.cleaned,
+            r.sim_seconds().to_bits(),
+        )
+    }
+
+    #[test]
+    fn cached_window_relations_answer_as_fresh_ones_do() {
+        let (v, o) = tiny_setup();
+        let oracle = InstrumentedOracle::new(o);
+        let prepared = Everest::prepare(&v, &oracle, &fast_phase1());
+        let cfg = CleanerConfig::default();
+        let shapes = || prepared.window_relations.lock().len();
+        let first = prepared.query_topk_windows(&oracle, 5, 0.9, 30, 0.5, &cfg);
+        assert!(first.cleaned > 0, "the window query cleaned nothing");
+        assert_eq!(shapes(), 1);
+        let again = prepared.query_topk_windows(&oracle, 5, 0.9, 30, 0.5, &cfg);
+        assert_eq!(shapes(), 1, "a repeated shape got a second entry");
+        let fresh = PreparedVideo::from_parts(prepared.phase1.clone(), prepared.n_frames())
+            .query_topk_windows(&oracle, 5, 0.9, 30, 0.5, &cfg);
+        let bits = window_report_bits(&first);
+        assert_eq!(window_report_bits(&again), bits, "the cached relation");
+        assert_eq!(window_report_bits(&fresh), bits, "a fresh prepared video");
+
+        let _ = prepared.query_topk_sliding_windows(&oracle, 5, 0.9, 30, 15, 0.5, &cfg);
+        assert_eq!(shapes(), 2, "another slide gets its own entry");
+        for len in [20, 40, 45, 60] {
+            let _ = prepared.query_topk_windows(&oracle, 5, 0.9, len, 0.5, &cfg);
+            assert!(shapes() <= WINDOW_SHAPES);
+        }
+        assert_eq!(shapes(), WINDOW_SHAPES);
+        let kept: Vec<_> = prepared
+            .window_relations
+            .lock()
+            .iter()
+            .map(|&(shape, _)| shape)
+            .collect();
+        assert_eq!(kept, [(20, 20), (40, 40), (45, 45), (60, 60)]);
     }
 
     #[test]

@@ -22,8 +22,15 @@
 //! change. ψ depends only on an item's distribution and `(S_k, S_p)`, so a
 //! scheduled re-sort at the thresholds of the last one keeps the order and
 //! only drops the items cleaned since. Between re-sorts the scan starts
-//! past the leading run of cleaned items instead of re-walking it. Neither
-//! changes which items are examined, in what order.
+//! past the leading run of cleaned items instead of re-walking it.
+//!
+//! The scan stops after a few dozen of the ~10⁴ items, so a re-sort
+//! recomputes ψ in place but orders only a prefix (a selection, then a
+//! sort of what it selected), and the scan doubles the ordered prefix on
+//! demand when it reaches the end. The order is a strict total order (ψ
+//! descending, then id), so every position the scan reads holds the item
+//! a full sort would put there. None of this changes which items are
+//! examined, in what order.
 
 use crate::dist::DiscreteDist;
 use crate::topkprob::JointCdf;
@@ -69,7 +76,7 @@ pub fn expected_confidence(d: &DiscreteDist, h: &JointCdf, s_k: usize, s_p: usiz
     e
 }
 
-/// Statistics of the candidate-selection machinery (early-stop ablation).
+/// Statistics of the candidate-selection machinery.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SelectStats {
     /// Total `E[X_f]` evaluations performed.
@@ -80,55 +87,61 @@ pub struct SelectStats {
     pub resorts: u64,
 }
 
+/// Items put in order when ψ is recomputed. The scan reads a few dozen;
+/// when it reaches the end of the ordered prefix, the prefix doubles.
+const ORDERED_PREFIX: usize = 64;
+
+/// Descending ψ, ties by ascending id. ψ is never NaN and ids are
+/// distinct, so this is a strict total order: an unstable sort, or a
+/// selection, puts every item where a full sort would.
+fn by_psi(a: &(f64, ItemId), b: &(f64, ItemId)) -> Ordering {
+    b.0.partial_cmp(&a.0)
+        .unwrap_or(Ordering::Equal)
+        .then(a.1.cmp(&b.1))
+}
+
 /// Stateful candidate selector with the lazy ψ-ordering of §3.3.2.
 #[derive(Debug, Clone)]
 pub struct CandidateSelector {
-    /// Uncertain item ids in descending stale-ψ order.
-    order: Vec<ItemId>,
-    /// Stale ψ values aligned with `order`.
-    psi: Vec<f64>,
-    /// Every item of `order` before this position has been cleaned.
+    /// Uncertain items with their stale ψ. `ranked[..ordered]` is in
+    /// [`by_psi`] order, and every item past it ranks after all of those.
+    ranked: Vec<(f64, ItemId)>,
+    /// Length of the ordered prefix of `ranked`.
+    ordered: usize,
+    /// Every item of `ranked` before this position has been cleaned.
     head: usize,
-    /// The (s_k, s_p) the current ordering was computed at.
+    /// The (s_k, s_p) the current ψ values were computed at.
     sorted_at: Option<(usize, usize)>,
     /// Iterations seen so far (the paper's `i`).
     iteration: usize,
     /// Re-sort period within the first 100 iterations.
     resort_period: usize,
     pub stats: SelectStats,
-    /// When true, every call re-sorts and scans all items (baseline for the
-    /// `ablation_earlystop` bench).
-    pub exhaustive: bool,
 }
 
 impl CandidateSelector {
     pub fn new(rel: &UncertainRelation, resort_period: usize) -> Self {
         assert!(resort_period >= 1);
         CandidateSelector {
-            order: rel.uncertain_ids(),
-            psi: Vec::new(),
+            // ψ is computed at the first call, which always re-sorts.
+            ranked: (0..rel.len())
+                .filter(|&id| !rel.is_certain(id))
+                .map(|id| (f64::INFINITY, id))
+                .collect(),
+            ordered: 0,
             head: 0,
             sorted_at: None,
             iteration: 0,
             resort_period,
             stats: SelectStats::default(),
-            exhaustive: false,
         }
     }
 
     fn needs_resort(&self, s_k: usize, s_p: usize) -> bool {
         match self.sorted_at {
             None => true,
-            Some(at) => {
-                if self.exhaustive {
-                    return true;
-                }
-                if self.iteration < 100 {
-                    self.iteration.is_multiple_of(self.resort_period)
-                } else {
-                    at != (s_k, s_p)
-                }
-            }
+            Some(_) if self.iteration < 100 => self.iteration.is_multiple_of(self.resort_period),
+            Some(at) => at != (s_k, s_p),
         }
     }
 
@@ -137,33 +150,41 @@ impl CandidateSelector {
         self.stats.resorts += 1;
         if self.sorted_at == Some((s_k, s_p)) {
             // ψ is unchanged, so the order is too: drop the cleaned items.
-            let mut kept = 0;
-            for pos in 0..self.order.len() {
-                if !rel.is_certain(self.order[pos]) {
-                    self.order[kept] = self.order[pos];
-                    self.psi[kept] = self.psi[pos];
-                    kept += 1;
+            let (mut pos, mut ordered) = (0, 0);
+            self.ranked.retain(|&(_, id)| {
+                let keep = !rel.is_certain(id);
+                if keep && pos < self.ordered {
+                    ordered += 1;
                 }
-            }
-            self.order.truncate(kept);
-            self.psi.truncate(kept);
+                pos += 1;
+                keep
+            });
+            self.ordered = ordered;
             return;
         }
         // Drop cleaned items and recompute ψ at the current thresholds.
-        let mut keyed: Vec<(f64, ItemId)> = self
-            .order
-            .iter()
-            .filter_map(|&id| rel.dist(id).map(|d| (psi(d, s_k, s_p), id)))
-            .collect();
-        // Descending ψ, ties by ascending id for determinism.
-        keyed.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(Ordering::Equal)
-                .then(a.1.cmp(&b.1))
+        self.ranked.retain_mut(|(psi_f, id)| match rel.dist(*id) {
+            Some(d) => {
+                *psi_f = psi(d, s_k, s_p);
+                true
+            }
+            None => false,
         });
-        self.order = keyed.iter().map(|&(_, id)| id).collect();
-        self.psi = keyed.into_iter().map(|(p, _)| p).collect();
+        self.ordered = 0;
+        self.extend_ordered();
         self.sorted_at = Some((s_k, s_p));
+    }
+
+    /// Orders the next stretch of `ranked`: the prefix doubles, to at
+    /// least [`ORDERED_PREFIX`] items.
+    fn extend_ordered(&mut self) {
+        let rest = &mut self.ranked[self.ordered..];
+        let n = self.ordered.max(ORDERED_PREFIX).min(rest.len());
+        if n < rest.len() {
+            rest.select_nth_unstable_by(n, by_psi);
+        }
+        rest[..n].sort_unstable_by(by_psi);
+        self.ordered += n;
     }
 
     /// Selects up to `batch` uncertain items maximising `E[X_f]`, using the
@@ -188,25 +209,25 @@ impl CandidateSelector {
         // Top-`batch` E values found so far, kept sorted ascending so the
         // worst kept value is `best[0]`.
         let mut best: Vec<(f64, ItemId)> = Vec::with_capacity(batch + 1);
-        while self
-            .order
-            .get(self.head)
-            .is_some_and(|&id| rel.is_certain(id))
-        {
+        while self.head < self.ordered && rel.is_certain(self.ranked[self.head].1) {
             self.head += 1;
         }
-        for pos in self.head..self.order.len() {
-            let id = self.order[pos];
+        let mut pos = self.head;
+        while pos < self.ranked.len() {
+            if pos == self.ordered {
+                self.extend_ordered();
+            }
+            let (stale_psi, id) = self.ranked[pos];
+            pos += 1;
             let Some(d) = rel.dist(id) else {
                 continue; // cleaned since the last re-sort
             };
-            let stale_psi = self.psi.get(pos).copied().unwrap_or(f64::INFINITY);
             let bound = if stale_psi.is_infinite() {
                 f64::INFINITY
             } else {
                 p_hat + gamma * stale_psi
             };
-            if !self.exhaustive && best.len() == batch && bound <= best[0].0 {
+            if best.len() == batch && bound <= best[0].0 {
                 break; // every remaining item has a smaller upper bound
             }
             let e = expected_confidence(d, h, s_k, s_p);
@@ -332,12 +353,11 @@ mod tests {
     fn early_stop_agrees_with_exhaustive_scan() {
         let (rel, h) = setup();
         let mut lazy = CandidateSelector::new(&rel, 10);
-        let mut full = CandidateSelector::new(&rel, 10);
-        full.exhaustive = true;
+        let mut full = ReferenceSelector::new(&rel, 10, true);
         let a = lazy.select_batch(&rel, &h, 2, 3, 2);
         let b = full.select_batch(&rel, &h, 2, 3, 2);
         assert_eq!(a, b);
-        assert!(lazy.stats.examined <= full.stats.examined);
+        assert!(lazy.stats.examined <= full.examined);
     }
 
     #[test]
@@ -380,9 +400,11 @@ mod tests {
         assert_eq!(sel.stats.resorts, resorts_before + 1);
     }
 
-    /// The selector as it was before same-threshold re-sorts kept the order
-    /// and the scan skipped the leading cleaned run: every re-sort
-    /// recomputes ψ and sorts, and every scan starts at position 0.
+    /// The selector as it was before same-threshold re-sorts kept the order,
+    /// the scan skipped the leading cleaned run and a re-sort ordered only
+    /// a prefix: every re-sort recomputes ψ and sorts every item, and every
+    /// scan starts at position 0. `exhaustive` re-sorts on every call and
+    /// scans every item, with no early stop.
     struct ReferenceSelector {
         order: Vec<ItemId>,
         psi: Vec<f64>,
@@ -496,39 +518,51 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        for (exhaustive, calls) in [(false, 400), (true, 120)] {
-            let mut rng = StdRng::seed_from_u64(36);
-            let max_bucket = 30;
-            let mut rel = UncertainRelation::new(1.0, max_bucket);
-            for id in 0..1_600 {
-                if id % 40 == 0 {
-                    rel.push_certain(rng.gen_range(0..=max_bucket as u32));
-                } else {
-                    rel.push_uncertain(random_dist(&mut rng, max_bucket));
-                }
+        let mut rng = StdRng::seed_from_u64(36);
+        let max_bucket = 30;
+        let mut rel = UncertainRelation::new(1.0, max_bucket);
+        for id in 0..1_600 {
+            if id % 40 == 0 {
+                rel.push_certain(rng.gen_range(0..=max_bucket as u32));
+            } else {
+                rel.push_uncertain(random_dist(&mut rng, max_bucket));
             }
-            let mut h = JointCdf::build(&rel);
-            let mut sel = CandidateSelector::new(&rel, 10);
-            sel.exhaustive = exhaustive;
-            let mut reference = ReferenceSelector::new(&rel, 10, exhaustive);
-            for i in 1..=calls {
-                let (s_k, s_p) = threshold_schedule(i);
-                let batch = 1 + i % 4;
-                let picks = sel.select_batch(&rel, &h, s_k, s_p, batch);
-                let expected = reference.select_batch(&rel, &h, s_k, s_p, batch);
-                assert_eq!(picks, expected, "call {i}: picks differ");
-                assert_eq!(sel.stats.examined, reference.examined, "call {i}: examined");
-                assert_eq!(sel.stats.resorts, reference.resorts, "call {i}: resorts");
-                for id in picks {
-                    let bucket = rel.dist(id).unwrap().sample_with(rng.gen_range(0.0..1.0));
-                    h.remove(&rel.clean(id, bucket as u32));
-                }
-            }
-            assert!(
-                reference.same_threshold_resorts >= 3,
-                "the schedule must re-sort at unchanged thresholds"
-            );
         }
+        let mut h = JointCdf::build(&rel);
+        let mut sel = CandidateSelector::new(&rel, 10);
+        let mut reference = ReferenceSelector::new(&rel, 10, false);
+        let mut past_the_prefix = 0;
+        for i in 1..=400 {
+            let (s_k, s_p) = threshold_schedule(i);
+            // Now and then a batch larger than the first ordered prefix,
+            // so the scan has to extend it.
+            let batch = if i % 90 == 5 {
+                3 * ORDERED_PREFIX / 2
+            } else {
+                1 + i % 4
+            };
+            let examined = sel.stats.examined;
+            let picks = sel.select_batch(&rel, &h, s_k, s_p, batch);
+            let expected = reference.select_batch(&rel, &h, s_k, s_p, batch);
+            assert_eq!(picks, expected, "call {i}: picks differ");
+            assert_eq!(sel.stats.examined, reference.examined, "call {i}: examined");
+            assert_eq!(sel.stats.resorts, reference.resorts, "call {i}: resorts");
+            if sel.stats.examined - examined > ORDERED_PREFIX as u64 {
+                past_the_prefix += 1;
+            }
+            for id in picks {
+                let bucket = rel.dist(id).unwrap().sample_with(rng.gen_range(0.0..1.0));
+                h.remove(&rel.clean(id, bucket as u32));
+            }
+        }
+        assert!(
+            reference.same_threshold_resorts >= 3,
+            "the schedule must re-sort at unchanged thresholds"
+        );
+        assert!(
+            past_the_prefix >= 3,
+            "only {past_the_prefix} scans read past the first ordered prefix"
+        );
     }
 
     #[test]

@@ -18,6 +18,13 @@
 //! does occur in practice. As in the paper, `H` over `D0` is built once: a
 //! prepared video keeps it, and each frame query cleans a copy.
 //!
+//! A batch run reads `H` only at or above its threshold bucket `S_k`, which
+//! never falls as items are cleaned. [`JointCdf::raise_floor`] lets it say
+//! so: updates then skip the buckets below the floor, and a read there
+//! panics. Each bucket at or above the floor sees the same operations in
+//! the same order as without one, so its bits are unchanged. The stream
+//! path, whose threshold falls when items expire, never sets a floor.
+//!
 //! [`topk_confidence`] evaluates Eq. 1 itself in closed form for an
 //! arbitrary answer, certain-result condition or not; the tests check it
 //! against the brute-force enumeration in [`crate::pws`].
@@ -34,6 +41,8 @@ pub struct JointCdf {
     zero_count: Vec<u32>,
     /// Number of uncertain items currently contributing.
     members: usize,
+    /// Buckets below this one are no longer updated nor readable.
+    floor: usize,
 }
 
 impl JointCdf {
@@ -44,6 +53,7 @@ impl JointCdf {
             log_sum: vec![0.0; rel.max_bucket() + 1],
             zero_count: vec![0; rel.max_bucket() + 1],
             members: 0,
+            floor: 0,
         };
         for id in 0..rel.len() {
             if let Some(d) = rel.dist(id) {
@@ -63,11 +73,29 @@ impl JointCdf {
         self.members
     }
 
+    /// Stops maintaining the buckets below `t` (capped at the grid): the
+    /// caller promises never to read them again. The floor never falls.
+    pub fn raise_floor(&mut self, t: usize) {
+        self.floor = self.floor.max(t.min(self.log_sum.len()));
+    }
+
+    /// The buckets from the floor up: `(Σ log F, zero count)` per bucket
+    /// beside `dist`'s CDF there.
+    fn maintained<'a>(
+        &'a mut self,
+        dist: &'a DiscreteDist,
+    ) -> impl Iterator<Item = ((&'a mut f64, &'a mut u32), &'a f64)> {
+        assert_eq!(dist.len(), self.log_sum.len(), "grid mismatch");
+        let from = self.floor;
+        let buckets = self.log_sum[from..]
+            .iter_mut()
+            .zip(&mut self.zero_count[from..]);
+        buckets.zip(&dist.cdf_values()[from..])
+    }
+
     /// Adds one item's factors.
     pub fn add(&mut self, dist: &DiscreteDist) {
-        assert_eq!(dist.len(), self.log_sum.len(), "grid mismatch");
-        let buckets = self.log_sum.iter_mut().zip(&mut self.zero_count);
-        for ((sum, zeros), &f) in buckets.zip(dist.cdf_values()) {
+        for ((sum, zeros), &f) in self.maintained(dist) {
             if f == 0.0 {
                 *zeros += 1;
             } else if f < 1.0 {
@@ -82,10 +110,8 @@ impl JointCdf {
     /// Removes one item's factors (call with the distribution returned by
     /// [`UncertainRelation::clean`]).
     pub fn remove(&mut self, dist: &DiscreteDist) {
-        assert_eq!(dist.len(), self.log_sum.len(), "grid mismatch");
         assert!(self.members > 0, "removing from empty joint CDF");
-        let buckets = self.log_sum.iter_mut().zip(&mut self.zero_count);
-        for ((sum, zeros), &f) in buckets.zip(dist.cdf_values()) {
+        for ((sum, zeros), &f) in self.maintained(dist) {
             if f == 0.0 {
                 debug_assert!(*zeros > 0);
                 *zeros -= 1;
@@ -98,11 +124,12 @@ impl JointCdf {
     }
 
     /// `H(t) = ∏_{f uncertain} F_f(t)`; saturates to the all-ones product
-    /// beyond the grid.
+    /// beyond the grid. Panics below the floor.
     pub fn value(&self, t: usize) -> f64 {
         if t >= self.log_sum.len() {
             return 1.0;
         }
+        self.assert_maintained(t);
         if self.zero_count[t] > 0 {
             0.0
         } else {
@@ -111,11 +138,12 @@ impl JointCdf {
     }
 
     /// `H(t) / F_f(t)` — the joint CDF excluding one member item, computed
-    /// without division (Eq. 5/6 denominators).
+    /// without division (Eq. 5/6 denominators). Panics below the floor.
     pub fn value_excluding(&self, dist: &DiscreteDist, t: usize) -> f64 {
         if t >= self.log_sum.len() {
             return 1.0;
         }
+        self.assert_maintained(t);
         let f = dist.cdf(t);
         if f == 0.0 {
             // `dist` accounts for one of the zeros; any other zero keeps H at 0.
@@ -130,6 +158,14 @@ impl JointCdf {
             (self.log_sum[t] - f.ln()).exp()
         }
     }
+
+    fn assert_maintained(&self, t: usize) {
+        assert!(
+            t >= self.floor,
+            "H({t}) read below the floor {}",
+            self.floor
+        );
+    }
 }
 
 /// Eq. 2: the confidence of an answer whose K-th ("threshold") certain item
@@ -143,8 +179,8 @@ pub fn topk_prob(h: &JointCdf, s_k: usize) -> f64 {
     h.value(s_k)
 }
 
-/// Direct evaluation of Eq. 2 by multiplying CDFs — the reference
-/// implementation used by tests and the `ablation_eq3` bench.
+/// Direct evaluation of Eq. 2 by multiplying CDFs — the reference the
+/// tests hold [`topk_prob`] to.
 pub fn topk_prob_naive(rel: &UncertainRelation, s_k: usize) -> f64 {
     let mut p = 1.0;
     for id in 0..rel.len() {
@@ -379,6 +415,50 @@ mod tests {
             );
             assert_eq!(h.members(), members.len());
         }
+    }
+
+    #[test]
+    fn a_rising_floor_keeps_every_bit_at_or_above_it() {
+        use crate::dist::random_dist;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(43);
+        let max_bucket = 24;
+        let mut rel = UncertainRelation::new(1.0, max_bucket);
+        for _ in 0..300 {
+            rel.push_uncertain(random_dist(&mut rng, max_bucket));
+        }
+        let mut floored = JointCdf::build(&rel);
+        let mut eager = floored.clone();
+        let mut members = rel.uncertain_ids();
+        while members.len() > 1 {
+            if rng.gen_bool(0.04) {
+                floored.raise_floor(floored.floor + rng.gen_range(0..3usize));
+            }
+            let id = members.swap_remove(rng.gen_range(0..members.len()));
+            let dist = rel.dist(id).unwrap().clone();
+            floored.remove(&dist);
+            eager.remove(&dist);
+            let member = rel.dist(members[0]).unwrap();
+            for t in floored.floor..=max_bucket + 1 {
+                assert_eq!(floored.value(t).to_bits(), eager.value(t).to_bits());
+                assert_eq!(
+                    floored.value_excluding(member, t).to_bits(),
+                    eager.value_excluding(member, t).to_bits()
+                );
+            }
+            assert_eq!(floored.members(), eager.members());
+        }
+        assert!(floored.floor > 0, "the floor never rose");
+    }
+
+    #[test]
+    #[should_panic(expected = "below the floor")]
+    fn a_read_below_the_floor_panics() {
+        let mut h = JointCdf::build(&table_1a());
+        h.raise_floor(1);
+        let _ = h.value(0);
     }
 
     #[test]
