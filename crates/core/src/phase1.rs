@@ -37,7 +37,7 @@ use crate::xtuple::UncertainRelation;
 use everest_models::Oracle;
 use everest_nn::cmdn::CmdnConfig;
 use everest_nn::train::{
-    grid_search, parallel_chunks, HyperGrid, Sample, TrainConfig, TrainOutcome,
+    default_threads, grid_search, parallel_chunks, HyperGrid, Sample, TrainConfig, TrainOutcome,
 };
 use everest_nn::{Cmdn, GaussianMixture};
 use everest_video::diff::{DiffConfig, DifferenceDetector, Segments};
@@ -99,13 +99,6 @@ impl Default for Phase1Config {
             seed: 0,
         }
     }
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(8)
 }
 
 impl Phase1Config {
@@ -667,7 +660,7 @@ mod tests {
                 render_frame_into(&v, t, single.config().input, &mut input);
                 assert_eq!(
                     fused[i],
-                    single.predict(&input),
+                    single.predict_many(&input)[0],
                     "frame {t} threads {threads}"
                 );
             }

@@ -406,10 +406,7 @@ impl PreparedVideo {
             },
             |cleaning| {
                 let frames = cleaning.frames_scored;
-                (
-                    frames,
-                    frames as f64 * DecodeCostModel::default().seq_cost * 4.0,
-                )
+                (frames, frames as f64 * DecodeCostModel::SEQ_COST * 4.0)
             },
             |wid, score| {
                 let w = windows[wid];

@@ -14,7 +14,7 @@
 //! dataset pays for CMDN training + populating `D0`; later queries with
 //! different K / thres reuse it and only re-run Phase 2.
 
-use everest_evql::{Output, Session};
+use everest_evql::Session;
 use std::io::{BufRead, Write};
 
 fn main() {
@@ -114,20 +114,8 @@ fn run_statement(session: &mut Session, stmt: &str) -> bool {
         return true;
     }
     match session.execute(stmt) {
-        Ok(Output::Rows(answer)) => {
-            println!("{}", answer.render());
-            true
-        }
-        Ok(Output::Skyline(answer)) => {
-            println!("{}", answer.render());
-            true
-        }
-        Ok(Output::Stream(answer)) => {
-            println!("{}", answer.render());
-            true
-        }
-        Ok(Output::Message(m)) => {
-            println!("{m}");
+        Ok(output) => {
+            println!("{}", output.render());
             true
         }
         Err(err) => {

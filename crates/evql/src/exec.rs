@@ -992,6 +992,29 @@ fn window_quality(
 
 // ---- rendering ----
 
+impl Output {
+    /// ASCII rendering for the CLI: the answer's own rendering, or the
+    /// message text.
+    pub fn render(&self) -> String {
+        match self {
+            Output::Rows(q) => q.render(),
+            Output::Skyline(s) => s.render(),
+            Output::Stream(s) => s.render(),
+            Output::Message(m) => m.clone(),
+        }
+    }
+
+    /// The run statistics of a query answer (`None` for a message).
+    pub fn stats(&self) -> Option<&ExecStats> {
+        match self {
+            Output::Rows(q) => Some(&q.stats),
+            Output::Skyline(s) => Some(&s.stats),
+            Output::Stream(s) => Some(&s.stats),
+            Output::Message(_) => None,
+        }
+    }
+}
+
 impl QueryOutput {
     /// ASCII rendering for the CLI.
     pub fn render(&self) -> String {

@@ -10,10 +10,13 @@
 //!   schedule** of timeouts, transient errors, and latency spikes: the
 //!   fault decision for call `i` is a pure function of `(seed, i)`, so a
 //!   replay with the same seed sees exactly the same faults;
-//! * [`RetryingOracle`] — retries transient failures with capped
-//!   exponential backoff charged to the **simulated clock** (never
-//!   wall-clock), plus a circuit breaker that trips after N consecutive
-//!   exhausted-retry failures and fails fast until reset.
+//! * [`RetryingOracle`] — retries transient failures with exponential
+//!   backoff charged to the **simulated clock** (never wall-clock), plus
+//!   a circuit breaker that trips after four consecutive exhausted-retry
+//!   failures and fails fast from then on.
+//!
+//! The fault mix and the retry policy are constants: every `FLAKY`
+//! query runs under the same ones, so a seed alone names a schedule.
 //!
 //! Fault penalties and backoff accumulate in
 //! [`Oracle::sim_overhead_seconds`], which budget-aware callers (the
@@ -80,45 +83,22 @@ impl fmt::Display for OracleError {
 
 impl std::error::Error for OracleError {}
 
-/// The seeded fault schedule of a [`FlakyOracle`].
-///
-/// Probabilities are per-mille of *calls* (not frames); the decision for
-/// call `i` hashes `(seed, i)` with splitmix64, so it is independent of
-/// batch contents, thread timing, and everything else — two runs with the
-/// same seed fault on exactly the same call indices.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultPlan {
-    /// Seed of the deterministic schedule.
-    pub seed: u64,
-    /// Per-mille of calls that time out (charged `timeout_penalty`).
-    pub timeout_per_mille: u64,
-    /// Per-mille of calls that fail transiently (no simulated charge —
-    /// the failure is immediate).
-    pub transient_per_mille: u64,
-    /// Per-mille of calls that *succeed* but take a latency spike
-    /// (charged `spike_penalty` on top of normal scoring cost).
-    pub spike_per_mille: u64,
-    /// Simulated seconds burnt by a timeout before it errors.
-    pub timeout_penalty: f64,
-    /// Extra simulated seconds a latency spike costs.
-    pub spike_penalty: f64,
-}
+// The fault mix every `FLAKY` query runs under, per-mille of *calls*
+// (not frames): 5% timeouts, 10% transient errors, 10% latency spikes.
+const TIMEOUT_PER_MILLE: u64 = 50;
+const TRANSIENT_PER_MILLE: u64 = 100;
+const SPIKE_PER_MILLE: u64 = 100;
+/// Simulated seconds a timeout burns before it errors.
+const TIMEOUT_PENALTY: f64 = 1.0;
+/// Extra simulated seconds a latency spike costs on top of scoring.
+const SPIKE_PENALTY: f64 = 0.5;
 
-impl FaultPlan {
-    /// The default chaos mix for `seed`: 5% timeouts, 10% transient
-    /// errors, 10% latency spikes; a timeout burns 1 simulated second, a
-    /// spike half of one.
-    pub fn new(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            timeout_per_mille: 50,
-            transient_per_mille: 100,
-            spike_per_mille: 100,
-            timeout_penalty: 1.0,
-            spike_penalty: 0.5,
-        }
-    }
-}
+// The retry policy: backoff before retry `i` is `BASE_BACKOFF · 2^i`
+// simulated seconds (0.1, 0.2, 0.4); `BREAKER_THRESHOLD` consecutive
+// exhausted-retry failures trip the breaker.
+const MAX_RETRIES: u32 = 3;
+const BASE_BACKOFF: f64 = 0.1;
+const BREAKER_THRESHOLD: u32 = 4;
 
 /// splitmix64, a tiny seeded hash: fault schedules must not depend on
 /// a library RNG's evolution.
@@ -141,6 +121,14 @@ enum Fault {
 /// Wraps an oracle with a seeded, deterministic schedule of timeouts,
 /// transient errors, and latency spikes.
 ///
+/// The decision for call `i` hashes `(seed, i)` with splitmix64, so it is
+/// independent of batch contents, thread timing, and everything else —
+/// two runs with the same seed fault on exactly the same call indices.
+/// Per-mille of calls: 50 time out (burning 1 simulated second), 100
+/// fail transiently (no simulated charge: the failure is immediate), and
+/// 100 succeed after a latency spike (half a simulated second on top of
+/// the scoring cost).
+///
 /// Faults surface only on the fallible path
 /// ([`Oracle::try_score_batch`]); the infallible [`Oracle::score_batch`]
 /// delegates straight to the inner oracle so legacy callers keep
@@ -148,45 +136,28 @@ enum Fault {
 /// [`Oracle::sim_overhead_seconds`].
 pub struct FlakyOracle<O: Oracle> {
     inner: O,
-    plan: FaultPlan,
+    seed: u64,
     calls: AtomicU64,
-    timeouts: AtomicU64,
-    transients: AtomicU64,
-    spikes: AtomicU64,
     overhead: Mutex<f64>,
 }
 
 impl<O: Oracle> FlakyOracle<O> {
-    /// Wraps `inner` with the default chaos mix for `seed`
-    /// ([`FaultPlan::new`]).
+    /// Wraps `inner` with the fault schedule of `seed`.
     pub fn new(inner: O, seed: u64) -> Self {
-        FlakyOracle::with_plan(inner, FaultPlan::new(seed))
-    }
-
-    /// Wraps `inner` with an explicit fault schedule.
-    pub fn with_plan(inner: O, plan: FaultPlan) -> Self {
-        assert!(
-            plan.timeout_per_mille + plan.transient_per_mille + plan.spike_per_mille <= 1000,
-            "fault probabilities exceed 100%"
-        );
-        assert!(plan.timeout_penalty >= 0.0 && plan.spike_penalty >= 0.0);
         FlakyOracle {
             inner,
-            plan,
+            seed,
             calls: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            transients: AtomicU64::new(0),
-            spikes: AtomicU64::new(0),
             overhead: Mutex::new(0.0),
         }
     }
 
     /// The deterministic fault decision for call index `idx`.
     fn decide(&self, idx: u64) -> Fault {
-        let r = splitmix64(self.plan.seed ^ idx.wrapping_mul(0xa076_1d64_78bd_642f)) % 1000;
-        let t = self.plan.timeout_per_mille;
-        let e = t + self.plan.transient_per_mille;
-        let s = e + self.plan.spike_per_mille;
+        let r = splitmix64(self.seed ^ idx.wrapping_mul(0xa076_1d64_78bd_642f)) % 1000;
+        let t = TIMEOUT_PER_MILLE;
+        let e = t + TRANSIENT_PER_MILLE;
+        let s = e + SPIKE_PER_MILLE;
         if r < t {
             Fault::Timeout
         } else if r < e {
@@ -196,31 +167,6 @@ impl<O: Oracle> FlakyOracle<O> {
         } else {
             Fault::None
         }
-    }
-
-    /// Calls attempted so far (each advances the schedule by one).
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    /// Timeouts injected so far.
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts.load(Ordering::Relaxed)
-    }
-
-    /// Transient errors injected so far.
-    pub fn transients(&self) -> u64 {
-        self.transients.load(Ordering::Relaxed)
-    }
-
-    /// Latency spikes injected so far.
-    pub fn spikes(&self) -> u64 {
-        self.spikes.load(Ordering::Relaxed)
-    }
-
-    /// The inner oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
     }
 }
 
@@ -233,19 +179,14 @@ impl<O: Oracle> Oracle for FlakyOracle<O> {
         let idx = self.calls.fetch_add(1, Ordering::Relaxed);
         match self.decide(idx) {
             Fault::Timeout => {
-                self.timeouts.fetch_add(1, Ordering::Relaxed);
-                *lock(&self.overhead) += self.plan.timeout_penalty;
+                *lock(&self.overhead) += TIMEOUT_PENALTY;
                 Err(OracleError::Timeout {
-                    sim_seconds: self.plan.timeout_penalty,
+                    sim_seconds: TIMEOUT_PENALTY,
                 })
             }
-            Fault::Transient => {
-                self.transients.fetch_add(1, Ordering::Relaxed);
-                Err(OracleError::Transient("injected fault"))
-            }
+            Fault::Transient => Err(OracleError::Transient("injected fault")),
             Fault::Spike => {
-                self.spikes.fetch_add(1, Ordering::Relaxed);
-                *lock(&self.overhead) += self.plan.spike_penalty;
+                *lock(&self.overhead) += SPIKE_PENALTY;
                 self.inner.try_score_batch(frames)
             }
             Fault::None => self.inner.try_score_batch(frames),
@@ -271,41 +212,19 @@ impl<O: Oracle> Oracle for FlakyOracle<O> {
     }
 }
 
-/// Retry policy of a [`RetryingOracle`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Retries per call after the first attempt.
-    pub max_retries: u32,
-    /// Backoff before retry `i` is `base_backoff * 2^i`, in simulated
-    /// seconds…
-    pub base_backoff: f64,
-    /// …capped at this many simulated seconds.
-    pub max_backoff: f64,
-    /// Consecutive exhausted-retry failures that trip the breaker.
-    pub breaker_threshold: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            base_backoff: 0.1,
-            max_backoff: 2.0,
-            breaker_threshold: 4,
-        }
-    }
-}
-
-/// Retries transient failures with deterministic capped exponential
-/// backoff and trips a circuit breaker after too many consecutive
-/// failures.
+/// Retries transient failures with deterministic exponential backoff
+/// and trips a circuit breaker after too many consecutive failures.
+///
+/// Each call gets up to three retries, with 0.1, 0.2 and 0.4 simulated
+/// seconds of backoff before them.
+/// Four consecutive calls that exhaust their retries trip the breaker,
+/// after which every call fails fast with [`OracleError::BreakerOpen`].
 ///
 /// Backoff is charged to the **simulated clock** (it accumulates in
 /// [`Oracle::sim_overhead_seconds`]) — no thread ever sleeps, so tests
 /// and replays run at full speed and remain byte-deterministic.
 pub struct RetryingOracle<O: Oracle> {
     inner: O,
-    policy: RetryPolicy,
     retries: AtomicU64,
     breaker_trips: AtomicU64,
     consecutive_failures: AtomicU32,
@@ -314,18 +233,10 @@ pub struct RetryingOracle<O: Oracle> {
 }
 
 impl<O: Oracle> RetryingOracle<O> {
-    /// Wraps `inner` with the default [`RetryPolicy`].
+    /// Wraps `inner` with the retry policy and circuit breaker.
     pub fn new(inner: O) -> Self {
-        RetryingOracle::with_policy(inner, RetryPolicy::default())
-    }
-
-    /// Wraps `inner` with an explicit policy.
-    pub fn with_policy(inner: O, policy: RetryPolicy) -> Self {
-        assert!(policy.base_backoff >= 0.0 && policy.max_backoff >= 0.0);
-        assert!(policy.breaker_threshold >= 1);
         RetryingOracle {
             inner,
-            policy,
             retries: AtomicU64::new(0),
             breaker_trips: AtomicU64::new(0),
             consecutive_failures: AtomicU32::new(0),
@@ -343,23 +254,6 @@ impl<O: Oracle> RetryingOracle<O> {
     /// Times the breaker has tripped.
     pub fn breaker_trips(&self) -> u64 {
         self.breaker_trips.load(Ordering::Relaxed)
-    }
-
-    /// Whether the breaker is currently open (calls fail fast).
-    pub fn breaker_is_open(&self) -> bool {
-        self.breaker_open.load(Ordering::Relaxed)
-    }
-
-    /// Closes the breaker and forgets the failure streak (an operator
-    /// "the detector is back" reset).
-    pub fn reset_breaker(&self) {
-        self.breaker_open.store(false, Ordering::Relaxed);
-        self.consecutive_failures.store(0, Ordering::Relaxed);
-    }
-
-    /// The inner oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
     }
 }
 
@@ -381,16 +275,14 @@ impl<O: Oracle> Oracle for RetryingOracle<O> {
                     self.consecutive_failures.store(0, Ordering::Relaxed);
                     return Ok(scores);
                 }
-                Err(e) if e.is_retryable() && attempt < self.policy.max_retries => {
-                    let backoff = (self.policy.base_backoff * f64::powi(2.0, attempt as i32))
-                        .min(self.policy.max_backoff);
-                    *lock(&self.backoff) += backoff;
+                Err(e) if e.is_retryable() && attempt < MAX_RETRIES => {
+                    *lock(&self.backoff) += BASE_BACKOFF * f64::powi(2.0, attempt as i32);
                     self.retries.fetch_add(1, Ordering::Relaxed);
                     attempt += 1;
                 }
                 Err(e) => {
                     let streak = self.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
-                    if streak >= self.policy.breaker_threshold
+                    if streak >= BREAKER_THRESHOLD
                         && !self.breaker_open.swap(true, Ordering::Relaxed)
                     {
                         self.breaker_trips.fetch_add(1, Ordering::Relaxed);
@@ -424,20 +316,54 @@ impl<O: Oracle> Oracle for RetryingOracle<O> {
 mod tests {
     use super::*;
     use crate::oracle::ExactScoreOracle;
+    use std::sync::Arc;
 
     fn table() -> ExactScoreOracle {
         ExactScoreOracle::new("t", (0..100).map(|i| i as f64).collect(), 0.1)
     }
 
-    /// A plan that faults on every call, useful for breaker tests.
-    fn always_transient() -> FaultPlan {
-        FaultPlan {
-            seed: 0,
-            timeout_per_mille: 0,
-            transient_per_mille: 1000,
-            spike_per_mille: 0,
-            timeout_penalty: 0.0,
-            spike_penalty: 0.0,
+    /// A scripted oracle: call `i` fails transiently when `fails(i)`,
+    /// and otherwise scores like [`table`]. The test keeps a clone of
+    /// `calls` to watch what reaches it through a [`RetryingOracle`].
+    struct Scripted {
+        calls: Arc<AtomicU64>,
+        fails: fn(u64) -> bool,
+    }
+
+    impl Scripted {
+        fn new(fails: fn(u64) -> bool) -> (Self, Arc<AtomicU64>) {
+            let calls = Arc::new(AtomicU64::new(0));
+            let oracle = Scripted {
+                calls: Arc::clone(&calls),
+                fails,
+            };
+            (oracle, calls)
+        }
+    }
+
+    impl Oracle for Scripted {
+        fn score_batch(&self, frames: &[usize]) -> Vec<f64> {
+            table().score_batch(frames)
+        }
+
+        fn try_score_batch(&self, frames: &[usize]) -> Result<Vec<f64>, OracleError> {
+            if (self.fails)(self.calls.fetch_add(1, Ordering::Relaxed)) {
+                Err(OracleError::Transient("scripted fault"))
+            } else {
+                Ok(self.score_batch(frames))
+            }
+        }
+
+        fn cost_per_frame(&self) -> f64 {
+            0.1
+        }
+
+        fn num_frames(&self) -> usize {
+            100
+        }
+
+        fn name(&self) -> &str {
+            "scripted"
         }
     }
 
@@ -455,10 +381,8 @@ mod tests {
         let ra: Vec<bool> = (0..200).map(|_| a.try_score_batch(&[0]).is_ok()).collect();
         let rb: Vec<bool> = (0..200).map(|_| b.try_score_batch(&[0]).is_ok()).collect();
         assert_eq!(ra, rb, "same seed must fault on the same calls");
-        assert!(ra.iter().any(|ok| !ok), "default mix injects failures");
-        assert!(ra.iter().any(|ok| *ok), "default mix lets calls through");
-        assert_eq!(a.timeouts(), b.timeouts());
-        assert_eq!(a.spikes(), b.spikes());
+        assert!(ra.iter().any(|ok| !ok), "the mix injects failures");
+        assert!(ra.iter().any(|ok| *ok), "the mix lets calls through");
         assert_eq!(a.sim_overhead_seconds(), b.sim_overhead_seconds());
     }
 
@@ -471,45 +395,56 @@ mod tests {
         assert_ne!(ra, rb);
     }
 
+    /// Each call's outcome and simulated charge: a timeout burns one
+    /// second, a transient error nothing, a success nothing or a half
+    /// second spike — at rates near the mix's 5% / 10% / 10%.
     #[test]
-    fn flaky_charges_sim_penalties() {
-        let plan = FaultPlan {
-            seed: 7,
-            timeout_per_mille: 1000,
-            transient_per_mille: 0,
-            spike_per_mille: 0,
-            timeout_penalty: 1.5,
-            spike_penalty: 0.0,
-        };
-        let o = FlakyOracle::with_plan(table(), plan);
-        assert!(matches!(
-            o.try_score_batch(&[0]),
-            Err(OracleError::Timeout { .. })
-        ));
-        assert!((o.sim_overhead_seconds() - 1.5).abs() < 1e-12);
-        let _ = o.try_score_batch(&[0]);
-        assert!((o.sim_overhead_seconds() - 3.0).abs() < 1e-12);
+    fn flaky_charges_the_mix_penalties() {
+        let o = FlakyOracle::new(table(), 7);
+        let calls = 10_000;
+        let (mut timeouts, mut transients, mut spikes) = (0, 0, 0);
+        for _ in 0..calls {
+            let before = o.sim_overhead_seconds();
+            let outcome = o.try_score_batch(&[5]);
+            let charged = o.sim_overhead_seconds() - before;
+            match outcome {
+                Err(OracleError::Timeout { sim_seconds }) => {
+                    assert_eq!(sim_seconds, 1.0);
+                    assert_eq!(charged, 1.0);
+                    timeouts += 1;
+                }
+                Err(e) => {
+                    assert_eq!(e, OracleError::Transient("injected fault"));
+                    assert_eq!(charged, 0.0);
+                    transients += 1;
+                }
+                Ok(scores) => {
+                    assert_eq!(scores, vec![5.0]);
+                    assert!(charged == 0.0 || charged == 0.5, "charged {charged}");
+                    spikes += (charged == 0.5) as u32;
+                }
+            }
+        }
+        let near = |n: u32, per_mille: u32| n.abs_diff(per_mille * calls / 1000) < calls / 100;
+        assert!(near(timeouts, 50), "{timeouts} timeouts");
+        assert!(near(transients, 100), "{transients} transient errors");
+        assert!(near(spikes, 100), "{spikes} spikes");
     }
 
     #[test]
     fn flaky_infallible_path_bypasses_faults() {
-        let o = FlakyOracle::with_plan(table(), always_transient());
-        assert_eq!(o.score_batch(&[5]), vec![5.0]);
+        let o = FlakyOracle::new(table(), 7);
+        for _ in 0..200 {
+            assert_eq!(o.score_batch(&[5]), vec![5.0]);
+        }
+        assert_eq!(o.sim_overhead_seconds(), 0.0);
     }
 
     #[test]
     fn retry_succeeds_through_transient_faults() {
-        // Seeded mix with ~25% failures: 3 retries make per-call failure
-        // (~0.25^4) rare enough that 50 calls all succeed.
-        let plan = FaultPlan {
-            seed: 3,
-            timeout_per_mille: 100,
-            transient_per_mille: 150,
-            spike_per_mille: 0,
-            timeout_penalty: 1.0,
-            spike_penalty: 0.0,
-        };
-        let o = RetryingOracle::new(FlakyOracle::with_plan(table(), plan));
+        // A quarter of calls fail: three retries make a call's failure
+        // (~0.25⁴) rare enough that this seed's 50 calls all succeed.
+        let o = RetryingOracle::new(FlakyOracle::new(table(), 3));
         for i in 0..50 {
             assert_eq!(o.try_score_batch(&[i]).unwrap(), vec![i as f64]);
         }
@@ -519,77 +454,56 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_capped_exponential() {
-        let policy = RetryPolicy {
-            max_retries: 4,
-            base_backoff: 0.1,
-            max_backoff: 0.3,
-            breaker_threshold: 100,
-        };
-        let o = RetryingOracle::with_policy(
-            FlakyOracle::with_plan(table(), always_transient()),
-            policy,
-        );
+    fn backoff_doubles_per_retry() {
+        let (down, calls) = Scripted::new(|_| true);
+        let o = RetryingOracle::new(down);
         assert!(o.try_score_batch(&[0]).is_err());
-        // 0.1 + 0.2 + 0.3 (capped) + 0.3 (capped)
-        assert!((o.sim_overhead_seconds() - 0.9).abs() < 1e-12);
-        assert_eq!(o.retries(), 4);
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            4,
+            "one attempt, three retries"
+        );
+        assert_eq!(o.retries(), 3);
+        // 0.1 + 0.2 + 0.4, summed in that order.
+        assert_eq!(o.sim_overhead_seconds(), 0.1 + 0.2 + 0.4);
     }
 
     #[test]
     fn breaker_trips_and_fails_fast() {
-        let policy = RetryPolicy {
-            max_retries: 0,
-            base_backoff: 0.0,
-            max_backoff: 0.0,
-            breaker_threshold: 3,
-        };
-        let flaky = FlakyOracle::with_plan(table(), always_transient());
-        let o = RetryingOracle::with_policy(flaky, policy);
-        for _ in 0..3 {
+        let (down, calls) = Scripted::new(|_| true);
+        let o = RetryingOracle::new(down);
+        for _ in 0..4 {
             assert!(matches!(
                 o.try_score_batch(&[0]),
                 Err(OracleError::Transient(_))
             ));
         }
-        assert!(o.breaker_is_open());
         assert_eq!(o.breaker_trips(), 1);
-        let calls_before = o.inner().calls();
-        assert!(matches!(
+        let calls_before = calls.load(Ordering::Relaxed);
+        assert_eq!(
             o.try_score_batch(&[0]),
-            Err(OracleError::BreakerOpen { .. })
-        ));
-        assert_eq!(o.inner().calls(), calls_before, "open breaker fails fast");
-        o.reset_breaker();
-        assert!(!o.breaker_is_open());
-        assert!(o.try_score_batch(&[0]).is_err(), "oracle is still down");
-        assert_eq!(o.breaker_trips(), 1, "re-tripping needs a fresh streak");
+            Err(OracleError::BreakerOpen {
+                consecutive_failures: 4
+            })
+        );
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            calls_before,
+            "open breaker fails fast"
+        );
+        assert_eq!(o.breaker_trips(), 1, "an open breaker trips once");
     }
 
     #[test]
     fn success_resets_the_failure_streak() {
-        // Fails twice, then works: with threshold 3 the breaker must
-        // never trip because successes clear the streak.
-        let plan = FaultPlan {
-            seed: 11,
-            timeout_per_mille: 0,
-            transient_per_mille: 300,
-            spike_per_mille: 0,
-            timeout_penalty: 0.0,
-            spike_penalty: 0.0,
-        };
-        let policy = RetryPolicy {
-            max_retries: 2,
-            base_backoff: 0.0,
-            max_backoff: 0.0,
-            breaker_threshold: 3,
-        };
-        let o = RetryingOracle::with_policy(FlakyOracle::with_plan(table(), plan), policy);
-        let mut any_ok = false;
-        for _ in 0..100 {
-            any_ok |= o.try_score_batch(&[0]).is_ok();
-        }
-        assert!(any_ok);
+        // Every call exhausts its four attempts, then the next succeeds:
+        // three exhausted calls in a row at most, so with the breaker at
+        // four it never trips.
+        let (flappy, _) = Scripted::new(|i| i % 17 < 12);
+        let o = RetryingOracle::new(flappy);
+        let outcomes: Vec<bool> = (0..100).map(|_| o.try_score_batch(&[0]).is_ok()).collect();
+        assert!(outcomes.iter().any(|ok| *ok));
+        assert!(outcomes.windows(2).any(|w| !w[0] && !w[1]), "streaks form");
         assert_eq!(o.breaker_trips(), 0);
     }
 

@@ -37,5 +37,5 @@ pub mod sentiment;
 pub use classic::{CheapScorer, HogScorer, TinyYoloScorer};
 pub use counting::{counting_oracle, coverage_oracle};
 pub use depth::depth_oracle;
-pub use fault::{FaultPlan, FlakyOracle, OracleError, RetryPolicy, RetryingOracle};
+pub use fault::{FlakyOracle, OracleError, RetryingOracle};
 pub use oracle::{ExactScoreOracle, InstrumentedOracle, Oracle};

@@ -7,7 +7,8 @@
 //! (softmax), `g` means, and `g` standard deviations (softplus + floor).
 //!
 //! Training minimises the mixture negative log-likelihood with Bishop's
-//! classic MDN gradients, computed in closed form in [`Cmdn::train_step`].
+//! classic MDN gradients, computed in closed form in
+//! [`Cmdn::train_step_batch`].
 
 use crate::layers::{init_rng, Conv3x3, Dense, MaxPool2x2, Relu};
 use crate::mixture::{Component, GaussianMixture};
@@ -102,13 +103,13 @@ struct ForwardScratch {
 /// Raw MDN head output converted to mixture parameters, kept together with
 /// the intermediate values the backward pass needs.
 #[derive(Debug, Clone)]
-pub struct MdnParams {
+struct MdnParams {
     /// Softmax mixture weights π (length g).
-    pub pi: Vec<f64>,
+    pi: Vec<f64>,
     /// Component means μ (length g).
-    pub mu: Vec<f64>,
+    mu: Vec<f64>,
     /// Component standard deviations σ (length g, ≥ sigma_min).
-    pub sigma: Vec<f64>,
+    sigma: Vec<f64>,
     /// Raw pre-softplus σ inputs (needed for the σ gradient).
     raw_s: Vec<f64>,
 }
@@ -312,13 +313,6 @@ impl Cmdn {
         }
     }
 
-    /// Inference: the predicted score distribution for one input.
-    pub fn predict(&mut self, input: &[f32]) -> GaussianMixture {
-        self.forward_raw_batch(input, 1, false);
-        let raw = &self.scratch.raw;
-        self.params_to_mixture(&self.to_params(raw))
-    }
-
     /// Batched inference: `inputs` packs `inputs.len() / input_len()`
     /// sample-major frames; the whole minibatch runs through one GEMM per
     /// layer. Returns one mixture per sample, in input order.
@@ -353,14 +347,8 @@ impl Cmdn {
     }
 
     /// Negative log-likelihood of target `y` under the mixture `p`.
-    pub fn nll(p: &MdnParams, y: f64) -> f64 {
+    fn nll(p: &MdnParams, y: f64) -> f64 {
         -log_mixture_density(p, y)
-    }
-
-    /// One training sample: forward, NLL, backward — the `batch = 1` case
-    /// of [`Cmdn::train_step_batch`]. Returns the sample NLL.
-    pub fn train_step(&mut self, input: &[f32], y: f64) -> f64 {
-        self.train_step_batch(input, &[y])
     }
 
     /// One training **minibatch**: `inputs` packs `ys.len()` sample-major
@@ -423,14 +411,6 @@ impl Cmdn {
             total_nll += -log_density;
         }
         (grad_raw, total_nll)
-    }
-
-    /// Evaluation NLL of one sample without touching gradients.
-    pub fn eval_nll(&mut self, input: &[f32], y: f64) -> f64 {
-        self.forward_raw_batch(input, 1, false);
-        let raw = &self.scratch.raw;
-        let p = self.to_params(raw);
-        Self::nll(&p, y)
     }
 
     /// Per-sample evaluation NLLs of a minibatch (`inputs` packs
@@ -562,8 +542,8 @@ fn log_sum_exp(xs: &[f64]) -> f64 {
     m + xs.iter().map(|x| (x - m).exp()).sum::<f64>().ln()
 }
 
-/// Log-density of the mixture at `y` (used by tests and by NLL reporting).
-pub fn log_mixture_density(p: &MdnParams, y: f64) -> f64 {
+/// Log-density of the mixture at `y`.
+fn log_mixture_density(p: &MdnParams, y: f64) -> f64 {
     let terms: Vec<f64> = (0..p.pi.len())
         .map(|j| p.pi[j].max(1e-300).ln() + log_normal_pdf(y, p.mu[j], p.sigma[j]))
         .collect();
@@ -608,7 +588,7 @@ mod tests {
     fn predict_is_valid_mixture() {
         let mut m = Cmdn::new(tiny_cfg());
         let input = vec![0.3f32; 64];
-        let mix = m.predict(&input);
+        let mix = m.predict_many(&input).remove(0);
         assert_eq!(mix.num_components(), 3);
         let wsum: f64 = mix.components().iter().map(|c| c.weight).sum();
         assert!((wsum - 1.0).abs() < 1e-9);
@@ -618,7 +598,7 @@ mod tests {
     #[test]
     fn initial_means_spread_over_target_range() {
         let mut m = Cmdn::new(tiny_cfg());
-        let mix = m.predict(&vec![0.0f32; 64]);
+        let mix = m.predict_many(&[0.0f32; 64]).remove(0);
         let means: Vec<f64> = mix.components().iter().map(|c| c.mean).collect();
         // With zero input, biases dominate: means ≈ 1, 3, 5 on (0, 6).
         assert!(
@@ -646,11 +626,11 @@ mod tests {
         let mut m = Cmdn::new(tiny_cfg());
         let input: Vec<f32> = (0..64).map(|i| ((i * 37) % 64) as f32 / 64.0).collect();
         let y = 4.0;
-        let before = m.eval_nll(&input, y);
+        let before = m.eval_nll_batch(&input, &[y])[0];
         // 50 plain-SGD steps on a single example must overfit it.
         for _ in 0..50 {
             m.zero_grads();
-            let _ = m.train_step(&input, y);
+            let _ = m.train_step_batch(&input, &[y]);
             let mut p = m.params_flat();
             let g = m.grads_flat();
             for (pi, gi) in p.iter_mut().zip(g.iter()) {
@@ -658,7 +638,7 @@ mod tests {
             }
             m.set_params_flat(&p);
         }
-        let after = m.eval_nll(&input, y);
+        let after = m.eval_nll_batch(&input, &[y])[0];
         assert!(after < before, "NLL should drop: {before} → {after}");
     }
 
@@ -715,7 +695,7 @@ mod tests {
         let input: Vec<f32> = (0..64).map(|i| (i as f32 * 0.13).sin().abs()).collect();
         let y = 2.5;
         m.zero_grads();
-        let _ = m.train_step(&input, y);
+        let _ = m.train_step_batch(&input, &[y]);
         let analytic = m.grads_flat();
         let mut flat = m.params_flat();
         let eps = 1e-3f32;
@@ -725,10 +705,10 @@ mod tests {
             let orig = flat[i];
             flat[i] = orig + eps;
             m.set_params_flat(&flat);
-            let lp = m.eval_nll(&input, y);
+            let lp = m.eval_nll_batch(&input, &[y])[0];
             flat[i] = orig - eps;
             m.set_params_flat(&flat);
-            let lm = m.eval_nll(&input, y);
+            let lm = m.eval_nll_batch(&input, &[y])[0];
             flat[i] = orig;
             m.set_params_flat(&flat);
             let numeric = ((lp - lm) / (2.0 * eps as f64)) as f32;

@@ -1,12 +1,12 @@
 //! Neural-network layers with hand-derived backward passes.
 //!
 //! Layers operate on **batched** channel-major buffers (see
-//! [`crate::kernels`] for the exact layout): every layer exposes
-//! `forward_batch` / `backward_batch` that push a whole minibatch through
-//! one im2col + GEMM (convolution) or one GEMM (dense) call, plus
-//! single-sample `forward` / `backward` conveniences that are the
-//! `batch = 1` special case. Shapes are fixed at construction and asserted
-//! at the boundaries.
+//! [`crate::kernels`] for the exact layout) and have one entry point per
+//! pass: `forward_batch_into` pushes a whole minibatch through one
+//! im2col + GEMM (convolution) or one GEMM (dense) call into a
+//! caller-provided buffer, and `backward_batch` returns the minibatch's
+//! input gradient. A single sample is the `batch = 1` case. Shapes are
+//! fixed at construction and asserted at the boundaries.
 //!
 //! The original scalar triple-loop implementations survive in the
 //! `#[cfg(test)]` [`reference`] module as oracles for the GEMM-path
@@ -125,29 +125,16 @@ impl Conv3x3 {
         self.out_ch * self.h * self.w
     }
 
-    /// Single-sample forward pass — the `batch = 1` case of
-    /// [`Conv3x3::forward_batch`].
-    ///
-    /// ```
-    /// use everest_nn::layers::{init_rng, Conv3x3};
-    ///
-    /// let mut rng = init_rng(0);
-    /// let mut conv = Conv3x3::new(1, 4, 8, 8, &mut rng);
-    /// let input = vec![0.5f32; conv.input_len()];
-    /// let out = conv.forward(&input, false);
-    /// assert_eq!(out.len(), conv.output_len()); // 4 × 8 × 8
-    /// ```
-    pub fn forward(&mut self, input: &[f32], train: bool) -> Vec<f32> {
-        self.forward_batch(input, 1, train)
-    }
-
     /// Batched forward pass over `batch` samples in the channel-major
-    /// batched layout of [`crate::kernels`]: im2col packs all patches of
-    /// the whole minibatch, then one blocked GEMM against the weight
-    /// matrix computes every output channel of every sample.
+    /// batched layout of [`crate::kernels`], into `out` (resized as
+    /// needed): im2col packs all patches of the whole minibatch, then one
+    /// blocked GEMM against the weight matrix computes every output
+    /// channel of every sample.
     ///
     /// With `train = true` the input is cached for
-    /// [`Conv3x3::backward_batch`].
+    /// [`Conv3x3::backward_batch`]. After warmup every buffer (including
+    /// the train-mode input cache) is reused, so the call allocates
+    /// nothing.
     ///
     /// ```
     /// use everest_nn::layers::{init_rng, Conv3x3};
@@ -156,19 +143,10 @@ impl Conv3x3 {
     /// let mut conv = Conv3x3::new(1, 2, 4, 4, &mut rng);
     /// let batch = 3;
     /// let inputs = vec![0.25f32; batch * conv.input_len()];
-    /// let out = conv.forward_batch(&inputs, batch, false);
-    /// assert_eq!(out.len(), batch * conv.output_len());
+    /// let mut out = Vec::new();
+    /// conv.forward_batch_into(&inputs, batch, false, &mut out);
+    /// assert_eq!(out.len(), batch * conv.output_len()); // 3 × 2 × 4 × 4
     /// ```
-    pub fn forward_batch(&mut self, input: &[f32], batch: usize, train: bool) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.forward_batch_into(input, batch, train, &mut out);
-        out
-    }
-
-    /// [`Conv3x3::forward_batch`] writing into a caller-provided buffer
-    /// (resized as needed) — the zero-copy form the CMDN's ping-pong
-    /// forward pass uses. After warmup every buffer (including the
-    /// train-mode input cache) is reused, so the call allocates nothing.
     pub fn forward_batch_into(
         &mut self,
         input: &[f32],
@@ -208,12 +186,6 @@ impl Conv3x3 {
             out[row * n..(row + 1) * n].fill(b);
         }
         kernels::gemm(self.out_ch, n, k, &self.weight.w, &self.scratch.cols, out);
-    }
-
-    /// Single-sample backward pass — the `batch = 1` case of
-    /// [`Conv3x3::backward_batch`].
-    pub fn backward(&mut self, grad_out: &[f32]) -> Vec<f32> {
-        self.backward_batch(grad_out, 1)
     }
 
     /// Batched backward pass: accumulates weight/bias gradients (`+=`) and
@@ -330,24 +302,10 @@ impl MaxPool2x2 {
         self.ch * (self.h / 2) * (self.w / 2)
     }
 
-    /// Single-sample forward — the `batch = 1` case of
-    /// [`MaxPool2x2::forward_batch`].
-    pub fn forward(&mut self, input: &[f32], train: bool) -> Vec<f32> {
-        self.forward_batch(input, 1, train)
-    }
-
-    /// Batched forward pass in the channel-major batched layout. With
-    /// `train = true` records the argmax positions for
-    /// [`MaxPool2x2::backward`].
-    pub fn forward_batch(&mut self, input: &[f32], batch: usize, train: bool) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.forward_batch_into(input, batch, train, &mut out);
-        out
-    }
-
-    /// [`MaxPool2x2::forward_batch`] writing into a caller-provided buffer
-    /// (resized as needed); the train-mode argmax buffer is reused across
-    /// calls, so steady-state calls allocate nothing.
+    /// Batched forward pass in the channel-major batched layout, into
+    /// `out` (resized as needed). With `train = true` records the argmax
+    /// positions for [`MaxPool2x2::backward`]; that buffer is reused
+    /// across calls, so steady-state calls allocate nothing.
     pub fn forward_batch_into(
         &mut self,
         input: &[f32],
@@ -423,8 +381,8 @@ impl MaxPool2x2 {
     }
 
     /// Routes each output gradient back to the input cell that won the
-    /// max (works for whatever batch the previous `forward_batch(train =
-    /// true)` processed).
+    /// max (works for whatever batch the previous train-mode
+    /// [`MaxPool2x2::forward_batch_into`] processed).
     pub fn backward(&mut self, grad_out: &[f32]) -> Vec<f32> {
         assert!(
             !self.argmax.is_empty(),
@@ -452,18 +410,11 @@ impl Relu {
         Relu { mask: Vec::new() }
     }
 
-    /// `max(x, 0)` elementwise; with `train = true` records the active
-    /// mask for [`Relu::backward`]. Works on buffers of any length, so
-    /// batched activations need no separate entry point.
-    pub fn forward(&mut self, input: &[f32], train: bool) -> Vec<f32> {
-        let mut out = input.to_vec();
-        self.forward_inplace(&mut out, train);
-        out
-    }
-
-    /// [`Relu::forward`] clamping the buffer in place — activations never
-    /// leave the layer above's output buffer. The train-mode mask is
-    /// reused across calls, so steady-state calls allocate nothing.
+    /// `max(x, 0)` elementwise, in place — activations never leave the
+    /// layer above's output buffer. With `train = true` records the
+    /// active mask for [`Relu::backward`]; the mask is reused across
+    /// calls, so steady-state calls allocate nothing. Works on buffers of
+    /// any length, so batched activations need no separate entry point.
     pub fn forward_inplace(&mut self, x: &mut [f32], train: bool) {
         if train {
             self.mask.resize(x.len(), false);
@@ -530,25 +481,11 @@ impl Dense {
         }
     }
 
-    /// Single-sample forward — the `batch = 1` case of
-    /// [`Dense::forward_batch`].
-    pub fn forward(&mut self, input: &[f32], train: bool) -> Vec<f32> {
-        self.forward_batch(input, 1, train)
-    }
-
-    /// Batched forward pass: inputs are sample-major (`batch × in_dim`
-    /// row-major), the output is `batch × out_dim`. One `X · Wᵀ` GEMM
-    /// ([`kernels::gemm_nt`], which reads the `[out][in]` weights directly
-    /// — no transpose pass) computes the whole minibatch.
-    pub fn forward_batch(&mut self, input: &[f32], batch: usize, train: bool) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.forward_batch_into(input, batch, train, &mut out);
-        out
-    }
-
-    /// [`Dense::forward_batch`] writing into a caller-provided buffer
-    /// (resized as needed) — zero-copy form for the CMDN's ping-pong
-    /// forward pass; steady-state calls allocate nothing.
+    /// Batched forward pass into `out` (resized as needed): inputs are
+    /// sample-major (`batch × in_dim` row-major), the output is
+    /// `batch × out_dim`. One `X · Wᵀ` GEMM ([`kernels::gemm_nt`], which
+    /// reads the `[out][in]` weights directly — no transpose pass)
+    /// computes the whole minibatch; steady-state calls allocate nothing.
     pub fn forward_batch_into(
         &mut self,
         input: &[f32],
@@ -576,12 +513,6 @@ impl Dense {
             out[s * self.out_dim..(s + 1) * self.out_dim].copy_from_slice(&self.bias.w);
         }
         kernels::gemm_nt(batch, self.out_dim, self.in_dim, input, &self.weight.w, out);
-    }
-
-    /// Single-sample backward — the `batch = 1` case of
-    /// [`Dense::backward_batch`].
-    pub fn backward(&mut self, grad_out: &[f32]) -> Vec<f32> {
-        self.backward_batch(grad_out, 1)
     }
 
     /// Batched backward pass: accumulates weight/bias gradients and
@@ -785,6 +716,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The output a `forward_batch_into` call writes into a fresh buffer.
+    fn fwd(forward: impl FnOnce(&mut Vec<f32>)) -> Vec<f32> {
+        let mut out = Vec::new();
+        forward(&mut out);
+        out
+    }
+
     #[test]
     fn conv_identity_kernel() {
         let mut rng = init_rng(1);
@@ -794,7 +732,7 @@ mod tests {
         conv.weight.w[4] = 1.0; // center of the 3×3
         conv.bias.w[0] = 0.0;
         let input: Vec<f32> = (0..16).map(|i| i as f32).collect();
-        let out = conv.forward(&input, false);
+        let out = fwd(|o| conv.forward_batch_into(&input, 1, false, o));
         assert_eq!(out, input);
     }
 
@@ -804,7 +742,7 @@ mod tests {
         let mut conv = Conv3x3::new(1, 2, 2, 2, &mut rng);
         conv.weight.w.iter_mut().for_each(|w| *w = 0.0);
         conv.bias.w = vec![0.5, -0.5];
-        let out = conv.forward(&[0.0; 4], false);
+        let out = fwd(|o| conv.forward_batch_into(&[0.0; 4], 1, false, o));
         assert_eq!(&out[0..4], &[0.5; 4]);
         assert_eq!(&out[4..8], &[-0.5; 4]);
     }
@@ -816,13 +754,17 @@ mod tests {
         let input: Vec<f32> = (0..conv.input_len())
             .map(|i| (i as f32 * 0.37).sin())
             .collect();
-        let out = conv.forward(&input, true);
+        let out = fwd(|o| conv.forward_batch_into(&input, 1, true, o));
         // L = Σ out², dL/dout = 2·out
         let grad_out: Vec<f32> = out.iter().map(|&o| 2.0 * o).collect();
-        let grad_in = conv.backward(&grad_out);
+        let grad_in = conv.backward_batch(&grad_out, 1);
 
-        let loss =
-            |c: &mut Conv3x3, x: &[f32]| -> f32 { c.forward(x, false).iter().map(|o| o * o).sum() };
+        let loss = |c: &mut Conv3x3, x: &[f32]| -> f32 {
+            fwd(|o| c.forward_batch_into(x, 1, false, o))
+                .iter()
+                .map(|o| o * o)
+                .sum()
+        };
         let eps = 1e-2f32;
         let mut x = input.clone();
         for i in [0usize, 5, 11, 17, 23, 31] {
@@ -851,20 +793,26 @@ mod tests {
         let mut rng = init_rng(9);
         let mut conv = Conv3x3::new(1, 1, 4, 4, &mut rng);
         let input: Vec<f32> = (0..16).map(|i| (i as f32 * 0.21).cos()).collect();
-        let out = conv.forward(&input, true);
+        let out = fwd(|o| conv.forward_batch_into(&input, 1, true, o));
         let grad_out: Vec<f32> = out.iter().map(|&o| 2.0 * o).collect();
         conv.weight.zero_grad();
         conv.bias.zero_grad();
-        let _ = conv.backward(&grad_out);
+        let _ = conv.backward_batch(&grad_out, 1);
         let analytic = conv.weight.g.clone();
 
         let eps = 1e-2f32;
         for wi in 0..9 {
             let orig = conv.weight.w[wi];
             conv.weight.w[wi] = orig + eps;
-            let lp: f32 = conv.forward(&input, false).iter().map(|o| o * o).sum();
+            let lp: f32 = fwd(|o| conv.forward_batch_into(&input, 1, false, o))
+                .iter()
+                .map(|o| o * o)
+                .sum();
             conv.weight.w[wi] = orig - eps;
-            let lm: f32 = conv.forward(&input, false).iter().map(|o| o * o).sum();
+            let lm: f32 = fwd(|o| conv.forward_batch_into(&input, 1, false, o))
+                .iter()
+                .map(|o| o * o)
+                .sum();
             conv.weight.w[wi] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(
@@ -885,7 +833,7 @@ mod tests {
             0.0, 0.0,   9.0, 8.0,
             0.0, 0.0,   7.0, 6.0,
         ];
-        let out = pool.forward(&input, true);
+        let out = fwd(|o| pool.forward_batch_into(&input, 1, true, o));
         assert_eq!(out, vec![4.0, 5.0, 0.0, 9.0]);
         let grad_in = pool.backward(&[1.0, 1.0, 1.0, 1.0]);
         assert_eq!(grad_in[5], 1.0); // position of 4.0
@@ -904,10 +852,10 @@ mod tests {
             .map(|_| (0..2 * hw).map(|_| rng.gen_range(-1.0..1.0)).collect())
             .collect();
         let batched = pack_batched(&per_sample, 2, hw);
-        let out = pool.forward_batch(&batched, batch, false);
+        let out = fwd(|o| pool.forward_batch_into(&batched, batch, false, o));
         let mut single = MaxPool2x2::new(2, 4, 4);
         for (s, sample) in per_sample.iter().enumerate() {
-            let o = single.forward(sample, false);
+            let o = fwd(|o| single.forward_batch_into(sample, 1, false, o));
             for c in 0..2 {
                 for pos in 0..4 {
                     assert_eq!(out[(c * batch + s) * 4 + pos], o[c * 4 + pos], "c{c} s{s}");
@@ -925,8 +873,9 @@ mod tests {
     #[test]
     fn relu_forward_backward() {
         let mut relu = Relu::new();
-        let out = relu.forward(&[-1.0, 0.0, 2.0], true);
-        assert_eq!(out, vec![0.0, 0.0, 2.0]);
+        let mut x = [-1.0, 0.0, 2.0];
+        relu.forward_inplace(&mut x, true);
+        assert_eq!(x, [0.0, 0.0, 2.0]);
         let grad = relu.backward(&[5.0, 5.0, 5.0]);
         assert_eq!(grad, vec![0.0, 0.0, 5.0]);
     }
@@ -937,7 +886,7 @@ mod tests {
         let mut d = Dense::new(3, 2, &mut rng);
         d.weight.w = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         d.bias.w = vec![0.1, -0.1];
-        let out = d.forward(&[1.0, 0.0, -1.0], false);
+        let out = fwd(|o| d.forward_batch_into(&[1.0, 0.0, -1.0], 1, false, o));
         assert!((out[0] - (1.0 - 3.0 + 0.1)).abs() < 1e-6);
         assert!((out[1] - (4.0 - 6.0 - 0.1)).abs() < 1e-6);
     }
@@ -947,17 +896,23 @@ mod tests {
         let mut rng = init_rng(3);
         let mut d = Dense::new(5, 4, &mut rng);
         let input: Vec<f32> = (0..5).map(|i| i as f32 * 0.3 - 0.6).collect();
-        let out = d.forward(&input, true);
+        let out = fwd(|o| d.forward_batch_into(&input, 1, true, o));
         let grad_out: Vec<f32> = out.iter().map(|&o| 2.0 * o).collect();
-        let grad_in = d.backward(&grad_out);
+        let grad_in = d.backward_batch(&grad_out, 1);
         let eps = 1e-3f32;
         let mut x = input.clone();
         for i in 0..5 {
             let orig = x[i];
             x[i] = orig + eps;
-            let lp: f32 = d.forward(&x, false).iter().map(|o| o * o).sum();
+            let lp: f32 = fwd(|o| d.forward_batch_into(&x, 1, false, o))
+                .iter()
+                .map(|o| o * o)
+                .sum();
             x[i] = orig - eps;
-            let lm: f32 = d.forward(&x, false).iter().map(|o| o * o).sum();
+            let lm: f32 = fwd(|o| d.forward_batch_into(&x, 1, false, o))
+                .iter()
+                .map(|o| o * o)
+                .sum();
             x[i] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(
@@ -978,10 +933,10 @@ mod tests {
         let mut d = Dense::new(7, 5, &mut rng);
         let batch = 4;
         let inputs: Vec<f32> = (0..batch * 7).map(|i| (i as f32 * 0.23).sin()).collect();
-        let out = d.forward_batch(&inputs, batch, true);
+        let out = fwd(|o| d.forward_batch_into(&inputs, batch, true, o));
         let mut single = Dense::new(7, 5, &mut init_rng(21));
         for s in 0..batch {
-            let o = single.forward(&inputs[s * 7..(s + 1) * 7], false);
+            let o = fwd(|o| single.forward_batch_into(&inputs[s * 7..(s + 1) * 7], 1, false, o));
             assert_eq!(&out[s * 5..(s + 1) * 5], &o[..], "sample {s}");
         }
         // batched backward grads = sum of per-sample grads
@@ -1062,7 +1017,7 @@ mod tests {
             let input: Vec<f32> = (0..conv.input_len())
                 .map(|_| rng.gen_range(-1.0..1.0))
                 .collect();
-            let fast = conv.forward(&input, false);
+            let fast = fwd(|o| conv.forward_batch_into(&input, 1, false, o));
             let slow = reference::conv3x3_forward(
                 in_ch, out_ch, h, w, &conv.weight.w, &conv.bias.w, &input,
             );
@@ -1092,10 +1047,10 @@ mod tests {
             let grad_out: Vec<f32> = (0..conv.output_len())
                 .map(|_| rng.gen_range(-1.0..1.0))
                 .collect();
-            let _ = conv.forward(&input, true);
+            let _ = fwd(|o| conv.forward_batch_into(&input, 1, true, o));
             conv.weight.zero_grad();
             conv.bias.zero_grad();
-            let gin = conv.backward(&grad_out);
+            let gin = conv.backward_batch(&grad_out, 1);
             let (gin_ref, gw_ref, gb_ref) = reference::conv3x3_backward(
                 in_ch, out_ch, h, w, &conv.weight.w, &input, &grad_out,
             );
@@ -1128,7 +1083,7 @@ mod tests {
                 .map(|_| (0..in_ch * hw).map(|_| rng.gen_range(-1.0..1.0)).collect())
                 .collect();
             let batched = pack_batched(&samples, in_ch, hw);
-            let out = conv.forward_batch(&batched, batch, false);
+            let out = fwd(|o| conv.forward_batch_into(&batched, batch, false, o));
             for (s, sample) in samples.iter().enumerate() {
                 let slow = reference::conv3x3_forward(
                     in_ch, out_ch, h, w, &conv.weight.w, &conv.bias.w, sample,
@@ -1166,9 +1121,9 @@ mod tests {
             let (want, want_arg) = reference::maxpool2x2(ch * batch, h, w, &input);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             let mut pool = MaxPool2x2::new(ch, h, w);
-            let eval = pool.forward_batch(&input, batch, false);
+            let eval = fwd(|o| pool.forward_batch_into(&input, batch, false, o));
             prop_assert_eq!(bits(&eval), bits(&want));
-            let trained = pool.forward_batch(&input, batch, true);
+            let trained = fwd(|o| pool.forward_batch_into(&input, batch, true, o));
             prop_assert_eq!(bits(&trained), bits(&want));
             prop_assert_eq!(&pool.argmax, &want_arg);
         }
@@ -1183,7 +1138,7 @@ mod tests {
             let mut rng = init_rng(seed.wrapping_add(5));
             let mut d = Dense::new(in_dim, out_dim, &mut rng);
             let input: Vec<f32> = (0..in_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let fast = d.forward(&input, false);
+            let fast = fwd(|o| d.forward_batch_into(&input, 1, false, o));
             let slow = reference::dense_forward(in_dim, out_dim, &d.weight.w, &d.bias.w, &input);
             for (a, b) in fast.iter().zip(slow.iter()) {
                 prop_assert!((a - b).abs() <= 1e-4 * (1.0 + b.abs()), "{} vs {}", a, b);

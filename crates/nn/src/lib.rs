@@ -25,8 +25,9 @@
 //! MDN" design. The depth is configurable.
 //!
 //! Conv and dense passes are lowered onto im2col + cache-blocked GEMM (see
-//! [`kernels`]); every layer also has a batched entry point so training
-//! pushes whole minibatches through one GEMM per layer.
+//! [`kernels`]); every layer and the CMDN take whole minibatches, so
+//! training and inference push a batch through one GEMM per layer, and a
+//! single sample is a batch of one.
 
 #![warn(missing_docs)]
 // Every unsafe operation inside an `unsafe fn` sits in an `unsafe {}`

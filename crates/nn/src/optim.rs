@@ -34,11 +34,6 @@ impl Adam {
         }
     }
 
-    /// Number of [`Adam::step`] calls so far (the bias-correction clock).
-    pub fn steps_taken(&self) -> u64 {
-        self.t
-    }
-
     /// One update: `params ← params − lr · m̂ / (√v̂ + ε)`.
     pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), self.m.len(), "param size mismatch");
@@ -95,7 +90,7 @@ mod tests {
         for (xi, ti) in x.iter().zip(target.iter()) {
             assert!((xi - ti).abs() < 1e-2, "{xi} vs {ti}");
         }
-        assert_eq!(opt.steps_taken(), 2000);
+        assert_eq!(opt.t, 2000);
     }
 
     #[test]

@@ -50,14 +50,20 @@ impl Default for TrainConfig {
             epochs: 30,
             batch_size: 64,
             lr: 2e-3,
-            num_threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-                .min(8),
+            num_threads: default_threads(),
             patience: 6,
             seed: 0,
         }
     }
+}
+
+/// The default worker count of every parallel stage: the host's
+/// parallelism, at most 8 (4 when it cannot be read).
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+        .min(8)
 }
 
 /// A trained model together with its selection statistics.
@@ -262,7 +268,7 @@ fn parallel_batch_grads(
 
 /// Mean NLL over a dataset, one partial sum per shard on up to `threads`
 /// workers, with batched forwards. The result does not depend on `threads`.
-pub fn mean_nll(model: &Cmdn, data: &[Sample], threads: usize) -> f64 {
+fn mean_nll(model: &Cmdn, data: &[Sample], threads: usize) -> f64 {
     if data.is_empty() {
         return f64::NAN;
     }
@@ -441,8 +447,8 @@ mod tests {
         let holdout = brightness_dataset(80, 4);
         let trained = train_cmdn(tiny_cfg(3, 16), &fast_tcfg(), &train, &holdout);
         let mut model = trained.model;
-        let lo = model.predict(&vec![0.1f32; 64]).mean();
-        let hi = model.predict(&vec![0.9f32; 64]).mean();
+        let lo = model.predict_many(&[0.1f32; 64])[0].mean();
+        let hi = model.predict_many(&[0.9f32; 64])[0].mean();
         assert!(
             hi - lo > 4.0,
             "predicted means should separate bright from dark: {lo} vs {hi}"

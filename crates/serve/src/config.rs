@@ -17,6 +17,11 @@ pub(crate) const READ_POLL: Duration = Duration::from_millis(20);
 /// frames are always served regardless.
 pub(crate) const DRAIN_GRACE: Duration = Duration::from_millis(500);
 
+/// Per-write timeout. A client that stops reading while the daemon has a
+/// response in flight is disconnected once the socket has been unwritable
+/// this long.
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Everything the daemon needs to bind, pool, and serve.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -31,10 +36,6 @@ pub struct ServeConfig {
     /// Default EVQL settings for every new session (`SET` adjusts a
     /// single session afterwards).
     pub settings: SessionSettings,
-    /// Per-write timeout. A client that stops reading while the daemon
-    /// has a response in flight is disconnected once the socket has been
-    /// unwritable this long.
-    pub write_timeout: Duration,
     /// Admission control: queries allowed to execute concurrently across
     /// all workers. A query arriving while this many are in flight is
     /// *shed* — answered immediately with the typed
@@ -63,7 +64,6 @@ impl Default for ServeConfig {
             workers: 8,
             cache_capacity: 8,
             settings: SessionSettings::default(),
-            write_timeout: Duration::from_secs(2),
             max_inflight_queries: None,
             max_queries_per_connection: None,
             idle_timeout: None,

@@ -19,12 +19,12 @@
 //! carries the accepted/answered totals so harnesses can assert nothing
 //! was lost.
 
-use crate::config::{ServeConfig, BACKLOG, DRAIN_GRACE, READ_POLL};
+use crate::config::{ServeConfig, BACKLOG, DRAIN_GRACE, READ_POLL, WRITE_TIMEOUT};
 use crate::metrics::Metrics;
 use crate::registry::SessionRegistry;
 use everest_core::prelude::CancelToken;
 use everest_evql::wire::{self, FrameDecoder, Request, Response, WireError};
-use everest_evql::{EvqlError, ExecStats, Output, Session, SharedCache};
+use everest_evql::{EvqlError, ExecStats, Session, SharedCache};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -296,7 +296,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, session_id: u64) -> 
     let cfg = &shared.cfg;
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(READ_POLL)).is_err()
-        || stream.set_write_timeout(Some(cfg.write_timeout)).is_err()
+        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
     {
         return CloseReason::Disconnect;
     }
@@ -542,13 +542,13 @@ fn serve_query(
 
     let response = match session.execute(text) {
         Ok(output) => {
-            if let Some(stats) = stats_of(&output) {
+            if let Some(stats) = output.stats() {
                 record_query_stats(&shared.metrics, stats);
             }
             Response::Answer {
                 id,
                 canonical: wire::canonical_output(&output),
-                rendered: render_output(&output),
+                rendered: output.render(),
             }
         }
         Err(err) => {
@@ -718,15 +718,6 @@ fn write_payload(
     }
 }
 
-fn stats_of(output: &Output) -> Option<&ExecStats> {
-    match output {
-        Output::Rows(q) => Some(&q.stats),
-        Output::Skyline(s) => Some(&s.stats),
-        Output::Stream(s) => Some(&s.stats),
-        Output::Message(_) => None,
-    }
-}
-
 /// Folds one answered query's execution stats into the daemon counters.
 fn record_query_stats(metrics: &Metrics, stats: &ExecStats) {
     if let Some(cleaned) = stats.cleaned {
@@ -742,15 +733,6 @@ fn record_query_stats(metrics: &Metrics, stats: &ExecStats) {
     }
     if let Some(trips) = stats.breaker_trips {
         metrics.breaker_trips.fetch_add(trips, Ordering::Relaxed);
-    }
-}
-
-fn render_output(output: &Output) -> String {
-    match output {
-        Output::Rows(q) => q.render(),
-        Output::Skyline(s) => s.render(),
-        Output::Stream(s) => s.render(),
-        Output::Message(m) => m.clone(),
     }
 }
 

@@ -74,48 +74,37 @@ impl VideoStore for InMemoryVideo {
 
 /// GOP-aware decode cost model (simulated seconds).
 ///
-/// * Sequential access (`idx == prev + 1`) costs `seq_cost`.
+/// * Sequential access (`idx == prev + 1`) costs [`Self::SEQ_COST`].
 /// * Random access decodes forward from the nearest preceding keyframe:
-///   `seq_cost × (1 + idx mod gop)` — the farther into a group-of-pictures,
+///   `SEQ_COST × (1 + idx mod GOP)` — the farther into a group-of-pictures,
 ///   the more expensive the jump.
 /// * Re-reading the current frame is free.
-#[derive(Debug, Clone, Copy)]
-pub struct DecodeCostModel {
-    /// Cost of decoding one frame sequentially, in simulated seconds.
-    pub seq_cost: f64,
-    /// Keyframe interval (group-of-pictures length), in frames.
-    pub gop: usize,
-}
-
-impl Default for DecodeCostModel {
-    fn default() -> Self {
-        // 0.4 ms/frame sequential decode, keyframe every 48 frames.
-        DecodeCostModel {
-            seq_cost: 0.4e-3,
-            gop: 48,
-        }
-    }
-}
+///
+/// The model has no fields, only its two constants; callers build it as
+/// `DecodeCostModel::default()`. (Braces, not a unit struct, so that call
+/// reads as the constructor it is rather than a redundant `default()`.)
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DecodeCostModel {}
 
 impl DecodeCostModel {
-    pub fn new(seq_cost: f64, gop: usize) -> Self {
-        assert!(seq_cost >= 0.0 && gop >= 1);
-        DecodeCostModel { seq_cost, gop }
-    }
+    /// Cost of decoding one frame sequentially: 0.4 simulated ms.
+    pub const SEQ_COST: f64 = 0.4e-3;
+    /// Keyframe interval (group-of-pictures length), in frames.
+    pub const GOP: usize = 48;
 
     /// Simulated cost (seconds) of accessing `idx` when the decoder last
     /// delivered `prev` (`None` = cold start).
     pub fn access_cost(&self, idx: usize, prev: Option<usize>) -> f64 {
         match prev {
             Some(p) if p == idx => 0.0,
-            Some(p) if idx == p + 1 => self.seq_cost,
-            _ => self.seq_cost * (1.0 + (idx % self.gop) as f64),
+            Some(p) if idx == p + 1 => Self::SEQ_COST,
+            _ => Self::SEQ_COST * (1.0 + (idx % Self::GOP) as f64),
         }
     }
 
     /// Cost of a fully sequential scan over `n` frames.
     pub fn sequential_scan_cost(&self, n: usize) -> f64 {
-        self.seq_cost * n as f64
+        Self::SEQ_COST * n as f64
     }
 
     /// Cost of accessing the given (arbitrary-order) index sequence,
@@ -151,25 +140,29 @@ mod tests {
 
     #[test]
     fn sequential_access_is_cheapest() {
-        let m = DecodeCostModel::new(1.0, 10);
-        assert_eq!(m.access_cost(5, Some(4)), 1.0);
+        let m = DecodeCostModel::default();
+        let seq = DecodeCostModel::SEQ_COST;
+        assert_eq!(m.access_cost(5, Some(4)), seq);
         assert_eq!(m.access_cost(5, Some(5)), 0.0);
         // jump to mid-GOP frame costs proportionally more
-        assert_eq!(m.access_cost(15, Some(3)), 6.0); // 15 % 10 = 5 → 6×
-        assert_eq!(m.access_cost(20, Some(3)), 1.0); // keyframe
+        assert_eq!(m.access_cost(53, Some(3)), seq * 6.0); // 53 % 48 = 5 → 6×
+        assert_eq!(m.access_cost(96, Some(3)), seq); // keyframe
     }
 
     #[test]
     fn scan_cost_is_linear() {
-        let m = DecodeCostModel::new(0.5, 10);
-        assert_eq!(m.sequential_scan_cost(100), 50.0);
+        assert_eq!(
+            DecodeCostModel::default().sequential_scan_cost(100),
+            100.0 * 0.4e-3
+        );
     }
 
     #[test]
     fn trace_cost_matches_manual_sum() {
-        let m = DecodeCostModel::new(1.0, 4);
-        // cold start at 2 → 1*(1+2)=3; then 3 sequential → 1; then jump to 9 → 1+1=2
-        assert_eq!(m.trace_cost(&[2, 3, 9]), 3.0 + 1.0 + 2.0);
+        let seq = DecodeCostModel::SEQ_COST;
+        // cold start at 2 → 3×; then 3 sequential → 1×; then jump to 50 → 3×
+        let manual = seq * 3.0 + seq + seq * 3.0;
+        assert_eq!(DecodeCostModel::default().trace_cost(&[2, 3, 50]), manual);
     }
 
     #[test]

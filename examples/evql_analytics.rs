@@ -10,7 +10,7 @@
 //! follow-up query on `Archie` (same dataset, different K and confidence)
 //! skips CMDN training entirely.
 
-use everest::evql::{Output, Session};
+use everest::evql::Session;
 
 fn main() {
     let mut session = Session::new();
@@ -42,10 +42,7 @@ fn main() {
     for stmt in statements {
         println!("evql> {stmt}");
         match session.execute(stmt) {
-            Ok(Output::Rows(answer)) => println!("{}", answer.render()),
-            Ok(Output::Skyline(answer)) => println!("{}", answer.render()),
-            Ok(Output::Stream(answer)) => println!("{}", answer.render()),
-            Ok(Output::Message(m)) => println!("{m}"),
+            Ok(output) => println!("{}", output.render()),
             Err(e) => {
                 eprintln!("{}", e.render(stmt));
                 std::process::exit(1);

@@ -15,8 +15,9 @@
 //!   the same statement, because the fault schedule is a pure function
 //!   of the `FLAKY` seed and simulated time never reads the wall clock.
 
+use everest::core::budget::Termination;
 use everest::evql::wire::Response;
-use everest::evql::{ExecStats, Output, Session, SessionSettings};
+use everest::evql::{Output, Session, SessionSettings};
 use everest_serve::{Client, ServeConfig, Server};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier};
@@ -47,15 +48,6 @@ fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
     }
 }
 
-fn stats_of(output: &Output) -> &ExecStats {
-    match output {
-        Output::Rows(q) => &q.stats,
-        Output::Skyline(s) => &s.stats,
-        Output::Stream(s) => &s.stats,
-        Output::Message(_) => panic!("query produced no stats"),
-    }
-}
-
 /// Fault-injected, budget-capped queries. `WITHIN 0` cannot even
 /// bootstrap K certain items, so it is degraded by construction; the
 /// others are tight enough that faults and caps bite without making the
@@ -66,6 +58,32 @@ const CHAOS_QUERIES: [&str; 4] = [
     "SELECT TOP 3 FRAMES FROM Taipei-bus WITH SEED 22, DEADLINE 2.5, FLAKY 1000",
     "SELECT TOP 4 FRAMES FROM Irish-Center WITHIN 25 ORACLE CALLS WITH SEED 23, FLAKY 99",
 ];
+
+/// One `WITH FLAKY` statement pinned to its retries, breaker trips,
+/// termination, cleaned count, confidence and sim-time bits, and frames.
+/// The replay test below compares two runs of the same code, which move
+/// together if a fault rate, a penalty or the backoff drifts; a pin
+/// does not.
+#[test]
+fn a_flaky_statement_keeps_its_pinned_answer() {
+    let mut session = Session::with_settings(test_settings());
+    let Output::Rows(out) = session.execute(CHAOS_QUERIES[3]).unwrap() else {
+        panic!("a SELECT TOP statement answers with rows");
+    };
+    let stats = &out.stats;
+    assert_eq!(stats.oracle_retries, Some(1));
+    assert_eq!(stats.breaker_trips, Some(0));
+    assert_eq!(stats.termination, Some(Termination::BudgetExhausted));
+    assert_eq!(stats.cleaned, Some(25));
+    assert_eq!(stats.iterations, Some(4));
+    assert_eq!(
+        stats.confidence.map(f64::to_bits),
+        Some(0x3f1d_dbef_96b1_ff4d)
+    );
+    assert_eq!(stats.sim_seconds.to_bits(), 0x4041_38fc_7a39_81fc);
+    let frames: Vec<usize> = out.rows.iter().map(|r| r.start_frame).collect();
+    assert_eq!(frames, [160, 167, 175, 189]);
+}
 
 #[test]
 fn flaky_answers_replay_bit_for_bit_against_an_offline_session() {
@@ -80,7 +98,7 @@ fn flaky_answers_replay_bit_for_bit_against_an_offline_session() {
         let output = reference
             .execute(q)
             .unwrap_or_else(|e| panic!("{}", e.render(q)));
-        let stats = stats_of(&output);
+        let stats = output.stats().expect("a query answer");
         expected_retries += stats.oracle_retries.unwrap_or(0);
         expected_degraded += stats.termination.is_some_and(|t| t.is_degraded()) as u64;
         expected.push(everest::evql::wire::canonical_output(&output));
@@ -221,7 +239,13 @@ fn abandoned_query_is_cancelled(text: &str, batch: u64) {
     // The bound below means something only if the query, left alone,
     // cleans more than a batch.
     let mut offline = Session::with_settings(test_settings());
-    let full = stats_of(&offline.execute(text).unwrap()).cleaned.unwrap() as u64;
+    let full = offline
+        .execute(text)
+        .unwrap()
+        .stats()
+        .unwrap()
+        .cleaned
+        .unwrap() as u64;
     assert!(full > batch, "uncancelled, `{text}` cleans only {full}");
 
     let (handle, join) = Server::spawn(test_config()).unwrap();

@@ -323,7 +323,7 @@ fn skyline_query_end_to_end() {
     assert!(cleaned > 0.0);
     assert!(
         out.stats.sim_seconds
-            > phase1 + cleaned * cost_per_frame + 0.99 * cleaned * decode.seq_cost,
+            > phase1 + cleaned * cost_per_frame + 0.99 * cleaned * DecodeCostModel::SEQ_COST,
         "sim {} pays no decode over phase 1 {phase1} + {cleaned} × {cost_per_frame}",
         out.stats.sim_seconds
     );

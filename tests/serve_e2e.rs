@@ -374,11 +374,7 @@ fn client_disconnect_mid_query_keeps_registry_and_metrics_consistent() {
 
 #[test]
 fn slow_reader_trips_the_write_timeout_without_stalling_the_daemon() {
-    let cfg = ServeConfig {
-        write_timeout: Duration::from_millis(100),
-        ..test_config()
-    };
-    let (handle, join) = Server::spawn(cfg).unwrap();
+    let (handle, join) = Server::spawn(test_config()).unwrap();
     let addr = handle.addr();
 
     // A client that floods pings and never reads: the echoes pile up in

@@ -12,9 +12,7 @@ use everest::core::phase1::Phase1Config;
 use everest::core::pipeline::{Everest, PreparedVideo};
 use everest::core::sim::component;
 use everest::core::window::{exact_window_scores, sliding_windows};
-use everest::models::{
-    counting_oracle, FaultPlan, FlakyOracle, InstrumentedOracle, Oracle, RetryingOracle,
-};
+use everest::models::{counting_oracle, FlakyOracle, InstrumentedOracle, Oracle, RetryingOracle};
 use everest::nn::train::TrainConfig;
 use everest::nn::HyperGrid;
 use everest::video::arrival::{ArrivalConfig, Timeline};
@@ -205,18 +203,16 @@ fn sliding_windows_find_the_same_peaks_with_finer_offsets() {
 #[test]
 fn flaky_window_query_charges_oracle_overhead_to_confirm() {
     let (_video, prepared, oracle) = setup();
-    // Timeouts only: every fault burns a simulated second before the retry.
-    let plan = FaultPlan {
-        timeout_per_mille: 300,
-        transient_per_mille: 0,
-        spike_per_mille: 0,
-        ..FaultPlan::new(11)
-    };
-    let flaky = RetryingOracle::new(FlakyOracle::with_plan(oracle, plan));
+    // Seed 11's schedule times out once in this query's calls: the
+    // timeout burns a simulated second before its retry.
+    let flaky = RetryingOracle::new(FlakyOracle::new(oracle, 11));
     let before = flaky.sim_overhead_seconds();
     let report = prepared.query_topk_windows(&flaky, 5, 0.9, 60, 0.2, &CleanerConfig::default());
     let overhead = flaky.sim_overhead_seconds() - before;
-    assert!(overhead >= 1.0, "the plan must force at least one timeout");
+    assert!(
+        overhead >= 1.0,
+        "the schedule must force at least one timeout"
+    );
     // What the deadline sees (scoring cost + fault/backoff overhead) is
     // what CONFIRM reports; decode comes on top.
     let confirm = report.clock.component(component::CONFIRM);
