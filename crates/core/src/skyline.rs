@@ -4,13 +4,15 @@
 //!
 //! ## Setting
 //!
-//! Each frame carries a *vector* of `d` scores (e.g. `(cars, persons)`),
-//! each given as an independent per-dimension x-tuple distribution (the
+//! Each frame carries a *pair* of scores (e.g. `(cars, coverage)`), each
+//! given as an independent per-dimension x-tuple distribution (the
 //! difference-detector argument of §3.2 justifies independence across
 //! frames; a separate CMDN per scoring function justifies independence
 //! across dimensions). Frame `a` **dominates** `b` (`a ≻ b`) iff
-//! `a_j ≥ b_j` on every dimension and `a_j > b_j` on at least one. The
-//! **skyline** is the set of non-dominated frames.
+//! `a_j ≥ b_j` on both dimensions and `a_j > b_j` on at least one. The
+//! **skyline** is the set of non-dominated frames. Skylines are 2-D by
+//! type: every catalog source serves at most two distinct scores, so the
+//! item states, the grid and the vectors are all `[_; 2]`.
 //!
 //! ## Oracle-in-the-loop skyline cleaning
 //!
@@ -29,8 +31,8 @@
 //! `u ≺ r ∈ R̂` and `u ≻ r' ∈ R̂` would give `r ≻ r'`, contradicting both
 //! being skyline members). `Dominated(R̂)` is a deterministic region —
 //! `R̂`'s scores are oracle-confirmed — so each factor is a plain
-//! probability mass, computed in `O(m)` per item for `d = 2` via the
-//! staircase of `R̂` (and by grid enumeration for `d = 3`).
+//! probability mass, computed in `O(m)` per item via the staircase of
+//! `R̂`.
 //!
 //! Cleaning is the one §3.3 loop of [`crate::cleaner`] with the skyline as
 //! the answer being certified: it repeatedly confirms the uncertain items
@@ -41,13 +43,12 @@
 use crate::budget::{QueryBudget, Termination};
 use crate::cleaner::{drive, Answer, CleaningOracle};
 use crate::dist::DiscreteDist;
-use crate::xtuple::{ItemId, ItemState};
+use crate::xtuple::{ItemId, ItemState, UncertainRelation};
 use std::collections::BTreeMap;
 
 /// Panics unless an item's per-dimension states lie on the grid
 /// `max_bucket`.
-fn check_dims(max_bucket: &[usize], dims: &[ItemState]) {
-    assert_eq!(dims.len(), max_bucket.len(), "dimension count mismatch");
+fn check_dims(max_bucket: &[usize; 2], dims: &[ItemState; 2]) {
     for (j, d) in dims.iter().enumerate() {
         match d {
             ItemState::Uncertain(dist) => assert_eq!(
@@ -64,32 +65,23 @@ fn check_dims(max_bucket: &[usize], dims: &[ItemState]) {
     }
 }
 
-/// A multi-dimensional uncertain relation: `items[i][j]` is item `i`'s
+/// A two-dimensional uncertain relation: `items[i][j]` is item `i`'s
 /// x-tuple state on dimension `j`. All items share one bucket grid per
 /// dimension (`max_bucket[j]`).
 #[derive(Debug, Clone)]
 pub struct VectorRelation {
-    max_bucket: Vec<usize>,
-    items: Vec<Vec<ItemState>>,
+    max_bucket: [usize; 2],
+    items: Vec<[ItemState; 2]>,
     num_certain: usize,
 }
 
 impl VectorRelation {
-    pub fn new(max_bucket: Vec<usize>) -> Self {
-        assert!(
-            (2..=3).contains(&max_bucket.len()),
-            "skylines need 2 or 3 dimensions, got {}",
-            max_bucket.len()
-        );
+    pub fn new(max_bucket: [usize; 2]) -> Self {
         VectorRelation {
             max_bucket,
             items: Vec::new(),
             num_certain: 0,
         }
-    }
-
-    pub fn dims(&self) -> usize {
-        self.max_bucket.len()
     }
 
     pub fn len(&self) -> usize {
@@ -109,8 +101,8 @@ impl VectorRelation {
     }
 
     /// Adds an item with per-dimension states (certain dimensions allowed,
-    /// but the item counts as certain only when *all* dimensions are).
-    pub fn push(&mut self, dims: Vec<ItemState>) -> ItemId {
+    /// but the item counts as certain only when *both* dimensions are).
+    pub fn push(&mut self, dims: [ItemState; 2]) -> ItemId {
         check_dims(&self.max_bucket, &dims);
         if dims.iter().all(|d| matches!(d, ItemState::Certain(_))) {
             self.num_certain += 1;
@@ -120,37 +112,32 @@ impl VectorRelation {
     }
 
     /// Convenience: push a fully-certain vector.
-    pub fn push_certain(&mut self, v: &[u32]) -> ItemId {
-        self.push(v.iter().map(|&b| ItemState::Certain(b)).collect())
+    pub fn push_certain(&mut self, v: [u32; 2]) -> ItemId {
+        self.push(v.map(ItemState::Certain))
     }
 
     /// Convenience: push a fully-uncertain vector.
-    pub fn push_uncertain(&mut self, dists: Vec<DiscreteDist>) -> ItemId {
-        self.push(dists.into_iter().map(ItemState::Uncertain).collect())
+    pub fn push_uncertain(&mut self, dists: [DiscreteDist; 2]) -> ItemId {
+        self.push(dists.map(ItemState::Uncertain))
     }
 
     pub fn is_certain(&self, id: ItemId) -> bool {
-        self.items[id]
-            .iter()
-            .all(|d| matches!(d, ItemState::Certain(_)))
+        self.certain_vector(id).is_some()
     }
 
-    /// The exact vector of a certain item; `None` while any dimension is
-    /// uncertain.
-    pub fn certain_vector(&self, id: ItemId) -> Option<Vec<u32>> {
-        self.items[id]
-            .iter()
-            .map(|d| match d {
-                ItemState::Certain(b) => Some(*b),
-                ItemState::Uncertain(_) => None,
-            })
-            .collect()
+    /// The exact vector of a certain item; `None` while either dimension
+    /// is uncertain.
+    pub fn certain_vector(&self, id: ItemId) -> Option<[u32; 2]> {
+        match &self.items[id] {
+            [ItemState::Certain(x), ItemState::Certain(y)] => Some([*x, *y]),
+            _ => None,
+        }
     }
 
     /// Marks an item certain with oracle-confirmed buckets.
-    pub fn clean(&mut self, id: ItemId, v: &[u32]) {
+    pub fn clean(&mut self, id: ItemId, v: [u32; 2]) {
         assert!(!self.is_certain(id), "item {id} cleaned twice");
-        let dims: Vec<ItemState> = v.iter().map(|&b| ItemState::Certain(b)).collect();
+        let dims = v.map(ItemState::Certain);
         check_dims(&self.max_bucket, &dims);
         self.items[id] = dims;
         self.num_certain += 1;
@@ -170,7 +157,7 @@ impl VectorRelation {
     }
 
     /// Every fully-certain item with its exact vector, ascending id.
-    fn certain_points(&self) -> Vec<(ItemId, Vec<u32>)> {
+    fn certain_points(&self) -> Vec<(ItemId, [u32; 2])> {
         (0..self.len())
             .filter_map(|id| self.certain_vector(id).map(|v| (id, v)))
             .collect()
@@ -182,47 +169,30 @@ impl VectorRelation {
     }
 }
 
-/// Zips per-dimension [`crate::xtuple::UncertainRelation`]s (one Phase-1
-/// run per scoring function over the *same* video) into a
-/// [`VectorRelation`].
+/// Zips two per-dimension [`UncertainRelation`]s (one Phase-1 run per
+/// scoring function over the *same* video) into a [`VectorRelation`].
 ///
 /// Items must align 1:1 — both Phase-1 runs see the same retained frames
 /// because the difference detector is score-independent. An item is
-/// vector-certain only when every dimension was labelled during sampling.
-pub fn zip_relations(dims: &[&crate::xtuple::UncertainRelation]) -> VectorRelation {
-    assert!(
-        (2..=3).contains(&dims.len()),
-        "skylines need 2 or 3 dimensions"
-    );
+/// vector-certain only when both dimensions were labelled during sampling.
+pub fn zip_relations(dims: [&UncertainRelation; 2]) -> VectorRelation {
     let n = dims[0].len();
-    for (j, r) in dims.iter().enumerate() {
-        assert_eq!(
-            r.len(),
-            n,
-            "dimension {j} has {} items, expected {n}",
-            r.len()
-        );
-    }
-    let mut rel = VectorRelation::new(dims.iter().map(|r| r.max_bucket()).collect());
+    assert_eq!(
+        dims[1].len(),
+        n,
+        "dimension 1 has {} items, expected {n}",
+        dims[1].len()
+    );
+    let mut rel = VectorRelation::new(dims.map(|r| r.max_bucket()));
     for i in 0..n {
-        rel.push(dims.iter().map(|r| r.item(i).clone()).collect());
+        rel.push(dims.map(|r| r.item(i).clone()));
     }
     rel
 }
 
 /// `a ≻ b`: componentwise ≥ with at least one strict >.
-pub fn dominates(a: &[u32], b: &[u32]) -> bool {
-    debug_assert_eq!(a.len(), b.len());
-    let mut strict = false;
-    for (x, y) in a.iter().zip(b) {
-        if x < y {
-            return false;
-        }
-        if x > y {
-            strict = true;
-        }
-    }
-    strict
+pub fn dominates(a: &[u32; 2], b: &[u32; 2]) -> bool {
+    a[0] >= b[0] && a[1] >= b[1] && a != b
 }
 
 /// Skyline of a set of certain vectors: ids of the non-dominated ones,
@@ -237,7 +207,7 @@ pub fn dominates(a: &[u32], b: &[u32]) -> bool {
 /// `O(n log n + n·|skyline|)` versus the all-pairs `O(n²)` of the
 /// original (`skyline_of_pairwise`), which survives as the property-test
 /// oracle.
-pub fn skyline_of(vectors: &[(ItemId, Vec<u32>)]) -> Vec<ItemId> {
+pub fn skyline_of(vectors: &[(ItemId, [u32; 2])]) -> Vec<ItemId> {
     // Precomputed sums (recomputing the key inside the sort comparator
     // costs more than the filter itself); equal-sum ties break by input
     // index, so the visit order — and with it the result — is fully
@@ -245,7 +215,7 @@ pub fn skyline_of(vectors: &[(ItemId, Vec<u32>)]) -> Vec<ItemId> {
     let mut order: Vec<(u64, u32)> = vectors
         .iter()
         .enumerate()
-        .map(|(i, (_, v))| (v.iter().map(|&x| x as u64).sum::<u64>(), i as u32))
+        .map(|(i, (_, [x, y]))| (*x as u64 + *y as u64, i as u32))
         .collect();
     order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     let mut sky: Vec<u32> = Vec::new();
@@ -264,7 +234,7 @@ pub fn skyline_of(vectors: &[(ItemId, Vec<u32>)]) -> Vec<ItemId> {
 /// The original all-pairs skyline (`O(s²)`): the oracle [`skyline_of`] is
 /// property-tested against.
 #[cfg(test)]
-fn skyline_of_pairwise(vectors: &[(ItemId, Vec<u32>)]) -> Vec<ItemId> {
+fn skyline_of_pairwise(vectors: &[(ItemId, [u32; 2])]) -> Vec<ItemId> {
     vectors
         .iter()
         .filter(|(_, v)| !vectors.iter().any(|(_, w)| dominates(w, v)))
@@ -275,24 +245,10 @@ fn skyline_of_pairwise(vectors: &[(ItemId, Vec<u32>)]) -> Vec<ItemId> {
 /// `Pr(S_u ∈ Dominated(points))` for an uncertain item `u` whose
 /// dimensions are independent, against a *certain* point set.
 ///
-/// For `d = 2` this walks `u`'s x-support once against the staircase of
-/// `points` (`O(m + s)` after an `O(s)` staircase build per call). For
-/// `d = 3` it enumerates `u`'s support grid (`O(m³ · s)` worst case, fine
-/// at video-score bucket counts).
-pub fn prob_dominated(rel: &VectorRelation, u: ItemId, points: &[Vec<u32>]) -> f64 {
-    let item = &rel.items[u];
-    if points.is_empty() {
-        0.0
-    } else if item.len() == 2 {
-        prob_dominated_2d(item, points)
-    } else {
-        prob_dominated_grid(item, points)
-    }
-}
-
-fn prob_dominated_2d(item: &[ItemState], points: &[Vec<u32>]) -> f64 {
-    let x_state = &item[0];
-    let y_state = &item[1];
+/// Walks `u`'s x-support once against the staircase of `points`
+/// (`O(m·s)`); an empty point set dominates nothing.
+pub fn prob_dominated(rel: &VectorRelation, u: ItemId, points: &[[u32; 2]]) -> f64 {
+    let [x_state, y_state] = &rel.items[u];
     let (x_lo, x_hi) = x_state.support();
 
     // For each x, the largest y that is still dominated:
@@ -323,43 +279,6 @@ fn prob_dominated_2d(item: &[ItemState], points: &[Vec<u32>]) -> f64 {
     total
 }
 
-fn prob_dominated_grid(item: &[ItemState], points: &[Vec<u32>]) -> f64 {
-    let supports: Vec<(usize, usize)> = item.iter().map(|d| d.support()).collect();
-    let mut total = 0.0;
-    let mut v = vec![0u32; item.len()];
-    enumerate_support(item, &supports, 0, 1.0, &mut v, &mut |v, mass| {
-        if points.iter().any(|p| dominates(p, v)) {
-            total += mass;
-        }
-    });
-    total
-}
-
-fn enumerate_support(
-    item: &[ItemState],
-    supports: &[(usize, usize)],
-    j: usize,
-    mass: f64,
-    v: &mut Vec<u32>,
-    f: &mut impl FnMut(&[u32], f64),
-) {
-    if mass == 0.0 {
-        return;
-    }
-    if j == supports.len() {
-        f(v, mass);
-        return;
-    }
-    let (lo, hi) = supports[j];
-    for b in lo..=hi {
-        let p = item[j].pmf(b);
-        if p > 0.0 {
-            v[j] = b as u32;
-            enumerate_support(item, supports, j + 1, mass * p, v, f);
-        }
-    }
-}
-
 /// The state of a skyline query against a relation: the certain skyline,
 /// per-uncertain-item domination factors, and the confidence product.
 #[derive(Debug, Clone)]
@@ -378,7 +297,7 @@ pub fn skyline_state(rel: &VectorRelation) -> SkylineState {
     let skyline = skyline_of(&certain);
     // Both lists ascend by id, so the members are found by binary search.
     certain.retain(|(id, _)| skyline.binary_search(id).is_ok());
-    let points: Vec<Vec<u32>> = certain.into_iter().map(|(_, v)| v).collect();
+    let points: Vec<[u32; 2]> = certain.into_iter().map(|(_, v)| v).collect();
     let mut confidence = 1.0;
     let factors: Vec<(ItemId, f64)> = rel
         .uncertain_ids()
@@ -414,19 +333,18 @@ pub struct MaintainerStats {
 /// The items themselves stay in the relation; the index stores only the
 /// skyline members' vectors and the uncertain items' domination factors.
 ///
-/// The key observation (d = 2): a staircase point `(a, b)` entering or
-/// leaving the skyline changes `ybound(x)` only for `x ≤ a`, so only
-/// uncertain items whose x-support intersects `[0, max a over changed
-/// points]` can see a different domination factor — everything else keeps
-/// its stored value, bit-for-bit (the staircase walk consumes integer
-/// `ybound`s, which are unchanged outside the affected range). For d = 3
-/// any staircase change recomputes all factors; insertions of dominated
-/// points never touch a factor in either dimensionality.
+/// The key observation: a staircase point `(a, b)` entering or leaving
+/// the skyline changes `ybound(x)` only for `x ≤ a`, so only uncertain
+/// items whose x-support intersects `[0, max a over changed points]` can
+/// see a different domination factor — everything else keeps its stored
+/// value, bit-for-bit (the staircase walk consumes integer `ybound`s,
+/// which are unchanged outside the affected range). Insertions of
+/// dominated points never touch a factor.
 #[derive(Debug)]
 pub struct SkylineMaintainer<'a> {
     rel: &'a mut VectorRelation,
     /// Certain skyline members and their vectors.
-    skyline: BTreeMap<ItemId, Vec<u32>>,
+    skyline: BTreeMap<ItemId, [u32; 2]>,
     /// Domination factors of the not-fully-certain items.
     factors: BTreeMap<ItemId, f64>,
     pub stats: MaintainerStats,
@@ -453,17 +371,17 @@ impl<'a> SkylineMaintainer<'a> {
     }
 
     /// Adds an item to the relation and to the index.
-    pub fn push(&mut self, dims: Vec<ItemState>) -> ItemId {
+    pub fn push(&mut self, dims: [ItemState; 2]) -> ItemId {
         let id = self.rel.push(dims);
         self.index(id);
         id
     }
 
     /// Confirms an uncertain item's exact vector (oracle cleaning).
-    pub fn clean(&mut self, id: ItemId, v: &[u32]) {
+    pub fn clean(&mut self, id: ItemId, v: [u32; 2]) {
         self.rel.clean(id, v);
         self.factors.remove(&id);
-        self.insert_point(id, v.to_vec());
+        self.insert_point(id, v);
     }
 
     fn index(&mut self, id: ItemId) {
@@ -478,18 +396,18 @@ impl<'a> SkylineMaintainer<'a> {
     }
 
     /// Current skyline point vectors, ascending id order.
-    fn points(&self) -> Vec<Vec<u32>> {
-        self.skyline.values().cloned().collect()
+    fn points(&self) -> Vec<[u32; 2]> {
+        self.skyline.values().copied().collect()
     }
 
     /// Folds a new certain point into the skyline and refreshes only the
     /// factors its staircase change can reach.
-    fn insert_point(&mut self, id: ItemId, v: Vec<u32>) {
+    fn insert_point(&mut self, id: ItemId, v: [u32; 2]) {
         if self.skyline.values().any(|w| dominates(w, &v)) {
             // A dominated point changes neither the skyline nor any factor.
             return;
         }
-        let (evicted, kept): (BTreeMap<ItemId, Vec<u32>>, _) = std::mem::take(&mut self.skyline)
+        let (evicted, kept): (BTreeMap<ItemId, [u32; 2]>, _) = std::mem::take(&mut self.skyline)
             .into_iter()
             .partition(|(_, w)| dominates(&v, w));
         let x_cut = evicted.values().fold(v[0], |x, w| x.max(w[0])) as usize;
@@ -501,9 +419,8 @@ impl<'a> SkylineMaintainer<'a> {
     /// Recomputes the factors a staircase change at `x ≤ x_cut` can affect.
     fn refresh_factors(&mut self, x_cut: usize) {
         let points = self.points();
-        let two_d = self.rel.dims() == 2;
         for (&id, factor) in self.factors.iter_mut() {
-            if two_d && self.rel.items[id][0].support().0 > x_cut {
+            if self.rel.items[id][0].support().0 > x_cut {
                 continue; // its ybound(x) range is untouched
             }
             *factor = prob_dominated(self.rel, id, &points);
@@ -576,7 +493,7 @@ struct Skyline<'a> {
 }
 
 impl Answer for Skyline<'_> {
-    type Value = Vec<u32>;
+    type Value = [u32; 2];
     type Want = ();
     type Picks = Vec<ItemId>;
 
@@ -593,8 +510,8 @@ impl Answer for Skyline<'_> {
         by_factor.into_iter().map(|(id, _)| id).collect()
     }
 
-    fn retire(&mut self, id: ItemId, v: Vec<u32>) {
-        self.index.clean(id, &v);
+    fn retire(&mut self, id: ItemId, v: [u32; 2]) {
+        self.index.clean(id, v);
     }
 }
 
@@ -613,7 +530,7 @@ impl Answer for Skyline<'_> {
 /// property-tested equal, factor for factor.
 pub fn run_skyline_cleaner(
     rel: &mut VectorRelation,
-    oracle: &mut dyn CleaningOracle<Vec<u32>>,
+    oracle: &mut dyn CleaningOracle<[u32; 2]>,
     cfg: &SkylineConfig,
 ) -> SkylineOutcome {
     assert!((0.0..1.0).contains(&cfg.thres), "thres must be in [0, 1)");
@@ -649,7 +566,7 @@ pub fn pws_skyline_probability(rel: &VectorRelation, candidate: &[ItemId]) -> f6
     fn recurse(
         rel: &VectorRelation,
         uncertain: &[ItemId],
-        fixed: &mut Vec<(ItemId, Vec<u32>)>,
+        fixed: &mut Vec<(ItemId, [u32; 2])>,
         mass: f64,
         candidate: &[ItemId],
         total: &mut f64,
@@ -666,14 +583,22 @@ pub fn pws_skyline_probability(rel: &VectorRelation, candidate: &[ItemId]) -> f6
                 }
             }
             Some((&u, rest)) => {
-                let item = &rel.items[u];
-                let supports: Vec<(usize, usize)> = item.iter().map(|d| d.support()).collect();
-                let mut v = vec![0u32; rel.dims()];
-                enumerate_support(item, &supports, 0, 1.0, &mut v, &mut |v, m| {
-                    fixed.push((u, v.to_vec()));
-                    recurse(rel, rest, fixed, mass * m, candidate, total);
-                    fixed.pop();
-                });
+                let [x_state, y_state] = &rel.items[u];
+                let ((x_lo, x_hi), (y_lo, y_hi)) = (x_state.support(), y_state.support());
+                for x in x_lo..=x_hi {
+                    let px = x_state.pmf(x);
+                    if px == 0.0 {
+                        continue;
+                    }
+                    for y in y_lo..=y_hi {
+                        let py = y_state.pmf(y);
+                        if py > 0.0 {
+                            fixed.push((u, [x as u32, y as u32]));
+                            recurse(rel, rest, fixed, mass * (px * py), candidate, total);
+                            fixed.pop();
+                        }
+                    }
+                }
             }
         }
     }
@@ -713,11 +638,11 @@ mod tests {
     #[test]
     fn skyline_of_certain_vectors() {
         let vs = vec![
-            (0, vec![5, 1]),
-            (1, vec![3, 3]),
-            (2, vec![1, 5]),
-            (3, vec![2, 2]), // dominated by (3,3)
-            (4, vec![5, 1]), // ties with item 0: neither dominates
+            (0, [5, 1]),
+            (1, [3, 3]),
+            (2, [1, 5]),
+            (3, [2, 2]), // dominated by (3,3)
+            (4, [5, 1]), // ties with item 0: neither dominates
         ];
         let mut sky = skyline_of(&vs);
         sky.sort_unstable();
@@ -729,18 +654,17 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         /// Sort-filter skyline ≡ all-pairs oracle on random vector sets
-        /// (2-D and 3-D, dense ties included).
+        /// (dense ties included).
         #[test]
         fn sorted_skyline_equals_pairwise(
-            dims in 2usize..4,
             n in 0usize..60,
             seed in 0u64..10_000,
         ) {
             use rand::rngs::StdRng;
             use rand::{Rng, SeedableRng};
             let mut rng = StdRng::seed_from_u64(seed);
-            let vectors: Vec<(ItemId, Vec<u32>)> = (0..n)
-                .map(|i| (i, (0..dims).map(|_| rng.gen_range(0..6u32)).collect()))
+            let vectors: Vec<(ItemId, [u32; 2])> = (0..n)
+                .map(|i| (i, [rng.gen_range(0..6u32), rng.gen_range(0..6u32)]))
                 .collect();
             proptest::prop_assert_eq!(skyline_of(&vectors), skyline_of_pairwise(&vectors));
         }
@@ -750,22 +674,22 @@ mod tests {
     fn prob_dominated_2d_hand_computed() {
         // u = (X, Y), X uniform {0,1}, Y uniform {0,1}; point set {(1,1)}.
         // Dominated(·): (0,0) ✓ (0,1) ✓ (1,0) ✓ (1,1) ✗ → 3/4.
-        let mut rel = VectorRelation::new(vec![2, 2]);
-        let u = rel.push_uncertain(vec![d(&[0.5, 0.5, 0.0]), d(&[0.5, 0.5, 0.0])]);
-        let p = prob_dominated(&rel, u, &[vec![1, 1]]);
+        let mut rel = VectorRelation::new([2, 2]);
+        let u = rel.push_uncertain([d(&[0.5, 0.5, 0.0]), d(&[0.5, 0.5, 0.0])]);
+        let p = prob_dominated(&rel, u, &[[1, 1]]);
         assert!((p - 0.75).abs() < 1e-12, "got {p}");
     }
 
     #[test]
     fn prob_dominated_respects_strictness() {
         // u certain at (1,1) exactly: (1,1) does not dominate itself.
-        let mut rel = VectorRelation::new(vec![2, 2]);
-        let u = rel.push(vec![ItemState::Certain(1), ItemState::Certain(1)]);
-        assert_eq!(prob_dominated(&rel, u, &[vec![1, 1]]), 0.0);
+        let mut rel = VectorRelation::new([2, 2]);
+        let u = rel.push([ItemState::Certain(1), ItemState::Certain(1)]);
+        assert_eq!(prob_dominated(&rel, u, &[[1, 1]]), 0.0);
         // (2,1) dominates (1,1) via dim 0.
-        assert_eq!(prob_dominated(&rel, u, &[vec![2, 1]]), 1.0);
+        assert_eq!(prob_dominated(&rel, u, &[[2, 1]]), 1.0);
         // (1,2) dominates via dim 1.
-        assert_eq!(prob_dominated(&rel, u, &[vec![1, 2]]), 1.0);
+        assert_eq!(prob_dominated(&rel, u, &[[1, 2]]), 1.0);
     }
 
     #[test]
@@ -773,39 +697,29 @@ mod tests {
         // Points (2,0) and (0,2); u uniform on {0,1,2}².
         // Dominated: by (2,0): (0,0),(1,0) ; by (0,2): (0,0),(0,1).
         // Union = {(0,0),(1,0),(0,1)} → 3/9.
-        let mut rel = VectorRelation::new(vec![2, 2]);
-        let u = rel.push_uncertain(vec![
+        let mut rel = VectorRelation::new([2, 2]);
+        let u = rel.push_uncertain([
             d(&[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]),
             d(&[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]),
         ]);
-        let p = prob_dominated(&rel, u, &[vec![2, 0], vec![0, 2]]);
+        let p = prob_dominated(&rel, u, &[[2, 0], [0, 2]]);
         assert!((p - 3.0 / 9.0).abs() < 1e-12, "got {p}");
     }
 
     #[test]
-    fn prob_dominated_3d_grid_path() {
-        // Point (1,1,1); u uniform on {0,1}³: dominated = all but (1,1,1)
-        // → 7/8.
-        let mut rel = VectorRelation::new(vec![1, 1, 1]);
-        let u = rel.push_uncertain(vec![d(&[0.5, 0.5]), d(&[0.5, 0.5]), d(&[0.5, 0.5])]);
-        let p = prob_dominated(&rel, u, &[vec![1, 1, 1]]);
-        assert!((p - 7.0 / 8.0).abs() < 1e-12, "got {p}");
-    }
-
-    #[test]
     fn empty_point_set_dominates_nothing() {
-        let mut rel = VectorRelation::new(vec![2, 2]);
-        let u = rel.push_uncertain(vec![d(&[0.5, 0.5, 0.0]), d(&[1.0, 0.0, 0.0])]);
+        let mut rel = VectorRelation::new([2, 2]);
+        let u = rel.push_uncertain([d(&[0.5, 0.5, 0.0]), d(&[1.0, 0.0, 0.0])]);
         assert_eq!(prob_dominated(&rel, u, &[]), 0.0);
     }
 
     /// A small mixed relation used by the state/PWS agreement tests.
     fn mixed_relation() -> VectorRelation {
-        let mut rel = VectorRelation::new(vec![2, 2]);
-        rel.push_certain(&[2, 1]); // strong certain point
-        rel.push_certain(&[0, 2]); // incomparable certain point
-        rel.push_uncertain(vec![d(&[0.6, 0.3, 0.1]), d(&[0.5, 0.5, 0.0])]);
-        rel.push_uncertain(vec![d(&[0.2, 0.8, 0.0]), d(&[0.9, 0.1, 0.0])]);
+        let mut rel = VectorRelation::new([2, 2]);
+        rel.push_certain([2, 1]); // strong certain point
+        rel.push_certain([0, 2]); // incomparable certain point
+        rel.push_uncertain([d(&[0.6, 0.3, 0.1]), d(&[0.5, 0.5, 0.0])]);
+        rel.push_uncertain([d(&[0.2, 0.8, 0.0]), d(&[0.9, 0.1, 0.0])]);
         rel
     }
 
@@ -831,8 +745,8 @@ mod tests {
         // With NO certain items the candidate skyline is empty, which can
         // never be a real skyline (some item always survives): both the
         // factorized confidence and the brute-force probability are 0.
-        let mut rel = VectorRelation::new(vec![1, 1]);
-        rel.push_uncertain(vec![d(&[0.5, 0.5]), d(&[0.5, 0.5])]);
+        let mut rel = VectorRelation::new([1, 1]);
+        rel.push_uncertain([d(&[0.5, 0.5]), d(&[0.5, 0.5])]);
         let state = skyline_state(&rel);
         assert!(state.skyline.is_empty());
         assert_eq!(state.confidence, 0.0);
@@ -864,7 +778,7 @@ mod tests {
         let mut m = SkylineMaintainer::new(&mut rel);
         assert_state_matches(&m);
         for id in [3, 17, 0, 9, 21] {
-            m.clean(id, &oracle.truth[id]);
+            m.clean(id, oracle.truth[id]);
             assert_state_matches(&m);
         }
     }
@@ -874,20 +788,20 @@ mod tests {
         // Skyline {(5,5)}; an uncertain item supported on x ∈ {7, 8} can
         // never be affected by a new point at x = 2, so its factor must
         // not be recomputed.
-        let mut rel = VectorRelation::new(vec![8, 8]);
+        let mut rel = VectorRelation::new([8, 8]);
         let mut m = SkylineMaintainer::new(&mut rel);
-        m.push(vec![ItemState::Certain(5), ItemState::Certain(5)]);
+        m.push([ItemState::Certain(5), ItemState::Certain(5)]);
         let mut far = vec![0.0; 9];
         far[7] = 0.5;
         far[8] = 0.5;
-        m.push(vec![
+        m.push([
             ItemState::Uncertain(d(&far)),
             ItemState::Uncertain(d(&[0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])),
         ]);
         let before = m.stats.factor_recomputes;
         // (2, 6) is incomparable with (5, 5): it joins the skyline with
         // x_cut = 2 < 7 = the far item's minimum x.
-        m.push(vec![ItemState::Certain(2), ItemState::Certain(6)]);
+        m.push([ItemState::Certain(2), ItemState::Certain(6)]);
         assert_eq!(m.state().skyline, vec![0, 2]);
         assert_eq!(
             m.stats.factor_recomputes, before,
@@ -899,30 +813,30 @@ mod tests {
 
     #[test]
     fn maintainer_dominated_insert_touches_nothing() {
-        let mut rel = VectorRelation::new(vec![4, 4]);
+        let mut rel = VectorRelation::new([4, 4]);
         let mut m = SkylineMaintainer::new(&mut rel);
-        m.push(vec![ItemState::Certain(3), ItemState::Certain(3)]);
-        m.push(vec![
+        m.push([ItemState::Certain(3), ItemState::Certain(3)]);
+        m.push([
             ItemState::Uncertain(d(&[0.2, 0.2, 0.2, 0.2, 0.2])),
             ItemState::Uncertain(d(&[0.2, 0.2, 0.2, 0.2, 0.2])),
         ]);
         let before = m.stats.factor_recomputes;
-        m.push(vec![ItemState::Certain(1), ItemState::Certain(1)]);
+        m.push([ItemState::Certain(1), ItemState::Certain(1)]);
         assert_eq!(m.stats.factor_recomputes, before);
         assert_eq!(m.state().skyline, vec![0]);
     }
 
     struct TableOracle {
-        truth: Vec<Vec<u32>>,
+        truth: Vec<[u32; 2]>,
         calls: usize,
         frames: usize,
     }
 
-    impl CleaningOracle<Vec<u32>> for TableOracle {
-        fn clean_batch(&mut self, items: &[ItemId]) -> Vec<Vec<u32>> {
+    impl CleaningOracle<[u32; 2]> for TableOracle {
+        fn clean_batch(&mut self, items: &[ItemId]) -> Vec<[u32; 2]> {
             self.calls += 1;
             self.frames += items.len();
-            items.iter().map(|&i| self.truth[i].clone()).collect()
+            items.iter().map(|&i| self.truth[i]).collect()
         }
     }
 
@@ -931,23 +845,20 @@ mod tests {
     fn noisy_setup(n: usize, seed: u64) -> (VectorRelation, TableOracle) {
         use everest_video::util::{frame_rng, gaussian};
         let max_b = 8usize;
-        let mut rel = VectorRelation::new(vec![max_b, max_b]);
+        let mut rel = VectorRelation::new([max_b, max_b]);
         let mut truth = Vec::with_capacity(n);
         for i in 0..n {
             let mut rng = frame_rng(seed, i);
-            let mut dims = Vec::with_capacity(2);
-            let mut v = Vec::with_capacity(2);
-            for jdim in 0..2 {
-                let t = ((i * (jdim + 3) + 7 * jdim + i / 3) % (max_b + 1)) as u32;
-                v.push(t);
+            let v = [0, 1].map(|jdim| ((i * (jdim + 3) + 7 * jdim + i / 3) % (max_b + 1)) as u32);
+            let dims = v.map(|t| {
                 // triangular-ish noise around t
                 let mut masses = vec![0.0; max_b + 1];
                 for (b, m) in masses.iter_mut().enumerate() {
                     let dist = (b as f64 - t as f64).abs() + 0.3 * gaussian(&mut rng).abs();
                     *m = (-dist).exp();
                 }
-                dims.push(ItemState::Uncertain(DiscreteDist::from_masses(&masses)));
-            }
+                ItemState::Uncertain(DiscreteDist::from_masses(&masses))
+            });
             truth.push(v);
             rel.push(dims);
         }
@@ -985,7 +896,7 @@ mod tests {
         // were confirmed — and since confidence ≥ 0.95 over *this* relation
         // the true skyline of ALL items should normally be caught; verify
         // no unconfirmed item dominates any answer item under truth.
-        let all: Vec<(ItemId, Vec<u32>)> = truth.iter().cloned().enumerate().collect();
+        let all: Vec<(ItemId, [u32; 2])> = truth.iter().cloned().enumerate().collect();
         let mut true_sky = skyline_of(&all);
         true_sky.sort_unstable();
         let mut got = out.skyline.clone();
@@ -1005,10 +916,9 @@ mod tests {
         // Same data, but pre-confirm the true skyline members (as if they
         // were labelled during Phase-1 sampling).
         let (mut rel_warm, mut oracle_warm) = noisy_setup(30, 7);
-        let all: Vec<(ItemId, Vec<u32>)> = oracle_warm.truth.iter().cloned().enumerate().collect();
+        let all: Vec<(ItemId, [u32; 2])> = oracle_warm.truth.iter().cloned().enumerate().collect();
         for id in skyline_of(&all) {
-            let v = oracle_warm.truth[id].clone();
-            rel_warm.clean(id, &v);
+            rel_warm.clean(id, oracle_warm.truth[id]);
         }
         let warm = run_skyline_cleaner(&mut rel_warm, &mut oracle_warm, &Default::default());
         assert_eq!(warm.termination, Termination::Converged);
@@ -1055,14 +965,14 @@ mod tests {
     fn oracle_failure_degrades_to_oracle_down() {
         /// Answers as many batches as its second field says, then fails.
         struct Dying(TableOracle, usize);
-        impl CleaningOracle<Vec<u32>> for Dying {
-            fn clean_batch(&mut self, items: &[ItemId]) -> Vec<Vec<u32>> {
+        impl CleaningOracle<[u32; 2]> for Dying {
+            fn clean_batch(&mut self, items: &[ItemId]) -> Vec<[u32; 2]> {
                 self.0.clean_batch(items)
             }
             fn try_clean_batch(
                 &mut self,
                 items: &[ItemId],
-            ) -> Result<Vec<Vec<u32>>, everest_models::OracleError> {
+            ) -> Result<Vec<[u32; 2]>, everest_models::OracleError> {
                 if self.0.calls == self.1 {
                     return Err(everest_models::OracleError::Transient("oracle died"));
                 }
@@ -1096,14 +1006,14 @@ mod tests {
 
     #[test]
     fn fully_certain_relation_has_confidence_one() {
-        let mut rel = VectorRelation::new(vec![3, 3]);
-        rel.push_certain(&[3, 0]);
-        rel.push_certain(&[0, 3]);
-        rel.push_certain(&[2, 2]);
-        rel.push_certain(&[1, 1]); // dominated by (2,2)
+        let mut rel = VectorRelation::new([3, 3]);
+        rel.push_certain([3, 0]);
+        rel.push_certain([0, 3]);
+        rel.push_certain([2, 2]);
+        rel.push_certain([1, 1]); // dominated by (2,2)
         struct Never;
-        impl CleaningOracle<Vec<u32>> for Never {
-            fn clean_batch(&mut self, _: &[ItemId]) -> Vec<Vec<u32>> {
+        impl CleaningOracle<[u32; 2]> for Never {
+            fn clean_batch(&mut self, _: &[ItemId]) -> Vec<[u32; 2]> {
                 panic!("nothing to clean")
             }
         }
@@ -1118,16 +1028,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "cleaned twice")]
     fn double_clean_rejected() {
-        let mut rel = VectorRelation::new(vec![2, 2]);
-        rel.push_uncertain(vec![d(&[0.5, 0.5, 0.0]), d(&[0.5, 0.5, 0.0])]);
-        rel.clean(0, &[1, 1]);
-        rel.clean(0, &[1, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "2 or 3 dimensions")]
-    fn one_dimension_is_not_a_skyline() {
-        let _ = VectorRelation::new(vec![4]);
+        let mut rel = VectorRelation::new([2, 2]);
+        rel.push_uncertain([d(&[0.5, 0.5, 0.0]), d(&[0.5, 0.5, 0.0])]);
+        rel.clean(0, [1, 1]);
+        rel.clean(0, [1, 1]);
     }
 
     #[test]
@@ -1139,9 +1043,8 @@ mod tests {
         let mut b = UncertainRelation::new(1.0, 3);
         b.push_certain(1);
         b.push_uncertain(d(&[0.25, 0.25, 0.25, 0.25]));
-        let rel = zip_relations(&[&a, &b]);
+        let rel = zip_relations([&a, &b]);
         assert_eq!(rel.len(), 2);
-        assert_eq!(rel.dims(), 2);
         assert_eq!(rel.max_bucket(0), 2);
         assert_eq!(rel.max_bucket(1), 3);
         // item 0: (uncertain, certain 1); item 1: (certain 2, uncertain)
@@ -1151,9 +1054,9 @@ mod tests {
         assert_eq!(rel.dim(1, 0).pmf(2), 1.0);
         // cleaning completes the vector
         let mut rel2 = rel.clone();
-        rel2.clean(0, &[1, 1]);
+        rel2.clean(0, [1, 1]);
         assert!(rel2.is_certain(0));
-        assert_eq!(rel2.certain_vector(0), Some(vec![1, 1]));
+        assert_eq!(rel2.certain_vector(0), Some([1, 1]));
     }
 
     #[test]
@@ -1165,6 +1068,6 @@ mod tests {
         a.push_certain(1);
         let mut b = UncertainRelation::new(1.0, 2);
         b.push_certain(0);
-        let _ = zip_relations(&[&a, &b]);
+        let _ = zip_relations([&a, &b]);
     }
 }

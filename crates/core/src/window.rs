@@ -55,9 +55,7 @@ impl WindowInfo {
 /// **Independence caveat:** overlapping windows share frames, so their
 /// scores are *not* independent and Eq. 2's product form treats the
 /// confidence as an approximation. The certain-result condition is
-/// unaffected — every returned window is still oracle-confirmed — and
-/// [`suppress_overlaps`] can post-process the answer into disjoint
-/// moments.
+/// unaffected — every returned window is still oracle-confirmed.
 pub fn sliding_windows(n_frames: usize, len: usize, slide: usize) -> Vec<WindowInfo> {
     assert!(len >= 1, "window length must be positive");
     assert!(slide >= 1, "slide must be positive");
@@ -84,22 +82,6 @@ pub fn sliding_windows(n_frames: usize, len: usize, slide: usize) -> Vec<WindowI
             }
         })
         .collect()
-}
-
-/// Greedily filters a ranked window answer down to pairwise-disjoint
-/// windows: earlier (better-ranked) windows win; any later window
-/// overlapping a kept one is dropped.
-///
-/// Useful after a sliding-window Top-K, where the top of the ranking is
-/// typically several shifted copies of the same moment.
-pub fn suppress_overlaps(ranked: &[WindowInfo]) -> Vec<WindowInfo> {
-    let mut kept: Vec<WindowInfo> = Vec::new();
-    for &w in ranked {
-        if kept.iter().all(|k| w.end <= k.start || w.start >= k.end) {
-            kept.push(w);
-        }
-    }
-    kept
 }
 
 /// Builds the window-level uncertain relation from per-retained-frame CMDN
@@ -402,28 +384,5 @@ mod tests {
     #[should_panic(expected = "uncovered gaps")]
     fn sliding_rejects_gappy_slide() {
         let _ = sliding_windows(100, 10, 11);
-    }
-
-    #[test]
-    fn suppress_overlaps_keeps_best_ranked_disjoint_set() {
-        let w = |s: usize, e: usize| WindowInfo { start: s, end: e };
-        // ranked best-first: the 2nd overlaps the 1st and is dropped; the
-        // 3rd is disjoint and kept; the 4th overlaps the 3rd and is dropped.
-        let ranked = [w(10, 20), w(15, 25), w(30, 40), w(39, 49), w(0, 10)];
-        assert_eq!(
-            suppress_overlaps(&ranked),
-            vec![w(10, 20), w(30, 40), w(0, 10)]
-        );
-        assert!(suppress_overlaps(&[]).is_empty());
-    }
-
-    #[test]
-    fn suppress_overlaps_touching_windows_are_disjoint() {
-        let w = |s: usize, e: usize| WindowInfo { start: s, end: e };
-        // [0,10) and [10,20) share no frame: both kept.
-        assert_eq!(
-            suppress_overlaps(&[w(0, 10), w(10, 20)]),
-            vec![w(0, 10), w(10, 20)]
-        );
     }
 }

@@ -534,11 +534,11 @@ pub fn analyze_skyline(
 ) -> Result<crate::plan::SkylinePlan, EvqlError> {
     let source = resolve_dataset(&stmt.source, stmt.source_span)?;
 
-    // Resolve dimensions: explicit list, or the dataset's default pair.
-    let scores: Vec<ScoreFn> = if stmt.scores.is_empty() {
+    // Resolve dimensions: an explicit pair, or the dataset's default pair.
+    let scores: [ScoreFn; 2] = if stmt.scores.is_empty() {
         match &source.kind {
             crate::catalog::SourceKind::Counting(spec) => {
-                vec![ScoreFn::Count(spec.object_class), ScoreFn::Coverage]
+                [ScoreFn::Count(spec.object_class), ScoreFn::Coverage]
             }
             _ => {
                 return Err(EvqlError::new(
@@ -554,27 +554,31 @@ pub fn analyze_skyline(
             }
         }
     } else {
-        if !(2..=3).contains(&stmt.scores.len()) {
+        // Every source serves at most two distinct scores, so a skyline
+        // is a pair. A longer list is marked at its first surplus call.
+        let [x, y] = &stmt.scores[..] else {
             return Err(EvqlError::new(
                 ErrorKind::OutOfRange {
                     what: "SKYLINE OF".into(),
-                    detail: format!("needs 2 or 3 scoring dimensions, got {}", stmt.scores.len()),
+                    detail: format!(
+                        "needs exactly 2 scoring dimensions, got {}",
+                        stmt.scores.len()
+                    ),
                 },
-                stmt.skyline_span,
+                stmt.scores.get(2).map_or(stmt.skyline_span, |c| c.span),
+            ));
+        };
+        let pair = [resolve_score(x, &source)?, resolve_score(y, &source)?];
+        if pair[0] == pair[1] {
+            return Err(EvqlError::new(
+                ErrorKind::Incompatible(format!(
+                    "duplicate skyline dimension {}",
+                    pair[1].display()
+                )),
+                y.span,
             ));
         }
-        let mut out = Vec::with_capacity(stmt.scores.len());
-        for call in &stmt.scores {
-            let s = resolve_score(call, &source)?;
-            if out.contains(&s) {
-                return Err(EvqlError::new(
-                    ErrorKind::Incompatible(format!("duplicate skyline dimension {}", s.display())),
-                    call.span,
-                ));
-            }
-            out.push(s);
-        }
-        out
+        pair
     };
 
     // Options: CONFIDENCE / SEED / BATCH only.
@@ -1036,7 +1040,7 @@ mod tests {
         let p = skyline_plan_of("SELECT SKYLINE FROM Grand-Canal").unwrap();
         assert_eq!(
             p.scores,
-            vec![ScoreFn::Count(ObjectClass::Boat), ScoreFn::Coverage]
+            [ScoreFn::Count(ObjectClass::Boat), ScoreFn::Coverage]
         );
         assert_eq!(p.thres, 0.9);
     }
@@ -1057,7 +1061,11 @@ mod tests {
             skyline_plan_of("SELECT SKYLINE OF count(car), count(car) FROM Archie").unwrap_err();
         assert!(e.message().contains("duplicate"), "{}", e.message());
         let e = skyline_plan_of("SELECT SKYLINE OF count(car) FROM Archie").unwrap_err();
-        assert!(e.message().contains("2 or 3"), "{}", e.message());
+        assert!(e.message().contains("exactly 2"), "{}", e.message());
+        let src = "SELECT SKYLINE OF count(car), coverage(), count(person) FROM Archie";
+        let e = skyline_plan_of(src).unwrap_err();
+        assert!(e.message().contains("exactly 2"), "{}", e.message());
+        assert_eq!(&src[e.span.start..e.span.end], "count(person)");
     }
 
     #[test]
@@ -1065,9 +1073,15 @@ mod tests {
         let e =
             skyline_plan_of("SELECT SKYLINE OF count(car), tailgating() FROM Archie").unwrap_err();
         assert!(e.message().contains("cannot run"), "{}", e.message());
-        // coverage on a counting dataset with explicit matching count: ok
+        // coverage on a counting dataset with explicit matching count, in
+        // either order: ok
         assert!(
             skyline_plan_of("SELECT SKYLINE OF count(boat), coverage() FROM Grand-Canal").is_ok()
+        );
+        let p = skyline_plan_of("SELECT SKYLINE OF coverage(), count(car) FROM Archie").unwrap();
+        assert_eq!(
+            p.scores,
+            [ScoreFn::Coverage, ScoreFn::Count(ObjectClass::Car)]
         );
     }
 

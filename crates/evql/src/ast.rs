@@ -48,10 +48,11 @@ pub enum Statement {
     },
 }
 
-/// A `SELECT SKYLINE …` query: Pareto-optimal frames across 2–3 scores.
+/// A `SELECT SKYLINE …` query: Pareto-optimal frames across two scores.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SkylineStmt {
-    /// The scoring dimensions; empty = the dataset's default pair.
+    /// The scoring dimensions as written; empty = the dataset's default
+    /// pair. Analysis accepts exactly two.
     pub scores: Vec<ScoreCall>,
     /// Span of the `SKYLINE` keyword (for diagnostics).
     pub skyline_span: Span,

@@ -32,7 +32,7 @@ use everest_core::phase1::Phase1Config;
 use everest_core::pipeline::{Everest, FrameOracleAdapter, PreparedVideo, QueryReport};
 use everest_core::stream::{batch_reference, StreamAnswer, StreamConfig, StreamTopK};
 use everest_core::window::{exact_window_scores, sliding_windows, WindowInfo};
-use everest_core::xtuple::{ItemId, ItemState, UncertainRelation};
+use everest_core::xtuple::{ItemId, ItemState};
 use everest_models::{
     ExactScoreOracle, FlakyOracle, HogScorer, Oracle, RetryingOracle, TinyYoloScorer,
 };
@@ -134,7 +134,7 @@ pub struct SkylineRow {
     pub time_sec: f64,
     /// Oracle-confirmed scores, one per dimension (same order as
     /// [`SkylineOutput::score_names`]).
-    pub scores: Vec<f64>,
+    pub scores: [f64; 2],
 }
 
 /// A `SELECT SKYLINE` answer.
@@ -638,9 +638,9 @@ impl Session {
     /// Executes a validated skyline plan (`everest-core::skyline`).
     ///
     /// Phase 1 runs once per dimension (cached independently, so a later
-    /// Top-K on `count(...)` reuses the skyline's first dimension). All
+    /// Top-K on `count(...)` reuses the skyline's first dimension). Both
     /// dimensions derive from the *same* detector pass, so confirming a
-    /// frame charges one oracle invocation regardless of dimensionality.
+    /// frame charges one oracle invocation, not two.
     fn run_skyline(&mut self, plan: crate::plan::SkylinePlan) -> Result<SkylineOutput, EvqlError> {
         use everest_core::skyline::{run_skyline_cleaner, zip_relations, SkylineConfig};
 
@@ -650,45 +650,34 @@ impl Session {
                       time"
         )]
         let started = Instant::now();
-        let mut entries = Vec::with_capacity(plan.scores.len());
-        let mut all_cached = true;
-        for &score in &plan.scores {
-            let (entry, cached) = self.prepared_for(
+        let prepared = plan.scores.map(|score| {
+            self.prepared_for(
                 &plan.source,
                 score,
                 plan.scale_divisor,
                 plan.seed,
                 score.default_step(),
-            );
-            all_cached &= cached;
-            entries.push(entry);
-        }
-        // The difference detector is score-independent: all dimensions
+            )
+        });
+        let phase1_cached = prepared.iter().all(|&(_, cached)| cached);
+        let entries = prepared.map(|(entry, _)| entry);
+        // The difference detector is score-independent: both dimensions
         // must see the same retained frames.
         let retained = entries[0].prepared.phase1.segments.retained().to_vec();
-        for e in &entries[1..] {
-            if e.prepared.phase1.segments.retained() != retained.as_slice() {
-                return Err(EvqlError::new(
-                    ErrorKind::Exec("phase-1 segmentations diverged across dimensions".into()),
-                    crate::token::Span::point(0),
-                ));
-            }
+        if entries[1].prepared.phase1.segments.retained() != retained.as_slice() {
+            return Err(EvqlError::new(
+                ErrorKind::Exec("phase-1 segmentations diverged across dimensions".into()),
+                crate::token::Span::point(0),
+            ));
         }
 
-        let relations: Vec<&UncertainRelation> = entries
-            .iter()
-            .map(|e| &e.prepared.phase1.relation)
-            .collect();
-        let mut rel = zip_relations(&relations);
+        let mut rel = zip_relations(entries.each_ref().map(|e| &e.prepared.phase1.relation));
 
         // One frame adapter per dimension.
-        let mut oracle: Vec<_> = entries
-            .iter()
-            .map(|e| {
-                let rel = &e.prepared.phase1.relation;
-                FrameOracleAdapter::new(&e.oracle as &dyn Oracle, &retained[..], rel)
-            })
-            .collect();
+        let mut oracle = entries.each_ref().map(|e| {
+            let rel = &e.prepared.phase1.relation;
+            FrameOracleAdapter::new(&e.oracle as &dyn Oracle, &retained[..], rel)
+        });
 
         let outcome = run_skyline_cleaner(
             &mut rel,
@@ -704,8 +693,8 @@ impl Session {
         );
 
         // Simulated cost: both Phase-1 clocks + one oracle charge and one
-        // random-access decode per confirmed frame (all dimensions share
-        // the detector pass, so every adapter holds the same trace).
+        // random-access decode per confirmed frame (both dimensions share
+        // the detector pass, so both adapters hold the same trace).
         let trace = oracle[0].trace();
         let per_frame = entries
             .iter()
@@ -727,10 +716,7 @@ impl Session {
                 SkylineRow {
                     frame,
                     time_sec: frame as f64 / plan.source.fps,
-                    scores: entries
-                        .iter()
-                        .map(|e| e.oracle.all_scores()[frame])
-                        .collect(),
+                    scores: entries.each_ref().map(|e| e.oracle.all_scores()[frame]),
                 }
             })
             .collect();
@@ -759,7 +745,7 @@ impl Session {
                 speedup: speedup(scan_seconds, sim_seconds),
                 quality: None,
                 wall: started.elapsed(),
-                phase1_cached: all_cached,
+                phase1_cached,
             },
             plan,
         })

@@ -276,14 +276,14 @@ fn oracle_cost_hint(score: ScoreFn) -> f64 {
     }
 }
 
-/// A validated `SELECT SKYLINE` query: 2–3 scoring dimensions over one
+/// A validated `SELECT SKYLINE` query: two scoring dimensions over one
 /// dataset, answered with the oracle-in-the-loop skyline cleaner
 /// (`everest-core::skyline`).
 #[derive(Debug, Clone)]
 pub struct SkylinePlan {
     pub source: SourceEntry,
-    /// The scoring dimensions (2 or 3, distinct, all served by `source`).
-    pub scores: Vec<ScoreFn>,
+    /// The two scoring dimensions (distinct, both served by `source`).
+    pub scores: [ScoreFn; 2],
     /// Confidence threshold for `Pr(R̂ = Sky)`.
     pub thres: f64,
     pub seed: u64,

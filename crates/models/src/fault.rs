@@ -23,6 +23,7 @@
 //! Phase-2 cleaner's deadline check) add to the per-frame scoring cost.
 
 use crate::oracle::Oracle;
+use everest_video::util::splitmix64;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -100,15 +101,6 @@ const MAX_RETRIES: u32 = 3;
 const BASE_BACKOFF: f64 = 0.1;
 const BREAKER_THRESHOLD: u32 = 4;
 
-/// splitmix64, a tiny seeded hash: fault schedules must not depend on
-/// a library RNG's evolution.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// What the fault schedule decides for one call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Fault {
@@ -121,7 +113,8 @@ enum Fault {
 /// Wraps an oracle with a seeded, deterministic schedule of timeouts,
 /// transient errors, and latency spikes.
 ///
-/// The decision for call `i` hashes `(seed, i)` with splitmix64, so it is
+/// The decision for call `i` hashes `(seed, i)` with splitmix64 (a fixed
+/// hash, not a library RNG whose evolution could move it), so it is
 /// independent of batch contents, thread timing, and everything else —
 /// two runs with the same seed fault on exactly the same call indices.
 /// Per-mille of calls: 50 time out (burning 1 simulated second), 100

@@ -679,12 +679,13 @@ mod avx2 {
 /// rounding per multiply-add), so results are **bit-identical** to the
 /// 256-bit tier — the wider registers only double the columns per tile.
 ///
-/// It is kept because it pays: on a 2-vCPU AVX-512 x86-64 host, 12
-/// alternating 10-s `ingest_cold` ladder pairs with and without it (the
-/// latter forcing every GEMM onto [`avx2::gemm`], same digest) read
-/// `ops_per_s` median 2.18 [quartiles 2.14–2.26] against 2.06
-/// [1.99–2.10] and `op_p50_ms` 500 against 540; the tier won 11 of 12
-/// pairs on both.
+/// It is kept because it pays. On a 2-vCPU AVX-512 x86-64 host at commit
+/// `47e3ecd`, 10 alternated 10-s `ingest_cold` ladder pairs at `--seed 7`
+/// with and without it (the latter a build whose `avx512_active` returns
+/// `false`, so every GEMM runs [`avx2::gemm`], same digest) read
+/// `ops_per_s` median 2.94 [quartiles 2.89–3.03] against 2.73
+/// [2.65–2.81] and `op_p50_ms` 365 against 410; the tier won 9 of 10
+/// pairs, and no run failed an op.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::{avx2, MR};

@@ -34,10 +34,6 @@ pub struct TrainConfig {
     pub batch_size: usize,
     /// Adam learning rate.
     pub lr: f32,
-    /// Workers computing each batch's gradient shards and the hold-out
-    /// NLL's. The split into shards (two) is fixed, so this sets speed,
-    /// not bits: more workers than shards sit idle.
-    pub num_threads: usize,
     /// Early-stopping patience in epochs (0 disables early stopping).
     pub patience: usize,
     /// Shuffling seed.
@@ -50,7 +46,6 @@ impl Default for TrainConfig {
             epochs: 30,
             batch_size: 64,
             lr: 2e-3,
-            num_threads: default_threads(),
             patience: 6,
             seed: 0,
         }
@@ -78,15 +73,28 @@ pub struct TrainedCmdn {
 }
 
 /// Trains one CMDN configuration to convergence (or early stop) and returns
-/// the best-hold-out snapshot.
+/// the best-hold-out snapshot. Each batch's gradient shards and the
+/// hold-out NLL's run on [`default_threads`] workers; the split into
+/// shards is fixed, so the worker count sets speed, not bits.
 pub fn train_cmdn(
     cfg: CmdnConfig,
     tcfg: &TrainConfig,
     train: &[Sample],
     holdout: &[Sample],
 ) -> TrainedCmdn {
+    train_on(cfg, tcfg, train, holdout, default_threads())
+}
+
+/// [`train_cmdn`] on `threads` workers.
+fn train_on(
+    cfg: CmdnConfig,
+    tcfg: &TrainConfig,
+    train: &[Sample],
+    holdout: &[Sample],
+    threads: usize,
+) -> TrainedCmdn {
     assert!(!train.is_empty(), "empty training set");
-    assert!(tcfg.batch_size >= 1 && tcfg.epochs >= 1 && tcfg.num_threads >= 1);
+    assert!(tcfg.batch_size >= 1 && tcfg.epochs >= 1 && threads >= 1);
     let mut model = Cmdn::new(cfg);
     let mut opt = Adam::new(tcfg.lr, model.num_params());
     const SHUFFLE_SALT: u64 = 0x7_2a1f_5eed;
@@ -102,15 +110,15 @@ pub fn train_cmdn(
         epochs_run += 1;
         order.shuffle(&mut rng);
         for batch in order.chunks(tcfg.batch_size) {
-            let grads = parallel_batch_grads(&model, train, batch, tcfg.num_threads);
+            let grads = parallel_batch_grads(&model, train, batch, threads);
             let mut params = model.params_flat();
             opt.step(&mut params, &grads);
             model.set_params_flat(&params);
         }
         let nll = if holdout.is_empty() {
-            mean_nll(&model, train, tcfg.num_threads)
+            mean_nll(&model, train, threads)
         } else {
-            mean_nll(&model, holdout, tcfg.num_threads)
+            mean_nll(&model, holdout, threads)
         };
         if nll < best_nll {
             best_nll = nll;
@@ -168,8 +176,8 @@ pub fn parallel_chunks<T: Sync, R: Send>(
 /// Part of the numeric contract, like the microbatch width: each shard
 /// sums its own partial in a fixed order and the partials fold in shard
 /// order, so the trained weights are the same bits however many workers
-/// ([`TrainConfig::num_threads`]) compute the shards. Two is the split a
-/// 2-worker host always made, so those hosts' answers keep their bits.
+/// compute the shards. Two is the split a 2-worker host always made, so
+/// those hosts' answers keep their bits.
 const SHARDS: usize = 2;
 
 /// Samples per batched layer pass within a shard. Unlike the inference
@@ -421,7 +429,6 @@ mod tests {
             epochs: 12,
             batch_size: 32,
             lr: 5e-3,
-            num_threads: 4,
             patience: 0,
             seed: 1,
         }
@@ -475,15 +482,12 @@ mod tests {
     fn worker_count_does_not_change_the_trained_bits() {
         let train = brightness_dataset(75, 11);
         let holdout = brightness_dataset(21, 12);
-        let run = |num_threads| {
-            let tcfg = TrainConfig {
-                epochs: 3,
-                batch_size: 16,
-                num_threads,
-                ..fast_tcfg()
-            };
-            train_cmdn(tiny_cfg(3, 8), &tcfg, &train, &holdout)
+        let tcfg = TrainConfig {
+            epochs: 3,
+            batch_size: 16,
+            ..fast_tcfg()
         };
+        let run = |threads| train_on(tiny_cfg(3, 8), &tcfg, &train, &holdout, threads);
         let one = run(1);
         for threads in [2, 3] {
             let other = run(threads);

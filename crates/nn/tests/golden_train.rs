@@ -37,15 +37,13 @@ fn tcfg(epochs: usize) -> TrainConfig {
         epochs,
         batch_size: 32,
         lr: 5e-3,
-        num_threads: 4,
         patience: 0,
         seed: 9,
     }
 }
 
 /// Holdout NLL after 1 and 2 epochs, recorded with the batch split into
-/// `train::SHARDS` fixed shards, so the 4 workers below and any other count
-/// give these values.
+/// `train::SHARDS` fixed shards, so every worker count gives these values.
 const GOLDEN: [(usize, f64); 2] = [(1, 2.2905088729), (2, 2.2407844266)];
 
 /// The MDN loss goes through `f64::exp`/`ln`, whose last-ulp behaviour is

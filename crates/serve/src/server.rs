@@ -24,7 +24,7 @@ use crate::metrics::Metrics;
 use crate::registry::SessionRegistry;
 use everest_core::prelude::CancelToken;
 use everest_evql::wire::{self, FrameDecoder, Request, Response, WireError};
-use everest_evql::{EvqlError, ExecStats, Session, SharedCache};
+use everest_evql::{ExecStats, Session, SharedCache};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -246,16 +246,15 @@ fn worker_loop(shared: Arc<Shared>, rx: Arc<Mutex<Receiver<TcpStream>>>) {
     }
 }
 
-/// Why the per-connection loop ended; decides close-time accounting.
-enum CloseReason {
-    /// Orderly end: EOF with no partial frame, or a clean drain.
-    Clean,
+/// How the per-connection loop ended: the one distinction close-time
+/// accounting reads is whether the peer vanished.
+enum Close {
     /// Peer vanished (EOF mid-frame, reset, write failure).
     Disconnect,
-    /// A framing violation pinned the stream dead.
-    Protocol,
-    /// Shutdown drain grace expired with a partial frame outstanding.
-    DrainExpired,
+    /// Anything else: EOF with no partial frame, a clean drain, a
+    /// keep-alive limit, a framing violation, an expired drain grace, or a
+    /// write timeout (counted as such where it happens).
+    Other,
 }
 
 fn handle_connection(shared: &Shared, stream: TcpStream) {
@@ -268,17 +267,11 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         .unwrap_or_else(|_| "0.0.0.0:0".parse().unwrap());
     let session_id = shared.registry.register(peer);
 
-    let reason = serve_connection(shared, stream, session_id);
-
-    match reason {
-        CloseReason::Clean => {}
-        CloseReason::Disconnect => {
-            shared
-                .metrics
-                .client_disconnects
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        CloseReason::Protocol | CloseReason::DrainExpired => {}
+    if let Close::Disconnect = serve_connection(shared, stream, session_id) {
+        shared
+            .metrics
+            .client_disconnects
+            .fetch_add(1, Ordering::Relaxed);
     }
     shared.registry.drop_session(session_id);
     shared
@@ -292,13 +285,13 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     reason = "the keep-alive stamp and the drain-deadline check (an assignment and an `if`, which \
               cannot carry an attribute): connection lifecycle only, never answer content"
 )]
-fn serve_connection(shared: &Shared, mut stream: TcpStream, session_id: u64) -> CloseReason {
+fn serve_connection(shared: &Shared, mut stream: TcpStream, session_id: u64) -> Close {
     let cfg = &shared.cfg;
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(READ_POLL)).is_err()
         || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
     {
-        return CloseReason::Disconnect;
+        return Close::Disconnect;
     }
 
     let mut session = Session::with_shared_cache(cfg.settings.clone(), shared.cache.clone());
@@ -333,7 +326,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, session_id: u64) -> 
                     // fully answered, then the connection closes.
                     if let Some(max) = cfg.max_queries_per_connection {
                         if queries_served >= max {
-                            return CloseReason::Clean;
+                            return Close::Other;
                         }
                     }
                 }
@@ -360,14 +353,14 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, session_id: u64) -> 
                             text: err.to_string(),
                         },
                     );
-                    return CloseReason::Protocol;
+                    return Close::Other;
                 }
             }
         }
 
         if shared.shutdown.load(Ordering::SeqCst) {
             if !decoder.has_partial() {
-                return CloseReason::Clean;
+                return Close::Other;
             }
             #[expect(
                 clippy::disallowed_methods,
@@ -376,7 +369,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, session_id: u64) -> 
             )]
             let deadline = *drain_deadline.get_or_insert_with(|| Instant::now() + DRAIN_GRACE);
             if Instant::now() >= deadline {
-                return CloseReason::DrainExpired;
+                return Close::Other;
             }
         }
 
@@ -386,16 +379,16 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, session_id: u64) -> 
         // peer stalls past the limit anyway).
         if let Some(idle) = cfg.idle_timeout {
             if !decoder.has_partial() && last_frame.elapsed() >= idle {
-                return CloseReason::Clean;
+                return Close::Other;
             }
         }
 
         match stream.read(&mut buf) {
             Ok(0) => {
                 return if decoder.has_partial() {
-                    CloseReason::Disconnect
+                    Close::Disconnect
                 } else {
-                    CloseReason::Clean
+                    Close::Other
                 };
             }
             Ok(n) => decoder.push(&buf[..n]),
@@ -405,7 +398,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, session_id: u64) -> 
                 io::ErrorKind::WouldBlock
                 | io::ErrorKind::TimedOut
                 | io::ErrorKind::Interrupted => {}
-                _ => return CloseReason::Disconnect,
+                _ => return Close::Disconnect,
             },
         }
     }
@@ -420,7 +413,7 @@ fn serve_frame(
     session_id: u64,
     payload: &[u8],
     queries_served: &mut u64,
-) -> Result<(), CloseReason> {
+) -> Result<(), Close> {
     shared
         .metrics
         .bytes_in
@@ -465,7 +458,7 @@ fn serve_query(
     session_id: u64,
     id: u64,
     text: &str,
-) -> Result<(), CloseReason> {
+) -> Result<(), Close> {
     shared
         .metrics
         .queries_accepted
@@ -558,7 +551,7 @@ fn serve_query(
                 .fetch_add(1, Ordering::Relaxed);
             Response::Error {
                 id,
-                text: render_error(&err, text),
+                text: err.render(text),
             }
         }
     };
@@ -598,7 +591,7 @@ fn serve_admin(
     stream: &mut TcpStream,
     id: u64,
     command: &str,
-) -> Result<(), CloseReason> {
+) -> Result<(), Close> {
     shared
         .metrics
         .admin_commands
@@ -683,18 +676,14 @@ fn write_response(
     shared: &Shared,
     stream: &mut TcpStream,
     response: &Response,
-) -> Result<(), CloseReason> {
+) -> Result<(), Close> {
     write_payload(shared, stream, &encode_within_cap(response).0)
 }
 
 /// Writes one encoded response, classifying failures: a peer that will
 /// not read within the write timeout counts as a write timeout, anything
 /// else as a disconnect.
-fn write_payload(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    payload: &[u8],
-) -> Result<(), CloseReason> {
+fn write_payload(shared: &Shared, stream: &mut TcpStream, payload: &[u8]) -> Result<(), Close> {
     match wire::write_frame(stream, payload, wire::MAX_FRAME).and_then(|()| stream.flush()) {
         Ok(()) => {
             shared
@@ -711,9 +700,9 @@ fn write_payload(
                     .fetch_add(1, Ordering::Relaxed);
                 // Already accounted as a write timeout; close without
                 // also counting a disconnect.
-                Err(CloseReason::Clean)
+                Err(Close::Other)
             }
-            _ => Err(CloseReason::Disconnect),
+            _ => Err(Close::Disconnect),
         },
     }
 }
@@ -734,8 +723,4 @@ fn record_query_stats(metrics: &Metrics, stats: &ExecStats) {
     if let Some(trips) = stats.breaker_trips {
         metrics.breaker_trips.fetch_add(trips, Ordering::Relaxed);
     }
-}
-
-fn render_error(err: &EvqlError, src: &str) -> String {
-    err.render(src)
 }

@@ -35,8 +35,6 @@ pub struct DiffConfig {
     pub mse_threshold: f32,
     /// Clip length `c` in frames.
     pub clip_size: usize,
-    /// Worker threads for the clip-parallel scan.
-    pub num_threads: usize,
 }
 
 impl Default for DiffConfig {
@@ -44,11 +42,13 @@ impl Default for DiffConfig {
         DiffConfig {
             mse_threshold: 4e-4,
             clip_size: 30,
-            num_threads: default_threads(),
         }
     }
 }
 
+/// Workers of the clip-parallel scan: the host's parallelism, at most 8
+/// (4 when it cannot be read). Clips are independent, so the count sets
+/// speed, not the segmentation.
 fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -158,7 +158,6 @@ pub struct DifferenceDetector {
 impl DifferenceDetector {
     pub fn new(cfg: DiffConfig) -> Self {
         assert!(cfg.clip_size >= 1, "clip size must be >= 1");
-        assert!(cfg.num_threads >= 1, "need at least one worker");
         DifferenceDetector { cfg }
     }
 
@@ -168,6 +167,11 @@ impl DifferenceDetector {
 
     /// Runs the detector over the whole video.
     pub fn run(&self, video: &dyn VideoStore) -> Segments {
+        self.run_on(video, default_threads())
+    }
+
+    /// [`Self::run`] on up to `threads` workers.
+    fn run_on(&self, video: &dyn VideoStore, threads: usize) -> Segments {
         let n = video.num_frames();
         if n == 0 {
             return Segments {
@@ -179,7 +183,7 @@ impl DifferenceDetector {
         let n_clips = n.div_ceil(c);
         // Each worker handles a contiguous range of clips and reports, per
         // clip, which member frames were retained (beyond the middle).
-        let threads = self.cfg.num_threads.min(n_clips).max(1);
+        let threads = threads.min(n_clips).max(1);
         let clips_per_worker = n_clips.div_ceil(threads);
 
         let mut clip_results: Vec<Vec<(usize, Vec<bool>)>> = std::thread::scope(|scope| {
@@ -272,7 +276,6 @@ mod tests {
         DifferenceDetector::new(DiffConfig {
             mse_threshold: th,
             clip_size: clip,
-            num_threads: 3,
         })
     }
 
@@ -330,19 +333,8 @@ mod tests {
     #[test]
     fn parallel_matches_serial() {
         let v = alternating_video(123);
-        let serial = DifferenceDetector::new(DiffConfig {
-            mse_threshold: 1e-4,
-            clip_size: 10,
-            num_threads: 1,
-        })
-        .run(&v);
-        let parallel = DifferenceDetector::new(DiffConfig {
-            mse_threshold: 1e-4,
-            clip_size: 10,
-            num_threads: 7,
-        })
-        .run(&v);
-        assert_eq!(serial, parallel);
+        let detector = detector(1e-4, 10);
+        assert_eq!(detector.run_on(&v, 1), detector.run_on(&v, 7));
     }
 
     #[test]

@@ -224,12 +224,12 @@ fn batch_size_larger_than_relation_is_safe() {
 // ---- skyline under attack ----
 
 struct TableSkyOracle {
-    truth: Vec<Vec<u32>>,
+    truth: Vec<[u32; 2]>,
 }
 
-impl CleaningOracle<Vec<u32>> for TableSkyOracle {
-    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<Vec<u32>> {
-        items.iter().map(|&i| self.truth[i].clone()).collect()
+impl CleaningOracle<[u32; 2]> for TableSkyOracle {
+    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<[u32; 2]> {
+        items.iter().map(|&i| self.truth[i]).collect()
     }
 }
 
@@ -237,15 +237,15 @@ impl CleaningOracle<Vec<u32>> for TableSkyOracle {
 fn skyline_survives_a_lying_proxy() {
     let n = 30;
     let max_b = 6usize;
-    let truth: Vec<Vec<u32>> = (0..n)
+    let truth: Vec<[u32; 2]> = (0..n)
         .map(|i| {
-            vec![
+            [
                 ((i * 5 + 1) % (max_b + 1)) as u32,
                 ((i * 3 + 2) % (max_b + 1)) as u32,
             ]
         })
         .collect();
-    let mut rel = VectorRelation::new(vec![max_b, max_b]);
+    let mut rel = VectorRelation::new([max_b, max_b]);
     for v in &truth {
         // inverted near-point masses with full support
         let dist = |wrong: u32| {
@@ -253,7 +253,7 @@ fn skyline_survives_a_lying_proxy() {
             masses[wrong as usize] = 1.0;
             DiscreteDist::from_masses(&masses)
         };
-        rel.push_uncertain(vec![dist(max_b as u32 - v[0]), dist(max_b as u32 - v[1])]);
+        rel.push_uncertain([dist(max_b as u32 - v[0]), dist(max_b as u32 - v[1])]);
     }
     let mut oracle = TableSkyOracle {
         truth: truth.clone(),

@@ -329,6 +329,41 @@ fn skyline_query_end_to_end() {
     );
 }
 
+/// Pins one skyline answer's bits: each row's frame and scores, the
+/// confidence, iterations, cleaned frames, termination and simulated
+/// seconds. The byte-identity tests compare a run only with its own
+/// re-run; this one holds the answer itself still.
+#[test]
+fn a_skyline_statement_keeps_its_pinned_answer() {
+    let mut s = fast_session();
+    let Output::Skyline(out) = s
+        .execute("SELECT SKYLINE FROM Archie WITH CONFIDENCE 0.8, SEED 11")
+        .unwrap()
+    else {
+        panic!("a SELECT SKYLINE statement answers with a skyline");
+    };
+    let rows: Vec<(usize, Vec<u64>)> = out
+        .rows
+        .iter()
+        .map(|r| (r.frame, r.scores.iter().map(|v| v.to_bits()).collect()))
+        .collect();
+    // count(car) = 11.0, coverage() ≈ 17.42 on both frames.
+    let scores = vec![0x4026_0000_0000_0000, 0x4031_6ba2_72f0_0000];
+    assert_eq!(rows, [(799, scores.clone()), (800, scores)]);
+    let stats = &out.stats;
+    assert_eq!(
+        stats.confidence.map(f64::to_bits),
+        Some(0x3fe9_b6f3_442a_2f49)
+    );
+    assert_eq!(stats.iterations, Some(187));
+    assert_eq!(stats.cleaned, Some(1496));
+    assert_eq!(
+        stats.termination,
+        Some(everest::core::budget::Termination::Converged)
+    );
+    assert_eq!(stats.sim_seconds.to_bits(), 0x406c_3c8e_8a71_de66);
+}
+
 #[test]
 fn error_messages_render_against_the_query() {
     let mut s = fast_session();

@@ -194,8 +194,8 @@ fn skyline_spends_at_most_the_cap_on_every_dimension() {
     assert_eq!(retained, f.coverage.phase1.segments.retained());
     let count = InstrumentedOracle::new(counting_oracle(&f.video));
     let coverage = InstrumentedOracle::new(coverage_oracle(&f.video));
-    let mut rel = zip_relations(&[&f.count.phase1.relation, &f.coverage.phase1.relation]);
-    let mut adapters = vec![
+    let mut rel = zip_relations([&f.count.phase1.relation, &f.coverage.phase1.relation]);
+    let mut adapters = [
         FrameOracleAdapter::new(&count as &dyn Oracle, retained, &f.count.phase1.relation),
         FrameOracleAdapter::new(
             &coverage as &dyn Oracle,

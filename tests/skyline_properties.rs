@@ -32,20 +32,20 @@ fn arb_relation() -> impl Strategy<Value = VectorRelation> {
         proptest::collection::vec((0u32..=MAX_B as u32, 0u32..=MAX_B as u32), 1..4),
     )
         .prop_map(|(uncertain, certain)| {
-            let mut rel = VectorRelation::new(vec![MAX_B, MAX_B]);
+            let mut rel = VectorRelation::new([MAX_B, MAX_B]);
             for (x, y) in certain {
-                rel.push_certain(&[x, y]);
+                rel.push_certain([x, y]);
             }
             for (dx, dy) in uncertain {
-                rel.push_uncertain(vec![dx, dy]);
+                rel.push_uncertain([dx, dy]);
             }
             rel
         })
 }
 
-fn arb_points() -> impl Strategy<Value = Vec<Vec<u32>>> {
+fn arb_points() -> impl Strategy<Value = Vec<[u32; 2]>> {
     proptest::collection::vec(
-        (0u32..=MAX_B as u32, 0u32..=MAX_B as u32).prop_map(|(x, y)| vec![x, y]),
+        (0u32..=MAX_B as u32, 0u32..=MAX_B as u32).prop_map(|(x, y)| [x, y]),
         0..5,
     )
 }
@@ -88,10 +88,10 @@ proptest! {
         points in arb_points(),
         extra in (0u32..=MAX_B as u32, 0u32..=MAX_B as u32),
     ) {
-        let bigger: Vec<Vec<u32>> = points
+        let bigger: Vec<[u32; 2]> = points
             .iter()
             .cloned()
-            .chain(std::iter::once(vec![extra.0, extra.1]))
+            .chain(std::iter::once([extra.0, extra.1]))
             .collect();
         for u in rel.uncertain_ids() {
             let p_small = prob_dominated(&rel, u, &points);
@@ -130,12 +130,12 @@ proptest! {
     #[test]
     fn skyline_structural_invariants(
         vectors in proptest::collection::vec(
-            (0u32..=6, 0u32..=6).prop_map(|(x, y)| vec![x, y]), 1..12),
+            (0u32..=6, 0u32..=6).prop_map(|(x, y)| [x, y]), 1..12),
     ) {
-        let tagged: Vec<(usize, Vec<u32>)> = vectors.into_iter().enumerate().collect();
+        let tagged: Vec<(usize, [u32; 2])> = vectors.into_iter().enumerate().collect();
         let sky = skyline_of(&tagged);
         prop_assert!(!sky.is_empty(), "a non-empty set always has a maximal element");
-        let members: Vec<&Vec<u32>> =
+        let members: Vec<&[u32; 2]> =
             sky.iter().map(|id| &tagged.iter().find(|(i, _)| i == id).unwrap().1).collect();
         for a in &members {
             for b in &members {
@@ -151,9 +151,9 @@ proptest! {
             }
         }
         // idempotence
-        let again: Vec<(usize, Vec<u32>)> = sky
+        let again: Vec<(usize, [u32; 2])> = sky
             .iter()
-            .map(|&id| (id, tagged.iter().find(|(i, _)| *i == id).unwrap().1.clone()))
+            .map(|&id| (id, tagged.iter().find(|(i, _)| *i == id).unwrap().1))
             .collect();
         let mut sky2 = skyline_of(&again);
         let mut sky1 = sky.clone();
@@ -169,18 +169,16 @@ proptest! {
         let mut rel = rel;
         if let Some(&u) = rel.uncertain_ids().first() {
             // clean to each dimension's most probable bucket
-            let v: Vec<u32> = (0..rel.dims())
-                .map(|j| {
-                    (0..=MAX_B as u32)
-                        .max_by(|&a, &b| {
-                            pmf_of(&rel, u, j, a)
-                                .partial_cmp(&pmf_of(&rel, u, j, b))
-                                .unwrap()
-                        })
-                        .unwrap()
-                })
-                .collect();
-            rel.clean(u, &v);
+            let v = [0, 1].map(|j| {
+                (0..=MAX_B as u32)
+                    .max_by(|&a, &b| {
+                        pmf_of(&rel, u, j, a)
+                            .partial_cmp(&pmf_of(&rel, u, j, b))
+                            .unwrap()
+                    })
+                    .unwrap()
+            });
+            rel.clean(u, v);
             prop_assert!(rel.is_certain(u));
             let state = skyline_state(&rel);
             let brute = pws_skyline_probability(&rel, &state.skyline);
@@ -244,24 +242,24 @@ proptest! {
     fn maintainer_matches_full_recompute_under_random_mutations(
         ops in proptest::collection::vec(arb_mutation(), 1..25),
     ) {
-        let mut rel = VectorRelation::new(vec![MAX_B, MAX_B]);
+        let mut rel = VectorRelation::new([MAX_B, MAX_B]);
         let mut m = SkylineMaintainer::new(&mut rel);
         let mut baseline_recomputes = 0u64;
 
         for op in ops {
             match op {
                 Mutation::InsertCertain(x, y) => {
-                    m.push(vec![ItemState::Certain(x), ItemState::Certain(y)]);
+                    m.push([ItemState::Certain(x), ItemState::Certain(y)]);
                 }
                 Mutation::InsertUncertain(dx, dy) => {
-                    m.push(vec![ItemState::Uncertain(dx), ItemState::Uncertain(dy)]);
+                    m.push([ItemState::Uncertain(dx), ItemState::Uncertain(dy)]);
                 }
                 Mutation::Clean(sel, x, y) => {
                     let uncertain = m.relation().uncertain_ids();
                     if uncertain.is_empty() {
                         continue;
                     }
-                    m.clean(uncertain[sel % uncertain.len()], &[x, y]);
+                    m.clean(uncertain[sel % uncertain.len()], [x, y]);
                 }
             }
             // A recompute-everything baseline pays one factor evaluation
@@ -307,14 +305,14 @@ proptest! {
 
 /// Reveals a fixed truth table and remembers what it was asked.
 struct RecordingOracle {
-    truth: Vec<Vec<u32>>,
+    truth: Vec<[u32; 2]>,
     asked: Vec<usize>,
 }
 
-impl CleaningOracle<Vec<u32>> for RecordingOracle {
-    fn clean_batch(&mut self, items: &[usize]) -> Vec<Vec<u32>> {
+impl CleaningOracle<[u32; 2]> for RecordingOracle {
+    fn clean_batch(&mut self, items: &[usize]) -> Vec<[u32; 2]> {
         self.asked.extend_from_slice(items);
-        items.iter().map(|&i| self.truth[i].clone()).collect()
+        items.iter().map(|&i| self.truth[i]).collect()
     }
 }
 
@@ -329,7 +327,7 @@ proptest! {
     fn capped_skyline_answers_honor_the_posterior(
         rel in arb_relation(),
         truth in proptest::collection::vec(
-            (0u32..=MAX_B as u32, 0u32..=MAX_B as u32).prop_map(|(x, y)| vec![x, y]), 6),
+            (0u32..=MAX_B as u32, 0u32..=MAX_B as u32).prop_map(|(x, y)| [x, y]), 6),
         cap in 0usize..5,
         batch_size in 1usize..4,
         thres_pick in 0usize..3,

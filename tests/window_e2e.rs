@@ -180,24 +180,6 @@ fn sliding_windows_find_the_same_peaks_with_finer_offsets() {
         best_sliding >= best_tumbling - 1e-12,
         "sliding {best_sliding} vs tumbling {best_tumbling}"
     );
-
-    // Overlap suppression on the answer yields pairwise-disjoint moments.
-    let ranked: Vec<everest::core::window::WindowInfo> = report
-        .items
-        .iter()
-        .map(|i| everest::core::window::WindowInfo {
-            start: i.range.0,
-            end: i.range.1,
-        })
-        .collect();
-    let disjoint = everest::core::window::suppress_overlaps(&ranked);
-    for a in 0..disjoint.len() {
-        for b in (a + 1)..disjoint.len() {
-            let (x, y) = (disjoint[a], disjoint[b]);
-            assert!(x.end <= y.start || y.end <= x.start, "{x:?} overlaps {y:?}");
-        }
-    }
-    assert!(!disjoint.is_empty());
 }
 
 #[test]
