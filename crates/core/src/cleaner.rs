@@ -129,7 +129,9 @@ pub struct CleanOutcome {
 pub(crate) struct TopKState {
     /// Joint CDF over the currently-uncertain items.
     pub(crate) h: JointCdf,
-    /// Certain items ordered by (bucket desc, id asc).
+    /// Certain items ordered by (bucket desc, id asc). Its first K entries
+    /// are the certain Top-K; the batch engine leaves out confirmations
+    /// below `S_k`, which can never reach them.
     pub(crate) certain: BTreeSet<(Reverse<u32>, ItemId)>,
     /// Result size K.
     pub(crate) k: usize,
@@ -279,8 +281,10 @@ pub(crate) fn drive<A: Answer>(
 /// then lazy-ψ `Select-candidate` batches over the relation.
 ///
 /// Items are only ever added to the certain set, so `S_k` never falls:
-/// picking at `S_k` floors the joint CDF there, and the thresholds are
-/// walked again only when a confirmation can move them.
+/// picking at `S_k` floors the joint CDF there, the thresholds are walked
+/// again only when a confirmation can move them, and a confirmation below
+/// `S_k` stays out of `state.certain`, since it can never rank into the
+/// Top-K.
 struct RelationTopK<'a> {
     state: TopKState,
     /// `state.thresholds()`.
@@ -328,10 +332,16 @@ impl Answer for RelationTopK<'_> {
 
     fn retire(&mut self, id: ItemId, bucket: u32) {
         self.state.h.remove(&self.rel.clean(id, bucket));
-        self.state.certain.insert((Reverse(bucket), id));
+        let at = bucket as usize;
+        // `S_k` never falls, so a bucket below it never ranks into the
+        // Top-K. One at `S_k` may: a smaller id there displaces the K-th
+        // row.
+        if self.thresholds.is_none_or(|(s_k, _)| at >= s_k) {
+            self.state.certain.insert((Reverse(bucket), id));
+        }
         // A bucket at or below `S_k` ranks at or below the K-th item's, so
         // the K-th and (K−1)-th buckets stay where they were.
-        if self.thresholds.is_none_or(|(s_k, _)| bucket as usize > s_k) {
+        if self.thresholds.is_none_or(|(s_k, _)| at > s_k) {
             self.thresholds = self.state.thresholds();
         }
     }
@@ -923,6 +933,45 @@ mod tests {
                     out.termination, out.confidence
                 );
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The certain set leaves out confirmations below `S_k`, never
+        /// those at it: with an oracle that answers few distinct buckets,
+        /// so that many items tie on the threshold bucket, the answer is
+        /// the Top-K of *every* certain item of the relation after the
+        /// run, (bucket desc, id asc).
+        #[test]
+        fn rows_are_the_topk_of_every_certain_item(
+            data_seed in 0u64..1_000,
+            k in 1usize..12,
+            batch_size in 1usize..9,
+            certain_seed in 0usize..6,
+            thres in 0.5f64..0.999,
+        ) {
+            let mut rng = StdRng::seed_from_u64(data_seed);
+            let levels = [2u32, 5, 6];
+            let truth: Vec<u32> = (0..90)
+                .map(|_| levels[rng.gen_range(0..levels.len())])
+                .collect();
+            let (mut rel, t) = noisy_relation(&truth, 8, certain_seed, data_seed);
+            let mut oracle = FnCleaningOracle(|id| t[id]);
+            let cfg = CleanerConfig {
+                k,
+                thres,
+                batch_size,
+                ..Default::default()
+            };
+            let out = run_cleaner(&mut rel, &mut oracle, &cfg);
+            let mut every: Vec<(ItemId, u32)> = (0..rel.len())
+                .filter_map(|id| rel.certain_bucket(id).map(|b| (id, b)))
+                .collect();
+            every.sort_unstable_by_key(|&(id, b)| (Reverse(b), id));
+            every.truncate(k);
+            proptest::prop_assert_eq!(out.rows, every);
         }
     }
 

@@ -26,11 +26,14 @@
 //!
 //! The scan stops after a few dozen of the ~10⁴ items, so a re-sort
 //! recomputes ψ in place but orders only a prefix (a selection, then a
-//! sort of what it selected), and the scan doubles the ordered prefix on
-//! demand when it reaches the end. The order is a strict total order (ψ
-//! descending, then id), so every position the scan reads holds the item
-//! a full sort would put there. None of this changes which items are
-//! examined, in what order.
+//! sort of what it selected), and the scan orders the next stretch on
+//! demand when it reaches the end. Each stretch is twice the last; the
+//! size restarts only when ψ is recomputed, so a scan that keeps reaching
+//! past the prefix between re-sorts at unchanged thresholds pays a
+//! logarithmic number of selections, not one per re-sort. The order is a
+//! strict total order (ψ descending, then id), so every position the scan
+//! reads holds the item a full sort would put there. None of this changes
+//! which items are examined, in what order.
 
 use crate::dist::DiscreteDist;
 use crate::topkprob::JointCdf;
@@ -88,7 +91,8 @@ pub struct SelectStats {
 }
 
 /// Items put in order when ψ is recomputed. The scan reads a few dozen;
-/// when it reaches the end of the ordered prefix, the prefix doubles.
+/// each time it reaches the end of the ordered prefix, the next stretch
+/// ordered is twice the last.
 const ORDERED_PREFIX: usize = 64;
 
 /// Descending ψ, ties by ascending id. ψ is never NaN and ids are
@@ -108,6 +112,8 @@ pub struct CandidateSelector {
     ranked: Vec<(f64, ItemId)>,
     /// Length of the ordered prefix of `ranked`.
     ordered: usize,
+    /// Items the next extension of the ordered prefix puts in order.
+    stretch: usize,
     /// Every item of `ranked` before this position has been cleaned.
     head: usize,
     /// The (s_k, s_p) the current ψ values were computed at.
@@ -129,6 +135,7 @@ impl CandidateSelector {
                 .map(|id| (f64::INFINITY, id))
                 .collect(),
             ordered: 0,
+            stretch: ORDERED_PREFIX,
             head: 0,
             sorted_at: None,
             iteration: 0,
@@ -171,20 +178,21 @@ impl CandidateSelector {
             None => false,
         });
         self.ordered = 0;
+        self.stretch = ORDERED_PREFIX;
         self.extend_ordered();
         self.sorted_at = Some((s_k, s_p));
     }
 
-    /// Orders the next stretch of `ranked`: the prefix doubles, to at
-    /// least [`ORDERED_PREFIX`] items.
+    /// Orders the next `stretch` items of `ranked` and doubles `stretch`.
     fn extend_ordered(&mut self) {
         let rest = &mut self.ranked[self.ordered..];
-        let n = self.ordered.max(ORDERED_PREFIX).min(rest.len());
+        let n = self.stretch.min(rest.len());
         if n < rest.len() {
             rest.select_nth_unstable_by(n, by_psi);
         }
         rest[..n].sort_unstable_by(by_psi);
         self.ordered += n;
+        self.stretch = self.stretch.saturating_mul(2);
     }
 
     /// Selects up to `batch` uncertain items maximising `E[X_f]`, using the
@@ -498,12 +506,13 @@ mod tests {
     }
 
     /// The thresholds of call `i` (1-based): steady stretches before and
-    /// past iteration 100, a return to an earlier pair, and a K = 1 style
-    /// penultimate at the grid maximum.
+    /// past iteration 100, one at thresholds so high that few items can
+    /// pass `S_k`, a return to an earlier pair, and K = 1 style
+    /// penultimates at the grid maximum.
     fn threshold_schedule(i: usize) -> (usize, usize) {
         match i {
             0..=45 => (10, 14),
-            46..=80 => (12, 14),
+            46..=80 => (29, 30),
             81..=130 => (12, 15),
             131..=220 => (15, 18),
             221..=260 => (12, 15),
@@ -521,7 +530,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(36);
         let max_bucket = 30;
         let mut rel = UncertainRelation::new(1.0, max_bucket);
-        for id in 0..1_600 {
+        for id in 0..2_000 {
             if id % 40 == 0 {
                 rel.push_certain(rng.gen_range(0..=max_bucket as u32));
             } else {
@@ -532,16 +541,26 @@ mod tests {
         let mut sel = CandidateSelector::new(&rel, 10);
         let mut reference = ReferenceSelector::new(&rel, 10, false);
         let mut past_the_prefix = 0;
+        // Whether a scan extended the prefix since ψ was last recomputed,
+        // whether a re-sort at unchanged thresholds followed it, and how
+        // many later scans extended the prefix so grown.
+        let (mut grown, mut resorted_grown, mut regrown) = (false, false, 0);
         for i in 1..=400 {
             let (s_k, s_p) = threshold_schedule(i);
             // Now and then a batch larger than the first ordered prefix,
-            // so the scan has to extend it.
-            let batch = if i % 90 == 5 {
+            // so the scan has to extend it. At (29, 30) few items have
+            // mass above `S_k` and scans stop early: call 52 extends the
+            // prefix, the re-sort at call 60 keeps the order, and call 65
+            // reads past what is left of it.
+            let batch = if i % 90 == 5 || i == 52 {
                 3 * ORDERED_PREFIX / 2
+            } else if i == 65 {
+                3 * ORDERED_PREFIX
             } else {
                 1 + i % 4
             };
-            let examined = sel.stats.examined;
+            let (examined, resorts) = (sel.stats.examined, sel.stats.resorts);
+            let (stretch, sorted_at) = (sel.stretch, sel.sorted_at);
             let picks = sel.select_batch(&rel, &h, s_k, s_p, batch);
             let expected = reference.select_batch(&rel, &h, s_k, s_p, batch);
             assert_eq!(picks, expected, "call {i}: picks differ");
@@ -549,6 +568,24 @@ mod tests {
             assert_eq!(sel.stats.resorts, reference.resorts, "call {i}: resorts");
             if sel.stats.examined - examined > ORDERED_PREFIX as u64 {
                 past_the_prefix += 1;
+            }
+            let resorted = sel.stats.resorts > resorts;
+            let recomputed = resorted && sorted_at != Some((s_k, s_p));
+            if recomputed {
+                (grown, resorted_grown) = (false, false);
+            } else if resorted && grown {
+                resorted_grown = true;
+            }
+            let resorted_stretch = if recomputed {
+                2 * ORDERED_PREFIX
+            } else {
+                stretch
+            };
+            if sel.stretch > resorted_stretch {
+                if resorted_grown {
+                    regrown += 1;
+                }
+                grown = true;
             }
             for id in picks {
                 let bucket = rel.dist(id).unwrap().sample_with(rng.gen_range(0.0..1.0));
@@ -563,6 +600,22 @@ mod tests {
             past_the_prefix >= 3,
             "only {past_the_prefix} scans read past the first ordered prefix"
         );
+        assert!(
+            regrown >= 1,
+            "no scan extended a prefix grown before a same-threshold re-sort"
+        );
+    }
+
+    #[test]
+    fn prefix_growth_saturates() {
+        let (rel, _) = setup();
+        let mut sel = CandidateSelector::new(&rel, 10);
+        sel.stretch = usize::MAX / 2 + 1;
+        sel.extend_ordered();
+        assert_eq!(sel.ordered, sel.ranked.len());
+        assert_eq!(sel.stretch, usize::MAX, "the stretch wrapped");
+        sel.extend_ordered();
+        assert_eq!(sel.stretch, usize::MAX);
     }
 
     #[test]
