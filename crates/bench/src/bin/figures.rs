@@ -20,7 +20,7 @@ fn main() {
     let sources = catalog();
     let mut session = Session::new();
     // Room for every source: each is prepared once for the whole run.
-    session.set_cache_capacity(sources.len());
+    session.shared_cache().set_capacity(sources.len());
     let scale = session.settings.scale;
     let of_kind = |pick: fn(&SourceKind) -> bool| -> Vec<&SourceEntry> {
         sources.iter().filter(|s| pick(&s.kind)).collect()

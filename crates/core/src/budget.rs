@@ -140,18 +140,6 @@ impl Termination {
             Termination::OracleDown => 5,
         }
     }
-
-    /// Inverse of [`Termination::code`].
-    pub fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            1 => Termination::Converged,
-            2 => Termination::BudgetExhausted,
-            3 => Termination::Deadline,
-            4 => Termination::Cancelled,
-            5 => Termination::OracleDown,
-            _ => return None,
-        })
-    }
 }
 
 impl std::fmt::Display for Termination {
@@ -180,19 +168,21 @@ mod tests {
     }
 
     #[test]
-    fn termination_codes_round_trip() {
-        for t in [
+    fn termination_codes_are_distinct_and_never_zero() {
+        let all = [
             Termination::Converged,
             Termination::BudgetExhausted,
             Termination::Deadline,
             Termination::Cancelled,
             Termination::OracleDown,
-        ] {
-            assert_eq!(Termination::from_code(t.code()), Some(t));
+        ];
+        let codes: std::collections::BTreeSet<u8> = all.iter().map(|t| t.code()).collect();
+        assert_eq!(codes.len(), all.len());
+        // The wire encodes "no termination" as 0.
+        assert!(!codes.contains(&0));
+        for t in all {
             assert_eq!(t.is_degraded(), t != Termination::Converged);
             assert!(!t.as_str().is_empty());
         }
-        assert_eq!(Termination::from_code(0), None);
-        assert_eq!(Termination::from_code(6), None);
     }
 }

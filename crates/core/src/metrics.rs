@@ -53,11 +53,6 @@ impl GroundTruth {
         self.sorted[k - 1]
     }
 
-    /// Competition rank ("1224") of a score: 1 + #items strictly greater.
-    pub fn competition_rank(&self, score: f64) -> usize {
-        self.sorted.partition_point(|&s| s > score) + 1
-    }
-
     /// The true-rank interval `[first, last]` occupied by a score's tie
     /// group (both 1-based, inclusive). Scores absent from the truth get
     /// the empty-interval convention `first = last = rank`.
@@ -168,10 +163,11 @@ mod tests {
         let t = truth();
         assert_eq!(t.kth_score(1), 9.0);
         assert_eq!(t.kth_score(3), 7.0);
-        assert_eq!(t.competition_rank(9.0), 1);
-        assert_eq!(t.competition_rank(7.0), 2); // two items tie at rank 2
-        assert_eq!(t.competition_rank(5.0), 4);
-        assert_eq!(t.competition_rank(0.5), 7);
+        // A tie group starts at its competition rank ("1224").
+        assert_eq!(t.rank_range(9.0).0, 1);
+        assert_eq!(t.rank_range(7.0).0, 2); // two items tie at rank 2
+        assert_eq!(t.rank_range(5.0).0, 4);
+        assert_eq!(t.rank_range(0.5).0, 7);
     }
 
     #[test]

@@ -87,11 +87,6 @@ impl SimClock {
         }
     }
 
-    /// All components with their charges, in label order.
-    pub fn breakdown(&self) -> Vec<(&'static str, f64)> {
-        self.components.iter().map(|(&k, &v)| (k, v)).collect()
-    }
-
     /// Merges another clock into this one.
     pub fn merge(&mut self, other: &SimClock) {
         for (&k, &v) in &other.components {
@@ -120,7 +115,6 @@ mod tests {
         let c = SimClock::new();
         assert_eq!(c.total(), 0.0);
         assert_eq!(c.fraction(component::LABEL), 0.0);
-        assert!(c.breakdown().is_empty());
     }
 
     #[test]
@@ -140,16 +134,5 @@ mod tests {
     fn negative_charge_panics() {
         let mut c = SimClock::new();
         c.charge(component::LABEL, -1.0);
-    }
-
-    #[test]
-    fn breakdown_is_deterministic() {
-        let mut c = SimClock::new();
-        c.charge(component::TRAIN, 1.0);
-        c.charge(component::LABEL, 1.0);
-        let labels: Vec<&str> = c.breakdown().iter().map(|&(k, _)| k).collect();
-        let mut sorted = labels.clone();
-        sorted.sort_unstable();
-        assert_eq!(labels, sorted);
     }
 }

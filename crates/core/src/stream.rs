@@ -14,13 +14,14 @@
 //! ## O(delta) maintenance
 //!
 //! Between emits only the delta is touched: each arriving frame is one
-//! [`JointCdf::add`], each expiring frame one [`JointCdf::remove`] — the
-//! ~8 ns/bucket incremental updates measured by the `topk_prob/incremental`
-//! bench — instead of an O(n) [`JointCdf::build`] per emit. The
-//! [`Maintenance::Rebuild`] mode keeps the per-emit rebuild alive as the
-//! *batch reference*: a from-scratch run over the same prefix that the
-//! streaming≡batch equivalence harness (`tests/stream_e2e.rs`) compares
-//! against at every emit point.
+//! [`JointCdf::add`], each expiring frame one [`JointCdf::remove`] (the
+//! ladder's `stream.push_ns_per_frame` rung times an arrival) instead of
+//! an O(n) [`JointCdf::build`] per emit. [`batch_reference`] is the
+//! specification: it drives the same arrival and emit steps in
+//! [`Maintenance::Rebuild`], which rebuilds the joint CDF and the certain
+//! set from the active window before every emit, a from-scratch run over
+//! the same prefix that the streaming≡batch equivalence harness
+//! (`tests/stream_e2e.rs`) compares against at every emit point.
 //!
 //! ## Boundary-focused cleaning
 //!
@@ -49,14 +50,17 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-/// How the joint CDF is maintained across stream steps.
+/// How the joint CDF and the certain set are kept between emits. Only
+/// [`push_frame`](StreamTopK::push_frame) reads it, once per emit; the
+/// arrival, expiry and emit steps are the same in both modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Maintenance {
     /// O(delta): one [`JointCdf::add`]/[`JointCdf::remove`] per arriving /
     /// expiring frame. The production mode.
     Incremental,
-    /// O(n): rebuild the joint CDF and the certain set from scratch at
-    /// every emit. The batch reference the equivalence harness replays.
+    /// The same updates, then a from-scratch rebuild of the joint CDF and
+    /// the certain set before every emit. The batch reference the
+    /// equivalence harness replays.
     Rebuild,
 }
 
@@ -174,7 +178,6 @@ pub struct StreamTopK {
     frames: Frames,
     /// First active frame (window low edge).
     lo: usize,
-    emits: usize,
     cleaned_total: usize,
 }
 
@@ -203,7 +206,6 @@ impl StreamTopK {
             },
             cfg,
             lo: 0,
-            emits: 0,
             cleaned_total: 0,
         }
     }
@@ -212,24 +214,9 @@ impl StreamTopK {
         &self.cfg
     }
 
-    /// Frames arrived so far.
-    pub fn n_frames(&self) -> usize {
-        self.frames.dists.len()
-    }
-
-    /// First frame of the active window.
-    pub fn window_start(&self) -> usize {
-        self.lo
-    }
-
     /// Total oracle confirmations across the stream.
     pub fn cleaned_total(&self) -> usize {
         self.cleaned_total
-    }
-
-    /// Emits produced so far.
-    pub fn emits(&self) -> usize {
-        self.emits
     }
 
     /// Feeds one arriving frame; returns an answer on emit boundaries.
@@ -244,17 +231,17 @@ impl StreamTopK {
             "arriving frame is on a different bucket grid"
         );
         let id = self.frames.dists.len();
-        if self.cfg.maintenance == Maintenance::Incremental {
-            self.frames.state.h.add(&dist);
-        }
+        self.frames.state.h.add(&dist);
         self.frames.uncertain_active.insert(id);
         self.frames.dists.push(dist);
         self.advance_window();
-        if self.frames.dists.len().is_multiple_of(self.cfg.emit_every) {
-            Some(self.emit(oracle))
-        } else {
-            None
+        if !self.frames.dists.len().is_multiple_of(self.cfg.emit_every) {
+            return None;
         }
+        if self.cfg.maintenance == Maintenance::Rebuild {
+            self.rebuild();
+        }
+        Some(self.emit(oracle))
     }
 
     /// Expires frames that fell out of the sliding window.
@@ -264,9 +251,7 @@ impl StreamTopK {
         for frame in self.lo..new_lo {
             if let Some(&b) = self.frames.cleaned.get(&frame) {
                 self.frames.state.certain.remove(&(Reverse(b), frame));
-            } else if self.frames.uncertain_active.remove(&frame)
-                && self.cfg.maintenance == Maintenance::Incremental
-            {
+            } else if self.frames.uncertain_active.remove(&frame) {
                 self.frames.state.h.remove(&self.frames.dists[frame]);
             }
         }
@@ -274,7 +259,7 @@ impl StreamTopK {
     }
 
     /// From-scratch reconstruction of the joint CDF and the certain set
-    /// (the batch half of the equivalence harness).
+    /// over the active window (the batch half of the equivalence harness).
     fn rebuild(&mut self) {
         self.frames.state.certain = self
             .frames
@@ -292,10 +277,6 @@ impl StreamTopK {
     /// Runs the per-emit answer maintenance: the shared Phase-2 loop over
     /// the active window, confirming one frame at a time.
     fn emit(&mut self, oracle: &mut dyn CleaningOracle) -> StreamAnswer {
-        self.emits += 1;
-        if self.cfg.maintenance == Maintenance::Rebuild {
-            self.rebuild();
-        }
         let n = self.frames.dists.len();
         self.frames.state.k = self.cfg.k.min(n - self.lo);
         let run = drive(
@@ -403,11 +384,13 @@ pub fn run_stream(
 }
 
 /// The batch half of the streaming≡batch equivalence: the same emit
-/// schedule and cleaning policy replayed from scratch with per-emit
-/// [`JointCdf::build`] instead of incremental maintenance. An answer at
-/// emit point `t` depends only on frames `0..t`, so element `i` of the
-/// result is exactly "a from-scratch batch run over the prefix ending at
-/// emit `i`".
+/// schedule and cleaning policy in [`Maintenance::Rebuild`]: before every
+/// emit the joint CDF is rebuilt with [`JointCdf::build`] over the active
+/// uncertain frames and the certain set from the window's confirmations,
+/// so nothing the incremental updates left behind reaches an answer. An
+/// answer at emit point `t` depends only on frames `0..t`, so element `i`
+/// of the result is exactly "a from-scratch batch run over the prefix
+/// ending at emit `i`".
 pub fn batch_reference(
     cfg: &StreamConfig,
     dists: &[DiscreteDist],

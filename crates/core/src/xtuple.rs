@@ -168,16 +168,6 @@ impl UncertainRelation {
         self.items[id].cdf(bucket)
     }
 
-    /// `Pr(S_f = bucket)` for any item: certain items are point masses.
-    pub fn pmf(&self, id: ItemId, bucket: usize) -> f64 {
-        self.items[id].pmf(bucket)
-    }
-
-    /// `(lowest, highest)` bucket with positive mass for any item.
-    pub fn support(&self, id: ItemId) -> (usize, usize) {
-        self.items[id].support()
-    }
-
     /// Marks an item certain with its oracle-confirmed bucket, returning its
     /// previous distribution. Panics if it was already certain.
     pub fn clean(&mut self, id: ItemId, bucket: u32) -> DiscreteDist {
@@ -213,14 +203,6 @@ impl UncertainRelation {
     /// Converts a score to the nearest bucket (clamped to the grid).
     pub fn score_to_bucket(&self, score: f64) -> u32 {
         score_to_bucket(score, self.step, self.max_bucket)
-    }
-
-    /// Expected bucket of any item (exact bucket when certain).
-    pub fn mean_bucket(&self, id: ItemId) -> f64 {
-        match &self.items[id] {
-            ItemState::Uncertain(d) => d.mean_bucket(),
-            ItemState::Certain(b) => *b as f64,
-        }
     }
 }
 
@@ -304,20 +286,11 @@ mod tests {
         let mut r = UncertainRelation::new(1.0, 3);
         r.push_uncertain(dist(&[0.0, 0.4, 0.6, 0.0]));
         r.push_certain(2);
-        assert!((r.pmf(0, 1) - 0.4).abs() < 1e-12);
-        assert_eq!(r.pmf(0, 0), 0.0);
-        assert_eq!(r.support(0), (1, 2));
-        assert_eq!(r.pmf(1, 2), 1.0);
-        assert_eq!(r.pmf(1, 1), 0.0);
-        assert_eq!(r.support(1), (2, 2));
-    }
-
-    #[test]
-    fn mean_bucket_for_both_states() {
-        let mut r = UncertainRelation::new(1.0, 2);
-        r.push_uncertain(dist(&[0.0, 0.5, 0.5]));
-        r.push_certain(2);
-        assert!((r.mean_bucket(0) - 1.5).abs() < 1e-12);
-        assert_eq!(r.mean_bucket(1), 2.0);
+        assert!((r.item(0).pmf(1) - 0.4).abs() < 1e-12);
+        assert_eq!(r.item(0).pmf(0), 0.0);
+        assert_eq!(r.item(0).support(), (1, 2));
+        assert_eq!(r.item(1).pmf(2), 1.0);
+        assert_eq!(r.item(1).pmf(1), 0.0);
+        assert_eq!(r.item(1).support(), (2, 2));
     }
 }

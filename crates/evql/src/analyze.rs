@@ -7,13 +7,11 @@
 //! a near-miss candidate exists). Execution never re-validates.
 
 use crate::ast::{Literal, OptionClause, ScoreCall, SelectStmt, Target};
-use crate::catalog::{
-    all_class_names, class_by_name, compatible_score, source_by_name, source_names, ScoreFn,
-    SourceEntry,
-};
+use crate::catalog::{compatible_score, source_by_name, source_names, ScoreFn, SourceEntry};
 use crate::error::{suggest, ErrorKind, EvqlError};
 use crate::plan::{Engine, PlanTarget, QueryPlan};
 use crate::token::Span;
+use everest_video::scene::ObjectClass;
 
 /// Session-level defaults that `SET` can change.
 #[derive(Debug, Clone)]
@@ -631,16 +629,19 @@ fn resolve_score(call: &ScoreCall, source: &SourceEntry) -> Result<ScoreFn, Evql
                     arg.span,
                 )
             })?;
-            let class = class_by_name(word).ok_or_else(|| {
-                EvqlError::new(
-                    ErrorKind::Unknown {
-                        what: "object class",
-                        name: word.into(),
-                        suggestion: suggest(word, all_class_names()),
-                    },
-                    arg.span,
-                )
-            })?;
+            let class = ObjectClass::ALL
+                .into_iter()
+                .find(|c| c.name().eq_ignore_ascii_case(word))
+                .ok_or_else(|| {
+                    EvqlError::new(
+                        ErrorKind::Unknown {
+                            what: "object class",
+                            name: word.into(),
+                            suggestion: suggest(word, ObjectClass::ALL.map(ObjectClass::name)),
+                        },
+                        arg.span,
+                    )
+                })?;
             ScoreFn::Count(class)
         }
         "tailgating" | "sentiment" | "coverage" => {
@@ -679,7 +680,6 @@ fn resolve_score(call: &ScoreCall, source: &SourceEntry) -> Result<ScoreFn, Evql
 mod tests {
     use super::*;
     use crate::parser::parse;
-    use everest_video::scene::ObjectClass;
 
     fn plan_of(src: &str) -> Result<QueryPlan, EvqlError> {
         let stmt = match parse(src).unwrap() {
@@ -720,6 +720,18 @@ mod tests {
         let e = plan_of("SELECT TOP 10 FRAMES FROM Grand-Chanel").unwrap_err();
         assert!(
             e.message().contains("did you mean `Grand-Canal`"),
+            "{}",
+            e.message()
+        );
+    }
+
+    #[test]
+    fn object_classes_resolve_by_name_in_any_case() {
+        let p = plan_of("SELECT TOP 10 FRAMES FROM Grand-Canal SCORE count(BOAT)").unwrap();
+        assert_eq!(p.score, ScoreFn::Count(ObjectClass::Boat));
+        let e = plan_of("SELECT TOP 10 FRAMES FROM Archie SCORE count(cars)").unwrap_err();
+        assert!(
+            e.message().contains("did you mean `car`"),
             "{}",
             e.message()
         );

@@ -61,16 +61,6 @@ pub struct SkylineStmt {
     pub options: Vec<OptionClause>,
 }
 
-impl SkylineStmt {
-    /// Looks an option up by case-insensitive name (last one wins).
-    pub fn option(&self, name: &str) -> Option<&OptionClause> {
-        self.options
-            .iter()
-            .rev()
-            .find(|o| o.name.eq_ignore_ascii_case(name))
-    }
-}
-
 /// A `SELECT TOP k …` query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectStmt {
@@ -166,15 +156,6 @@ impl Literal {
             _ => None,
         }
     }
-
-    /// Display form for plans and error messages.
-    pub fn display(&self) -> String {
-        match &self.value {
-            LiteralValue::Int(v) => v.to_string(),
-            LiteralValue::Float(v) => format!("{v}"),
-            LiteralValue::Word(s) => s.clone(),
-        }
-    }
 }
 
 impl SelectStmt {
@@ -185,45 +166,6 @@ impl SelectStmt {
             .iter()
             .rev()
             .find(|o| o.name.eq_ignore_ascii_case(name))
-    }
-
-    /// Canonical source rendering. Parsing the result yields the same
-    /// statement back (modulo spans) — pinned by the parser's round-trip
-    /// test.
-    pub fn display(&self) -> String {
-        let mut out = format!("SELECT TOP {} ", self.k);
-        match self.target {
-            Target::Frames => out.push_str("FRAMES"),
-            Target::Windows { len, slide, .. } => {
-                out.push_str(&format!("WINDOWS OF {len} FRAMES"));
-                if let Some((s, _)) = slide {
-                    out.push_str(&format!(" SLIDE {s}"));
-                }
-            }
-        }
-        out.push_str(&format!(" FROM '{}'", self.source));
-        if let Some(score) = &self.score {
-            let args: Vec<String> = score.args.iter().map(|a| a.display()).collect();
-            out.push_str(&format!(" SCORE {}({})", score.name, args.join(", ")));
-        }
-        if let Some((engine, _)) = &self.engine {
-            out.push_str(&format!(" USING {engine}"));
-        }
-        if let Some((n, _)) = self.every {
-            out.push_str(&format!(" EVERY {n} FRAMES EMIT"));
-        }
-        if let Some((n, _)) = self.within {
-            out.push_str(&format!(" WITHIN {n} ORACLE CALLS"));
-        }
-        if !self.options.is_empty() {
-            let opts: Vec<String> = self
-                .options
-                .iter()
-                .map(|o| format!("{} {}", o.name, o.value.display()))
-                .collect();
-            out.push_str(&format!(" WITH {}", opts.join(", ")));
-        }
-        out
     }
 }
 

@@ -44,7 +44,7 @@ impl ScoreFn {
     /// Canonical EVQL spelling.
     pub fn display(&self) -> String {
         match self {
-            ScoreFn::Count(c) => format!("count({})", class_name(*c)),
+            ScoreFn::Count(c) => format!("count({})", c.name()),
             ScoreFn::Coverage => "coverage()".into(),
             ScoreFn::Tailgating => "tailgating()".into(),
             ScoreFn::Sentiment => "sentiment()".into(),
@@ -61,34 +61,6 @@ impl ScoreFn {
             ScoreFn::Sentiment => HAPPINESS_QUANTIZATION_STEP,
         }
     }
-}
-
-/// Maps an [`ObjectClass`] to its EVQL name.
-pub fn class_name(c: ObjectClass) -> &'static str {
-    match c {
-        ObjectClass::Car => "car",
-        ObjectClass::Person => "person",
-        ObjectClass::Boat => "boat",
-        ObjectClass::Bus => "bus",
-        ObjectClass::Truck => "truck",
-    }
-}
-
-/// Parses an EVQL class name.
-pub fn class_by_name(name: &str) -> Option<ObjectClass> {
-    match name.to_ascii_lowercase().as_str() {
-        "car" => Some(ObjectClass::Car),
-        "person" => Some(ObjectClass::Person),
-        "boat" => Some(ObjectClass::Boat),
-        "bus" => Some(ObjectClass::Bus),
-        "truck" => Some(ObjectClass::Truck),
-        _ => None,
-    }
-}
-
-/// All EVQL class names (for diagnostics).
-pub fn all_class_names() -> [&'static str; 5] {
-    ["car", "person", "boat", "bus", "truck"]
 }
 
 /// How a source is materialised.
@@ -224,8 +196,8 @@ pub fn compatible_score(entry: &SourceEntry, score: ScoreFn) -> Result<(), Strin
                 Err(format!(
                     "dataset `{}` is annotated for `{}`; use SCORE count({}) or omit SCORE",
                     entry.name,
-                    class_name(spec.object_class),
-                    class_name(spec.object_class),
+                    spec.object_class.name(),
+                    spec.object_class.name(),
                 ))
             }
         }
@@ -233,7 +205,7 @@ pub fn compatible_score(entry: &SourceEntry, score: ScoreFn) -> Result<(), Strin
         (SourceKind::VisualRoad(_), ScoreFn::Count(ObjectClass::Car)) => Ok(()),
         (SourceKind::VisualRoad(_), ScoreFn::Count(c)) => Err(format!(
             "Visual Road videos only contain cars; `count({})` would always be 0",
-            class_name(c)
+            c.name()
         )),
         (SourceKind::Dashcam(..), ScoreFn::Tailgating) => Ok(()),
         (SourceKind::Vlog(..), ScoreFn::Sentiment) => Ok(()),
@@ -261,7 +233,7 @@ pub fn catalog() -> Vec<SourceEntry> {
                     everest_video::SceneStyle::FixedCamera => "fixed-camera",
                     everest_video::SceneStyle::MovingCamera => "moving-camera",
                 },
-                class_name(spec.object_class)
+                spec.object_class.name()
             ),
             kind: SourceKind::Counting(spec),
         });
@@ -340,16 +312,6 @@ mod tests {
         assert!(source_by_name("grand-canal").is_some());
         assert!(source_by_name("GRAND-CANAL").is_some());
         assert!(source_by_name("no-such").is_none());
-    }
-
-    #[test]
-    fn class_names_round_trip() {
-        for name in all_class_names() {
-            let c = class_by_name(name).unwrap();
-            assert_eq!(class_name(c), name);
-        }
-        assert_eq!(class_by_name("CAR"), Some(ObjectClass::Car));
-        assert_eq!(class_by_name("dragon"), None);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! simulated time always includes the full Phase-1 charge, as the paper's
 //! end-to-end numbers do; [`ExecStats::phase1_cached`] records whether the
 //! *wall-clock* work was reused. The cache is LRU-bounded
-//! ([`DEFAULT_CACHE_CAPACITY`], adjustable via
-//! [`Session::set_cache_capacity`]) so sessions touching many distinct
+//! ([`DEFAULT_CACHE_CAPACITY`], adjustable via [`SharedCache::set_capacity`]
+//! on [`Session::shared_cache`]) so sessions touching many distinct
 //! `(dataset, score, scale, seed, step)` combinations can't grow memory
 //! without limit.
 
@@ -32,7 +32,7 @@ use everest_core::phase1::Phase1Config;
 use everest_core::pipeline::{Everest, FrameOracleAdapter, PreparedVideo, QueryReport};
 use everest_core::stream::{batch_reference, StreamAnswer, StreamConfig, StreamTopK};
 use everest_core::window::{exact_window_scores, sliding_windows, WindowInfo};
-use everest_core::xtuple::{ItemId, ItemState};
+use everest_core::xtuple::ItemState;
 use everest_models::{
     ExactScoreOracle, FlakyOracle, HogScorer, Oracle, RetryingOracle, TinyYoloScorer,
 };
@@ -119,7 +119,7 @@ pub enum Output {
 #[derive(Debug, Clone)]
 pub struct StreamOutput {
     /// Per-emit answers in arrival order. Frame ids are x-tuple ids on the
-    /// retained stream; [`StreamOutput::video_frame`] maps them back.
+    /// retained stream; [`StreamOutput::retained`] maps them back.
     pub answers: Vec<StreamAnswer>,
     /// Retained video-frame number of each arriving x-tuple.
     pub retained: Vec<usize>,
@@ -217,18 +217,6 @@ impl Session {
         self.cache.clone()
     }
 
-    /// Current cap on cached Phase-1 preparations.
-    pub fn cache_capacity(&self) -> usize {
-        self.cache.capacity()
-    }
-
-    /// Re-caps the prepared-video cache (≥ 1), evicting least-recently
-    /// used entries immediately if the new cap is smaller. With a shared
-    /// cache this re-caps every session sharing it.
-    pub fn set_cache_capacity(&mut self, capacity: usize) {
-        self.cache.set_capacity(capacity);
-    }
-
     /// Parses, analyzes and executes one statement.
     pub fn execute(&mut self, src: &str) -> Result<Output, EvqlError> {
         match parse(src)? {
@@ -257,17 +245,6 @@ impl Session {
                 .apply(&name, &value, span)
                 .map(Output::Message),
         }
-    }
-
-    /// Number of cached Phase-1 preparations.
-    pub fn cached_preparations(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Drops all cached Phase-1 work (counted as a reload in
-    /// [`crate::shared::CacheStats`]).
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
     }
 
     // ---- SHOW ----
@@ -840,21 +817,6 @@ impl std::fmt::Debug for StreamSession {
 }
 
 impl StreamSession {
-    /// The validated plan this stream runs.
-    pub fn plan(&self) -> &QueryPlan {
-        &self.plan
-    }
-
-    /// Total x-tuples that will arrive (the retained stream length).
-    pub fn n_arrivals(&self) -> usize {
-        self.dists.len()
-    }
-
-    /// Retained video-frame number of stream id `id`.
-    pub fn video_frame(&self, id: ItemId) -> usize {
-        self.entry.prepared.phase1.segments.retained()[id]
-    }
-
     /// Feeds arrivals until the next emit point; `None` when the stream is
     /// exhausted.
     pub fn next_emit(&mut self) -> Option<&StreamAnswer> {
@@ -1069,11 +1031,6 @@ impl ExecStats {
 }
 
 impl StreamOutput {
-    /// Retained video-frame number of stream id `id`.
-    pub fn video_frame(&self, id: ItemId) -> usize {
-        self.retained[id]
-    }
-
     /// ASCII rendering for the CLI: one block per emit point, with stream
     /// ids mapped back to video frames.
     pub fn render(&self) -> String {
@@ -1214,7 +1171,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(s.cached_preparations(), 0, "EXPLAIN must not run Phase 1");
+        assert_eq!(s.shared_cache().len(), 0, "EXPLAIN must not run Phase 1");
     }
 
     #[test]
@@ -1244,7 +1201,7 @@ mod tests {
         // the render path produces a table mentioning the stats
         let text = out.render();
         assert!(text.contains("confidence="), "{text}");
-        assert_eq!(s.cached_preparations(), 1);
+        assert_eq!(s.shared_cache().len(), 1);
     }
 
     #[test]
@@ -1269,15 +1226,13 @@ mod tests {
             second.stats.phase1_cached,
             "same dataset+score+seed must hit the cache"
         );
-        assert_eq!(s.cached_preparations(), 1);
+        assert_eq!(s.shared_cache().len(), 1);
         // The plan names the key its preparation is cached under.
-        let keys: Vec<CacheKey> = s
-            .shared_cache()
-            .keys()
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        assert_eq!(keys, vec![second.plan.cache_key()]);
+        let listing = s.shared_cache().render();
+        assert!(
+            listing.contains(&second.plan.cache_key().display()),
+            "{listing}"
+        );
         assert!(
             second.stats.wall < first.stats.wall,
             "cache must save wall time"
@@ -1291,9 +1246,9 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert!(!third.stats.phase1_cached);
-        assert_eq!(s.cached_preparations(), 2);
-        s.clear_cache();
-        assert_eq!(s.cached_preparations(), 0);
+        assert_eq!(s.shared_cache().len(), 2);
+        s.shared_cache().clear();
+        assert_eq!(s.shared_cache().len(), 0);
     }
 
     #[test]
@@ -1320,8 +1275,7 @@ mod tests {
     #[test]
     fn cache_capacity_bounds_and_evicts_lru() {
         let mut s = fast_session();
-        s.set_cache_capacity(2);
-        assert_eq!(s.cache_capacity(), 2);
+        s.shared_cache().set_capacity(2);
         let run = |s: &mut Session, seed: u64| -> bool {
             match s
                 .execute(&format!("SELECT TOP 3 FRAMES FROM Archie WITH SEED {seed}"))
@@ -1333,22 +1287,22 @@ mod tests {
         };
         assert!(!run(&mut s, 1)); // miss: {1}
         assert!(!run(&mut s, 2)); // miss: {1, 2}
-        assert_eq!(s.cached_preparations(), 2);
+        assert_eq!(s.shared_cache().len(), 2);
         assert!(run(&mut s, 1)); // hit bumps 1's recency: LRU is now 2
         assert!(!run(&mut s, 3)); // miss evicts 2: {1, 3}
-        assert_eq!(s.cached_preparations(), 2, "capacity must bound the cache");
+        assert_eq!(s.shared_cache().len(), 2, "capacity must bound the cache");
         assert!(run(&mut s, 1), "recently-used entry must survive eviction");
         assert!(!run(&mut s, 2), "evicted entry must rebuild");
         // shrinking the cap evicts immediately
-        s.set_cache_capacity(1);
-        assert_eq!(s.cached_preparations(), 1);
+        s.shared_cache().set_capacity(1);
+        assert_eq!(s.shared_cache().len(), 1);
         assert!(run(&mut s, 2), "the single most-recent entry survives");
     }
 
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_cache_capacity_rejected() {
-        Session::new().set_cache_capacity(0);
+        Session::new().shared_cache().set_capacity(0);
     }
 
     #[test]
@@ -1376,13 +1330,13 @@ mod tests {
             assert!(w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0));
         }
         for &(id, _) in &last.topk {
-            assert!(out.video_frame(id) < out.stats.n_frames);
+            assert!(out.retained[id] < out.stats.n_frames);
         }
         let text = out.render();
         assert!(text.contains("continuous top-3"), "{text}");
         assert!(text.contains("emit @"), "{text}");
         // streaming reuses the same Phase-1 cache slot as batch queries
-        assert_eq!(s.cached_preparations(), 1);
+        assert_eq!(s.shared_cache().len(), 1);
     }
 
     #[test]
@@ -1394,8 +1348,6 @@ mod tests {
                  WITH SEED 3, WINDOW 600, BUDGET 10",
             )
             .unwrap();
-        let n = stream.n_arrivals();
-        assert!(n > 0);
         let mut emits = 0usize;
         let mut last_at = 0usize;
         while let Some(a) = stream.next_emit() {
@@ -1405,8 +1357,10 @@ mod tests {
             last_at = a.at_frame;
             emits += 1;
         }
-        assert_eq!(emits, n / 300.min(n).max(1));
         let out = stream.finish().unwrap();
+        let n = out.stats.n_items;
+        assert!(n > 0);
+        assert_eq!(emits, n / 300.min(n).max(1));
         assert_eq!(out.answers.len(), emits);
         assert_eq!(out.stats.iterations, Some(emits));
     }
@@ -1458,6 +1412,6 @@ mod tests {
             out.stats.quality.unwrap().precision < 1.0,
             "and pay for it in precision"
         );
-        assert_eq!(s.cached_preparations(), 0, "cheap scans need no Phase 1");
+        assert_eq!(s.shared_cache().len(), 0, "cheap scans need no Phase 1");
     }
 }

@@ -277,11 +277,6 @@ impl SharedCache {
         self.len() == 0
     }
 
-    /// Current cap on ready entries.
-    pub fn capacity(&self) -> usize {
-        self.lock().capacity
-    }
-
     /// Re-caps the cache (≥ 1), evicting LRU entries immediately if the
     /// new cap is smaller.
     pub fn set_capacity(&self, capacity: usize) {
@@ -305,27 +300,6 @@ impl SharedCache {
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         self.lock().stats
-    }
-
-    /// Ready keys in deterministic (BTreeMap) order, with their LRU tick.
-    pub fn keys(&self) -> Vec<(CacheKey, u64)> {
-        self.lock()
-            .slots
-            .iter()
-            .filter_map(|(k, s)| match s {
-                Slot::Ready { last_used, .. } => Some((k.clone(), *last_used)),
-                Slot::Building => None,
-            })
-            .collect()
-    }
-
-    /// Builds currently in flight (for `SHOW CACHES`).
-    pub fn building(&self) -> usize {
-        self.lock()
-            .slots
-            .values()
-            .filter(|s| matches!(s, Slot::Building))
-            .count()
     }
 
     /// `SHOW CACHES` rendering: capacity, entries, counters.

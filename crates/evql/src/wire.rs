@@ -172,13 +172,6 @@ impl Request {
         r.finish()?;
         Ok(req)
     }
-
-    /// The request id (0 only if the caller chose 0).
-    pub fn id(&self) -> u64 {
-        match self {
-            Request::Query { id, .. } | Request::Admin { id, .. } | Request::Ping { id, .. } => *id,
-        }
-    }
 }
 
 impl Response {

@@ -589,7 +589,7 @@ mod tests {
         let mut m = Cmdn::new(tiny_cfg());
         let input = vec![0.3f32; 64];
         let mix = m.predict_many(&input).remove(0);
-        assert_eq!(mix.num_components(), 3);
+        assert_eq!(mix.components().len(), 3);
         let wsum: f64 = mix.components().iter().map(|c| c.weight).sum();
         assert!((wsum - 1.0).abs() < 1e-9);
         assert!(mix.components().iter().all(|c| c.std >= 0.2));

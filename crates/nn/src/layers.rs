@@ -31,16 +31,6 @@ impl Param {
         Param { w, g }
     }
 
-    /// Number of scalar parameters.
-    pub fn len(&self) -> usize {
-        self.w.len()
-    }
-
-    /// True when the tensor holds no parameters.
-    pub fn is_empty(&self) -> bool {
-        self.w.is_empty()
-    }
-
     /// Resets the gradient accumulator to zero.
     pub fn zero_grad(&mut self) {
         self.g.iter_mut().for_each(|g| *g = 0.0);

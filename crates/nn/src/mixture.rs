@@ -61,11 +61,6 @@ impl GaussianMixture {
         &self.components
     }
 
-    /// Number of components.
-    pub fn num_components(&self) -> usize {
-        self.components.len()
-    }
-
     /// Mixture mean: Σ π_j μ_j (the paper's ¯μ).
     pub fn mean(&self) -> f64 {
         self.components.iter().map(|c| c.weight * c.mean).sum()
@@ -80,14 +75,6 @@ impl GaussianMixture {
             .map(|c| c.weight * (c.std * c.std + c.mean * c.mean))
             .sum();
         (second - m * m).max(0.0)
-    }
-
-    /// CDF at `x` (untruncated).
-    pub fn cdf(&self, x: f64) -> f64 {
-        self.components
-            .iter()
-            .map(|c| c.weight * normal_cdf(x, c.mean, c.std))
-            .sum()
     }
 
     /// CDF at `x` with each component truncated at ±3σ and renormalised —
@@ -316,7 +303,7 @@ mod tests {
     }
 
     #[test]
-    fn cdf_is_monotone_and_bounded() {
+    fn truncated_cdf_is_monotone_and_bounded() {
         let m = GaussianMixture::new(vec![
             Component {
                 weight: 0.4,
@@ -332,7 +319,7 @@ mod tests {
         let mut prev = 0.0;
         for i in -50..100 {
             let x = i as f64 * 0.3;
-            let c = m.cdf(x);
+            let c = m.truncated_cdf(x);
             assert!((0.0..=1.0).contains(&c));
             assert!(c >= prev - 1e-12, "CDF must be monotone");
             prev = c;

@@ -3,10 +3,9 @@
 //!
 //! The paper trains 12 CMDNs over the grid g = {5, 8, 12, 15} ×
 //! h = {20, 30, 40} and keeps the one with the smallest hold-out negative
-//! log-likelihood. [`HyperGrid::paper`] reproduces that grid;
-//! [`HyperGrid::default`] is the scaled-down grid used by the experiments
-//! (the protocol — train all, select by hold-out NLL, discard the rest — is
-//! identical).
+//! log-likelihood. [`HyperGrid::default`] is the scaled-down 2 × 2 grid
+//! the experiments use (the protocol — train all, select by hold-out NLL,
+//! discard the rest — is identical).
 //!
 //! Gradients are data-parallel: each batch splits into a fixed number of
 //! shards (`SHARDS`, 2); a worker clones the model per shard, pushes the
@@ -315,14 +314,6 @@ impl Default for HyperGrid {
 }
 
 impl HyperGrid {
-    /// The paper's full grid: 4 × 3 = 12 models.
-    pub fn paper() -> Self {
-        HyperGrid {
-            gaussians: vec![5, 8, 12, 15],
-            hidden: vec![20, 30, 40],
-        }
-    }
-
     /// A single-model "grid" for fast tests.
     pub fn single(g: usize, h: usize) -> Self {
         HyperGrid {
@@ -550,7 +541,6 @@ mod tests {
 
     #[test]
     fn grid_len() {
-        assert_eq!(HyperGrid::paper().len(), 12);
         assert_eq!(HyperGrid::default().len(), 4);
         assert_eq!(HyperGrid::single(5, 20).len(), 1);
     }

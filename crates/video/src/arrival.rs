@@ -265,11 +265,6 @@ impl Timeline {
         self.counts.iter().copied().max().unwrap_or(0)
     }
 
-    /// Total number of scripted objects.
-    pub fn num_objects(&self) -> usize {
-        self.objects.len()
-    }
-
     /// Objects visible in frame `t`.
     ///
     /// `objects` is sorted by birth, so only the window
@@ -328,7 +323,7 @@ mod tests {
         let a = Timeline::generate(&small_cfg(), 7);
         let b = Timeline::generate(&small_cfg(), 7);
         assert_eq!(a.counts(), b.counts());
-        assert_eq!(a.num_objects(), b.num_objects());
+        assert_eq!(a.objects.len(), b.objects.len());
     }
 
     #[test]

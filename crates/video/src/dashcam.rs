@@ -14,7 +14,7 @@
 //! user-supplied quantization-step path of §3.2.
 
 use crate::frame::{BBox, Frame};
-use crate::scene::{draw_soft_rect, GroundTruthObject, ObjectClass};
+use crate::scene::draw_soft_rect;
 use crate::store::VideoStore;
 use crate::util::{add_sensor_noise, frame_rng, gaussian, splitmix64};
 use rand::rngs::StdRng;
@@ -111,10 +111,6 @@ impl DashcamVideo {
         }
     }
 
-    pub fn config(&self) -> &DashcamConfig {
-        &self.cfg
-    }
-
     /// Ground-truth lead-vehicle distance in frame `t` (meters) — what the
     /// simulated depth-estimator oracle reads.
     pub fn lead_distance(&self, t: usize) -> f64 {
@@ -125,15 +121,6 @@ impl DashcamVideo {
     /// more dangerous. Bounded to `[0, 50/min_distance]`.
     pub fn tailgating_score(&self, t: usize) -> f64 {
         tailgating_degree(self.distance[t])
-    }
-
-    /// The ground-truth lead vehicle annotation (always exactly one).
-    pub fn objects_at(&self, t: usize) -> Vec<GroundTruthObject> {
-        vec![GroundTruthObject {
-            id: 0,
-            class: ObjectClass::Car,
-            bbox: self.lead_bbox(t),
-        }]
     }
 
     fn lead_bbox(&self, t: usize) -> BBox {
@@ -249,7 +236,7 @@ mod tests {
         for t in 0..v.num_frames() {
             let d = v.lead_distance(t);
             assert!(
-                (v.config().min_distance..=v.config().max_distance).contains(&d),
+                (v.cfg.min_distance..=v.cfg.max_distance).contains(&d),
                 "distance {d} out of bounds at {t}"
             );
         }
@@ -290,8 +277,8 @@ mod tests {
                 far_t = t;
             }
         }
-        let near_box = v.objects_at(near_t)[0].bbox;
-        let far_box = v.objects_at(far_t)[0].bbox;
+        let near_box = v.lead_bbox(near_t);
+        let far_box = v.lead_bbox(far_t);
         assert!(
             near_box.area() > far_box.area() * 1.5,
             "apparent size should grow when close: near {} vs far {}",

@@ -68,11 +68,6 @@ impl DatasetSpec {
         };
         SyntheticVideo::new(cfg, timeline, seed, self.fps)
     }
-
-    /// Dataset length implied by the scaled frame count, in hours.
-    pub fn scaled_hours(&self) -> f64 {
-        self.n_frames as f64 / self.fps / 3600.0
-    }
 }
 
 fn arrival(n_frames: usize, base: f64, amp: f64, lifetime: f64, bursts: f64) -> ArrivalConfig {
@@ -210,13 +205,5 @@ mod tests {
         assert_eq!(v.num_frames(), spec.n_frames);
         assert_eq!(v.width(), spec.render_size.0);
         assert!(v.timeline().max_count() > 0);
-    }
-
-    #[test]
-    fn scaled_hours_are_positive() {
-        for d in counting_datasets() {
-            assert!(d.scaled_hours() > 0.0);
-            assert!(d.scaled_hours() < d.paper_hours);
-        }
     }
 }

@@ -119,19 +119,6 @@ impl Segments {
         self.rep_of[t] as usize
     }
 
-    /// Whether frame `t` was retained.
-    pub fn is_retained(&self, t: usize) -> bool {
-        self.representative(t) == t
-    }
-
-    /// Fraction of frames discarded.
-    pub fn discard_ratio(&self) -> f64 {
-        if self.rep_of.is_empty() {
-            return 0.0;
-        }
-        1.0 - self.retained.len() as f64 / self.rep_of.len() as f64
-    }
-
     /// Segments within the half-open frame range `[start, end)`: for each
     /// representative appearing there, `(representative frame, #frames)`.
     /// This is the `(r_t, |s_t|)` decomposition of §3.4.
@@ -159,10 +146,6 @@ impl DifferenceDetector {
     pub fn new(cfg: DiffConfig) -> Self {
         assert!(cfg.clip_size >= 1, "clip size must be >= 1");
         DifferenceDetector { cfg }
-    }
-
-    pub fn config(&self) -> &DiffConfig {
-        &self.cfg
     }
 
     /// Runs the detector over the whole video.
@@ -259,17 +242,38 @@ impl DifferenceDetector {
 mod tests {
     use super::*;
     use crate::frame::Frame;
-    use crate::store::InMemoryVideo;
 
-    fn constant_video(n: usize) -> InMemoryVideo {
-        InMemoryVideo::new(vec![Frame::filled(8, 8, 0.5); n], 30.0)
+    /// A video of 8×8 frames held in memory.
+    struct Frames(Vec<Frame>);
+
+    impl VideoStore for Frames {
+        fn num_frames(&self) -> usize {
+            self.0.len()
+        }
+
+        fn frame(&self, idx: usize) -> Frame {
+            self.0[idx].clone()
+        }
+
+        fn width(&self) -> usize {
+            8
+        }
+
+        fn height(&self) -> usize {
+            8
+        }
     }
 
-    fn alternating_video(n: usize) -> InMemoryVideo {
-        let frames = (0..n)
-            .map(|t| Frame::filled(8, 8, if t % 2 == 0 { 0.1 } else { 0.9 }))
-            .collect();
-        InMemoryVideo::new(frames, 30.0)
+    fn constant_video(n: usize) -> Frames {
+        Frames(vec![Frame::filled(8, 8, 0.5); n])
+    }
+
+    fn alternating_video(n: usize) -> Frames {
+        Frames(
+            (0..n)
+                .map(|t| Frame::filled(8, 8, if t % 2 == 0 { 0.1 } else { 0.9 }))
+                .collect(),
+        )
     }
 
     fn detector(th: f32, clip: usize) -> DifferenceDetector {
@@ -285,7 +289,6 @@ mod tests {
         let segs = detector(1e-4, 30).run(&v);
         assert_eq!(segs.num_retained(), 3); // one middle per clip
         assert_eq!(segs.n_frames(), 90);
-        assert!(segs.discard_ratio() > 0.9);
         for t in 0..90 {
             let rep = segs.representative(t);
             assert_eq!(rep, (t / 30) * 30 + 15);
@@ -299,10 +302,8 @@ mod tests {
         // Half the frames equal the middle frame's value, half differ hugely:
         // the equal ones collapse onto the middle, the others are retained.
         assert!(segs.num_retained() >= 30);
-        for t in 0..60 {
-            if segs.is_retained(t) {
-                assert_eq!(segs.representative(t), t);
-            }
+        for &t in segs.retained() {
+            assert_eq!(segs.representative(t), t);
         }
     }
 
@@ -326,8 +327,7 @@ mod tests {
     fn single_frame_video() {
         let v = constant_video(1);
         let segs = detector(1e-4, 30).run(&v);
-        assert_eq!(segs.num_retained(), 1);
-        assert!(segs.is_retained(0));
+        assert_eq!(segs.retained(), &[0]);
     }
 
     #[test]
@@ -378,7 +378,7 @@ mod tests {
     fn empty_video() {
         let segs = Segments::identity(0);
         assert_eq!(segs.n_frames(), 0);
-        assert_eq!(segs.discard_ratio(), 0.0);
+        assert_eq!(segs.num_retained(), 0);
     }
 
     #[test]

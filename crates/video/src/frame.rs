@@ -52,15 +52,6 @@ impl Frame {
         self.height
     }
 
-    /// Number of pixels (`width * height`).
-    pub fn len(&self) -> usize {
-        self.pixels.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.pixels.is_empty()
-    }
-
     /// Read-only view of the pixel buffer, row-major.
     pub fn pixels(&self) -> &[f32] {
         &self.pixels
@@ -88,14 +79,6 @@ impl Frame {
     pub fn add_clamped(&mut self, x: usize, y: usize, v: f32) {
         let p = &mut self.pixels[y * self.width + x];
         *p = (*p + v).clamp(0.0, 1.0);
-    }
-
-    /// Mean pixel intensity.
-    pub fn mean(&self) -> f32 {
-        if self.pixels.is_empty() {
-            return 0.0;
-        }
-        self.pixels.iter().sum::<f32>() / self.pixels.len() as f32
     }
 
     /// Mean squared error between two frames of identical dimensions.
@@ -136,23 +119,6 @@ impl Frame {
         }
         out
     }
-
-    /// Mean intensity over a rectangular region, clipped to bounds.
-    /// Useful for simple region statistics in tests and classic baselines.
-    pub fn region_mean(&self, x0: usize, y0: usize, w: usize, h: usize) -> f32 {
-        let x1 = (x0 + w).min(self.width);
-        let y1 = (y0 + h).min(self.height);
-        if x0 >= x1 || y0 >= y1 {
-            return 0.0;
-        }
-        let mut sum = 0.0;
-        for y in y0..y1 {
-            for x in x0..x1 {
-                sum += self.get(x, y);
-            }
-        }
-        sum / ((x1 - x0) * (y1 - y0)) as f32
-    }
 }
 
 /// Axis-aligned bounding box in pixel coordinates.
@@ -176,11 +142,6 @@ impl BBox {
     pub fn area(&self) -> f32 {
         (self.w.max(0.0)) * (self.h.max(0.0))
     }
-
-    /// Center point of the box.
-    pub fn center(&self) -> (f32, f32) {
-        (self.x + self.w / 2.0, self.y + self.h / 2.0)
-    }
 }
 
 #[cfg(test)]
@@ -192,9 +153,8 @@ mod tests {
         let f = Frame::new(4, 3);
         assert_eq!(f.width(), 4);
         assert_eq!(f.height(), 3);
-        assert_eq!(f.len(), 12);
+        assert_eq!(f.pixels().len(), 12);
         assert!(f.pixels().iter().all(|&p| p == 0.0));
-        assert_eq!(f.mean(), 0.0);
     }
 
     #[test]
@@ -261,12 +221,5 @@ mod tests {
         assert_eq!(r.get(0, 0), 1.0);
         assert_eq!(r.get(1, 1), 1.0);
         assert_eq!(r.get(3, 3), 0.0);
-    }
-
-    #[test]
-    fn region_mean_clips_to_bounds() {
-        let f = Frame::filled(4, 4, 0.5);
-        assert!((f.region_mean(2, 2, 10, 10) - 0.5).abs() < 1e-7);
-        assert_eq!(f.region_mean(4, 4, 2, 2), 0.0);
     }
 }

@@ -70,10 +70,6 @@ impl SentimentVideo {
         SentimentVideo { cfg, seed, mood }
     }
 
-    pub fn config(&self) -> &SentimentConfig {
-        &self.cfg
-    }
-
     /// Ground-truth happiness score of frame `t` (0–10 scale) — what the
     /// simulated sentimentalizer oracle reads.
     pub fn happiness(&self, t: usize) -> f64 {
@@ -187,8 +183,12 @@ mod tests {
         let saddest = (0..v.num_frames())
             .min_by(|&a, &b| v.happiness(a).partial_cmp(&v.happiness(b)).unwrap())
             .unwrap();
+        let mean = |t: usize| {
+            let f = v.frame(t);
+            f.pixels().iter().sum::<f32>() / f.pixels().len() as f32
+        };
         assert!(
-            v.frame(happiest).mean() > v.frame(saddest).mean() + 0.05,
+            mean(happiest) > mean(saddest) + 0.05,
             "mood must be visible to the CMDN"
         );
     }

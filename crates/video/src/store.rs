@@ -28,50 +28,6 @@ pub trait VideoStore: Send + Sync {
     }
 }
 
-/// A fully materialised in-memory video, mainly for tests and tiny examples.
-#[derive(Debug, Clone)]
-pub struct InMemoryVideo {
-    frames: Vec<Frame>,
-    fps: f64,
-}
-
-impl InMemoryVideo {
-    pub fn new(frames: Vec<Frame>, fps: f64) -> Self {
-        assert!(
-            !frames.is_empty(),
-            "in-memory video needs at least one frame"
-        );
-        let (w, h) = (frames[0].width(), frames[0].height());
-        assert!(
-            frames.iter().all(|f| f.width() == w && f.height() == h),
-            "all frames must share dimensions"
-        );
-        InMemoryVideo { frames, fps }
-    }
-}
-
-impl VideoStore for InMemoryVideo {
-    fn num_frames(&self) -> usize {
-        self.frames.len()
-    }
-
-    fn frame(&self, idx: usize) -> Frame {
-        self.frames[idx].clone()
-    }
-
-    fn width(&self) -> usize {
-        self.frames[0].width()
-    }
-
-    fn height(&self) -> usize {
-        self.frames[0].height()
-    }
-
-    fn fps(&self) -> f64 {
-        self.fps
-    }
-}
-
 /// GOP-aware decode cost model (simulated seconds).
 ///
 /// * Sequential access (`idx == prev + 1`) costs [`Self::SEQ_COST`].
@@ -123,20 +79,6 @@ impl DecodeCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn in_memory_roundtrip() {
-        let v = InMemoryVideo::new(vec![Frame::filled(4, 4, 0.5); 3], 30.0);
-        assert_eq!(v.num_frames(), 3);
-        assert_eq!(v.frame(1).mean(), 0.5);
-        assert_eq!((v.width(), v.height()), (4, 4));
-    }
-
-    #[test]
-    #[should_panic(expected = "share dimensions")]
-    fn in_memory_rejects_mixed_dimensions() {
-        let _ = InMemoryVideo::new(vec![Frame::new(4, 4), Frame::new(5, 4)], 30.0);
-    }
 
     #[test]
     fn sequential_access_is_cheapest() {

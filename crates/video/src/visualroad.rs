@@ -108,10 +108,6 @@ impl VisualRoadVideo {
         }
     }
 
-    pub fn config(&self) -> &VisualRoadConfig {
-        &self.cfg
-    }
-
     /// Cars visible in frame `t` with their pixel bounding boxes.
     pub fn objects_at(&self, t: usize) -> Vec<GroundTruthObject> {
         let w = self.cfg.width as f64;

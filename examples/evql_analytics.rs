@@ -52,6 +52,6 @@ fn main() {
 
     println!(
         "cached Phase-1 preparations at exit: {}",
-        session.cached_preparations()
+        session.shared_cache().len()
     );
 }

@@ -288,7 +288,7 @@ fn skyline_query_end_to_end() {
             );
         }
     }
-    assert_eq!(s.cached_preparations(), 2, "one Phase 1 per dimension");
+    assert_eq!(s.shared_cache().len(), 2, "one Phase 1 per dimension");
 
     // A later Top-K on the same dataset/score reuses the skyline's
     // count-dimension Phase 1.
