@@ -5,13 +5,12 @@
 //! compare speedup and result quality across methods.
 
 use crate::pipeline::PreparedVideo;
-use everest_models::{CheapScorer, ExactScoreOracle, Oracle};
+use everest_models::{ExactScoreOracle, Oracle};
 use everest_video::store::DecodeCostModel;
 
 /// Output of one baseline run.
 #[derive(Debug, Clone)]
 pub struct BaselineResult {
-    pub name: String,
     /// Top-K frame indices, best first.
     pub topk: Vec<usize>,
     /// Simulated end-to-end latency, seconds.
@@ -39,22 +38,14 @@ pub fn scan_seconds(n_frames: usize, cost_per_frame: f64) -> f64 {
     n_frames as f64 * cost_per_frame + DecodeCostModel::default().sequential_scan_cost(n_frames)
 }
 
-/// The naive exact baseline: oracle on every frame (§1 "scan-and-test").
+/// Score every frame and rank by those scores: the naive exact baseline
+/// with the oracle's table (§1 "scan-and-test"), HOG and TinyYOLOv3 with
+/// their noisy ones ([`everest_models::hog_oracle`],
+/// [`everest_models::tiny_yolo_oracle`]).
 pub fn scan_and_test(oracle: &ExactScoreOracle, k: usize) -> BaselineResult {
     BaselineResult {
-        name: "scan-and-test".into(),
         topk: topk_indices(oracle.all_scores(), k),
         sim_seconds: scan_seconds(oracle.num_frames(), oracle.cost_per_frame()),
-    }
-}
-
-/// A scan-every-frame cheap scorer (HOG / TinyYOLOv3): rank by its own
-/// noisy scores.
-pub fn cheap_scan(scorer: &dyn CheapScorer, k: usize) -> BaselineResult {
-    BaselineResult {
-        name: scorer.name().to_string(),
-        topk: topk_indices(&scorer.score_all(), k),
-        sim_seconds: scan_seconds(scorer.num_frames(), scorer.cost_per_frame()),
     }
 }
 
@@ -68,7 +59,6 @@ pub fn cmdn_only(prepared: &PreparedVideo, k: usize) -> BaselineResult {
         .map(|p| retained[p])
         .collect();
     BaselineResult {
-        name: "cmdn-only".into(),
         topk,
         sim_seconds: prepared.phase1.clock.total(),
     }
@@ -126,7 +116,6 @@ pub fn select_and_topk_at_lambda(
     let topk: Vec<usize> = order.into_iter().map(|i| candidates[i]).collect();
     let decode = DecodeCostModel::default();
     Some(BaselineResult {
-        name: format!("select-and-topk(λ={lambda:.2})"),
         topk,
         sim_seconds: candidates.len() as f64 * oracle.cost_per_frame()
             + decode.trace_cost(&candidates),
@@ -192,7 +181,7 @@ mod tests {
     use crate::metrics::{evaluate_topk, GroundTruth};
     use crate::phase1::fast_phase1;
     use crate::pipeline::Everest;
-    use everest_models::{counting_oracle, HogScorer, InstrumentedOracle, TinyYoloScorer};
+    use everest_models::{counting_oracle, hog_oracle, tiny_yolo_oracle, InstrumentedOracle};
     use everest_video::arrival::{ArrivalConfig, Timeline};
     use everest_video::scene::{SceneConfig, SyntheticVideo};
 
@@ -230,8 +219,8 @@ mod tests {
     fn cheap_scorers_have_low_precision_for_topk() {
         let (_, o) = setup();
         let truth = GroundTruth::new(o.all_scores().to_vec());
-        let hog = cheap_scan(&HogScorer::new(o.clone(), 3), 25);
-        let tiny = cheap_scan(&TinyYoloScorer::new(o.clone(), 3), 25);
+        let hog = scan_and_test(&hog_oracle(&o, 3), 25);
+        let tiny = scan_and_test(&tiny_yolo_oracle(&o, 3), 25);
         let qh = evaluate_topk(&truth, &hog.topk, 25);
         let qt = evaluate_topk(&truth, &tiny.topk, 25);
         // The paper reports zero-to-near-zero precision for both.

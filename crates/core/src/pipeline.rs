@@ -355,6 +355,11 @@ impl PreparedVideo {
     /// hopping by `slide` — the sliding extension of §3.4 (see
     /// [`sliding_windows`] for the independence caveat when
     /// `slide < window_len`).
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per clause of the windowed statement (K, CONFIDENCE, the window's \
+                  length, slide and sample fraction) beside the oracle and the cleaner"
+    )]
     pub fn query_topk_sliding_windows(
         &self,
         oracle: &dyn Oracle,

@@ -94,7 +94,6 @@ pub struct SourceEntry {
 pub struct BuiltSource {
     pub video: Box<dyn VideoStore>,
     pub oracle: ExactScoreOracle,
-    pub fps: f64,
 }
 
 impl SourceEntry {
@@ -123,7 +122,6 @@ impl SourceEntry {
                 BuiltSource {
                     video: Box::new(video),
                     oracle,
-                    fps: self.fps,
                 }
             }
             (SourceKind::Counting(spec), ScoreFn::Coverage) => {
@@ -135,7 +133,6 @@ impl SourceEntry {
                 BuiltSource {
                     video: Box::new(video),
                     oracle,
-                    fps: self.fps,
                 }
             }
             (SourceKind::VisualRoad(cars), ScoreFn::Count(ObjectClass::Car)) => {
@@ -149,7 +146,6 @@ impl SourceEntry {
                 BuiltSource {
                     video: Box::new(video),
                     oracle,
-                    fps: self.fps,
                 }
             }
             (SourceKind::Dashcam(cfg, default_seed), ScoreFn::Tailgating) => {
@@ -162,7 +158,6 @@ impl SourceEntry {
                 BuiltSource {
                     video: Box::new(video),
                     oracle,
-                    fps: self.fps,
                 }
             }
             (SourceKind::Vlog(cfg, default_seed), ScoreFn::Sentiment) => {
@@ -175,7 +170,6 @@ impl SourceEntry {
                 BuiltSource {
                     video: Box::new(video),
                     oracle,
-                    fps: self.fps,
                 }
             }
             (kind, score) => panic!(

@@ -21,7 +21,7 @@ use crate::parser::parse;
 use crate::plan::{Engine, PlanTarget, QueryPlan};
 use crate::shared::{CacheKey, SharedCache};
 use everest_core::baselines::{
-    cheap_scan, cmdn_only, scan_and_test, scan_seconds, select_and_topk_calibrated, topk_indices,
+    cmdn_only, scan_and_test, scan_seconds, select_and_topk_calibrated, topk_indices,
     BaselineResult,
 };
 use everest_core::budget::{CancelToken, QueryBudget, Termination};
@@ -34,7 +34,7 @@ use everest_core::stream::{batch_reference, StreamAnswer, StreamConfig, StreamTo
 use everest_core::window::{exact_window_scores, sliding_windows, WindowInfo};
 use everest_core::xtuple::ItemState;
 use everest_models::{
-    ExactScoreOracle, FlakyOracle, HogScorer, Oracle, RetryingOracle, TinyYoloScorer,
+    hog_oracle, tiny_yolo_oracle, ExactScoreOracle, FlakyOracle, Oracle, RetryingOracle,
 };
 use everest_video::store::DecodeCostModel;
 use std::sync::Arc;
@@ -144,7 +144,6 @@ pub struct SkylineOutput {
     /// Display names of the dimensions.
     pub score_names: Vec<String>,
     pub stats: ExecStats,
-    pub plan: crate::plan::SkylinePlan,
 }
 
 /// One cached Phase-1 preparation: the prepared video plus the exact
@@ -433,12 +432,11 @@ impl Session {
             (Engine::CmdnOnly, PlanTarget::Frames, Some(e)) => {
                 baseline(cmdn_only(&e.prepared, plan.k))
             }
-            (Engine::Hog, PlanTarget::Frames, _) => baseline(cheap_scan(
-                &HogScorer::new(oracle.clone(), plan.seed ^ 0x09),
-                plan.k,
-            )),
-            (Engine::TinyYolo, PlanTarget::Frames, _) => baseline(cheap_scan(
-                &TinyYoloScorer::new(oracle.clone(), plan.seed ^ 0x77),
+            (Engine::Hog, PlanTarget::Frames, _) => {
+                baseline(scan_and_test(&hog_oracle(oracle, plan.seed ^ 0x09), plan.k))
+            }
+            (Engine::TinyYolo, PlanTarget::Frames, _) => baseline(scan_and_test(
+                &tiny_yolo_oracle(oracle, plan.seed ^ 0x77),
                 plan.k,
             )),
             (Engine::SelectTopk, PlanTarget::Frames, Some(e)) => {
@@ -724,7 +722,6 @@ impl Session {
                 wall: started.elapsed(),
                 phase1_cached,
             },
-            plan,
         })
     }
 }

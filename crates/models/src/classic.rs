@@ -8,9 +8,12 @@
 //! ground truth*: score = ground truth + heteroscedastic noise + systematic
 //! miss/hallucination effects, with per-frame costs calibrated to their
 //! roles (HOG: slow CPU sliding-window SVM; TinyYOLO: fast but shallow).
+//! Each is a score table like the oracle's own, so scan-and-test over it
+//! is the baseline.
 
-use crate::oracle::{ExactScoreOracle, Oracle};
+use crate::oracle::ExactScoreOracle;
 use everest_video::util::{frame_rng, gaussian};
+use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Simulated HOG+SVM cost: hundreds of SVM evaluations per frame on CPU.
@@ -21,94 +24,49 @@ pub const HOG_COST_PER_FRAME: f64 = 0.045;
 /// Simulated TinyYOLOv3 cost (the "light" real-time detector).
 pub const TINY_YOLO_COST_PER_FRAME: f64 = 0.008;
 
-/// A cheap scan-every-frame scorer: noisy scores at a low per-frame cost.
-pub trait CheapScorer: Send + Sync {
-    /// Noisy score for frame `t` (deterministic per (scorer, frame)).
-    fn score(&self, t: usize) -> f64;
-    fn cost_per_frame(&self) -> f64;
-    fn num_frames(&self) -> usize;
-    fn name(&self) -> &str;
-
-    /// All scores (the baseline scans the full video anyway).
-    fn score_all(&self) -> Vec<f64> {
-        (0..self.num_frames()).map(|t| self.score(t)).collect()
-    }
+/// The noisy reading of every frame of `truth`: `noisy(truth score, rng)`
+/// with the rng of `(seed, frame)`, so each frame's score is
+/// deterministic per (scorer, frame).
+fn noisy_scores(
+    truth: &ExactScoreOracle,
+    seed: u64,
+    noisy: impl Fn(f64, &mut StdRng) -> f64,
+) -> Vec<f64> {
+    truth
+        .all_scores()
+        .iter()
+        .enumerate()
+        .map(|(t, &gt)| noisy(gt, &mut frame_rng(seed, t)))
+        .collect()
 }
 
 /// HOG + SVM sliding-window counter: large heteroscedastic noise plus
 /// frequent miss/double-count events.
-pub struct HogScorer {
-    truth: ExactScoreOracle,
-    seed: u64,
-}
-
-impl HogScorer {
-    pub fn new(truth: ExactScoreOracle, seed: u64) -> Self {
-        HogScorer { truth, seed }
-    }
-}
-
-impl CheapScorer for HogScorer {
-    fn score(&self, t: usize) -> f64 {
-        let gt = self.truth.score(t);
-        let mut rng = frame_rng(self.seed ^ 0x4067, t);
+pub fn hog_oracle(truth: &ExactScoreOracle, seed: u64) -> ExactScoreOracle {
+    let scores = noisy_scores(truth, seed ^ 0x4067, |gt, rng| {
         // multiplicative detection-rate wobble + additive clutter noise
         let rate: f64 = rng.gen_range(0.3..1.3);
-        let clutter = gaussian(&mut rng) * (1.5 + 0.5 * gt);
+        let clutter = gaussian(rng) * (1.5 + 0.5 * gt);
         (gt * rate + clutter).max(0.0).round()
-    }
-
-    fn cost_per_frame(&self) -> f64 {
-        HOG_COST_PER_FRAME
-    }
-
-    fn num_frames(&self) -> usize {
-        self.truth.num_frames()
-    }
-
-    fn name(&self) -> &str {
-        "hog-svm"
-    }
+    });
+    ExactScoreOracle::new("hog-svm", scores, HOG_COST_PER_FRAME)
 }
 
 /// TinyYOLOv3: cheaper and a little less wrong than HOG, still far too
 /// noisy to rank frames whose true scores differ by one or two objects.
-pub struct TinyYoloScorer {
-    truth: ExactScoreOracle,
-    seed: u64,
-}
-
-impl TinyYoloScorer {
-    pub fn new(truth: ExactScoreOracle, seed: u64) -> Self {
-        TinyYoloScorer { truth, seed }
-    }
-}
-
-impl CheapScorer for TinyYoloScorer {
-    fn score(&self, t: usize) -> f64 {
-        let gt = self.truth.score(t);
-        let mut rng = frame_rng(self.seed ^ 0x719_0101, t);
+pub fn tiny_yolo_oracle(truth: &ExactScoreOracle, seed: u64) -> ExactScoreOracle {
+    let scores = noisy_scores(truth, seed ^ 0x719_0101, |gt, rng| {
         let rate: f64 = rng.gen_range(0.55..1.15); // misses small objects
-        let noise = gaussian(&mut rng) * (0.8 + 0.3 * gt);
+        let noise = gaussian(rng) * (0.8 + 0.3 * gt);
         (gt * rate + noise).max(0.0).round()
-    }
-
-    fn cost_per_frame(&self) -> f64 {
-        TINY_YOLO_COST_PER_FRAME
-    }
-
-    fn num_frames(&self) -> usize {
-        self.truth.num_frames()
-    }
-
-    fn name(&self) -> &str {
-        "tiny-yolov3"
-    }
+    });
+    ExactScoreOracle::new("tiny-yolov3", scores, TINY_YOLO_COST_PER_FRAME)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::Oracle;
 
     fn truth() -> ExactScoreOracle {
         let scores: Vec<f64> = (0..2_000).map(|t| (t % 17) as f64).collect();
@@ -117,33 +75,35 @@ mod tests {
 
     #[test]
     fn scores_are_deterministic() {
-        let hog = HogScorer::new(truth(), 5);
-        assert_eq!(hog.score(100), hog.score(100));
-        let tiny = TinyYoloScorer::new(truth(), 5);
-        assert_eq!(tiny.score(100), tiny.score(100));
+        assert_eq!(
+            hog_oracle(&truth(), 5).all_scores(),
+            hog_oracle(&truth(), 5).all_scores()
+        );
+        assert_eq!(
+            tiny_yolo_oracle(&truth(), 5).all_scores(),
+            tiny_yolo_oracle(&truth(), 5).all_scores()
+        );
     }
 
     #[test]
     fn scores_are_nonnegative_integers() {
-        let hog = HogScorer::new(truth(), 6);
-        for t in 0..500 {
-            let s = hog.score(t);
+        let hog = hog_oracle(&truth(), 6);
+        for &s in &hog.all_scores()[..500] {
             assert!(s >= 0.0 && s.fract() == 0.0, "bad HOG score {s}");
         }
     }
 
     #[test]
     fn noise_is_correlated_with_truth_but_large() {
-        let tiny = TinyYoloScorer::new(truth(), 7);
+        let tiny = tiny_yolo_oracle(&truth(), 7);
         let gt = truth();
         let n = 2_000;
-        let xs: Vec<f64> = (0..n).map(|t| gt.score(t)).collect();
-        let ys: Vec<f64> = (0..n).map(|t| tiny.score(t)).collect();
+        let (xs, ys) = (gt.all_scores(), tiny.all_scores());
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        let (mx, my) = (mean(&xs), mean(&ys));
+        let (mx, my) = (mean(xs), mean(ys));
         let cov: f64 = xs
             .iter()
-            .zip(&ys)
+            .zip(ys)
             .map(|(x, y)| (x - mx) * (y - my))
             .sum::<f64>()
             / n as f64;
@@ -157,23 +117,21 @@ mod tests {
         assert!(corr < 0.95, "but not be accurate enough to rank: {corr}");
         // average absolute error should be large relative to the unit score
         // differences that decide Top-K membership
-        let mae: f64 = xs.iter().zip(&ys).map(|(x, y)| (x - y).abs()).sum::<f64>() / n as f64;
+        let mae: f64 = xs.iter().zip(ys).map(|(x, y)| (x - y).abs()).sum::<f64>() / n as f64;
         assert!(mae > 1.0, "MAE {mae} too small to model a weak detector");
     }
 
     #[test]
     fn tiny_is_cheaper_than_hog_and_both_cheaper_than_oracle() {
-        let hog = HogScorer::new(truth(), 1);
-        let tiny = TinyYoloScorer::new(truth(), 1);
+        let hog = hog_oracle(&truth(), 1);
+        let tiny = tiny_yolo_oracle(&truth(), 1);
         assert!(tiny.cost_per_frame() < hog.cost_per_frame());
         assert!(hog.cost_per_frame() < truth().cost_per_frame());
     }
 
     #[test]
-    fn score_all_covers_video() {
-        let hog = HogScorer::new(truth(), 2);
-        let all = hog.score_all();
-        assert_eq!(all.len(), 2_000);
-        assert_eq!(all[42], hog.score(42));
+    fn tables_cover_the_video() {
+        assert_eq!(hog_oracle(&truth(), 2).num_frames(), 2_000);
+        assert_eq!(tiny_yolo_oracle(&truth(), 2).num_frames(), 2_000);
     }
 }

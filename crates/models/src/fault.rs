@@ -122,11 +122,9 @@ enum Fault {
 /// 100 succeed after a latency spike (half a simulated second on top of
 /// the scoring cost).
 ///
-/// Faults surface only on the fallible path
-/// ([`Oracle::try_score_batch`]); the infallible [`Oracle::score_batch`]
-/// delegates straight to the inner oracle so legacy callers keep
-/// working. Fault penalties accumulate in
-/// [`Oracle::sim_overhead_seconds`].
+/// A fault reaches every caller: [`Oracle::try_score_batch`] returns
+/// it, and [`Oracle::score_batch`] panics on it. Fault penalties
+/// accumulate in [`Oracle::sim_overhead_seconds`].
 pub struct FlakyOracle<O: Oracle> {
     inner: O,
     seed: u64,
@@ -164,10 +162,6 @@ impl<O: Oracle> FlakyOracle<O> {
 }
 
 impl<O: Oracle> Oracle for FlakyOracle<O> {
-    fn score_batch(&self, frames: &[usize]) -> Vec<f64> {
-        self.inner.score_batch(frames)
-    }
-
     fn try_score_batch(&self, frames: &[usize]) -> Result<Vec<f64>, OracleError> {
         let idx = self.calls.fetch_add(1, Ordering::Relaxed);
         match self.decide(idx) {
@@ -251,10 +245,6 @@ impl<O: Oracle> RetryingOracle<O> {
 }
 
 impl<O: Oracle> Oracle for RetryingOracle<O> {
-    fn score_batch(&self, frames: &[usize]) -> Vec<f64> {
-        self.inner.score_batch(frames)
-    }
-
     fn try_score_batch(&self, frames: &[usize]) -> Result<Vec<f64>, OracleError> {
         if self.breaker_open.load(Ordering::Relaxed) {
             return Err(OracleError::BreakerOpen {
@@ -335,15 +325,11 @@ mod tests {
     }
 
     impl Oracle for Scripted {
-        fn score_batch(&self, frames: &[usize]) -> Vec<f64> {
-            table().score_batch(frames)
-        }
-
         fn try_score_batch(&self, frames: &[usize]) -> Result<Vec<f64>, OracleError> {
             if (self.fails)(self.calls.fetch_add(1, Ordering::Relaxed)) {
                 Err(OracleError::Transient("scripted fault"))
             } else {
-                Ok(self.score_batch(frames))
+                table().try_score_batch(frames)
             }
         }
 
@@ -361,7 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn default_try_path_wraps_infallible() {
+    fn a_score_table_never_fails() {
         let o = table();
         assert_eq!(o.try_score_batch(&[3, 7]).unwrap(), vec![3.0, 7.0]);
         assert_eq!(o.sim_overhead_seconds(), 0.0);
@@ -425,12 +411,12 @@ mod tests {
     }
 
     #[test]
-    fn flaky_infallible_path_bypasses_faults() {
+    #[should_panic(expected = "injected fault")]
+    fn infallible_path_panics_on_an_injected_fault() {
         let o = FlakyOracle::new(table(), 7);
         for _ in 0..200 {
             assert_eq!(o.score_batch(&[5]), vec![5.0]);
         }
-        assert_eq!(o.sim_overhead_seconds(), 0.0);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! * [`counting`] — the default object-counting UDF of Figure 3;
 //! * [`depth`] — the depth-estimator oracle behind the tailgating UDF
 //!   (Figure 9);
-//! * [`classic`] — HOG and TinyYOLOv3 stand-ins: cheap scorers whose noise
-//!   and cost constants are calibrated to their roles in Figure 4 (fast
-//!   and/or classic, but far too inaccurate to rank frames).
+//! * [`classic`] — HOG and TinyYOLOv3 stand-ins: noisy score tables whose
+//!   noise and cost constants are calibrated to their roles in Figure 4
+//!   (fast and/or classic, but far too inaccurate to rank frames).
 //!
 //! Cost constants are simulated seconds per frame; every reported speedup
 //! is a ratio of simulated times, so only the *relative* magnitudes matter.
@@ -34,7 +34,7 @@ pub mod fault;
 pub mod oracle;
 pub mod sentiment;
 
-pub use classic::{CheapScorer, HogScorer, TinyYoloScorer};
+pub use classic::{hog_oracle, tiny_yolo_oracle};
 pub use counting::{counting_oracle, coverage_oracle};
 pub use depth::depth_oracle;
 pub use fault::{FlakyOracle, OracleError, RetryingOracle};

@@ -12,16 +12,21 @@ use std::sync::Arc;
 
 /// An accurate-but-slow scoring model.
 pub trait Oracle: Send + Sync {
-    /// Exact scores for a batch of frame indices.
-    fn score_batch(&self, frames: &[usize]) -> Vec<f64>;
-
-    /// Fallible batch scoring: the surface a production detector
-    /// actually has (it times out, throttles, dies). The default wraps
-    /// the infallible path and never fails; fault-injection wrappers
+    /// Exact scores for a batch of frame indices: the surface a
+    /// production detector actually has (it times out, throttles, dies).
+    /// Score tables never fail; fault-injection wrappers
     /// ([`crate::fault::FlakyOracle`]) and fault-tolerance wrappers
-    /// ([`crate::fault::RetryingOracle`]) override it.
-    fn try_score_batch(&self, frames: &[usize]) -> Result<Vec<f64>, OracleError> {
-        Ok(self.score_batch(frames))
+    /// ([`crate::fault::RetryingOracle`]) do.
+    fn try_score_batch(&self, frames: &[usize]) -> Result<Vec<f64>, OracleError>;
+
+    /// [`Oracle::try_score_batch`] for callers with no degraded answer
+    /// to give (Phase 1's labels, Select-and-TopK).
+    ///
+    /// # Panics
+    /// When the oracle call fails.
+    fn score_batch(&self, frames: &[usize]) -> Vec<f64> {
+        self.try_score_batch(frames)
+            .unwrap_or_else(|e| panic!("{}: {e}", self.name()))
     }
 
     /// Simulated inference cost per frame, in seconds.
@@ -89,8 +94,8 @@ impl ExactScoreOracle {
 }
 
 impl Oracle for ExactScoreOracle {
-    fn score_batch(&self, frames: &[usize]) -> Vec<f64> {
-        frames.iter().map(|&f| self.scores[f]).collect()
+    fn try_score_batch(&self, frames: &[usize]) -> Result<Vec<f64>, OracleError> {
+        Ok(frames.iter().map(|&f| self.scores[f]).collect())
     }
 
     fn cost_per_frame(&self) -> f64 {
@@ -136,13 +141,6 @@ impl<O: Oracle> InstrumentedOracle<O> {
 }
 
 impl<O: Oracle> Oracle for InstrumentedOracle<O> {
-    fn score_batch(&self, frames: &[usize]) -> Vec<f64> {
-        self.frames_scored
-            .fetch_add(frames.len() as u64, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.inner.score_batch(frames)
-    }
-
     fn try_score_batch(&self, frames: &[usize]) -> Result<Vec<f64>, OracleError> {
         // Counters move only on success: a failed call scored nothing, so
         // neither simulated cost nor "% cleaned" should charge for it.

@@ -221,6 +221,10 @@ fn kernel_4x16(k: usize, n: usize, i0: usize, j: usize, a: &[f32], b: &[f32], c:
 /// Scalar edge kernel for the `m % 4` / `n % 16` tails: the unfused edge
 /// chain (a separate multiply then add per ascending `p`), which both
 /// vector tiers' edge rows reproduce.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the tile's shape (`mr`, `nr`, `k`, `n`), its origin (`i0`, `j`) and the three matrices are one call; a struct would be rebuilt per tile"
+)]
 fn kernel_edge(
     mr: usize,
     nr: usize,
@@ -340,6 +344,10 @@ mod avx2 {
     /// Requires AVX2 + FMA at runtime and the [`super::gemm`] slice-length
     /// invariants (validated by the dispatch wrapper), with `j0 ≤ n`.
     #[target_feature(enable = "avx2", enable = "fma")]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the GEMM shape (`m`, `n`, `k`), the start column, the three matrices and the reused pack buffer mirror the dispatch wrapper's signature"
+    )]
     pub(super) unsafe fn gemm(
         m: usize,
         n: usize,
@@ -444,6 +452,10 @@ mod avx2 {
     /// elements, `pack` at least `k·NR`, and `c` the full `m×n` output
     /// with `i0 + mr ≤ m` and `j + NR ≤ n`.
     #[target_feature(enable = "avx2", enable = "fma")]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the edge rows' shape (`mr`, `k`, `n`), their origin (`i0`, `j`), `A`, the packed strip and `C` are one call per strip"
+    )]
     unsafe fn edge_rows_packed(
         mr: usize,
         k: usize,
@@ -849,6 +861,10 @@ mod avx512 {
     /// elements, `pack` at least `k·NR512`, and `c` the full `m×n` output
     /// with `i0 + mr ≤ m` and `j + NR512 ≤ n`.
     #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the edge rows' shape (`mr`, `k`, `n`), their origin (`i0`, `j`), `A`, the packed strip and `C` are one call per strip"
+    )]
     unsafe fn edge_rows_packed(
         mr: usize,
         k: usize,

@@ -18,6 +18,7 @@
 //! simulated "oracle detector" reads it back, which is how the paper treats
 //! YOLOv3 output as ground truth (§2, Table 2).
 
+use crate::util::{gaussian, splitmix64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -305,6 +306,52 @@ pub fn poisson<R: Rng>(rng: &mut R, lambda: f64) -> usize {
 pub fn exponential<R: Rng>(rng: &mut R, mean: f64) -> f64 {
     let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     -u.ln() * mean
+}
+
+/// A mean-reverting walk with events: the hidden signal behind the
+/// dashcam's lead distance and the vlog's mood. At rest it reverts to
+/// `rest`; an event moves its target to a uniform draw from
+/// `event_range` for an exponential number of frames (at least
+/// `min_event_len`), then the target returns to `rest`.
+pub(crate) struct EventWalk {
+    pub rest: f64,
+    pub event_range: (f64, f64),
+    pub event_rate_per_10k: f64,
+    pub event_mean_len: f64,
+    pub min_event_len: usize,
+    pub reversion: f64,
+    pub diffusion: f64,
+    /// The walk is clamped to `[bounds.0, bounds.1]`.
+    pub bounds: (f64, f64),
+}
+
+impl EventWalk {
+    /// `n_frames` steps of the walk from `rest`, drawn from the rng of
+    /// `salted_seed`.
+    pub(crate) fn simulate(&self, n_frames: usize, salted_seed: u64) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(splitmix64(salted_seed));
+        let mut x = self.rest;
+        let mut target = self.rest;
+        let mut event_left = 0usize;
+        let event_prob = self.event_rate_per_10k / 10_000.0;
+        let mut out = Vec::with_capacity(n_frames);
+        for _ in 0..n_frames {
+            if event_left > 0 {
+                event_left -= 1;
+                if event_left == 0 {
+                    target = self.rest;
+                }
+            } else if rng.gen::<f64>() < event_prob {
+                target = rng.gen_range(self.event_range.0..self.event_range.1);
+                event_left =
+                    (exponential(&mut rng, self.event_mean_len) as usize).max(self.min_event_len);
+            }
+            x += self.reversion * (target - x) + self.diffusion * gaussian(&mut rng);
+            x = x.clamp(self.bounds.0, self.bounds.1);
+            out.push(x);
+        }
+        out
+    }
 }
 
 #[cfg(test)]

@@ -13,12 +13,11 @@
 //! oracle. The *tailgating degree* score is continuous, which exercises the
 //! user-supplied quantization-step path of §3.2.
 
+use crate::arrival::EventWalk;
 use crate::frame::{BBox, Frame};
 use crate::scene::draw_soft_rect;
 use crate::store::VideoStore;
-use crate::util::{add_sensor_noise, frame_rng, gaussian, splitmix64};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::util::{add_sensor_noise, frame_rng};
 
 /// Configuration of the dashcam distance process.
 #[derive(Debug, Clone)]
@@ -103,7 +102,17 @@ impl DashcamVideo {
     pub fn new(cfg: DashcamConfig, seed: u64) -> Self {
         assert!(cfg.n_frames > 0);
         assert!(cfg.min_distance > 0.0 && cfg.min_distance < cfg.max_distance);
-        let distance = simulate_distance(&cfg, seed);
+        let distance = EventWalk {
+            rest: cfg.cruise_distance,
+            event_range: cfg.event_distance,
+            event_rate_per_10k: cfg.event_rate_per_10k,
+            event_mean_len: cfg.event_mean_len,
+            min_event_len: 20,
+            reversion: cfg.reversion,
+            diffusion: cfg.diffusion,
+            bounds: (cfg.min_distance, cfg.max_distance),
+        }
+        .simulate(cfg.n_frames, seed ^ 0xDA5_C0DE);
         DashcamVideo {
             cfg,
             seed,
@@ -145,31 +154,6 @@ impl DashcamVideo {
 /// distance" from the paper's fleet-management use case.
 pub fn tailgating_degree(distance_m: f64) -> f64 {
     50.0 / distance_m.max(1.0)
-}
-
-fn simulate_distance(cfg: &DashcamConfig, seed: u64) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ 0xDA5_C0DE));
-    let mut d = cfg.cruise_distance;
-    let mut target = cfg.cruise_distance;
-    let mut event_left = 0usize;
-    let event_prob = cfg.event_rate_per_10k / 10_000.0;
-    let mut out = Vec::with_capacity(cfg.n_frames);
-    for _ in 0..cfg.n_frames {
-        if event_left > 0 {
-            event_left -= 1;
-            if event_left == 0 {
-                target = cfg.cruise_distance;
-            }
-        } else if rng.gen::<f64>() < event_prob {
-            target = rng.gen_range(cfg.event_distance.0..cfg.event_distance.1);
-            event_left =
-                (crate::arrival::exponential(&mut rng, cfg.event_mean_len) as usize).max(20);
-        }
-        d += cfg.reversion * (target - d) + cfg.diffusion * gaussian(&mut rng);
-        d = d.clamp(cfg.min_distance, cfg.max_distance);
-        out.push(d);
-    }
-    out
 }
 
 impl VideoStore for DashcamVideo {

@@ -7,12 +7,11 @@
 //! the renderer converts mood into visual cues a CMDN can learn —
 //! global brightness and the size of a smiling-face blob.
 
+use crate::arrival::EventWalk;
 use crate::frame::{BBox, Frame};
 use crate::scene::draw_soft_rect;
 use crate::store::VideoStore;
-use crate::util::{add_sensor_noise, frame_rng, gaussian, splitmix64};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::util::{add_sensor_noise, frame_rng};
 
 /// Configuration of the mood process.
 #[derive(Debug, Clone)]
@@ -66,7 +65,17 @@ pub struct SentimentVideo {
 impl SentimentVideo {
     pub fn new(cfg: SentimentConfig, seed: u64) -> Self {
         assert!(cfg.n_frames > 0);
-        let mood = simulate_mood(&cfg, seed);
+        let mood = EventWalk {
+            rest: cfg.baseline,
+            event_range: cfg.event_mood,
+            event_rate_per_10k: cfg.event_rate_per_10k,
+            event_mean_len: cfg.event_mean_len,
+            min_event_len: 15,
+            reversion: cfg.reversion,
+            diffusion: cfg.diffusion,
+            bounds: (0.0, 10.0),
+        }
+        .simulate(cfg.n_frames, seed ^ 0x5e47_1e57);
         SentimentVideo { cfg, seed, mood }
     }
 
@@ -75,31 +84,6 @@ impl SentimentVideo {
     pub fn happiness(&self, t: usize) -> f64 {
         self.mood[t]
     }
-}
-
-fn simulate_mood(cfg: &SentimentConfig, seed: u64) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ 0x5e47_1e57));
-    let mut mood = cfg.baseline;
-    let mut target = cfg.baseline;
-    let mut event_left = 0usize;
-    let event_prob = cfg.event_rate_per_10k / 10_000.0;
-    let mut out = Vec::with_capacity(cfg.n_frames);
-    for _ in 0..cfg.n_frames {
-        if event_left > 0 {
-            event_left -= 1;
-            if event_left == 0 {
-                target = cfg.baseline;
-            }
-        } else if rng.gen::<f64>() < event_prob {
-            target = rng.gen_range(cfg.event_mood.0..cfg.event_mood.1);
-            event_left =
-                (crate::arrival::exponential(&mut rng, cfg.event_mean_len) as usize).max(15);
-        }
-        mood += cfg.reversion * (target - mood) + cfg.diffusion * gaussian(&mut rng);
-        mood = mood.clamp(0.0, 10.0);
-        out.push(mood);
-    }
-    out
 }
 
 impl VideoStore for SentimentVideo {

@@ -14,7 +14,8 @@
 //!   difference detector, decode cost model, Visual Road, dashcams).
 //! * [`nn`] (`everest-nn`) — pure-Rust convolutional mixture density network.
 //! * [`models`] (`everest-models`) — simulated deep-model oracles (incl.
-//!   fault injection and retry wrappers), classic baseline scorers.
+//!   fault injection and retry wrappers), the HOG / TinyYOLOv3 baselines
+//!   as noisy score tables.
 //! * [`evql`] (`everest-evql`) — the declarative Top-K query language
 //!   (§5's FrameQL-style integration) and the `everest-cli` shell.
 //!

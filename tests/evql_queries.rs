@@ -116,6 +116,32 @@ fn baseline_engines_run_through_evql() {
     }
 }
 
+/// The cheap baselines rank by their own noisy score tables: each
+/// statement's frames and simulated latency stay what they were.
+#[test]
+fn cheap_baselines_keep_their_pinned_answers() {
+    let mut s = fast_session();
+    let pinned: [(&str, [usize; 10], u64); 2] = [
+        (
+            "hog",
+            [1972, 215, 1254, 1257, 1978, 463, 1024, 1264, 1291, 1308],
+            0x4056_b333_3333_3333, // 90.8 s
+        ),
+        (
+            "tinyyolo",
+            [1995, 1257, 1931, 250, 1265, 1939, 1954, 1956, 1970, 1979],
+            0x4030_cccc_cccc_cccd, // 16.8 s
+        ),
+    ];
+    for (engine, frames, sim_bits) in pinned {
+        let q = format!("SELECT TOP 10 FRAMES FROM Archie USING {engine} WITH SEED 3");
+        let out = rows(&mut s, &q);
+        let got: Vec<usize> = out.rows.iter().map(|r| r.start_frame).collect();
+        assert_eq!(got, frames, "{engine}");
+        assert_eq!(out.stats.sim_seconds.to_bits(), sim_bits, "{engine}");
+    }
+}
+
 #[test]
 fn phase1_cache_shared_between_frame_and_window_queries() {
     let mut s = fast_session();

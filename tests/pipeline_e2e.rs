@@ -8,13 +8,13 @@
 //! Phase-2 queries against a fresh instrumented oracle, so oracle counters
 //! stay per-test.
 
-use everest::core::baselines::{cheap_scan, cmdn_only, scan_and_test};
+use everest::core::baselines::{cmdn_only, scan_and_test};
 use everest::core::cleaner::CleanerConfig;
 use everest::core::metrics::{evaluate_topk, GroundTruth};
 use everest::core::phase1::Phase1Config;
 use everest::core::pipeline::{Everest, PreparedVideo};
 use everest::core::sim::component;
-use everest::models::{counting_oracle, HogScorer, InstrumentedOracle};
+use everest::models::{counting_oracle, hog_oracle, InstrumentedOracle};
 use everest::nn::train::TrainConfig;
 use everest::nn::HyperGrid;
 use everest::video::arrival::{ArrivalConfig, Timeline};
@@ -164,7 +164,7 @@ fn everest_beats_baselines_on_quality() {
     let everest = prepared.query_topk(&oracle, k, 0.9, &CleanerConfig::default());
     let q_everest = evaluate_topk(&truth, &everest.frames(), k);
 
-    let hog = cheap_scan(&HogScorer::new(oracle.inner().clone(), 3), k);
+    let hog = scan_and_test(&hog_oracle(oracle.inner(), 3), k);
     let q_hog = evaluate_topk(&truth, &hog.topk, k);
 
     let cmdn = cmdn_only(prepared, k);
