@@ -32,15 +32,19 @@ use std::collections::BTreeSet;
 /// fraction of the window's frames (§3.4). Implementations track their own
 /// oracle-invocation counts for cost accounting.
 pub trait CleaningOracle<V = u32> {
-    /// Exact values for `items`, in order.
-    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<V>;
+    /// Exact values for `items`, in order. This is the path `drive`
+    /// takes: an oracle failure ends its loop with
+    /// [`Termination::OracleDown`] and the answer confirmed so far.
+    fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<V>, OracleError>;
 
-    /// Fallible cleaning: the default wraps the infallible path and never
-    /// fails. Adapters over a fallible [`everest_models::Oracle`] override
-    /// it so oracle failures surface as [`Termination::OracleDown`]
-    /// instead of panics.
-    fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<V>, OracleError> {
-        Ok(self.clean_batch(items))
+    /// [`CleaningOracle::try_clean_batch`] for callers with no degraded
+    /// answer to give; no engine path calls it.
+    ///
+    /// # Panics
+    /// When the oracle call fails.
+    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<V> {
+        self.try_clean_batch(items)
+            .unwrap_or_else(|e| panic!("cleaning oracle: {e}"))
     }
 
     /// Simulated seconds this oracle has consumed so far (scoring cost
@@ -56,8 +60,8 @@ pub trait CleaningOracle<V = u32> {
 pub struct FnCleaningOracle<F: FnMut(ItemId) -> u32>(pub F);
 
 impl<F: FnMut(ItemId) -> u32> CleaningOracle for FnCleaningOracle<F> {
-    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<u32> {
-        items.iter().map(|&i| (self.0)(i)).collect()
+    fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
+        Ok(items.iter().map(|&i| (self.0)(i)).collect())
     }
 }
 
@@ -196,14 +200,13 @@ pub(crate) trait Answer {
     type Value;
     /// What `assess` found lacking, for `pick` to act on.
     type Want;
-    type Picks: AsRef<[ItemId]>;
 
     /// The certain answer's confidence (`None` while there are too few
     /// certain items for an answer to exist) and what would raise it.
     fn assess(&self) -> (Option<f64>, Self::Want);
 
     /// Between 1 and `room` uncertain items to confirm next.
-    fn pick(&mut self, want: Self::Want, room: usize) -> Self::Picks;
+    fn pick(&mut self, want: Self::Want, room: usize) -> Vec<ItemId>;
 
     /// Records `id`'s confirmed value.
     fn retire(&mut self, id: ItemId, value: Self::Value);
@@ -257,9 +260,8 @@ pub(crate) fn drive<A: Answer>(
             Err(why) => break why,
         };
         let picks = answer.pick(want, room);
-        let picks = picks.as_ref();
         assert!(!picks.is_empty(), "nothing left to confirm below thres");
-        let Ok(values) = oracle.try_clean_batch(picks) else {
+        let Ok(values) = oracle.try_clean_batch(&picks) else {
             break Termination::OracleDown;
         };
         assert_eq!(values.len(), picks.len(), "oracle must answer the batch");
@@ -297,7 +299,6 @@ struct RelationTopK<'a> {
 impl Answer for RelationTopK<'_> {
     type Value = u32;
     type Want = Want;
-    type Picks = Vec<ItemId>;
 
     fn assess(&self) -> (Option<f64>, Want) {
         self.state.assess_at(self.thresholds)
@@ -728,9 +729,9 @@ mod tests {
     }
 
     impl CleaningOracle for CostedOracle<'_> {
-        fn clean_batch(&mut self, items: &[ItemId]) -> Vec<u32> {
+        fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
             self.spent += items.len() as f64 * 0.1;
-            items.iter().map(|&i| self.truth[i]).collect()
+            Ok(items.iter().map(|&i| self.truth[i]).collect())
         }
 
         fn sim_seconds_spent(&self) -> f64 {
@@ -773,16 +774,12 @@ mod tests {
     }
 
     impl CleaningOracle for DyingOracle<'_> {
-        fn clean_batch(&mut self, items: &[ItemId]) -> Vec<u32> {
-            items.iter().map(|&i| self.truth[i]).collect()
-        }
-
         fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
             if self.live == 0 {
                 return Err(OracleError::Transient("oracle died"));
             }
             self.live -= 1;
-            Ok(self.clean_batch(items))
+            Ok(items.iter().map(|&i| self.truth[i]).collect())
         }
     }
 
@@ -849,10 +846,6 @@ mod tests {
     }
 
     impl CleaningOracle for SeededFlakyCleaner<'_> {
-        fn clean_batch(&mut self, items: &[ItemId]) -> Vec<u32> {
-            items.iter().map(|&i| self.truth[i]).collect()
-        }
-
         fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
             let idx = self.calls;
             self.calls += 1;
@@ -865,7 +858,7 @@ mod tests {
                 return Err(OracleError::Transient("injected"));
             }
             self.spent += items.len() as f64 * 0.05;
-            Ok(self.clean_batch(items))
+            Ok(items.iter().map(|&i| self.truth[i]).collect())
         }
 
         fn sim_seconds_spent(&self) -> f64 {

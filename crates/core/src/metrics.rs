@@ -43,10 +43,6 @@ impl GroundTruth {
         self.scores.is_empty()
     }
 
-    pub fn score(&self, id: usize) -> f64 {
-        self.scores[id]
-    }
-
     /// The K-th highest exact score (1-based K).
     pub fn kth_score(&self, k: usize) -> f64 {
         assert!(k >= 1 && k <= self.sorted.len());
@@ -80,7 +76,7 @@ pub fn evaluate_topk(truth: &GroundTruth, answer: &[usize], k: usize) -> ResultQ
     let threshold = truth.kth_score(k);
     let hits = answer
         .iter()
-        .filter(|&&id| truth.score(id) >= threshold)
+        .filter(|&&id| truth.scores[id] >= threshold)
         .count();
     let precision = hits as f64 / k as f64;
 
@@ -93,7 +89,7 @@ pub fn evaluate_topk(truth: &GroundTruth, answer: &[usize], k: usize) -> ResultQ
         .iter()
         .enumerate()
         .map(|(pos, &id)| {
-            let (first, last) = truth.rank_range(truth.score(id));
+            let (first, last) = truth.rank_range(truth.scores[id]);
             let (first, last) = (first.min(2 * k), last.min(2 * k));
             let p = pos + 1;
             if p < first {
@@ -108,7 +104,7 @@ pub fn evaluate_topk(truth: &GroundTruth, answer: &[usize], k: usize) -> ResultQ
     let rank_distance = footrule / (k * k) as f64;
 
     // Score error: rank-aligned absolute differences.
-    let mut got: Vec<f64> = answer.iter().map(|&id| truth.score(id)).collect();
+    let mut got: Vec<f64> = answer.iter().map(|&id| truth.scores[id]).collect();
     got.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap_or(Ordering::Equal));
     let score_error: f64 = got
         .iter()

@@ -239,12 +239,6 @@ where
     O: Deref<Target = dyn Oracle + 'o>,
     R: Deref<Target = [usize]>,
 {
-    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<u32> {
-        let frames = self.frames(items);
-        let scores = self.oracle.score_batch(&frames);
-        self.confirmed(&frames, &scores)
-    }
-
     fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
         let frames = self.frames(items);
         let scores = self.oracle.try_score_batch(&frames)?;
@@ -265,11 +259,6 @@ where
     O: Deref<Target = dyn Oracle + 'o>,
     R: Deref<Target = [usize]>,
 {
-    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<[u32; 2]> {
-        let [x, y] = self.each_mut().map(|a| a.clean_batch(items));
-        x.into_iter().zip(y).map(|(x, y)| [x, y]).collect()
-    }
-
     fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<[u32; 2]>, OracleError> {
         let x = self[0].try_clean_batch(items)?;
         let y = self[1].try_clean_batch(items)?;
@@ -489,6 +478,62 @@ mod tests {
     use everest_models::{counting_oracle, ExactScoreOracle, InstrumentedOracle};
     use everest_video::arrival::{ArrivalConfig, Timeline};
     use everest_video::scene::{SceneConfig, SyntheticVideo};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Answers its first `live` calls with 1.0 per frame, then fails.
+    struct FailsAfter {
+        live: usize,
+        calls: AtomicUsize,
+    }
+
+    impl Oracle for FailsAfter {
+        fn try_score_batch(&self, frames: &[usize]) -> Result<Vec<f64>, OracleError> {
+            if self.calls.fetch_add(1, Ordering::Relaxed) >= self.live {
+                return Err(OracleError::Transient("detector offline"));
+            }
+            Ok(vec![1.0; frames.len()])
+        }
+
+        fn cost_per_frame(&self) -> f64 {
+            0.25
+        }
+
+        fn num_frames(&self) -> usize {
+            30
+        }
+
+        fn name(&self) -> &str {
+            "fails-after"
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "transient oracle failure: detector offline")]
+    fn infallible_cleaning_panics_with_the_oracle_error() {
+        let down = FailsAfter {
+            live: 0,
+            calls: AtomicUsize::new(0),
+        };
+        let relation = UncertainRelation::new(1.0, 4);
+        let mut adapter = FrameOracleAdapter::new(&down as &dyn Oracle, vec![0, 1, 2], &relation);
+        let _ = adapter.clean_batch(&[0, 2]);
+    }
+
+    #[test]
+    fn a_mid_batch_window_failure_fails_the_batch_and_charges_the_work_done() {
+        let oracle = FailsAfter {
+            live: 1,
+            calls: AtomicUsize::new(0),
+        };
+        let ws = sliding_windows(30, 10, 10);
+        let mut wo = WindowCleaningOracle::new(&oracle, &ws, 0.5, 1.0, 8, 7);
+        assert!(wo.try_clean_batch(&[0, 1, 2]).is_err());
+        // Window 0's five sampled frames were scored; window 1's call
+        // failed, and window 2 was never sent.
+        assert_eq!(oracle.calls.load(Ordering::Relaxed), 2);
+        assert_eq!(wo.frames_scored, 5);
+        assert_eq!(wo.sim_seconds_spent(), 5.0 * 0.25);
+    }
 
     fn tiny_setup() -> (SyntheticVideo, ExactScoreOracle) {
         let tl = Timeline::generate(

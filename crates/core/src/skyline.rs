@@ -495,7 +495,6 @@ struct Skyline<'a> {
 impl Answer for Skyline<'_> {
     type Value = [u32; 2];
     type Want = ();
-    type Picks = Vec<ItemId>;
 
     fn assess(&self) -> (Option<f64>, ()) {
         (Some(self.index.factors.values().product()), ())
@@ -618,6 +617,7 @@ pub fn pws_skyline_probability(rel: &VectorRelation, candidate: &[ItemId]) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use everest_models::OracleError;
 
     fn d(masses: &[f64]) -> DiscreteDist {
         DiscreteDist::from_masses(masses)
@@ -833,10 +833,10 @@ mod tests {
     }
 
     impl CleaningOracle<[u32; 2]> for TableOracle {
-        fn clean_batch(&mut self, items: &[ItemId]) -> Vec<[u32; 2]> {
+        fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<[u32; 2]>, OracleError> {
             self.calls += 1;
             self.frames += items.len();
-            items.iter().map(|&i| self.truth[i]).collect()
+            Ok(items.iter().map(|&i| self.truth[i]).collect())
         }
     }
 
@@ -966,17 +966,11 @@ mod tests {
         /// Answers as many batches as its second field says, then fails.
         struct Dying(TableOracle, usize);
         impl CleaningOracle<[u32; 2]> for Dying {
-            fn clean_batch(&mut self, items: &[ItemId]) -> Vec<[u32; 2]> {
-                self.0.clean_batch(items)
-            }
-            fn try_clean_batch(
-                &mut self,
-                items: &[ItemId],
-            ) -> Result<Vec<[u32; 2]>, everest_models::OracleError> {
+            fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<[u32; 2]>, OracleError> {
                 if self.0.calls == self.1 {
-                    return Err(everest_models::OracleError::Transient("oracle died"));
+                    return Err(OracleError::Transient("oracle died"));
                 }
-                Ok(self.clean_batch(items))
+                self.0.try_clean_batch(items)
             }
         }
         let cfg = SkylineConfig {
@@ -1013,7 +1007,7 @@ mod tests {
         rel.push_certain([1, 1]); // dominated by (2,2)
         struct Never;
         impl CleaningOracle<[u32; 2]> for Never {
-            fn clean_batch(&mut self, _: &[ItemId]) -> Vec<[u32; 2]> {
+            fn try_clean_batch(&mut self, _: &[ItemId]) -> Result<Vec<[u32; 2]>, OracleError> {
                 panic!("nothing to clean")
             }
         }

@@ -343,7 +343,6 @@ impl Frames {
 impl Answer for Frames {
     type Value = u32;
     type Want = Want;
-    type Picks = Vec<ItemId>;
 
     fn assess(&self) -> (Option<f64>, Want) {
         self.state.assess()
@@ -587,16 +586,12 @@ mod tests {
     }
 
     impl CleaningOracle for ChaosStreamOracle<'_> {
-        fn clean_batch(&mut self, items: &[ItemId]) -> Vec<u32> {
-            self.cleans += items.len();
-            items.iter().map(|&i| self.truth[i]).collect()
-        }
-
         fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
             if self.die_after.is_some_and(|n| self.cleans >= n) {
                 return Err(OracleError::Transient("oracle host down"));
             }
-            Ok(self.clean_batch(items))
+            self.cleans += items.len();
+            Ok(items.iter().map(|&i| self.truth[i]).collect())
         }
 
         fn sim_seconds_spent(&self) -> f64 {

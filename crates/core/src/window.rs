@@ -187,18 +187,6 @@ impl<'a> WindowCleaningOracle<'a> {
 }
 
 impl CleaningOracle for WindowCleaningOracle<'_> {
-    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<u32> {
-        items
-            .iter()
-            .map(|&wid| {
-                let frames = self.sample_frames(wid);
-                let scores = self.oracle.score_batch(&frames);
-                self.frames_scored += frames.len();
-                self.mean_bucket(&scores)
-            })
-            .collect()
-    }
-
     fn try_clean_batch(
         &mut self,
         items: &[ItemId],

@@ -32,7 +32,7 @@
 //! typed [`WireError`].
 
 use crate::exec::{AnswerRow, ExecStats, Output, QueryOutput, SkylineOutput, StreamOutput};
-use std::io::{Read, Write};
+use std::io::Write;
 
 /// Maximum frame payload in bytes, for requests and responses alike:
 /// 1 MiB.
@@ -277,33 +277,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8], max: u32) -> std::io::Res
     w.write_all(payload)
 }
 
-/// Reads exactly one frame from a blocking reader, enforcing the
-/// max-frame guard before the payload is buffered.
-pub fn read_frame(r: &mut impl Read, max: u32) -> std::io::Result<Vec<u8>> {
-    let mut len_bytes = [0u8; 4];
-    r.read_exact(&mut len_bytes)?;
-    let len = u32::from_be_bytes(len_bytes);
-    if len == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            WireError::EmptyFrame,
-        ));
-    }
-    if len > max {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            WireError::FrameTooLarge { len, max },
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(payload)
-}
-
-/// An incremental frame decoder for non-blocking/poll-style reads: feed
-/// byte chunks with [`push`](FrameDecoder::push), drain complete frames
-/// with [`next_frame`](FrameDecoder::next_frame). The daemon uses this
-/// so a read timeout mid-frame (its shutdown poll) never loses bytes.
+/// An incremental frame decoder: feed byte chunks with [`push`](FrameDecoder::push), drain complete frames
+/// with [`next_frame`](FrameDecoder::next_frame). The daemon and the
+/// blocking client both read through it, so a read timeout mid-frame (the
+/// daemon's shutdown poll) never loses bytes.
 #[derive(Debug)]
 pub struct FrameDecoder {
     buf: Vec<u8>,

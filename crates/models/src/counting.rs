@@ -92,7 +92,7 @@ mod tests {
         let oracle = counting_oracle(&v);
         assert_eq!(oracle.num_frames(), 500);
         for t in (0..500).step_by(41) {
-            assert_eq!(oracle.score(t), v.count_at(t) as f64);
+            assert_eq!(oracle.all_scores()[t], v.count_at(t) as f64);
         }
         assert_eq!(oracle.cost_per_frame(), YOLO_COST_PER_FRAME);
     }
@@ -109,7 +109,7 @@ mod tests {
         );
         let oracle = counting_oracle_visualroad(&v);
         for t in (0..200).step_by(13) {
-            assert_eq!(oracle.score(t), v.count_at(t) as f64);
+            assert_eq!(oracle.all_scores()[t], v.count_at(t) as f64);
         }
     }
 
@@ -125,18 +125,19 @@ mod tests {
         let v = SyntheticVideo::new(SceneConfig::default(), tl, 3, 30.0);
         let cover = coverage_oracle(&v);
         let count = counting_oracle(&v);
+        let (cover, count) = (cover.all_scores(), count.all_scores());
         // empty frames have zero coverage; occupied frames positive
         let mut corr_signs = 0usize;
         let mut occupied = 0usize;
         for t in 0..800 {
-            if count.score(t) == 0.0 {
-                assert_eq!(cover.score(t), 0.0, "frame {t}");
+            if count[t] == 0.0 {
+                assert_eq!(cover[t], 0.0, "frame {t}");
             } else {
                 occupied += 1;
-                assert!(cover.score(t) > 0.0, "frame {t}");
+                assert!(cover[t] > 0.0, "frame {t}");
                 corr_signs += 1;
             }
-            assert!(cover.score(t) >= 0.0);
+            assert!(cover[t] >= 0.0);
         }
         assert!(occupied > 0, "test video must contain objects");
         assert_eq!(corr_signs, occupied);
@@ -146,8 +147,8 @@ mod tests {
         let mut disagreement = false;
         'outer: for a in 0..800 {
             for b in (a + 1)..800 {
-                if (count.score(a) > count.score(b) && cover.score(a) < cover.score(b))
-                    || (count.score(a) < count.score(b) && cover.score(a) > cover.score(b))
+                if (count[a] > count[b] && cover[a] < cover[b])
+                    || (count[a] < count[b] && cover[a] > cover[b])
                 {
                     disagreement = true;
                     break 'outer;

@@ -41,15 +41,16 @@ mod tests {
         );
         let oracle = depth_oracle(&v);
         assert_eq!(oracle.num_frames(), 2_000);
+        let scores = oracle.all_scores();
         // the closest moment must be the top-scoring frame
         // distances can tie at the clamp floor, so compare scores not indices
         let closest = (0..2_000)
             .min_by(|&a, &b| v.lead_distance(a).partial_cmp(&v.lead_distance(b)).unwrap())
             .unwrap();
         let top = (0..2_000)
-            .max_by(|&a, &b| oracle.score(a).partial_cmp(&oracle.score(b)).unwrap())
+            .max_by(|&a, &b| scores[a].partial_cmp(&scores[b]).unwrap())
             .unwrap();
-        assert_eq!(oracle.score(closest), oracle.score(top));
+        assert_eq!(scores[closest], scores[top]);
         assert_eq!(v.lead_distance(closest), v.lead_distance(top));
         assert_eq!(oracle.cost_per_frame(), DEPTH_COST_PER_FRAME);
     }
@@ -64,8 +65,7 @@ mod tests {
             8,
         );
         let oracle = depth_oracle(&v);
-        for t in 0..1_000 {
-            let s = oracle.score(t);
+        for (t, &s) in oracle.all_scores().iter().enumerate() {
             assert!(s > 0.0 && s <= 50.0, "score {s} out of range at {t}");
         }
     }

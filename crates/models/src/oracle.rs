@@ -45,11 +45,6 @@ pub trait Oracle: Send + Sync {
 
     /// Human-readable model name.
     fn name(&self) -> &str;
-
-    /// Convenience: exact score of a single frame.
-    fn score(&self, frame: usize) -> f64 {
-        self.score_batch(&[frame])[0]
-    }
 }
 
 /// Default simulated cost of the YOLOv3-class oracle detector, seconds per
@@ -180,7 +175,7 @@ mod tests {
     fn score_batch_reads_table() {
         let o = oracle();
         assert_eq!(o.score_batch(&[2, 0]), vec![3.0, 1.0]);
-        assert_eq!(o.score(3), 4.0);
+        assert_eq!(o.all_scores()[3], 4.0);
         assert_eq!(o.num_frames(), 4);
         assert_eq!(o.name(), "test");
     }

@@ -43,7 +43,7 @@ mod tests {
         let o = sentiment_oracle(&v);
         assert_eq!(o.num_frames(), 1_000);
         for t in (0..1_000).step_by(77) {
-            assert_eq!(o.score(t), v.happiness(t));
+            assert_eq!(o.all_scores()[t], v.happiness(t));
         }
         assert_eq!(o.cost_per_frame(), SENTIMENT_COST_PER_FRAME);
     }
@@ -58,8 +58,7 @@ mod tests {
             4,
         );
         let o = sentiment_oracle(&v);
-        for t in 0..2_000 {
-            assert!((0.0..=10.0).contains(&o.score(t)));
-        }
+        assert_eq!(o.all_scores().len(), 2_000);
+        assert!(o.all_scores().iter().all(|s| (0.0..=10.0).contains(s)));
     }
 }

@@ -1,18 +1,19 @@
 //! Optimisers over flattened parameter vectors.
 
-/// Adam (Kingma & Ba) with optional gradient clipping.
+/// Exponential decay of the first-moment estimate.
+const BETA1: f32 = 0.9;
+/// Exponential decay of the second-moment estimate.
+const BETA2: f32 = 0.999;
+/// Denominator fuzz preventing division by zero.
+const EPS: f32 = 1e-8;
+/// Global L2 gradient clip.
+const CLIP: f32 = 5.0;
+
+/// Adam (Kingma & Ba) with global-norm gradient clipping.
 #[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate.
     pub lr: f32,
-    /// Exponential decay of the first-moment estimate.
-    pub beta1: f32,
-    /// Exponential decay of the second-moment estimate.
-    pub beta2: f32,
-    /// Denominator fuzz preventing division by zero.
-    pub eps: f32,
-    /// Global L2 gradient clip; 0 disables clipping.
-    pub clip: f32,
     m: Vec<f32>,
     v: Vec<f32>,
     t: u64,
@@ -24,10 +25,6 @@ impl Adam {
     pub fn new(lr: f32, n_params: usize) -> Self {
         Adam {
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            clip: 5.0,
             m: vec![0.0; n_params],
             v: vec![0.0; n_params],
             t: 0,
@@ -40,31 +37,27 @@ impl Adam {
         assert_eq!(grads.len(), self.m.len(), "grad size mismatch");
         self.t += 1;
 
-        // Global-norm clip.
-        let mut scale = 1.0f32;
-        if self.clip > 0.0 {
-            // A plain iterator sum on purpose: the sequential fold is
-            // itself deterministic, and switching to the 8-lane reducer
-            // would change the summation tree and shift the pinned golden
-            // loss trajectories (crates/nn/tests/golden_train.rs).
-            let norm: f32 = grads.iter().map(|g| g * g).sum::<f32>().sqrt();
-            if norm > self.clip {
-                scale = self.clip / norm;
-            }
-        }
+        // Global-norm clip. A plain iterator sum on purpose: the sequential
+        // fold is itself deterministic, and switching to the 8-lane reducer
+        // would change the summation tree and shift the pinned golden loss
+        // trajectories (crates/nn/tests/golden_train.rs). A NaN norm fails
+        // the comparison, so poisoned gradients reach the skip below
+        // unscaled.
+        let norm: f32 = grads.iter().map(|g| g * g).sum::<f32>().sqrt();
+        let scale = if norm > CLIP { CLIP / norm } else { 1.0 };
 
-        let b1c = 1.0 - self.beta1.powi(self.t as i32);
-        let b2c = 1.0 - self.beta2.powi(self.t as i32);
+        let b1c = 1.0 - BETA1.powi(self.t as i32);
+        let b2c = 1.0 - BETA2.powi(self.t as i32);
         for i in 0..params.len() {
             let g = grads[i] * scale;
             if !g.is_finite() {
                 continue; // skip poisoned gradients rather than corrupting state
             }
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g;
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * g * g;
             let mhat = self.m[i] / b1c;
             let vhat = self.v[i] / b2c;
-            params[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+            params[i] -= self.lr * mhat / (vhat.sqrt() + EPS);
         }
     }
 }
@@ -95,25 +88,24 @@ mod tests {
 
     #[test]
     fn clipping_limits_update_magnitude() {
-        let mut unclipped = Adam::new(0.1, 1);
-        unclipped.clip = 0.0;
-        let mut clipped = Adam::new(0.1, 1);
-        clipped.clip = 0.5;
-        let mut xa = vec![0.0f32];
-        let mut xb = vec![0.0f32];
-        unclipped.step(&mut xa, &[1000.0]);
-        clipped.step(&mut xb, &[1000.0]);
-        // Both move by ≈ lr on the first Adam step, but clipping changes the
-        // internal moments; after a second small-gradient step the states differ.
-        unclipped.step(&mut xa, &[0.001]);
-        clipped.step(&mut xb, &[0.001]);
-        assert_ne!(xa[0], xb[0]);
+        // Every first gradient moves the param by ≈ lr, but the moments
+        // remember its clipped size, which the second step reads: a
+        // gradient far over the clip leaves the bits one of exactly `CLIP`
+        // leaves, and one under the clip passes unscaled.
+        let after_two_steps = |first: f32| {
+            let mut opt = Adam::new(0.1, 1);
+            let mut x = vec![0.0f32];
+            opt.step(&mut x, &[first]);
+            opt.step(&mut x, &[0.001]);
+            x[0].to_bits()
+        };
+        assert_eq!(after_two_steps(1000.0), after_two_steps(CLIP));
+        assert_ne!(after_two_steps(CLIP / 2.0), after_two_steps(CLIP));
     }
 
     #[test]
     fn non_finite_gradients_are_skipped() {
         let mut opt = Adam::new(0.1, 2);
-        opt.clip = 0.0;
         let mut x = vec![1.0f32, 1.0];
         opt.step(&mut x, &[f32::NAN, 1.0]);
         assert!(

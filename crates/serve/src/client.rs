@@ -1,8 +1,8 @@
 //! A small blocking client for the daemon's wire protocol — used by the
 //! benchmark ladder, the e2e harness, and anything scripting the daemon.
 
-use everest_evql::wire::{self, Request, Response};
-use std::io::{self, Write};
+use everest_evql::wire::{self, FrameDecoder, Request, Response};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -10,6 +10,8 @@ use std::time::Duration;
 /// with auto-assigned request ids.
 pub struct Client {
     stream: TcpStream,
+    /// Bytes read past the last response stay here for the next one.
+    decoder: FrameDecoder,
     next_id: u64,
 }
 
@@ -18,7 +20,11 @@ impl Client {
     pub fn connect(addr: SocketAddr) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Ok(Client { stream, next_id: 1 })
+        Ok(Client {
+            stream,
+            decoder: FrameDecoder::new(wire::MAX_FRAME),
+            next_id: 1,
+        })
     }
 
     /// Bounds how long [`Client::read_response`] blocks. `None` waits
@@ -45,11 +51,24 @@ impl Client {
         Ok(id)
     }
 
-    /// Reads the next response frame.
+    /// Reads the next response frame. A stream that ends before a whole
+    /// frame arrived is `UnexpectedEof`; a framing or payload violation
+    /// is `InvalidData`.
     pub fn read_response(&mut self) -> io::Result<Response> {
-        let payload = wire::read_frame(&mut self.stream, wire::MAX_FRAME)?;
-        Response::decode(&payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        let invalid = |e| io::Error::new(io::ErrorKind::InvalidData, e);
+        let mut buf = [0u8; 16 * 1024];
+        let payload = loop {
+            if let Some(payload) = self.decoder.next_frame().map_err(invalid)? {
+                break payload;
+            }
+            match self.stream.read(&mut buf) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => self.decoder.push(&buf[..n]),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        };
+        Response::decode(&payload).map_err(invalid)
     }
 
     /// Executes one EVQL statement and returns the daemon's response.

@@ -8,6 +8,7 @@ use everest::core::cleaner::{run_cleaner, CleanerConfig, CleaningOracle, FnClean
 use everest::core::dist::DiscreteDist;
 use everest::core::skyline::{run_skyline_cleaner, SkylineConfig, VectorRelation};
 use everest::core::xtuple::{ItemId, UncertainRelation};
+use everest::models::OracleError;
 
 const MAX_B: usize = 10;
 
@@ -228,8 +229,8 @@ struct TableSkyOracle {
 }
 
 impl CleaningOracle<[u32; 2]> for TableSkyOracle {
-    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<[u32; 2]> {
-        items.iter().map(|&i| self.truth[i]).collect()
+    fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<[u32; 2]>, OracleError> {
+        Ok(items.iter().map(|&i| self.truth[i]).collect())
     }
 }
 

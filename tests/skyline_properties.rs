@@ -11,6 +11,7 @@ use everest::core::skyline::{
     skyline_state, SkylineConfig, SkylineMaintainer, VectorRelation,
 };
 use everest::core::xtuple::ItemState;
+use everest::models::OracleError;
 use proptest::prelude::*;
 
 const MAX_B: usize = 3;
@@ -310,9 +311,9 @@ struct RecordingOracle {
 }
 
 impl CleaningOracle<[u32; 2]> for RecordingOracle {
-    fn clean_batch(&mut self, items: &[usize]) -> Vec<[u32; 2]> {
+    fn try_clean_batch(&mut self, items: &[usize]) -> Result<Vec<[u32; 2]>, OracleError> {
         self.asked.extend_from_slice(items);
-        items.iter().map(|&i| self.truth[i]).collect()
+        Ok(items.iter().map(|&i| self.truth[i]).collect())
     }
 }
 
